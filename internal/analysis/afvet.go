@@ -11,11 +11,11 @@ import (
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/errcheck"
+	"repro/internal/analysis/globalwrite"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/logpath"
 	"repro/internal/analysis/poolsafe"
-	"repro/internal/analysis/shardsafe"
 )
 
 // All returns the afvet analyzers in stable order.
@@ -23,11 +23,11 @@ func All() []*driver.Analyzer {
 	return []*driver.Analyzer{
 		determinism.Analyzer,
 		errcheck.Analyzer,
+		globalwrite.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
 		logpath.Analyzer,
 		poolsafe.Analyzer,
-		shardsafe.Analyzer,
 	}
 }
 

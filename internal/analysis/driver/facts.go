@@ -499,8 +499,9 @@ func (fc *factsCollector) seedAssign(as *ast.AssignStmt, sd *funcSeed, paramIdx 
 // GlobalWritten returns the qualified name ("path.Var") of the
 // package-level variable the assignment target lhs writes (directly or
 // through a selector/index chain rooted at it), or "". Exported for the
-// shardsafe analyzer, which applies it only inside shard execution
-// contexts; the summary layer applies it to every function.
+// globalwrite analyzer, which applies it only inside simulated-process
+// and scheduled-callback bodies; the summary layer applies it to every
+// function.
 func GlobalWritten(info *types.Info, lhs ast.Expr) string {
 	return globalWritten(info, lhs)
 }

@@ -8,9 +8,8 @@ import "repro/internal/sim"
 // own cluster and kernel, shares nothing with its siblings (the one piece
 // of cross-point state, the simulated-time meter, is an atomic counter) —
 // so the gather is a pure index-ordered collection and the assembled
-// report is bit-identical for any worker count, including GOMAXPROCS=1.
-// This is the figure-level analogue of the sharded kernel's sorted window
-// barrier: parallelism changes wall-clock time, never the result.
+// report is bit-identical for any worker count, including GOMAXPROCS=1:
+// parallelism changes wall-clock time, never the result.
 func parallelPoints[T any](workers, n int, point func(i int) T) []T {
 	out := make([]T, n)
 	jobs := make([]func(), n)

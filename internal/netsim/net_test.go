@@ -271,39 +271,3 @@ func TestEndpointAccessors(t *testing.T) {
 	}
 	_ = k
 }
-
-// TestLookaheadBoundIsConservative pins the contract a sharded simulation
-// leans on: no delivery — any size, Nagle on or off, chaos delay set or
-// not — ever undercuts Params.LookaheadBound. The bound must stay a true
-// minimum over everything the fabric can do to a message.
-func TestLookaheadBoundIsConservative(t *testing.T) {
-	configs := []struct {
-		name       string
-		noDelay    bool
-		size       int64
-		extraDelay sim.Time
-	}{
-		{"small-nodelay", true, 1, 0},
-		{"small-nagle", false, 512, 0},
-		{"mss-boundary", true, MSS, 0},
-		{"large", true, 1 << 20, 0},
-		{"chaos-delay", true, 4096, 3 * sim.Millisecond},
-	}
-	for _, cfg := range configs {
-		k, net, na, nb := testWorld()
-		bound := net.Params.LookaheadBound()
-		if bound <= 0 {
-			t.Fatalf("%s: lookahead bound %v not positive", cfg.name, bound)
-		}
-		net.SetChaos(0, cfg.extraDelay)
-		src := net.NewEndpoint("src", na, cfg.noDelay)
-		dst := net.NewEndpoint("dst", nb, true)
-		var sent, got sim.Time
-		dst.SetHandler(func(p *sim.Proc, m *Message) { sent, got = m.SentAt, p.Now() })
-		k.Go("send", func(p *sim.Proc) { src.Send(p, dst, cfg.size, 0, nil) })
-		k.Run(sim.Forever)
-		if lat := got - sent; lat < bound {
-			t.Fatalf("%s: delivered %v after send, below the lookahead bound %v", cfg.name, lat, bound)
-		}
-	}
-}

@@ -1,36 +1,40 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
-	"strconv"
+	"io"
 	"strings"
-	"unicode/utf16"
-	"unicode/utf8"
+	"unicode"
 )
 
-// Parse decodes a scenario file. The format is JSON plus two conveniences:
-// `//` and `#` line comments (outside strings) and trailing commas in
-// objects and arrays. The decoder is hand rolled and dependency free; it
-// never panics on arbitrary input and reports unknown fields by path so a
-// typo'd knob fails loudly instead of silently running the default.
+// maxDepth bounds nesting; a valid scenario nests six levels deep.
+const maxDepth = 64
+
+// Parse decodes a scenario file: plain JSON, plus full-line `//` comments.
+// Unknown fields, duplicate keys and trailing data are errors, so a typo'd
+// knob fails loudly instead of silently running the default. Keys match
+// struct fields case-insensitively, as encoding/json matches them, and
+// duplicates are detected under the same rule. Parse never panics.
 func Parse(data []byte) (*Scenario, error) {
-	p := &parser{b: stripComments(data)}
-	v, err := p.parseValue(0)
-	if err != nil {
+	data = blankComments(data)
+	if err := checkKeys(data); err != nil {
 		return nil, err
 	}
-	p.skipWS()
-	if p.i != len(p.b) {
-		return nil, fmt.Errorf("scenario: trailing data at byte %d", p.i)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	sc := &Scenario{Seed: 1}
+	if err := dec.Decode(sc); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	o, ok := v.(*jobj)
-	if !ok {
-		return nil, fmt.Errorf("scenario: top level must be an object")
-	}
-	sc, err := fromJSON(o)
-	if err != nil {
-		return nil, err
+	for i := range sc.Tenants {
+		for j := range sc.Tenants[i].Mix.Sizes {
+			if s := &sc.Tenants[i].Mix.Sizes[j]; s.Weight == 0 {
+				s.Weight = 1
+			}
+		}
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -38,787 +42,137 @@ func Parse(data []byte) (*Scenario, error) {
 	return sc, nil
 }
 
-// stripComments blanks `//` and `#` comments to end of line, outside
-// strings, preserving byte offsets so error positions stay meaningful.
-func stripComments(data []byte) []byte {
-	out := make([]byte, len(data))
-	copy(out, data)
-	inStr, esc, inCmt := false, false, false
-	for i := 0; i < len(out); i++ {
-		c := out[i]
-		switch {
-		case inCmt:
-			if c == '\n' {
-				inCmt = false
-			} else {
+// blankComments overwrites every line whose first non-blank characters are
+// `//` with spaces. Blanking rather than deleting keeps byte offsets, and
+// so the line numbers in syntax errors, pointing into the original file.
+func blankComments(data []byte) []byte {
+	out := bytes.Clone(data)
+	for start := 0; start < len(out); {
+		end := bytes.IndexByte(out[start:], '\n')
+		if end < 0 {
+			end = len(out)
+		} else {
+			end += start
+		}
+		if bytes.HasPrefix(bytes.TrimLeft(out[start:end], " \t\r"), []byte("//")) {
+			for i := start; i < end; i++ {
 				out[i] = ' '
 			}
-		case inStr:
-			if esc {
-				esc = false
-			} else if c == '\\' {
-				esc = true
-			} else if c == '"' {
-				inStr = false
-			}
-		case c == '"':
-			inStr = true
-		case c == '#':
-			inCmt = true
-			out[i] = ' '
-		case c == '/' && i+1 < len(out) && out[i+1] == '/':
-			inCmt = true
-			out[i] = ' '
 		}
+		start = end + 1
 	}
 	return out
 }
 
-// jobj is a parsed JSON object that remembers key order, so every walk over
-// it (unknown-field reporting, re-encoding) is deterministic without
-// ranging over the map.
-type jobj struct {
-	keys []string
-	vals map[string]any
+// frame is one open object or array in checkKeys' walk.
+type frame struct {
+	path    string          // "tenants[0].arrival"; "" at the top level
+	obj     bool            // object (else array)
+	wantKey bool            // objects: the next token is a key or '}'
+	key     string          // objects: the key whose value is being read
+	folded  map[string]bool // objects: foldKey of every key seen so far
+	idx     int             // arrays: index of the element being read
 }
 
-const maxDepth = 64
-
-type parser struct {
-	b []byte
-	i int
+// child returns the path of the value frame f is reading.
+func (f *frame) child() string {
+	if !f.obj {
+		return fmt.Sprintf("%s[%d]", f.path, f.idx)
+	}
+	if f.path == "" {
+		return f.key
+	}
+	return f.path + "." + f.key
 }
 
-func (p *parser) skipWS() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r', ',':
-			// Commas are treated as whitespace between elements; the
-			// element grammar below re-checks structure, and this is what
-			// buys trailing-comma tolerance.
-			p.i++
-		default:
-			return
+// foldKey maps keys to one string exactly when strings.EqualFold — the
+// rule encoding/json matches keys to fields by — calls them equal: each
+// rune becomes the smallest rune of its Unicode simple-folding orbit.
+func foldKey(k string) string {
+	return strings.Map(func(r rune) rune {
+		m := r
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			m = min(m, f)
 		}
-	}
+		return m
+	}, k)
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("scenario: byte %d: %s", p.i, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) parseValue(depth int) (any, error) {
-	if depth > maxDepth {
-		return nil, p.errf("nesting deeper than %d levels", maxDepth)
-	}
-	p.skipWS()
-	if p.i >= len(p.b) {
-		return nil, p.errf("unexpected end of input")
-	}
-	switch c := p.b[p.i]; {
-	case c == '{':
-		return p.parseObject(depth)
-	case c == '[':
-		return p.parseArray(depth)
-	case c == '"':
-		return p.parseString()
-	case c == 't':
-		return p.parseLit("true", true)
-	case c == 'f':
-		return p.parseLit("false", false)
-	case c == 'n':
-		return p.parseLit("null", nil)
-	case c == '-' || (c >= '0' && c <= '9'):
-		return p.parseNumber()
-	default:
-		return nil, p.errf("unexpected character %q", c)
-	}
-}
-
-func (p *parser) parseLit(lit string, v any) (any, error) {
-	if p.i+len(lit) > len(p.b) || string(p.b[p.i:p.i+len(lit)]) != lit {
-		return nil, p.errf("invalid literal")
-	}
-	p.i += len(lit)
-	return v, nil
-}
-
-func (p *parser) parseObject(depth int) (any, error) {
-	p.i++ // '{'
-	o := &jobj{vals: make(map[string]any)}
+// checkKeys walks the single top-level JSON value in data and rejects
+// syntax errors, a non-object top level, excessive nesting, trailing data,
+// and duplicate keys under case folding, because encoding/json would
+// otherwise fill one field from both "name" and "NAME" and keep whichever
+// came last.
+func checkKeys(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var stack []frame
 	for {
-		p.skipWS()
-		if p.i >= len(p.b) {
-			return nil, p.errf("unterminated object")
-		}
-		if p.b[p.i] == '}' {
-			p.i++
-			return o, nil
-		}
-		if p.b[p.i] != '"' {
-			return nil, p.errf("object key must be a string")
-		}
-		k, err := p.parseString()
+		tok, err := dec.Token()
 		if err != nil {
-			return nil, err
+			return syntaxErr(data, err)
 		}
-		p.skipWS()
-		if p.i >= len(p.b) || p.b[p.i] != ':' {
-			return nil, p.errf("expected ':' after key %q", k)
+		if len(stack) == 0 && tok != json.Delim('{') {
+			return errors.New("scenario: top level must be an object")
 		}
-		p.i++
-		v, err := p.parseValue(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := o.vals[k]; dup {
-			return nil, p.errf("duplicate key %q", k)
-		}
-		o.keys = append(o.keys, k)
-		o.vals[k] = v
-	}
-}
-
-func (p *parser) parseArray(depth int) (any, error) {
-	p.i++ // '['
-	var a []any
-	for {
-		p.skipWS()
-		if p.i >= len(p.b) {
-			return nil, p.errf("unterminated array")
-		}
-		if p.b[p.i] == ']' {
-			p.i++
-			return a, nil
-		}
-		v, err := p.parseValue(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		a = append(a, v)
-	}
-}
-
-func (p *parser) parseString() (string, error) {
-	p.i++ // '"'
-	var sb strings.Builder
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		switch {
-		case c == '"':
-			p.i++
-			return sb.String(), nil
-		case c == '\\':
-			p.i++
-			if p.i >= len(p.b) {
-				return "", p.errf("unterminated escape")
-			}
-			switch e := p.b[p.i]; e {
-			case '"', '\\', '/':
-				sb.WriteByte(e)
-			case 'b':
-				sb.WriteByte('\b')
-			case 'f':
-				sb.WriteByte('\f')
-			case 'n':
-				sb.WriteByte('\n')
-			case 'r':
-				sb.WriteByte('\r')
-			case 't':
-				sb.WriteByte('\t')
-			case 'u':
-				r, err := p.parseHex4()
-				if err != nil {
-					return "", err
-				}
-				if utf16.IsSurrogate(r) {
-					if p.i+2 < len(p.b) && p.b[p.i+1] == '\\' && p.b[p.i+2] == 'u' {
-						p.i += 2
-						r2, err := p.parseHex4()
-						if err != nil {
-							return "", err
-						}
-						r = utf16.DecodeRune(r, r2)
-					} else {
-						r = utf8.RuneError
+		if n := len(stack); n > 0 && stack[n-1].wantKey {
+			if k, ok := tok.(string); ok {
+				top := &stack[n-1]
+				folded := foldKey(k)
+				if top.folded[folded] {
+					where := top.path
+					if where == "" {
+						where = "top level"
 					}
+					return fmt.Errorf("scenario: %s: duplicate key %q (keys match case-insensitively)", where, k)
 				}
-				sb.WriteRune(r)
-			default:
-				return "", p.errf("invalid escape \\%c", e)
+				top.folded[folded] = true
+				top.key, top.wantKey = k, false
+				continue
 			}
-			p.i++
-		case c < 0x20:
-			return "", p.errf("raw control character in string")
-		default:
-			sb.WriteByte(c)
-			p.i++
 		}
-	}
-	return "", p.errf("unterminated string")
-}
-
-func (p *parser) parseHex4() (rune, error) {
-	if p.i+4 >= len(p.b) {
-		return 0, p.errf("truncated \\u escape")
-	}
-	v, err := strconv.ParseUint(string(p.b[p.i+1:p.i+5]), 16, 32)
-	if err != nil {
-		return 0, p.errf("invalid \\u escape")
-	}
-	p.i += 4
-	return rune(v), nil
-}
-
-func (p *parser) parseNumber() (any, error) {
-	start := p.i
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' {
-			p.i++
-		} else {
+		switch tok {
+		case json.Delim('{'), json.Delim('['):
+			if len(stack) == maxDepth {
+				return fmt.Errorf("scenario: nesting deeper than %d levels", maxDepth)
+			}
+			path := ""
+			if n := len(stack); n > 0 {
+				path = stack[n-1].child()
+			}
+			f := frame{path: path}
+			if tok == json.Delim('{') {
+				f.obj, f.wantKey, f.folded = true, true, map[string]bool{}
+			}
+			stack = append(stack, f)
+			continue
+		case json.Delim('}'), json.Delim(']'):
+			stack = stack[:len(stack)-1]
+		}
+		// A value just ended: advance the enclosing container.
+		if len(stack) == 0 {
 			break
 		}
-	}
-	f, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
-	if err != nil || math.IsInf(f, 0) || math.IsNaN(f) {
-		p.i = start
-		return nil, p.errf("invalid number %q", string(p.b[start:p.i]))
-	}
-	return f, nil
-}
-
-// ---------------------------------------------------------------------------
-// Typed extraction: jobj → Scenario, with unknown-field errors by path.
-
-func checkKeys(o *jobj, path string, allowed ...string) error {
-	for _, k := range o.keys {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
+		if top := &stack[len(stack)-1]; top.obj {
+			top.wantKey = true
+		} else {
+			top.idx++
 		}
-		if !found {
-			return fmt.Errorf("scenario: %s: unknown field %q", path, k)
-		}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("scenario: trailing data after byte %d", dec.InputOffset())
 	}
 	return nil
 }
 
-func getString(o *jobj, path, key string) (string, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return "", false, nil
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", false, fmt.Errorf("scenario: %s.%s must be a string", path, key)
-	}
-	return s, true, nil
-}
-
-func getNum(o *jobj, path, key string) (float64, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return 0, false, nil
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, false, fmt.Errorf("scenario: %s.%s must be a number", path, key)
-	}
-	return f, true, nil
-}
-
-func getInt(o *jobj, path, key string) (int64, bool, error) {
-	f, ok, err := getNum(o, path, key)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	if f != math.Trunc(f) || math.Abs(f) > maxSeed {
-		return 0, false, fmt.Errorf("scenario: %s.%s must be an integer (got %g)", path, key, f)
-	}
-	return int64(f), true, nil
-}
-
-func getBool(o *jobj, path, key string) (bool, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return false, false, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, false, fmt.Errorf("scenario: %s.%s must be a bool", path, key)
-	}
-	return b, true, nil
-}
-
-func getObj(o *jobj, path, key string) (*jobj, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return nil, false, nil
-	}
-	c, ok := v.(*jobj)
-	if !ok {
-		return nil, false, fmt.Errorf("scenario: %s.%s must be an object", path, key)
-	}
-	return c, true, nil
-}
-
-func getArr(o *jobj, path, key string) ([]any, bool, error) {
-	v, ok := o.vals[key]
-	if !ok {
-		return nil, false, nil
-	}
-	a, ok := v.([]any)
-	if !ok {
-		return nil, false, fmt.Errorf("scenario: %s.%s must be an array", path, key)
-	}
-	return a, true, nil
-}
-
-func fromJSON(o *jobj) (*Scenario, error) {
-	const path = "scenario"
-	if err := checkKeys(o, path, "name", "seed", "runtime_sec", "ramp_sec",
-		"cluster", "admission", "failure", "tenants"); err != nil {
-		return nil, err
-	}
-	sc := &Scenario{Seed: 1}
-	var err error
-	if sc.Name, _, err = getString(o, path, "name"); err != nil {
-		return nil, err
-	}
-	if v, ok, err := getInt(o, path, "seed"); err != nil {
-		return nil, err
-	} else if ok {
-		if v < 0 {
-			return nil, fmt.Errorf("scenario: seed must be non-negative")
-		}
-		sc.Seed = uint64(v)
-	}
-	if sc.RuntimeSec, _, err = getNum(o, path, "runtime_sec"); err != nil {
-		return nil, err
-	}
-	if sc.RampSec, _, err = getNum(o, path, "ramp_sec"); err != nil {
-		return nil, err
-	}
-	co, ok, err := getObj(o, path, "cluster")
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("scenario: cluster section is required")
-	}
-	if err := clusterFromJSON(co, &sc.Cluster); err != nil {
-		return nil, err
-	}
-	if sc.Admission, _, err = getBool(o, path, "admission"); err != nil {
-		return nil, err
-	}
-	if fo, ok, err := getObj(o, path, "failure"); err != nil {
-		return nil, err
-	} else if ok {
-		sc.Failure = &FailureSpec{}
-		if err := failureFromJSON(fo, sc.Failure); err != nil {
-			return nil, err
-		}
-	}
-	ta, ok, err := getArr(o, path, "tenants")
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("scenario: tenants section is required")
-	}
-	for i, tv := range ta {
-		to, ok := tv.(*jobj)
-		if !ok {
-			return nil, fmt.Errorf("scenario: tenants[%d] must be an object", i)
-		}
-		var t TenantSpec
-		if err := tenantFromJSON(to, i, &t); err != nil {
-			return nil, err
-		}
-		sc.Tenants = append(sc.Tenants, t)
-	}
-	return sc, nil
-}
-
-func clusterFromJSON(o *jobj, c *ClusterSpec) error {
-	const path = "cluster"
-	if err := checkKeys(o, path, "nodes", "osds_per_node", "ssds_per_osd",
-		"pgs", "replicas", "profile", "backend", "journal_mb",
-		"op_timeout_ms", "heartbeat_ms", "heartbeat_grace_ms"); err != nil {
-		return err
-	}
-	ints := []struct {
-		key string
-		dst *int
-	}{
-		{"nodes", &c.Nodes}, {"osds_per_node", &c.OSDsPerNode},
-		{"ssds_per_osd", &c.SSDsPerOSD}, {"pgs", &c.PGs},
-		{"replicas", &c.Replicas}, {"journal_mb", &c.JournalMB},
-	}
-	for _, f := range ints {
-		if v, ok, err := getInt(o, path, f.key); err != nil {
-			return err
-		} else if ok {
-			*f.dst = int(v)
-		}
-	}
-	var err error
-	if c.Profile, _, err = getString(o, path, "profile"); err != nil {
-		return err
-	}
-	if c.Backend, _, err = getString(o, path, "backend"); err != nil {
-		return err
-	}
-	if c.OpTimeoutMs, _, err = getNum(o, path, "op_timeout_ms"); err != nil {
-		return err
-	}
-	if c.HeartbeatMs, _, err = getNum(o, path, "heartbeat_ms"); err != nil {
-		return err
-	}
-	if c.HeartbeatGraceMs, _, err = getNum(o, path, "heartbeat_grace_ms"); err != nil {
-		return err
-	}
-	return nil
-}
-
-func failureFromJSON(o *jobj, f *FailureSpec) error {
-	const path = "failure"
-	if err := checkKeys(o, path, "osd", "at_sec", "recover_at_sec"); err != nil {
-		return err
-	}
-	if v, ok, err := getInt(o, path, "osd"); err != nil {
-		return err
-	} else if ok {
-		f.OSD = int(v)
-	}
-	var err error
-	if f.AtSec, _, err = getNum(o, path, "at_sec"); err != nil {
-		return err
-	}
-	if f.RecoverAtSec, _, err = getNum(o, path, "recover_at_sec"); err != nil {
-		return err
-	}
-	return nil
-}
-
-func tenantFromJSON(o *jobj, idx int, t *TenantSpec) error {
-	path := fmt.Sprintf("tenants[%d]", idx)
-	if err := checkKeys(o, path, "name", "slo_class", "clients", "image_mb",
-		"in_flight", "arrival", "mix", "diurnal", "burst", "admission"); err != nil {
-		return err
-	}
-	var err error
-	if t.Name, _, err = getString(o, path, "name"); err != nil {
-		return err
-	}
-	if t.Class, _, err = getString(o, path, "slo_class"); err != nil {
-		return err
-	}
-	if v, ok, err := getInt(o, path, "clients"); err != nil {
-		return err
-	} else if ok {
-		t.Clients = int(v)
-	}
-	if v, ok, err := getInt(o, path, "image_mb"); err != nil {
-		return err
-	} else if ok {
-		t.ImageMB = int(v)
-	}
-	if v, ok, err := getInt(o, path, "in_flight"); err != nil {
-		return err
-	} else if ok {
-		t.InFlight = int(v)
-	}
-	ao, ok, err := getObj(o, path, "arrival")
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("scenario: %s: arrival section is required", path)
-	}
-	apath := path + ".arrival"
-	if err := checkKeys(ao, apath, "process", "rate_ops_sec", "cv"); err != nil {
-		return err
-	}
-	if t.Arrival.Process, _, err = getString(ao, apath, "process"); err != nil {
-		return err
-	}
-	if t.Arrival.RateOpsSec, _, err = getNum(ao, apath, "rate_ops_sec"); err != nil {
-		return err
-	}
-	if t.Arrival.CV, _, err = getNum(ao, apath, "cv"); err != nil {
-		return err
-	}
-	if mo, ok, err := getObj(o, path, "mix"); err != nil {
-		return err
-	} else if ok {
-		if err := mixFromJSON(mo, path+".mix", &t.Mix); err != nil {
-			return err
-		}
-	}
-	if do, ok, err := getObj(o, path, "diurnal"); err != nil {
-		return err
-	} else if ok {
-		dpath := path + ".diurnal"
-		if err := checkKeys(do, dpath, "period_sec", "amplitude"); err != nil {
-			return err
-		}
-		d := &DiurnalSpec{}
-		if d.PeriodSec, _, err = getNum(do, dpath, "period_sec"); err != nil {
-			return err
-		}
-		if d.Amplitude, _, err = getNum(do, dpath, "amplitude"); err != nil {
-			return err
-		}
-		t.Diurnal = d
-	}
-	if bo, ok, err := getObj(o, path, "burst"); err != nil {
-		return err
-	} else if ok {
-		bpath := path + ".burst"
-		if err := checkKeys(bo, bpath, "at_sec", "duration_sec", "multiplier"); err != nil {
-			return err
-		}
-		b := &BurstSpec{}
-		if b.AtSec, _, err = getNum(bo, bpath, "at_sec"); err != nil {
-			return err
-		}
-		if b.DurationSec, _, err = getNum(bo, bpath, "duration_sec"); err != nil {
-			return err
-		}
-		if b.Multiplier, _, err = getNum(bo, bpath, "multiplier"); err != nil {
-			return err
-		}
-		t.Burst = b
-	}
-	if ado, ok, err := getObj(o, path, "admission"); err != nil {
-		return err
-	} else if ok {
-		adpath := path + ".admission"
-		if err := checkKeys(ado, adpath, "rate_ops_sec", "burst"); err != nil {
-			return err
-		}
-		ad := &ThrottleSpec{}
-		if ad.OpsPerSec, _, err = getNum(ado, adpath, "rate_ops_sec"); err != nil {
-			return err
-		}
-		if ad.Burst, _, err = getNum(ado, adpath, "burst"); err != nil {
-			return err
-		}
-		t.Admission = ad
-	}
-	return nil
-}
-
-func mixFromJSON(o *jobj, path string, m *MixSpec) error {
-	if err := checkKeys(o, path, "read_pct", "pattern", "sizes"); err != nil {
-		return err
-	}
-	if v, ok, err := getInt(o, path, "read_pct"); err != nil {
-		return err
-	} else if ok {
-		m.ReadPct = int(v)
-	}
-	var err error
-	if m.Pattern, _, err = getString(o, path, "pattern"); err != nil {
-		return err
-	}
-	sa, ok, err := getArr(o, path, "sizes")
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	for i, sv := range sa {
-		so, ok := sv.(*jobj)
-		if !ok {
-			return fmt.Errorf("scenario: %s.sizes[%d] must be an object", path, i)
-		}
-		spath := fmt.Sprintf("%s.sizes[%d]", path, i)
-		if err := checkKeys(so, spath, "bytes", "weight"); err != nil {
-			return err
-		}
-		var sw SizeWeight
-		if v, ok, err := getInt(so, spath, "bytes"); err != nil {
-			return err
-		} else if ok {
-			sw.Bytes = v
-		}
-		if sw.Weight, _, err = getNum(so, spath, "weight"); err != nil {
-			return err
-		}
-		if sw.Weight == 0 {
-			sw.Weight = 1
-		}
-		m.Sizes = append(m.Sizes, sw)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Canonical encoder. Encode(Parse(Encode(sc))) == Encode(sc) for every valid
-// scenario: fields are emitted in a fixed order, zero-valued optionals are
-// omitted, and numbers use the shortest round-trippable form. The fuzz
-// harness leans on this fixed point.
-
-// Encode renders the scenario in canonical form.
-func Encode(sc *Scenario) []byte {
-	var b strings.Builder
-	b.WriteString("{\n")
-	fmt.Fprintf(&b, "  \"name\": %s,\n", quote(sc.Name))
-	fmt.Fprintf(&b, "  \"seed\": %d,\n", sc.Seed)
-	fmt.Fprintf(&b, "  \"runtime_sec\": %s,\n", num(sc.RuntimeSec))
-	if sc.RampSec != 0 {
-		fmt.Fprintf(&b, "  \"ramp_sec\": %s,\n", num(sc.RampSec))
-	}
-	encodeCluster(&b, &sc.Cluster)
-	if sc.Admission {
-		b.WriteString("  \"admission\": true,\n")
-	}
-	if f := sc.Failure; f != nil {
-		fmt.Fprintf(&b, "  \"failure\": {\"osd\": %d, \"at_sec\": %s, \"recover_at_sec\": %s},\n",
-			f.OSD, num(f.AtSec), num(f.RecoverAtSec))
-	}
-	b.WriteString("  \"tenants\": [\n")
-	for i := range sc.Tenants {
-		encodeTenant(&b, &sc.Tenants[i], i == len(sc.Tenants)-1)
-	}
-	b.WriteString("  ]\n}\n")
-	return []byte(b.String())
-}
-
-func encodeCluster(b *strings.Builder, c *ClusterSpec) {
-	b.WriteString("  \"cluster\": {")
-	fmt.Fprintf(b, "\"nodes\": %d, \"osds_per_node\": %d", c.Nodes, c.OSDsPerNode)
-	if c.SSDsPerOSD != 0 {
-		fmt.Fprintf(b, ", \"ssds_per_osd\": %d", c.SSDsPerOSD)
-	}
-	if c.PGs != 0 {
-		fmt.Fprintf(b, ", \"pgs\": %d", c.PGs)
-	}
-	if c.Replicas != 0 {
-		fmt.Fprintf(b, ", \"replicas\": %d", c.Replicas)
-	}
-	if c.Profile != "" {
-		fmt.Fprintf(b, ", \"profile\": %s", quote(c.Profile))
-	}
-	if c.Backend != "" {
-		fmt.Fprintf(b, ", \"backend\": %s", quote(c.Backend))
-	}
-	if c.JournalMB != 0 {
-		fmt.Fprintf(b, ", \"journal_mb\": %d", c.JournalMB)
-	}
-	if c.OpTimeoutMs != 0 {
-		fmt.Fprintf(b, ", \"op_timeout_ms\": %s", num(c.OpTimeoutMs))
-	}
-	if c.HeartbeatMs != 0 {
-		fmt.Fprintf(b, ", \"heartbeat_ms\": %s", num(c.HeartbeatMs))
-	}
-	if c.HeartbeatGraceMs != 0 {
-		fmt.Fprintf(b, ", \"heartbeat_grace_ms\": %s", num(c.HeartbeatGraceMs))
-	}
-	b.WriteString("},\n")
-}
-
-func encodeTenant(b *strings.Builder, t *TenantSpec, last bool) {
-	b.WriteString("    {\n")
-	fmt.Fprintf(b, "      \"name\": %s,\n", quote(t.Name))
-	if t.Class != "" {
-		fmt.Fprintf(b, "      \"slo_class\": %s,\n", quote(t.Class))
-	}
-	fmt.Fprintf(b, "      \"clients\": %d,\n", t.Clients)
-	if t.ImageMB != 0 {
-		fmt.Fprintf(b, "      \"image_mb\": %d,\n", t.ImageMB)
-	}
-	if t.InFlight != 0 {
-		fmt.Fprintf(b, "      \"in_flight\": %d,\n", t.InFlight)
-	}
-	fmt.Fprintf(b, "      \"arrival\": {\"process\": %s, \"rate_ops_sec\": %s", quote(t.Arrival.Process), num(t.Arrival.RateOpsSec))
-	if t.Arrival.CV != 0 {
-		fmt.Fprintf(b, ", \"cv\": %s", num(t.Arrival.CV))
-	}
-	b.WriteString("},\n")
-	encodeMix(b, &t.Mix)
-	if d := t.Diurnal; d != nil {
-		fmt.Fprintf(b, "      \"diurnal\": {\"period_sec\": %s, \"amplitude\": %s},\n", num(d.PeriodSec), num(d.Amplitude))
-	}
-	if bu := t.Burst; bu != nil {
-		fmt.Fprintf(b, "      \"burst\": {\"at_sec\": %s, \"duration_sec\": %s, \"multiplier\": %s},\n", num(bu.AtSec), num(bu.DurationSec), num(bu.Multiplier))
-	}
-	if ad := t.Admission; ad != nil {
-		fmt.Fprintf(b, "      \"admission\": {\"rate_ops_sec\": %s", num(ad.OpsPerSec))
-		if ad.Burst != 0 {
-			fmt.Fprintf(b, ", \"burst\": %s", num(ad.Burst))
-		}
-		b.WriteString("},\n")
-	}
-	if last {
-		b.WriteString("    }\n")
-	} else {
-		b.WriteString("    },\n")
-	}
-}
-
-func encodeMix(b *strings.Builder, m *MixSpec) {
-	if m.ReadPct == 0 && m.Pattern == "" && len(m.Sizes) == 0 {
-		return
-	}
-	b.WriteString("      \"mix\": {")
-	sep := ""
-	if m.ReadPct != 0 {
-		fmt.Fprintf(b, "\"read_pct\": %d", m.ReadPct)
-		sep = ", "
-	}
-	if m.Pattern != "" {
-		fmt.Fprintf(b, "%s\"pattern\": %s", sep, quote(m.Pattern))
-		sep = ", "
-	}
-	if len(m.Sizes) != 0 {
-		fmt.Fprintf(b, "%s\"sizes\": [", sep)
-		for i, s := range m.Sizes {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(b, "{\"bytes\": %d, \"weight\": %s}", s.Bytes, num(s.Weight))
-		}
-		b.WriteString("]")
-	}
-	b.WriteString("},\n")
-}
-
-func num(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-func quote(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
+// syntaxErr reports a tokenizer error with the line it points at.
+func syntaxErr(data []byte, err error) error {
+	var se *json.SyntaxError
+	switch {
+	case errors.As(err, &se):
+		line := 1 + bytes.Count(data[:min(int(se.Offset), len(data))], []byte("\n"))
+		return fmt.Errorf("scenario: line %d: %w", line, err)
+	case err == io.EOF:
+		return errors.New("scenario: unexpected end of input")
+	}
+	return fmt.Errorf("scenario: %w", err)
 }

@@ -1,13 +1,11 @@
 package scenario
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // FuzzScenarioParse: arbitrary bytes must never panic the parser, invalid
 // specs must come back as errors (Validate never panics on user input),
-// and for anything that parses, parse→encode→parse must be a fixed point.
+// and anything that parses must survive a json.Marshal round trip: Parse
+// reads the marshalled form back as a deeply equal scenario.
 func FuzzScenarioParse(f *testing.F) {
 	for _, name := range CanonNames {
 		f.Add([]byte(Canon(name)))
@@ -23,14 +21,6 @@ func FuzzScenarioParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		e1 := Encode(sc)
-		sc2, err := Parse(e1)
-		if err != nil {
-			t.Fatalf("canonical encoding failed to reparse: %v\n%s", err, e1)
-		}
-		e2 := Encode(sc2)
-		if !bytes.Equal(e1, e2) {
-			t.Fatalf("encode not a fixed point:\n--- first\n%s\n--- second\n%s", e1, e2)
-		}
+		checkMarshalRoundTrip(t, sc)
 	})
 }

@@ -1,5 +1,5 @@
 // Package scenario is the declarative multi-tenant workload engine: a
-// JSON scenario file (hand-rolled, dependency-free decoder — see decode.go)
+// scenario file (plain JSON plus full-line `//` comments, see decode.go)
 // describes N tenants × M clients with Poisson/Gamma/Weibull interarrival
 // processes, size/read mixes, diurnal ramps and burst storms, plus SLO
 // classes and per-tenant token-bucket admission limits. The engine compiles
@@ -35,50 +35,50 @@ const (
 
 // Scenario is one complete experiment description.
 type Scenario struct {
-	Name       string
-	Seed       uint64
-	RuntimeSec float64 // measured window (after ramp)
-	RampSec    float64 // warm-up, excluded from measurement
-	Cluster    ClusterSpec
+	Name       string      `json:"name"`
+	Seed       uint64      `json:"seed"`
+	RuntimeSec float64     `json:"runtime_sec"` // measured window (after ramp)
+	RampSec    float64     `json:"ramp_sec"`    // warm-up, excluded from measurement
+	Cluster    ClusterSpec `json:"cluster"`
 	// Admission turns per-tenant token-bucket admission control on; the
 	// limits themselves live on each tenant (Tenant.Admission).
-	Admission bool
-	Failure   *FailureSpec
-	Tenants   []TenantSpec
+	Admission bool         `json:"admission"`
+	Failure   *FailureSpec `json:"failure"`
+	Tenants   []TenantSpec `json:"tenants"`
 }
 
 // ClusterSpec shapes the simulated cluster under the tenants.
 type ClusterSpec struct {
-	Nodes       int
-	OSDsPerNode int
-	SSDsPerOSD  int // default 2
-	PGs         int // default 256
-	Replicas    int // default 2
-	Profile     string
-	Backend     string // "" (profile default) | "filestore" | "directstore"
-	JournalMB   int    // default 64
+	Nodes       int    `json:"nodes"`
+	OSDsPerNode int    `json:"osds_per_node"`
+	SSDsPerOSD  int    `json:"ssds_per_osd"` // default 2
+	PGs         int    `json:"pgs"`          // default 256
+	Replicas    int    `json:"replicas"`     // default 2
+	Profile     string `json:"profile"`
+	Backend     string `json:"backend"`    // "" (profile default) | "filestore" | "directstore"
+	JournalMB   int    `json:"journal_mb"` // default 64
 	// Robustness knobs, required when Failure is set.
-	OpTimeoutMs      float64
-	HeartbeatMs      float64
-	HeartbeatGraceMs float64
+	OpTimeoutMs      float64 `json:"op_timeout_ms"`
+	HeartbeatMs      float64 `json:"heartbeat_ms"`
+	HeartbeatGraceMs float64 `json:"heartbeat_grace_ms"`
 }
 
 // TenantSpec is one tenant: a fleet of identical clients with an arrival
 // process, an op mix, optional rate modulation and an optional admission
 // limit.
 type TenantSpec struct {
-	Name    string
-	Class   string // SLO class; default "standard"
-	Clients int
-	ImageMB int // per-client image; default 64
+	Name    string `json:"name"`
+	Class   string `json:"slo_class"` // SLO class; default "standard"
+	Clients int    `json:"clients"`
+	ImageMB int    `json:"image_mb"` // per-client image; default 64
 	// InFlight is the per-client service concurrency (worker slots draining
 	// the arrival queue); default 8.
-	InFlight  int
-	Arrival   ArrivalSpec
-	Mix       MixSpec
-	Diurnal   *DiurnalSpec
-	Burst     *BurstSpec
-	Admission *ThrottleSpec
+	InFlight  int           `json:"in_flight"`
+	Arrival   ArrivalSpec   `json:"arrival"`
+	Mix       MixSpec       `json:"mix"`
+	Diurnal   *DiurnalSpec  `json:"diurnal"`
+	Burst     *BurstSpec    `json:"burst"`
+	Admission *ThrottleSpec `json:"admission"`
 }
 
 // Arrival process names.
@@ -92,53 +92,53 @@ const (
 // the mean arrival rate of ONE client; CV is the coefficient of variation
 // of the interarrival time (gamma/weibull only — poisson is fixed at 1).
 type ArrivalSpec struct {
-	Process    string
-	RateOpsSec float64
-	CV         float64 // default 1
+	Process    string  `json:"process"`
+	RateOpsSec float64 `json:"rate_ops_sec"`
+	CV         float64 `json:"cv"` // default 1
 }
 
 // MixSpec is the op mix: read percentage, offset pattern, and a weighted
 // size distribution.
 type MixSpec struct {
-	ReadPct int
-	Pattern string // "rand" (default) | "seq"
-	Sizes   []SizeWeight
+	ReadPct int          `json:"read_pct"`
+	Pattern string       `json:"pattern"` // "rand" (default) | "seq"
+	Sizes   []SizeWeight `json:"sizes"`
 }
 
 // SizeWeight is one entry of the size distribution.
 type SizeWeight struct {
-	Bytes  int64
-	Weight float64
+	Bytes  int64   `json:"bytes"`
+	Weight float64 `json:"weight"`
 }
 
 // DiurnalSpec modulates the arrival rate sinusoidally:
 // rate(t) = base · (1 + Amplitude·sin(2πt/Period)), t measured from the
 // start of the run.
 type DiurnalSpec struct {
-	PeriodSec float64
-	Amplitude float64 // in [0, 0.95]
+	PeriodSec float64 `json:"period_sec"`
+	Amplitude float64 `json:"amplitude"` // in [0, 0.95]
 }
 
 // BurstSpec is a storm: between AtSec and AtSec+DurationSec (scenario
 // time), the tenant's arrival rate is multiplied by Multiplier.
 type BurstSpec struct {
-	AtSec       float64
-	DurationSec float64
-	Multiplier  float64
+	AtSec       float64 `json:"at_sec"`
+	DurationSec float64 `json:"duration_sec"`
+	Multiplier  float64 `json:"multiplier"`
 }
 
 // ThrottleSpec is a tenant's cluster-wide admission limit.
 type ThrottleSpec struct {
-	OpsPerSec float64
-	Burst     float64 // tokens; 0 = OpsPerSec/10 default
+	OpsPerSec float64 `json:"rate_ops_sec"`
+	Burst     float64 `json:"burst"` // tokens; 0 = OpsPerSec/10 default
 }
 
 // FailureSpec crashes one OSD mid-run and restarts+recovers it later —
 // failover under load.
 type FailureSpec struct {
-	OSD          int
-	AtSec        float64
-	RecoverAtSec float64
+	OSD          int     `json:"osd"`
+	AtSec        float64 `json:"at_sec"`
+	RecoverAtSec float64 `json:"recover_at_sec"`
 }
 
 // Validate checks the scenario and returns a descriptive error for the

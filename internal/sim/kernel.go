@@ -175,15 +175,6 @@ func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
 	k.enqueue(ev)
 }
 
-// AtCall schedules fn(arg) to run at absolute time t. It is the
-// allocation-free variant of At, and the injection point the sharded
-// executive uses to deliver merged cross-shard events.
-func (k *Kernel) AtCall(t Time, fn func(any), arg any) {
-	ev := k.newEvent(t)
-	ev.fnA, ev.arg = fn, arg
-	k.enqueue(ev)
-}
-
 // Go spawns a new simulated process that executes fn. The process starts at
 // the current virtual time, after the currently running event yields. Go may
 // be called both from outside Run (to set up the world) and from running

@@ -3,11 +3,13 @@
 #
 #   fmt        gofmt -l must be clean
 #   lint       static checks: go vet plus afvet, the project's own
-#              multichecker (determinism, lockorder, poolsafe, errcheck,
-#              logpath — see DESIGN.md §9)
+#              multichecker (determinism, errcheck, globalwrite, hotalloc,
+#              lockorder, logpath, poolsafe — see DESIGN.md §9 and §14)
 #   build      every package compiles
 #   test       full suite — unit, integration, recovery/chaos, determinism
 #              (shuffled, to catch test-order dependence)
+#   afperf     vet and test the cmd/afperf benchmark module, which the root
+#              ./... pattern skips because it is a module of its own
 #   race       data-race detector: light infrastructure packages at full
 #              scale, the heavy engine packages (osd, core, cluster, qa,
 #              figures, scenario) in -short mode — their suites are deterministic by
@@ -80,6 +82,9 @@ go build ./...
 
 echo "== go test -shuffle=on ./..."
 go test -shuffle=on ./...
+
+echo "== cmd/afperf: go vet . && go test ."
+(cd cmd/afperf && go vet . && go test .)
 
 run_race
 
