@@ -16,65 +16,22 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/cpumodel"
 	"repro/internal/osd"
-	"repro/internal/oslog"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // Tuning selects which of the paper's optimizations are active. The zero
-// value is fully stock (community Ceph 0.94 behaviour).
-type Tuning struct {
-	// PendingQueue: per-PG pending queues so OP_WQ workers never block on
-	// a held PG lock (§3.1, Fig. 5).
-	PendingQueue bool
-	// CompletionWorker: dedicated batching completion thread + OP-level
-	// locks for commit/applied events (§3.1, Fig. 6).
-	CompletionWorker bool
-	// FastAck: replica acks processed in messenger context instead of
-	// through the PG queue (§3.1).
-	FastAck bool
-	// ThrottleSSD: filestore/message throttles sized for flash instead of
-	// the HDD-era defaults (§3.2).
-	ThrottleSSD bool
-	// Jemalloc: replace tcmalloc with jemalloc (§3.2).
-	Jemalloc bool
-	// NoDelay: disable TCP Nagle on client (KRBD) connections (§3.2).
-	NoDelay bool
-	// AsyncLog: non-blocking multi-threaded logging with a log cache
-	// (§3.3).
-	AsyncLog bool
-	// LogOff: disable logging entirely (the paper's "No log" experiments).
-	LogOff bool
-	// LightTx: light-weight transactions — batched KV ops, minimized
-	// syscalls, no set-alloc-hint, write-through metadata cache (§3.4).
-	LightTx bool
-	// OrderedAcks: deliver client acks in per-PG submission order even on
-	// the fast paths (§3.1's ordering option).
-	OrderedAcks bool
-	// NoBatchWakeup: disable the HDD-era batching wakeup of queued ops.
-	NoBatchWakeup bool
-}
+// value is fully stock (community Ceph 0.94 behaviour). Its fields, one per
+// optimization, are defined and documented in internal/osd.
+type Tuning = osd.Tuning
 
 // Community returns stock Ceph 0.94 behaviour.
-func Community() Tuning { return Tuning{} }
+func Community() Tuning { return osd.Community() }
 
 // AFCeph returns the paper's fully optimized configuration.
-func AFCeph() Tuning {
-	return Tuning{
-		PendingQueue:     true,
-		CompletionWorker: true,
-		FastAck:          true,
-		ThrottleSSD:      true,
-		Jemalloc:         true,
-		NoDelay:          true,
-		AsyncLog:         true,
-		LightTx:          true,
-		NoBatchWakeup:    true,
-	}
-}
+func AFCeph() Tuning { return osd.AFCeph() }
 
 // Config describes the cluster to build. DefaultConfig matches the paper's
 // testbed (Figure 8).
@@ -143,54 +100,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// buildOSDConfig maps a Tuning to the internal OSD configuration.
-func buildOSDConfig(t Tuning, traceSample int) func(int) osd.Config {
-	return func(id int) osd.Config {
-		cfg := osd.CommunityConfig(id)
-		cfg.TraceSample = traceSample
-		if t.PendingQueue {
-			cfg.OptPendingQueue = true
-		}
-		if t.CompletionWorker {
-			cfg.OptCompletionWorker = true
-		}
-		if t.FastAck {
-			cfg.OptFastAck = true
-		}
-		if t.ThrottleSSD {
-			cfg.Throttles = osd.AFCephConfig(id).Throttles
-			cfg.NumFilestoreWorkers = osd.AFCephConfig(id).NumFilestoreWorkers
-		}
-		if t.AsyncLog {
-			cfg.LogMode = oslog.Async
-			cfg.LogParams = oslog.AFCephParams()
-		}
-		if t.LogOff {
-			cfg.LogMode = oslog.Off
-		}
-		if t.LightTx {
-			cfg.FStore = osd.AFCephConfig(id).FStore
-		}
-		if t.OrderedAcks {
-			cfg.OrderedAcks = true
-		}
-		if t.NoBatchWakeup {
-			cfg.WakeupBatch = 1
-			cfg.WakeupTimeout = 0
-		}
-		return cfg
-	}
-}
-
 // Cluster is a running simulated storage cluster.
 type Cluster struct {
 	cfg   Config
 	inner *cluster.Cluster
 }
 
-// New builds a cluster; it is ready for RunFio/Run immediately.
+// New builds a cluster; it is ready for RunFio/Run immediately. It panics
+// on a Config that Validate rejects.
 func New(cfg Config) *Cluster {
-	p := cluster.DefaultParams()
+	return &Cluster{cfg: cfg, inner: cluster.New(cfg.params())}
+}
+
+// Validate reports a Config New cannot build: a pool that does not parse,
+// or one wider than the cluster's OSD count.
+func (cfg Config) Validate() error { return cfg.params().Validate() }
+
+func (cfg Config) params() cluster.Params {
+	p := cluster.ParamsFor(cfg.Tuning)
 	if cfg.Nodes > 0 {
 		p.OSDNodes = cfg.Nodes
 	}
@@ -216,12 +143,6 @@ func New(cfg Config) *Cluster {
 	p.ClientOpTimeout = sim.Time(cfg.OpTimeoutMs * 1e6)
 	p.HeartbeatInterval = sim.Time(cfg.HeartbeatMs * 1e6)
 	p.HeartbeatGrace = sim.Time(cfg.HeartbeatGraceMs * 1e6)
-	p.ClientNoDelay = cfg.Tuning.NoDelay
-	if cfg.Tuning.Jemalloc {
-		p.Allocator = cpumodel.JEMalloc
-	} else {
-		p.Allocator = cpumodel.TCMalloc
-	}
 	p.Backend = cfg.Backend
 	if cfg.ScrubIntervalMs > 0 {
 		p.Scrub = cluster.ScrubParams{
@@ -233,8 +154,13 @@ func New(cfg Config) *Cluster {
 			SettleDelay:      2 * sim.Millisecond,
 		}
 	}
-	p.OSDConfig = buildOSDConfig(cfg.Tuning, cfg.TraceSample)
-	return &Cluster{cfg: cfg, inner: cluster.New(p)}
+	tuned := p.OSDConfig
+	p.OSDConfig = func(id int) osd.Config {
+		c := tuned(id)
+		c.TraceSample = cfg.TraceSample
+		return c
+	}
+	return p
 }
 
 // Internal exposes the underlying cluster for advanced instrumentation

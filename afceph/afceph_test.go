@@ -19,17 +19,20 @@ func miniConfig(t Tuning) Config {
 	return cfg
 }
 
-func TestTuningPresets(t *testing.T) {
-	comm := Community()
-	af := AFCeph()
-	if comm.PendingQueue || comm.LightTx || comm.AsyncLog {
-		t.Fatal("Community() not stock")
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
 	}
-	if !af.PendingQueue || !af.LightTx || !af.AsyncLog || !af.NoDelay || !af.Jemalloc {
-		t.Fatal("AFCeph() missing optimizations")
+	bogus := DefaultConfig()
+	bogus.Pool = "bogus"
+	if err := bogus.Validate(); err == nil {
+		t.Fatal("pool \"bogus\" accepted")
 	}
-	if af.LogOff {
-		t.Fatal("AFCeph keeps logging on (non-blocking), not off")
+	wide := DefaultConfig()
+	wide.Nodes = 1
+	wide.Pool = "ec4+2"
+	if err := wide.Validate(); err == nil {
+		t.Fatal("6-wide pool accepted on 4 OSDs")
 	}
 }
 

@@ -184,43 +184,25 @@ func BenchmarkFig12_ScaleOut(b *testing.B) {
 // community baseline, quantifying the design choices from DESIGN.md §5.
 func BenchmarkAblation_SingleOptimizations(b *testing.B) {
 	mods := []struct {
-		name    string
-		mod     func(*osd.Config)
-		alloc   cpumodel.Allocator
-		noDelay bool
+		name   string
+		tuning osd.Tuning
 	}{
-		{"baseline", func(c *osd.Config) {}, cpumodel.TCMalloc, false},
-		{"pending-queue", func(c *osd.Config) { c.OptPendingQueue = true }, cpumodel.TCMalloc, false},
-		{"completion-worker", func(c *osd.Config) { c.OptCompletionWorker = true }, cpumodel.TCMalloc, false},
-		{"fast-ack", func(c *osd.Config) { c.OptFastAck = true }, cpumodel.TCMalloc, false},
-		{"throttles", func(c *osd.Config) {
-			c.Throttles = osd.AFCephConfig(0).Throttles
-			c.NumFilestoreWorkers = osd.AFCephConfig(0).NumFilestoreWorkers
-		}, cpumodel.TCMalloc, false},
-		{"jemalloc", func(c *osd.Config) {}, cpumodel.JEMalloc, false},
-		{"nodelay", func(c *osd.Config) {}, cpumodel.TCMalloc, true},
-		{"async-log", func(c *osd.Config) {
-			a := osd.AFCephConfig(0)
-			c.LogMode = a.LogMode
-			c.LogParams = a.LogParams
-		}, cpumodel.TCMalloc, false},
-		{"light-tx", func(c *osd.Config) { c.FStore = osd.AFCephConfig(0).FStore }, cpumodel.TCMalloc, false},
-		{"no-batch-wakeup", func(c *osd.Config) {
-			c.WakeupBatch = 1
-			c.WakeupTimeout = 0
-		}, cpumodel.TCMalloc, false},
+		{"baseline", osd.Community()},
+		{"pending-queue", osd.Tuning{PendingQueue: true}},
+		{"completion-worker", osd.Tuning{CompletionWorker: true}},
+		{"fast-ack", osd.Tuning{FastAck: true}},
+		{"throttles", osd.Tuning{ThrottleSSD: true}},
+		{"jemalloc", osd.Tuning{Jemalloc: true}},
+		{"nodelay", osd.Tuning{NoDelay: true}},
+		{"async-log", osd.Tuning{AsyncLog: true}},
+		{"light-tx", osd.Tuning{LightTx: true}},
+		{"no-batch-wakeup", osd.Tuning{NoBatchWakeup: true}},
 	}
 	for _, m := range mods {
 		m := m
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := benchOptions()
-				prof := func(id int) osd.Config {
-					cfg := osd.CommunityConfig(id)
-					m.mod(&cfg)
-					return cfg
-				}
-				rep := figures.LatencyVsLoadPoint(opt, prof, m.alloc, m.noDelay, 20)
+				rep := figures.LatencyVsLoadPoint(benchOptions(), m.tuning, 20)
 				b.ReportMetric(rep.IOPS, "iops")
 				b.ReportMetric(rep.Lat.Mean, "lat-ms")
 			}

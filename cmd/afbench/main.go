@@ -25,7 +25,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cpumodel"
 	"repro/internal/figures"
 	"repro/internal/osd"
 	"repro/internal/prof"
@@ -165,7 +164,7 @@ func main() {
 		emit(figures.MixedRW(opt, nil))
 	}
 	if want["load"] {
-		emit(figures.LatencyVsLoad(opt, "community", osd.CommunityConfig, cpumodel.TCMalloc, false))
-		emit(figures.LatencyVsLoad(opt, "afceph", osd.AFCephConfig, cpumodel.JEMalloc, true))
+		emit(figures.LatencyVsLoad(opt, "community", osd.Community()))
+		emit(figures.LatencyVsLoad(opt, "afceph", osd.AFCeph()))
 	}
 }

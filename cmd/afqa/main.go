@@ -29,14 +29,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var prof func(int) osd.Config
-	switch *profile {
-	case "community":
-		prof = osd.CommunityConfig
-	case "afceph":
-		prof = osd.AFCephConfig
-	default:
-		fmt.Fprintf(os.Stderr, "afqa: unknown profile %q\n", *profile)
+	tuning, err := osd.ProfileByName(*profile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "afqa:", err)
 		os.Exit(2)
 	}
 	switch *backend {
@@ -48,7 +43,7 @@ func main() {
 
 	failed := false
 	for seed := uint64(1); seed <= uint64(*seeds); seed++ {
-		cfg := qa.DefaultStress(prof)
+		cfg := qa.DefaultStress(tuning.Config)
 		cfg.Backend = *backend
 		cfg.Clients = *clients
 		cfg.OpsPerClient = *ops

@@ -19,6 +19,7 @@ import (
 
 	"repro/afceph"
 	"repro/internal/cluster"
+	"repro/internal/osd"
 	"repro/internal/prof"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -148,15 +149,12 @@ func main() {
 	if *trace || *traceOut != "" {
 		cfg.TraceSample = 10
 	}
-	switch *profile {
-	case "community":
-		cfg.Tuning = afceph.Community()
-	case "afceph":
-		cfg.Tuning = afceph.AFCeph()
-	default:
-		fmt.Fprintf(os.Stderr, "afsim: unknown profile %q\n", *profile)
+	tuning, err := osd.ProfileByName(*profile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "afsim:", err)
 		os.Exit(2)
 	}
+	cfg.Tuning = tuning
 	switch *backend {
 	case "filestore", "directstore":
 		cfg.Backend = *backend
@@ -214,6 +212,10 @@ func main() {
 		cfg.OpTimeoutMs = 50
 		cfg.HeartbeatMs = 25
 		cfg.HeartbeatGraceMs = 100
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "afsim:", err)
+		os.Exit(2)
 	}
 
 	if *sweep {

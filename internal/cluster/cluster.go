@@ -88,7 +88,15 @@ type Params struct {
 }
 
 // DefaultParams returns the paper's testbed shape with community OSDs.
-func DefaultParams() Params {
+func DefaultParams() Params { return ParamsFor(osd.Community()) }
+
+// ParamsFor returns the paper's testbed shape running tuning t: its OSD
+// configuration plus its two host settings, the allocator and Nagle.
+func ParamsFor(t osd.Tuning) Params {
+	alloc := cpumodel.TCMalloc
+	if t.Jemalloc {
+		alloc = cpumodel.JEMalloc
+	}
 	return Params{
 		OSDNodes:      4,
 		OSDsPerNode:   4,
@@ -96,15 +104,34 @@ func DefaultParams() Params {
 		CoresPerNode:  16,
 		PGs:           1024,
 		Replicas:      2,
-		Allocator:     cpumodel.TCMalloc,
-		ClientNoDelay: false,
+		Allocator:     alloc,
+		ClientNoDelay: t.NoDelay,
 		Sustained:     true,
 		NetParams:     netsim.DefaultParams(),
 		SSDParams:     device.DefaultSSDParams(),
 		HDDParams:     device.DefaultHDDParams(),
-		OSDConfig:     osd.CommunityConfig,
+		OSDConfig:     t.Config,
 		Seed:          1,
 	}
+}
+
+// Validate reports a pool New cannot build: one that does not parse, or one
+// wider than the cluster, which would keep fewer copies or shards than the
+// pool names.
+func (p Params) Validate() error {
+	_, err := p.policy()
+	return err
+}
+
+func (p Params) policy() (redundancy.Policy, error) {
+	pol, err := redundancy.ForPool(p.Pool, p.Replicas)
+	if err != nil {
+		return nil, err
+	}
+	if osds := p.OSDNodes * p.OSDsPerNode; pol.Width() > osds {
+		return nil, fmt.Errorf("pool %s places on %d OSDs but the cluster has %d", pol, pol.Width(), osds)
+	}
+	return pol, nil
 }
 
 // Cluster is a running simulated storage cluster.
@@ -157,7 +184,7 @@ func New(params Params) *Cluster {
 		replies:  osd.NewReplyPool(),
 		actCache: make(map[uint32][]int),
 	}
-	pol, err := redundancy.ForPool(params.Pool, params.Replicas)
+	pol, err := params.policy()
 	if err != nil {
 		panic("cluster: " + err.Error())
 	}

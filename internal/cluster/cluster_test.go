@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/osd"
@@ -24,8 +25,57 @@ func smallParams(profile func(int) osd.Config) Params {
 func profiles() map[string]func(int) osd.Config {
 	return map[string]func(int) osd.Config{
 		"community": osd.CommunityConfig,
-		"afceph":    osd.AFCephConfig,
+		"afceph":    osd.AFCeph().Config,
 	}
+}
+
+// TestEveryTuningFieldHasEffect catches an optimization added to osd.Tuning
+// but not to its mapping: each field set alone must change the params.
+func TestEveryTuningFieldHasEffect(t *testing.T) {
+	view := func(p Params) (Params, osd.Config) {
+		cfg := p.OSDConfig(0)
+		p.OSDConfig = nil // funcs never compare equal; compare what it returns
+		return p, cfg
+	}
+	stockP, stockCfg := view(ParamsFor(osd.Tuning{}))
+	fields := reflect.TypeOf(osd.Tuning{})
+	for i := 0; i < fields.NumField(); i++ {
+		var tu osd.Tuning
+		reflect.ValueOf(&tu).Elem().Field(i).SetBool(true)
+		p, cfg := view(ParamsFor(tu))
+		if reflect.DeepEqual(p, stockP) && reflect.DeepEqual(cfg, stockCfg) {
+			t.Errorf("Tuning.%s alone leaves the cluster params unchanged", fields.Field(i).Name)
+		}
+	}
+}
+
+func TestParamsValidatePoolWidth(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, perNode int
+		pool           string
+		ok             bool
+	}{
+		{1, 4, "rep5", false},
+		{1, 4, "ec4+2", false},
+		{1, 4, "bogus", false},
+		{1, 4, "rep4", true},
+		{3, 2, "ec4+2", true}, // the EC chaos shape, exactly at the limit
+		{4, 4, "", true},
+	} {
+		p := DefaultParams()
+		p.OSDNodes, p.OSDsPerNode, p.Pool = tc.nodes, tc.perNode, tc.pool
+		if err := p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%dx%d OSDs, pool %q: Validate() = %v", tc.nodes, tc.perNode, tc.pool, err)
+		}
+	}
+	p := smallParams(osd.AFCeph().Config)
+	p.Pool = "ec4+2"
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New built a 4-OSD cluster for a 6-wide pool")
+		}
+	}()
+	New(p)
 }
 
 func TestWriteAckAndReadBack(t *testing.T) {
@@ -74,7 +124,7 @@ func TestWriteIsReplicated(t *testing.T) {
 func TestReplicaHoldsDataAfterAck(t *testing.T) {
 	// After an ack, both the primary's and the replica's filestores must
 	// eventually hold the object (strong consistency / splay replication).
-	c := New(smallParams(osd.AFCephConfig))
+	c := New(smallParams(osd.AFCeph().Config))
 	cl := c.NewClient()
 	c.K.Go("io", func(p *sim.Proc) {
 		cl.WriteObject(p, "replicated-obj", 0, 8192, 7)
@@ -137,7 +187,7 @@ func TestConcurrentClientsAllAcked(t *testing.T) {
 }
 
 func TestBlockDeviceStriping(t *testing.T) {
-	c := New(smallParams(osd.AFCephConfig))
+	c := New(smallParams(osd.AFCeph().Config))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img0", 64<<20)
 	var stamp uint64
@@ -161,7 +211,7 @@ func TestBlockDeviceStriping(t *testing.T) {
 }
 
 func TestBlockDeviceBoundsChecked(t *testing.T) {
-	c := New(smallParams(osd.AFCephConfig))
+	c := New(smallParams(osd.AFCeph().Config))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img0", 1<<20)
 	c.K.Go("io", func(p *sim.Proc) {
@@ -193,7 +243,7 @@ func TestPrimaryForIsDeterministic(t *testing.T) {
 
 func TestOrderedAcksOptionDeliversInOrder(t *testing.T) {
 	prof := func(id int) osd.Config {
-		cfg := osd.AFCephConfig(id)
+		cfg := osd.AFCeph().Config(id)
 		cfg.OrderedAcks = true
 		return cfg
 	}

@@ -37,7 +37,7 @@ func scrubWindowRun(p Params, window sim.Time, ops int) (*Cluster, *Client) {
 }
 
 func scrubParams() Params {
-	p := smallParams(osd.AFCephConfig)
+	p := smallParams(osd.AFCeph().Config)
 	p.Scrub = ScrubParams{
 		Interval:         20 * sim.Millisecond,
 		DeepEvery:        2,
@@ -209,7 +209,7 @@ func TestScrubDetectsAndRepairsRot(t *testing.T) {
 // extent is answered with the replica's healthy data — the client never
 // sees the rot — and the bad copy is overwritten in the background.
 func TestReadRepairServesFromReplica(t *testing.T) {
-	c := New(smallParams(osd.AFCephConfig))
+	c := New(smallParams(osd.AFCeph().Config))
 	cl := c.NewClient()
 	oid := "obj-a"
 	pg := crush.ObjectToPG(oid, c.Params.PGs)
@@ -257,7 +257,7 @@ func TestReadRepairServesFromReplica(t *testing.T) {
 // read must fail cleanly — EIO surfaced as a missing read, never scrambled
 // data returned as if valid.
 func TestReadEIOWhenNoHealthyCopy(t *testing.T) {
-	c := New(smallParams(osd.AFCephConfig))
+	c := New(smallParams(osd.AFCeph().Config))
 	cl := c.NewClient()
 	oid := "obj-a"
 	pg := crush.ObjectToPG(oid, c.Params.PGs)

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/cpumodel"
 	"repro/internal/osd"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -89,7 +88,7 @@ func Backends(opt Options, panels []string) Report {
 			Ramp:      opt.rampWrite(),
 			Seed:      opt.Seed,
 		}
-		p := profileParams(opt, withJournal(osd.AFCephConfig, opt.JournalMB), cpumodel.JEMalloc, true, true)
+		p := withJournal(profileParams(opt, osd.AFCeph(), true), opt.JournalMB)
 		p.Backend = backend
 		res, c := runBackendPoint(p, vms, spec)
 		jbytes, dbytes := deviceWriteBytes(c)

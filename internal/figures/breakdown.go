@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/cpumodel"
 	"repro/internal/osd"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -31,12 +30,7 @@ func LatencyBreakdownWithPerf(opt Options) (Report, string) {
 }
 
 func latencyBreakdown(opt Options, wantPerf bool) (Report, string) {
-	prof := withJournal(func(id int) osd.Config {
-		cfg := osd.CommunityConfig(id)
-		cfg.TraceSample = 5
-		return cfg
-	}, opt.JournalMB)
-	p := profileParams(opt, prof, cpumodel.TCMalloc, false, true)
+	p := withJournal(withTrace(profileParams(opt, osd.Community(), true), 5), opt.JournalMB)
 	c := cluster.New(p)
 	f := workload.VMFleet(c, 4, 512<<20, workload.Spec{
 		Pattern:   workload.RandWrite,

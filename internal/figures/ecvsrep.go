@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/cpumodel"
 	"repro/internal/osd"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -50,7 +49,7 @@ func ECvsRep(opt Options) Report {
 		pool, backend := ecvsrepPools[cells[i].pool], cells[i].backend
 		vms, depth := opt.scaleLoad(16, 8)
 		mkParams := func() cluster.Params {
-			p := profileParams(opt, withJournal(osd.AFCephConfig, opt.JournalMB), cpumodel.JEMalloc, true, true)
+			p := withJournal(profileParams(opt, osd.AFCeph(), true), opt.JournalMB)
 			p.Backend = backend
 			p.Replicas = 3
 			p.Pool = pool.Pool

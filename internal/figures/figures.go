@@ -12,9 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/cpumodel"
 	"repro/internal/osd"
-	"repro/internal/oslog"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -117,26 +115,37 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// profileParams builds the paper-testbed cluster params for a profile.
-func profileParams(opt Options, prof func(int) osd.Config, alloc cpumodel.Allocator, noDelay, sustained bool) cluster.Params {
-	p := cluster.DefaultParams()
-	p.OSDConfig = prof
-	p.Allocator = alloc
-	p.ClientNoDelay = noDelay
+// profileParams builds the paper-testbed cluster params for a tuning.
+func profileParams(opt Options, t osd.Tuning, sustained bool) cluster.Params {
+	p := cluster.ParamsFor(t)
 	p.Sustained = sustained
 	p.Seed = opt.Seed
 	return p
 }
 
-func withJournal(prof func(int) osd.Config, journalMB int) func(int) osd.Config {
+// withJournal overrides every OSD's journal ring size; 0 keeps the default.
+func withJournal(p cluster.Params, journalMB int) cluster.Params {
 	if journalMB <= 0 {
-		return prof
+		return p
 	}
-	return func(id int) osd.Config {
+	prof := p.OSDConfig
+	p.OSDConfig = func(id int) osd.Config {
 		cfg := prof(id)
 		cfg.JournalSize = int64(journalMB) << 20
 		return cfg
 	}
+	return p
+}
+
+// withTrace records a stage trace for every nth client write on every OSD.
+func withTrace(p cluster.Params, n int) cluster.Params {
+	prof := p.OSDConfig
+	p.OSDConfig = func(id int) osd.Config {
+		cfg := prof(id)
+		cfg.TraceSample = n
+		return cfg
+	}
+	return p
 }
 
 // runPoint runs one fleet on a fresh cluster and returns the result.
@@ -181,7 +190,7 @@ func Fig1(opt Options) Report {
 		if spec.IODepth < 1 {
 			spec.IODepth = 1
 		}
-		p := profileParams(opt, osd.CommunityConfig, cpumodel.TCMalloc, false, true)
+		p := profileParams(opt, osd.Community(), true)
 		spec.Pattern = workload.RandWrite
 		wr := runPoint(p, 4, 512<<20, spec, false)
 		spec.Pattern = workload.RandRead
@@ -223,13 +232,7 @@ var fig3Stages = []int{
 // accumulates (the paper: ~9 ms of a ~17 ms write attributable to the PG
 // lock and single-finisher serialization).
 func Fig3(opt Options) Report {
-	prof := func(id int) osd.Config {
-		cfg := osd.CommunityConfig(id)
-		cfg.TraceSample = 5
-		return cfg
-	}
-	p := profileParams(opt, prof, cpumodel.TCMalloc, false, true)
-	c := cluster.New(p)
+	c := cluster.New(withTrace(profileParams(opt, osd.Community(), true), 5))
 	vms, depth := opt.scaleLoad(40, 8)
 	f := workload.VMFleet(c, vms, 512<<20, workload.Spec{
 		Pattern:   workload.RandWrite,
@@ -291,17 +294,12 @@ func Fig3(opt Options) Report {
 // briefly (point A) and then fluctuates (point B) as the filestore queue
 // backs up; logging lowers the whole curve.
 func Fig4(opt Options) Report {
-	mk := func(logMode oslog.Mode) func(int) osd.Config {
-		return withJournal(func(id int) osd.Config {
-			cfg := osd.AFCephConfig(id)                 // locks+tuning on ...
-			cfg.FStore = osd.CommunityConfig(id).FStore // ... heavy tx still
-			cfg.LogMode = logMode
-			cfg.LogParams = oslog.CommunityParams()
-			return cfg
-		}, opt.JournalMB)
-	}
-	run := func(logMode oslog.Mode) workload.Result {
-		p := profileParams(opt, mk(logMode), cpumodel.JEMalloc, true, true)
+	run := func(logOff bool) workload.Result {
+		t := osd.AFCeph() // locks+tuning on ...
+		t.LightTx = false // ... heavy tx still
+		t.AsyncLog = false
+		t.LogOff = logOff
+		p := withJournal(profileParams(opt, t, true), opt.JournalMB)
 		vms, depth := opt.scaleLoad(40, 8)
 		return runPoint(p, vms, 512<<20, workload.Spec{
 			Pattern:   workload.RandWrite,
@@ -312,9 +310,9 @@ func Fig4(opt Options) Report {
 			Seed:      opt.Seed,
 		}, false)
 	}
-	modes := []oslog.Mode{oslog.Sync, oslog.Off}
-	points := parallelPoints(opt.Workers, len(modes), func(i int) workload.Result {
-		return run(modes[i])
+	logOff := []bool{false, true}
+	points := parallelPoints(opt.Workers, len(logOff), func(i int) workload.Result {
+		return run(logOff[i])
 	})
 	withLog, noLog := points[0], points[1]
 	rep := Report{
@@ -345,51 +343,30 @@ func Fig4(opt Options) Report {
 	return rep
 }
 
+// fig9Step is one cumulative optimization step of Figure 9.
+type fig9Step struct {
+	Name   string
+	Tuning osd.Tuning
+}
+
 // fig9Steps enumerates the cumulative optimization steps of Figure 9.
-func fig9Steps() []struct {
-	Name    string
-	Prof    func(int) osd.Config
-	Alloc   cpumodel.Allocator
-	NoDelay bool
-} {
-	base := func(id int) osd.Config { return osd.CommunityConfig(id) }
-	lockMin := func(id int) osd.Config {
-		cfg := base(id)
-		cfg.OptPendingQueue = true
-		cfg.OptCompletionWorker = true
-		cfg.OptFastAck = true
-		return cfg
-	}
-	tuned := func(id int) osd.Config {
-		cfg := lockMin(id)
-		cfg.Throttles = osd.AFCephConfig(id).Throttles
-		cfg.NumFilestoreWorkers = osd.AFCephConfig(id).NumFilestoreWorkers
-		cfg.WakeupBatch = 1
-		cfg.WakeupTimeout = 0
-		return cfg
-	}
-	asyncLog := func(id int) osd.Config {
-		cfg := tuned(id)
-		cfg.LogMode = oslog.Async
-		cfg.LogParams = oslog.AFCephParams()
-		return cfg
-	}
-	lightTx := func(id int) osd.Config {
-		cfg := asyncLog(id)
-		cfg.FStore = osd.AFCephConfig(id).FStore
-		return cfg
-	}
-	return []struct {
-		Name    string
-		Prof    func(int) osd.Config
-		Alloc   cpumodel.Allocator
-		NoDelay bool
-	}{
-		{"community", base, cpumodel.TCMalloc, false},
-		{"+pg-lock-min", lockMin, cpumodel.TCMalloc, false},
-		{"+throttle/tuning", tuned, cpumodel.JEMalloc, true},
-		{"+nonblock-log", asyncLog, cpumodel.JEMalloc, true},
-		{"+light-tx", lightTx, cpumodel.JEMalloc, true},
+func fig9Steps() []fig9Step {
+	lockMin := osd.Tuning{PendingQueue: true, CompletionWorker: true, FastAck: true}
+	tuned := lockMin
+	tuned.ThrottleSSD = true
+	tuned.NoBatchWakeup = true
+	tuned.Jemalloc = true
+	tuned.NoDelay = true
+	asyncLog := tuned
+	asyncLog.AsyncLog = true
+	lightTx := asyncLog
+	lightTx.LightTx = true
+	return []fig9Step{
+		{"community", osd.Community()},
+		{"+pg-lock-min", lockMin},
+		{"+throttle/tuning", tuned},
+		{"+nonblock-log", asyncLog},
+		{"+light-tx", lightTx},
 	}
 }
 
@@ -404,7 +381,7 @@ func Fig9(opt Options) Report {
 	vms, depth := opt.scaleLoad(20, 8)
 	steps := fig9Steps()
 	points := parallelPoints(opt.Workers, len(steps), func(i int) workload.Result {
-		p := profileParams(opt, steps[i].Prof, steps[i].Alloc, steps[i].NoDelay, false)
+		p := profileParams(opt, steps[i].Tuning, false)
 		return runPoint(p, vms, 512<<20, workload.Spec{
 			Pattern:   workload.RandWrite,
 			BlockSize: 4096,

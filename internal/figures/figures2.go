@@ -3,7 +3,6 @@ package figures
 import (
 	"fmt"
 
-	"repro/internal/cpumodel"
 	"repro/internal/osd"
 	"repro/internal/sim"
 	"repro/internal/solidfire"
@@ -72,9 +71,9 @@ func Fig10(opt Options, vmCounts []int, panels []string) Report {
 			Seed:      opt.Seed,
 		}
 		prefill := !wl.Pattern.IsWrite()
-		commP := profileParams(opt, withJournal(osd.CommunityConfig, opt.JournalMB), cpumodel.TCMalloc, false, true)
+		commP := withJournal(profileParams(opt, osd.Community(), true), opt.JournalMB)
 		comm := runPoint(commP, vms, 512<<20, spec, prefill)
-		afcP := profileParams(opt, withJournal(osd.AFCephConfig, opt.JournalMB), cpumodel.JEMalloc, true, true)
+		afcP := withJournal(profileParams(opt, osd.AFCeph(), true), opt.JournalMB)
 		afc := runPoint(afcP, vms, 512<<20, spec, prefill)
 		return f10Res{comm: comm, afc: afc}
 	})
@@ -180,9 +179,9 @@ func Fig11(opt Options) Report {
 		}
 		prefill := !pn.Pattern.IsWrite()
 		sf := solidfirePoint(opt, pn.Pattern, pn.BS, vms, depth, ramp)
-		afcP := profileParams(opt, osd.AFCephConfig, cpumodel.JEMalloc, true, true)
+		afcP := profileParams(opt, osd.AFCeph(), true)
 		afc := runPoint(afcP, vms, 512<<20, spec, prefill)
-		commP := profileParams(opt, osd.CommunityConfig, cpumodel.TCMalloc, false, true)
+		commP := profileParams(opt, osd.Community(), true)
 		comm := runPoint(commP, vms, 512<<20, spec, prefill)
 		return f11Res{sf: sf, afc: afc, comm: comm}
 	})
@@ -226,7 +225,7 @@ func Fig12(opt Options, nodeCounts []int) Report {
 	}
 	points := parallelPoints(opt.Workers, len(wls)*len(nodeCounts), func(i int) workload.Result {
 		wl, nodes := wls[i/len(nodeCounts)], nodeCounts[i%len(nodeCounts)]
-		p := profileParams(opt, osd.AFCephConfig, cpumodel.JEMalloc, true, false)
+		p := profileParams(opt, osd.AFCeph(), false)
 		p.OSDNodes = nodes
 		vms, depth := opt.scaleLoad(10*nodes, wl.Depth)
 		spec := workload.Spec{
@@ -260,7 +259,7 @@ func Fig12(opt Options, nodeCounts []int) Report {
 
 // LatencyVsLoad sweeps offered load for one profile — a supporting
 // experiment used by EXPERIMENTS.md to locate each system's knee.
-func LatencyVsLoad(opt Options, tuningName string, prof func(int) osd.Config, alloc cpumodel.Allocator, noDelay bool) Report {
+func LatencyVsLoad(opt Options, tuningName string, t osd.Tuning) Report {
 	rep := Report{
 		Title:  fmt.Sprintf("latency vs load (%s, 4K randwrite, sustained)", tuningName),
 		Header: []string{"vms", "iops", "lat(ms)", "p99(ms)"},
@@ -268,7 +267,7 @@ func LatencyVsLoad(opt Options, tuningName string, prof func(int) osd.Config, al
 	loads := []int{5, 10, 20, 40, 80}
 	points := parallelPoints(opt.Workers, len(loads), func(i int) workload.Result {
 		vms, depth := opt.scaleLoad(loads[i], 8)
-		p := profileParams(opt, prof, alloc, noDelay, true)
+		p := profileParams(opt, t, true)
 		return runPoint(p, vms, 512<<20, workload.Spec{
 			Pattern:   workload.RandWrite,
 			BlockSize: 4096,
@@ -297,12 +296,13 @@ func DropIn(opt Options) Report {
 		Header: []string{"config", "4K-randwrite-iops", "lat(ms)", "x-vs-hdd"},
 	}
 	vms, depth := opt.scaleLoad(40, 8)
-	run := func(prof func(int) osd.Config, alloc cpumodel.Allocator, noDelay, hdd bool) workload.Result {
-		profHDD := prof
+	run := func(t osd.Tuning, hdd bool) workload.Result {
+		p := profileParams(opt, t, true)
 		if hdd {
 			// HDD-era filestore relies on page-cache writeback; the deep
 			// writeback queue is what lets the disk elevator amortize seeks.
-			profHDD = func(id int) osd.Config {
+			prof := p.OSDConfig
+			p.OSDConfig = func(id int) osd.Config {
 				cfg := prof(id)
 				cfg.FStore.ApplyWriteback = true
 				// HDD-era deployments kept the (much smaller) hot metadata
@@ -311,7 +311,6 @@ func DropIn(opt Options) Report {
 				return cfg
 			}
 		}
-		p := profileParams(opt, profHDD, alloc, noDelay, true)
 		p.UseHDD = hdd
 		runtime, ramp := opt.runtime(), opt.rampWrite()
 		if hdd {
@@ -335,18 +334,15 @@ func DropIn(opt Options) Report {
 		}, false)
 	}
 	configs := []struct {
-		prof    func(int) osd.Config
-		alloc   cpumodel.Allocator
-		noDelay bool
-		hdd     bool
+		tuning osd.Tuning
+		hdd    bool
 	}{
-		{osd.CommunityConfig, cpumodel.TCMalloc, false, true},
-		{osd.CommunityConfig, cpumodel.TCMalloc, false, false},
-		{osd.AFCephConfig, cpumodel.JEMalloc, true, false},
+		{osd.Community(), true},
+		{osd.Community(), false},
+		{osd.AFCeph(), false},
 	}
 	points := parallelPoints(opt.Workers, len(configs), func(i int) workload.Result {
-		c := configs[i]
-		return run(c.prof, c.alloc, c.noDelay, c.hdd)
+		return run(configs[i].tuning, configs[i].hdd)
 	})
 	hdd, ssd, afc := points[0], points[1], points[2]
 	base := hdd.IOPS
@@ -387,9 +383,9 @@ func MixedRW(opt Options, readPcts []int) Report {
 			Ramp:      opt.rampWrite(),
 			Seed:      opt.Seed,
 		}
-		commP := profileParams(opt, osd.CommunityConfig, cpumodel.TCMalloc, false, true)
+		commP := profileParams(opt, osd.Community(), true)
 		comm := runPoint(commP, vms, 512<<20, spec, true)
-		afcP := profileParams(opt, osd.AFCephConfig, cpumodel.JEMalloc, true, true)
+		afcP := profileParams(opt, osd.AFCeph(), true)
 		afc := runPoint(afcP, vms, 512<<20, spec, true)
 		return mixRes{comm: comm, afc: afc}
 	})
@@ -413,9 +409,9 @@ func MixedRW(opt Options, readPcts []int) Report {
 
 // LatencyVsLoadPoint runs one 4K-randwrite point at the given full-scale VM
 // count and returns the raw result; the ablation benchmarks use it.
-func LatencyVsLoadPoint(opt Options, prof func(int) osd.Config, alloc cpumodel.Allocator, noDelay bool, vmsFull int) workload.Result {
+func LatencyVsLoadPoint(opt Options, t osd.Tuning, vmsFull int) workload.Result {
 	vms, depth := opt.scaleLoad(vmsFull, 8)
-	p := profileParams(opt, prof, alloc, noDelay, true)
+	p := profileParams(opt, t, true)
 	return runPoint(p, vms, 512<<20, workload.Spec{
 		Pattern:   workload.RandWrite,
 		BlockSize: 4096,

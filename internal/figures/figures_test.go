@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpumodel"
+	"repro/internal/cluster"
 	"repro/internal/osd"
 	"repro/internal/sim"
 )
@@ -74,12 +74,12 @@ func TestReportString(t *testing.T) {
 }
 
 func TestWithJournalOverride(t *testing.T) {
-	prof := withJournal(osd.CommunityConfig, 64)
-	if got := prof(0).JournalSize; got != 64<<20 {
+	p := withJournal(cluster.DefaultParams(), 64)
+	if got := p.OSDConfig(0).JournalSize; got != 64<<20 {
 		t.Fatalf("journal = %d", got)
 	}
-	same := withJournal(osd.CommunityConfig, 0)
-	if got := same(0).JournalSize; got != osd.CommunityConfig(0).JournalSize {
+	same := withJournal(cluster.DefaultParams(), 0)
+	if got := same.OSDConfig(0).JournalSize; got != osd.CommunityConfig(0).JournalSize {
 		t.Fatal("zero MB must keep the default")
 	}
 }
@@ -89,23 +89,11 @@ func TestFig9StepsCumulative(t *testing.T) {
 	if len(steps) != 5 {
 		t.Fatalf("steps = %d", len(steps))
 	}
-	// The final step must equal the full AFCeph profile in every paper
-	// toggle.
-	last := steps[len(steps)-1].Prof(0)
-	want := osd.AFCephConfig(0)
-	if last.OptPendingQueue != want.OptPendingQueue ||
-		last.OptCompletionWorker != want.OptCompletionWorker ||
-		last.OptFastAck != want.OptFastAck ||
-		last.LogMode != want.LogMode ||
-		last.FStore.BatchKVOps != want.FStore.BatchKVOps ||
-		last.Throttles != want.Throttles ||
-		last.NumFilestoreWorkers != want.NumFilestoreWorkers {
-		t.Fatal("final fig9 step drifted from AFCephConfig")
-	}
-	// The baseline must be stock.
-	base := steps[0].Prof(0)
-	if base.OptPendingQueue || base.FStore.BatchKVOps {
+	if steps[0].Tuning != osd.Community() {
 		t.Fatal("baseline not stock")
+	}
+	if last := steps[len(steps)-1].Tuning; last != osd.AFCeph() {
+		t.Fatalf("final fig9 step %+v drifted from AFCeph", last)
 	}
 }
 
@@ -149,7 +137,7 @@ func TestFigureSmoke(t *testing.T) {
 		}
 	})
 	t.Run("loadpoint", func(t *testing.T) {
-		res := LatencyVsLoadPoint(opt, osd.CommunityConfig, cpumodel.TCMalloc, false, 10)
+		res := LatencyVsLoadPoint(opt, osd.Community(), 10)
 		if res.Ops == 0 {
 			t.Fatal("no ops")
 		}

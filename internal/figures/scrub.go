@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/cpumodel"
 	"repro/internal/crush"
 	"repro/internal/osd"
 	"repro/internal/sim"
@@ -52,7 +51,7 @@ func Scrub(opt Options) Report {
 	const rotCount = 3
 	rows := parallelPoints(opt.Workers, len(modes), func(mi int) []string {
 		m := modes[mi]
-		p := profileParams(opt, withJournal(osd.AFCephConfig, opt.JournalMB), cpumodel.JEMalloc, true, true)
+		p := withJournal(profileParams(opt, osd.AFCeph(), true), opt.JournalMB)
 		p.Scrub = m.sp
 		vms, depth := opt.scaleLoad(8, 8)
 		spec := workload.Spec{

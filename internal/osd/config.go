@@ -7,6 +7,8 @@
 package osd
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/filestore"
 	"repro/internal/oslog"
@@ -74,8 +76,8 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Config selects the OSD's behaviour. CommunityConfig and AFCephConfig
-// return the two paper profiles; individual toggles support ablations.
+// Config selects the OSD's behaviour. CommunityConfig is the stock
+// profile; Tuning.Config derives AFCeph and every ablation from it.
 type Config struct {
 	ID int
 	// Worker pools.
@@ -143,18 +145,97 @@ func CommunityConfig(id int) Config {
 	}
 }
 
-// AFCephConfig returns the fully optimized profile.
-func AFCephConfig(id int) Config {
+// Tuning selects which of the paper's optimizations are active. The zero
+// value is fully stock (community Ceph 0.94 behaviour). It is the one
+// definition of the optimization set: Config applies every OSD-side field,
+// and the cluster applies Jemalloc and NoDelay to its hosts.
+type Tuning struct {
+	// PendingQueue: per-PG pending queues so OP_WQ workers never block on
+	// a held PG lock (§3.1, Fig. 5).
+	PendingQueue bool
+	// CompletionWorker: dedicated batching completion thread + OP-level
+	// locks for commit/applied events (§3.1, Fig. 6).
+	CompletionWorker bool
+	// FastAck: replica acks processed in messenger context instead of
+	// through the PG queue (§3.1).
+	FastAck bool
+	// ThrottleSSD: filestore/message throttles sized for flash instead of
+	// the HDD-era defaults (§3.2).
+	ThrottleSSD bool
+	// Jemalloc: replace tcmalloc with jemalloc (§3.2).
+	Jemalloc bool
+	// NoDelay: disable TCP Nagle on client (KRBD) connections (§3.2).
+	NoDelay bool
+	// AsyncLog: non-blocking multi-threaded logging with a log cache
+	// (§3.3).
+	AsyncLog bool
+	// LogOff: disable logging entirely (the paper's "No log" experiments).
+	LogOff bool
+	// LightTx: light-weight transactions — batched KV ops, minimized
+	// syscalls, no set-alloc-hint, write-through metadata cache (§3.4).
+	LightTx bool
+	// OrderedAcks: deliver client acks in per-PG submission order even on
+	// the fast paths (§3.1's ordering option).
+	OrderedAcks bool
+	// NoBatchWakeup: disable the HDD-era batching wakeup of queued ops.
+	NoBatchWakeup bool
+}
+
+// Community returns stock Ceph 0.94 behaviour.
+func Community() Tuning { return Tuning{} }
+
+// AFCeph returns the paper's fully optimized configuration.
+func AFCeph() Tuning {
+	return Tuning{
+		PendingQueue:     true,
+		CompletionWorker: true,
+		FastAck:          true,
+		ThrottleSSD:      true,
+		Jemalloc:         true,
+		NoDelay:          true,
+		AsyncLog:         true,
+		LightTx:          true,
+		NoBatchWakeup:    true,
+	}
+}
+
+// ProfileByName resolves a profile name: "community" or "afceph".
+func ProfileByName(name string) (Tuning, error) {
+	switch name {
+	case "community":
+		return Community(), nil
+	case "afceph":
+		return AFCeph(), nil
+	}
+	return Tuning{}, fmt.Errorf("unknown profile %q (want community or afceph)", name)
+}
+
+// Config returns OSD id's configuration: CommunityConfig with each selected
+// optimization applied. Jemalloc and NoDelay are host settings with no OSD
+// effect.
+func (t Tuning) Config(id int) Config {
 	c := CommunityConfig(id)
-	c.Throttles = core.SSDThrottles()
-	c.NumFilestoreWorkers = 6 // flash-era thread tuning (part of §3.2)
-	c.OptPendingQueue = true
-	c.OptCompletionWorker = true
-	c.OptFastAck = true
-	c.WakeupBatch = 1
-	c.WakeupTimeout = 0
-	c.LogMode = oslog.Async
-	c.LogParams = oslog.AFCephParams()
-	c.FStore = filestore.LightConfig()
+	c.OptPendingQueue = t.PendingQueue
+	c.OptCompletionWorker = t.CompletionWorker
+	c.OptFastAck = t.FastAck
+	c.OrderedAcks = t.OrderedAcks
+	if t.ThrottleSSD {
+		c.Throttles = core.SSDThrottles()
+		c.NumFilestoreWorkers = 6 // flash-era thread tuning (part of §3.2)
+	}
+	if t.NoBatchWakeup {
+		c.WakeupBatch = 1
+		c.WakeupTimeout = 0
+	}
+	if t.AsyncLog {
+		c.LogMode = oslog.Async
+		c.LogParams = oslog.AFCephParams()
+	}
+	if t.LogOff {
+		c.LogMode = oslog.Off
+	}
+	if t.LightTx {
+		c.FStore = filestore.LightConfig()
+	}
 	return c
 }

@@ -1,6 +1,7 @@
 package osd
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func (h *harness) send(p *sim.Proc, kind OpKind, id uint64, oid string, off, siz
 }
 
 func TestSingleOSDWriteAcked(t *testing.T) {
-	h := newHarness(AFCephConfig(0))
+	h := newHarness(AFCeph().Config(0))
 	h.k.Go("c", func(p *sim.Proc) {
 		h.send(p, OpWrite, 1, "obj", 0, 4096, 7)
 	})
@@ -69,7 +70,7 @@ func TestSingleOSDWriteAcked(t *testing.T) {
 }
 
 func TestSingleOSDReadReturnsStamp(t *testing.T) {
-	h := newHarness(AFCephConfig(0))
+	h := newHarness(AFCeph().Config(0))
 	h.k.Go("c", func(p *sim.Proc) {
 		h.send(p, OpWrite, 1, "obj", 0, 4096, 99)
 		p.Sleep(50 * sim.Millisecond)
@@ -94,14 +95,14 @@ func TestCommunityBatchingDelaysLowLoadOps(t *testing.T) {
 		return h.ackAt[1]
 	}
 	comm := ackTime(CommunityConfig(0))
-	af := ackTime(AFCephConfig(0))
+	af := ackTime(AFCeph().Config(0))
 	if comm < af+sim.Millisecond {
 		t.Fatalf("community single-op latency %v should exceed AFCeph %v by the batch timeout", comm, af)
 	}
 }
 
 func TestJournalFullBlocksWrites(t *testing.T) {
-	cfg := AFCephConfig(0)
+	cfg := AFCeph().Config(0)
 	cfg.JournalSize = 64 << 10 // 16 blocks
 	// Slow the filestore drain so the ring fills: sustained device +
 	// community heavy transactions.
@@ -126,7 +127,7 @@ func TestJournalFullBlocksWrites(t *testing.T) {
 }
 
 func TestTraceCollectorSampling(t *testing.T) {
-	cfg := AFCephConfig(0)
+	cfg := AFCeph().Config(0)
 	cfg.TraceSample = 2 // every second write
 	h := newHarness(cfg)
 	h.k.Go("c", func(p *sim.Proc) {
@@ -183,7 +184,7 @@ func TestTraceCollectorIgnoresIncomplete(t *testing.T) {
 
 func TestProfilesDiffer(t *testing.T) {
 	comm := CommunityConfig(3)
-	af := AFCephConfig(3)
+	af := AFCeph().Config(3)
 	if comm.ID != 3 || af.ID != 3 {
 		t.Fatal("id not plumbed")
 	}
@@ -204,8 +205,42 @@ func TestProfilesDiffer(t *testing.T) {
 	}
 }
 
+func TestTuningPresets(t *testing.T) {
+	if Community() != (Tuning{}) {
+		t.Fatal("Community() not stock")
+	}
+	af := AFCeph()
+	if !af.PendingQueue || !af.CompletionWorker || !af.FastAck || !af.ThrottleSSD ||
+		!af.Jemalloc || !af.NoDelay || !af.AsyncLog || !af.LightTx || !af.NoBatchWakeup {
+		t.Fatalf("AFCeph() missing optimizations: %+v", af)
+	}
+	if af.LogOff {
+		t.Fatal("AFCeph keeps logging on (non-blocking), not off")
+	}
+	if af.OrderedAcks {
+		t.Fatal("AFCeph leaves ack ordering to the client")
+	}
+	if !reflect.DeepEqual(Community().Config(5), CommunityConfig(5)) {
+		t.Fatal("Community().Config drifted from CommunityConfig")
+	}
+}
+
+func TestProfileByName(t *testing.T) {
+	for name, want := range map[string]Tuning{"community": Community(), "afceph": AFCeph()} {
+		got, err := ProfileByName(name)
+		if err != nil || got != want {
+			t.Fatalf("ProfileByName(%q) = %+v, %v", name, got, err)
+		}
+	}
+	for _, bad := range []string{"", "AFCeph", "bogus"} {
+		if _, err := ProfileByName(bad); err == nil {
+			t.Fatalf("ProfileByName(%q) accepted", bad)
+		}
+	}
+}
+
 func TestOrderedAcksHoldOutOfOrder(t *testing.T) {
-	cfg := AFCephConfig(0)
+	cfg := AFCeph().Config(0)
 	cfg.OrderedAcks = true
 	h := newHarness(cfg)
 	// Many concurrent writers to one PG; with fast-ack paths acks could

@@ -69,7 +69,7 @@ type ChaosConfig struct {
 // lands mid-workload.
 func DefaultChaos() ChaosConfig {
 	return ChaosConfig{
-		Profile:      osd.AFCephConfig,
+		Profile:      osd.AFCeph().Config,
 		Clients:      4,
 		OpsPerClient: 120,
 		Pacing:       20 * sim.Millisecond,

@@ -1,6 +1,8 @@
 package qa
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/osd"
@@ -31,48 +33,53 @@ func TestStressCommunity(t *testing.T) {
 }
 
 func TestStressAFCeph(t *testing.T) {
-	runProfile(t, "afceph", osd.AFCephConfig, 1)
+	runProfile(t, "afceph", osd.AFCeph().Config, 1)
 }
 
 func TestStressAFCephOrderedAcks(t *testing.T) {
 	runProfile(t, "afceph+ordered", func(id int) osd.Config {
-		cfg := osd.AFCephConfig(id)
+		cfg := osd.AFCeph().Config(id)
 		cfg.OrderedAcks = true
 		return cfg
 	}, 1)
 }
 
-// TestStressEveryPartialProfile flips each optimization alone: semantics
-// must hold for every ablation point, not just the two endpoints.
+// TestStressEveryPartialProfile runs every optimization alone, and AFCeph
+// with that one optimization flipped: semantics must hold for every
+// ablation point, not just the two endpoints. Fields with no OSD effect
+// (the host settings) are invisible to the OSD-only stress profile and are
+// skipped.
 func TestStressEveryPartialProfile(t *testing.T) {
-	mods := map[string]func(*osd.Config){
-		"pending-only":    func(c *osd.Config) { c.OptPendingQueue = true },
-		"compworker-only": func(c *osd.Config) { c.OptCompletionWorker = true },
-		"fastack-only":    func(c *osd.Config) { c.OptFastAck = true },
-		"lighttx-only":    func(c *osd.Config) { c.FStore = osd.AFCephConfig(0).FStore },
-		"asynclog-only": func(c *osd.Config) {
-			a := osd.AFCephConfig(0)
-			c.LogMode = a.LogMode
-			c.LogParams = a.LogParams
-		},
-		"all-but-pending": func(c *osd.Config) {
-			*c = osd.AFCephConfig(c.ID)
-			c.OptPendingQueue = false
-		},
-		"all-but-compworker": func(c *osd.Config) {
-			*c = osd.AFCephConfig(c.ID)
-			c.OptCompletionWorker = false
-		},
-	}
-	for name, mod := range mods {
-		name, mod := name, mod
-		t.Run(name, func(t *testing.T) {
-			runProfile(t, name, func(id int) osd.Config {
-				cfg := osd.CommunityConfig(id)
-				mod(&cfg)
-				return cfg
-			}, 2)
-		})
+	short := map[string]string{"PendingQueue": "pending", "CompletionWorker": "compworker"}
+	stock := osd.Community().Config(0)
+	fields := reflect.TypeOf(osd.Tuning{})
+	for i := 0; i < fields.NumField(); i++ {
+		var alone osd.Tuning
+		reflect.ValueOf(&alone).Elem().Field(i).SetBool(true)
+		if reflect.DeepEqual(alone.Config(0), stock) {
+			continue
+		}
+		name := short[fields.Field(i).Name]
+		if name == "" {
+			name = strings.ToLower(fields.Field(i).Name)
+		}
+		flipped := osd.AFCeph()
+		f := reflect.ValueOf(&flipped).Elem().Field(i)
+		f.SetBool(!f.Bool())
+		flippedName := "all-but-" + name
+		if f.Bool() {
+			flippedName = "afceph+" + name
+		}
+		arms := []struct {
+			name   string
+			tuning osd.Tuning
+		}{{name + "-only", alone}, {flippedName, flipped}}
+		for _, arm := range arms {
+			arm := arm
+			t.Run(arm.name, func(t *testing.T) {
+				runProfile(t, arm.name, arm.tuning.Config, 2)
+			})
+		}
 	}
 }
 
@@ -85,7 +92,7 @@ func TestStressManySeeds(t *testing.T) {
 	for seed := uint64(10); seed < 18; seed++ {
 		seed := seed
 		t.Run(profileSeedName(seed), func(t *testing.T) {
-			cfg := DefaultStress(osd.AFCephConfig)
+			cfg := DefaultStress(osd.AFCeph().Config)
 			cfg.Seed = seed
 			cfg.Clients = 4
 			cfg.OpsPerClient = 60
@@ -107,7 +114,7 @@ func TestStressTinyJournalBackpressure(t *testing.T) {
 	// A deliberately tiny journal forces ring-full stalls mid-run; the
 	// invariants must still hold (no lost ops, full trim afterwards).
 	cfg := DefaultStress(func(id int) osd.Config {
-		c := osd.AFCephConfig(id)
+		c := osd.AFCeph().Config(id)
 		c.JournalSize = 1 << 20
 		return c
 	})
@@ -124,7 +131,7 @@ func TestStressTinyJournalBackpressure(t *testing.T) {
 // TestStressWithOutageCycle interleaves failure and recovery with
 // randomized load: the full cycle must leave the cluster consistent.
 func TestStressWithOutageCycle(t *testing.T) {
-	cfg := DefaultStress(osd.AFCephConfig)
+	cfg := DefaultStress(osd.AFCeph().Config)
 	cfg.OpsPerClient = 60
 	res := RunStressWithOutage(cfg, 1)
 	if res.Failed() {
@@ -141,7 +148,7 @@ func TestStressHDDThrottleProfile(t *testing.T) {
 	// Community throttles with AFCeph speed elsewhere: heavy backpressure
 	// through the 50-op filestore throttle must not deadlock.
 	cfg := DefaultStress(func(id int) osd.Config {
-		c := osd.AFCephConfig(id)
+		c := osd.AFCeph().Config(id)
 		c.Throttles = osd.CommunityConfig(id).Throttles
 		return c
 	})

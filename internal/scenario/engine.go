@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/cpumodel"
 	"repro/internal/osd"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -137,10 +136,20 @@ func resolveTenant(t *TenantSpec) resolvedTenant {
 	return r
 }
 
+// tuning resolves the cluster's profile name; an empty profile is afceph.
+func (c *ClusterSpec) tuning() (osd.Tuning, error) {
+	if c.Profile == "" {
+		return osd.AFCeph(), nil
+	}
+	return osd.ProfileByName(c.Profile)
+}
+
 // buildParams maps the cluster section onto the simulator's testbed params.
+// The scenario must have passed Validate.
 func buildParams(sc *Scenario, opt Options) cluster.Params {
 	cs := sc.Cluster
-	p := cluster.DefaultParams()
+	t, _ := cs.tuning() // Validate rejected a bad profile
+	p := cluster.ParamsFor(t)
 	p.OSDNodes = cs.Nodes
 	p.OSDsPerNode = cs.OSDsPerNode
 	p.SSDsPerOSD = cs.SSDsPerOSD
@@ -159,14 +168,7 @@ func buildParams(sc *Scenario, opt Options) cluster.Params {
 	if journalMB == 0 {
 		journalMB = 64
 	}
-	prof := osd.AFCephConfig
-	p.Allocator = cpumodel.JEMalloc
-	p.ClientNoDelay = true
-	if cs.Profile == "community" {
-		prof = osd.CommunityConfig
-		p.Allocator = cpumodel.TCMalloc
-		p.ClientNoDelay = false
-	}
+	prof := p.OSDConfig
 	p.OSDConfig = func(id int) osd.Config {
 		cfg := prof(id)
 		cfg.JournalSize = int64(journalMB) << 20

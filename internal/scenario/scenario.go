@@ -214,10 +214,8 @@ func (c *ClusterSpec) validate(scn string) error {
 	if c.Replicas < 0 || (c.Replicas > 0 && c.Replicas > c.Nodes*c.OSDsPerNode) {
 		return fmt.Errorf("scenario %s: cluster.replicas %d exceeds the %d OSDs", scn, c.Replicas, c.Nodes*c.OSDsPerNode)
 	}
-	switch c.Profile {
-	case "", "afceph", "community":
-	default:
-		return fmt.Errorf("scenario %s: cluster.profile %q is not afceph or community", scn, c.Profile)
+	if _, err := c.tuning(); err != nil {
+		return fmt.Errorf("scenario %s: cluster.profile: %v", scn, err)
 	}
 	switch c.Backend {
 	case "", "filestore", "directstore":

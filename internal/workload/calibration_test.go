@@ -14,19 +14,18 @@ func TestCalibrationDiagnostics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("diagnostic")
 	}
-	run := func(name string, profile func(int) osd.Config, nodelay bool) {
-		p := cluster.DefaultParams()
+	run := func(name string, tuning osd.Tuning) {
+		p := cluster.ParamsFor(tuning)
 		p.OSDNodes = 2
 		p.OSDsPerNode = 2
 		p.SSDsPerOSD = 2
 		p.PGs = 256
 		p.OSDConfig = func(id int) osd.Config {
-			cfg := profile(id)
+			cfg := tuning.Config(id)
 			cfg.TraceSample = 10
 			return cfg
 		}
 		p.Sustained = true
-		p.ClientNoDelay = nodelay
 		c := cluster.New(p)
 		f := VMFleet(c, 8, 256<<20, Spec{
 			Pattern:   RandWrite,
@@ -64,6 +63,6 @@ func TestCalibrationDiagnostics(t *testing.T) {
 			ssd.Stats().Reads.Value(), ssd.Stats().Writes.Value(),
 			sim.Time(ssd.Stats().ReadLat.Mean()), sim.Time(ssd.Stats().WriteLat.Mean()))
 	}
-	run("community", osd.CommunityConfig, false)
-	run("afceph", osd.AFCephConfig, true)
+	run("community", osd.Community())
+	run("afceph", osd.AFCeph())
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestSweepPicksBestWithinLatencyBound(t *testing.T) {
-	mk := func() *cluster.Cluster { return miniCluster(osd.AFCephConfig) }
+	mk := func() *cluster.Cluster { return miniCluster(osd.AFCeph().Config) }
 	s := Sweep{IODepths: []int{1, 8}, MaxLatencyMs: 1000}
 	best, points := s.Best(mk, 2, 64<<20, Spec{
 		Pattern:   RandWrite,

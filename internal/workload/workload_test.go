@@ -52,7 +52,7 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestFleetMeasuresWrites(t *testing.T) {
-	c := miniCluster(osd.AFCephConfig)
+	c := miniCluster(osd.AFCeph().Config)
 	f := VMFleet(c, 2, 64<<20, Spec{
 		Pattern:   RandWrite,
 		BlockSize: 4096,
@@ -77,7 +77,7 @@ func TestFleetMeasuresWrites(t *testing.T) {
 }
 
 func TestFleetSequentialUsesAllOffsets(t *testing.T) {
-	c := miniCluster(osd.AFCephConfig)
+	c := miniCluster(osd.AFCeph().Config)
 	f := VMFleet(c, 1, 16<<20, Spec{
 		Pattern:   SeqWrite,
 		BlockSize: 1 << 20,
@@ -93,7 +93,7 @@ func TestFleetSequentialUsesAllOffsets(t *testing.T) {
 }
 
 func TestFleetReadAfterPrefill(t *testing.T) {
-	c := miniCluster(osd.AFCephConfig)
+	c := miniCluster(osd.AFCeph().Config)
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 32<<20)
 	Prefill(c.K, []BlockDev{bd}, 4096, cluster.ObjectSize)
@@ -124,7 +124,7 @@ func TestFleetReadAfterPrefill(t *testing.T) {
 }
 
 func TestEmptyFleetPanics(t *testing.T) {
-	c := miniCluster(osd.AFCephConfig)
+	c := miniCluster(osd.AFCeph().Config)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -146,15 +146,13 @@ func TestProfilesOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probe")
 	}
-	run := func(profile func(int) osd.Config, nodelay bool) Result {
-		p := cluster.DefaultParams()
+	run := func(tuning osd.Tuning) Result {
+		p := cluster.ParamsFor(tuning)
 		p.OSDNodes = 2
 		p.OSDsPerNode = 2
 		p.SSDsPerOSD = 2
 		p.PGs = 256
-		p.OSDConfig = profile
 		p.Sustained = true
-		p.ClientNoDelay = nodelay
 		c := cluster.New(p)
 		f := VMFleet(c, 8, 256<<20, Spec{
 			Pattern:   RandWrite,
@@ -166,8 +164,8 @@ func TestProfilesOrdering(t *testing.T) {
 		})
 		return f.Run(c.K)
 	}
-	community := run(osd.CommunityConfig, false)
-	afceph := run(osd.AFCephConfig, true)
+	community := run(osd.Community())
+	afceph := run(osd.AFCeph())
 	t.Logf("community: %v", community)
 	t.Logf("afceph:    %v", afceph)
 	// The tiny 2x2 cluster compresses the gap (the full-scale testbed in
@@ -182,7 +180,7 @@ func TestProfilesOrdering(t *testing.T) {
 }
 
 func TestRandRWMixesReadsAndWrites(t *testing.T) {
-	c := miniCluster(osd.AFCephConfig)
+	c := miniCluster(osd.AFCeph().Config)
 	f := VMFleet(c, 2, 64<<20, Spec{
 		Pattern:   RandRW,
 		ReadPct:   50,

@@ -6,7 +6,7 @@
 #   scripts/bench.sh -update    # refresh the baseline (see EXPERIMENTS.md)
 #
 # Environment knobs:
-#   BENCH_PATTERN  benchmark selector (default: the figure benchmarks)
+#   BENCH_PATTERN  benchmark selector (default: the figure and ablation benchmarks)
 #   BENCH_COUNT    repetitions per benchmark; best-of is kept (default 3)
 #   BENCH_OUT      result file (default BENCH_results.json)
 #
@@ -17,7 +17,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep}"
+PATTERN="${BENCH_PATTERN:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation}"
 # A custom BENCH_PATTERN intentionally runs a subset of the baseline;
 # benchgate would otherwise fail on the benchmarks the pattern skipped.
 SUBSET=""
