@@ -1,7 +1,7 @@
 # Tier-1 gate and common entry points. `make check` is what CI runs and
 # what a change must pass before it lands (see README "Testing").
 
-.PHONY: check build test race vet lint bench bench-smoke bench-gate
+.PHONY: check build test race vet lint bench bench-smoke bench-gate same-output
 
 check:
 	./scripts/check.sh
@@ -34,3 +34,8 @@ bench-smoke:
 # Figure benchmarks -> BENCH_results.json, gated vs BENCH_baseline.json.
 bench-gate:
 	./scripts/bench.sh
+
+# Compare afsim/afqa stdout between REV (default HEAD) and the working tree.
+REV ?= HEAD
+same-output:
+	./scripts/sameout.sh $(REV)

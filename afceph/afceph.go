@@ -41,12 +41,12 @@ type Config struct {
 	SSDsPerOSD   int
 	CoresPerNode int
 	PGs          int
-	Replicas     int
-	// Pool selects the redundancy policy: "" keeps Replicas-way
-	// replication, "repN" forces N-way replication, "ecK+M" stripes every
-	// object over K data + M parity shards (RS erasure coding; any K of
-	// the K+M shards reconstruct, so M concurrent OSD losses are survived
-	// at a (K+M)/K storage overhead instead of replication's N).
+	// Pool selects the redundancy policy: "repN" keeps N full copies,
+	// "ecK+M" stripes every object over K data + M parity shards (RS
+	// erasure coding; any K of the K+M shards reconstruct, so M concurrent
+	// OSD losses are survived at a (K+M)/K storage overhead instead of
+	// replication's N). Like the other zero fields, "" keeps the default,
+	// rep2.
 	Pool string
 	// Sustained selects worn (steady-state) SSDs; false = clean state.
 	Sustained bool
@@ -93,7 +93,6 @@ func DefaultConfig() Config {
 		SSDsPerOSD:   3,
 		CoresPerNode: 16,
 		PGs:          1024,
-		Replicas:     2,
 		Sustained:    true,
 		Tuning:       AFCeph(),
 		Seed:         1,
@@ -112,8 +111,8 @@ func New(cfg Config) *Cluster {
 	return &Cluster{cfg: cfg, inner: cluster.New(cfg.params())}
 }
 
-// Validate reports a Config New cannot build: a pool that does not parse,
-// or one wider than the cluster's OSD count.
+// Validate reports a Config New cannot build: an unknown backend, or a
+// pool that does not parse or is wider than the cluster's OSD count.
 func (cfg Config) Validate() error { return cfg.params().Validate() }
 
 func (cfg Config) params() cluster.Params {
@@ -133,32 +132,25 @@ func (cfg Config) params() cluster.Params {
 	if cfg.PGs > 0 {
 		p.PGs = uint32(cfg.PGs)
 	}
-	if cfg.Replicas > 0 {
-		p.Replicas = cfg.Replicas
+	if cfg.Pool != "" {
+		p.Pool = cfg.Pool
 	}
-	p.Pool = cfg.Pool
 	p.Sustained = cfg.Sustained
-	p.VerifyData = cfg.Verify
+	p.OSD.FStore.VerifyData = cfg.Verify
+	p.OSD.TraceSample = cfg.TraceSample
+	p.OSD.Backend = cfg.Backend
 	p.Seed = cfg.Seed
 	p.ClientOpTimeout = sim.Time(cfg.OpTimeoutMs * 1e6)
 	p.HeartbeatInterval = sim.Time(cfg.HeartbeatMs * 1e6)
 	p.HeartbeatGrace = sim.Time(cfg.HeartbeatGraceMs * 1e6)
-	p.Backend = cfg.Backend
 	if cfg.ScrubIntervalMs > 0 {
 		p.Scrub = cluster.ScrubParams{
 			Interval:         sim.Time(cfg.ScrubIntervalMs * 1e6),
-			DeepEvery:        1,
 			BytesPerSec:      int64(cfg.ScrubBudgetMBps * (1 << 20)),
 			MaxConcurrentPGs: cfg.ScrubPGs,
 			AutoRepair:       cfg.ScrubAutoRepair,
 			SettleDelay:      2 * sim.Millisecond,
 		}
-	}
-	tuned := p.OSDConfig
-	p.OSDConfig = func(id int) osd.Config {
-		c := tuned(id)
-		c.TraceSample = cfg.TraceSample
-		return c
 	}
 	return p
 }

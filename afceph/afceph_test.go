@@ -34,6 +34,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := wide.Validate(); err == nil {
 		t.Fatal("6-wide pool accepted on 4 OSDs")
 	}
+	backend := DefaultConfig()
+	backend.Backend = "bogus"
+	if err := backend.Validate(); err == nil {
+		t.Fatal("backend \"bogus\" accepted")
+	}
 }
 
 func TestScriptedWriteRead(t *testing.T) {
@@ -189,8 +194,12 @@ func TestSeedsReproducible(t *testing.T) {
 
 func TestDefaultConfigMatchesPaperTestbed(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Nodes != 4 || cfg.OSDsPerNode != 4 || cfg.Replicas != 2 {
+	if cfg.Nodes != 4 || cfg.OSDsPerNode != 4 {
 		t.Fatal("default testbed drifted from the paper's Figure 8")
+	}
+	// An empty Pool, like every zero field of Config, keeps the default.
+	if w := New(cfg).Internal().PoolWidth(); cfg.Pool != "" || w != 2 {
+		t.Fatalf("default pool %q is %d wide, want empty (rep2)", cfg.Pool, w)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/osd"
 	"repro/internal/qa"
+	"repro/internal/store"
 )
 
 func main() {
@@ -34,16 +35,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "afqa:", err)
 		os.Exit(2)
 	}
-	switch *backend {
-	case "filestore", "directstore":
-	default:
-		fmt.Fprintf(os.Stderr, "afqa: unknown backend %q\n", *backend)
+	if err := store.CheckBackend(*backend); err != nil {
+		fmt.Fprintln(os.Stderr, "afqa:", err)
 		os.Exit(2)
 	}
 
 	failed := false
 	for seed := uint64(1); seed <= uint64(*seeds); seed++ {
-		cfg := qa.DefaultStress(tuning.Config)
+		cfg := qa.DefaultStress(tuning.Config())
 		cfg.Backend = *backend
 		cfg.Clients = *clients
 		cfg.OpsPerClient = *ops

@@ -77,7 +77,7 @@ func main() {
 		runtime   = flag.Float64("runtime", 2.0, "measured seconds")
 		ramp      = flag.Float64("ramp", 0.5, "warm-up seconds")
 		nodes     = flag.Int("nodes", 4, "OSD nodes")
-		pool      = flag.String("pool", "", "redundancy policy: repN | ecK+M (default: replica count from the profile)")
+		pool      = flag.String("pool", "", "redundancy policy: repN | ecK+M (default: rep2)")
 		sustained = flag.Bool("sustained", true, "worn (sustained) SSD state")
 		prefill   = flag.Bool("prefill", false, "prefill images before measuring")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -155,13 +155,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Tuning = tuning
-	switch *backend {
-	case "filestore", "directstore":
-		cfg.Backend = *backend
-	default:
-		fmt.Fprintf(os.Stderr, "afsim: unknown backend %q\n", *backend)
-		os.Exit(2)
-	}
+	cfg.Backend = *backend
 	if *noPending {
 		cfg.Tuning.PendingQueue = false
 	}
@@ -304,7 +298,7 @@ func main() {
 		fmt.Printf("  recovery: %d PGs (%d log-based, %d backfill, %d degraded), %d objects / %.1f MB in %.1fms\n",
 			rec.PGsRecovered, rec.LogRecoveries, rec.Backfills, rec.DegradedPGs,
 			rec.ObjectsCopied, float64(rec.BytesCopied)/(1<<20), float64(rec.Duration)/1e6)
-		pre := meanIOPS(res, *ramp*1000, *failAt) // samples during ramp count no ops
+		pre := meanIOPS(res, *ramp*1000, *failAt) // ramp samples count no ops
 		during := meanIOPS(res, *failAt, *recoverAt)
 		post := meanIOPS(res, *recoverAt, (*ramp+*runtime)*1000)
 		fmt.Printf("  iops: before=%.0f degraded=%.0f after=%.0f\n", pre, during, post)
@@ -328,12 +322,15 @@ func main() {
 	}
 }
 
-// meanIOPS averages the run's IOPS samples falling inside [fromMs, toMs).
+// meanIOPS averages the run's IOPS samples covering (fromMs, toMs]. Each
+// sample is stamped at the end of the interval it counts, so the sample at
+// fromMs covers the interval before the window and the one at toMs the
+// interval that closes it.
 func meanIOPS(res afceph.FioResult, fromMs, toMs float64) float64 {
 	sum, n := 0.0, 0
 	for i, ts := range res.SeriesT {
 		ms := ts * 1000
-		if ms >= fromMs && ms < toMs {
+		if ms > fromMs && ms <= toMs {
 			sum += res.SeriesIOPS[i]
 			n++
 		}

@@ -17,7 +17,7 @@ import (
 // that combines them lives in internal/qa.
 
 func TestCrashRestartReplaysJournal(t *testing.T) {
-	p := smallParams(osd.AFCeph().Config)
+	p := smallParams(osd.AFCeph().Config())
 	p.ClientOpTimeout = 50 * sim.Millisecond
 	c := New(p)
 	cl := c.NewClient()
@@ -83,7 +83,7 @@ func TestCrashRestartReplaysJournal(t *testing.T) {
 }
 
 func TestHeartbeatDetectsSilentCrash(t *testing.T) {
-	p := smallParams(osd.AFCeph().Config)
+	p := smallParams(osd.AFCeph().Config())
 	p.HeartbeatInterval = 5 * sim.Millisecond
 	p.HeartbeatGrace = 20 * sim.Millisecond
 	c := New(p)
@@ -112,7 +112,7 @@ func TestHeartbeatDetectsSilentCrash(t *testing.T) {
 }
 
 func TestHeartbeatIgnoresHealthyCluster(t *testing.T) {
-	p := smallParams(osd.AFCeph().Config)
+	p := smallParams(osd.AFCeph().Config())
 	p.HeartbeatInterval = 5 * sim.Millisecond
 	p.HeartbeatGrace = 20 * sim.Millisecond
 	c := New(p)
@@ -134,7 +134,7 @@ func TestHeartbeatIgnoresHealthyCluster(t *testing.T) {
 func TestClientRetriesThroughSilentCrash(t *testing.T) {
 	// The full loop with no operator: silent crash mid-workload, heartbeat
 	// detection, client timeout/resend, restart + recovery, then readback.
-	p := smallParams(osd.AFCeph().Config)
+	p := smallParams(osd.AFCeph().Config())
 	p.ClientOpTimeout = 50 * sim.Millisecond
 	p.HeartbeatInterval = 25 * sim.Millisecond
 	p.HeartbeatGrace = 100 * sim.Millisecond
@@ -191,7 +191,7 @@ func TestClientRetriesThroughSilentCrash(t *testing.T) {
 }
 
 func TestClientRidesOutPartition(t *testing.T) {
-	p := smallParams(osd.AFCeph().Config)
+	p := smallParams(osd.AFCeph().Config())
 	p.ClientOpTimeout = 50 * sim.Millisecond
 	c := New(p)
 	cl := c.NewClient()
@@ -249,8 +249,8 @@ func TestRepairHealsCorruptedReplica(t *testing.T) {
 	for _, backend := range []string{store.BackendFileStore, store.BackendDirectStore} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			p := smallParams(osd.AFCeph().Config)
-			p.Backend = backend
+			p := smallParams(osd.AFCeph().Config())
+			p.OSD.Backend = backend
 			c := New(p)
 			cl := c.NewClient()
 			bd := cl.OpenDevice("img", 64<<20)
@@ -260,7 +260,7 @@ func TestRepairHealsCorruptedReplica(t *testing.T) {
 			// stamp 1 at offset 0 by the batch above).
 			oid := "rbd.img.0"
 			pg := crush.ObjectToPG(oid, c.Params.PGs)
-			set := c.Map().PGToOSDs(pg, c.Params.Replicas)
+			set := c.Map().PGToOSDs(pg, c.PoolWidth())
 			victim := set[len(set)-1]
 			if !c.OSDs()[victim].Store().CorruptObject(oid) {
 				t.Fatalf("osd.%d holds no copy of %s", victim, oid)

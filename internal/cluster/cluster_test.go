@@ -7,44 +7,68 @@ import (
 
 	"repro/internal/osd"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // smallParams returns a 2-node mini cluster for fast integration tests.
-func smallParams(profile func(int) osd.Config) Params {
+func smallParams(cfg osd.Config) Params {
 	p := DefaultParams()
 	p.OSDNodes = 2
 	p.OSDsPerNode = 2
 	p.SSDsPerOSD = 2
 	p.PGs = 64
-	p.OSDConfig = profile
-	p.VerifyData = true
+	p.OSD = cfg
+	p.OSD.FStore.VerifyData = true
 	p.Sustained = false
 	return p
 }
 
-func profiles() map[string]func(int) osd.Config {
-	return map[string]func(int) osd.Config{
-		"community": osd.CommunityConfig,
-		"afceph":    osd.AFCeph().Config,
+func profiles() map[string]osd.Config {
+	return map[string]osd.Config{
+		"community": osd.CommunityConfig(),
+		"afceph":    osd.AFCeph().Config(),
 	}
 }
 
 // TestEveryTuningFieldHasEffect catches an optimization added to osd.Tuning
 // but not to its mapping: each field set alone must change the params.
 func TestEveryTuningFieldHasEffect(t *testing.T) {
-	view := func(p Params) (Params, osd.Config) {
-		cfg := p.OSDConfig(0)
-		p.OSDConfig = nil // funcs never compare equal; compare what it returns
-		return p, cfg
-	}
-	stockP, stockCfg := view(ParamsFor(osd.Tuning{}))
+	stock := ParamsFor(osd.Tuning{})
 	fields := reflect.TypeOf(osd.Tuning{})
 	for i := 0; i < fields.NumField(); i++ {
 		var tu osd.Tuning
 		reflect.ValueOf(&tu).Elem().Field(i).SetBool(true)
-		p, cfg := view(ParamsFor(tu))
-		if reflect.DeepEqual(p, stockP) && reflect.DeepEqual(cfg, stockCfg) {
+		if reflect.DeepEqual(ParamsFor(tu), stock) {
 			t.Errorf("Tuning.%s alone leaves the cluster params unchanged", fields.Field(i).Name)
+		}
+	}
+}
+
+// TestNewConfiguresEveryOSD: New numbers the daemons 0..n-1 and gives each
+// one the configured OSD settings.
+func TestNewConfiguresEveryOSD(t *testing.T) {
+	p := smallParams(osd.AFCeph().Config())
+	p.OSD.ID = 7 // ignored: New numbers the daemons
+	p.OSD.JournalSize = 8 << 20
+	p.OSD.TraceSample = 3
+	for _, backend := range []string{store.BackendFileStore, store.BackendDirectStore} {
+		p.OSD.Backend = backend
+		osds := New(p).OSDs()
+		if len(osds) != 4 {
+			t.Fatalf("%d OSDs, want 4", len(osds))
+		}
+		for i, o := range osds {
+			cfg := o.Config()
+			if cfg.ID != i || cfg.JournalSize != 8<<20 || cfg.TraceSample != 3 || cfg.Backend != backend {
+				t.Errorf("%s osd.%d: id=%d journal=%d trace=%d backend=%q",
+					backend, i, cfg.ID, cfg.JournalSize, cfg.TraceSample, cfg.Backend)
+			}
+			if hasRing := o.Journal() != nil; hasRing != (backend == store.BackendFileStore) {
+				t.Errorf("%s osd.%d: journal ring present = %v", backend, i, hasRing)
+			}
+			if j := o.Journal(); j != nil && j.Size() != 8<<20 {
+				t.Errorf("osd.%d journal ring is %d bytes, want %d", i, j.Size(), 8<<20)
+			}
 		}
 	}
 }
@@ -60,7 +84,9 @@ func TestParamsValidatePoolWidth(t *testing.T) {
 		{1, 4, "bogus", false},
 		{1, 4, "rep4", true},
 		{3, 2, "ec4+2", true}, // the EC chaos shape, exactly at the limit
-		{4, 4, "", true},
+		{4, 4, "rep2", true},
+		{4, 4, "rep0", false},
+		{4, 4, "", false}, // Params has no implicit pool
 	} {
 		p := DefaultParams()
 		p.OSDNodes, p.OSDsPerNode, p.Pool = tc.nodes, tc.perNode, tc.pool
@@ -68,7 +94,12 @@ func TestParamsValidatePoolWidth(t *testing.T) {
 			t.Errorf("%dx%d OSDs, pool %q: Validate() = %v", tc.nodes, tc.perNode, tc.pool, err)
 		}
 	}
-	p := smallParams(osd.AFCeph().Config)
+	p := DefaultParams()
+	p.OSD.Backend = "bogus"
+	if err := p.Validate(); err == nil {
+		t.Error("backend \"bogus\" accepted")
+	}
+	p = smallParams(osd.AFCeph().Config())
 	p.Pool = "ec4+2"
 	defer func() {
 		if recover() == nil {
@@ -124,7 +155,7 @@ func TestWriteIsReplicated(t *testing.T) {
 func TestReplicaHoldsDataAfterAck(t *testing.T) {
 	// After an ack, both the primary's and the replica's filestores must
 	// eventually hold the object (strong consistency / splay replication).
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	c.K.Go("io", func(p *sim.Proc) {
 		cl.WriteObject(p, "replicated-obj", 0, 8192, 7)
@@ -187,7 +218,7 @@ func TestConcurrentClientsAllAcked(t *testing.T) {
 }
 
 func TestBlockDeviceStriping(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img0", 64<<20)
 	var stamp uint64
@@ -211,7 +242,7 @@ func TestBlockDeviceStriping(t *testing.T) {
 }
 
 func TestBlockDeviceBoundsChecked(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img0", 1<<20)
 	c.K.Go("io", func(p *sim.Proc) {
@@ -233,7 +264,7 @@ func TestImageObjects(t *testing.T) {
 }
 
 func TestPrimaryForIsDeterministic(t *testing.T) {
-	c := New(smallParams(osd.CommunityConfig))
+	c := New(smallParams(osd.CommunityConfig()))
 	a := c.PrimaryFor("some-object")
 	b := c.PrimaryFor("some-object")
 	if a != b {
@@ -242,12 +273,9 @@ func TestPrimaryForIsDeterministic(t *testing.T) {
 }
 
 func TestOrderedAcksOptionDeliversInOrder(t *testing.T) {
-	prof := func(id int) osd.Config {
-		cfg := osd.AFCeph().Config(id)
-		cfg.OrderedAcks = true
-		return cfg
-	}
-	c := New(smallParams(prof))
+	cfg := osd.AFCeph().Config()
+	cfg.OrderedAcks = true
+	c := New(smallParams(cfg))
 	cl := c.NewClient()
 	// Same object => same PG; issue overlapping writes from several procs
 	// and verify acks complete.
@@ -268,7 +296,7 @@ func TestOrderedAcksOptionDeliversInOrder(t *testing.T) {
 }
 
 func TestSetSustainedPropagates(t *testing.T) {
-	c := New(smallParams(osd.CommunityConfig))
+	c := New(smallParams(osd.CommunityConfig()))
 	c.SetSustained(true)
 	for _, s := range c.SSDs() {
 		if !s.Sustained() {
@@ -278,7 +306,7 @@ func TestSetSustainedPropagates(t *testing.T) {
 }
 
 func TestAggregateStatsAccessors(t *testing.T) {
-	c := New(smallParams(osd.CommunityConfig))
+	c := New(smallParams(osd.CommunityConfig()))
 	cl := c.NewClient()
 	c.K.Go("io", func(p *sim.Proc) {
 		cl.WriteObject(p, "o", 0, 4096, 1)

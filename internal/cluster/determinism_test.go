@@ -11,7 +11,7 @@ import (
 // fingerprint runs a fixed workload and collapses every observable metric
 // into one string.
 func fingerprint(seed uint64) string {
-	p := smallParams(osd.AFCeph().Config)
+	p := smallParams(osd.AFCeph().Config())
 	p.Seed = seed
 	c := New(p)
 	cl := c.NewClient()

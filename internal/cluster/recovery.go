@@ -348,8 +348,7 @@ func (c *Cluster) recoverPG(p *sim.Proc, pg uint32, srcID, dstID int, missed map
 			// Read on the peer, push over the cluster network, install on
 			// the rejoining OSD.
 			src.Read(pp, oid, 0, size)
-			pp.Sleep(c.Params.NetParams.Propagation +
-				sim.Time(size*int64(sim.Second)/c.Params.NetParams.BytesPerSec))
+			pp.Sleep(c.pushTime(size))
 			dst.IngestObject(pp, oid, state)
 			if dstState.Damaged {
 				// Backfill just overwrote a rotten copy with the cleansed
@@ -458,8 +457,7 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 			for _, pid := range readers {
 				c.osds[pid].Store().Read(pp, oid, 0, size)
 			}
-			pp.Sleep(c.Params.NetParams.Propagation +
-				sim.Time(int64(k)*size*int64(sim.Second)/c.Params.NetParams.BytesPerSec))
+			pp.Sleep(c.pushTime(int64(k) * size))
 			c.nodes[dstID/c.Params.OSDsPerNode].Use(pp, c.pol.DecodeCost(size*int64(k), 1))
 			dst.IngestObject(pp, oid, state)
 			if dstState.Damaged {
@@ -470,4 +468,10 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 	}
 	done.Wait(p)
 	return copied
+}
+
+// pushTime is the time to move bytes between two OSDs over the cluster
+// network: one propagation delay plus serialization at NIC bandwidth.
+func (c *Cluster) pushTime(bytes int64) sim.Time {
+	return c.Net.Params.Propagation + sim.Time(bytes*int64(sim.Second)/c.Net.Params.BytesPerSec)
 }

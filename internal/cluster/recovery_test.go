@@ -31,7 +31,7 @@ func batchOffset(bd *BlockDevice, start, j int) int64 {
 }
 
 func TestFailoverRoutesAroundDownOSD(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 64<<20)
 	writeBatch(c, bd, 0, 20, 1)
@@ -95,7 +95,7 @@ func TestRecoveryHealsScrub(t *testing.T) {
 }
 
 func TestRecoveryPreservesReadYourWrite(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 64<<20)
 	writeBatch(c, bd, 0, 10, 1)
@@ -125,7 +125,7 @@ func TestRecoveryPreservesReadYourWrite(t *testing.T) {
 func TestRecoveryUsesLogWhenCovered(t *testing.T) {
 	// Few writes during a short outage: the peer's retained PG log (100
 	// entries) covers the gap, so recovery should be log-based.
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 64<<20)
 	writeBatch(c, bd, 0, 20, 1)
@@ -143,7 +143,7 @@ func TestRecoveryUsesLogWhenCovered(t *testing.T) {
 func TestRecoveryWritesContinueCleanly(t *testing.T) {
 	// After recovery the preferred primary resumes; sequencing must
 	// continue without PG-log violations even across the ownership change.
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 64<<20)
 	writeBatch(c, bd, 0, 25, 1)
@@ -160,7 +160,7 @@ func TestRecoveryWritesContinueCleanly(t *testing.T) {
 }
 
 func TestEpochBumps(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	e0 := c.Epoch()
 	c.FailOSD(3)
 	c.RecoverOSD(3)
@@ -170,7 +170,7 @@ func TestEpochBumps(t *testing.T) {
 }
 
 func TestRecoverIdempotentWhenNothingMissed(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 64<<20)
 	writeBatch(c, bd, 0, 10, 1)

@@ -27,20 +27,7 @@ type Inconsistency struct {
 // scrubbed through the same door.
 func (c *Cluster) ScrubAll() []Inconsistency {
 	var out []Inconsistency
-	// Collect the union of object names.
-	names := map[string]bool{}
-	for _, o := range c.osds {
-		for _, n := range o.Store().ObjectNames() {
-			names[n] = true
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names { //afvet:allow determinism keys are sorted before use
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-
-	for _, oid := range sorted {
+	for _, oid := range c.objectNames() {
 		pg := crush.ObjectToPG(oid, c.Params.PGs)
 		want := c.cmap.PGToOSDs(pg, c.pol.Width())
 		inSet := map[int]bool{}
@@ -72,7 +59,7 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 		// Deep scrub: with VerifyData on, the stored extent stamps are the
 		// data; replicas whose stamps diverge from the first up in-set
 		// member hold silently corrupted bits even when versions agree.
-		if c.Params.VerifyData {
+		if c.Params.OSD.FStore.VerifyData {
 			ref, refID := filestore.ObjectState{}, -1
 			for _, id := range want {
 				if c.down[id] {
@@ -99,6 +86,23 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 		}
 	}
 	return out
+}
+
+// objectNames returns the sorted union of the objects every OSD's backend
+// holds.
+func (c *Cluster) objectNames() []string {
+	names := map[string]bool{}
+	for _, o := range c.osds {
+		for _, n := range o.Store().ObjectNames() {
+			names[n] = true
+		}
+	}
+	sorted := make([]string, 0, len(names))
+	for n := range names { //afvet:allow determinism keys are sorted before use
+		sorted = append(sorted, n)
+	}
+	sort.Strings(sorted)
+	return sorted
 }
 
 func sameStamps(a, b map[int64]uint64) bool {
@@ -172,37 +176,27 @@ func (c *Cluster) repairObject(p *sim.Proc, oid string) int {
 			healed++
 		}
 	}
-	type memberState struct {
-		id int
-		st filestore.ObjectState
-		ok bool
-	}
-	var ms []memberState
+	ms := c.captureObject(oid, want)
 	auth := -1
 	var best uint64
 	var target filestore.ObjectState
 	contributed := 0
-	for _, id := range want {
-		if c.down[id] || c.osds[id].Crashed() {
+	for _, m := range ms {
+		if !m.ok {
 			continue
 		}
-		st, ok := c.osds[id].Store().ExportObject(oid)
-		ms = append(ms, memberState{id: id, st: st, ok: ok})
-		if !ok {
-			continue
-		}
-		if st.Damaged && len(st.Rot) == 0 {
+		if m.st.Damaged && len(m.st.Rot) == 0 {
 			continue // coarse corruption: no extent of this copy is trustworthy
 		}
-		cl := st.Cleansed()
+		cl := m.st.Cleansed()
 		if contributed == 0 {
 			target = cl
 		} else {
 			target = filestore.UnionState(target, cl)
 		}
 		contributed++
-		if !st.Damaged && (auth < 0 || st.Version > best) {
-			best, auth = st.Version, id
+		if !m.st.Damaged && (auth < 0 || m.st.Version > best) {
+			best, auth = m.st.Version, m.id
 		}
 	}
 	if auth < 0 {
@@ -246,8 +240,7 @@ func (c *Cluster) repairObject(p *sim.Proc, oid string) int {
 		}
 		// Same data motion as recovery: peer read, network push, install.
 		c.osds[auth].Store().Read(p, oid, 0, size)
-		p.Sleep(c.Params.NetParams.Propagation +
-			sim.Time(size*int64(sim.Second)/c.Params.NetParams.BytesPerSec))
+		p.Sleep(c.pushTime(size))
 		// Re-merge against the member's live state at install time: a
 		// client write acked during the push above must survive the heal.
 		st := target

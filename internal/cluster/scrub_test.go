@@ -42,7 +42,7 @@ func TestScrubCleanAfterWorkload(t *testing.T) {
 }
 
 func TestScrubDetectsTamperedReplica(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	runScrubWorkload(t, c, 2, 30)
 	// Tamper: apply an extra transaction directly to one OSD's filestore,
 	// bumping an object version out of sync with its peers.
@@ -78,7 +78,7 @@ func TestScrubDetectsTamperedReplica(t *testing.T) {
 }
 
 func TestScrubDetectsStrayCopy(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	runScrubWorkload(t, c, 1, 10)
 	// Plant a copy of a real object on an OSD outside its CRUSH set.
 	var oid string
@@ -90,7 +90,7 @@ func TestScrubDetectsStrayCopy(t *testing.T) {
 	}
 	set := map[int]bool{}
 	pg := ObjectToPGForTest(oid, c)
-	for _, id := range c.Map().PGToOSDs(pg, c.Params.Replicas) {
+	for _, id := range c.Map().PGToOSDs(pg, c.PoolWidth()) {
 		set[id] = true
 	}
 	var stray *osd.OSD
@@ -144,7 +144,7 @@ func TestPGLogsOrderedAfterWorkload(t *testing.T) {
 func TestPGLogTrimBoundsMemory(t *testing.T) {
 	// Hammer one object (one PG) and confirm the log stays bounded by the
 	// retention window.
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	c.K.Go("w", func(p *sim.Proc) {
 		for j := 0; j < 500; j++ {

@@ -16,10 +16,6 @@ type ScrubParams struct {
 	// Interval is the pause between scrub rounds; zero disables the
 	// scheduler.
 	Interval sim.Time
-	// DeepEvery makes every Nth round a deep scrub (checksum verify with
-	// real device reads); the others are light scrubs (version/size
-	// compare, metadata only). Values <= 1 make every round deep.
-	DeepEvery int
 	// BytesPerSec caps the deep-scrub read bandwidth cluster-wide (the
 	// osd_scrub throttle); zero scrubs unthrottled.
 	BytesPerSec int64
@@ -168,39 +164,23 @@ func (c *Cluster) SetScrubReadTrace(fn func(at sim.Time, bytes int64)) {
 // scrubLoop is the scheduler process: one scrub round per interval, rounds
 // never overlapping (a long round delays the next, as in Ceph).
 func (c *Cluster) scrubLoop(p *sim.Proc) {
-	s := c.scrub
-	deepEvery := c.Params.Scrub.DeepEvery
-	round := 0
 	for {
 		p.Sleep(c.Params.Scrub.Interval)
-		if s.stopped {
+		if c.scrub.stopped {
 			return
 		}
-		round++
-		deep := deepEvery <= 1 || round%deepEvery == 0
-		c.scrubRound(p, deep)
+		c.scrubRound(p)
 	}
 }
 
 // scrubRound snapshots the object population, buckets it by PG, and scrubs
 // each PG in its own process bounded by the MaxConcurrentPGs tokens.
-func (c *Cluster) scrubRound(p *sim.Proc, deep bool) {
+func (c *Cluster) scrubRound(p *sim.Proc) {
 	s := c.scrub
 	s.stats.Rounds.Inc()
-	names := map[string]bool{}
-	for _, o := range c.osds {
-		for _, n := range o.Store().ObjectNames() {
-			names[n] = true
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names { //afvet:allow determinism keys are sorted before use
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
 	byPG := map[uint32][]string{}
 	var pgs []uint32
-	for _, n := range sorted {
+	for _, n := range c.objectNames() {
 		pg := crush.ObjectToPG(n, c.Params.PGs)
 		if byPG[pg] == nil {
 			pgs = append(pgs, pg)
@@ -225,7 +205,7 @@ func (c *Cluster) scrubRound(p *sim.Proc, deep bool) {
 				if s.stopped {
 					return
 				}
-				c.scrubObject(pp, pg, oid, deep)
+				c.scrubObject(pp, pg, oid)
 			}
 		})
 	}
@@ -268,29 +248,26 @@ func snapsEqual(a, b []memberSnap) bool {
 	return true
 }
 
-// snapsDiverged reports whether the up members disagree. Light scrubs
-// compare metadata only (size, version); deep scrubs also compare the
-// per-extent stamps — in this model the stamps are the data, so the stamp
-// compare is the checksum verify.
-func snapsDiverged(ms []memberSnap, deep bool) bool {
+// snapsDiverged reports whether the up members disagree on metadata (size,
+// version) or on the per-extent stamps — in this model the stamps are the
+// data, so the stamp compare is the checksum verify.
+func snapsDiverged(ms []memberSnap) bool {
 	for i := 1; i < len(ms); i++ {
-		if ms[i].ok != ms[0].ok || ms[i].st.Size != ms[0].st.Size || ms[i].st.Version != ms[0].st.Version {
-			return true
-		}
-		if deep && !sameStamps(ms[i].st.Stamps, ms[0].st.Stamps) {
+		if ms[i].ok != ms[0].ok || ms[i].st.Size != ms[0].st.Size || ms[i].st.Version != ms[0].st.Version ||
+			!sameStamps(ms[i].st.Stamps, ms[0].st.Stamps) {
 			return true
 		}
 	}
 	return false
 }
 
-// scrubObject scrubs one object: yield to client I/O, capture the member
-// states, charge the deep reads through the throttle, and classify.
-// Damage flags are deep-scrub findings immediately (writes never set
-// them); version/stamp divergence is rechecked after a settle delay so
-// in-flight writes are never reported — under a clean cluster the scrub
-// stays silent no matter the load.
-func (c *Cluster) scrubObject(p *sim.Proc, pg uint32, oid string, deep bool) {
+// scrubObject deep-scrubs one object: yield to client I/O, capture the
+// member states, charge the checksum reads through the throttle, and
+// classify. Damage flags are findings immediately (writes never set them);
+// version/stamp divergence is rechecked after a settle delay so in-flight
+// writes are never reported — under a clean cluster the scrub stays silent
+// no matter the load.
+func (c *Cluster) scrubObject(p *sim.Proc, pg uint32, oid string) {
 	s := c.scrub
 	want := c.cmap.PGToOSDs(pg, c.pol.Width())
 	primary := -1
@@ -324,36 +301,31 @@ func (c *Cluster) scrubObject(p *sim.Proc, pg uint32, oid string, deep bool) {
 	if len(first) == 0 {
 		return
 	}
-	if deep {
-		// The checksum verify reads every up copy end to end, within the
-		// bandwidth budget.
-		for _, m := range first {
-			if !m.ok {
-				continue
-			}
-			size := m.st.Size
-			if size <= 0 {
-				size = 4096
-			}
-			c.scrubRead(p, m.id, oid, size)
-			if s.stopped {
-				return
-			}
+	// The checksum verify reads every up copy end to end, within the
+	// bandwidth budget.
+	for _, m := range first {
+		if !m.ok {
+			continue
+		}
+		size := m.st.Size
+		if size <= 0 {
+			size = 4096
+		}
+		c.scrubRead(p, m.id, oid, size)
+		if s.stopped {
+			return
 		}
 	}
 
-	damaged := false
-	if deep {
-		for _, m := range first {
-			if m.ok && m.st.Damaged {
-				damaged = true
-				s.stats.Findings.Inc()
-				c.noteIntegrity(p.Now(), m.id, oid, IntegrityFinding)
-			}
+	confirmed := false
+	for _, m := range first {
+		if m.ok && m.st.Damaged {
+			confirmed = true
+			s.stats.Findings.Inc()
+			c.noteIntegrity(p.Now(), m.id, oid, IntegrityFinding)
 		}
 	}
-	confirmed := damaged
-	if !confirmed && snapsDiverged(first, deep) {
+	if !confirmed && snapsDiverged(first) {
 		// Could be rot, could be a write in flight: look again after the
 		// settle delay and only report what held still.
 		settle := c.Params.Scrub.SettleDelay
@@ -365,7 +337,7 @@ func (c *Cluster) scrubObject(p *sim.Proc, pg uint32, oid string, deep bool) {
 			return
 		}
 		second := c.captureObject(oid, want)
-		if !snapsEqual(first, second) || !snapsDiverged(second, deep) {
+		if !snapsEqual(first, second) || !snapsDiverged(second) {
 			s.stats.Deferred.Inc()
 			return // still moving (or converged): next round's problem
 		}

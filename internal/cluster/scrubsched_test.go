@@ -37,10 +37,9 @@ func scrubWindowRun(p Params, window sim.Time, ops int) (*Cluster, *Client) {
 }
 
 func scrubParams() Params {
-	p := smallParams(osd.AFCeph().Config)
+	p := smallParams(osd.AFCeph().Config())
 	p.Scrub = ScrubParams{
 		Interval:         20 * sim.Millisecond,
-		DeepEvery:        2,
 		BytesPerSec:      256 << 20,
 		MaxConcurrentPGs: 2,
 		AutoRepair:       true,
@@ -100,7 +99,6 @@ func TestScrubNoFalsePositives(t *testing.T) {
 func TestScrubThrottleBudget(t *testing.T) {
 	p := scrubParams()
 	p.Scrub.Interval = 5 * sim.Millisecond
-	p.Scrub.DeepEvery = 1
 	p.Scrub.BytesPerSec = 1 << 20
 	p.Scrub.MaxConcurrentPGs = 4
 	c := New(p)
@@ -149,13 +147,12 @@ func TestScrubThrottleBudget(t *testing.T) {
 // time-to-repair.
 func TestScrubDetectsAndRepairsRot(t *testing.T) {
 	p := scrubParams()
-	p.Scrub.DeepEvery = 1
 	c := New(p)
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 64<<20)
 	oid := "rbd.img.0"
 	pg := crush.ObjectToPG(oid, p.PGs)
-	set := c.Map().PGToOSDs(pg, p.Replicas)
+	set := c.Map().PGToOSDs(pg, c.PoolWidth())
 	victim := set[len(set)-1]
 	var injectedAt sim.Time
 	c.K.Go("io", func(pp *sim.Proc) {
@@ -209,11 +206,11 @@ func TestScrubDetectsAndRepairsRot(t *testing.T) {
 // extent is answered with the replica's healthy data — the client never
 // sees the rot — and the bad copy is overwritten in the background.
 func TestReadRepairServesFromReplica(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	oid := "obj-a"
 	pg := crush.ObjectToPG(oid, c.Params.PGs)
-	set := c.Map().PGToOSDs(pg, c.Params.Replicas)
+	set := c.Map().PGToOSDs(pg, c.PoolWidth())
 	primary := set[0]
 	var got uint64
 	var exists bool
@@ -257,11 +254,11 @@ func TestReadRepairServesFromReplica(t *testing.T) {
 // read must fail cleanly — EIO surfaced as a missing read, never scrambled
 // data returned as if valid.
 func TestReadEIOWhenNoHealthyCopy(t *testing.T) {
-	c := New(smallParams(osd.AFCeph().Config))
+	c := New(smallParams(osd.AFCeph().Config()))
 	cl := c.NewClient()
 	oid := "obj-a"
 	pg := crush.ObjectToPG(oid, c.Params.PGs)
-	set := c.Map().PGToOSDs(pg, c.Params.Replicas)
+	set := c.Map().PGToOSDs(pg, c.PoolWidth())
 	var got uint64
 	var exists bool
 	c.K.Go("io", func(pp *sim.Proc) {

@@ -89,7 +89,7 @@ func Backends(opt Options, panels []string) Report {
 			Seed:      opt.Seed,
 		}
 		p := withJournal(profileParams(opt, osd.AFCeph(), true), opt.JournalMB)
-		p.Backend = backend
+		p.OSD.Backend = backend
 		res, c := runBackendPoint(p, vms, spec)
 		jbytes, dbytes := deviceWriteBytes(c)
 		// Replicated client write bytes: every primary and replica write

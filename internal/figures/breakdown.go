@@ -30,7 +30,8 @@ func LatencyBreakdownWithPerf(opt Options) (Report, string) {
 }
 
 func latencyBreakdown(opt Options, wantPerf bool) (Report, string) {
-	p := withJournal(withTrace(profileParams(opt, osd.Community(), true), 5), opt.JournalMB)
+	p := withJournal(profileParams(opt, osd.Community(), true), opt.JournalMB)
+	p.OSD.TraceSample = 5
 	c := cluster.New(p)
 	f := workload.VMFleet(c, 4, 512<<20, workload.Spec{
 		Pattern:   workload.RandWrite,

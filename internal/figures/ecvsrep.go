@@ -50,8 +50,7 @@ func ECvsRep(opt Options) Report {
 		vms, depth := opt.scaleLoad(16, 8)
 		mkParams := func() cluster.Params {
 			p := withJournal(profileParams(opt, osd.AFCeph(), true), opt.JournalMB)
-			p.Backend = backend
-			p.Replicas = 3
+			p.OSD.Backend = backend
 			p.Pool = pool.Pool
 			return p
 		}

@@ -123,27 +123,10 @@ func profileParams(opt Options, t osd.Tuning, sustained bool) cluster.Params {
 	return p
 }
 
-// withJournal overrides every OSD's journal ring size; 0 keeps the default.
+// withJournal sets every OSD's journal ring size; 0 keeps the default.
 func withJournal(p cluster.Params, journalMB int) cluster.Params {
-	if journalMB <= 0 {
-		return p
-	}
-	prof := p.OSDConfig
-	p.OSDConfig = func(id int) osd.Config {
-		cfg := prof(id)
-		cfg.JournalSize = int64(journalMB) << 20
-		return cfg
-	}
-	return p
-}
-
-// withTrace records a stage trace for every nth client write on every OSD.
-func withTrace(p cluster.Params, n int) cluster.Params {
-	prof := p.OSDConfig
-	p.OSDConfig = func(id int) osd.Config {
-		cfg := prof(id)
-		cfg.TraceSample = n
-		return cfg
+	if journalMB > 0 {
+		p.OSD.JournalSize = int64(journalMB) << 20
 	}
 	return p
 }
@@ -232,7 +215,9 @@ var fig3Stages = []int{
 // accumulates (the paper: ~9 ms of a ~17 ms write attributable to the PG
 // lock and single-finisher serialization).
 func Fig3(opt Options) Report {
-	c := cluster.New(withTrace(profileParams(opt, osd.Community(), true), 5))
+	p := profileParams(opt, osd.Community(), true)
+	p.OSD.TraceSample = 5
+	c := cluster.New(p)
 	vms, depth := opt.scaleLoad(40, 8)
 	f := workload.VMFleet(c, vms, 512<<20, workload.Spec{
 		Pattern:   workload.RandWrite,

@@ -301,15 +301,10 @@ func DropIn(opt Options) Report {
 		if hdd {
 			// HDD-era filestore relies on page-cache writeback; the deep
 			// writeback queue is what lets the disk elevator amortize seeks.
-			prof := p.OSDConfig
-			p.OSDConfig = func(id int) osd.Config {
-				cfg := prof(id)
-				cfg.FStore.ApplyWriteback = true
-				// HDD-era deployments kept the (much smaller) hot metadata
-				// set in RAM; synchronous metadata seeks were rare.
-				cfg.FStore.MetaMissProb = 0.15
-				return cfg
-			}
+			p.OSD.FStore.ApplyWriteback = true
+			// HDD-era deployments kept the (much smaller) hot metadata set
+			// in RAM; synchronous metadata seeks were rare.
+			p.OSD.FStore.MetaMissProb = 0.15
 		}
 		p.UseHDD = hdd
 		runtime, ramp := opt.runtime(), opt.rampWrite()

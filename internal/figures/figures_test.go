@@ -75,11 +75,11 @@ func TestReportString(t *testing.T) {
 
 func TestWithJournalOverride(t *testing.T) {
 	p := withJournal(cluster.DefaultParams(), 64)
-	if got := p.OSDConfig(0).JournalSize; got != 64<<20 {
+	if got := p.OSD.JournalSize; got != 64<<20 {
 		t.Fatalf("journal = %d", got)
 	}
 	same := withJournal(cluster.DefaultParams(), 0)
-	if got := same.OSDConfig(0).JournalSize; got != osd.CommunityConfig(0).JournalSize {
+	if got := same.OSD.JournalSize; got != osd.CommunityConfig().JournalSize {
 		t.Fatal("zero MB must keep the default")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/crush"
 	"repro/internal/osd"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -34,7 +33,6 @@ func Scrub(opt Options) Report {
 		{"off", cluster.ScrubParams{}},
 		{"throttled", cluster.ScrubParams{
 			Interval:         5 * sim.Millisecond,
-			DeepEvery:        1,
 			BytesPerSec:      128 << 20,
 			MaxConcurrentPGs: 1,
 			AutoRepair:       true,
@@ -42,7 +40,6 @@ func Scrub(opt Options) Report {
 		}},
 		{"unthrottled", cluster.ScrubParams{
 			Interval:         sim.Millisecond,
-			DeepEvery:        1,
 			MaxConcurrentPGs: 8,
 			AutoRepair:       true,
 			SettleDelay:      2 * sim.Millisecond,
@@ -90,9 +87,7 @@ func Scrub(opt Options) Report {
 				oid := fmt.Sprintf("scrub.cold.%d", i)
 				ic.WriteObject(pp, oid, 0, 4096, 1000+uint64(i))
 				pp.Sleep(10 * sim.Millisecond) // let replica applies settle
-				pg := crush.ObjectToPG(oid, c.Params.PGs)
-				primary := c.Map().PGToOSDs(pg, c.Params.Replicas)[0]
-				if c.OSDs()[primary].Store().CorruptObject(oid) {
+				if c.PrimaryFor(oid).Store().CorruptObject(oid) {
 					injected = append(injected, inj{oid: oid, at: pp.Now()})
 				}
 			}

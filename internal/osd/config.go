@@ -77,8 +77,11 @@ func DefaultCosts() Costs {
 }
 
 // Config selects the OSD's behaviour. CommunityConfig is the stock
-// profile; Tuning.Config derives AFCeph and every ablation from it.
+// profile; Tuning.Config derives AFCeph and every ablation from it. A
+// cluster copies one Config to every OSD: all of its fields are values
+// except Admission.Tenants, which the OSDs only read.
 type Config struct {
+	// ID names the daemon; cluster.New numbers its OSDs 0..n-1.
 	ID int
 	// Worker pools.
 	NumOpWorkers        int
@@ -123,9 +126,8 @@ type Config struct {
 }
 
 // CommunityConfig returns stock Ceph 0.94 behaviour.
-func CommunityConfig(id int) Config {
+func CommunityConfig() Config {
 	return Config{
-		ID:                  id,
 		NumOpWorkers:        2, // osd_op_threads default
 		NumFilestoreWorkers: 2, // filestore_op_threads default
 		Throttles:           core.HDDThrottles(),
@@ -210,11 +212,11 @@ func ProfileByName(name string) (Tuning, error) {
 	return Tuning{}, fmt.Errorf("unknown profile %q (want community or afceph)", name)
 }
 
-// Config returns OSD id's configuration: CommunityConfig with each selected
+// Config returns the OSD configuration: CommunityConfig with each selected
 // optimization applied. Jemalloc and NoDelay are host settings with no OSD
 // effect.
-func (t Tuning) Config(id int) Config {
-	c := CommunityConfig(id)
+func (t Tuning) Config() Config {
+	c := CommunityConfig()
 	c.OptPendingQueue = t.PendingQueue
 	c.OptCompletionWorker = t.CompletionWorker
 	c.OptFastAck = t.FastAck

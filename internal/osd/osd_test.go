@@ -56,7 +56,7 @@ func (h *harness) send(p *sim.Proc, kind OpKind, id uint64, oid string, off, siz
 }
 
 func TestSingleOSDWriteAcked(t *testing.T) {
-	h := newHarness(AFCeph().Config(0))
+	h := newHarness(AFCeph().Config())
 	h.k.Go("c", func(p *sim.Proc) {
 		h.send(p, OpWrite, 1, "obj", 0, 4096, 7)
 	})
@@ -70,7 +70,7 @@ func TestSingleOSDWriteAcked(t *testing.T) {
 }
 
 func TestSingleOSDReadReturnsStamp(t *testing.T) {
-	h := newHarness(AFCeph().Config(0))
+	h := newHarness(AFCeph().Config())
 	h.k.Go("c", func(p *sim.Proc) {
 		h.send(p, OpWrite, 1, "obj", 0, 4096, 99)
 		p.Sleep(50 * sim.Millisecond)
@@ -94,15 +94,15 @@ func TestCommunityBatchingDelaysLowLoadOps(t *testing.T) {
 		h.k.Run(5 * sim.Second)
 		return h.ackAt[1]
 	}
-	comm := ackTime(CommunityConfig(0))
-	af := ackTime(AFCeph().Config(0))
+	comm := ackTime(CommunityConfig())
+	af := ackTime(AFCeph().Config())
 	if comm < af+sim.Millisecond {
 		t.Fatalf("community single-op latency %v should exceed AFCeph %v by the batch timeout", comm, af)
 	}
 }
 
 func TestJournalFullBlocksWrites(t *testing.T) {
-	cfg := AFCeph().Config(0)
+	cfg := AFCeph().Config()
 	cfg.JournalSize = 64 << 10 // 16 blocks
 	// Slow the filestore drain so the ring fills: sustained device +
 	// community heavy transactions.
@@ -127,7 +127,7 @@ func TestJournalFullBlocksWrites(t *testing.T) {
 }
 
 func TestTraceCollectorSampling(t *testing.T) {
-	cfg := AFCeph().Config(0)
+	cfg := AFCeph().Config()
 	cfg.TraceSample = 2 // every second write
 	h := newHarness(cfg)
 	h.k.Go("c", func(p *sim.Proc) {
@@ -148,7 +148,7 @@ func TestTraceCollectorSampling(t *testing.T) {
 }
 
 func TestTraceStagesMonotonic(t *testing.T) {
-	cfg := CommunityConfig(0)
+	cfg := CommunityConfig()
 	cfg.TraceSample = 1
 	h := newHarness(cfg)
 	h.k.Go("c", func(p *sim.Proc) {
@@ -183,11 +183,8 @@ func TestTraceCollectorIgnoresIncomplete(t *testing.T) {
 }
 
 func TestProfilesDiffer(t *testing.T) {
-	comm := CommunityConfig(3)
-	af := AFCeph().Config(3)
-	if comm.ID != 3 || af.ID != 3 {
-		t.Fatal("id not plumbed")
-	}
+	comm := CommunityConfig()
+	af := AFCeph().Config()
 	if !af.OptPendingQueue || !af.OptCompletionWorker || !af.OptFastAck {
 		t.Fatal("AFCeph toggles off")
 	}
@@ -220,7 +217,7 @@ func TestTuningPresets(t *testing.T) {
 	if af.OrderedAcks {
 		t.Fatal("AFCeph leaves ack ordering to the client")
 	}
-	if !reflect.DeepEqual(Community().Config(5), CommunityConfig(5)) {
+	if !reflect.DeepEqual(Community().Config(), CommunityConfig()) {
 		t.Fatal("Community().Config drifted from CommunityConfig")
 	}
 }
@@ -240,7 +237,7 @@ func TestProfileByName(t *testing.T) {
 }
 
 func TestOrderedAcksHoldOutOfOrder(t *testing.T) {
-	cfg := AFCeph().Config(0)
+	cfg := AFCeph().Config()
 	cfg.OrderedAcks = true
 	h := newHarness(cfg)
 	// Many concurrent writers to one PG; with fast-ack paths acks could
@@ -278,7 +275,7 @@ func TestCostsDefaultsSane(t *testing.T) {
 func TestMsgCapThrottlesConnections(t *testing.T) {
 	// With a tiny osd_client_message_cap, a burst of client writes must be
 	// admitted at most cap-at-a-time: the throttle blocks the messenger.
-	cfg := CommunityConfig(0)
+	cfg := CommunityConfig()
 	cfg.Throttles.OSDClientMessageCap = 2
 	h := newHarness(cfg)
 	h.k.Go("c", func(p *sim.Proc) {
@@ -298,7 +295,7 @@ func TestMsgCapThrottlesConnections(t *testing.T) {
 func TestFsThrottleBackpressuresWriters(t *testing.T) {
 	// A filestore throttle of 1 serializes the journal->apply pipeline;
 	// all ops still complete.
-	cfg := CommunityConfig(0)
+	cfg := CommunityConfig()
 	cfg.Throttles.FilestoreQueueMaxOps = 1
 	h := newHarness(cfg)
 	h.k.Go("c", func(p *sim.Proc) {

@@ -21,7 +21,7 @@ func bareOSD() *OSD {
 	ssd := device.NewSSD(k, "ssd", device.DefaultSSDParams(), r)
 	nvram := device.NewNVRAM(k, "nv", device.DefaultNVRAMParams())
 	ep := net.NewEndpoint("osd", node, true)
-	return New(k, AFCeph().Config(0), node, ep, ssd, nvram, r)
+	return New(k, AFCeph().Config(), node, ep, ssd, nvram, r)
 }
 
 func TestPGLogAppendAndRead(t *testing.T) {

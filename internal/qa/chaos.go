@@ -24,7 +24,7 @@ import (
 
 // ChaosConfig sizes a chaos run.
 type ChaosConfig struct {
-	Profile      func(int) osd.Config
+	OSD          osd.Config
 	Clients      int
 	OpsPerClient int
 	// Pacing spaces client ops out so the workload spans the fault
@@ -69,7 +69,7 @@ type ChaosConfig struct {
 // lands mid-workload.
 func DefaultChaos() ChaosConfig {
 	return ChaosConfig{
-		Profile:      osd.AFCeph().Config,
+		OSD:          osd.AFCeph().Config(),
 		Clients:      4,
 		OpsPerClient: 120,
 		Pacing:       20 * sim.Millisecond,
@@ -133,18 +133,10 @@ type chaosClient struct {
 
 // RunChaos executes the thrasher and checks every invariant.
 func RunChaos(cfg ChaosConfig) *ChaosResult {
-	p := cluster.DefaultParams()
-	p.OSDConfig = cfg.Profile
-	p.OSDNodes = cfg.Nodes
-	p.OSDsPerNode = cfg.OSDsPerNode
-	p.SSDsPerOSD = 2
-	p.PGs = 128
-	p.Replicas = 2
-	p.Pool = cfg.Pool
-	p.VerifyData = true
-	p.Sustained = false
-	p.Backend = cfg.Backend
-	p.Seed = cfg.Seed
+	p := testbedParams(cfg.OSD, cfg.Nodes, cfg.OSDsPerNode, cfg.Backend, cfg.Seed)
+	if cfg.Pool != "" {
+		p.Pool = cfg.Pool
+	}
 	// The robustness layer: clients retry, heartbeats detect.
 	p.ClientOpTimeout = 50 * sim.Millisecond
 	p.HeartbeatInterval = 25 * sim.Millisecond
@@ -154,7 +146,6 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		// at a time, healing what they find — the online detection path.
 		p.Scrub = cluster.ScrubParams{
 			Interval:         50 * sim.Millisecond,
-			DeepEvery:        1,
 			BytesPerSec:      512 << 20,
 			MaxConcurrentPGs: 2,
 			AutoRepair:       true,

@@ -113,7 +113,7 @@ func TestStressSweepDifferential(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			cfgs := make([]StressConfig, seeds)
 			for i := range cfgs {
-				cfg := DefaultStress(osd.AFCeph().Config)
+				cfg := DefaultStress(osd.AFCeph().Config())
 				cfg.Backend = backend
 				cfg.Seed = uint64(i + 1)
 				cfgs[i] = cfg

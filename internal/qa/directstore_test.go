@@ -13,7 +13,7 @@ import (
 // that is the point of the store seam.
 
 func TestStressDirectStore(t *testing.T) {
-	cfg := DefaultStress(osd.AFCeph().Config)
+	cfg := DefaultStress(osd.AFCeph().Config())
 	cfg.Backend = store.BackendDirectStore
 	res := RunStress(cfg)
 	t.Logf("directstore: writes=%d reads=%d verified=%d objects=%d simtime=%v",
@@ -32,7 +32,7 @@ func TestStressDirectStore(t *testing.T) {
 // (data-before-metadata) write path; small blocks exercise the deferred
 // WAL path; 64K sits exactly on the default threshold boundary.
 func TestStressDirectStoreMixedSizes(t *testing.T) {
-	cfg := DefaultStress(osd.AFCeph().Config)
+	cfg := DefaultStress(osd.AFCeph().Config())
 	cfg.Backend = store.BackendDirectStore
 	cfg.BlockSizes = []int64{4096, 65536, 262144}
 	res := RunStress(cfg)
@@ -44,7 +44,7 @@ func TestStressDirectStoreMixedSizes(t *testing.T) {
 }
 
 func TestStressDirectStoreOutageCycle(t *testing.T) {
-	cfg := DefaultStress(osd.AFCeph().Config)
+	cfg := DefaultStress(osd.AFCeph().Config())
 	cfg.Backend = store.BackendDirectStore
 	cfg.OpsPerClient = 60
 	res := RunStressWithOutage(cfg, 1)

@@ -14,7 +14,7 @@ import (
 // all fire in one run.
 func ecChaos() ChaosConfig {
 	return ChaosConfig{
-		Profile:      osd.AFCeph().Config,
+		OSD:          osd.AFCeph().Config(),
 		Clients:      4,
 		OpsPerClient: 120,
 		Pacing:       20 * sim.Millisecond,

@@ -11,7 +11,7 @@
 //     acked write to that extent (per-client images, so there are no
 //     cross-client races to reason about).
 //  2. Completion: every submitted op completes.
-//  3. Replication: every written object ends up on exactly `Replicas`
+//  3. Replication: every written object ends up on exactly PoolWidth
 //     OSDs' filestores.
 //  4. Drain: after quiescing, the backend's write-ahead state (journal
 //     ring or KV WAL) is fully trimmed, filestore throttles fully released
@@ -30,8 +30,8 @@ import (
 
 // StressConfig sizes a randomized stress run.
 type StressConfig struct {
-	// Profile builds each OSD's configuration.
-	Profile func(int) osd.Config
+	// OSD is every OSD's configuration.
+	OSD osd.Config
 	// Clients is the number of concurrent clients, each with its own image.
 	Clients int
 	// OpsPerClient is the randomized op count per client.
@@ -52,9 +52,9 @@ type StressConfig struct {
 }
 
 // DefaultStress returns a moderate randomized workload.
-func DefaultStress(profile func(int) osd.Config) StressConfig {
+func DefaultStress(cfg osd.Config) StressConfig {
 	return StressConfig{
-		Profile:      profile,
+		OSD:          cfg,
 		Clients:      6,
 		OpsPerClient: 120,
 		ImageSize:    64 << 20,
@@ -86,19 +86,28 @@ func (r *Result) violate(format string, args ...interface{}) {
 	}
 }
 
-// buildCluster constructs the stress testbed.
-func buildCluster(cfg StressConfig) *cluster.Cluster {
+// testbedParams is the small QA testbed shared by the stress and chaos
+// runs: OSD-only profiles on community host settings (tcmalloc, Nagle on),
+// read-your-write stamps on, and backend overriding OSD.Backend when set.
+func testbedParams(osdCfg osd.Config, nodes, osdsPerNode int, backend string, seed uint64) cluster.Params {
 	p := cluster.DefaultParams()
-	p.OSDConfig = cfg.Profile
-	p.OSDNodes = cfg.Nodes
-	p.OSDsPerNode = cfg.OSDsPerNode
+	p.OSD = osdCfg
+	p.OSD.FStore.VerifyData = true
+	if backend != "" {
+		p.OSD.Backend = backend
+	}
+	p.OSDNodes = nodes
+	p.OSDsPerNode = osdsPerNode
 	p.SSDsPerOSD = 2
 	p.PGs = 128
-	p.VerifyData = true
 	p.Sustained = false
-	p.Backend = cfg.Backend
-	p.Seed = cfg.Seed
-	return cluster.New(p)
+	p.Seed = seed
+	return p
+}
+
+// buildCluster constructs the stress testbed.
+func buildCluster(cfg StressConfig) *cluster.Cluster {
+	return cluster.New(testbedParams(cfg.OSD, cfg.Nodes, cfg.OSDsPerNode, cfg.Backend, cfg.Seed))
 }
 
 // runPhase drives one randomized client wave to completion and records the

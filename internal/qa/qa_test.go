@@ -8,9 +8,9 @@ import (
 	"repro/internal/osd"
 )
 
-func runProfile(t *testing.T, name string, profile func(int) osd.Config, seed uint64) {
+func runProfile(t *testing.T, name string, osdCfg osd.Config, seed uint64) {
 	t.Helper()
-	cfg := DefaultStress(profile)
+	cfg := DefaultStress(osdCfg)
 	cfg.Seed = seed
 	res := RunStress(cfg)
 	t.Logf("%s seed=%d: writes=%d reads=%d verified=%d objects=%d simtime=%v",
@@ -29,19 +29,17 @@ func runProfile(t *testing.T, name string, profile func(int) osd.Config, seed ui
 }
 
 func TestStressCommunity(t *testing.T) {
-	runProfile(t, "community", osd.CommunityConfig, 1)
+	runProfile(t, "community", osd.CommunityConfig(), 1)
 }
 
 func TestStressAFCeph(t *testing.T) {
-	runProfile(t, "afceph", osd.AFCeph().Config, 1)
+	runProfile(t, "afceph", osd.AFCeph().Config(), 1)
 }
 
 func TestStressAFCephOrderedAcks(t *testing.T) {
-	runProfile(t, "afceph+ordered", func(id int) osd.Config {
-		cfg := osd.AFCeph().Config(id)
-		cfg.OrderedAcks = true
-		return cfg
-	}, 1)
+	cfg := osd.AFCeph().Config()
+	cfg.OrderedAcks = true
+	runProfile(t, "afceph+ordered", cfg, 1)
 }
 
 // TestStressEveryPartialProfile runs every optimization alone, and AFCeph
@@ -51,12 +49,12 @@ func TestStressAFCephOrderedAcks(t *testing.T) {
 // skipped.
 func TestStressEveryPartialProfile(t *testing.T) {
 	short := map[string]string{"PendingQueue": "pending", "CompletionWorker": "compworker"}
-	stock := osd.Community().Config(0)
+	stock := osd.Community().Config()
 	fields := reflect.TypeOf(osd.Tuning{})
 	for i := 0; i < fields.NumField(); i++ {
 		var alone osd.Tuning
 		reflect.ValueOf(&alone).Elem().Field(i).SetBool(true)
-		if reflect.DeepEqual(alone.Config(0), stock) {
+		if reflect.DeepEqual(alone.Config(), stock) {
 			continue
 		}
 		name := short[fields.Field(i).Name]
@@ -77,7 +75,7 @@ func TestStressEveryPartialProfile(t *testing.T) {
 		for _, arm := range arms {
 			arm := arm
 			t.Run(arm.name, func(t *testing.T) {
-				runProfile(t, arm.name, arm.tuning.Config, 2)
+				runProfile(t, arm.name, arm.tuning.Config(), 2)
 			})
 		}
 	}
@@ -92,7 +90,7 @@ func TestStressManySeeds(t *testing.T) {
 	for seed := uint64(10); seed < 18; seed++ {
 		seed := seed
 		t.Run(profileSeedName(seed), func(t *testing.T) {
-			cfg := DefaultStress(osd.AFCeph().Config)
+			cfg := DefaultStress(osd.AFCeph().Config())
 			cfg.Seed = seed
 			cfg.Clients = 4
 			cfg.OpsPerClient = 60
@@ -113,11 +111,9 @@ func profileSeedName(seed uint64) string {
 func TestStressTinyJournalBackpressure(t *testing.T) {
 	// A deliberately tiny journal forces ring-full stalls mid-run; the
 	// invariants must still hold (no lost ops, full trim afterwards).
-	cfg := DefaultStress(func(id int) osd.Config {
-		c := osd.AFCeph().Config(id)
-		c.JournalSize = 1 << 20
-		return c
-	})
+	osdCfg := osd.AFCeph().Config()
+	osdCfg.JournalSize = 1 << 20
+	cfg := DefaultStress(osdCfg)
 	cfg.BlockSizes = []int64{32768, 65536}
 	cfg.ReadFraction = 0.1
 	res := RunStress(cfg)
@@ -131,7 +127,7 @@ func TestStressTinyJournalBackpressure(t *testing.T) {
 // TestStressWithOutageCycle interleaves failure and recovery with
 // randomized load: the full cycle must leave the cluster consistent.
 func TestStressWithOutageCycle(t *testing.T) {
-	cfg := DefaultStress(osd.AFCeph().Config)
+	cfg := DefaultStress(osd.AFCeph().Config())
 	cfg.OpsPerClient = 60
 	res := RunStressWithOutage(cfg, 1)
 	if res.Failed() {
@@ -147,11 +143,9 @@ func TestStressWithOutageCycle(t *testing.T) {
 func TestStressHDDThrottleProfile(t *testing.T) {
 	// Community throttles with AFCeph speed elsewhere: heavy backpressure
 	// through the 50-op filestore throttle must not deadlock.
-	cfg := DefaultStress(func(id int) osd.Config {
-		c := osd.AFCeph().Config(id)
-		c.Throttles = osd.CommunityConfig(id).Throttles
-		return c
-	})
+	osdCfg := osd.AFCeph().Config()
+	osdCfg.Throttles = osd.CommunityConfig().Throttles
+	cfg := DefaultStress(osdCfg)
 	res := RunStress(cfg)
 	if res.Failed() {
 		for _, v := range res.Violations {

@@ -159,8 +159,7 @@ func (e EC) StorageOverhead() float64 { return float64(e.K+e.M) / float64(e.K) }
 func (e EC) String() string { return fmt.Sprintf("ec%d+%d", e.K, e.M) }
 
 // Parse decodes pool syntax: "repN" (N-way replication) or "ecK+M"
-// (RS(k,m)). The empty string is not a pool; use ForPool to apply a
-// replica-count default.
+// (RS(k,m)). The empty string is not a pool.
 func Parse(s string) (Policy, error) {
 	switch {
 	case strings.HasPrefix(s, "rep"):
@@ -184,14 +183,4 @@ func Parse(s string) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("redundancy: unknown pool %q (want repN or ecK+M)", s)
 	}
-}
-
-// ForPool resolves a pool selector with a legacy default: an empty selector
-// means N-way replication with the given replica count — the pre-seam
-// behaviour of every existing configuration.
-func ForPool(pool string, replicas int) (Policy, error) {
-	if pool == "" {
-		return Replicated{N: replicas}, nil
-	}
-	return Parse(pool)
 }

@@ -76,20 +76,3 @@ func TestParse(t *testing.T) {
 		}
 	}
 }
-
-func TestForPoolDefault(t *testing.T) {
-	p, err := ForPool("", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.String() != "rep2" || p.Width() != 2 {
-		t.Fatalf("empty pool = %q width %d, want legacy rep2", p.String(), p.Width())
-	}
-	p, err = ForPool("ec4+2", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Width() != 6 {
-		t.Fatalf("explicit pool ignored: %q", p.String())
-	}
-}

@@ -160,21 +160,15 @@ func buildParams(sc *Scenario, opt Options) cluster.Params {
 	if p.PGs == 0 {
 		p.PGs = 256
 	}
-	p.Replicas = cs.Replicas
-	if p.Replicas == 0 {
-		p.Replicas = 2
+	if cs.Replicas > 0 {
+		p.Pool = fmt.Sprintf("rep%d", cs.Replicas)
 	}
 	journalMB := cs.JournalMB
 	if journalMB == 0 {
 		journalMB = 64
 	}
-	prof := p.OSDConfig
-	p.OSDConfig = func(id int) osd.Config {
-		cfg := prof(id)
-		cfg.JournalSize = int64(journalMB) << 20
-		return cfg
-	}
-	p.Backend = cs.Backend
+	p.OSD.JournalSize = int64(journalMB) << 20
+	p.OSD.Backend = cs.Backend
 	p.Seed = sc.Seed
 	// Client/heartbeat timeouts are latency-domain knobs: they model real
 	// configuration, so Options.Scale (a duration-domain convenience) does

@@ -15,6 +15,8 @@ package scenario
 
 import (
 	"fmt"
+
+	"repro/internal/store"
 )
 
 // Bounds keep fuzzed and hand-written scenarios inside what a laptop-sized
@@ -217,10 +219,8 @@ func (c *ClusterSpec) validate(scn string) error {
 	if _, err := c.tuning(); err != nil {
 		return fmt.Errorf("scenario %s: cluster.profile: %v", scn, err)
 	}
-	switch c.Backend {
-	case "", "filestore", "directstore":
-	default:
-		return fmt.Errorf("scenario %s: cluster.backend %q is not filestore or directstore", scn, c.Backend)
+	if err := store.CheckBackend(c.Backend); err != nil {
+		return fmt.Errorf("scenario %s: cluster.backend: %v", scn, err)
 	}
 	if c.JournalMB < 0 || c.JournalMB > 2048 {
 		return fmt.Errorf("scenario %s: cluster.journal_mb %d out of [0, 2048]", scn, c.JournalMB)

@@ -19,6 +19,8 @@
 package store
 
 import (
+	"fmt"
+
 	"repro/internal/filestore"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -29,6 +31,16 @@ const (
 	BackendFileStore   = "filestore"
 	BackendDirectStore = "directstore"
 )
+
+// CheckBackend reports a backend name the OSD cannot build. The empty name
+// selects the default, filestore.
+func CheckBackend(name string) error {
+	switch name {
+	case "", BackendFileStore, BackendDirectStore:
+		return nil
+	}
+	return fmt.Errorf("unknown backend %q (want %s or %s)", name, BackendFileStore, BackendDirectStore)
+}
 
 // Txn is one logical write moving through the OSD pipeline. The exported
 // fields are filled by the OSD when the write is accepted; the unexported

@@ -341,3 +341,16 @@ func TestDirectStoreZombieApply(t *testing.T) {
 		t.Fatalf("replays = %d, want 1", st.Replays.Value())
 	}
 }
+
+func TestCheckBackend(t *testing.T) {
+	for _, name := range []string{"", BackendFileStore, BackendDirectStore} {
+		if err := CheckBackend(name); err != nil {
+			t.Errorf("CheckBackend(%q) = %v", name, err)
+		}
+	}
+	for _, name := range []string{"bogus", "FileStore", "bluestore"} {
+		if err := CheckBackend(name); err == nil {
+			t.Errorf("CheckBackend(%q) accepted", name)
+		}
+	}
+}

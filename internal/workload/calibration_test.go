@@ -20,11 +20,7 @@ func TestCalibrationDiagnostics(t *testing.T) {
 		p.OSDsPerNode = 2
 		p.SSDsPerOSD = 2
 		p.PGs = 256
-		p.OSDConfig = func(id int) osd.Config {
-			cfg := tuning.Config(id)
-			cfg.TraceSample = 10
-			return cfg
-		}
+		p.OSD.TraceSample = 10
 		p.Sustained = true
 		c := cluster.New(p)
 		f := VMFleet(c, 8, 256<<20, Spec{

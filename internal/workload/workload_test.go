@@ -8,13 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-func miniCluster(profile func(int) osd.Config) *cluster.Cluster {
+func miniCluster(cfg osd.Config) *cluster.Cluster {
 	p := cluster.DefaultParams()
 	p.OSDNodes = 2
 	p.OSDsPerNode = 2
 	p.SSDsPerOSD = 2
 	p.PGs = 128
-	p.OSDConfig = profile
+	p.OSD = cfg
 	p.Sustained = false
 	return cluster.New(p)
 }
@@ -52,7 +52,7 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestFleetMeasuresWrites(t *testing.T) {
-	c := miniCluster(osd.AFCeph().Config)
+	c := miniCluster(osd.AFCeph().Config())
 	f := VMFleet(c, 2, 64<<20, Spec{
 		Pattern:   RandWrite,
 		BlockSize: 4096,
@@ -77,7 +77,7 @@ func TestFleetMeasuresWrites(t *testing.T) {
 }
 
 func TestFleetSequentialUsesAllOffsets(t *testing.T) {
-	c := miniCluster(osd.AFCeph().Config)
+	c := miniCluster(osd.AFCeph().Config())
 	f := VMFleet(c, 1, 16<<20, Spec{
 		Pattern:   SeqWrite,
 		BlockSize: 1 << 20,
@@ -93,7 +93,7 @@ func TestFleetSequentialUsesAllOffsets(t *testing.T) {
 }
 
 func TestFleetReadAfterPrefill(t *testing.T) {
-	c := miniCluster(osd.AFCeph().Config)
+	c := miniCluster(osd.AFCeph().Config())
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 32<<20)
 	Prefill(c.K, []BlockDev{bd}, 4096, cluster.ObjectSize)
@@ -124,7 +124,7 @@ func TestFleetReadAfterPrefill(t *testing.T) {
 }
 
 func TestEmptyFleetPanics(t *testing.T) {
-	c := miniCluster(osd.AFCeph().Config)
+	c := miniCluster(osd.AFCeph().Config())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -180,7 +180,7 @@ func TestProfilesOrdering(t *testing.T) {
 }
 
 func TestRandRWMixesReadsAndWrites(t *testing.T) {
-	c := miniCluster(osd.AFCeph().Config)
+	c := miniCluster(osd.AFCeph().Config())
 	f := VMFleet(c, 2, 64<<20, Spec{
 		Pattern:   RandRW,
 		ReadPct:   50,
