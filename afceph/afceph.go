@@ -155,6 +155,11 @@ func (cfg Config) params() cluster.Params {
 	return p
 }
 
+// Close releases the simulated processes the cluster still has parked.
+// Call it once the results have been read; the cluster must not run again
+// afterwards.
+func (c *Cluster) Close() { c.inner.Close() }
+
 // Internal exposes the underlying cluster for advanced instrumentation
 // (benchmark harnesses); ordinary users should not need it.
 func (c *Cluster) Internal() *cluster.Cluster { return c.inner }

@@ -3,6 +3,7 @@ package afceph
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -113,6 +114,20 @@ func TestRunFioBasics(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+func TestCloseReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := New(miniConfig(AFCeph()))
+	if _, err := c.RunFio(FioSpec{Workload: "randwrite", BlockSize: 4096, VMs: 2, IODepth: 4, ImageSize: 64 << 20, RuntimeSec: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	parked := runtime.NumGoroutine()
+	c.Close()
+	c.Close() // idempotent
+	if n := runtime.NumGoroutine(); n > base || n >= parked {
+		t.Fatalf("NumGoroutine = %d after Close, %d before it, baseline %d", n, parked, base)
 	}
 }
 

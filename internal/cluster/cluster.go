@@ -327,6 +327,12 @@ func New(params Params) *Cluster {
 	return c
 }
 
+// Close ends every simulated process the cluster still has parked (OSD
+// workers, client and heartbeat loops), so neither their goroutines nor
+// the cluster graph they reference outlive the simulation. Call it once the
+// results have been read; the cluster must not run again afterwards.
+func (c *Cluster) Close() { c.K.Close() }
+
 // Policy returns the pool's redundancy policy.
 func (c *Cluster) Policy() redundancy.Policy { return c.pol }
 

@@ -25,8 +25,8 @@ var backendPanels = []struct {
 }
 
 // runBackendPoint runs one fleet on a fresh cluster and returns both the
-// workload result and the device traffic, which the write-amplification
-// columns need.
+// workload result and the cluster, whose device traffic the
+// write-amplification columns need. The caller closes the cluster.
 func runBackendPoint(p cluster.Params, vms int, spec workload.Spec) (workload.Result, *cluster.Cluster) {
 	c := cluster.New(p)
 	f := workload.VMFleet(c, vms, 512<<20, spec)
@@ -91,6 +91,7 @@ func Backends(opt Options, panels []string) Report {
 		p := withJournal(profileParams(opt, osd.AFCeph(), true), opt.JournalMB)
 		p.OSD.Backend = backend
 		res, c := runBackendPoint(p, vms, spec)
+		defer c.Close()
 		jbytes, dbytes := deviceWriteBytes(c)
 		// Replicated client write bytes: every primary and replica write
 		// op carries one BlockSize payload to its OSD.

@@ -33,6 +33,7 @@ func latencyBreakdown(opt Options, wantPerf bool) (Report, string) {
 	p := withJournal(profileParams(opt, osd.Community(), true), opt.JournalMB)
 	p.OSD.TraceSample = 5
 	c := cluster.New(p)
+	defer c.Close()
 	f := workload.VMFleet(c, 4, 512<<20, workload.Spec{
 		Pattern:   workload.RandWrite,
 		BlockSize: 4096,

@@ -65,6 +65,7 @@ func ECvsRep(opt Options) Report {
 			Seed:      opt.Seed,
 		}
 		wc := cluster.New(mkParams())
+		defer wc.Close()
 		wres := workload.VMFleet(wc, vms, 512<<20, wspec).Run(wc.K)
 		noteSim(wc.K)
 		jbytes, dbytes := deviceWriteBytes(wc)
@@ -88,6 +89,7 @@ func ECvsRep(opt Options) Report {
 		rspec.Pattern = workload.RandRead
 		rspec.Ramp = opt.ramp()
 		rc := cluster.New(mkParams())
+		defer rc.Close()
 		rf := workload.VMFleet(rc, vms, 512<<20, rspec)
 		var bds []workload.BlockDev
 		for _, j := range rf.Jobs {

@@ -134,6 +134,7 @@ func withJournal(p cluster.Params, journalMB int) cluster.Params {
 // runPoint runs one fleet on a fresh cluster and returns the result.
 func runPoint(p cluster.Params, vms int, imageSize int64, spec workload.Spec, prefill bool) workload.Result {
 	c := cluster.New(p)
+	defer c.Close()
 	f := workload.VMFleet(c, vms, imageSize, spec)
 	if prefill {
 		var bds []workload.BlockDev
@@ -218,6 +219,7 @@ func Fig3(opt Options) Report {
 	p := profileParams(opt, osd.Community(), true)
 	p.OSD.TraceSample = 5
 	c := cluster.New(p)
+	defer c.Close()
 	vms, depth := opt.scaleLoad(40, 8)
 	f := workload.VMFleet(c, vms, 512<<20, workload.Spec{
 		Pattern:   workload.RandWrite,

@@ -115,6 +115,7 @@ var fig11Panels = []struct {
 // solidfirePoint runs one workload on the SolidFire comparator.
 func solidfirePoint(opt Options, pat workload.Pattern, bs int64, vms, depth int, ramp sim.Time) workload.Result {
 	sf := solidfire.New(solidfire.DefaultParams())
+	defer sf.K.Close()
 	f := &workload.Fleet{Name: "solidfire"}
 	for v := 0; v < vms; v++ {
 		vol := sf.NewVolume(512 << 20)

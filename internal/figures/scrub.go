@@ -61,6 +61,7 @@ func Scrub(opt Options) Report {
 			Seed:      opt.Seed,
 		}
 		c := cluster.New(p)
+		defer c.Close()
 		f := workload.VMFleet(c, vms, 64<<20, spec)
 		end := opt.rampWrite() + opt.runtime()
 

@@ -153,6 +153,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		}
 	}
 	c := cluster.New(p)
+	defer c.Close()
 	res := &ChaosResult{}
 	touched := make(map[string]bool)
 

@@ -216,6 +216,7 @@ func checkInvariants(c *cluster.Cluster, cfg StressConfig, res *Result, touched 
 // RunStress executes the randomized workload and checks every invariant.
 func RunStress(cfg StressConfig) *Result {
 	c := buildCluster(cfg)
+	defer c.Close()
 	res := &Result{}
 	touched := make(map[string]bool)
 	done := runPhase(c, cfg, res, 0, touched)
@@ -232,6 +233,7 @@ func RunStress(cfg StressConfig) *Result {
 // to full consistency — the QA analogue of Teuthology's thrashing tests.
 func RunStressWithOutage(cfg StressConfig, failID int) *Result {
 	c := buildCluster(cfg)
+	defer c.Close()
 	res := &Result{}
 	touched := make(map[string]bool)
 

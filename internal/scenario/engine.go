@@ -215,6 +215,7 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 
 	params := buildParams(sc, opt)
 	c := cluster.New(params)
+	defer c.Close()
 	k := c.K
 
 	tenants := make([]resolvedTenant, len(sc.Tenants))

@@ -1,19 +1,20 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel with goroutine-backed processes and a zero-handoff callback fast
-// path.
+// kernel whose processes are coroutines.
 //
 // The kernel maintains virtual time at nanosecond resolution. Exactly one
-// process (or event callback) executes at any instant. Control is passed
-// baton-style: the goroutine that finishes an event dispatches the next one
-// itself, so callback events (timers, completions scheduled with At/After/
-// AfterCall) run inline with no goroutine handoff at all, and resuming a
-// process costs a single buffered-channel send instead of a round trip
-// through a central dispatch loop. Run only seeds the chain and waits for
-// it to end. Event records are pooled on a per-kernel free list, events
-// scheduled for the current instant go through a FIFO ready ring that
-// bypasses the time-ordered heap, and simulated code is still written in
-// ordinary blocking style (Sleep, Lock, Push/Pop on queues) without data
-// races and without real wall-clock delays.
+// process (or event callback) executes at any instant. Run is a plain
+// central loop: it pops the next event in (t, seq) order and either runs
+// its callback inline (timers and completions scheduled with At/After/
+// AfterCall) or resumes the process it names. Each process runs on an
+// iter.Pull coroutine, so a resume is a direct coroutine switch into the
+// process and a block is a switch back to the loop, with no goroutine
+// scheduler in between; a finished process's coroutine is reused by the
+// next one spawned. Close unwinds whatever is left parked. Event records
+// are pooled on a per-kernel free list, events scheduled for the current
+// instant go through a FIFO ready ring that bypasses the time-ordered heap,
+// and simulated code is still written in ordinary blocking style (Sleep,
+// Lock, Push/Pop on queues) without data races and without real wall-clock
+// delays.
 //
 // Events scheduled for the same virtual time fire in schedule order, which
 // makes every run bit-for-bit reproducible for a given seed.
@@ -86,21 +87,24 @@ type Kernel struct {
 
 	free []*event // event record free list
 
-	endRun     chan struct{} // last baton holder -> Run: "this run is over"
+	// procs holds every spawned process that may not have finished, in
+	// spawn order, for Close. Go compacts it when it is full and at least
+	// half of it has finished, so it stays within twice the live count.
+	procs []*Proc
+	idle  []*coro // coroutines of finished processes, for Go to reuse
+
 	running    *Proc
 	live       int // spawned processes that have not finished
 	stopped    bool
 	inRun      bool
-	until      Time // horizon of the current Run
-	runPanic   any  // panic forwarded from a baton holder to Run
+	closed     bool
 	nextID     int64
 	dispatched uint64
+	resumes    uint64
 }
 
 // NewKernel returns a fresh kernel at time zero.
-func NewKernel() *Kernel {
-	return &Kernel{endRun: make(chan struct{}, 1), until: Forever}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -113,6 +117,13 @@ func (k *Kernel) Pending() int { return len(k.events) + k.ready.len() }
 
 // Dispatched returns the total number of events executed so far.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
+
+// Resumes returns how many of the dispatched events resumed a process
+// (wake-ups of a process that had already finished are not counted).
+func (k *Kernel) Resumes() uint64 { return k.resumes }
+
+// Spawned returns the total number of processes started with Go.
+func (k *Kernel) Spawned() uint64 { return uint64(k.nextID) }
 
 // Stop makes the current or next Run call return as soon as the event in
 // flight completes.
@@ -178,41 +189,81 @@ func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
 // Go spawns a new simulated process that executes fn. The process starts at
 // the current virtual time, after the currently running event yields. Go may
 // be called both from outside Run (to set up the world) and from running
-// processes.
+// processes, but not after Close.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
+	if k.closed {
+		panic("sim: Kernel.Go after Close")
+	}
 	k.nextID++
-	p := &Proc{k: k, id: k.nextID, name: name, wake: make(chan struct{}, 1)}
+	p := &Proc{k: k, id: k.nextID, name: name}
+	k.start(p, fn)
+	if len(k.procs) == cap(k.procs) && 2*k.live <= len(k.procs) {
+		k.compactProcs()
+	}
 	k.live++
-	go func() {
-		<-p.wake // wait for first dispatch
-		fn(p)
-		p.done = true
-		k.live--
-		k.running = nil
-		k.passBaton()
-	}()
+	k.procs = append(k.procs, p)
 	k.schedule(k.now, p, nil)
 	return p
 }
 
+// compactProcs drops finished processes from k.procs, keeping spawn order.
+func (k *Kernel) compactProcs() {
+	live := k.procs[:0]
+	for _, p := range k.procs {
+		if !p.done {
+			live = append(live, p)
+		}
+	}
+	clear(k.procs[len(live):])
+	k.procs = live
+}
+
 // Run executes events until the queue drains, Stop is called, or virtual
 // time would exceed `until` (use Forever for no limit). It returns the
-// number of events dispatched by this call. Run must not be re-entered.
+// number of events dispatched by this call. A panic raised by a callback or
+// by a process propagates out of Run. Run must not be re-entered.
 func (k *Kernel) Run(until Time) uint64 {
 	if k.inRun {
 		panic("sim: Kernel.Run re-entered")
 	}
 	k.inRun = true
-	defer func() { k.inRun = false }()
-	k.until = until
+	defer func() { k.inRun, k.running = false, nil }()
 	start := k.dispatched
-	if k.dispatchNext() {
-		// The baton was handed to a process goroutine; wait for the last
-		// holder to report the run complete.
-		<-k.endRun
-		if r := k.runPanic; r != nil {
-			k.runPanic = nil
-			panic(r)
+	for !k.stopped {
+		ev, fromReady := k.peekEvent()
+		if ev == nil || (until != Forever && ev.t > until) {
+			break
+		}
+		if fromReady {
+			k.ready.pop()
+		} else {
+			k.heapPop()
+		}
+		if ev.t > k.now {
+			k.now = ev.t
+		}
+		k.dispatched++
+		switch {
+		case ev.proc != nil:
+			p := ev.proc
+			k.recycle(ev)
+			if p.done {
+				continue // stale wakeup for a finished process
+			}
+			k.resumes++
+			k.running = p
+			p.c.next()
+			k.running = nil
+		case ev.fnA != nil:
+			fn, arg := ev.fnA, ev.arg
+			k.recycle(ev)
+			fn(arg)
+		default:
+			fn := ev.fn
+			k.recycle(ev)
+			if fn != nil {
+				fn()
+			}
 		}
 	}
 	if until != Forever && k.now < until {
@@ -221,20 +272,27 @@ func (k *Kernel) Run(until Time) uint64 {
 	return k.dispatched - start
 }
 
-// passBaton continues dispatch after the caller is done executing; if the
-// run is over it returns the baton to Run instead. A panic raised by a
-// dispatched event is captured and re-raised from Run, preserving the old
-// central-loop contract that event panics surface at Run's caller.
-func (k *Kernel) passBaton() {
-	defer func() {
-		if r := recover(); r != nil {
-			k.runPanic = r
-			k.endRun <- struct{}{}
-		}
-	}()
-	if !k.dispatchNext() {
-		k.endRun <- struct{}{}
+// Close ends every process that has not finished, and every idle
+// coroutine, so no goroutine outlives the simulation. Each process unwinds
+// from the point where it is blocked: its deferred calls run, and a
+// blocking call made by one of them unwinds at once. Events still queued
+// are left in place. Close is idempotent; it must not be called during
+// Run, and Go panics after it.
+func (k *Kernel) Close() {
+	if k.inRun {
+		panic("sim: Kernel.Close during Run")
 	}
+	if k.closed {
+		return
+	}
+	k.closed = true
+	for _, p := range k.procs {
+		p.close()
+	}
+	for _, c := range k.idle {
+		c.stop()
+	}
+	k.procs, k.idle = nil, nil
 }
 
 // peekEvent returns the next event in (t, seq) order without removing it,
@@ -254,53 +312,6 @@ func (k *Kernel) peekEvent() (ev *event, fromReady bool) {
 		return k.events[0], false
 	}
 	return nil, false
-}
-
-// dispatchNext drains and executes events until either the baton is handed
-// to a process goroutine (returns true) or the run is over — queue empty,
-// Stop called, or next event past the Run horizon (returns false).
-// Callback events execute inline on the calling goroutine.
-func (k *Kernel) dispatchNext() bool {
-	for !k.stopped {
-		ev, fromReady := k.peekEvent()
-		if ev == nil {
-			return false
-		}
-		if k.until != Forever && ev.t > k.until {
-			return false
-		}
-		if fromReady {
-			k.ready.pop()
-		} else {
-			k.heapPop()
-		}
-		if ev.t > k.now {
-			k.now = ev.t
-		}
-		k.dispatched++
-		if ev.proc != nil {
-			p := ev.proc
-			k.recycle(ev)
-			if p.done {
-				continue // stale wakeup for a finished process
-			}
-			k.running = p
-			p.wake <- struct{}{}
-			return true
-		}
-		if ev.fnA != nil {
-			fn, arg := ev.fnA, ev.arg
-			k.recycle(ev)
-			fn(arg)
-			continue
-		}
-		fn := ev.fn
-		k.recycle(ev)
-		if fn != nil {
-			fn()
-		}
-	}
-	return false
 }
 
 // Running returns the currently executing process, or nil when the kernel is

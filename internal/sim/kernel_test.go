@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -231,8 +232,9 @@ func TestRunReentryPanics(t *testing.T) {
 	k.Run(Forever)
 }
 
-// determinismTrace runs a contended scenario and returns an execution trace.
-func determinismTrace(seedProcs int) []string {
+// determinismTrace runs a contended scenario and returns an execution trace
+// and the drained kernel.
+func determinismTrace(seedProcs int) ([]string, *Kernel) {
 	k := NewKernel()
 	m := NewMutex(k, "m")
 	q := NewQueue[int](k, "q", 4)
@@ -260,12 +262,12 @@ func determinismTrace(seedProcs int) []string {
 		}
 	})
 	k.Run(Forever)
-	return trace
+	return trace, k
 }
 
 func TestDeterminism(t *testing.T) {
-	a := determinismTrace(5)
-	b := determinismTrace(5)
+	a, _ := determinismTrace(5)
+	b, _ := determinismTrace(5)
 	if len(a) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -282,5 +284,174 @@ func TestDispatchedCounter(t *testing.T) {
 	n := k.Run(Forever)
 	if n != 7 || k.Dispatched() != 7 {
 		t.Fatalf("n=%d dispatched=%d", n, k.Dispatched())
+	}
+}
+
+// TestKernelWorkCounters pins the kernel's work counters on a fixed
+// contended scenario. They count simulated work, not host work, so they
+// must not move when only the way processes are switched changes.
+func TestKernelWorkCounters(t *testing.T) {
+	_, k := determinismTrace(8)
+	if d, r, s := k.Dispatched(), k.Resumes(), k.Spawned(); d != 648 || r != 648 || s != 9 {
+		t.Fatalf("dispatched=%d resumes=%d spawned=%d, want 648/648/9", d, r, s)
+	}
+}
+
+func TestResumesSkipsFinishedProcs(t *testing.T) {
+	k := NewKernel()
+	var q *Proc
+	q = k.Go("short", func(p *Proc) {})
+	k.Go("waker", func(p *Proc) {
+		p.Sleep(1)
+		q.resumeAt(k.Now()) // stale: q has already returned
+	})
+	k.Run(Forever)
+	if d, r, s := k.Dispatched(), k.Resumes(), k.Spawned(); d != 4 || r != 3 || s != 2 {
+		t.Fatalf("dispatched=%d resumes=%d spawned=%d, want 4/3/2", d, r, s)
+	}
+}
+
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	k := NewKernel()
+	boom := k.Go("boom", func(p *Proc) {
+		p.Sleep(10)
+		panic("boom")
+	})
+	k.Go("bystander", func(p *Proc) { p.Sleep(Second) })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		k.Run(Forever)
+	}()
+	if k.Now() != 10 {
+		t.Fatalf("Now = %v, want 10ns", k.Now())
+	}
+	if !boom.Done() || k.Live() != 1 || k.Running() != nil {
+		t.Fatalf("after panic: done=%v live=%d running=%v", boom.Done(), k.Live(), k.Running())
+	}
+	// The kernel stays usable: the bystander finishes on the next Run, and
+	// a new process does not land on the panicked one's dead coroutine.
+	ran := false
+	k.Go("after", func(p *Proc) { ran = true })
+	k.Run(Forever)
+	if k.Live() != 0 || k.Now() != Second || !ran {
+		t.Fatalf("after rerun: live=%d now=%v ran=%v", k.Live(), k.Now(), ran)
+	}
+}
+
+// TestCloseUnwindsParkedProcs parks a process in every blocking primitive,
+// closes the kernel, and checks that each one unwound: its deferred calls
+// ran (including one that blocks again) and its goroutine is gone.
+func TestCloseUnwindsParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	m, cm := NewMutex(k, "m"), NewMutex(k, "cm")
+	c := NewCond(cm)
+	empty := NewQueue[int](k, "empty", 0)
+	full := NewQueue[int](k, "full", 1)
+	full.TryPush(0)
+	sem := NewSemaphore(k, "sem", 1)
+	sem.TryAcquire(1)
+	ev := NewEvent(k)
+	blockers := []struct {
+		name  string
+		block func(p *Proc)
+	}{
+		{"sleep", func(p *Proc) { p.Sleep(Second) }},
+		{"pop", func(p *Proc) { empty.Pop(p) }},
+		{"push", func(p *Proc) { full.Push(p, 1) }},
+		{"lock", func(p *Proc) { m.Lock(p) }},
+		{"wait", func(p *Proc) { cm.Lock(p); c.Wait(p) }},
+		{"acquire", func(p *Proc) { sem.Acquire(p, 1) }},
+		{"event", func(p *Proc) { ev.Wait(p) }},
+	}
+	var names, unwound []string
+	k.Go("holder", func(p *Proc) {
+		m.Lock(p)
+		p.Sleep(Second)
+	})
+	for _, b := range blockers {
+		name, block := b.name, b.block
+		names = append(names, name)
+		k.Go(name, func(p *Proc) {
+			defer func() { unwound = append(unwound, name) }()
+			defer p.Sleep(Millisecond) // blocks again while unwinding
+			block(p)
+			t.Errorf("%s: returned from a blocked call", name)
+		})
+	}
+	k.Run(Millisecond)
+	if k.Live() != len(names)+1 {
+		t.Fatalf("Live = %d before Close, want %d", k.Live(), len(names)+1)
+	}
+	never := k.Go("never", func(p *Proc) { t.Error("never-dispatched proc ran") })
+	parked, now := runtime.NumGoroutine(), k.Now()
+	k.Close()
+	k.Close() // idempotent
+	if k.Now() != now {
+		t.Fatalf("Close advanced the clock from %v to %v", now, k.Now())
+	}
+	if fmt.Sprint(unwound) != fmt.Sprint(names) {
+		t.Fatalf("unwound %v, want %v", unwound, names)
+	}
+	if k.Live() != 0 || !never.Done() {
+		t.Fatalf("Live = %d, never.Done = %v after Close", k.Live(), never.Done())
+	}
+	// Other tests' pool workers may still be exiting, so the count can
+	// only be bounded, not matched exactly.
+	if n := runtime.NumGoroutine(); n > base || parked-n < len(names)+2 {
+		t.Fatalf("NumGoroutine = %d after Close, %d before it, baseline %d", n, parked, base)
+	}
+}
+
+func TestCloseMisuse(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	k := NewKernel()
+	k.At(0, func() { mustPanic("Close during Run", k.Close) })
+	k.Run(Forever)
+	k.Close()
+	mustPanic("Go after Close", func() { k.Go("late", func(*Proc) {}) })
+}
+
+// TestFinishedProcCoroutineIsReused checks that a process spawned after
+// another one finished runs on the finished one's coroutine.
+func TestFinishedProcCoroutineIsReused(t *testing.T) {
+	k := NewKernel()
+	a := k.Go("a", func(p *Proc) { p.Sleep(1) })
+	k.Run(Forever)
+	b := k.Go("b", func(p *Proc) { p.Sleep(1) })
+	if b.c != a.c {
+		t.Fatal("b did not reuse a's coroutine")
+	}
+	k.Run(Forever)
+	if !b.Done() || k.Now() != 2 {
+		t.Fatalf("b done=%v now=%v", b.Done(), k.Now())
+	}
+}
+
+// TestProcsSliceCompacts checks that finished processes do not pile up in
+// the kernel's Close list.
+func TestProcsSliceCompacts(t *testing.T) {
+	k := NewKernel()
+	k.Go("spawner", func(p *Proc) {
+		for i := 0; i < 10000; i++ {
+			p.Go("child", func(*Proc) {})
+			p.Yield()
+		}
+	})
+	k.Run(Forever)
+	if n := len(k.procs); n > 64 {
+		t.Fatalf("len(procs) = %d after 10000 short-lived procs", n)
 	}
 }

@@ -25,23 +25,41 @@ func TestRunParallelOrderIndependence(t *testing.T) {
 }
 
 func TestRunParallelPanicIsDeterministic(t *testing.T) {
-	jobs := make([]func(), 20)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() {
-			if i%3 == 1 {
-				panic(fmt.Sprintf("job %d", i))
+	// Odd jobs panic in a kernel callback, even ones inside a process (a
+	// model bug such as a Push to a closed Queue); the lowest index wins
+	// either way.
+	for _, first := range []int{1, 2} {
+		jobs := make([]func(), 20)
+		for i := range jobs {
+			i := i
+			jobs[i] = func() {
+				k := NewKernel()
+				defer k.Close()
+				if i < first || i%3 != first%3 {
+					return
+				}
+				msg := fmt.Sprintf("job %d", i)
+				if i%2 == 1 {
+					k.After(Time(20-i), func() { panic(msg) })
+				} else {
+					k.Go("model", func(p *Proc) {
+						p.Sleep(Time(20 - i))
+						panic(msg)
+					})
+				}
+				k.Run(Forever)
 			}
 		}
-	}
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				if r := recover(); r != "job 1" {
-					t.Fatalf("workers=%d: recovered %v, want lowest-index panic \"job 1\"", workers, r)
-				}
+		want := fmt.Sprintf("job %d", first)
+		for _, workers := range []int{1, 4} {
+			func() {
+				defer func() {
+					if r := recover(); r != want {
+						t.Fatalf("workers=%d: recovered %v, want lowest-index panic %q", workers, r, want)
+					}
+				}()
+				RunParallel(workers, jobs)
 			}()
-			RunParallel(workers, jobs)
-		}()
+		}
 	}
 }

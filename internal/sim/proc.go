@@ -1,15 +1,20 @@
 package sim
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// deterministically by the kernel. All blocking methods must be called from
-// the process's own goroutine.
+// Proc is a simulated process: a coroutine (see coro.go) whose execution is
+// interleaved deterministically by the kernel. Run resumes it for each of
+// its events, and every blocking primitive suspends it back to Run. All
+// blocking methods must be called from the process's own function.
 type Proc struct {
 	k    *Kernel
 	id   int64
 	name string
-	wake chan struct{}
 	done bool
+	c    *coro // the coroutine it runs on; another process's once done
 }
+
+// closeUnwind is the panic value that unwinds a process stopped by
+// Kernel.Close; the process root recovers it.
+type closeUnwind struct{}
 
 // ID returns the process's unique id (assigned in spawn order).
 func (p *Proc) ID() int64 { return p.id }
@@ -23,15 +28,50 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park yields and blocks until the process is rescheduled. Every blocking
-// primitive bottoms out here. The parking process itself dispatches the
-// next event (baton passing): callbacks run inline on this goroutine, and
-// a process handoff is a single buffered-channel send.
+// park suspends the process until the kernel resumes it. Every blocking
+// primitive bottoms out here. Once Close has stopped the process, park
+// unwinds it instead, so deferred calls run, and a deferred call that
+// blocks again unwinds too.
 func (p *Proc) park() {
-	k := p.k
-	k.running = nil
-	k.passBaton()
-	<-p.wake
+	if !p.c.yield(struct{}{}) {
+		panic(closeUnwind{})
+	}
+}
+
+// run executes the process function on p's coroutine.
+func (p *Proc) run(fn func(*Proc)) {
+	defer p.exit()
+	fn(p)
+}
+
+// exit runs when the process function returns, panics or is unwound by
+// Close. It marks the process finished and re-raises any panic but the
+// Close unwind, which ends the coroutine; Run's caller receives it through
+// next.
+func (p *Proc) exit() {
+	p.finish()
+	if r := recover(); r != nil {
+		if _, ok := r.(closeUnwind); !ok {
+			panic(r)
+		}
+	}
+}
+
+func (p *Proc) finish() {
+	if !p.done {
+		p.done = true
+		p.k.live--
+	}
+}
+
+// close unwinds the process if it has not finished. A process that was
+// never dispatched never ran its function, so close marks it finished.
+func (p *Proc) close() {
+	if p.done {
+		return
+	}
+	p.c.stop()
+	p.finish()
 }
 
 // resume schedules the process to continue at time t.
