@@ -33,20 +33,23 @@ func Community() Tuning { return osd.Community() }
 // AFCeph returns the paper's fully optimized configuration.
 func AFCeph() Tuning { return osd.AFCeph() }
 
+// ScrubParams configures the background scrub scheduler: deep scrubs of
+// every PG's copies against each other, with a read-bandwidth budget and
+// optional auto-repair. Its fields are defined and documented in
+// internal/cluster; the zero value keeps scrub off.
+type ScrubParams = cluster.ScrubParams
+
 // Config describes the cluster to build. DefaultConfig matches the paper's
-// testbed (Figure 8).
+// testbed (Figure 8); every caller starts from it.
 type Config struct {
-	Nodes        int
-	OSDsPerNode  int
-	SSDsPerOSD   int
-	CoresPerNode int
-	PGs          int
+	Nodes       int
+	OSDsPerNode int
+	PGs         int
 	// Pool selects the redundancy policy: "repN" keeps N full copies,
 	// "ecK+M" stripes every object over K data + M parity shards (RS
 	// erasure coding; any K of the K+M shards reconstruct, so M concurrent
 	// OSD losses are survived at a (K+M)/K storage overhead instead of
-	// replication's N). Like the other zero fields, "" keeps the default,
-	// rep2.
+	// replication's N). "" means rep2.
 	Pool string
 	// Sustained selects worn (steady-state) SSDs; false = clean state.
 	Sustained bool
@@ -71,31 +74,24 @@ type Config struct {
 	// BlueStore-style direct-write path (small writes through a KV WAL,
 	// large writes straight to the data device with metadata-only commits).
 	Backend string
-	// ScrubIntervalMs, when positive, runs the background scrub scheduler:
-	// one round per interval, deep-verifying every PG's replicas against
-	// each other online. ScrubBudgetMBps caps deep-read bandwidth (0 =
-	// unthrottled), ScrubPGs bounds concurrently-scrubbed PGs (0 = 1), and
-	// ScrubAutoRepair heals what a scrub finds in place. A cluster with
-	// scrub enabled must call StopScrub before it can drain fully idle.
-	ScrubIntervalMs float64
-	ScrubBudgetMBps float64
-	ScrubPGs        int
-	ScrubAutoRepair bool
-	Tuning          Tuning
-	Seed            uint64
+	// Scrub, when its Interval is positive, runs the background scrub
+	// scheduler. A cluster with scrub enabled must call StopScrub before
+	// it can drain fully idle.
+	Scrub  ScrubParams
+	Tuning Tuning
+	Seed   uint64
 }
 
 // DefaultConfig returns the paper's 4-node testbed with AFCeph tuning.
 func DefaultConfig() Config {
+	p := cluster.ParamsFor(AFCeph())
 	return Config{
-		Nodes:        4,
-		OSDsPerNode:  4,
-		SSDsPerOSD:   3,
-		CoresPerNode: 16,
-		PGs:          1024,
-		Sustained:    true,
-		Tuning:       AFCeph(),
-		Seed:         1,
+		Nodes:       p.OSDNodes,
+		OSDsPerNode: p.OSDsPerNode,
+		PGs:         int(p.PGs),
+		Sustained:   p.Sustained,
+		Tuning:      AFCeph(),
+		Seed:        p.Seed,
 	}
 }
 
@@ -111,27 +107,16 @@ func New(cfg Config) *Cluster {
 	return &Cluster{cfg: cfg, inner: cluster.New(cfg.params())}
 }
 
-// Validate reports a Config New cannot build: an unknown backend, or a
-// pool that does not parse or is wider than the cluster's OSD count.
+// Validate reports a Config New cannot build: a topology field below 1, an
+// unknown backend, or a pool that does not parse or is wider than the
+// cluster's OSD count.
 func (cfg Config) Validate() error { return cfg.params().Validate() }
 
 func (cfg Config) params() cluster.Params {
 	p := cluster.ParamsFor(cfg.Tuning)
-	if cfg.Nodes > 0 {
-		p.OSDNodes = cfg.Nodes
-	}
-	if cfg.OSDsPerNode > 0 {
-		p.OSDsPerNode = cfg.OSDsPerNode
-	}
-	if cfg.SSDsPerOSD > 0 {
-		p.SSDsPerOSD = cfg.SSDsPerOSD
-	}
-	if cfg.CoresPerNode > 0 {
-		p.CoresPerNode = int64(cfg.CoresPerNode)
-	}
-	if cfg.PGs > 0 {
-		p.PGs = uint32(cfg.PGs)
-	}
+	p.OSDNodes = cfg.Nodes
+	p.OSDsPerNode = cfg.OSDsPerNode
+	p.PGs = uint32(cfg.PGs)
 	if cfg.Pool != "" {
 		p.Pool = cfg.Pool
 	}
@@ -143,15 +128,7 @@ func (cfg Config) params() cluster.Params {
 	p.ClientOpTimeout = sim.Time(cfg.OpTimeoutMs * 1e6)
 	p.HeartbeatInterval = sim.Time(cfg.HeartbeatMs * 1e6)
 	p.HeartbeatGrace = sim.Time(cfg.HeartbeatGraceMs * 1e6)
-	if cfg.ScrubIntervalMs > 0 {
-		p.Scrub = cluster.ScrubParams{
-			Interval:         sim.Time(cfg.ScrubIntervalMs * 1e6),
-			BytesPerSec:      int64(cfg.ScrubBudgetMBps * (1 << 20)),
-			MaxConcurrentPGs: cfg.ScrubPGs,
-			AutoRepair:       cfg.ScrubAutoRepair,
-			SettleDelay:      2 * sim.Millisecond,
-		}
-	}
+	p.Scrub = cfg.Scrub
 	return p
 }
 

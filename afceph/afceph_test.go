@@ -12,7 +12,6 @@ func miniConfig(t Tuning) Config {
 	cfg := DefaultConfig()
 	cfg.Nodes = 2
 	cfg.OSDsPerNode = 2
-	cfg.SSDsPerOSD = 2
 	cfg.PGs = 128
 	cfg.Sustained = false
 	cfg.Verify = true
@@ -39,6 +38,11 @@ func TestConfigValidate(t *testing.T) {
 	backend.Backend = "bogus"
 	if err := backend.Validate(); err == nil {
 		t.Fatal("backend \"bogus\" accepted")
+	}
+	// Zero fields are not defaults: a Config not built from DefaultConfig
+	// is rejected instead of silently running the paper's testbed.
+	if err := (Config{}).Validate(); err == nil {
+		t.Fatal("zero Config accepted")
 	}
 }
 
@@ -212,7 +216,7 @@ func TestDefaultConfigMatchesPaperTestbed(t *testing.T) {
 	if cfg.Nodes != 4 || cfg.OSDsPerNode != 4 {
 		t.Fatal("default testbed drifted from the paper's Figure 8")
 	}
-	// An empty Pool, like every zero field of Config, keeps the default.
+	// An empty Pool means rep2.
 	if w := New(cfg).Internal().PoolWidth(); cfg.Pool != "" || w != 2 {
 		t.Fatalf("default pool %q is %d wide, want empty (rep2)", cfg.Pool, w)
 	}

@@ -91,7 +91,7 @@ func (c *Cluster) DownsDetected() uint64 { return c.inner.DownsDetected() }
 
 // StopScrub shuts down the background scrub scheduler so the simulation
 // can drain. Required at the end of any scripted run on a cluster built
-// with Config.ScrubIntervalMs > 0; safe to call when scrub is off.
+// with a positive Config.Scrub.Interval; safe to call when scrub is off.
 func (c *Cluster) StopScrub() { c.inner.StopScrub() }
 
 // ScrubReport summarizes what the background scrub scheduler did.
@@ -102,7 +102,7 @@ type ScrubReport struct {
 }
 
 // ScrubStats returns the background scheduler's counters (all zero when
-// Config.ScrubIntervalMs is 0).
+// Config.Scrub.Interval is 0).
 func (c *Cluster) ScrubStats() ScrubReport {
 	st := c.inner.ScrubStats()
 	return ScrubReport{

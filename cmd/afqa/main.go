@@ -43,10 +43,10 @@ func main() {
 	failed := false
 	for seed := uint64(1); seed <= uint64(*seeds); seed++ {
 		cfg := qa.DefaultStress(tuning.Config())
-		cfg.Backend = *backend
+		cfg.Cluster.OSD.Backend = *backend
 		cfg.Clients = *clients
 		cfg.OpsPerClient = *ops
-		cfg.Seed = seed
+		cfg.Cluster.Seed = seed
 		var res *qa.Result
 		if *thrash {
 			res = qa.RunStressWithOutage(cfg, 1)

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/afceph"
@@ -27,9 +29,9 @@ import (
 
 // runSweep executes the iodepth sweep through the public API, building a
 // fresh cluster per point.
-func runSweep(cfg afceph.Config, rw string, bs int64, vms int, imageSize int64, runtime, ramp, maxLat float64) {
+func runSweep(stdout io.Writer, cfg afceph.Config, rw string, bs int64, vms int, imageSize int64, runtime, ramp, maxLat float64) error {
 	depths := []int{1, 2, 4, 8, 16, 32}
-	fmt.Printf("%-8s %10s %10s %10s\n", "iodepth", "iops", "lat(ms)", "p99(ms)")
+	fmt.Fprintf(stdout, "%-8s %10s %10s %10s\n", "iodepth", "iops", "lat(ms)", "p99(ms)")
 	bestIdx, bestIOPS := -1, 0.0
 	results := make([]afceph.FioResult, len(depths))
 	for i, d := range depths {
@@ -45,8 +47,7 @@ func runSweep(cfg afceph.Config, rw string, bs int64, vms int, imageSize int64, 
 			Prefill:    rw == "randread" || rw == "read",
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "afsim:", err)
-			os.Exit(1)
+			return err
 		}
 		results[i] = res
 		if maxLat > 0 && res.LatMeanMs > maxLat {
@@ -61,69 +62,81 @@ func runSweep(cfg afceph.Config, rw string, bs int64, vms int, imageSize int64, 
 		if i == bestIdx {
 			mark = "*"
 		}
-		fmt.Printf("%s%-7d %10.0f %10.2f %10.2f\n", mark, d, results[i].IOPS, results[i].LatMeanMs, results[i].LatP99Ms)
+		fmt.Fprintf(stdout, "%s%-7d %10.0f %10.2f %10.2f\n", mark, d, results[i].IOPS, results[i].LatMeanMs, results[i].LatP99Ms)
 	}
+	return nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is afsim with its arguments and output streams as parameters; it
+// returns the exit status: 0 on success, 1 when a run fails, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("afsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		profile   = flag.String("profile", "afceph", "community | afceph")
-		backend   = flag.String("backend", "filestore", "object-store backend: filestore | directstore")
-		rw        = flag.String("rw", "randwrite", "randwrite | randread | write | read")
-		bs        = flag.Int64("bs", 4096, "block size in bytes")
-		vms       = flag.Int("vms", 20, "number of VM clients")
-		iodepth   = flag.Int("iodepth", 8, "outstanding requests per VM")
-		imageGB   = flag.Int64("image-gb", 1, "image size per VM in GiB")
-		runtime   = flag.Float64("runtime", 2.0, "measured seconds")
-		ramp      = flag.Float64("ramp", 0.5, "warm-up seconds")
-		nodes     = flag.Int("nodes", 4, "OSD nodes")
-		pool      = flag.String("pool", "", "redundancy policy: repN | ecK+M (default: rep2)")
-		sustained = flag.Bool("sustained", true, "worn (sustained) SSD state")
-		prefill   = flag.Bool("prefill", false, "prefill images before measuring")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		trace     = flag.Bool("trace", false, "print the write-path stage breakdown (Figure 3 style)")
-		traceOut  = flag.String("trace-out", "", "write the per-segment latency breakdown as CSV to this file (implies tracing)")
-		perfDump  = flag.Bool("perf-dump", false, "print the cluster perf-counter registry as JSON after the run (Ceph `perf dump` style)")
-		sweep     = flag.Bool("sweep", false, "sweep iodepths and report the best point (the paper's methodology)")
-		maxLat    = flag.Float64("max-lat", 0, "with -sweep: discard points above this mean latency (ms)")
+		profile   = fs.String("profile", "afceph", "community | afceph")
+		backend   = fs.String("backend", "filestore", "object-store backend: filestore | directstore")
+		rw        = fs.String("rw", "randwrite", "randwrite | randread | write | read")
+		bs        = fs.Int64("bs", 4096, "block size in bytes")
+		vms       = fs.Int("vms", 20, "number of VM clients")
+		iodepth   = fs.Int("iodepth", 8, "outstanding requests per VM")
+		imageGB   = fs.Int64("image-gb", 1, "image size per VM in GiB")
+		runtime   = fs.Float64("runtime", 2.0, "measured seconds")
+		ramp      = fs.Float64("ramp", 0.5, "warm-up seconds")
+		nodes     = fs.Int("nodes", 4, "OSD nodes")
+		pool      = fs.String("pool", "", "redundancy policy: repN | ecK+M (default: rep2)")
+		sustained = fs.Bool("sustained", true, "worn (sustained) SSD state")
+		prefill   = fs.Bool("prefill", false, "prefill images before measuring")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		trace     = fs.Bool("trace", false, "print the write-path stage breakdown (Figure 3 style)")
+		traceOut  = fs.String("trace-out", "", "write the per-segment latency breakdown as CSV to this file (implies tracing)")
+		perfDump  = fs.Bool("perf-dump", false, "print the cluster perf-counter registry as JSON after the run (Ceph `perf dump` style)")
+		sweep     = fs.Bool("sweep", false, "sweep iodepths and report the best point (the paper's methodology)")
+		maxLat    = fs.Float64("max-lat", 0, "with -sweep: discard points above this mean latency (ms)")
 
-		scenFile    = flag.String("scenario", "", "run a declarative multi-tenant scenario file instead of a fio workload")
-		scenScale   = flag.Float64("scenario-scale", 1.0, "with -scenario: multiply every scenario duration")
-		noAdmission = flag.Bool("no-admission", false, "with -scenario: force admission control off (comparison arm)")
+		scenFile    = fs.String("scenario", "", "run a declarative multi-tenant scenario file instead of a fio workload")
+		scenScale   = fs.Float64("scenario-scale", 1.0, "with -scenario: multiply every scenario duration")
+		noAdmission = fs.Bool("no-admission", false, "with -scenario: force admission control off (comparison arm)")
 
-		scrubMs     = flag.Float64("scrub-ms", 0, "background scrub round interval in ms (0 = scrub off)")
-		scrubMBps   = flag.Float64("scrub-mbps", 128, "deep-scrub read bandwidth budget in MB/s (0 = unthrottled)")
-		scrubPGs    = flag.Int("scrub-pgs", 1, "max concurrently scrubbed PGs")
-		scrubRepair = flag.Bool("scrub-repair", true, "auto-repair what the scrub finds")
+		scrubMs     = fs.Float64("scrub-ms", 0, "background scrub round interval in ms (0 = scrub off)")
+		scrubMBps   = fs.Float64("scrub-mbps", 128, "deep-scrub read bandwidth budget in MB/s (0 = unthrottled)")
+		scrubPGs    = fs.Int("scrub-pgs", 1, "max concurrently scrubbed PGs")
+		scrubRepair = fs.Bool("scrub-repair", true, "auto-repair what the scrub finds")
 
-		failAt    = flag.Float64("fail-at", 0, "crash an OSD this many ms into the run (0 = no fault injection)")
-		recoverAt = flag.Float64("recover-at", 0, "restart + recover the crashed OSD this many ms into the run")
-		failOSD   = flag.Int("fail-osd", 0, "OSD id to crash with -fail-at")
+		failAt    = fs.Float64("fail-at", 0, "crash an OSD this many ms into the run (0 = no fault injection)")
+		recoverAt = fs.Float64("recover-at", 0, "restart + recover the crashed OSD this many ms into the run")
+		failOSD   = fs.Int("fail-osd", 0, "OSD id to crash with -fail-at")
 
-		noPending  = flag.Bool("no-pending-queue", false, "ablate: disable pending queue")
-		noCompW    = flag.Bool("no-completion-worker", false, "ablate: disable completion worker")
-		noFastAck  = flag.Bool("no-fast-ack", false, "ablate: disable fast ack")
-		noThrottle = flag.Bool("no-throttle-tuning", false, "ablate: keep HDD throttles")
-		noAsyncLog = flag.Bool("no-async-log", false, "ablate: keep sync logging")
-		noLightTx  = flag.Bool("no-light-tx", false, "ablate: keep heavy transactions")
+		noPending  = fs.Bool("no-pending-queue", false, "ablate: disable pending queue")
+		noCompW    = fs.Bool("no-completion-worker", false, "ablate: disable completion worker")
+		noFastAck  = fs.Bool("no-fast-ack", false, "ablate: disable fast ack")
+		noThrottle = fs.Bool("no-throttle-tuning", false, "ablate: keep HDD throttles")
+		noAsyncLog = fs.Bool("no-async-log", false, "ablate: keep sync logging")
+		noLightTx  = fs.Bool("no-light-tx", false, "ablate: keep heavy transactions")
 
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	stopProf := prof.Start(*cpuProf, *memProf)
 	defer stopProf()
 
 	if *scenFile != "" {
 		data, err := os.ReadFile(*scenFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "afsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "afsim:", err)
+			return 1
 		}
 		sc, err := scenario.Parse(data)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "afsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "afsim:", err)
+			return 1
 		}
 		res, err := scenario.Run(sc, scenario.Options{
 			Scale:            *scenScale,
@@ -131,14 +144,14 @@ func main() {
 			Perf:             *perfDump,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "afsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "afsim:", err)
+			return 1
 		}
-		fmt.Print(res.Table())
+		fmt.Fprint(stdout, res.Table())
 		if *perfDump {
-			fmt.Println(res.PerfJSON)
+			fmt.Fprintln(stdout, res.PerfJSON)
 		}
-		return
+		return 0
 	}
 
 	cfg := afceph.DefaultConfig()
@@ -151,8 +164,8 @@ func main() {
 	}
 	tuning, err := osd.ProfileByName(*profile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "afsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "afsim:", err)
+		return 2
 	}
 	cfg.Tuning = tuning
 	cfg.Backend = *backend
@@ -176,29 +189,36 @@ func main() {
 	}
 	if *scrubMs > 0 {
 		if *sweep {
-			fmt.Fprintln(os.Stderr, "afsim: -scrub-ms cannot be combined with -sweep")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "afsim: -scrub-ms cannot be combined with -sweep")
+			return 2
 		}
-		cfg.ScrubIntervalMs = *scrubMs
-		cfg.ScrubBudgetMBps = *scrubMBps
-		cfg.ScrubPGs = *scrubPGs
-		cfg.ScrubAutoRepair = *scrubRepair
+		cfg.Scrub = afceph.ScrubParams{
+			Interval:         sim.Time(*scrubMs * 1e6),
+			BytesPerSec:      int64(*scrubMBps * (1 << 20)),
+			MaxConcurrentPGs: *scrubPGs,
+			AutoRepair:       *scrubRepair,
+			SettleDelay:      2 * sim.Millisecond,
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(stderr, "afsim:", err)
+		return 2
 	}
 
 	chaos := *failAt > 0
 	if chaos {
 		total := (*ramp + *runtime) * 1000
 		if *sweep {
-			fmt.Fprintln(os.Stderr, "afsim: -fail-at cannot be combined with -sweep")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "afsim: -fail-at cannot be combined with -sweep")
+			return 2
 		}
 		if *recoverAt <= *failAt || *recoverAt >= total {
-			fmt.Fprintf(os.Stderr, "afsim: need fail-at < recover-at < %0.f (ramp+runtime in ms)\n", total)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "afsim: need fail-at < recover-at < %0.f (ramp+runtime in ms)\n", total)
+			return 2
 		}
 		if *failOSD < 0 || *failOSD >= cfg.Nodes*cfg.OSDsPerNode {
-			fmt.Fprintf(os.Stderr, "afsim: -fail-osd %d out of range\n", *failOSD)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "afsim: -fail-osd %d out of range\n", *failOSD)
+			return 2
 		}
 		// Fault injection needs the robustness layer: client op timeouts so
 		// the workload rides through the crash, heartbeats so the dead OSD
@@ -207,18 +227,17 @@ func main() {
 		cfg.HeartbeatMs = 25
 		cfg.HeartbeatGraceMs = 100
 	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "afsim:", err)
-		os.Exit(2)
-	}
 
 	if *sweep {
 		if *perfDump || *traceOut != "" {
-			fmt.Fprintln(os.Stderr, "afsim: -perf-dump/-trace-out need a single run, not -sweep")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "afsim: -perf-dump/-trace-out need a single run, not -sweep")
+			return 2
 		}
-		runSweep(cfg, *rw, *bs, *vms, *imageGB<<30, *runtime, *ramp, *maxLat)
-		return
+		if err := runSweep(stdout, cfg, *rw, *bs, *vms, *imageGB<<30, *runtime, *ramp, *maxLat); err != nil {
+			fmt.Fprintln(stderr, "afsim:", err)
+			return 1
+		}
+		return 0
 	}
 
 	c := afceph.New(cfg)
@@ -245,35 +264,35 @@ func main() {
 		Prefill:    *prefill,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "afsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "afsim:", err)
+		return 1
 	}
 
-	fmt.Printf("profile=%s rw=%s bs=%d vms=%d iodepth=%d sustained=%v\n",
+	fmt.Fprintf(stdout, "profile=%s rw=%s bs=%d vms=%d iodepth=%d sustained=%v\n",
 		*profile, *rw, *bs, *vms, *iodepth, *sustained)
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	st := c.Stats()
-	fmt.Printf("pg-lock: wait=%.1fms contended=%d\n", st.PGLockWaitMs, st.PGLockContended)
-	fmt.Printf("journal full stalls: %d\n", st.JournalFullStalls)
-	fmt.Printf("osd ops: writes=%d reads=%d\n", st.OSDWriteOps, st.OSDReadOps)
-	fmt.Print("cpu util:")
+	fmt.Fprintf(stdout, "pg-lock: wait=%.1fms contended=%d\n", st.PGLockWaitMs, st.PGLockContended)
+	fmt.Fprintf(stdout, "journal full stalls: %d\n", st.JournalFullStalls)
+	fmt.Fprintf(stdout, "osd ops: writes=%d reads=%d\n", st.OSDWriteOps, st.OSDReadOps)
+	fmt.Fprint(stdout, "cpu util:")
 	for i, u := range st.CPUUtil {
-		fmt.Printf(" node%d=%.2f", i, u)
+		fmt.Fprintf(stdout, " node%d=%.2f", i, u)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if *trace {
-		fmt.Print(c.TraceReport())
-		fmt.Println("per-segment latency breakdown (telescoping; deltas sum to end-to-end)")
-		fmt.Print(c.BreakdownTable())
+		fmt.Fprint(stdout, c.TraceReport())
+		fmt.Fprintln(stdout, "per-segment latency breakdown (telescoping; deltas sum to end-to-end)")
+		fmt.Fprint(stdout, c.BreakdownTable())
 	}
 	if *traceOut != "" {
 		if err := os.WriteFile(*traceOut, []byte(c.BreakdownCSV()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "afsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "afsim:", err)
+			return 1
 		}
 	}
 	if *perfDump {
-		fmt.Println(c.PerfDump())
+		fmt.Fprintln(stdout, c.PerfDump())
 	}
 	if *scrubMs > 0 {
 		// Stop before any Forever drain: a live scrub loop never idles.
@@ -291,35 +310,36 @@ func main() {
 		inner.K.Run(sim.Forever)
 		healed := inner.Repair()
 
-		fmt.Printf("\nfault injection: crashed osd.%d at %.0fms, recovered at %.0fms\n",
+		fmt.Fprintf(stdout, "\nfault injection: crashed osd.%d at %.0fms, recovered at %.0fms\n",
 			*failOSD, *failAt, *recoverAt)
-		fmt.Printf("  heartbeat downs detected: %d\n", c.DownsDetected())
-		fmt.Printf("  journal replays on restart: %d\n", replays)
-		fmt.Printf("  recovery: %d PGs (%d log-based, %d backfill, %d degraded), %d objects / %.1f MB in %.1fms\n",
+		fmt.Fprintf(stdout, "  heartbeat downs detected: %d\n", c.DownsDetected())
+		fmt.Fprintf(stdout, "  journal replays on restart: %d\n", replays)
+		fmt.Fprintf(stdout, "  recovery: %d PGs (%d log-based, %d backfill, %d degraded), %d objects / %.1f MB in %.1fms\n",
 			rec.PGsRecovered, rec.LogRecoveries, rec.Backfills, rec.DegradedPGs,
 			rec.ObjectsCopied, float64(rec.BytesCopied)/(1<<20), float64(rec.Duration)/1e6)
 		pre := meanIOPS(res, *ramp*1000, *failAt) // ramp samples count no ops
 		during := meanIOPS(res, *failAt, *recoverAt)
 		post := meanIOPS(res, *recoverAt, (*ramp+*runtime)*1000)
-		fmt.Printf("  iops: before=%.0f degraded=%.0f after=%.0f\n", pre, during, post)
+		fmt.Fprintf(stdout, "  iops: before=%.0f degraded=%.0f after=%.0f\n", pre, during, post)
 		if healed > 0 {
-			fmt.Printf("  repair healed %d copies diverged by recovery racing the workload\n", healed)
+			fmt.Fprintf(stdout, "  repair healed %d copies diverged by recovery racing the workload\n", healed)
 		}
 		if f := c.Scrub(); len(f) != 0 {
-			fmt.Printf("  SCRUB DIRTY after repair (%d findings), first: %s\n", len(f), f[0])
-			os.Exit(1)
+			fmt.Fprintf(stdout, "  SCRUB DIRTY after repair (%d findings), first: %s\n", len(f), f[0])
+			return 1
 		}
-		fmt.Println("  final scrub: clean (no acked write lost)")
+		fmt.Fprintln(stdout, "  final scrub: clean (no acked write lost)")
 	}
 	if *scrubMs > 0 {
 		if !chaos {
 			c.Internal().K.Run(sim.Forever) // drain the in-flight scrub round
 		}
 		st := c.ScrubStats()
-		fmt.Printf("background scrub: rounds=%d pgs=%d objects=%d deep-reads=%d read=%.1fMB yields=%d findings=%d repairs=%d deferred=%d\n",
+		fmt.Fprintf(stdout, "background scrub: rounds=%d pgs=%d objects=%d deep-reads=%d read=%.1fMB yields=%d findings=%d repairs=%d deferred=%d\n",
 			st.Rounds, st.PGsScrubbed, st.ObjectsScrubbed, st.DeepReads,
 			float64(st.BytesRead)/(1<<20), st.Yields, st.Findings, st.Repairs, st.Deferred)
 	}
+	return 0
 }
 
 // meanIOPS averages the run's IOPS samples covering (fromMs, toMs]. Each

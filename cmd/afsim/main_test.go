@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/afceph"
@@ -29,6 +30,29 @@ func TestMeanIOPSWindows(t *testing.T) {
 	} {
 		if got := meanIOPS(res, tc.from, tc.to); math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("%s (%g, %g]: meanIOPS = %g, want %g", tc.name, tc.from, tc.to, got, tc.want)
+		}
+	}
+}
+
+// TestNodesBelowOneRejected: -nodes 0 or -1 exits 2 with the cluster's
+// topology message, with or without fault injection, instead of running
+// the default testbed or blaming -fail-osd.
+func TestNodesBelowOneRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "0"},
+		{"-nodes", "-1"},
+		{"-nodes", "0", "-fail-at", "50", "-recover-at", "100"},
+		{"-nodes", "-1", "-fail-at", "50", "-recover-at", "100"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("afsim %v: exit %d, want 2\nstdout: %s", args, code, stdout.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "OSDNodes is") {
+			t.Errorf("afsim %v: stderr %q does not name OSDNodes", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("afsim %v: printed results for a cluster it should reject:\n%s", args, stdout.String())
 		}
 	}
 }

@@ -150,16 +150,6 @@ func (s *Summaries) Pkg(path string) *PkgFacts {
 	return s.pkgs[path]
 }
 
-// Paths returns the summarized package paths, sorted.
-func (s *Summaries) Paths() []string {
-	var out []string
-	for p := range s.pkgs {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (s *Summaries) add(pf *PkgFacts) { s.pkgs[pf.Path] = pf }
 
 // --- fact computation ---

@@ -31,19 +31,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// FuncFromPkg reports whether fn is declared in a package with the given
-// import path (e.g. "time", "os").
-func FuncFromPkg(fn *types.Func, pkgPath string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
-}
-
-// FuncFromPkgNamed reports whether fn is declared in a package whose
-// *name* (not path) matches. afvet matches the audited simulator packages
-// by name so analysistest fixture packages exercise the same code path.
-func FuncFromPkgNamed(fn *types.Func, pkgName string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == pkgName
-}
-
 // RecvNamed returns the named type of fn's receiver (through one pointer),
 // or nil for plain functions.
 func RecvNamed(fn *types.Func) *types.Named {
@@ -67,14 +54,4 @@ func NamedIs(named *types.Named, pkgName, typeName string) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Name() == pkgName
-}
-
-// TypeIs reports whether t (through one pointer) is the named type
-// pkgName.typeName.
-func TypeIs(t types.Type, pkgName, typeName string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return NamedIs(named, pkgName, typeName)
 }

@@ -29,10 +29,8 @@ type Client struct {
 	retries uint64
 	eios    uint64
 	// tenant stamps every op for per-tenant admission control; empty (the
-	// NewClient default) bypasses admission entirely. rejects counts ops
-	// the cluster refused at the messenger.
-	tenant  string
-	rejects uint64
+	// NewClient default) bypasses admission entirely.
+	tenant string
 
 	// Free lists for op and pending records. Recycling is safe only without
 	// the retry timeout: a timeout timer retains the done event past the
@@ -83,9 +81,6 @@ func (cl *Client) Endpoint() *netsim.Endpoint { return cl.ep }
 // Tenant returns the tenant name stamped on this client's ops ("" for a
 // plain client).
 func (cl *Client) Tenant() string { return cl.tenant }
-
-// Rejects reports how many ops admission control refused.
-func (cl *Client) Rejects() uint64 { return cl.rejects }
 
 // Retries reports how many attempts were resent after a timeout or an
 // epoch change.
@@ -204,7 +199,6 @@ func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, off, size int64
 				// Admission control refused the op at the messenger. The
 				// rejection is the answer — retrying would charge the bucket
 				// again — so surface it instead of looping.
-				cl.rejects++
 				st, ex = 0, false
 			}
 			if rep.EIO {

@@ -105,10 +105,25 @@ func ParamsFor(t osd.Tuning) Params {
 	}
 }
 
-// Validate reports Params New cannot build: an unknown object-store
-// backend, or a pool that does not parse or is wider than the cluster,
-// which would keep fewer copies or shards than the pool names.
+// Validate reports Params New cannot build: a topology field below 1, an
+// unknown object-store backend, or a pool that does not parse or is wider
+// than the cluster, which would keep fewer copies or shards than the pool
+// names.
 func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"OSDNodes", int64(p.OSDNodes)},
+		{"OSDsPerNode", int64(p.OSDsPerNode)},
+		{"SSDsPerOSD", int64(p.SSDsPerOSD)},
+		{"CoresPerNode", p.CoresPerNode},
+		{"PGs", int64(p.PGs)},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("%s is %d; the cluster needs at least 1", f.name, f.v)
+		}
+	}
 	if err := store.CheckBackend(p.OSD.Backend); err != nil {
 		return err
 	}
@@ -165,7 +180,8 @@ type Cluster struct {
 	actEpoch int
 }
 
-// New builds and wires the cluster; the kernel is ready to Run.
+// New builds and wires the cluster; the kernel is ready to Run. It panics on
+// Params that Validate rejects.
 func New(params Params) *Cluster {
 	k := sim.NewKernel()
 	c := &Cluster{
@@ -177,11 +193,10 @@ func New(params Params) *Cluster {
 		replies:  osd.NewReplyPool(),
 		actCache: make(map[uint32][]int),
 	}
-	pol, err := params.policy()
-	if err != nil {
+	if err := params.Validate(); err != nil {
 		panic("cluster: " + err.Error())
 	}
-	c.pol = pol
+	c.pol, _ = params.policy() // Validate checked it
 
 	perOSDAdmission := params.Admission.PerOSD(params.OSDNodes * params.OSDsPerNode)
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/osd"
@@ -70,6 +71,33 @@ func TestNewConfiguresEveryOSD(t *testing.T) {
 				t.Errorf("osd.%d journal ring is %d bytes, want %d", i, j.Size(), 8<<20)
 			}
 		}
+	}
+}
+
+// TestParamsValidateTopology: every topology field below 1 is rejected by
+// name. Each of these once passed Validate, and New then panicked (no RAID0
+// member, no CPU server) or the first write divided by zero PGs.
+func TestParamsValidateTopology(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Params)
+	}{
+		{"OSDNodes", func(p *Params) { p.OSDNodes = 0 }},
+		{"OSDNodes", func(p *Params) { p.OSDNodes = -1 }},
+		{"OSDsPerNode", func(p *Params) { p.OSDsPerNode = 0 }},
+		{"SSDsPerOSD", func(p *Params) { p.SSDsPerOSD = 0 }},
+		{"CoresPerNode", func(p *Params) { p.CoresPerNode = 0 }},
+		{"PGs", func(p *Params) { p.PGs = 0 }},
+	} {
+		p := ParamsFor(osd.AFCeph())
+		tc.set(&p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s below 1: Validate() = %v, want an error naming %s", tc.field, err, tc.field)
+		}
+	}
+	if err := ParamsFor(osd.AFCeph()).Validate(); err != nil {
+		t.Errorf("paper testbed rejected: %v", err)
 	}
 }
 

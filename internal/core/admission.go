@@ -65,9 +65,6 @@ func (b *TokenBucket) Tokens(now sim.Time) float64 {
 	return b.tokens
 }
 
-// Rate returns the configured refill rate (tokens per second).
-func (b *TokenBucket) Rate() float64 { return b.rate }
-
 // Burst returns the bucket capacity.
 func (b *TokenBucket) Burst() float64 { return b.burst }
 

@@ -94,9 +94,6 @@ func (d *Dispatcher[T]) PendingLen() int {
 	return n
 }
 
-// UsePending reports whether the pending-queue optimization is active.
-func (d *Dispatcher[T]) UsePending() bool { return d.usePending }
-
 // Submit enqueues an item for its shard, blocking while the ready queue is
 // at capacity (this is where queue-cap throttles push back on messengers).
 func (d *Dispatcher[T]) Submit(p *sim.Proc, shard int, v T) {

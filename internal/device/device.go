@@ -93,9 +93,6 @@ func (r *RAID0) Name() string { return r.name }
 // Stats returns array-level statistics (member stats remain per-device).
 func (r *RAID0) Stats() *Stats { return r.stats }
 
-// Members returns the member devices.
-func (r *RAID0) Members() []Device { return r.members }
-
 func (r *RAID0) route(off int64) (Device, int64) {
 	stripe := off / r.stripeSize
 	member := int(stripe % int64(len(r.members)))

@@ -39,11 +39,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns bench-friendly sizing.
-func DefaultOptions() Options {
-	return Options{Scale: 0.25, RuntimeSec: 2.0, RampSec: 0.6, JournalMB: 96, Seed: 1}
-}
-
 func (o Options) scaleVMs(n int) int {
 	v := int(float64(n)*o.Scale + 0.5)
 	if v < 1 {

@@ -112,7 +112,3 @@ func (o *OSD) Dirty() bool { return o.dirty }
 // ClearDirty marks crash recovery complete; called by cluster recovery
 // after the backfill.
 func (o *OSD) ClearDirty() { o.dirty = false }
-
-// RetainedEntries reports how many committed-but-unapplied entries the
-// backend's write-ahead state currently holds (diagnostic).
-func (o *OSD) RetainedEntries() int { return o.store.PendingOps() }

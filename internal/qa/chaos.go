@@ -24,7 +24,10 @@ import (
 
 // ChaosConfig sizes a chaos run.
 type ChaosConfig struct {
-	OSD          osd.Config
+	// Cluster is the testbed; its Seed also seeds the workload and the
+	// fault schedule. RunChaos adds the robustness layer (client timeouts,
+	// heartbeats) and, with Scrub, the scrub scheduler.
+	Cluster      cluster.Params
 	Clients      int
 	OpsPerClient int
 	// Pacing spaces client ops out so the workload spans the fault
@@ -33,8 +36,6 @@ type ChaosConfig struct {
 	ImageSize    int64
 	BlockSizes   []int64
 	ReadFraction float64
-	Nodes        int
-	OSDsPerNode  int
 	// CrashCycles is the number of crash->restart->recover sequences;
 	// Partition adds a client partition window; DiskFaults adds slow-disk
 	// and latent-read-error windows.
@@ -51,17 +52,10 @@ type ChaosConfig struct {
 	// (deep scrubs, throttled, auto-repair) — the online detection path
 	// for the injected rot.
 	Scrub bool
-	// Backend overrides the object-store backend on every OSD when
-	// non-empty ("filestore" / "directstore").
-	Backend string
-	// Pool selects the redundancy policy ("repN" / "ecK+M"); empty keeps
-	// the default two-way replication. MaxDown lets that many crash cycles
-	// overlap (distinct victims) — set it to m for an RS(k,m) pool to prove
-	// the pool rides through its full failure budget; 0 keeps the
-	// sequential single-failure schedule.
-	Pool    string
+	// MaxDown lets that many crash cycles overlap (distinct victims) — set
+	// it to m for an RS(k,m) pool to prove the pool rides through its full
+	// failure budget; 0 keeps the sequential single-failure schedule.
 	MaxDown int
-	Seed    uint64
 }
 
 // DefaultChaos returns the standard thrasher shape: a small AFCeph-profile
@@ -69,21 +63,18 @@ type ChaosConfig struct {
 // lands mid-workload.
 func DefaultChaos() ChaosConfig {
 	return ChaosConfig{
-		OSD:          osd.AFCeph().Config(),
+		Cluster:      Testbed(osd.AFCeph().Config()),
 		Clients:      4,
 		OpsPerClient: 120,
 		Pacing:       20 * sim.Millisecond,
 		ImageSize:    64 << 20,
 		BlockSizes:   []int64{4096, 8192, 32768},
 		ReadFraction: 0.3,
-		Nodes:        2,
-		OSDsPerNode:  2,
 		CrashCycles:  3,
 		Partition:    true,
 		DiskFaults:   true,
 		BitRot:       3,
 		Scrub:        true,
-		Seed:         1,
 	}
 }
 
@@ -133,10 +124,7 @@ type chaosClient struct {
 
 // RunChaos executes the thrasher and checks every invariant.
 func RunChaos(cfg ChaosConfig) *ChaosResult {
-	p := testbedParams(cfg.OSD, cfg.Nodes, cfg.OSDsPerNode, cfg.Backend, cfg.Seed)
-	if cfg.Pool != "" {
-		p.Pool = cfg.Pool
-	}
+	p := cfg.Cluster
 	// The robustness layer: clients retry, heartbeats detect.
 	p.ClientOpTimeout = 50 * sim.Millisecond
 	p.HeartbeatInterval = 25 * sim.Millisecond
@@ -170,7 +158,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		cl := c.NewClient()
 		cc := &chaosClient{cl: cl, bd: cl.OpenDevice(img, cfg.ImageSize), model: make(map[int64]uint64)}
 		clients[ci] = cc
-		r := rng.New(cfg.Seed*1000003 + uint64(ci)*7907 + 11)
+		r := rng.New(cfg.Cluster.Seed*1000003 + uint64(ci)*7907 + 11)
 		workers.Add(1)
 		c.K.Go("chaos."+img, func(pp *sim.Proc) {
 			defer workers.Done()
@@ -221,7 +209,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 	// The fault driver executes the seeded schedule. CycleGap leaves room
 	// for heartbeat detection (grace + interval) before each restart.
 	plan := fault.Plan{
-		OSDs:        cfg.Nodes * cfg.OSDsPerNode,
+		OSDs:        cfg.Cluster.OSDNodes * cfg.Cluster.OSDsPerNode,
 		Clients:     cfg.Clients,
 		Start:       20 * sim.Millisecond,
 		CrashCycles: cfg.CrashCycles,
@@ -231,7 +219,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		BitRotCount: cfg.BitRot,
 		MaxDown:     cfg.MaxDown,
 	}
-	sched := fault.Generate(plan, cfg.Seed^0x5eedfa51)
+	sched := fault.Generate(plan, cfg.Cluster.Seed^0x5eedfa51)
 	type rotInject struct {
 		oid string
 		osd int
@@ -242,7 +230,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		rot map[int64]uint64
 	}
 	var injected []rotInject
-	rotRng := rng.New(cfg.Seed ^ 0xb17b07)
+	rotRng := rng.New(cfg.Cluster.Seed ^ 0xb17b07)
 	recWG := sim.NewWaitGroup(c.K)
 	driver := sim.NewWaitGroup(c.K)
 	driver.Add(1)

@@ -51,7 +51,7 @@ func TestChaosSeedSweep(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			cfg := DefaultChaos()
-			cfg.Seed = seed
+			cfg.Cluster.Seed = seed
 			res := RunChaos(cfg)
 			for _, v := range res.Violations {
 				t.Errorf("seed %d: %s", seed, v)
@@ -79,7 +79,7 @@ func TestChaosDeterminism(t *testing.T) {
 	if a.SimulatedTime != b.SimulatedTime || a.Retries != b.Retries || a.Recovered != b.Recovered {
 		t.Errorf("same seed stats diverged: %+v vs %+v", a, b)
 	}
-	cfg.Seed = 2
+	cfg.Cluster.Seed = 2
 	c := RunChaos(cfg)
 	if c.Failed() {
 		t.Fatalf("seed 2 violations: %v", c.Violations)

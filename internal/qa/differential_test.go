@@ -21,8 +21,8 @@ func sweepConfigs(backend string, n int) []ChaosConfig {
 	cfgs := make([]ChaosConfig, n)
 	for i := range cfgs {
 		cfg := DefaultChaos()
-		cfg.Backend = backend
-		cfg.Seed = uint64(i + 1)
+		cfg.Cluster.OSD.Backend = backend
+		cfg.Cluster.Seed = uint64(i + 1)
 		cfgs[i] = cfg
 	}
 	return cfgs
@@ -48,20 +48,20 @@ func TestChaosSweepDifferential(t *testing.T) {
 			for i := range cfgs {
 				w, n := wide[i], narrow[i]
 				for _, v := range w.Violations {
-					t.Errorf("seed %d: violation: %s", cfgs[i].Seed, v)
+					t.Errorf("seed %d: violation: %s", cfgs[i].Cluster.Seed, v)
 				}
 				if w.Fingerprint != n.Fingerprint {
 					t.Errorf("seed %d: fingerprint diverged across executives: %#x (8 workers) vs %#x (serial)",
-						cfgs[i].Seed, w.Fingerprint, n.Fingerprint)
+						cfgs[i].Cluster.Seed, w.Fingerprint, n.Fingerprint)
 				}
 				if w.SimulatedTime != n.SimulatedTime || w.Writes != n.Writes ||
 					w.Reads != n.Reads || w.Retries != n.Retries ||
 					w.Recovered != n.Recovered || w.ReadVerified != n.ReadVerified {
 					t.Errorf("seed %d: run counters diverged across executives: %+v vs %+v",
-						cfgs[i].Seed, w, n)
+						cfgs[i].Cluster.Seed, w, n)
 				}
 				if w.ReadVerified == 0 {
-					t.Errorf("seed %d: readback verified nothing", cfgs[i].Seed)
+					t.Errorf("seed %d: readback verified nothing", cfgs[i].Cluster.Seed)
 				}
 			}
 		})
@@ -114,8 +114,8 @@ func TestStressSweepDifferential(t *testing.T) {
 			cfgs := make([]StressConfig, seeds)
 			for i := range cfgs {
 				cfg := DefaultStress(osd.AFCeph().Config())
-				cfg.Backend = backend
-				cfg.Seed = uint64(i + 1)
+				cfg.Cluster.OSD.Backend = backend
+				cfg.Cluster.Seed = uint64(i + 1)
 				cfgs[i] = cfg
 			}
 			wide := RunStressSweep(cfgs, 8)
@@ -123,13 +123,13 @@ func TestStressSweepDifferential(t *testing.T) {
 			for i := range cfgs {
 				w, n := wide[i], narrow[i]
 				for _, v := range w.Violations {
-					t.Errorf("seed %d: violation: %s", cfgs[i].Seed, v)
+					t.Errorf("seed %d: violation: %s", cfgs[i].Cluster.Seed, v)
 				}
 				if w.Writes != n.Writes || w.Reads != n.Reads ||
 					w.ReadVerified != n.ReadVerified || w.ObjectsWritten != n.ObjectsWritten ||
 					w.SimulatedTime != n.SimulatedTime {
 					t.Errorf("seed %d: stress counters diverged across executives: %+v vs %+v",
-						cfgs[i].Seed, w, n)
+						cfgs[i].Cluster.Seed, w, n)
 				}
 			}
 		})

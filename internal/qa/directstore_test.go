@@ -14,7 +14,7 @@ import (
 
 func TestStressDirectStore(t *testing.T) {
 	cfg := DefaultStress(osd.AFCeph().Config())
-	cfg.Backend = store.BackendDirectStore
+	cfg.Cluster.OSD.Backend = store.BackendDirectStore
 	res := RunStress(cfg)
 	t.Logf("directstore: writes=%d reads=%d verified=%d objects=%d simtime=%v",
 		res.Writes, res.Reads, res.ReadVerified, res.ObjectsWritten, res.SimulatedTime)
@@ -33,7 +33,7 @@ func TestStressDirectStore(t *testing.T) {
 // WAL path; 64K sits exactly on the default threshold boundary.
 func TestStressDirectStoreMixedSizes(t *testing.T) {
 	cfg := DefaultStress(osd.AFCeph().Config())
-	cfg.Backend = store.BackendDirectStore
+	cfg.Cluster.OSD.Backend = store.BackendDirectStore
 	cfg.BlockSizes = []int64{4096, 65536, 262144}
 	res := RunStress(cfg)
 	if res.Failed() {
@@ -45,7 +45,7 @@ func TestStressDirectStoreMixedSizes(t *testing.T) {
 
 func TestStressDirectStoreOutageCycle(t *testing.T) {
 	cfg := DefaultStress(osd.AFCeph().Config())
-	cfg.Backend = store.BackendDirectStore
+	cfg.Cluster.OSD.Backend = store.BackendDirectStore
 	cfg.OpsPerClient = 60
 	res := RunStressWithOutage(cfg, 1)
 	if res.Failed() {
@@ -63,7 +63,7 @@ func TestStressDirectStoreOutageCycle(t *testing.T) {
 // with WAL replay standing in for journal replay.
 func TestChaosDirectStore(t *testing.T) {
 	cfg := DefaultChaos()
-	cfg.Backend = store.BackendDirectStore
+	cfg.Cluster.OSD.Backend = store.BackendDirectStore
 	res := RunChaos(cfg)
 	for _, v := range res.Violations {
 		t.Errorf("violation: %s", v)
@@ -90,8 +90,8 @@ func TestChaosDirectStoreSeedSweep(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			cfg := DefaultChaos()
-			cfg.Backend = store.BackendDirectStore
-			cfg.Seed = seed
+			cfg.Cluster.OSD.Backend = store.BackendDirectStore
+			cfg.Cluster.Seed = seed
 			res := RunChaos(cfg)
 			for _, v := range res.Violations {
 				t.Errorf("seed %d: %s", seed, v)
@@ -107,7 +107,7 @@ func TestChaosDirectStoreSeedSweep(t *testing.T) {
 // deterministic as the old one.
 func TestChaosDirectStoreDeterminism(t *testing.T) {
 	cfg := DefaultChaos()
-	cfg.Backend = store.BackendDirectStore
+	cfg.Cluster.OSD.Backend = store.BackendDirectStore
 	a := RunChaos(cfg)
 	b := RunChaos(cfg)
 	if a.Failed() || b.Failed() {

@@ -1,11 +1,6 @@
 package qa
 
-import (
-	"testing"
-
-	"repro/internal/osd"
-	"repro/internal/sim"
-)
+import "testing"
 
 // ecChaos is the thrasher shape for an RS(4,2) pool: 6 OSDs over 3 hosts
 // (width 6 exercises the CRUSH relaxed-host fallback), crash cycles allowed
@@ -13,25 +8,12 @@ import (
 // and background scrub, so reconstruct-reads, shard recovery and EC repair
 // all fire in one run.
 func ecChaos() ChaosConfig {
-	return ChaosConfig{
-		OSD:          osd.AFCeph().Config(),
-		Clients:      4,
-		OpsPerClient: 120,
-		Pacing:       20 * sim.Millisecond,
-		ImageSize:    64 << 20,
-		BlockSizes:   []int64{4096, 8192, 32768},
-		ReadFraction: 0.3,
-		Nodes:        3,
-		OSDsPerNode:  2,
-		CrashCycles:  4,
-		Partition:    true,
-		DiskFaults:   true,
-		BitRot:       3,
-		Scrub:        true,
-		Pool:         "ec4+2",
-		MaxDown:      2,
-		Seed:         1,
-	}
+	cfg := DefaultChaos()
+	cfg.Cluster.OSDNodes = 3
+	cfg.Cluster.Pool = "ec4+2"
+	cfg.CrashCycles = 4
+	cfg.MaxDown = 2
+	return cfg
 }
 
 // TestECChaosSingleSeed: one full thrasher run against RS(4,2) with up to
@@ -81,7 +63,7 @@ func TestECChaosDeterminism(t *testing.T) {
 	if a.Fingerprint != b.Fingerprint {
 		t.Errorf("same seed diverged: %#x vs %#x", a.Fingerprint, b.Fingerprint)
 	}
-	cfg.Seed = 2
+	cfg.Cluster.Seed = 2
 	c := RunChaos(cfg)
 	if c.Failed() {
 		t.Fatalf("seed 2 violations: %v", c.Violations)
@@ -104,8 +86,8 @@ func TestECChaosSeedSweep(t *testing.T) {
 			t.Run(backend, func(t *testing.T) {
 				t.Parallel()
 				cfg := ecChaos()
-				cfg.Backend = backend
-				cfg.Seed = seed
+				cfg.Cluster.OSD.Backend = backend
+				cfg.Cluster.Seed = seed
 				res := RunChaos(cfg)
 				for _, v := range res.Violations {
 					t.Errorf("%s seed %d: %s", backend, seed, v)

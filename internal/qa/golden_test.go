@@ -29,8 +29,8 @@ var goldenChaos = []struct {
 func chaosAt(backend string, seed uint64) func() ChaosConfig {
 	return func() ChaosConfig {
 		cfg := DefaultChaos()
-		cfg.Backend = backend
-		cfg.Seed = seed
+		cfg.Cluster.OSD.Backend = backend
+		cfg.Cluster.Seed = seed
 		return cfg
 	}
 }

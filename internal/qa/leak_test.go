@@ -19,7 +19,10 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 
-			c := cluster.New(testbedParams(osd.AFCeph().Config(), 2, 2, backend, 7))
+			p := Testbed(osd.AFCeph().Config())
+			p.OSD.Backend = backend
+			p.Seed = 7
+			c := cluster.New(p)
 			res := workload.VMFleet(c, 2, 64<<20, workload.Spec{
 				Pattern:   workload.RandWrite,
 				BlockSize: 4096,
@@ -37,7 +40,7 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 			}
 
 			cfg := DefaultChaos()
-			cfg.Backend = backend
+			cfg.Cluster.OSD.Backend = backend
 			if r := RunChaos(cfg); r.Failed() {
 				t.Fatalf("chaos violations: %v", r.Violations)
 			}

@@ -30,8 +30,8 @@ import (
 
 // StressConfig sizes a randomized stress run.
 type StressConfig struct {
-	// OSD is every OSD's configuration.
-	OSD osd.Config
+	// Cluster is the testbed; its Seed also seeds the workload.
+	Cluster cluster.Params
 	// Clients is the number of concurrent clients, each with its own image.
 	Clients int
 	// OpsPerClient is the randomized op count per client.
@@ -42,27 +42,18 @@ type StressConfig struct {
 	BlockSizes []int64
 	// ReadFraction is the probability an op is a read.
 	ReadFraction float64
-	// Nodes / OSDsPerNode shrink the cluster for fast runs.
-	Nodes       int
-	OSDsPerNode int
-	// Backend overrides the object-store backend on every OSD when
-	// non-empty ("filestore" / "directstore").
-	Backend string
-	Seed    uint64
 }
 
-// DefaultStress returns a moderate randomized workload.
+// DefaultStress returns a moderate randomized workload on the QA testbed
+// running cfg.
 func DefaultStress(cfg osd.Config) StressConfig {
 	return StressConfig{
-		OSD:          cfg,
+		Cluster:      Testbed(cfg),
 		Clients:      6,
 		OpsPerClient: 120,
 		ImageSize:    64 << 20,
 		BlockSizes:   []int64{4096, 8192, 32768},
 		ReadFraction: 0.4,
-		Nodes:        2,
-		OSDsPerNode:  2,
-		Seed:         1,
 	}
 }
 
@@ -86,28 +77,20 @@ func (r *Result) violate(format string, args ...interface{}) {
 	}
 }
 
-// testbedParams is the small QA testbed shared by the stress and chaos
-// runs: OSD-only profiles on community host settings (tcmalloc, Nagle on),
-// read-your-write stamps on, and backend overriding OSD.Backend when set.
-func testbedParams(osdCfg osd.Config, nodes, osdsPerNode int, backend string, seed uint64) cluster.Params {
+// Testbed is the small QA cluster shared by the stress and chaos runs:
+// 2 nodes x 2 OSDs of 2 clean SSDs each, rep2, seed 1, running osdCfg with
+// read-your-write stamps on. The OSD-only profiles run on community host
+// settings (tcmalloc, Nagle on).
+func Testbed(osdCfg osd.Config) cluster.Params {
 	p := cluster.DefaultParams()
 	p.OSD = osdCfg
 	p.OSD.FStore.VerifyData = true
-	if backend != "" {
-		p.OSD.Backend = backend
-	}
-	p.OSDNodes = nodes
-	p.OSDsPerNode = osdsPerNode
+	p.OSDNodes = 2
+	p.OSDsPerNode = 2
 	p.SSDsPerOSD = 2
 	p.PGs = 128
 	p.Sustained = false
-	p.Seed = seed
 	return p
-}
-
-// buildCluster constructs the stress testbed.
-func buildCluster(cfg StressConfig) *cluster.Cluster {
-	return cluster.New(testbedParams(cfg.OSD, cfg.Nodes, cfg.OSDsPerNode, cfg.Backend, cfg.Seed))
 }
 
 // runPhase drives one randomized client wave to completion and records the
@@ -119,7 +102,7 @@ func runPhase(c *cluster.Cluster, cfg StressConfig, res *Result, phase int, touc
 		imgName := fmt.Sprintf("stress%d.%d", phase, ci)
 		cl := c.NewClient()
 		bd := cl.OpenDevice(imgName, cfg.ImageSize)
-		r := rng.New(cfg.Seed + uint64(phase)*65537 + uint64(ci)*7907 + 3)
+		r := rng.New(cfg.Cluster.Seed + uint64(phase)*65537 + uint64(ci)*7907 + 3)
 		c.K.Go("stress."+imgName, func(pp *sim.Proc) {
 			// model: block offset -> stamp of last acked write.
 			model := make(map[int64]uint64)
@@ -215,7 +198,7 @@ func checkInvariants(c *cluster.Cluster, cfg StressConfig, res *Result, touched 
 
 // RunStress executes the randomized workload and checks every invariant.
 func RunStress(cfg StressConfig) *Result {
-	c := buildCluster(cfg)
+	c := cluster.New(cfg.Cluster)
 	defer c.Close()
 	res := &Result{}
 	touched := make(map[string]bool)
@@ -232,7 +215,7 @@ func RunStress(cfg StressConfig) *Result {
 // (degraded) wave, recovers the OSD, and checks that the cluster converges
 // to full consistency — the QA analogue of Teuthology's thrashing tests.
 func RunStressWithOutage(cfg StressConfig, failID int) *Result {
-	c := buildCluster(cfg)
+	c := cluster.New(cfg.Cluster)
 	defer c.Close()
 	res := &Result{}
 	touched := make(map[string]bool)

@@ -11,7 +11,7 @@ import (
 func runProfile(t *testing.T, name string, osdCfg osd.Config, seed uint64) {
 	t.Helper()
 	cfg := DefaultStress(osdCfg)
-	cfg.Seed = seed
+	cfg.Cluster.Seed = seed
 	res := RunStress(cfg)
 	t.Logf("%s seed=%d: writes=%d reads=%d verified=%d objects=%d simtime=%v",
 		name, seed, res.Writes, res.Reads, res.ReadVerified, res.ObjectsWritten, res.SimulatedTime)
@@ -91,7 +91,7 @@ func TestStressManySeeds(t *testing.T) {
 		seed := seed
 		t.Run(profileSeedName(seed), func(t *testing.T) {
 			cfg := DefaultStress(osd.AFCeph().Config())
-			cfg.Seed = seed
+			cfg.Cluster.Seed = seed
 			cfg.Clients = 4
 			cfg.OpsPerClient = 60
 			res := RunStress(cfg)

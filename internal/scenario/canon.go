@@ -1,11 +1,11 @@
 package scenario
 
-// The four canonical scenarios. They are embedded here as the single source
-// of truth; examples/scenarios/*.json must match byte for byte (a test
-// enforces it) so the files users run are exactly the ones the golden
-// figure and the differential determinism harness exercise.
+import "repro/examples/scenarios"
 
-// CanonNames lists the canonical scenarios in presentation order.
+// CanonNames lists the canonical scenarios in presentation order. Their
+// text lives only in examples/scenarios/<name>.json, so what users run with
+// `afsim -scenario` is exactly what the scenarios figure and the
+// differential determinism harness measure.
 var CanonNames = []string{
 	"steady-multi-tenant",
 	"noisy-neighbor",
@@ -13,172 +13,11 @@ var CanonNames = []string{
 	"failover-under-load",
 }
 
-// Canon returns the embedded scenario text by name ("" when unknown).
+// Canon returns the canonical scenario text by name ("" when unknown).
 func Canon(name string) string {
-	switch name {
-	case "steady-multi-tenant":
-		return CanonSteady
-	case "noisy-neighbor":
-		return CanonNoisyNeighbor
-	case "flash-crowd":
-		return CanonFlashCrowd
-	case "failover-under-load":
-		return CanonFailover
+	data, err := scenarios.FS.ReadFile(name + ".json")
+	if err != nil {
+		return ""
 	}
-	return ""
+	return string(data)
 }
-
-// CanonSteady: three well-behaved tenants in distinct SLO classes, one per
-// arrival process, comfortably under cluster capacity. The fairness and
-// per-class breakdown baseline.
-const CanonSteady = `// Three tenants in distinct SLO classes, each with a different arrival
-// process, all comfortably inside cluster capacity. Baseline for the
-// fairness index and the per-class latency breakdown.
-{
-  "name": "steady-multi-tenant",
-  "seed": 1,
-  "runtime_sec": 2,
-  "ramp_sec": 0.4,
-  "cluster": {"nodes": 2, "osds_per_node": 2, "ssds_per_osd": 2, "pgs": 256, "replicas": 2, "profile": "afceph", "journal_mb": 64},
-  "tenants": [
-    {
-      "name": "gold-oltp",
-      "slo_class": "gold",
-      "clients": 2,
-      "image_mb": 64,
-      "in_flight": 8,
-      "arrival": {"process": "poisson", "rate_ops_sec": 900},
-      "mix": {"read_pct": 70, "pattern": "rand", "sizes": [{"bytes": 4096, "weight": 1}]}
-    },
-    {
-      "name": "silver-web",
-      "slo_class": "silver",
-      "clients": 2,
-      "image_mb": 64,
-      "in_flight": 8,
-      "arrival": {"process": "gamma", "rate_ops_sec": 700, "cv": 0.5},
-      "mix": {"read_pct": 50, "pattern": "rand", "sizes": [{"bytes": 4096, "weight": 3}, {"bytes": 32768, "weight": 1}]}
-    },
-    {
-      "name": "bronze-batch",
-      "slo_class": "bronze",
-      "clients": 2,
-      "image_mb": 64,
-      "in_flight": 8,
-      "arrival": {"process": "weibull", "rate_ops_sec": 500, "cv": 1.5},
-      "mix": {"read_pct": 0, "pattern": "seq", "sizes": [{"bytes": 65536, "weight": 1}]}
-    }
-  ]
-}
-`
-
-// CanonNoisyNeighbor: a steady gold tenant shares the cluster with a
-// bursty bulk tenant offering far more load than its admission limit.
-// With admission on, the noisy tenant is clipped at its token rate and the
-// gold tenant's p99 is protected; with admission off, the noise wins.
-const CanonNoisyNeighbor = `// A steady gold tenant shares the cluster with a bursty bulk tenant that
-// offers several times its admission limit. Run with admission on and off
-// to see the token bucket protect the gold tenant's p99.
-{
-  "name": "noisy-neighbor",
-  "seed": 1,
-  "runtime_sec": 2,
-  "ramp_sec": 0.4,
-  "cluster": {"nodes": 2, "osds_per_node": 2, "ssds_per_osd": 2, "pgs": 256, "replicas": 2, "profile": "afceph", "journal_mb": 64},
-  "admission": true,
-  "tenants": [
-    {
-      "name": "steady-gold",
-      "slo_class": "gold",
-      "clients": 2,
-      "image_mb": 64,
-      "in_flight": 8,
-      "arrival": {"process": "poisson", "rate_ops_sec": 1200},
-      "mix": {"read_pct": 70, "pattern": "rand", "sizes": [{"bytes": 4096, "weight": 1}]}
-    },
-    {
-      "name": "noisy-bulk",
-      "slo_class": "bronze",
-      "clients": 4,
-      "image_mb": 64,
-      "in_flight": 16,
-      "arrival": {"process": "gamma", "rate_ops_sec": 6000, "cv": 2},
-      "mix": {"read_pct": 0, "pattern": "rand", "sizes": [{"bytes": 32768, "weight": 1}]},
-      "admission": {"rate_ops_sec": 4000, "burst": 400}
-    }
-  ]
-}
-`
-
-// CanonFlashCrowd: a diurnal gold tenant plus a crowd tenant that storms at
-// 12x its base rate mid-run; the crowd's admission limit caps the storm.
-const CanonFlashCrowd = `// A diurnal gold tenant plus a crowd tenant that storms at 12x its base
-// rate mid-run. The crowd's admission limit absorbs the spike; compare
-// admission off to watch the storm take the gold tenant's p99 with it.
-{
-  "name": "flash-crowd",
-  "seed": 1,
-  "runtime_sec": 2.4,
-  "ramp_sec": 0.4,
-  "cluster": {"nodes": 2, "osds_per_node": 2, "ssds_per_osd": 2, "pgs": 256, "replicas": 2, "profile": "afceph", "journal_mb": 64},
-  "admission": true,
-  "tenants": [
-    {
-      "name": "steady-gold",
-      "slo_class": "gold",
-      "clients": 2,
-      "image_mb": 64,
-      "in_flight": 8,
-      "arrival": {"process": "poisson", "rate_ops_sec": 1000},
-      "mix": {"read_pct": 70, "pattern": "rand", "sizes": [{"bytes": 4096, "weight": 1}]},
-      "diurnal": {"period_sec": 2.4, "amplitude": 0.3}
-    },
-    {
-      "name": "crowd",
-      "slo_class": "silver",
-      "clients": 4,
-      "image_mb": 64,
-      "in_flight": 16,
-      "arrival": {"process": "weibull", "rate_ops_sec": 700, "cv": 1.8},
-      "mix": {"read_pct": 80, "pattern": "rand", "sizes": [{"bytes": 4096, "weight": 1}]},
-      "burst": {"at_sec": 1.2, "duration_sec": 0.7, "multiplier": 12},
-      "admission": {"rate_ops_sec": 5000, "burst": 500}
-    }
-  ]
-}
-`
-
-// CanonFailover: two tenants ride through an OSD crash and recovery with
-// client retry and heartbeat detection enabled.
-const CanonFailover = `// Two tenants ride through an OSD crash at 0.9s and its restart+recovery
-// at 1.8s, with client op timeouts and heartbeat down-detection doing the
-// failover. Latency includes the retry stalls around the crash.
-{
-  "name": "failover-under-load",
-  "seed": 1,
-  "runtime_sec": 2.5,
-  "ramp_sec": 0.3,
-  "cluster": {"nodes": 2, "osds_per_node": 2, "ssds_per_osd": 2, "pgs": 256, "replicas": 2, "profile": "afceph", "journal_mb": 64, "op_timeout_ms": 150, "heartbeat_ms": 50, "heartbeat_grace_ms": 200},
-  "failure": {"osd": 1, "at_sec": 0.9, "recover_at_sec": 1.8},
-  "tenants": [
-    {
-      "name": "gold-oltp",
-      "slo_class": "gold",
-      "clients": 2,
-      "image_mb": 64,
-      "in_flight": 8,
-      "arrival": {"process": "poisson", "rate_ops_sec": 800},
-      "mix": {"read_pct": 60, "pattern": "rand", "sizes": [{"bytes": 4096, "weight": 1}]}
-    },
-    {
-      "name": "silver-web",
-      "slo_class": "silver",
-      "clients": 2,
-      "image_mb": 64,
-      "in_flight": 8,
-      "arrival": {"process": "gamma", "rate_ops_sec": 600, "cv": 0.8},
-      "mix": {"read_pct": 50, "pattern": "rand", "sizes": [{"bytes": 4096, "weight": 1}, {"bytes": 16384, "weight": 1}]}
-    }
-  ]
-}
-`

@@ -25,7 +25,7 @@ func Parse(data []byte) (*Scenario, error) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	sc := &Scenario{Seed: 1}
+	sc := &Scenario{Seed: 1, Cluster: defaultCluster}
 	if err := dec.Decode(sc); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
@@ -41,6 +41,11 @@ func Parse(data []byte) (*Scenario, error) {
 	}
 	return sc, nil
 }
+
+// defaultCluster is the cluster block's value for every key a file leaves
+// out. nodes and osds_per_node have no default: a file must size its
+// cluster.
+var defaultCluster = ClusterSpec{SSDsPerOSD: 2, PGs: 256, Replicas: 2, Profile: "afceph", JournalMB: 64}
 
 // blankComments overwrites every line whose first non-blank characters are
 // `//` with spaces. Blanking rather than deleting keeps byte offsets, and

@@ -34,6 +34,10 @@ func TestParseDefaults(t *testing.T) {
 	if sc.Seed != 1 {
 		t.Fatalf("default seed = %d, want 1", sc.Seed)
 	}
+	want := ClusterSpec{Nodes: 1, OSDsPerNode: 2, SSDsPerOSD: 2, PGs: 256, Replicas: 2, Profile: "afceph", JournalMB: 64}
+	if sc.Cluster != want {
+		t.Fatalf("cluster defaults = %+v, want %+v", sc.Cluster, want)
+	}
 	r := resolveTenant(&sc.Tenants[0])
 	if r.Class != "standard" || r.ImageMB != 64 || r.InFlight != 8 {
 		t.Fatalf("tenant defaults = %q/%d/%d", r.Class, r.ImageMB, r.InFlight)
@@ -50,7 +54,7 @@ func TestParseComments(t *testing.T) {
 	"name": "c",
 	    // an indented comment with "quotes" and a stray }
 	"runtime_sec": 1,
-	"cluster": {"nodes": 1, "osds_per_node": 1},
+	"cluster": {"nodes": 1, "osds_per_node": 2},
 	"tenants": [{"name": "a // not a comment", "clients": 1,
 		"arrival": {"process": "poisson", "rate_ops_sec": 5}}]
 }`
@@ -65,7 +69,7 @@ func TestParseComments(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	const tenant = `{"name": "a", "clients": 1, "arrival": {"process": "poisson", "rate_ops_sec": 5}}`
-	const cluster = `"cluster": {"nodes": 1, "osds_per_node": 1}`
+	const cluster = `"cluster": {"nodes": 1, "osds_per_node": 2}`
 	cases := []struct {
 		name, in, want string
 	}{
@@ -85,6 +89,15 @@ func TestParseErrors(t *testing.T) {
 		{"no-tenants", `{"name": "x", "runtime_sec": 1, ` + cluster + `, "tenants": []}`, "at least one tenant"},
 		{"bad-process", `{"name": "x", "runtime_sec": 1, ` + cluster + `, "tenants": [{"name": "a", "clients": 1, "arrival": {"process": "pareto", "rate_ops_sec": 5}}]}`, "not poisson, gamma or weibull"},
 		{"poisson-cv", `{"name": "x", "runtime_sec": 1, ` + cluster + `, "tenants": [{"name": "a", "clients": 1, "arrival": {"process": "poisson", "rate_ops_sec": 5, "cv": 2}}]}`, "cv fixed at 1"},
+		// An explicit zero is an error, not a request for the default.
+		{"zero-ssds", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 2, "ssds_per_osd": 0}, "tenants": [` + tenant + `]}`, "cluster.ssds_per_osd 0"},
+		{"zero-pgs", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 2, "pgs": 0}, "tenants": [` + tenant + `]}`, "cluster.pgs 0"},
+		{"zero-replicas", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 2, "replicas": 0}, "tenants": [` + tenant + `]}`, `bad pool "rep0"`},
+		{"empty-profile", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 2, "profile": ""}, "tenants": [` + tenant + `]}`, "cluster.profile"},
+		{"zero-journal", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 2, "journal_mb": 0}, "tenants": [` + tenant + `]}`, "cluster.journal_mb 0"},
+		// Params.Validate's checks, under the cluster prefix.
+		{"pool-too-wide", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 1}, "tenants": [` + tenant + `]}`, "scenario x: cluster: pool rep2 places on 2 OSDs but the cluster has 1"},
+		{"bad-backend", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 2, "backend": "bluestore"}, "tenants": [` + tenant + `]}`, "scenario x: cluster:"},
 		{"failure-needs-timeout", `{"name": "x", "runtime_sec": 1, "cluster": {"nodes": 1, "osds_per_node": 2}, "failure": {"osd": 0, "at_sec": 0.5, "recover_at_sec": 0.8}, "tenants": [` + tenant + `]}`, "op_timeout_ms"},
 		{"huge-number", `{"name": "x", "seed": 1e300}`, "cannot unmarshal number 1e300"},
 		{"bad-escape", `{"name": "\q"}`, "string escape code"},
@@ -140,7 +153,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 func TestMarshalRoundTripEscaping(t *testing.T) {
 	checkMarshalRoundTrip(t, &Scenario{
 		Name: "weird \"name\"\twith\nescapes\x01 <&>", Seed: 0, RuntimeSec: 1,
-		Cluster: ClusterSpec{Nodes: 1, OSDsPerNode: 1},
+		Cluster: ClusterSpec{Nodes: 1, OSDsPerNode: 2, SSDsPerOSD: 2, PGs: 256, Replicas: 2, Profile: "afceph", JournalMB: 64},
 		Tenants: []TenantSpec{{Name: "t", Clients: 1, Arrival: ArrivalSpec{Process: ProcPoisson, RateOpsSec: 5}}},
 	})
 }

@@ -136,46 +136,33 @@ func resolveTenant(t *TenantSpec) resolvedTenant {
 	return r
 }
 
-// tuning resolves the cluster's profile name; an empty profile is afceph.
-func (c *ClusterSpec) tuning() (osd.Tuning, error) {
-	if c.Profile == "" {
-		return osd.AFCeph(), nil
-	}
-	return osd.ProfileByName(c.Profile)
-}
-
-// buildParams maps the cluster section onto the simulator's testbed params.
-// The scenario must have passed Validate.
-func buildParams(sc *Scenario, opt Options) cluster.Params {
-	cs := sc.Cluster
-	t, _ := cs.tuning() // Validate rejected a bad profile
+// params maps the cluster block onto the simulator's testbed params. An
+// unknown profile maps to the zero (stock) tuning; validate rejects it.
+func (c *ClusterSpec) params() cluster.Params {
+	t, _ := osd.ProfileByName(c.Profile)
 	p := cluster.ParamsFor(t)
-	p.OSDNodes = cs.Nodes
-	p.OSDsPerNode = cs.OSDsPerNode
-	p.SSDsPerOSD = cs.SSDsPerOSD
-	if p.SSDsPerOSD == 0 {
-		p.SSDsPerOSD = 2
-	}
-	p.PGs = uint32(cs.PGs)
-	if p.PGs == 0 {
-		p.PGs = 256
-	}
-	if cs.Replicas > 0 {
-		p.Pool = fmt.Sprintf("rep%d", cs.Replicas)
-	}
-	journalMB := cs.JournalMB
-	if journalMB == 0 {
-		journalMB = 64
-	}
-	p.OSD.JournalSize = int64(journalMB) << 20
-	p.OSD.Backend = cs.Backend
-	p.Seed = sc.Seed
+	p.OSDNodes = c.Nodes
+	p.OSDsPerNode = c.OSDsPerNode
+	p.SSDsPerOSD = c.SSDsPerOSD
+	p.PGs = uint32(c.PGs)
+	p.Pool = fmt.Sprintf("rep%d", c.Replicas)
+	p.OSD.JournalSize = int64(c.JournalMB) << 20
+	p.OSD.Backend = c.Backend
 	// Client/heartbeat timeouts are latency-domain knobs: they model real
 	// configuration, so Options.Scale (a duration-domain convenience) does
 	// not shrink them.
-	p.ClientOpTimeout = sim.Time(cs.OpTimeoutMs * float64(sim.Millisecond))
-	p.HeartbeatInterval = sim.Time(cs.HeartbeatMs * float64(sim.Millisecond))
-	p.HeartbeatGrace = sim.Time(cs.HeartbeatGraceMs * float64(sim.Millisecond))
+	p.ClientOpTimeout = sim.Time(c.OpTimeoutMs * float64(sim.Millisecond))
+	p.HeartbeatInterval = sim.Time(c.HeartbeatMs * float64(sim.Millisecond))
+	p.HeartbeatGrace = sim.Time(c.HeartbeatGraceMs * float64(sim.Millisecond))
+	return p
+}
+
+// buildParams is the cluster block's params plus the scenario's seed and,
+// unless opt disables it, its admission limits. The scenario must have
+// passed Validate.
+func buildParams(sc *Scenario, opt Options) cluster.Params {
+	p := sc.Cluster.params()
+	p.Seed = sc.Seed
 	if sc.Admission && !opt.DisableAdmission {
 		var ac core.AdmissionConfig
 		for i := range sc.Tenants {

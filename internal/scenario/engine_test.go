@@ -228,16 +228,17 @@ func TestRunRejectsInvalid(t *testing.T) {
 }
 
 // TestClusterBlockMapsOntoParams: the cluster block's replica count becomes
-// a repN pool (rep2 when unset), and journal_mb and backend land on the
-// OSD configuration every daemon is built from.
+// a repN pool (rep2 when the key is left out), and journal_mb and backend
+// land on the OSD configuration every daemon is built from.
 func TestClusterBlockMapsOntoParams(t *testing.T) {
 	for _, tc := range []struct {
-		replicas, width int
-		pool            string
-	}{{0, 2, "rep2"}, {3, 3, "rep3"}} {
+		replicas string // the "replicas" key, or "" to leave it out
+		width    int
+		pool     string
+	}{{"", 2, "rep2"}, {`"replicas": 3,`, 3, "rep3"}} {
 		src := fmt.Sprintf(`{
 		  "name": "replicas", "runtime_sec": 0.1,
-		  "cluster": {"nodes": 2, "osds_per_node": 2, "replicas": %d,
+		  "cluster": {"nodes": 2, "osds_per_node": 2, %s
 		              "backend": "directstore", "journal_mb": 16},
 		  "tenants": [{"name": "t", "clients": 1, "arrival": {"process": "poisson", "rate_ops_sec": 10}}]
 		}`, tc.replicas)
@@ -247,10 +248,12 @@ func TestClusterBlockMapsOntoParams(t *testing.T) {
 		}
 		p := buildParams(sc, Options{})
 		if p.Pool != tc.pool || p.OSD.Backend != "directstore" || p.OSD.JournalSize != 16<<20 {
-			t.Errorf("replicas %d: pool %q backend %q journal %d", tc.replicas, p.Pool, p.OSD.Backend, p.OSD.JournalSize)
+			t.Errorf("replicas %q: pool %q backend %q journal %d", tc.replicas, p.Pool, p.OSD.Backend, p.OSD.JournalSize)
 		}
-		if w := cluster.New(p).PoolWidth(); w != tc.width {
-			t.Errorf("replicas %d: built a %d-wide pool, want %d", tc.replicas, w, tc.width)
+		c := cluster.New(p)
+		if w := c.PoolWidth(); w != tc.width {
+			t.Errorf("replicas %q: built a %d-wide pool, want %d", tc.replicas, w, tc.width)
 		}
+		c.Close()
 	}
 }

@@ -16,7 +16,7 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/store"
+	"repro/internal/osd"
 )
 
 // Bounds keep fuzzed and hand-written scenarios inside what a laptop-sized
@@ -49,16 +49,17 @@ type Scenario struct {
 	Tenants   []TenantSpec `json:"tenants"`
 }
 
-// ClusterSpec shapes the simulated cluster under the tenants.
+// ClusterSpec shapes the simulated cluster under the tenants. Parse starts
+// from defaultCluster, so a key the file leaves out keeps its default.
 type ClusterSpec struct {
 	Nodes       int    `json:"nodes"`
 	OSDsPerNode int    `json:"osds_per_node"`
-	SSDsPerOSD  int    `json:"ssds_per_osd"` // default 2
-	PGs         int    `json:"pgs"`          // default 256
-	Replicas    int    `json:"replicas"`     // default 2
+	SSDsPerOSD  int    `json:"ssds_per_osd"`
+	PGs         int    `json:"pgs"`
+	Replicas    int    `json:"replicas"`
 	Profile     string `json:"profile"`
-	Backend     string `json:"backend"`    // "" (profile default) | "filestore" | "directstore"
-	JournalMB   int    `json:"journal_mb"` // default 64
+	Backend     string `json:"backend"` // "" (profile default) | "filestore" | "directstore"
+	JournalMB   int    `json:"journal_mb"`
 	// Robustness knobs, required when Failure is set.
 	OpTimeoutMs      float64 `json:"op_timeout_ms"`
 	HeartbeatMs      float64 `json:"heartbeat_ms"`
@@ -200,6 +201,8 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
+// validate bounds the cluster block to what a laptop-sized simulation can
+// run, then leaves every other check to the params it builds.
 func (c *ClusterSpec) validate(scn string) error {
 	if c.Nodes < 1 || c.Nodes > maxNodes {
 		return fmt.Errorf("scenario %s: cluster.nodes %d out of [1, %d]", scn, c.Nodes, maxNodes)
@@ -207,26 +210,23 @@ func (c *ClusterSpec) validate(scn string) error {
 	if c.OSDsPerNode < 1 || c.OSDsPerNode > maxOSDsPer {
 		return fmt.Errorf("scenario %s: cluster.osds_per_node %d out of [1, %d]", scn, c.OSDsPerNode, maxOSDsPer)
 	}
-	if c.SSDsPerOSD < 0 || c.SSDsPerOSD > 8 {
-		return fmt.Errorf("scenario %s: cluster.ssds_per_osd %d out of [0, 8]", scn, c.SSDsPerOSD)
+	if c.SSDsPerOSD < 1 || c.SSDsPerOSD > 8 {
+		return fmt.Errorf("scenario %s: cluster.ssds_per_osd %d out of [1, 8]", scn, c.SSDsPerOSD)
 	}
-	if c.PGs < 0 || c.PGs > maxPGs {
-		return fmt.Errorf("scenario %s: cluster.pgs %d out of [0, %d]", scn, c.PGs, maxPGs)
+	if c.PGs < 1 || c.PGs > maxPGs {
+		return fmt.Errorf("scenario %s: cluster.pgs %d out of [1, %d]", scn, c.PGs, maxPGs)
 	}
-	if c.Replicas < 0 || (c.Replicas > 0 && c.Replicas > c.Nodes*c.OSDsPerNode) {
-		return fmt.Errorf("scenario %s: cluster.replicas %d exceeds the %d OSDs", scn, c.Replicas, c.Nodes*c.OSDsPerNode)
-	}
-	if _, err := c.tuning(); err != nil {
+	if _, err := osd.ProfileByName(c.Profile); err != nil {
 		return fmt.Errorf("scenario %s: cluster.profile: %v", scn, err)
 	}
-	if err := store.CheckBackend(c.Backend); err != nil {
-		return fmt.Errorf("scenario %s: cluster.backend: %v", scn, err)
-	}
-	if c.JournalMB < 0 || c.JournalMB > 2048 {
-		return fmt.Errorf("scenario %s: cluster.journal_mb %d out of [0, 2048]", scn, c.JournalMB)
+	if c.JournalMB < 1 || c.JournalMB > 2048 {
+		return fmt.Errorf("scenario %s: cluster.journal_mb %d out of [1, 2048]", scn, c.JournalMB)
 	}
 	if c.OpTimeoutMs < 0 || c.HeartbeatMs < 0 || c.HeartbeatGraceMs < 0 {
 		return fmt.Errorf("scenario %s: cluster timeouts must be non-negative", scn)
+	}
+	if err := c.params().Validate(); err != nil {
+		return fmt.Errorf("scenario %s: cluster: %v", scn, err)
 	}
 	return nil
 }

@@ -112,9 +112,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Live returns the number of spawned processes that have not yet finished.
 func (k *Kernel) Live() int { return k.live }
 
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.events) + k.ready.len() }
-
 // Dispatched returns the total number of events executed so far.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 

@@ -57,9 +57,6 @@ func (q *Queue[T]) Close() {
 	}
 }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // Push appends v, blocking p while the queue is full. Pushing to a closed
 // queue panics (a model bug).
 func (q *Queue[T]) Push(p *Proc, v T) {

@@ -53,9 +53,6 @@ func (m *Mutex) Stats() MutexStats { return m.stats }
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.locked }
 
-// Holder returns the current owner, or nil.
-func (m *Mutex) Holder() *Proc { return m.holder }
-
 // QueueLen returns the number of processes waiting for the lock.
 func (m *Mutex) QueueLen() int { return m.waiters.len() }
 

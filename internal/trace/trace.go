@@ -142,15 +142,6 @@ func (c *Collector) StageMeanMillis(stage int) float64 {
 	return c.cum[stage].Mean() / 1e6
 }
 
-// StageHist returns the cumulative (base→stage) histogram, nil when
-// disabled.
-func (c *Collector) StageHist(stage int) *stats.Histogram {
-	if c.cum == nil {
-		return nil
-	}
-	return c.cum[stage]
-}
-
 // SegmentHist returns the i-th segment's delta histogram, nil when
 // disabled.
 func (c *Collector) SegmentHist(i int) *stats.Histogram {

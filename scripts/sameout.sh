@@ -1,6 +1,7 @@
 #!/bin/sh
-# Same-output check: build afsim and afqa at a revision and from the working
-# tree, run a fixed list of commands with both, and compare each command's
+# Same-output check: build afsim, afqa and four afceph examples (chaos, ec,
+# recovery, quickstart) at a revision and from the working tree, run a
+# fixed list of commands with both, and compare each command's
 # stdout (plus its exit status, when non-zero) byte for byte. Every command
 # whose output differs is listed with the head of its diff.
 #
@@ -23,10 +24,13 @@ TMP="$(mktemp -d "${TMPDIR:-/tmp}/sameout.XXXXXX")"
 trap 'rm -rf "$TMP"' EXIT
 mkdir "$TMP/base" "$TMP/bin.base" "$TMP/bin.work" "$TMP/out"
 
-echo "== building afsim, afqa at $REV and from the working tree"
+PKGS="./cmd/afsim ./cmd/afqa ./examples/chaos ./examples/ec ./examples/recovery ./examples/quickstart"
+echo "== building afsim, afqa and the examples at $REV and from the working tree"
 git archive "$REV" | tar -x -C "$TMP/base"
-(cd "$TMP/base" && go build -o "$TMP/bin.base/" ./cmd/afsim ./cmd/afqa)
-go build -o "$TMP/bin.work/" ./cmd/afsim ./cmd/afqa
+# shellcheck disable=SC2086 # PKGS is a space-separated package list
+(cd "$TMP/base" && go build -o "$TMP/bin.base/" $PKGS)
+# shellcheck disable=SC2086
+go build -o "$TMP/bin.work/" $PKGS
 
 {
     for profile in community afceph; do
@@ -37,6 +41,7 @@ go build -o "$TMP/bin.work/" ./cmd/afsim ./cmd/afqa
     echo "afsim -pool ec4+2 -backend directstore -runtime 0.3 -perf-dump"
     echo "afsim -scrub-ms 50 -runtime 0.3"
     echo "afsim -trace -runtime 0.3"
+    echo "afsim -no-light-tx -no-fast-ack -runtime 0.3"
     echo "afsim -sweep -runtime 0.1 -ramp 0.05"
     echo "afsim -runtime 0.6 -ramp 0.1 -fail-at 200 -recover-at 500"
     for f in examples/scenarios/*.json; do
@@ -47,6 +52,9 @@ go build -o "$TMP/bin.work/" ./cmd/afsim ./cmd/afqa
         echo "afqa -profile $profile -seeds 3 -thrash"
     done
     echo "afqa -backend directstore -seeds 3"
+    for example in chaos ec recovery quickstart; do
+        echo "$example"
+    done
 } >"$TMP/commands"
 
 # run SIDE ROOT OUT CMD...: run one command from ROOT with SIDE's binaries,
