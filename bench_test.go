@@ -27,20 +27,26 @@ func benchOptions() figures.Options {
 	return figures.Options{Scale: 0.08, RuntimeSec: 2.0, RampSec: 0.6, JournalMB: 64, Seed: 1}
 }
 
-// simWallStart resets the figures package's simulated-time accumulator and
-// returns the wall-clock start for reportSimWall.
-func simWallStart() time.Time {
-	figures.TakeSimNanos()
+// simWorkStart resets the figures package's simulated-work accumulator and
+// returns the wall-clock start for reportSimWork.
+func simWorkStart() time.Time {
+	figures.TakeSimWork()
 	return time.Now()
 }
 
-// reportSimWall reports how many simulated nanoseconds the benchmark
-// produced per wall nanosecond (the simulator's time-compression ratio).
-func reportSimWall(b *testing.B, start time.Time) {
+// reportSimWork reports the simulated work the benchmark did: sim-events
+// and proc-resumes per op (kernel events dispatched and process resumes,
+// both simulator outputs that the gate holds exactly), and how many
+// simulated nanoseconds it produced per wall nanosecond (sim-wall-x, the
+// simulator's time-compression ratio).
+func reportSimWork(b *testing.B, start time.Time) {
 	wall := time.Since(start).Nanoseconds()
-	if sn := figures.TakeSimNanos(); wall > 0 && sn > 0 {
-		b.ReportMetric(float64(sn)/float64(wall), "sim-wall-x")
+	w := figures.TakeSimWork()
+	if wall > 0 && w.Nanos > 0 {
+		b.ReportMetric(float64(w.Nanos)/float64(wall), "sim-wall-x")
 	}
+	b.ReportMetric(float64(w.Events)/float64(b.N), "sim-events")
+	b.ReportMetric(float64(w.Resumes)/float64(b.N), "proc-resumes")
 }
 
 // cell parses a numeric table cell.
@@ -74,7 +80,7 @@ func cellByRowPair(rep figures.Report, c0, c1 string, col int) float64 {
 }
 
 func BenchmarkFig1_ThreadSweep(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.Fig1(benchOptions())
 		last := len(rep.Rows) - 1
@@ -84,11 +90,11 @@ func BenchmarkFig1_ThreadSweep(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 func BenchmarkFig3_StageBreakdown(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.Fig3(benchOptions())
 		b.ReportMetric(cellByRowName(rep, "acked", 1), "total-ms")
@@ -97,11 +103,11 @@ func BenchmarkFig3_StageBreakdown(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 func BenchmarkFig4_LogVsNoLog(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.Fig4(benchOptions())
 		b.ReportMetric(cell(rep, 0, 2), "log-late-iops")
@@ -111,11 +117,11 @@ func BenchmarkFig4_LogVsNoLog(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 func BenchmarkFig9_Stepwise(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.Fig9(benchOptions())
 		last := len(rep.Rows) - 1
@@ -126,7 +132,7 @@ func BenchmarkFig9_Stepwise(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 // Fig10 panels run as sub-benchmarks so individual panels can be selected:
@@ -136,7 +142,7 @@ func BenchmarkFig10_VMFleet(b *testing.B) {
 	for _, panel := range panels {
 		panel := panel
 		b.Run(panel, func(b *testing.B) {
-			start := simWallStart()
+			start := simWorkStart()
 			for i := 0; i < b.N; i++ {
 				rep := figures.Fig10(benchOptions(), []int{40}, []string{panel})
 				b.ReportMetric(cell(rep, 0, 2), "community-iops")
@@ -146,13 +152,13 @@ func BenchmarkFig10_VMFleet(b *testing.B) {
 					b.Log("\n" + rep.String())
 				}
 			}
-			reportSimWall(b, start)
+			reportSimWork(b, start)
 		})
 	}
 }
 
 func BenchmarkFig11_SolidFireComparison(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.Fig11(benchOptions())
 		b.ReportMetric(cell(rep, 0, 1), "sf-4k-randwrite-iops")
@@ -163,11 +169,11 @@ func BenchmarkFig11_SolidFireComparison(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 func BenchmarkFig12_ScaleOut(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.Fig12(benchOptions(), []int{4, 8})
 		// rows: per workload x node-count; row1 is 8-node 4K-randwrite.
@@ -177,7 +183,7 @@ func BenchmarkFig12_ScaleOut(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 // Ablation benchmarks: each single optimization applied alone to the
@@ -201,11 +207,13 @@ func BenchmarkAblation_SingleOptimizations(b *testing.B) {
 	for _, m := range mods {
 		m := m
 		b.Run(m.name, func(b *testing.B) {
+			start := simWorkStart()
 			for i := 0; i < b.N; i++ {
 				rep := figures.LatencyVsLoadPoint(benchOptions(), m.tuning, 20)
 				b.ReportMetric(rep.IOPS, "iops")
 				b.ReportMetric(rep.Lat.Mean, "lat-ms")
 			}
+			reportSimWork(b, start)
 		})
 	}
 }
@@ -213,7 +221,7 @@ func BenchmarkAblation_SingleOptimizations(b *testing.B) {
 // BenchmarkDropInReplacement quantifies the paper's motivation (§1):
 // HDD -> SSD swap vs software optimization.
 func BenchmarkDropInReplacement(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.DropIn(benchOptions())
 		b.ReportMetric(cell(rep, 0, 1), "community-hdd-iops")
@@ -223,13 +231,13 @@ func BenchmarkDropInReplacement(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 // BenchmarkMixedRW quantifies the §3.4 mixed read/write claim: AFCeph's
 // advantage under a 70/30 random mix.
 func BenchmarkMixedRW(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.MixedRW(benchOptions(), []int{70})
 		b.ReportMetric(cell(rep, 0, 1), "community-iops")
@@ -238,7 +246,7 @@ func BenchmarkMixedRW(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 // BenchmarkBackends gates the direct-write backend against journal+filestore
@@ -251,7 +259,7 @@ func BenchmarkBackends(b *testing.B) {
 	for _, panel := range panels {
 		panel := panel
 		b.Run(panel, func(b *testing.B) {
-			start := simWallStart()
+			start := simWorkStart()
 			for i := 0; i < b.N; i++ {
 				rep := figures.Backends(benchOptions(), []string{panel})
 				// row 0 = filestore, row 1 = directstore.
@@ -264,7 +272,7 @@ func BenchmarkBackends(b *testing.B) {
 					b.Log("\n" + rep.String())
 				}
 			}
-			reportSimWall(b, start)
+			reportSimWork(b, start)
 		})
 	}
 }
@@ -275,7 +283,7 @@ func BenchmarkBackends(b *testing.B) {
 // detected metric must stay exactly zero — cold rot is invisible without
 // scrub — and both scrub rows must detect every injected copy.
 func BenchmarkScrub(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.Scrub(benchOptions())
 		b.ReportMetric(cellByRowName(rep, "off", 3), "off-p99-ms")
@@ -289,7 +297,7 @@ func BenchmarkScrub(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 // BenchmarkScenarios gates the multi-tenant scenario engine: the
@@ -299,7 +307,7 @@ func BenchmarkScrub(b *testing.B) {
 // admission disabled nothing may be refused — and the on-row p99 must stay
 // below the off-row p99 (authored as a min floor on the headline ratio).
 func BenchmarkScenarios(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.Scenarios(benchOptions())
 		offP99 := cellByRowPair(rep, "noisy-adm-off", "steady-gold", 8)
@@ -316,7 +324,7 @@ func BenchmarkScenarios(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 // BenchmarkECvsRep gates the redundancy-policy seam: 4K random-write
@@ -327,7 +335,7 @@ func BenchmarkScenarios(b *testing.B) {
 // 1.5 bytes per logical byte against replication's 3.0 — and is floored
 // just under 2x so a policy-accounting regression fails the gate.
 func BenchmarkECvsRep(b *testing.B) {
-	start := simWallStart()
+	start := simWorkStart()
 	for i := 0; i < b.N; i++ {
 		rep := figures.ECvsRep(benchOptions())
 		b.ReportMetric(cellByRowPair(rep, "rep3", "directstore", 2), "rep3-iops")
@@ -345,7 +353,7 @@ func BenchmarkECvsRep(b *testing.B) {
 			b.Log("\n" + rep.String())
 		}
 	}
-	reportSimWall(b, start)
+	reportSimWork(b, start)
 }
 
 // ---------------------------------------------------------------------------

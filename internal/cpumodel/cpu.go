@@ -100,6 +100,48 @@ func (n *Node) Use(p *sim.Proc, d sim.Time) {
 	n.busyTime.Add(uint64(d))
 }
 
+// Work is one CPU charge made by a callback chain (see UseCall). Its
+// owner keeps it alive, and may reuse it once the charge has completed.
+type Work struct {
+	// Done runs as Done(Arg) once the charge completes. It runs in kernel
+	// context and must not block.
+	Done func(any)
+	Arg  any
+
+	n   *Node
+	d   sim.Time
+	job sim.Job
+}
+
+// UseCall is Use for callback models: it occupies one core for d on behalf
+// of w and then runs w.Done, in the event slots Use would have used. A zero
+// charge completes inline, as Use returns at once.
+func (n *Node) UseCall(w *Work, d sim.Time) {
+	if d <= 0 {
+		w.Done(w.Arg)
+		return
+	}
+	w.n, w.d = n, d
+	w.job.Done, w.job.Arg = workDone, w
+	n.cores.UseCall(&w.job, d)
+}
+
+func workDone(a any) {
+	w := a.(*Work)
+	w.n.busyTime.Add(uint64(w.d))
+	w.Done(w.Arg)
+}
+
+// Wait parks p until the charge a callback chain is about to make with
+// UseCall has been served; p then continues in the slot where Use would
+// have returned, and w.Done is not called. Wait must be called before the
+// charge reaches a core, and the charge must be positive (a zero charge
+// never resumes p).
+func (w *Work) Wait(p *sim.Proc) {
+	w.job.Wait(p)
+	w.n.busyTime.Add(uint64(w.d))
+}
+
 // AllocCost returns the CPU time for `count` small heap allocations under
 // the node's current allocator and load. The returned time should then be
 // charged via Use (callers usually fold it into a larger slice of work).

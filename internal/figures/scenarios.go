@@ -35,7 +35,7 @@ func Scenarios(opt Options) Report {
 		if err != nil {
 			panic("figures: scenario " + points[i].canon + ": " + err.Error())
 		}
-		noteSimNanos(int64(res.SimulatedTime))
+		noteSimWork(SimWork{Nanos: int64(res.SimulatedTime), Events: res.Events, Resumes: res.Resumes})
 		return res
 	})
 

@@ -32,6 +32,7 @@ type Params struct {
 	// (SimpleMessenger dispatch: header parse, crc, throttle, dispatch).
 	MsgCPU sim.Time
 	// MsgAllocs is the number of small allocations per received message.
+	// A message must cost some CPU: MsgCPU or MsgAllocs must be positive.
 	MsgAllocs int
 	// ConnCPUFactor scales per-message CPU with the receiving endpoint's
 	// connection count: effective = MsgCPU * (1 + factor*conns/100).
@@ -183,15 +184,28 @@ type Endpoint struct {
 	RxMsgs stats.Counter
 }
 
+// rxConn is a connection's receive side (SimpleMessenger's per-connection
+// reader thread). Waiting for a message and serializing it off the wire are
+// callbacks; the connection's process parks on the message's CPU charge and
+// runs the handler, which may block.
 type rxConn struct {
-	q *sim.Queue[*Message]
+	e       *Endpoint
+	q       *sim.Queue[*Message]
+	m       *Message // the message being received or handled
+	idle    bool     // waiting for a message: enqueue wakes the connection
+	ingress sim.Job  // wire serialization of m; its Done is rxCharge
+	cpu     cpumodel.Work
 }
 
-// txConn is a connection's outbound queue, drained by a dedicated sender
-// process (SimpleMessenger's per-connection sender thread): callers of
-// Send never block on wire serialization.
+// txConn is a connection's outbound queue, drained by a callback chain
+// standing in for SimpleMessenger's per-connection sender thread: callers
+// of Send never block on wire serialization.
 type txConn struct {
-	q *sim.Queue[*Message]
+	e, dst *Endpoint
+	q      *sim.Queue[*Message]
+	m      *Message // the message on the NIC
+	busy   bool     // sending, or about to: Send need not start the chain
+	egress sim.Job  // its Done is txSent
 }
 
 // NewEndpoint creates an endpoint with its own NIC; the receive path
@@ -240,7 +254,7 @@ func (e *Endpoint) SetDead(v bool) { e.dead = v }
 func (e *Endpoint) Dead() bool { return e.dead }
 
 // Send queues size payload bytes toward dst and returns immediately: the
-// connection's sender process serializes the transfer onto the NIC
+// connection's sender serializes the transfer onto the NIC
 // (SimpleMessenger semantics — I/O threads never block on the wire).
 // Per-connection ordering is preserved. kind and payload travel with the
 // message.
@@ -250,22 +264,29 @@ func (e *Endpoint) Send(p *sim.Proc, dst *Endpoint, size int64, kind int, payloa
 	}
 	c, ok := e.tx[dst]
 	if !ok {
-		c = &txConn{q: sim.NewQueue[*Message](e.net.K, e.name+"->"+dst.name, 0)}
+		c = &txConn{e: e, dst: dst, q: sim.NewQueue[*Message](e.net.K, e.name+"->"+dst.name, 0)}
+		c.egress.Done, c.egress.Arg = txSent, c
 		e.tx[dst] = c
-		e.net.K.Go("msgr.tx:"+e.name+"->"+dst.name, func(sp *sim.Proc) {
-			e.sendLoop(sp, c, dst)
-		})
 	}
 	m := e.net.getMsg()
 	m.From, m.Size, m.Kind, m.Payload, m.SentAt = e, size, kind, payload, p.Now()
-	c.q.Push(p, m) // unbounded: never blocks the caller
+	c.q.TryPush(m) // unbounded: never blocks the caller
+	if !c.busy {
+		c.busy = true
+		e.net.K.AfterCall(0, txNext, c)
+	}
 }
 
-// sendLoop is the per-connection sender thread.
-func (e *Endpoint) sendLoop(p *sim.Proc, c *txConn, dst *Endpoint) {
+func txNext(a any) { a.(*txConn).next() }
+
+// next puts the connection's next message on the egress NIC, dropping
+// those a crashed sender still held, or marks the connection idle.
+func (c *txConn) next() {
+	e := c.e
 	for {
-		m, ok := c.q.Pop(p)
+		m, ok := c.q.TryPop()
 		if !ok {
+			c.busy = false
 			return
 		}
 		if e.dead {
@@ -275,26 +296,31 @@ func (e *Endpoint) sendLoop(p *sim.Proc, c *txConn, dst *Endpoint) {
 			e.net.putMsg(m)
 			continue
 		}
-		tx := sim.Time(m.Size * int64(sim.Second) / e.net.Params.BytesPerSec)
-		e.nic.egress.Use(p, tx)
-		e.net.BytesSent.Add(uint64(m.Size))
-		if e.net.Partitioned(e, dst) {
-			e.net.Dropped.Inc()
-			e.net.putMsg(m)
-			continue
-		}
-		if e.net.dropProb > 0 && e.net.chaosRnd.Float64() < e.net.dropProb {
-			e.net.Dropped.Inc()
-			e.net.putMsg(m)
-			continue
-		}
-		delay := e.net.Params.Propagation + e.net.extraDelay
-		if !e.noDelay && m.Size < MSS {
-			delay += e.net.Params.NagleDelay
-		}
-		m.to = dst
-		e.net.K.AfterCall(delay, deliverMsg, m)
+		c.m = m
+		e.nic.egress.UseCall(&c.egress, sim.Time(m.Size*int64(sim.Second)/e.net.Params.BytesPerSec))
+		return
 	}
+}
+
+// txSent runs when a message has left the NIC: it is lost to a partition
+// or a chaos drop, or handed to the delivery timer. The connection then
+// sends its next message.
+func txSent(a any) {
+	c := a.(*txConn)
+	e, n, m := c.e, c.e.net, c.m
+	n.BytesSent.Add(uint64(m.Size))
+	if n.Partitioned(e, c.dst) || (n.dropProb > 0 && n.chaosRnd.Float64() < n.dropProb) {
+		n.Dropped.Inc()
+		n.putMsg(m)
+	} else {
+		delay := n.Params.Propagation + n.extraDelay
+		if !e.noDelay && m.Size < MSS {
+			delay += n.Params.NagleDelay
+		}
+		m.to = c.dst
+		n.K.AfterCall(delay, deliverMsg, m)
+	}
+	c.next()
 }
 
 // deliverMsg is the shared arrival callback: one pooled event record per
@@ -305,43 +331,74 @@ func deliverMsg(a any) {
 }
 
 // enqueue runs in kernel context: append to the per-connection receive
-// queue, creating the connection's messenger process on first contact.
+// queue, creating the connection's messenger process on first contact and
+// waking an idle connection.
 func (e *Endpoint) enqueue(from *Endpoint, m *Message) {
 	if e.handler == nil {
 		panic("netsim: message delivered to endpoint without handler: " + e.name)
 	}
 	c, ok := e.rx[from]
 	if !ok {
-		c = &rxConn{q: sim.NewQueue[*Message](e.net.K, e.name+"<-"+from.name, 0)}
+		c = &rxConn{e: e, q: sim.NewQueue[*Message](e.net.K, e.name+"<-"+from.name, 0)}
+		c.ingress.Done, c.ingress.Arg = rxCharge, c
+		c.cpu.Done = rxFree
 		e.rx[from] = c
 		e.net.K.Go("msgr:"+e.name+"<-"+from.name, func(p *sim.Proc) {
 			e.receiveLoop(p, c)
 		})
 	}
 	c.q.TryPush(m) // unbounded queue: cannot fail
+	if c.idle {
+		c.idle = false
+		e.net.K.AfterCall(0, rxNext, c)
+	}
 }
 
-// receiveLoop is the per-connection messenger thread: it pays the
-// per-message CPU cost on the endpoint's node, then dispatches.
+func rxNext(a any) { a.(*rxConn).next() }
+
+// next starts the receive-side NIC serialization of the connection's next
+// message (all endpoints sharing the NIC drain the wire at the configured
+// bandwidth), or marks the connection idle.
+func (c *rxConn) next() {
+	m, ok := c.q.TryPop()
+	if !ok {
+		c.idle = true
+		return
+	}
+	c.m = m
+	e := c.e
+	e.nic.ingress.UseCall(&c.ingress, sim.Time(m.Size*int64(sim.Second)/e.net.Params.BytesPerSec))
+}
+
+// rxCharge runs when a message is off the wire: it charges the per-message
+// messenger CPU to the endpoint's node, which the receiver waits on.
+func rxCharge(a any) {
+	c := a.(*rxConn)
+	e := c.e
+	cpu := e.net.Params.MsgCPU
+	if f := e.net.Params.ConnCPUFactor; f > 0 {
+		cpu = sim.Time(float64(cpu) * (1 + f*float64(len(e.rx))/100))
+	}
+	e.node.UseCall(&c.cpu, cpu+e.node.AllocCost(e.net.Params.MsgAllocs))
+}
+
+// rxFree is the CPU charge's Done, which only a zero charge reaches.
+func rxFree(any) {
+	panic("netsim: a received message must cost CPU (MsgCPU or MsgAllocs > 0)")
+}
+
+// receiveLoop is the per-connection messenger process: it waits until a
+// message's CPU charge is served, then dispatches it and starts the next.
 func (e *Endpoint) receiveLoop(p *sim.Proc, c *rxConn) {
+	c.next()
 	for {
-		m, ok := c.q.Pop(p)
-		if !ok {
-			return
-		}
-		// Receive-side NIC serialization: all endpoints sharing this NIC
-		// drain the wire at the configured bandwidth.
-		rxT := sim.Time(m.Size * int64(sim.Second) / e.net.Params.BytesPerSec)
-		e.nic.ingress.Use(p, rxT)
-		cpu := e.net.Params.MsgCPU
-		if f := e.net.Params.ConnCPUFactor; f > 0 {
-			cpu = sim.Time(float64(cpu) * (1 + f*float64(len(e.rx))/100))
-		}
-		e.node.UseWithAllocs(p, cpu, e.net.Params.MsgAllocs)
+		c.cpu.Wait(p)
+		m := c.m
 		e.RxMsgs.Inc()
 		e.net.Msgs.Inc()
 		e.handler(p, m)
 		e.net.putMsg(m)
+		c.next()
 	}
 }
 

@@ -271,3 +271,33 @@ func TestEndpointAccessors(t *testing.T) {
 	}
 	_ = k
 }
+
+// TestMessengerSpawnsOnlyTheReceiver pins that only the part of the
+// messenger that blocks is a process: N messages A->B spawn one proc (B's
+// receiver for the connection) and resume it once per handled message,
+// plus once to start it. Sending, waiting for a message and wire
+// serialization are kernel callbacks.
+func TestMessengerSpawnsOnlyTheReceiver(t *testing.T) {
+	const n = 50
+	k, net, na, nb := testWorld()
+	a := net.NewEndpoint("a", na, true)
+	b := net.NewEndpoint("b", nb, true)
+	handled := 0
+	b.SetHandler(func(p *sim.Proc, m *Message) { handled++ })
+	k.Go("send", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			a.Send(p, b, 4096, 0, nil)
+		}
+	})
+	k.Run(sim.Forever)
+	if handled != n {
+		t.Fatalf("handled %d of %d", handled, n)
+	}
+	if k.Spawned() != 2 {
+		t.Fatalf("spawned %d procs, want 2 (the sender and B's receiver)", k.Spawned())
+	}
+	// The sender resumes once (its start), the receiver 1 + n.
+	if k.Resumes() != 2+n {
+		t.Fatalf("%d resumes, want %d", k.Resumes(), 2+n)
+	}
+}

@@ -123,6 +123,9 @@ type Logger struct {
 	q      *sim.Queue[batch]
 	cache  map[int]bool
 	stats  Stats
+	// idle holds the logger threads waiting for a batch, longest-waiting
+	// first: Log wakes the head.
+	idle []*thread
 	// sinceRotate counts entries written since the last rotation; logger
 	// threads run one-at-a-time under the sim kernel, so a plain field is
 	// race-free and keeps Rotations == floor(Entries/RotateEvery) exactly.
@@ -130,6 +133,15 @@ type Logger struct {
 	// evFree recycles Sync-mode completion events: once Wait returns the
 	// event has fired and nothing else references it.
 	evFree []*sim.Event
+}
+
+// thread is one logger thread, run as a chain of kernel callbacks: take a
+// batch, charge its entries, rotate while due, fire the batch's done
+// event, repeat; with the queue empty it joins the idle list.
+type thread struct {
+	l    *Logger
+	b    batch
+	work cpumodel.Work // the CPU charge in flight
 }
 
 // New creates a logger charging CPU to node.
@@ -151,7 +163,9 @@ func New(k *sim.Kernel, name string, node *cpumodel.Node, mode Mode, params Para
 	}
 	l.q = sim.NewQueue[batch](k, name+".logq", 0)
 	for i := 0; i < threads; i++ {
-		k.Go(name+".logger", l.loop)
+		t := &thread{l: l}
+		t.work.Arg = t
+		k.AfterCall(0, threadNext, t)
 	}
 	return l
 }
@@ -182,7 +196,7 @@ func (l *Logger) Log(p *sim.Proc, site, count int) {
 	case Sync:
 		done := l.getEvent()
 		t0 := p.Now()
-		l.q.Push(p, batch{site: site, count: count, done: done})
+		l.submit(batch{site: site, count: count, done: done})
 		done.Wait(p)
 		l.stats.BlockTime.Add(uint64(p.Now() - t0))
 		done.Reset()
@@ -192,7 +206,17 @@ func (l *Logger) Log(p *sim.Proc, site, count int) {
 			l.stats.Dropped.Add(uint64(count))
 			return
 		}
-		l.q.Push(p, batch{site: site, count: count})
+		l.submit(batch{site: site, count: count})
+	}
+}
+
+// submit queues b and wakes the longest-idle logger thread.
+func (l *Logger) submit(b batch) {
+	l.q.TryPush(b) // unbounded: never fails
+	if len(l.idle) > 0 {
+		t := l.idle[0]
+		l.idle = append(l.idle[:0], l.idle[1:]...)
+		l.k.AfterCall(0, threadNext, t)
 	}
 }
 
@@ -205,43 +229,63 @@ func (l *Logger) getEvent() *sim.Event {
 	return sim.NewEvent(l.k)
 }
 
-// loop is one logger thread.
-func (l *Logger) loop(p *sim.Proc) {
-	for {
-		b, ok := l.q.Pop(p)
-		if !ok {
-			return
-		}
-		cpu := l.params.EntryCPU
-		allocs := l.params.EntryAllocs
-		if l.params.LogCache {
-			if l.cache[b.site] {
-				cpu = l.params.CachedEntryCPU
-				allocs = l.params.CachedEntryAllocs
-				l.stats.CacheHits.Add(uint64(b.count))
-			} else {
-				l.cache[b.site] = true
-			}
-		}
-		l.node.UseWithAllocs(p, cpu*sim.Time(b.count), allocs*b.count)
-		l.stats.Entries.Add(uint64(b.count))
-		if l.params.RotateEvery > 0 {
-			l.sinceRotate += b.count
-			for l.sinceRotate >= l.params.RotateEvery {
-				l.sinceRotate -= l.params.RotateEvery
-				l.node.Use(p, l.params.RotateCPU)
-				l.stats.Rotations.Inc()
-			}
-		}
-		if b.done != nil {
-			b.done.Fire()
+func threadNext(a any) { a.(*thread).next() }
+
+// next takes the next batch and charges its entries, or, with the queue
+// empty, puts the thread at the back of the idle list (a thread woken for
+// a batch another thread took re-queues there too).
+func (t *thread) next() {
+	l := t.l
+	b, ok := l.q.TryPop()
+	if !ok {
+		l.idle = append(l.idle, t)
+		return
+	}
+	t.b = b
+	cpu := l.params.EntryCPU
+	allocs := l.params.EntryAllocs
+	if l.params.LogCache {
+		if l.cache[b.site] {
+			cpu = l.params.CachedEntryCPU
+			allocs = l.params.CachedEntryAllocs
+			l.stats.CacheHits.Add(uint64(b.count))
+		} else {
+			l.cache[b.site] = true
 		}
 	}
+	t.work.Done = threadCharged
+	l.node.UseCall(&t.work, cpu*sim.Time(b.count)+l.node.AllocCost(allocs*b.count))
 }
 
-// Close stops the logger threads (drains nothing further).
-func (l *Logger) Close() {
-	if l.q != nil {
-		l.q.Close()
+func threadCharged(a any) {
+	t := a.(*thread)
+	l := t.l
+	l.stats.Entries.Add(uint64(t.b.count))
+	if l.params.RotateEvery > 0 {
+		l.sinceRotate += t.b.count
 	}
+	t.rotate()
+}
+
+// rotate charges the next due rotation or, with none due, completes the
+// batch and moves on. Rotations are shared by all threads: another thread
+// may take a due rotation while this one waits for a core.
+func (t *thread) rotate() {
+	l := t.l
+	if l.params.RotateEvery > 0 && l.sinceRotate >= l.params.RotateEvery {
+		l.sinceRotate -= l.params.RotateEvery
+		t.work.Done = threadRotated
+		l.node.UseCall(&t.work, l.params.RotateCPU)
+		return
+	}
+	if t.b.done != nil {
+		t.b.done.Fire()
+	}
+	t.next()
+}
+
+func threadRotated(a any) {
+	t := a.(*thread)
+	t.l.stats.Rotations.Inc()
+	t.rotate()
 }

@@ -170,16 +170,29 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestClose(t *testing.T) {
-	k := sim.NewKernel()
-	l, _ := newLogger(k, Async, AFCephParams())
-	k.Go("io", func(p *sim.Proc) {
-		l.Log(p, 1, 1)
-		p.Sleep(sim.Millisecond)
-		l.Close()
-	})
-	k.Run(sim.Forever)
-	if k.Live() != 0 {
-		t.Fatalf("%d logger threads still alive after Close", k.Live())
+// TestNewSpawnsNoProc pins that the logger threads are kernel callbacks:
+// no mode spawns a process, and every resume belongs to the submitter —
+// its start, one SubmitCPU charge per Log, and in Sync mode one wake per
+// batch the logger completes.
+func TestNewSpawnsNoProc(t *testing.T) {
+	resumes := map[Mode]uint64{Off: 1, Sync: 1 + 10*2, Async: 1 + 10}
+	for _, mode := range []Mode{Off, Sync, Async} {
+		k := sim.NewKernel()
+		l, _ := newLogger(k, mode, AFCephParams())
+		if k.Spawned() != 0 {
+			t.Fatalf("%v: New spawned %d procs", mode, k.Spawned())
+		}
+		k.Go("io", func(p *sim.Proc) {
+			for i := 0; i < 10; i++ {
+				l.Log(p, i, 1)
+			}
+		})
+		k.Run(sim.Forever)
+		if k.Spawned() != 1 || k.Live() != 0 {
+			t.Fatalf("%v: spawned %d, live %d; want only the submitter", mode, k.Spawned(), k.Live())
+		}
+		if k.Resumes() != resumes[mode] {
+			t.Fatalf("%v: %d resumes, want %d", mode, k.Resumes(), resumes[mode])
+		}
 	}
 }

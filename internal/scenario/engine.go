@@ -81,7 +81,12 @@ type Result struct {
 	// Fairness is the Jain index over per-tenant measured throughput.
 	Fairness      float64
 	SimulatedTime sim.Time
-	PerfJSON      string
+	// Events and Resumes are the kernel's work counters at the end of the
+	// run (Kernel.Dispatched and Kernel.Resumes). They are not part of the
+	// fingerprint.
+	Events   uint64
+	Resumes  uint64
+	PerfJSON string
 }
 
 // agg is one measurement bucket (tenant, class or cluster).
@@ -362,6 +367,8 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 		AdmissionOn:   params.Admission.Enabled(),
 		RuntimeSec:    runtime.Seconds(),
 		SimulatedTime: k.Now(),
+		Events:        k.Dispatched(),
+		Resumes:       k.Resumes(),
 	}
 	for ti := range tenants {
 		t := &tenants[ti]

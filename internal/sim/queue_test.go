@@ -215,15 +215,6 @@ func TestResourceSerializesBeyondServers(t *testing.T) {
 	if fmt.Sprint(finish) != fmt.Sprint(want) {
 		t.Fatalf("finish = %v, want %v", finish, want)
 	}
-	if r.Ops() != 4 {
-		t.Fatalf("ops = %d", r.Ops())
-	}
-	if r.ServiceTime() != 4*Millisecond {
-		t.Fatalf("service = %v", r.ServiceTime())
-	}
-	if r.WaitTime() != 2*Millisecond {
-		t.Fatalf("wait = %v", r.WaitTime())
-	}
 }
 
 func TestResourceUtilization(t *testing.T) {
@@ -275,8 +266,13 @@ func TestResourceQueueHighWater(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		k.Go("u", func(p *Proc) { r.Use(p, Millisecond) })
 	}
+	// Once all 5 users have started, one holds the server and 4 queue.
+	k.Run(0)
+	if r.QueueLen() != 4 {
+		t.Fatalf("QueueLen = %d, want 4", r.QueueLen())
+	}
 	k.Run(Forever)
-	if r.MaxQueue() < 3 {
-		t.Fatalf("MaxQueue = %d, want >=3", r.MaxQueue())
+	if r.QueueLen() != 0 {
+		t.Fatalf("QueueLen = %d after drain", r.QueueLen())
 	}
 }

@@ -146,10 +146,14 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// semWaiter is a queued Acquire request.
+// semWaiter is a queued Acquire request: a parked process, or a callback
+// (fn, arg) queued by acquireCall at time since.
 type semWaiter struct {
-	p *Proc
-	n int64
+	p     *Proc
+	n     int64
+	fn    func(any)
+	arg   any
+	since Time
 }
 
 // Semaphore is a counting semaphore with FIFO granting; it models throttles
@@ -209,6 +213,36 @@ func (s *Semaphore) Acquire(p *Proc, n int64) {
 	s.waitTime += p.k.now - t0
 }
 
+// acquireCall is Acquire for callback models. It obtains n units and
+// reports true if they are free now; otherwise it queues fn(arg) behind the
+// waiting processes in the same FIFO and reports false. A queued callback is
+// granted with AfterCall(0, fn, arg) at the point where a process waiter
+// would be resumed, so it runs in the event slot that process's resume would
+// have used.
+func (s *Semaphore) acquireCall(n int64, fn func(any), arg any) bool {
+	s.acquires++
+	if s.capacity <= 0 {
+		return true
+	}
+	if s.waiters.len() == 0 && s.avail >= n {
+		s.avail -= n
+		return true
+	}
+	s.throttled++
+	s.waiters.push(semWaiter{n: n, fn: fn, arg: arg, since: s.k.now})
+	return false
+}
+
+// grant wakes a waiter whose units have been granted.
+func (s *Semaphore) grant(w semWaiter) {
+	if w.p != nil {
+		w.p.resumeAt(s.k.now)
+		return
+	}
+	s.waitTime += s.k.now - w.since
+	s.k.AfterCall(0, w.fn, w.arg)
+}
+
 // TryAcquire obtains n units without blocking and reports success.
 func (s *Semaphore) TryAcquire(n int64) bool {
 	if s.capacity <= 0 {
@@ -234,7 +268,7 @@ func (s *Semaphore) Release(n int64) {
 	for s.waiters.len() > 0 && s.avail >= s.waiters.peek().n {
 		w := s.waiters.pop()
 		s.avail -= w.n
-		w.p.resumeAt(s.k.now)
+		s.grant(w)
 	}
 }
 
@@ -245,7 +279,7 @@ func (s *Semaphore) Resize(capacity int64) {
 	if capacity <= 0 {
 		// Became unlimited: release everyone.
 		for s.waiters.len() > 0 {
-			s.waiters.pop().p.resumeAt(s.k.now)
+			s.grant(s.waiters.pop())
 		}
 		return
 	}

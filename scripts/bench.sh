@@ -11,9 +11,11 @@
 #   BENCH_OUT      result file (default BENCH_results.json)
 #
 # Each figure benchmark reports ns/op, allocs/op, the figure's headline
-# simulator outputs (IOPS, latency, speedup — gated exactly: they are
-# deterministic) and sim-wall-x, the simulated/wall time-compression ratio
-# (recorded, not gated). See cmd/benchgate for the gate rules.
+# simulator outputs (IOPS, latency, speedup), the kernel work it took
+# (sim-events and proc-resumes per op) — all gated exactly: they are
+# deterministic — and sim-wall-x, the simulated/wall time-compression ratio
+# (recorded, gated only by authored floors). See cmd/benchgate for the gate
+# rules.
 set -eu
 cd "$(dirname "$0")/.."
 
