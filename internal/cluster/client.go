@@ -60,7 +60,7 @@ func (c *Cluster) NewClient() *Client {
 		rnd: rng.New(c.Params.Seed ^ 0x9e3779b97f4a7c15*uint64(c.clients)),
 	}
 	cl.ep = c.Net.NewEndpoint(fmt.Sprintf("client%d", c.clients), node, c.Params.ClientNoDelay)
-	cl.ep.SetHandler(cl.handleReply)
+	cl.ep.SetReceiver(cl.handleReply)
 	c.clientList = append(c.clientList, cl)
 	return cl
 }
@@ -90,7 +90,8 @@ func (cl *Client) Retries() uint64 { return cl.retries }
 // extent was damaged. An EIO read returns (0, false) — never corrupt data.
 func (cl *Client) EIOs() uint64 { return cl.eios }
 
-func (cl *Client) handleReply(p *sim.Proc, m *netsim.Message) {
+// handleReply runs in kernel context (see netsim.Receiver).
+func (cl *Client) handleReply(m *netsim.Message) {
 	rep := m.Payload.(*osd.Reply)
 	pend, ok := cl.pending[rep.Op.ID]
 	if !ok {
@@ -188,8 +189,7 @@ func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, off, size int64
 		}
 		cl.ep.Send(p, primary.Endpoint(), wire, msgKind, op)
 		if timeout > 0 {
-			ev := pend.done
-			cl.c.K.After(timeout, func() { ev.Fire() }) // Fire is idempotent
+			cl.c.K.AfterCall(timeout, fireEvent, pend.done) // Fire is idempotent
 		}
 		pend.done.Wait(p)
 		if rep := pend.reply; rep != nil {
@@ -227,6 +227,8 @@ func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, off, size int64
 		cl.backoff(p, attempt)
 	}
 }
+
+func fireEvent(a any) { a.(*sim.Event).Fire() }
 
 func (cl *Client) getOp(pool bool) *osd.ClientOp {
 	if n := len(cl.opFree); pool && n > 0 {

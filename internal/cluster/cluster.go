@@ -264,7 +264,7 @@ func New(params Params) *Cluster {
 	// Installing the hook alone perturbs nothing — it fires only on damage.
 	for i := range c.osds {
 		id := i
-		c.osds[i].SetIntegrityNote(func(p *sim.Proc, oid string, kind int) {
+		c.osds[i].SetIntegrityNote(func(oid string, kind int) {
 			ik := IntegrityReadRepair
 			switch kind {
 			case osd.NoteRepaired:
@@ -272,7 +272,7 @@ func New(params Params) *Cluster {
 			case osd.NoteEIO:
 				ik = IntegrityEIO
 			}
-			c.noteIntegrity(p.Now(), id, oid, ik)
+			c.noteIntegrity(c.K.Now(), id, oid, ik)
 		})
 	}
 

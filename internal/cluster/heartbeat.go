@@ -49,7 +49,7 @@ func (c *Cluster) startHeartbeats() {
 	}
 	c.hb = hb
 	hb.monEp = c.Net.NewEndpointNIC("mon.hb", c.nodes[0], c.pubNICs[0], true)
-	hb.monEp.SetHandler(func(p *sim.Proc, m *netsim.Message) {
+	hb.monEp.SetReceiver(func(m *netsim.Message) {
 		if m.Kind != msgFail {
 			return
 		}
@@ -67,7 +67,7 @@ func (c *Cluster) startHeartbeats() {
 		node := c.nodes[i/c.Params.OSDsPerNode]
 		nic := c.clusterNICs[i/c.Params.OSDsPerNode]
 		hb.eps[i] = c.Net.NewEndpointNIC(fmt.Sprintf("osd%d.hb", i), node, nic, true)
-		hb.eps[i].SetHandler(func(p *sim.Proc, m *netsim.Message) { c.hbHandle(p, i, m) })
+		hb.eps[i].SetReceiver(func(m *netsim.Message) { c.hbHandle(i, m) })
 		hb.lastHeard[i] = make([]sim.Time, n)
 	}
 	for i := range c.osds {
@@ -76,17 +76,18 @@ func (c *Cluster) startHeartbeats() {
 	}
 }
 
-func (c *Cluster) hbHandle(p *sim.Proc, me int, m *netsim.Message) {
+// hbHandle is an OSD heartbeat endpoint's receiver (kernel context).
+func (c *Cluster) hbHandle(me int, m *netsim.Message) {
 	if c.osds[me].Crashed() {
 		return // a dead daemon answers nothing
 	}
 	switch m.Kind {
 	case msgPing:
 		pg := m.Payload.(*hbPing)
-		c.hb.eps[me].Send(p, c.hb.eps[pg.from], 64, msgPingAck, &hbAck{from: me})
+		c.hb.eps[me].Send(nil, c.hb.eps[pg.from], 64, msgPingAck, &hbAck{from: me})
 	case msgPingAck:
 		a := m.Payload.(*hbAck)
-		c.hb.lastHeard[me][a.from] = p.Now()
+		c.hb.lastHeard[me][a.from] = c.K.Now()
 	}
 }
 

@@ -55,7 +55,7 @@ func TestShardLocksAggregateStats(t *testing.T) {
 func dispatchWorld(usePending bool, workers int, items []int, procTime sim.Time) (map[int][]int, sim.Time, *DispatcherStats) {
 	k := sim.NewKernel()
 	locks := NewShardLocks(k, "pg")
-	d := NewDispatcher[int](k, "opwq", locks, 0, usePending)
+	d := NewDispatcher[int](k, "opwq", locks, usePending)
 	order := make(map[int][]int)
 	seq := 0
 	for w := 0; w < workers; w++ {
@@ -68,7 +68,7 @@ func dispatchWorld(usePending bool, workers int, items []int, procTime sim.Time)
 	}
 	k.Go("submitter", func(p *sim.Proc) {
 		for _, shard := range items {
-			d.Submit(p, shard, seq)
+			d.Submit(shard, seq)
 			seq++
 			p.Yield()
 		}
@@ -258,27 +258,5 @@ func TestThrottleConfigs(t *testing.T) {
 	}
 	if hdd.FilestoreQueueMaxOps != 50 {
 		t.Fatalf("stock filestore_queue_max_ops = %d, want 50", hdd.FilestoreQueueMaxOps)
-	}
-}
-
-func TestDispatcherQueueCapBackpressure(t *testing.T) {
-	k := sim.NewKernel()
-	locks := NewShardLocks(k, "pg")
-	d := NewDispatcher[int](k, "opwq", locks, 2, false)
-	var submitDone sim.Time
-	k.Go("submitter", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			d.Submit(p, 0, i) // third submit blocks until a worker pops
-		}
-		submitDone = p.Now()
-		d.Close()
-	})
-	k.Go("worker", func(p *sim.Proc) {
-		p.Sleep(5 * sim.Millisecond)
-		d.RunWorker(p, func(p *sim.Proc, shard, v int) {})
-	})
-	k.Run(sim.Forever)
-	if submitDone < 5*sim.Millisecond {
-		t.Fatalf("submit did not feel backpressure: done at %v", submitDone)
 	}
 }

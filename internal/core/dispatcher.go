@@ -42,19 +42,14 @@ type dispItem[T any] struct {
 	drain bool // wakeup token: try to drain the shard's pending queue
 }
 
-// NewDispatcher creates a dispatcher. queueCap bounds the ready queue
-// (<= 0 unbounded); usePending enables the pending-queue optimization.
-// Pending mode requires an unbounded ready queue (drain tokens must never
-// be dropped).
-func NewDispatcher[T any](k *sim.Kernel, name string, locks *ShardLocks, queueCap int, usePending bool) *Dispatcher[T] {
-	if usePending && queueCap > 0 {
-		panic("core: pending-queue mode requires an unbounded ready queue")
-	}
+// NewDispatcher creates a dispatcher with an unbounded ready queue;
+// usePending enables the pending-queue optimization.
+func NewDispatcher[T any](k *sim.Kernel, name string, locks *ShardLocks, usePending bool) *Dispatcher[T] {
 	return &Dispatcher[T]{
 		k:          k,
 		name:       name,
 		locks:      locks,
-		ready:      sim.NewQueue[dispItem[T]](k, name+".ready", queueCap),
+		ready:      sim.NewQueue[dispItem[T]](k, name+".ready", 0),
 		pending:    make(map[int][]T),
 		usePending: usePending,
 		hooked:     make(map[int]bool),
@@ -94,10 +89,10 @@ func (d *Dispatcher[T]) PendingLen() int {
 	return n
 }
 
-// Submit enqueues an item for its shard, blocking while the ready queue is
-// at capacity (this is where queue-cap throttles push back on messengers).
-func (d *Dispatcher[T]) Submit(p *sim.Proc, shard int, v T) {
-	d.ready.Push(p, dispItem[T]{shard: shard, val: v, at: p.Now()})
+// Submit enqueues an item for its shard. The ready queue is unbounded, so
+// Submit never blocks and may be called from kernel context.
+func (d *Dispatcher[T]) Submit(shard int, v T) {
+	d.ready.TryPush(dispItem[T]{shard: shard, val: v, at: d.k.Now()})
 }
 
 // Close wakes idle workers and lets them exit once the queue drains.

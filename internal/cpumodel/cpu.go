@@ -132,16 +132,6 @@ func workDone(a any) {
 	w.Done(w.Arg)
 }
 
-// Wait parks p until the charge a callback chain is about to make with
-// UseCall has been served; p then continues in the slot where Use would
-// have returned, and w.Done is not called. Wait must be called before the
-// charge reaches a core, and the charge must be positive (a zero charge
-// never resumes p).
-func (w *Work) Wait(p *sim.Proc) {
-	w.job.Wait(p)
-	w.n.busyTime.Add(uint64(w.d))
-}
-
 // AllocCost returns the CPU time for `count` small heap allocations under
 // the node's current allocator and load. The returned time should then be
 // charged via Use (callers usually fold it into a larger slice of work).

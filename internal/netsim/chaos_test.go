@@ -14,7 +14,7 @@ func TestPartitionDropsAndHealRestores(t *testing.T) {
 	src := net.NewEndpoint("src", na, true)
 	dst := net.NewEndpoint("dst", nb, true)
 	delivered := 0
-	dst.SetHandler(func(p *sim.Proc, m *Message) { delivered++ })
+	dst.SetReceiver(func(m *Message) { delivered++ })
 
 	net.Partition(src, dst)
 	if !net.Partitioned(src, dst) || !net.Partitioned(dst, src) {
@@ -59,7 +59,7 @@ func TestDeadSenderDropsQueuedMessages(t *testing.T) {
 	src := net.NewEndpoint("src", na, true)
 	dst := net.NewEndpoint("dst", nb, true)
 	delivered := 0
-	dst.SetHandler(func(p *sim.Proc, m *Message) { delivered++ })
+	dst.SetReceiver(func(m *Message) { delivered++ })
 
 	// The sender dies with messages still in its socket buffers: they must
 	// never reach the wire. A revived sender resumes delivering.
@@ -92,7 +92,7 @@ func TestChaosDropsAreSeededAndDeterministic(t *testing.T) {
 		k, net, na, nb := testWorld()
 		src := net.NewEndpoint("src", na, true)
 		dst := net.NewEndpoint("dst", nb, true)
-		dst.SetHandler(func(p *sim.Proc, m *Message) { delivered++ })
+		dst.SetReceiver(func(m *Message) { delivered++ })
 		net.SeedFaults(seed)
 		net.SetChaos(0.3, 0)
 		k.Go("send", func(p *sim.Proc) {
@@ -126,7 +126,7 @@ func TestChaosExtraDelayShiftsDelivery(t *testing.T) {
 		src := net.NewEndpoint("src", na, true)
 		dst := net.NewEndpoint("dst", nb, true)
 		var at sim.Time
-		dst.SetHandler(func(p *sim.Proc, m *Message) { at = p.Now() })
+		dst.SetReceiver(func(m *Message) { at = k.Now() })
 		net.SetChaos(0, extra)
 		k.Go("send", func(p *sim.Proc) { src.Send(p, dst, 4096, 0, nil) })
 		k.Run(sim.Forever)

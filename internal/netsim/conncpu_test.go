@@ -16,7 +16,7 @@ func msgCPUPerMessage(t *testing.T, conns int) float64 {
 	rx := cpumodel.NewNode(k, "rx", 64, cpumodel.JEMalloc)
 	tx := cpumodel.NewNode(k, "tx", 64, cpumodel.JEMalloc)
 	dst := net.NewEndpoint("dst", rx, true)
-	dst.SetHandler(func(p *sim.Proc, m *Message) {})
+	dst.SetReceiver(func(m *Message) {})
 	for i := 0; i < conns; i++ {
 		src := net.NewEndpoint(fmt.Sprintf("src%d", i), tx, true)
 		k.Go("send", func(p *sim.Proc) {

@@ -1,11 +1,14 @@
 // Package netsim models the cluster network: endpoints with finite NIC
 // bandwidth, propagation latency, an optional Nagle penalty for small
 // frames, and a Ceph-SimpleMessenger-style receive path that charges CPU
-// per message on per-connection receiver threads.
+// per message and per connection.
 //
 // Two paper observations depend on this model: disabling TCP_NODELAY on
 // KRBD hurts small random I/O (§3.2), and the messenger's per-connection
 // threads burn enough CPU to cap random-read scale-out at 16 nodes (§4.5).
+// The threads themselves are not simulated processes: each connection's
+// sender and receiver are chains of kernel callbacks, and the receiver's
+// handler runs in kernel context (see Receiver).
 package netsim
 
 import (
@@ -32,7 +35,6 @@ type Params struct {
 	// (SimpleMessenger dispatch: header parse, crc, throttle, dispatch).
 	MsgCPU sim.Time
 	// MsgAllocs is the number of small allocations per received message.
-	// A message must cost some CPU: MsgCPU or MsgAllocs must be positive.
 	MsgAllocs int
 	// ConnCPUFactor scales per-message CPU with the receiving endpoint's
 	// connection count: effective = MsgCPU * (1 + factor*conns/100).
@@ -76,8 +78,8 @@ type Network struct {
 	chaosRnd   *rng.Rand
 
 	// msgFree pools Message records: a message is recycled once its handler
-	// returns (handlers take payloads, never the wrapper) or when it is
-	// dropped before reaching the wire.
+	// is done with it (handlers take payloads, never the wrapper) or when it
+	// is dropped before reaching the wire.
 	msgFree []*Message
 }
 
@@ -122,8 +124,8 @@ func (n *Network) SetChaos(dropProb float64, extraDelay sim.Time) {
 }
 
 // Message is one transfer on the fabric. Message records are pooled by the
-// Network: handlers must not retain one past their return (the payload may
-// be retained freely).
+// Network: a receiver must not retain one past its return, or past its
+// Release if it held it (the payload may be retained freely).
 type Message struct {
 	From    *Endpoint
 	Size    int64
@@ -131,6 +133,7 @@ type Message struct {
 	Payload interface{}
 	SentAt  sim.Time
 	to      *Endpoint // delivery destination, set when handed to the wire
+	rx      *rxConn   // the connection handling it, set at delivery
 }
 
 func (n *Network) getMsg() *Message {
@@ -148,9 +151,32 @@ func (n *Network) putMsg(m *Message) {
 	n.msgFree = append(n.msgFree, m)
 }
 
-// Handler consumes delivered messages. It runs on the receiving
-// connection's messenger process; long work must be handed off to queues.
+// Receiver consumes delivered messages. It runs in kernel context, in the
+// callback that ends the message's messenger CPU charge, and must not
+// block. A receiver whose work must wait (a throttle, a chain of CPU
+// charges) calls m.Hold and continues in callbacks: the connection stays
+// stalled, as a SimpleMessenger reader thread blocked in dispatch would,
+// until the continuation calls m.Release. Other connections proceed.
+type Receiver func(m *Message)
+
+// Handler is the process-style consumer signature kept for SetHandler: it
+// is called in kernel context with a nil process and must not block.
 type Handler func(p *sim.Proc, m *Message)
+
+// Hold keeps the receiving connection stalled on m after the receiver
+// returns, until Release.
+func (m *Message) Hold() { m.rx.held = true }
+
+// Release ends the handling of a held message: the message is recycled and
+// the connection starts its next message at once. Called inside the
+// receiver, it cancels the Hold.
+func (m *Message) Release() {
+	c := m.rx
+	c.held = false
+	if !c.inRecv {
+		c.finish()
+	}
+}
 
 // NIC is one physical network interface: the transmit and receive
 // directions each serialize at the configured bandwidth. Endpoints on the
@@ -177,7 +203,7 @@ type Endpoint struct {
 	nic     *NIC
 	noDelay bool
 	dead    bool
-	handler Handler
+	recv    Receiver
 	rx      map[*Endpoint]*rxConn
 	tx      map[*Endpoint]*txConn
 	// RxMsgs counts messages received by this endpoint.
@@ -185,14 +211,16 @@ type Endpoint struct {
 }
 
 // rxConn is a connection's receive side (SimpleMessenger's per-connection
-// reader thread). Waiting for a message and serializing it off the wire are
-// callbacks; the connection's process parks on the message's CPU charge and
-// runs the handler, which may block.
+// reader thread), run as a chain of kernel callbacks: wait for a message,
+// serialize it off the wire, charge the messenger CPU, run the receiver,
+// and, once the message is released, start the next.
 type rxConn struct {
 	e       *Endpoint
 	q       *sim.Queue[*Message]
 	m       *Message // the message being received or handled
 	idle    bool     // waiting for a message: enqueue wakes the connection
+	inRecv  bool     // the receiver is running
+	held    bool     // the receiver holds m past its return
 	ingress sim.Job  // wire serialization of m; its Done is rxCharge
 	cpu     cpumodel.Work
 }
@@ -240,9 +268,13 @@ func (e *Endpoint) SetNoDelay(v bool) { e.noDelay = v }
 // NoDelay reports the TCP_NODELAY setting.
 func (e *Endpoint) NoDelay() bool { return e.noDelay }
 
-// SetHandler installs the message consumer. Must be set before any peer
+// SetReceiver installs the message consumer. Must be set before any peer
 // sends to this endpoint.
-func (e *Endpoint) SetHandler(h Handler) { e.handler = h }
+func (e *Endpoint) SetReceiver(r Receiver) { e.recv = r }
+
+// SetHandler installs a process-style consumer as a Receiver: h runs in
+// kernel context with a nil process, so it must not block.
+func (e *Endpoint) SetHandler(h Handler) { e.recv = func(m *Message) { h(nil, m) } }
 
 // SetDead marks the endpoint's process crashed: messages still queued in
 // its outbound connections are dropped instead of delivered (the host's
@@ -257,7 +289,7 @@ func (e *Endpoint) Dead() bool { return e.dead }
 // connection's sender serializes the transfer onto the NIC
 // (SimpleMessenger semantics — I/O threads never block on the wire).
 // Per-connection ordering is preserved. kind and payload travel with the
-// message.
+// message. Send does not use p, so kernel-context callers pass nil.
 func (e *Endpoint) Send(p *sim.Proc, dst *Endpoint, size int64, kind int, payload interface{}) {
 	if size <= 0 {
 		size = 1
@@ -269,7 +301,7 @@ func (e *Endpoint) Send(p *sim.Proc, dst *Endpoint, size int64, kind int, payloa
 		e.tx[dst] = c
 	}
 	m := e.net.getMsg()
-	m.From, m.Size, m.Kind, m.Payload, m.SentAt = e, size, kind, payload, p.Now()
+	m.From, m.Size, m.Kind, m.Payload, m.SentAt = e, size, kind, payload, e.net.K.Now()
 	c.q.TryPush(m) // unbounded: never blocks the caller
 	if !c.busy {
 		c.busy = true
@@ -331,21 +363,18 @@ func deliverMsg(a any) {
 }
 
 // enqueue runs in kernel context: append to the per-connection receive
-// queue, creating the connection's messenger process on first contact and
-// waking an idle connection.
+// queue, creating the connection on first contact and waking an idle
+// connection.
 func (e *Endpoint) enqueue(from *Endpoint, m *Message) {
-	if e.handler == nil {
+	if e.recv == nil {
 		panic("netsim: message delivered to endpoint without handler: " + e.name)
 	}
 	c, ok := e.rx[from]
 	if !ok {
-		c = &rxConn{e: e, q: sim.NewQueue[*Message](e.net.K, e.name+"<-"+from.name, 0)}
+		c = &rxConn{e: e, q: sim.NewQueue[*Message](e.net.K, e.name+"<-"+from.name, 0), idle: true}
 		c.ingress.Done, c.ingress.Arg = rxCharge, c
-		c.cpu.Done = rxFree
+		c.cpu.Done, c.cpu.Arg = rxHandle, c
 		e.rx[from] = c
-		e.net.K.Go("msgr:"+e.name+"<-"+from.name, func(p *sim.Proc) {
-			e.receiveLoop(p, c)
-		})
 	}
 	c.q.TryPush(m) // unbounded queue: cannot fail
 	if c.idle {
@@ -371,7 +400,7 @@ func (c *rxConn) next() {
 }
 
 // rxCharge runs when a message is off the wire: it charges the per-message
-// messenger CPU to the endpoint's node, which the receiver waits on.
+// messenger CPU to the endpoint's node.
 func rxCharge(a any) {
 	c := a.(*rxConn)
 	e := c.e
@@ -382,26 +411,30 @@ func rxCharge(a any) {
 	e.node.UseCall(&c.cpu, cpu+e.node.AllocCost(e.net.Params.MsgAllocs))
 }
 
-// rxFree is the CPU charge's Done, which only a zero charge reaches.
-func rxFree(any) {
-	panic("netsim: a received message must cost CPU (MsgCPU or MsgAllocs > 0)")
-}
-
-// receiveLoop is the per-connection messenger process: it waits until a
-// message's CPU charge is served, then dispatches it and starts the next.
-func (e *Endpoint) receiveLoop(p *sim.Proc, c *rxConn) {
-	c.next()
-	for {
-		c.cpu.Wait(p)
-		m := c.m
-		e.RxMsgs.Inc()
-		e.net.Msgs.Inc()
-		e.handler(p, m)
-		e.net.putMsg(m)
-		c.next()
+// rxHandle runs when the message's CPU charge is served: it hands the
+// message to the receiver and, unless the receiver holds it, recycles it
+// and starts the next.
+func rxHandle(a any) {
+	c := a.(*rxConn)
+	e, m := c.e, c.m
+	e.RxMsgs.Inc()
+	e.net.Msgs.Inc()
+	m.rx = c
+	c.inRecv = true
+	e.recv(m)
+	c.inRecv = false
+	if !c.held {
+		c.finish()
 	}
 }
 
+// finish recycles the handled message and starts the connection's next.
+func (c *rxConn) finish() {
+	c.e.net.putMsg(c.m)
+	c.m = nil
+	c.next()
+}
+
 // Connections returns how many distinct peers have sent to this endpoint
-// (== live messenger receiver threads).
+// (== SimpleMessenger's per-connection reader threads).
 func (e *Endpoint) Connections() int { return len(e.rx) }

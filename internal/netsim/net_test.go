@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cpumodel"
@@ -24,10 +25,10 @@ func TestSendDeliversPayload(t *testing.T) {
 	var got Message
 	var delivered bool
 	var at sim.Time
-	dst.SetHandler(func(p *sim.Proc, m *Message) {
+	dst.SetReceiver(func(m *Message) {
 		got = *m
 		delivered = true
-		at = p.Now()
+		at = k.Now()
 	})
 	k.Go("send", func(p *sim.Proc) {
 		src.Send(p, dst, 4096, 7, "hello")
@@ -50,7 +51,7 @@ func TestNagleDelaysSmallMessages(t *testing.T) {
 		src := net.NewEndpoint("src", na, noDelay)
 		dst := net.NewEndpoint("dst", nb, true)
 		var at sim.Time
-		dst.SetHandler(func(p *sim.Proc, m *Message) { at = p.Now() })
+		dst.SetReceiver(func(m *Message) { at = k.Now() })
 		k.Go("send", func(p *sim.Proc) { src.Send(p, dst, size, 0, nil) })
 		k.Run(sim.Forever)
 		return at
@@ -75,9 +76,9 @@ func TestNICSerializesBandwidth(t *testing.T) {
 	dst := net.NewEndpoint("dst", nb, true)
 	received := 0
 	var lastDelivery sim.Time
-	dst.SetHandler(func(p *sim.Proc, m *Message) {
+	dst.SetReceiver(func(m *Message) {
 		received++
-		lastDelivery = p.Now()
+		lastDelivery = k.Now()
 	})
 	var sendDone sim.Time
 	k.Go("send", func(p *sim.Proc) {
@@ -107,7 +108,7 @@ func TestMessengerChargesCPU(t *testing.T) {
 	k, net, na, nb := testWorld()
 	src := net.NewEndpoint("src", na, true)
 	dst := net.NewEndpoint("dst", nb, true)
-	dst.SetHandler(func(p *sim.Proc, m *Message) {})
+	dst.SetReceiver(func(m *Message) {})
 	k.Go("send", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			src.Send(p, dst, 4096, 0, nil)
@@ -127,7 +128,7 @@ func TestPerConnectionOrderingPreserved(t *testing.T) {
 	src := net.NewEndpoint("src", na, true)
 	dst := net.NewEndpoint("dst", nb, true)
 	var got []int
-	dst.SetHandler(func(p *sim.Proc, m *Message) { got = append(got, m.Kind) })
+	dst.SetReceiver(func(m *Message) { got = append(got, m.Kind) })
 	k.Go("send", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
 			src.Send(p, dst, 4096, i, nil)
@@ -147,7 +148,7 @@ func TestPerConnectionOrderingPreserved(t *testing.T) {
 func TestConnectionsTracked(t *testing.T) {
 	k, net, na, nb := testWorld()
 	dst := net.NewEndpoint("dst", nb, true)
-	dst.SetHandler(func(p *sim.Proc, m *Message) {})
+	dst.SetReceiver(func(m *Message) {})
 	for i := 0; i < 5; i++ {
 		src := net.NewEndpoint("src", na, true)
 		k.Go("send", func(p *sim.Proc) { src.Send(p, dst, 100, 0, nil) })
@@ -163,7 +164,7 @@ func TestZeroSizeMessageClamped(t *testing.T) {
 	src := net.NewEndpoint("src", na, true)
 	dst := net.NewEndpoint("dst", nb, true)
 	n := 0
-	dst.SetHandler(func(p *sim.Proc, m *Message) { n++ })
+	dst.SetReceiver(func(m *Message) { n++ })
 	k.Go("send", func(p *sim.Proc) { src.Send(p, dst, 0, 0, nil) })
 	k.Run(sim.Forever)
 	if n != 1 {
@@ -192,7 +193,7 @@ func TestManyConnectionsSaturateCPU(t *testing.T) {
 	nodeRx := cpumodel.NewNode(k, "rx", 1, cpumodel.JEMalloc)
 	nodeTx := cpumodel.NewNode(k, "tx", 64, cpumodel.JEMalloc)
 	dst := net.NewEndpoint("dst", nodeRx, true)
-	dst.SetHandler(func(p *sim.Proc, m *Message) {})
+	dst.SetReceiver(func(m *Message) {})
 	for i := 0; i < 16; i++ {
 		src := net.NewEndpoint("src", nodeTx, true)
 		k.Go("send", func(p *sim.Proc) {
@@ -225,17 +226,17 @@ func TestSharedNICSerializesAcrossEndpoints(t *testing.T) {
 		srcB := net.NewEndpointNIC("srcB", tx, nicB, true)
 		var last sim.Time
 		done := 0
-		handler := func(p *sim.Proc, m *Message) {
+		handler := func(m *Message) {
 			done++
-			if p.Now() > last {
-				last = p.Now()
+			if k.Now() > last {
+				last = k.Now()
 			}
 		}
 		// Separate receive NICs so only the send side differs.
 		dstA := net.NewEndpoint("dstA", rx, true)
-		dstA.SetHandler(handler)
+		dstA.SetReceiver(handler)
 		dstB := net.NewEndpoint("dstB", rx, true)
-		dstB.SetHandler(handler)
+		dstB.SetReceiver(handler)
 		k.Go("sendA", func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
 				srcA.Send(p, dstA, 1<<20, 0, nil)
@@ -272,32 +273,82 @@ func TestEndpointAccessors(t *testing.T) {
 	_ = k
 }
 
-// TestMessengerSpawnsOnlyTheReceiver pins that only the part of the
-// messenger that blocks is a process: N messages A->B spawn one proc (B's
-// receiver for the connection) and resume it once per handled message,
-// plus once to start it. Sending, waiting for a message and wire
-// serialization are kernel callbacks.
-func TestMessengerSpawnsOnlyTheReceiver(t *testing.T) {
+// TestMessengerSpawnsNoProcess pins that the messenger is all callbacks:
+// N messages A->B, sent and handled in kernel context, spawn no process
+// and resume none. It installs the consumer through the SetHandler
+// adapter, which passes a nil process.
+func TestMessengerSpawnsNoProcess(t *testing.T) {
 	const n = 50
 	k, net, na, nb := testWorld()
 	a := net.NewEndpoint("a", na, true)
 	b := net.NewEndpoint("b", nb, true)
 	handled := 0
-	b.SetHandler(func(p *sim.Proc, m *Message) { handled++ })
-	k.Go("send", func(p *sim.Proc) {
+	b.SetHandler(func(p *sim.Proc, m *Message) {
+		if p != nil {
+			t.Error("SetHandler passed a process")
+		}
+		handled++
+	})
+	k.After(0, func() {
 		for i := 0; i < n; i++ {
-			a.Send(p, b, 4096, 0, nil)
+			a.Send(nil, b, 4096, 0, nil)
 		}
 	})
 	k.Run(sim.Forever)
 	if handled != n {
 		t.Fatalf("handled %d of %d", handled, n)
 	}
-	if k.Spawned() != 2 {
-		t.Fatalf("spawned %d procs, want 2 (the sender and B's receiver)", k.Spawned())
+	if k.Spawned() != 0 || k.Resumes() != 0 {
+		t.Fatalf("spawned %d procs and resumed %d, want none", k.Spawned(), k.Resumes())
 	}
-	// The sender resumes once (its start), the receiver 1 + n.
-	if k.Resumes() != 2+n {
-		t.Fatalf("%d resumes, want %d", k.Resumes(), 2+n)
+}
+
+// TestHeldMessageStallsOnlyItsConnection holds A's first message at B for
+// 10ms: A's later messages wait behind it in FIFO order, C's connection to
+// B proceeds meanwhile, and a Release inside the receiver cancels a Hold.
+func TestHeldMessageStallsOnlyItsConnection(t *testing.T) {
+	k, net, na, nb := testWorld()
+	a := net.NewEndpoint("a", na, true)
+	c := net.NewEndpoint("c", na, true)
+	b := net.NewEndpoint("b", nb, true)
+	var got []string
+	var released, a1 sim.Time
+	b.SetReceiver(func(m *Message) {
+		got = append(got, fmt.Sprintf("%s%d", m.From.Name(), m.Kind))
+		if m.From == a && m.Kind == 1 {
+			a1 = k.Now()
+		}
+		switch {
+		case m.From == a && m.Kind == 0:
+			m.Hold()
+			k.After(10*sim.Millisecond, func() {
+				released = k.Now()
+				m.Release()
+			})
+		case m.From == c && m.Kind == 0:
+			m.Hold()
+			m.Release()
+		}
+	})
+	spawned := k.Spawned()
+	k.After(0, func() {
+		for i := 0; i < 3; i++ {
+			a.Send(nil, b, 4096, i, nil)
+			c.Send(nil, b, 4096, i, nil)
+		}
+	})
+	k.Run(sim.Forever)
+	want := "[a0 c0 c1 c2 a1 a2]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("handled %v, want %v", got, want)
+	}
+	if released == 0 || a1 < released {
+		t.Fatalf("a1 handled at %v, before the release at %v", a1, released)
+	}
+	if k.Spawned() != spawned {
+		t.Fatalf("traffic spawned %d procs", k.Spawned()-spawned)
+	}
+	if b.RxMsgs.Value() != 6 || net.Msgs.Value() != 6 {
+		t.Fatalf("rx %d msgs %d, want 6", b.RxMsgs.Value(), net.Msgs.Value())
 	}
 }

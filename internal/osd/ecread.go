@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/filestore"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -17,7 +18,8 @@ import (
 //
 // The protocol mirrors read-repair: MsgShardRead rides the holder's PG
 // queue like a replication sub-op; MsgShardReadReply is handled in
-// messenger context at the primary like a fast ack. The client op stays
+// messenger context at the primary like a fast ack (a msgChain, see
+// ecPumpStep). The client op stays
 // parked on the primary holding its msgCap token until the assembled reply
 // (or the EIO) releases it. A damaged or absent shard is never served:
 // absence is a usable answer (the stripe may predate the extent), damage is
@@ -71,39 +73,75 @@ func (o *OSD) processECRead(p *sim.Proc, eng *engine, op *ClientOp) {
 // ecPump drives the gather: it keeps `need` shard reads in flight while
 // untried candidates remain, serves the client once k usable answers are
 // in, and fails with EIO when the acting set is exhausted short of k.
-// Called from the primary worker (initial launch, local read inline) and
-// from messenger context on each shard reply.
+// Called from the primary worker for the initial launch (local read
+// inline); each shard reply pumps in messenger context (ecPumpStep).
 func (o *OSD) ecPump(p *sim.Proc, eng *engine, g *ecGather) {
-	set := o.shardPlacer(g.op.PG)
-	for !g.done && g.need > 0 && g.out < g.need && g.next < len(set) {
-		idx := g.next
-		g.next++
-		t := set[idx]
-		if t.EP == nil && !t.Self {
-			continue // down member: never launched, never counted
-		}
-		g.out++
-		if t.Self {
+	o.ecPumpSet(p, eng, g, o.shardPlacer(g.op.PG))
+}
+
+// ecPumpSet is ecPump over an acting set already looked up.
+func (o *OSD) ecPumpSet(p *sim.Proc, eng *engine, g *ecGather, set []ShardTarget) {
+	for idx := g.nextLaunch(set); idx >= 0; idx = g.nextLaunch(set) {
+		if set[idx].Self {
 			o.localShardRead(p, eng, g, idx)
 		} else {
 			o.node.Use(p, o.cfg.Costs.RepSendCPU)
-			sr := &shardRead{op: g.op, primary: o.cep, gen: eng.gen, idx: idx, g: g}
-			o.cep.Send(p, t.EP, 200, MsgShardRead, sr)
+			o.sendShardRead(eng, g, idx, set[idx].EP)
 		}
 	}
-	if g.done {
-		return
-	}
-	if g.need == 0 {
+	switch g.settle() {
+	case ecReady:
 		o.ecServe(p, eng, g)
-		return
+	case ecUnreadable:
+		o.sendEIO(p, eng, g.op)
 	}
-	if g.out == 0 {
+}
+
+// nextLaunch advances the gather to its next launch and returns the
+// acting-set slot to read, or -1 when none is due. Down members are never
+// launched, never counted.
+func (g *ecGather) nextLaunch(set []ShardTarget) int {
+	for !g.done && g.need > 0 && g.out < g.need && g.next < len(set) {
+		idx := g.next
+		g.next++
+		if t := set[idx]; t.EP == nil && !t.Self {
+			continue
+		}
+		g.out++
+		return idx
+	}
+	return -1
+}
+
+// What a gather does once no launch is due (settle).
+const (
+	ecWait       = iota // answers are outstanding, or the gather is over
+	ecReady             // k usable answers are in: serve the client
+	ecUnreadable        // fewer than k usable and none outstanding: EIO
+)
+
+// settle decides the gather's next step once no launch is due, marking it
+// done when it serves or fails.
+func (g *ecGather) settle() int {
+	switch {
+	case g.done:
+		return ecWait
+	case g.need == 0:
+		g.done = true
+		return ecReady
+	case g.out == 0:
 		// Every candidate answered or was down and fewer than k shards are
 		// usable: the stripe is unreadable right now.
 		g.done = true
-		o.sendEIO(p, eng, g.op)
+		return ecUnreadable
 	}
+	return ecWait
+}
+
+// sendShardRead asks the member at acting-set slot idx for its shard.
+func (o *OSD) sendShardRead(eng *engine, g *ecGather, idx int, ep *netsim.Endpoint) {
+	sr := &shardRead{op: g.op, primary: o.cep, gen: eng.gen, idx: idx, g: g}
+	o.cep.Send(nil, ep, 200, MsgShardRead, sr)
 }
 
 // localShardRead reads this OSD's own shard inline (worker context, PG
@@ -151,13 +189,12 @@ func (o *OSD) processShardRead(p *sim.Proc, eng *engine, sr *shardRead) {
 			}
 		}
 	}
-	o.cep.Send(p, sr.primary, shardLen+c.ReadReplyOverhead, MsgShardReadReply, reply)
+	o.cep.Send(nil, sr.primary, shardLen+c.ReadReplyOverhead, MsgShardReadReply, reply)
 }
 
 // handleShardReadReply folds a holder's answer into the gather at the
-// primary (messenger context) and pumps the next step.
-func (o *OSD) handleShardReadReply(p *sim.Proc, srr *shardReadReply) {
-	eng := o.eng
+// primary (messenger context) and pumps the next step in a msgChain.
+func (o *OSD) handleShardReadReply(eng *engine, m *netsim.Message, srr *shardReadReply) {
 	g := srr.sr.g
 	if g.done {
 		return // already served or EIOed; late answer
@@ -169,34 +206,46 @@ func (o *OSD) handleShardReadReply(p *sim.Proc, srr *shardReadReply) {
 			g.healState, g.healOK = srr.state, true
 		}
 	}
-	o.ecPump(p, eng, g)
+	ch := o.getChain(eng, m)
+	ch.g, ch.set = g, o.shardPlacer(g.op.PG)
+	ecPumpStep(ch)
 }
 
-// ecServe replies to the client from k gathered shards, charging the
-// reconstruction CPU when any gathered shard is parity (i.e. the used set
-// is not the canonical first-k data set), then queues the heal of a
-// damaged local shard off the read path.
+// ecServe replies to the client from k gathered shards once settle marked
+// the gather done, charging the reconstruction CPU first.
 func (o *OSD) ecServe(p *sim.Proc, eng *engine, g *ecGather) {
-	g.done = true
-	op := g.op
-	oid := op.OID
-	c := &o.cfg.Costs
+	o.node.Use(p, o.ecDecodeCost(g))
+	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
+	o.ecReply(eng, g)
+}
+
+// ecDecodeCost is the reconstruction CPU of a served gather: zero unless
+// the extent exists and a gathered shard is parity (the used set is not
+// the canonical first-k data set).
+func (o *OSD) ecDecodeCost(g *ecGather) sim.Time {
 	k := o.pol.DataShards()
 	dataMask := uint64(1)<<uint(k) - 1
-	if g.exists && g.usedMask&dataMask != dataMask {
-		lost := k - bits.OnesCount64(g.usedMask&dataMask)
-		o.node.Use(p, o.pol.DecodeCost(op.Len, lost))
+	if !g.exists || g.usedMask&dataMask == dataMask {
+		return 0
 	}
-	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
+	lost := k - bits.OnesCount64(g.usedMask&dataMask)
+	return o.pol.DecodeCost(g.op.Len, lost)
+}
+
+// ecReply sends the assembled read to the client, then queues the heal of
+// a damaged local shard off the read path.
+func (o *OSD) ecReply(eng *engine, g *ecGather) {
+	op := g.op
+	oid := op.OID
 	rep := o.newReply()
 	rep.Op, rep.Stamp, rep.Exists = op, g.stamp, g.exists
-	o.ep.Send(p, op.Client, op.Len+c.ReadReplyOverhead, MsgReply, rep)
+	o.ep.Send(nil, op.Client, op.Len+o.cfg.Costs.ReadReplyOverhead, MsgReply, rep)
 	eng.msgCap.Release(1)
 	// The client is served; op must not be referenced past this point.
 	if g.localDamaged && g.healOK {
 		o.metrics.ReadRepairs.Inc()
 		if o.integrityNote != nil {
-			o.integrityNote(p, oid, NoteReadRepair)
+			o.integrityNote(oid, NoteReadRepair)
 		}
 		o.queueRepair(g.healState, oid)
 	}

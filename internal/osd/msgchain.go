@@ -1,0 +1,226 @@
+package osd
+
+import (
+	"fmt"
+
+	"repro/internal/cpumodel"
+	"repro/internal/netsim"
+	"repro/internal/oslog"
+	"repro/internal/sim"
+)
+
+// msgChain runs the part of a message handler that must wait, in kernel
+// callbacks. handleMessage runs in kernel context (netsim.Receiver) and
+// never blocks; where a SimpleMessenger thread would block — on the
+// client-message throttle, on a CPU charge, on a Sync-mode log — the chain
+// takes over and holds the message, so its connection stays stalled, as
+// behind a blocked thread, until end releases it. Every charge is a
+// cpumodel.UseCall or oslog.LogCall and the throttle wait a
+// sim.Semaphore.AcquireCall, so each step runs in the event slot where a
+// thread would resume, and the simulation is the same as with one.
+//
+// The chains, by message:
+//   - MsgWrite/MsgRead: msgCap grant, then queue to the OP_WQ (intakeGranted).
+//   - MsgRepCommit with OptFastAck: CommitFastCPU, the commit bookkeeping,
+//     then per ack AckCPU and the ack's log (fastAckCharged, ackStep).
+//   - MsgShardReadReply: per shard launch RepSendCPU; then the decode CPU
+//     and log of the reply, or the EIO's log (ecPumpStep).
+//   - MsgRepReadReply: RepSendCPU toward the next replica, the EIO's log,
+//     or ReadCPU and the log of the substitute reply (handleRepReadReply).
+type msgChain struct {
+	o    *OSD
+	eng  *engine
+	m    *netsim.Message
+	step func(*msgChain) // run when the charge in flight completes
+	work cpumodel.Work
+	log  oslog.Call
+
+	op     *ClientOp // intake: the client op; ack and EIO: the op replied to
+	rc     *repCommit
+	acks   ackRun
+	g      *ecGather
+	set    []ShardTarget
+	idx    int
+	rrr    *repReadReply
+	target *netsim.Endpoint // the peer the next fetch goes to
+}
+
+// getChain starts a chain for m, which it holds.
+func (o *OSD) getChain(eng *engine, m *netsim.Message) *msgChain {
+	var ch *msgChain
+	if n := len(o.chFree); n > 0 {
+		ch = o.chFree[n-1]
+		o.chFree = o.chFree[:n-1]
+	} else {
+		ch = &msgChain{o: o}
+		ch.work.Done, ch.work.Arg = chainStep, ch
+		ch.log.Done, ch.log.Arg = chainStep, ch
+	}
+	ch.eng, ch.m = eng, m
+	m.Hold()
+	return ch
+}
+
+// end recycles the chain and releases its message: the connection moves on
+// to its next message at once, as the messenger thread did on return.
+func (ch *msgChain) end() { ch.free().Release() }
+
+// free recycles the chain and returns its message, still held.
+func (ch *msgChain) free() *netsim.Message {
+	o, m := ch.o, ch.m
+	w, l := ch.work, ch.log
+	*ch = msgChain{o: o, work: w, log: l}
+	o.chFree = append(o.chFree, ch)
+	return m
+}
+
+// charge occupies a core for d on the chain's behalf, then runs step.
+func (ch *msgChain) charge(d sim.Time, step func(*msgChain)) {
+	ch.step = step
+	ch.o.node.UseCall(&ch.work, d)
+}
+
+// logStep emits the per-stage log entries of site, then runs step.
+func (ch *msgChain) logStep(site int, step func(*msgChain)) {
+	ch.step = step
+	ch.o.logger.LogCall(&ch.log, site, ch.o.cfg.LogPerStage)
+}
+
+func chainStep(a any) {
+	ch := a.(*msgChain)
+	ch.step(ch)
+}
+
+// intakeGranted queues a client op once it holds a msgCap token.
+func intakeGranted(a any) {
+	ch := a.(*msgChain)
+	o, eng, cop := ch.o, ch.eng, ch.op
+	if o.gen == eng.gen { // else crashed while throttled
+		cop.tr.Stamp(StageQueued, o.k.Now())
+		o.enqueue(eng, workItem{cop: cop})
+	}
+	ch.end()
+}
+
+// fastAckCharged records a replica commit once CommitFastCPU is paid and
+// sends the acks it releases.
+func fastAckCharged(ch *msgChain) {
+	o, op := ch.o, ch.rc.parent
+	if o.commitsDone(op, true) {
+		o.startAcks(&ch.acks, op)
+	}
+	ackStep(ch)
+}
+
+// ackStep is sendAck for the chain's next ack; with none left, the chain
+// ends.
+func ackStep(ch *msgChain) {
+	o := ch.o
+	for {
+		op := o.nextAck(&ch.acks)
+		if op == nil {
+			o.putRepCommit(ch.rc)
+			ch.end()
+			return
+		}
+		if !op.acked {
+			op.acked = true
+			ch.op = op
+			ch.charge(o.cfg.Costs.AckCPU, ackCharged)
+			return
+		}
+	}
+}
+
+func ackCharged(ch *msgChain) { ch.logStep(siteAck, ackLogged) }
+
+func ackLogged(ch *msgChain) {
+	ch.o.finishAck(ch.op)
+	ackStep(ch)
+}
+
+// eio is sendEIO for the chain: it fails op's read and ends the chain.
+func (ch *msgChain) eio(op *ClientOp) {
+	ch.o.metrics.EIOs.Inc()
+	ch.op = op
+	ch.logStep(siteAck, eioLogged)
+}
+
+func eioLogged(ch *msgChain) {
+	ch.o.eioReply(ch.eng, ch.op)
+	ch.end()
+}
+
+// ecPumpStep is ecPump for the chain over ch.set: it charges each shard
+// launch, then serves the client or fails the read.
+//
+// The local shard is not launched from here in practice. The client sends
+// to the first up member of the acting set, so the worker's first pump
+// launches the local shard before any peer. A reply reaches it only if k
+// members ahead of it in canonical order were all down when the client
+// sent and came back up before the worker pumped, and one of their
+// answers is unusable. That case stays exact: the local read is device
+// I/O, so the rest of the gather moves to a process started in this event
+// slot, which reads the shard and finishes the pump as the messenger
+// thread did.
+func ecPumpStep(ch *msgChain) {
+	o, g, set := ch.o, ch.g, ch.set
+	if idx := g.nextLaunch(set); idx >= 0 {
+		if set[idx].Self {
+			eng := ch.eng
+			m := ch.free()
+			o.k.GoNow(fmt.Sprintf("osd%d.ecgather", o.cfg.ID), func(p *sim.Proc) {
+				o.localShardRead(p, eng, g, idx)
+				o.ecPumpSet(p, eng, g, set)
+				m.Release()
+			})
+			return
+		}
+		ch.idx = idx
+		ch.charge(o.cfg.Costs.RepSendCPU, ecShardSent)
+		return
+	}
+	switch g.settle() {
+	case ecReady:
+		ch.charge(o.ecDecodeCost(g), ecDecoded)
+	case ecUnreadable:
+		ch.eio(g.op)
+	default:
+		ch.end()
+	}
+}
+
+func ecShardSent(ch *msgChain) {
+	ch.o.sendShardRead(ch.eng, ch.g, ch.idx, ch.set[ch.idx].EP)
+	ecPumpStep(ch)
+}
+
+func ecDecoded(ch *msgChain) { ch.logStep(siteAck, ecLogged) }
+
+func ecLogged(ch *msgChain) {
+	ch.o.ecReply(ch.eng, ch.g)
+	ch.end()
+}
+
+// repReadStep forwards the chain's repair fetch to the next untried
+// replica, or fails the read with EIO when none are left.
+func repReadStep(ch *msgChain) {
+	rr := ch.rrr.rr
+	if ch.target = ch.o.repReadTarget(rr); ch.target == nil {
+		ch.eio(rr.op)
+		return
+	}
+	ch.charge(ch.o.cfg.Costs.RepSendCPU, repReadSent)
+}
+
+func repReadSent(ch *msgChain) {
+	ch.o.cep.Send(nil, ch.target, 200, MsgRepRead, ch.rrr.rr)
+	ch.end()
+}
+
+func repairRead(ch *msgChain) { ch.logStep(siteAck, repairLogged) }
+
+func repairLogged(ch *msgChain) {
+	ch.o.repairReply(ch.eng, ch.rrr)
+	ch.end()
+}

@@ -149,7 +149,7 @@ type OSD struct {
 	// integrityNote reports damage events (read-repair, heal, EIO) to the
 	// cluster's integrity log; nil when nobody listens. repairing dedups
 	// concurrent read-repairs of the same object.
-	integrityNote func(p *sim.Proc, oid string, kind int)
+	integrityNote func(oid string, kind int)
 	repairing     map[string]bool
 
 	// adm is the per-tenant admission-control enforcement point; nil unless
@@ -186,6 +186,7 @@ type OSD struct {
 	jeFree   []*jEntry
 	ropFree  []*repOp
 	rcFree   []*repCommit
+	chFree   []*msgChain
 	trFree   []*Trace
 	txFree   []*filestore.Transaction
 	replies  *ReplyPool
@@ -257,9 +258,9 @@ func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.En
 		o.adm = core.NewAdmission(cfg.Admission, k.Now())
 	}
 
-	ep.SetHandler(o.handleMessage)
+	ep.SetReceiver(o.handleMessage)
 	if cep != ep {
-		cep.SetHandler(o.handleMessage)
+		cep.SetReceiver(o.handleMessage)
 	}
 	o.buildEngine()
 	o.spawnWorkers()
@@ -277,7 +278,7 @@ func (o *OSD) buildEngine() {
 	eng := &engine{gen: o.gen}
 	o.store.Reopen(name)
 	eng.locks = core.NewShardLocks(k, name)
-	eng.disp = core.NewDispatcher[workItem](k, name+".opwq", eng.locks, 0, cfg.OptPendingQueue)
+	eng.disp = core.NewDispatcher[workItem](k, name+".opwq", eng.locks, cfg.OptPendingQueue)
 	eng.msgCap = sim.NewSemaphore(k, name+".msgcap", cfg.Throttles.OSDClientMessageCap)
 	eng.fsThrottle = sim.NewSemaphore(k, name+".fsq", cfg.Throttles.FilestoreQueueMaxOps)
 	eng.journalQ = sim.NewQueue[*jEntry](k, name+".jq", cfg.JournalQueueCap)
@@ -354,8 +355,9 @@ func (o *OSD) Policy() redundancy.Policy { return o.pol }
 func (o *OSD) SetShardPlacer(f func(pg uint32) []ShardTarget) { o.shardPlacer = f }
 
 // SetIntegrityNote installs the cluster's integrity-event listener; fn is
-// called (from simulation context) on read-repair, heal and EIO events.
-func (o *OSD) SetIntegrityNote(fn func(p *sim.Proc, oid string, kind int)) { o.integrityNote = fn }
+// called (from a process or kernel context) on read-repair, heal and EIO
+// events, and must not block.
+func (o *OSD) SetIntegrityNote(fn func(oid string, kind int)) { o.integrityNote = fn }
 
 // LogScrub charges one scrub-site debug-log line (the scrub trace site);
 // called by the cluster scrub scheduler per scrubbed object.
@@ -412,19 +414,24 @@ func (o *OSD) Config() Config { return o.cfg }
 // Config.Admission lists no tenants.
 func (o *OSD) Admission() *core.Admission { return o.adm }
 
-// handleMessage is the messenger dispatch: it runs on the per-connection
-// receiver process.
-func (o *OSD) handleMessage(p *sim.Proc, m *netsim.Message) {
+// handleMessage is the messenger dispatch, a netsim.Receiver: it runs in
+// kernel context when the message's messenger CPU charge is served. Work
+// that must wait — the client-message throttle, the fast ack's CPU and log
+// charges, the read-repair and EC-gather replies — continues in a msgChain
+// that holds the message, stalling its connection as a blocked
+// SimpleMessenger thread would (see msgchain.go).
+func (o *OSD) handleMessage(m *netsim.Message) {
 	if o.crashed {
 		// The daemon is down: the connection is effectively reset and the
 		// message vanishes. Clients recover via timeout and retry.
 		return
 	}
 	eng := o.eng
+	now := o.k.Now()
 	switch m.Kind {
 	case MsgWrite, MsgRead:
 		cop := m.Payload.(*ClientOp)
-		if o.adm != nil && cop.Tenant != "" && !o.adm.Admit(p.Now(), cop.Tenant) {
+		if o.adm != nil && cop.Tenant != "" && !o.adm.Admit(now, cop.Tenant) {
 			// Over-limit tenant: refuse in messenger context, before the op
 			// costs a msgCap token, a trace, or a PG-queue slot. The reply is
 			// the cheap ack-sized frame; the client surfaces the rejection
@@ -432,28 +439,27 @@ func (o *OSD) handleMessage(p *sim.Proc, m *netsim.Message) {
 			o.metrics.AdmitRejected.Inc()
 			rep := o.newReply()
 			rep.Op, rep.Rejected = cop, true
-			o.ep.Send(p, cop.Client, o.cfg.Costs.AckBytes, MsgReply, rep)
+			o.ep.Send(nil, cop.Client, o.cfg.Costs.AckBytes, MsgReply, rep)
 			return
 		}
-		cop.received = p.Now()
+		cop.received = now
 		if o.cfg.TraceSample > 0 && cop.Kind == OpWrite {
 			o.opCount++
 			if o.opCount%uint64(o.cfg.TraceSample) == 0 {
 				cop.tr = o.getTrace()
-				cop.tr.Stamp(StageReceived, p.Now())
+				cop.tr.Stamp(StageReceived, now)
 			}
 		}
-		// osd_client_message_cap: blocks this connection when the OSD has
+		// osd_client_message_cap: stalls this connection when the OSD has
 		// too many client messages in flight.
-		eng.msgCap.Acquire(p, 1)
-		if o.gen != eng.gen {
-			return // crashed while throttled
+		ch := o.getChain(eng, m)
+		ch.op = cop
+		if eng.msgCap.AcquireCall(1, intakeGranted, ch) {
+			intakeGranted(ch)
 		}
-		cop.tr.Stamp(StageQueued, p.Now())
-		o.enqueue(p, eng, workItem{cop: cop})
 	case MsgRepOp:
 		rop := m.Payload.(*repOp)
-		rop.parent.tr.Stamp(StageRepReceived, p.Now())
+		rop.parent.tr.Stamp(StageRepReceived, now)
 		// Record the highest primary-assigned sequence seen, even before the
 		// dispatcher processes it: recovery peering consults this horizon so
 		// a new acting primary can never re-assign a sequence that is still
@@ -461,15 +467,15 @@ func (o *OSD) handleMessage(p *sim.Proc, m *netsim.Message) {
 		if rop.seq > o.seqSeen[rop.pg] {
 			o.seqSeen[rop.pg] = rop.seq
 		}
-		o.enqueue(p, eng, workItem{rop: rop})
+		o.enqueue(eng, workItem{rop: rop})
 	case MsgRepRead:
 		// Repair fetch from a peer's primary: rides the PG queue like a
 		// replication sub-op (no client-message throttle).
-		o.enqueue(p, eng, workItem{rr: m.Payload.(*repRead)})
+		o.enqueue(eng, workItem{rr: m.Payload.(*repRead)})
 	case MsgShardRead:
 		// EC gather fetch from the primary: rides the PG queue like a
 		// replication sub-op (no client-message throttle).
-		o.enqueue(p, eng, workItem{sr: m.Payload.(*shardRead)})
+		o.enqueue(eng, workItem{sr: m.Payload.(*shardRead)})
 	case MsgShardReadReply:
 		srr := m.Payload.(*shardReadReply)
 		if srr.sr.gen != o.gen {
@@ -477,7 +483,7 @@ func (o *OSD) handleMessage(p *sim.Proc, m *netsim.Message) {
 		}
 		// Handled in messenger context like a fast ack: the client op is
 		// still parked on the primary holding its msgCap token.
-		o.handleShardReadReply(p, srr)
+		o.handleShardReadReply(eng, m, srr)
 	case MsgRepReadReply:
 		rrr := m.Payload.(*repReadReply)
 		if rrr.rr.gen != o.gen {
@@ -486,7 +492,7 @@ func (o *OSD) handleMessage(p *sim.Proc, m *netsim.Message) {
 		// Like the fast ack: handled in messenger context. The client op is
 		// still parked on the primary (its read never replied), so serving
 		// it here re-uses the msgCap token acquired at arrival.
-		o.handleRepReadReply(p, rrr)
+		o.handleRepReadReply(eng, m, rrr)
 	case MsgRepCommit:
 		rc := m.Payload.(*repCommit)
 		if rc.parent.gen != o.gen {
@@ -495,12 +501,12 @@ func (o *OSD) handleMessage(p *sim.Proc, m *netsim.Message) {
 		if o.cfg.OptFastAck {
 			// §3.1: process the ack right away in messenger context
 			// instead of pushing it through the PG queue.
-			o.node.Use(p, o.cfg.Costs.CommitFastCPU)
-			o.commitArrived(p, rc.parent, true)
-			o.putRepCommit(rc)
+			ch := o.getChain(eng, m)
+			ch.rc = rc
+			ch.charge(o.cfg.Costs.CommitFastCPU, fastAckCharged)
 		} else {
 			// Community: acks share the data path and its PG locking.
-			o.enqueue(p, eng, workItem{rc: rc})
+			o.enqueue(eng, workItem{rc: rc})
 		}
 	default:
 		panic("osd: unknown message kind")
@@ -508,13 +514,14 @@ func (o *OSD) handleMessage(p *sim.Proc, m *netsim.Message) {
 }
 
 // enqueue routes an item into the OP_WQ, via the batching stage when the
-// community wakeup-batch behaviour is configured.
-func (o *OSD) enqueue(p *sim.Proc, eng *engine, it workItem) {
+// community wakeup-batch behaviour is configured. Both queues are
+// unbounded, so enqueue never blocks.
+func (o *OSD) enqueue(eng *engine, it workItem) {
 	if eng.stageQ != nil {
-		eng.stageQ.Push(p, stagedItem{it: it, at: p.Now()})
+		eng.stageQ.TryPush(stagedItem{it: it, at: o.k.Now()})
 		return
 	}
-	eng.disp.Submit(p, int(o.itemPG(it)), it)
+	eng.disp.Submit(int(o.itemPG(it)), it)
 }
 
 func (o *OSD) itemPG(it workItem) uint32 {
@@ -563,7 +570,7 @@ func (o *OSD) batchFlusher(p *sim.Proc, eng *engine) {
 			return
 		}
 		for _, s := range batch {
-			eng.disp.Submit(p, int(o.itemPG(s.it)), s.it)
+			eng.disp.Submit(int(o.itemPG(s.it)), s.it)
 		}
 		scratch = batch
 	}
@@ -769,7 +776,7 @@ func (o *OSD) journalWriter(p *sim.Proc, eng *engine) {
 				o.commitArrived(p, e.cop, false)
 			}
 			if e.rop != nil {
-				o.sendRepCommit(p, e.rop)
+				o.sendRepCommit(e.rop)
 			}
 			eng.compw.Defer(p, core.Completion{Shard: int(e.t.PG), Fn: eng.commitFn})
 		} else {
@@ -800,7 +807,7 @@ func (o *OSD) finisher(p *sim.Proc, eng *engine) {
 				o.commitArrived(p, ev.e.cop, false)
 			}
 			if ev.e.rop != nil {
-				o.sendRepCommit(p, ev.e.rop)
+				o.sendRepCommit(ev.e.rop)
 			}
 		case finApplied:
 			o.logger.Log(p, siteApplied, o.cfg.LogPerStage)
@@ -813,10 +820,10 @@ func (o *OSD) finisher(p *sim.Proc, eng *engine) {
 	}
 }
 
-func (o *OSD) sendRepCommit(p *sim.Proc, rop *repOp) {
+func (o *OSD) sendRepCommit(rop *repOp) {
 	rc := o.getRepCommit()
 	rc.parent = rop.parent
-	o.cep.Send(p, rop.primary, 150, MsgRepCommit, rc)
+	o.cep.Send(nil, rop.primary, 150, MsgRepCommit, rc)
 }
 
 // filestoreWorker applies committed transactions to the backend, releases
@@ -895,31 +902,62 @@ func (o *OSD) buildTx(e *jEntry) *filestore.Transaction {
 // commitArrived records a local or replica journal commit for op and sends
 // the client ack when the commit set is complete. It is called with
 // whatever locking discipline the active profile uses (PG lock in
-// community mode; messenger/journal context in fast-ack mode).
+// community mode; journal context in AFCeph mode). The fast ack takes the
+// same steps in a msgChain (fastAckCharged).
 func (o *OSD) commitArrived(p *sim.Proc, op *ClientOp, fromReplica bool) {
-	if op.gen != o.gen {
-		return // completion for an op accepted before a crash
-	}
-	if fromReplica {
-		op.waitCommits--
-		if op.waitCommits == 0 {
-			op.tr.Stamp(StageReplicaCommit, p.Now())
-		}
-	} else {
-		op.localCommit = true
-		op.tr.Stamp(StageLocalCommit, p.Now())
-	}
-	if op.localCommit && op.waitCommits <= 0 && !op.acked {
-		op.tr.Stamp(StageCommitsDone, p.Now())
+	if o.commitsDone(op, fromReplica) {
 		o.readyAck(p, op)
 	}
 }
 
-// readyAck sends the ack, honouring per-PG ordering when OrderedAcks is on
-// (the §3.1 option for clients that require in-order completion).
+// commitsDone records a commit for op and reports whether it completed the
+// commit set, so the ack is due.
+func (o *OSD) commitsDone(op *ClientOp, fromReplica bool) bool {
+	if op.gen != o.gen {
+		return false // completion for an op accepted before a crash
+	}
+	now := o.k.Now()
+	if fromReplica {
+		op.waitCommits--
+		if op.waitCommits == 0 {
+			op.tr.Stamp(StageReplicaCommit, now)
+		}
+	} else {
+		op.localCommit = true
+		op.tr.Stamp(StageLocalCommit, now)
+	}
+	if op.localCommit && op.waitCommits <= 0 && !op.acked {
+		op.tr.Stamp(StageCommitsDone, now)
+		return true
+	}
+	return false
+}
+
+// readyAck sends the acks op's completed commit set releases.
 func (o *OSD) readyAck(p *sim.Proc, op *ClientOp) {
-	if !o.cfg.OrderedAcks {
+	var r ackRun
+	o.startAcks(&r, op)
+	for op := o.nextAck(&r); op != nil; op = o.nextAck(&r) {
 		o.sendAck(p, op)
+	}
+}
+
+// ackRun walks the acks one completed commit set releases: the op itself,
+// or, when OrderedAcks is on (the §3.1 option for clients that require
+// in-order completion), every held op of its PG from the PG's ack cursor
+// on. Each ack may wait for CPU, so the run reads the held set afresh per
+// step and writes the cursor back only when it ends.
+type ackRun struct {
+	first *ClientOp // acked ahead of any held op
+	held  map[uint64]*ClientOp
+	pg    uint32
+	next  uint64
+}
+
+func (o *OSD) startAcks(r *ackRun, op *ClientOp) {
+	*r = ackRun{}
+	if !o.cfg.OrderedAcks {
+		r.first = op
 		return
 	}
 	next := o.ackNext[op.PG]
@@ -930,7 +968,7 @@ func (o *OSD) readyAck(p *sim.Proc, op *ClientOp) {
 		// The PG's log head was adopted past this op while it was in
 		// flight (failover recovery). Ordering restarts at the adopted
 		// head; acking immediately keeps the op from being held forever.
-		o.sendAck(p, op)
+		r.first = op
 		return
 	}
 	held := o.ackHeld[op.PG]
@@ -939,16 +977,27 @@ func (o *OSD) readyAck(p *sim.Proc, op *ClientOp) {
 		o.ackHeld[op.PG] = held
 	}
 	held[op.seq] = op
-	for {
-		ready, ok := held[next]
-		if !ok {
-			break
-		}
-		delete(held, next)
-		o.sendAck(p, ready)
-		next++
+	r.held, r.pg, r.next = held, op.PG, next
+}
+
+// nextAck returns the run's next op to ack, or nil once the run is over.
+func (o *OSD) nextAck(r *ackRun) *ClientOp {
+	if op := r.first; op != nil {
+		r.first = nil
+		return op
 	}
-	o.ackNext[op.PG] = next
+	if r.held == nil {
+		return nil
+	}
+	op, ok := r.held[r.next]
+	if !ok {
+		o.ackNext[r.pg] = r.next
+		r.held = nil
+		return nil
+	}
+	delete(r.held, r.next)
+	r.next++
+	return op
 }
 
 func (o *OSD) sendAck(p *sim.Proc, op *ClientOp) {
@@ -956,16 +1005,21 @@ func (o *OSD) sendAck(p *sim.Proc, op *ClientOp) {
 		return
 	}
 	op.acked = true
-	c := &o.cfg.Costs
-	o.node.Use(p, c.AckCPU)
+	o.node.Use(p, o.cfg.Costs.AckCPU)
 	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
+	o.finishAck(op)
+}
+
+// finishAck replies to the client once the ack's CPU and log charges are
+// paid, returns the op's msgCap token and collects its trace.
+func (o *OSD) finishAck(op *ClientOp) {
 	rep := o.newReply()
 	rep.Op = op
-	o.ep.Send(p, op.Client, c.AckBytes, MsgReply, rep)
+	o.ep.Send(nil, op.Client, o.cfg.Costs.AckBytes, MsgReply, rep)
 	// Release on the op's own generation is exact; after a crash the
 	// current semaphore's clamped Release makes a mismatch harmless.
 	o.eng.msgCap.Release(1)
-	op.tr.Stamp(StageAcked, p.Now())
+	op.tr.Stamp(StageAcked, o.k.Now())
 	if op.tr != nil {
 		// Every stage has stamped by ack time (all replica commits precede
 		// the ack), so the trace is quiescent once collected.

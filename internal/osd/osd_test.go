@@ -15,6 +15,7 @@ import (
 // harness wires a single OSD with no replicas and a fake client endpoint.
 type harness struct {
 	k      *sim.Kernel
+	net    *netsim.Network
 	o      *OSD
 	client *netsim.Endpoint
 	acks   map[uint64]*Reply
@@ -33,12 +34,12 @@ func newHarness(cfg Config) *harness {
 	cfg.FStore.VerifyData = true
 	o := New(k, cfg, node, ep, ssd, nvram, r)
 	o.SetPlacer(func(pg uint32) []*netsim.Endpoint { return nil })
-	h := &harness{k: k, o: o, acks: make(map[uint64]*Reply), ackAt: make(map[uint64]sim.Time)}
+	h := &harness{k: k, net: net, o: o, acks: make(map[uint64]*Reply), ackAt: make(map[uint64]sim.Time)}
 	h.client = net.NewEndpoint("client", clientNode, true)
-	h.client.SetHandler(func(p *sim.Proc, m *netsim.Message) {
+	h.client.SetReceiver(func(m *netsim.Message) {
 		rep := m.Payload.(*Reply)
 		h.acks[rep.Op.ID] = rep
-		h.ackAt[rep.Op.ID] = p.Now()
+		h.ackAt[rep.Op.ID] = k.Now()
 	})
 	return h
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/filestore"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -16,7 +17,7 @@ import (
 //
 // The protocol mirrors replication: MsgRepRead rides the replica's PG
 // queue like a replication sub-op; MsgRepReadReply is handled in messenger
-// context at the primary like a fast ack. The stalled ClientOp stays
+// context at the primary like a fast ack (a msgChain). The stalled ClientOp stays
 // parked on the primary throughout, holding its msgCap token until the
 // substitute reply (or the EIO) releases it. A replica that crashed before
 // answering simply drops the fetch — the client recovers by timeout and
@@ -27,7 +28,7 @@ func (o *OSD) startReadRepair(p *sim.Proc, eng *engine, op *ClientOp) {
 	o.metrics.ReadRepairs.Inc()
 	o.logger.Log(p, siteScrub, o.cfg.LogPerStage)
 	if o.integrityNote != nil {
-		o.integrityNote(p, op.OID, NoteReadRepair)
+		o.integrityNote(op.OID, NoteReadRepair)
 	}
 	o.sendRepRead(p, eng, &repRead{op: op, primary: o.cep, gen: eng.gen})
 }
@@ -35,15 +36,24 @@ func (o *OSD) startReadRepair(p *sim.Proc, eng *engine, op *ClientOp) {
 // sendRepRead forwards the repair fetch to the next untried replica, or
 // fails the client read with EIO when none are left.
 func (o *OSD) sendRepRead(p *sim.Proc, eng *engine, rr *repRead) {
-	reps := o.placer(rr.op.PG)
-	if rr.tried >= len(reps) {
+	target := o.repReadTarget(rr)
+	if target == nil {
 		o.sendEIO(p, eng, rr.op)
 		return
 	}
-	target := reps[rr.tried]
-	rr.tried++
 	o.node.Use(p, o.cfg.Costs.RepSendCPU)
-	o.cep.Send(p, target, 200, MsgRepRead, rr)
+	o.cep.Send(nil, target, 200, MsgRepRead, rr)
+}
+
+// repReadTarget takes the next untried replica for rr, or returns nil when
+// none are left.
+func (o *OSD) repReadTarget(rr *repRead) *netsim.Endpoint {
+	reps := o.placer(rr.op.PG)
+	if rr.tried >= len(reps) {
+		return nil
+	}
+	rr.tried++
+	return reps[rr.tried-1]
 }
 
 // processRepRead serves a peer primary's repair fetch on this replica,
@@ -67,30 +77,33 @@ func (o *OSD) processRepRead(p *sim.Proc, eng *engine, rr *repRead) {
 			reply.state, reply.ok = state, true
 		}
 	}
-	o.cep.Send(p, rr.primary, op.Len+c.ReadReplyOverhead, MsgRepReadReply, reply)
+	o.cep.Send(nil, rr.primary, op.Len+c.ReadReplyOverhead, MsgRepReadReply, reply)
 }
 
-// handleRepReadReply resumes the stalled client read at the primary: a
-// clean replica copy answers the client and queues the local heal; a
-// damaged one forwards the hunt to the next replica.
-func (o *OSD) handleRepReadReply(p *sim.Proc, rrr *repReadReply) {
-	eng := o.eng
-	rr := rrr.rr
+// handleRepReadReply resumes the stalled client read at the primary
+// (messenger context, in a msgChain): a clean replica copy answers the
+// client and queues the local heal; a damaged one forwards the hunt to the
+// next replica.
+func (o *OSD) handleRepReadReply(eng *engine, m *netsim.Message, rrr *repReadReply) {
+	ch := o.getChain(eng, m)
+	ch.rrr = rrr
 	if !rrr.ok {
-		o.sendRepRead(p, eng, rr)
+		repReadStep(ch)
 		return
 	}
-	op := rr.op
+	ch.charge(o.cfg.Costs.ReadCPU, repairRead)
+}
+
+// repairReply answers the client from a clean replica copy, then heals the
+// local copy off the read path.
+func (o *OSD) repairReply(eng *engine, rrr *repReadReply) {
+	op := rrr.rr.op
 	oid := op.OID
-	c := &o.cfg.Costs
-	o.node.Use(p, c.ReadCPU)
-	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
 	rep := o.newReply()
 	rep.Op, rep.Stamp, rep.Exists = op, rrr.stamp, rrr.exists
-	o.ep.Send(p, op.Client, op.Len+c.ReadReplyOverhead, MsgReply, rep)
+	o.ep.Send(nil, op.Client, op.Len+o.cfg.Costs.ReadReplyOverhead, MsgReply, rep)
 	eng.msgCap.Release(1)
-	// The client is served; heal the local copy off the read path. op must
-	// not be referenced past this point (the client may recycle it).
+	// op must not be referenced past this point (the client may recycle it).
 	o.queueRepair(rrr.state, oid)
 }
 
@@ -123,7 +136,7 @@ func (o *OSD) queueRepair(st filestore.ObjectState, oid string) {
 		}
 		o.metrics.RepairWrites.Inc()
 		if o.integrityNote != nil {
-			o.integrityNote(p, oid, NoteRepaired)
+			o.integrityNote(oid, NoteRepaired)
 		}
 	})
 }
@@ -132,13 +145,17 @@ func (o *OSD) queueRepair(st filestore.ObjectState, oid string) {
 // damaged, so no honest data exists to return.
 func (o *OSD) sendEIO(p *sim.Proc, eng *engine, op *ClientOp) {
 	o.metrics.EIOs.Inc()
-	c := &o.cfg.Costs
 	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
+	o.eioReply(eng, op)
+}
+
+// eioReply sends the EIO once its log is written.
+func (o *OSD) eioReply(eng *engine, op *ClientOp) {
 	if o.integrityNote != nil {
-		o.integrityNote(p, op.OID, NoteEIO)
+		o.integrityNote(op.OID, NoteEIO)
 	}
 	rep := o.newReply()
 	rep.Op, rep.EIO = op, true
-	o.ep.Send(p, op.Client, c.AckBytes, MsgReply, rep)
+	o.ep.Send(nil, op.Client, o.cfg.Costs.AckBytes, MsgReply, rep)
 	eng.msgCap.Release(1)
 }

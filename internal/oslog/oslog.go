@@ -110,7 +110,10 @@ type Stats struct {
 type batch struct {
 	site  int
 	count int
-	done  *sim.Event // non-nil in Sync mode
+	// In Sync mode the submitter waits on done (Log) or is continued by
+	// call (LogCall); Async batches carry neither.
+	done *sim.Event
+	call *Call
 }
 
 // Logger is one OSD's log subsystem.
@@ -136,8 +139,8 @@ type Logger struct {
 }
 
 // thread is one logger thread, run as a chain of kernel callbacks: take a
-// batch, charge its entries, rotate while due, fire the batch's done
-// event, repeat; with the queue empty it joins the idle list.
+// batch, charge its entries, rotate while due, release the batch's Sync
+// submitter, repeat; with the queue empty it joins the idle list.
 type thread struct {
 	l    *Logger
 	b    batch
@@ -202,12 +205,66 @@ func (l *Logger) Log(p *sim.Proc, site, count int) {
 		done.Reset()
 		l.evFree = append(l.evFree, done)
 	case Async:
-		if l.params.MemoryLimit > 0 && l.q.Len() >= l.params.MemoryLimit {
-			l.stats.Dropped.Add(uint64(count))
-			return
-		}
-		l.submit(batch{site: site, count: count})
+		l.submitAsync(site, count)
 	}
+}
+
+// submitAsync queues an Async batch, or drops it past MemoryLimit.
+func (l *Logger) submitAsync(site, count int) {
+	if l.params.MemoryLimit > 0 && l.q.Len() >= l.params.MemoryLimit {
+		l.stats.Dropped.Add(uint64(count))
+		return
+	}
+	l.submit(batch{site: site, count: count})
+}
+
+// Call is one Log made by a callback chain (see LogCall). Its owner keeps
+// it alive, and may reuse it once Done has run.
+type Call struct {
+	// Done runs as Done(Arg) when the Log is over. It runs in kernel
+	// context and must not block.
+	Done func(any)
+	Arg  any
+
+	l           *Logger
+	site, count int
+	t0          sim.Time // Sync: when the batch was submitted
+	work        cpumodel.Work
+}
+
+// LogCall is Log for callback models: it charges the submit CPU, and in
+// Sync mode waits for the logger thread, on behalf of c, then runs c.Done.
+// Every event lands in the slot Log's would have used: the logger thread
+// continues a Sync submitter where it would fire the submitter's event.
+// With nothing to log, Done runs inline, as Log returns at once.
+func (l *Logger) LogCall(c *Call, site, count int) {
+	if l.mode == Off || count <= 0 {
+		c.Done(c.Arg)
+		return
+	}
+	c.l, c.site, c.count = l, site, count
+	c.work.Done, c.work.Arg = callSubmitted, c
+	l.node.UseCall(&c.work, l.params.SubmitCPU)
+}
+
+func callSubmitted(a any) {
+	c := a.(*Call)
+	l := c.l
+	if l.mode == Sync {
+		c.t0 = l.k.Now()
+		l.submit(batch{site: c.site, count: c.count, call: c})
+		return
+	}
+	l.submitAsync(c.site, c.count)
+	c.Done(c.Arg)
+}
+
+// callSynced continues a Sync LogCall once the logger thread has written
+// its batch.
+func callSynced(a any) {
+	c := a.(*Call)
+	c.l.stats.BlockTime.Add(uint64(c.l.k.Now() - c.t0))
+	c.Done(c.Arg)
 }
 
 // submit queues b and wakes the longest-idle logger thread.
@@ -278,8 +335,11 @@ func (t *thread) rotate() {
 		l.node.UseCall(&t.work, l.params.RotateCPU)
 		return
 	}
-	if t.b.done != nil {
+	switch {
+	case t.b.done != nil:
 		t.b.done.Fire()
+	case t.b.call != nil:
+		l.k.AfterCall(0, callSynced, t.b.call)
 	}
 	t.next()
 }

@@ -1,6 +1,7 @@
 package oslog
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cpumodel"
@@ -194,5 +195,78 @@ func TestNewSpawnsNoProc(t *testing.T) {
 		if k.Resumes() != resumes[mode] {
 			t.Fatalf("%v: %d resumes, want %d", mode, k.Resumes(), resumes[mode])
 		}
+	}
+}
+
+// TestLogCallMatchesLog runs submitters that log twice each as procs, and
+// again with every other submitter a LogCall chain, and requires the same
+// completion trace, BlockTime, entries, drops and dispatched events, with
+// fewer resumes.
+func TestLogCallMatchesLog(t *testing.T) {
+	rotating := CommunityParams()
+	rotating.RotateEvery, rotating.RotateCPU = 5, 10*sim.Microsecond
+	bounded := AFCephParams()
+	bounded.MemoryLimit = 2
+	cases := []struct {
+		name   string
+		mode   Mode
+		params Params
+	}{
+		{"sync", Sync, CommunityParams()},
+		{"sync-rotating", Sync, rotating},
+		{"async-bounded", Async, bounded},
+	}
+	run := func(mode Mode, params Params, convert bool) ([]string, *Logger, *sim.Kernel) {
+		k := sim.NewKernel()
+		node := cpumodel.NewNode(k, "node", 2, cpumodel.JEMalloc)
+		l := New(k, "osd0", node, mode, params)
+		var trace []string
+		note := func(i, step int) { trace = append(trace, fmt.Sprintf("%v:s%d.%d", k.Now(), i, step)) }
+		for i := 0; i < 6; i++ {
+			i := i
+			start := sim.Time(i/2) * sim.Microsecond
+			if convert && i%2 == 1 {
+				var c Call
+				step := 0
+				c.Done = func(any) {
+					note(i, step)
+					if step++; step < 2 {
+						l.LogCall(&c, i+step, 3)
+					}
+				}
+				k.After(0, func() { k.After(start, func() { l.LogCall(&c, i, 3) }) })
+				continue
+			}
+			k.Go("io", func(p *sim.Proc) {
+				p.Sleep(start)
+				for step := 0; step < 2; step++ {
+					l.Log(p, i+step, 3)
+					note(i, step)
+				}
+			})
+		}
+		k.Run(sim.Forever)
+		return trace, l, k
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, lp, kp := run(tc.mode, tc.params, false)
+			got, lc, kc := run(tc.mode, tc.params, true)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trace differs\nprocs:     %v\ncallbacks: %v", want, got)
+			}
+			sp, sc := lp.Stats(), lc.Stats()
+			if sc.BlockTime.Value() != sp.BlockTime.Value() || sc.Entries.Value() != sp.Entries.Value() ||
+				sc.Dropped.Value() != sp.Dropped.Value() || sc.Rotations.Value() != sp.Rotations.Value() {
+				t.Fatalf("stats differ: callbacks %+v, procs %+v", *sc, *sp)
+			}
+			if tc.mode == Sync && sp.BlockTime.Value() == 0 {
+				t.Fatal("sync submitters never blocked")
+			}
+			if kc.Dispatched() != kp.Dispatched() || kc.Resumes() >= kp.Resumes() {
+				t.Fatalf("dispatched %d resumes %d, procs %d and %d",
+					kc.Dispatched(), kc.Resumes(), kp.Dispatched(), kp.Resumes())
+			}
+		})
 	}
 }

@@ -119,7 +119,7 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 // (wake-ups of a process that had already finished are not counted).
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
-// Spawned returns the total number of processes started with Go.
+// Spawned returns the total number of processes started with Go or GoNow.
 func (k *Kernel) Spawned() uint64 { return uint64(k.nextID) }
 
 // Stop makes the current or next Run call return as soon as the event in
@@ -188,6 +188,30 @@ func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
 // be called both from outside Run (to set up the world) and from running
 // processes, but not after Close.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
+	p := k.spawn(name, fn)
+	k.schedule(k.now, p, nil)
+	return p
+}
+
+// GoNow spawns a process and runs it at once, inside the calling callback,
+// until it first blocks or returns; no event is scheduled for its start. A
+// callback chain that reaches work only a process can do hands the rest of
+// it to GoNow, and every event the process schedules from there lands in
+// the slot the chain's own would have used. GoNow must be called from
+// kernel context (a callback), not from a process.
+func (k *Kernel) GoNow(name string, fn func(p *Proc)) *Proc {
+	if k.running != nil {
+		panic("sim: Kernel.GoNow from a process")
+	}
+	p := k.spawn(name, fn)
+	k.running = p
+	p.c.next()
+	k.running = nil
+	return p
+}
+
+// spawn creates a process bound to a coroutine, without scheduling it.
+func (k *Kernel) spawn(name string, fn func(p *Proc)) *Proc {
 	if k.closed {
 		panic("sim: Kernel.Go after Close")
 	}
@@ -199,7 +223,6 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	k.live++
 	k.procs = append(k.procs, p)
-	k.schedule(k.now, p, nil)
 	return p
 }
 

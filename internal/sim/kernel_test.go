@@ -455,3 +455,58 @@ func TestProcsSliceCompacts(t *testing.T) {
 		t.Fatalf("len(procs) = %d after 10000 short-lived procs", n)
 	}
 }
+
+// TestGoNowRunsInTheCallbackSlot hands a proc's work to GoNow from the
+// callback that replaces the proc's resume and requires the same trace and
+// dispatched events, with the proc's start and first resume saved.
+func TestGoNowRunsInTheCallbackSlot(t *testing.T) {
+	run := func(now bool) ([]string, *Kernel) {
+		k := NewKernel()
+		var trace []string
+		note := func(s string) { trace = append(trace, fmt.Sprintf("%v:%s", k.Now(), s)) }
+		work := func(p *Proc) {
+			note("a")
+			p.Sleep(Millisecond)
+			note("b")
+			p.Yield()
+			note("c")
+		}
+		k.Go("other", func(p *Proc) {
+			for i := 0; i < 4; i++ {
+				note("o")
+				p.Sleep(Millisecond)
+			}
+		})
+		if now {
+			k.After(0, func() {
+				k.After(2*Millisecond, func() { k.GoNow("w", work) })
+			})
+		} else {
+			k.Go("w", func(p *Proc) {
+				p.Sleep(2 * Millisecond)
+				work(p)
+			})
+		}
+		k.Run(Forever)
+		return trace, k
+	}
+	want, kp := run(false)
+	got, kc := run(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("trace differs\nproc:  %v\nGoNow: %v", want, got)
+	}
+	if kc.Dispatched() != kp.Dispatched() || kc.Resumes() != kp.Resumes()-2 {
+		t.Fatalf("dispatched %d resumes %d, proc run %d and %d",
+			kc.Dispatched(), kc.Resumes(), kp.Dispatched(), kp.Resumes())
+	}
+	k := NewKernel()
+	k.Go("p", func(p *Proc) {
+		defer func() {
+			if recover() == nil {
+				t.Error("GoNow from a process did not panic")
+			}
+		}()
+		k.GoNow("q", func(*Proc) {})
+	})
+	k.Run(Forever)
+}

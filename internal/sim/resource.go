@@ -93,7 +93,6 @@ type Job struct {
 
 	r *Resource
 	d Time
-	p *Proc // parked in Wait, resumed instead of Done
 }
 
 // UseCall is Use for callback models: it occupies one server for d on
@@ -102,7 +101,7 @@ type Job struct {
 // would be resumed, and its service ends in the slot of Use's Sleep.
 func (r *Resource) UseCall(j *Job, d Time) {
 	j.r, j.d = r, d
-	if r.sem.acquireCall(1, jobGranted, j) {
+	if r.sem.AcquireCall(1, jobGranted, j) {
 		r.serve(j)
 	}
 }
@@ -112,14 +111,9 @@ func jobGranted(a any) {
 	j.r.serve(j)
 }
 
-// serve starts j's service: the end resumes the process waiting on j, or
-// runs jobServed.
+// serve starts j's service, which ends in jobServed.
 func (r *Resource) serve(j *Job) {
 	r.account(+1)
-	if j.p != nil {
-		j.p.resumeAt(r.k.now + j.d)
-		return
-	}
 	r.k.AfterCall(j.d, jobServed, j)
 }
 
@@ -127,15 +121,4 @@ func jobServed(a any) {
 	j := a.(*Job)
 	j.r.Release()
 	j.Done(j.Arg)
-}
-
-// Wait parks p until j is served, for a process that hands the start of a
-// request to a callback chain but runs its continuation itself. The end of
-// service resumes p in the slot of Use's Sleep, p releases the server, and
-// Done is not called. Wait must be called before j reaches a server.
-func (j *Job) Wait(p *Proc) {
-	j.p = p
-	p.park()
-	j.p = nil
-	j.r.Release()
 }

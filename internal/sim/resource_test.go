@@ -7,11 +7,9 @@ import (
 
 // resUser is one user of a Resource in TestUseCallMatchesUse: it starts at
 // start and then holds one server for each of steps in turn. As a proc it
-// calls Use; converted, kind 'C' becomes a callback chain of UseCall jobs,
-// and kind 'W' (two steps) stays a proc that hands the first step and the
-// start of the second to callbacks and parks in Job.Wait on the second.
+// calls Use; converted, kind 'C' becomes a callback chain of UseCall jobs.
 type resUser struct {
-	kind  byte // 'P' proc in both runs, 'C' callback chain, 'W' Job.Wait
+	kind  byte // 'P' proc in both runs, 'C' callback chain
 	start Time
 	steps []Time
 }
@@ -20,8 +18,7 @@ type resUser struct {
 // user, step) trace of service completions in execution order. With
 // convert false every user is a proc, and saved is the number of resumes
 // the converted run should not make: for a 'C' user its start, its initial
-// Sleep, and per step the grant (if it queued) and the end of service; for
-// a 'W' user the first step's grant and end, and the second step's grant.
+// Sleep, and per step the grant (if it queued) and the end of service.
 func runResourceSchedule(servers int64, users []resUser, convert bool) (trace []string, k *Kernel, saved uint64) {
 	k = NewKernel()
 	r := NewResource(k, "r", servers)
@@ -44,14 +41,11 @@ func runResourceSchedule(servers int64, users []resUser, convert bool) (trace []
 					r.Use(p, d)
 					note(i, s)
 				}
-				switch u.kind {
-				case 'C':
+				if u.kind == 'C' {
 					saved += 2
 					for _, n := range resumes {
 						saved += n
 					}
-				case 'W':
-					saved += resumes[0] + resumes[1] - 1
 				}
 			})
 		case u.kind == 'C':
@@ -69,18 +63,6 @@ func runResourceSchedule(servers int64, users []resUser, convert bool) (trace []
 				next()
 			}
 			k.After(0, func() { k.After(u.start, next) })
-		case u.kind == 'W':
-			k.Go("user", func(p *Proc) {
-				p.Sleep(u.start)
-				var first, second Job
-				first.Done = func(any) {
-					note(i, 0)
-					r.UseCall(&second, u.steps[1])
-				}
-				r.UseCall(&first, u.steps[0])
-				second.Wait(p)
-				note(i, 1)
-			})
 		default:
 			k.Go("user", func(p *Proc) {
 				p.Sleep(u.start)
@@ -96,7 +78,7 @@ func runResourceSchedule(servers int64, users []resUser, convert bool) (trace []
 }
 
 // TestUseCallMatchesUse runs each schedule with every user a proc and again
-// with some users converted to UseCall chains or Job.Wait, and requires the
+// with some users converted to UseCall chains, and requires the
 // same completion trace, the same dispatched events, and exactly the
 // converted users' resumes fewer.
 func TestUseCallMatchesUse(t *testing.T) {
@@ -109,25 +91,25 @@ func TestUseCallMatchesUse(t *testing.T) {
 		{"one-server-uncontended", 1, []resUser{
 			{'C', 0, []Time{ms, ms}},
 			{'P', 5 * ms, []Time{ms}},
-			{'W', 10 * ms, []Time{ms, 2 * ms}},
+			{'C', 10 * ms, []Time{ms, 2 * ms}},
 			{'C', 20 * ms, []Time{0, ms}},
 		}},
 		{"one-server-contended", 1, []resUser{
 			{'P', 0, []Time{2 * ms, ms}},
 			{'C', 0, []Time{ms, 3 * ms, ms}},
-			{'W', 0, []Time{ms, ms}},
+			{'C', 0, []Time{ms, ms}},
 			{'P', ms, []Time{ms, ms}},
 			{'C', ms, []Time{2 * ms}},
 		}},
 		{"k-servers-uncontended", 3, []resUser{
 			{'C', 0, []Time{ms, ms}},
-			{'W', 0, []Time{2 * ms, ms}},
+			{'C', 0, []Time{2 * ms, ms}},
 			{'P', 0, []Time{3 * ms}},
 		}},
 		{"k-servers-contended", 2, []resUser{
 			{'C', 0, []Time{3 * ms, ms}},
 			{'P', 0, []Time{ms, ms, ms}},
-			{'W', 0, []Time{2 * ms, 2 * ms}},
+			{'C', 0, []Time{2 * ms, 2 * ms}},
 			{'C', 0, []Time{ms, 2 * ms}},
 			{'P', ms, []Time{ms}},
 			{'C', 2 * ms, []Time{ms, ms, ms}},

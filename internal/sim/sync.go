@@ -147,7 +147,7 @@ func (c *Cond) Broadcast() {
 }
 
 // semWaiter is a queued Acquire request: a parked process, or a callback
-// (fn, arg) queued by acquireCall at time since.
+// (fn, arg) queued by AcquireCall at time since.
 type semWaiter struct {
 	p     *Proc
 	n     int64
@@ -165,7 +165,6 @@ type Semaphore struct {
 	avail    int64
 	waiters  fifo[semWaiter]
 	// stats
-	acquires  uint64
 	throttled uint64
 	waitTime  Time
 }
@@ -198,7 +197,6 @@ func (s *Semaphore) WaitTime() Time { return s.waitTime }
 // strictly FIFO: a large request at the head blocks smaller ones behind it,
 // which matches the behaviour of Ceph's Throttle.
 func (s *Semaphore) Acquire(p *Proc, n int64) {
-	s.acquires++
 	if s.capacity <= 0 {
 		return
 	}
@@ -213,14 +211,13 @@ func (s *Semaphore) Acquire(p *Proc, n int64) {
 	s.waitTime += p.k.now - t0
 }
 
-// acquireCall is Acquire for callback models. It obtains n units and
+// AcquireCall is Acquire for callback models. It obtains n units and
 // reports true if they are free now; otherwise it queues fn(arg) behind the
 // waiting processes in the same FIFO and reports false. A queued callback is
 // granted with AfterCall(0, fn, arg) at the point where a process waiter
 // would be resumed, so it runs in the event slot that process's resume would
-// have used.
-func (s *Semaphore) acquireCall(n int64, fn func(any), arg any) bool {
-	s.acquires++
+// have used; its wait counts in Throttled and WaitTime as a process's does.
+func (s *Semaphore) AcquireCall(n int64, fn func(any), arg any) bool {
 	if s.capacity <= 0 {
 		return true
 	}
@@ -250,7 +247,6 @@ func (s *Semaphore) TryAcquire(n int64) bool {
 	}
 	if s.waiters.len() == 0 && s.avail >= n {
 		s.avail -= n
-		s.acquires++
 		return true
 	}
 	return false

@@ -386,3 +386,114 @@ func TestWaitGroupZeroWaitReturnsImmediately(t *testing.T) {
 		t.Fatal("Wait on zero WaitGroup blocked")
 	}
 }
+
+// semUser is one user of a Semaphore in TestAcquireCallMatchesAcquire: it
+// starts at start, acquires n units, holds them for hold and releases them.
+// As a proc it calls Acquire; with cb set, the converted run makes it a
+// callback chain on AcquireCall.
+type semUser struct {
+	cb    bool
+	start Time
+	n     int64
+	hold  Time
+}
+
+// runSemSchedule runs users on one Semaphore and returns the (time, user)
+// trace of grants in execution order. With convert false every user is a
+// proc, and saved is the number of resumes the converted run should not
+// make: for a cb user its start, its initial Sleep, the grant if it queued,
+// and the end of its hold.
+func runSemSchedule(capacity int64, users []semUser, convert bool) (trace []string, s *Semaphore, k *Kernel, saved uint64) {
+	k = NewKernel()
+	s = NewSemaphore(k, "s", capacity)
+	note := func(i int) { trace = append(trace, fmt.Sprintf("%v:u%d", k.Now(), i)) }
+	for i, u := range users {
+		i, u := i, u
+		if convert && u.cb {
+			granted := func(any) {
+				note(i)
+				k.After(u.hold, func() { s.Release(u.n) })
+			}
+			k.After(0, func() {
+				k.After(u.start, func() {
+					if s.AcquireCall(u.n, granted, nil) {
+						granted(nil)
+					}
+				})
+			})
+			continue
+		}
+		k.Go("user", func(p *Proc) {
+			p.Sleep(u.start)
+			queued := capacity > 0 && (s.QueueLen() > 0 || s.Available() < u.n)
+			s.Acquire(p, u.n)
+			note(i)
+			p.Sleep(u.hold)
+			s.Release(u.n)
+			if u.cb {
+				saved += 3
+				if queued {
+					saved++
+				}
+			}
+		})
+	}
+	k.Run(Forever)
+	return trace, s, k, saved
+}
+
+// TestAcquireCallMatchesAcquire runs each schedule with every user a proc
+// and again with some users converted to AcquireCall chains, and requires
+// the same grant trace, Throttled, WaitTime and dispatched events, and
+// exactly the converted users' resumes fewer.
+func TestAcquireCallMatchesAcquire(t *testing.T) {
+	ms := Millisecond
+	cases := []struct {
+		name     string
+		capacity int64
+		users    []semUser
+	}{
+		{"uncontended", 4, []semUser{
+			{true, 0, 1, ms},
+			{false, ms, 2, ms},
+			{true, 5 * ms, 4, 0},
+		}},
+		{"one-unit-contended", 1, []semUser{
+			{false, 0, 1, 2 * ms},
+			{true, 0, 1, ms},
+			{false, 0, 1, ms},
+			{true, ms, 1, 3 * ms},
+			{true, ms, 1, 0},
+		}},
+		{"head-of-line", 3, []semUser{
+			{true, 0, 2, 2 * ms},
+			{false, 0, 3, ms},
+			{true, 0, 1, ms},
+			{true, ms, 1, ms},
+			{false, 2 * ms, 2, ms},
+		}},
+		{"unlimited", 0, []semUser{
+			{true, 0, 5, ms},
+			{false, 0, 5, ms},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, sp, kp, saved := runSemSchedule(tc.capacity, tc.users, false)
+			got, sc, kc, _ := runSemSchedule(tc.capacity, tc.users, true)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("grants differ\nprocs:     %v\ncallbacks: %v", want, got)
+			}
+			if sc.Throttled() != sp.Throttled() || sc.WaitTime() != sp.WaitTime() {
+				t.Fatalf("throttled %d wait %v, procs throttled %d wait %v",
+					sc.Throttled(), sc.WaitTime(), sp.Throttled(), sp.WaitTime())
+			}
+			if kc.Dispatched() != kp.Dispatched() {
+				t.Fatalf("dispatched %d, procs dispatched %d", kc.Dispatched(), kp.Dispatched())
+			}
+			if kc.Resumes() != kp.Resumes()-saved {
+				t.Fatalf("resumes %d, want %d - %d", kc.Resumes(), kp.Resumes(), saved)
+			}
+		})
+	}
+}
