@@ -19,12 +19,12 @@ import (
 // The protocol mirrors read-repair: MsgShardRead rides the holder's PG
 // queue like a replication sub-op; MsgShardReadReply is handled in
 // messenger context at the primary like a fast ack (a msgChain, see
-// ecPumpStep). The client op stays
-// parked on the primary holding its msgCap token until the assembled reply
-// (or the EIO) releases it. A damaged or absent shard is never served:
-// absence is a usable answer (the stripe may predate the extent), damage is
-// not. A damaged local shard additionally queues the asynchronous heal from
-// a clean peer snapshot, exactly like replicated read-repair.
+// ecPumpStep). The client op stays parked on the primary holding its msgCap
+// token until the assembled reply (or the EIO) releases it. A damaged or
+// absent shard is never served: absence is a usable answer (the stripe may
+// predate the extent), damage is not. A damaged local shard additionally
+// queues the asynchronous heal from a clean peer snapshot, exactly like
+// replicated read-repair.
 
 // ecGather is the primary-side state of one in-flight shard gather.
 type ecGather struct {
@@ -189,7 +189,7 @@ func (o *OSD) processShardRead(p *sim.Proc, eng *engine, sr *shardRead) {
 			}
 		}
 	}
-	o.cep.Send(nil, sr.primary, shardLen+c.ReadReplyOverhead, MsgShardReadReply, reply)
+	o.cep.Send(p, sr.primary, shardLen+c.ReadReplyOverhead, MsgShardReadReply, reply)
 }
 
 // handleShardReadReply folds a holder's answer into the gather at the

@@ -776,7 +776,7 @@ func (o *OSD) journalWriter(p *sim.Proc, eng *engine) {
 				o.commitArrived(p, e.cop, false)
 			}
 			if e.rop != nil {
-				o.sendRepCommit(e.rop)
+				o.sendRepCommit(p, e.rop)
 			}
 			eng.compw.Defer(p, core.Completion{Shard: int(e.t.PG), Fn: eng.commitFn})
 		} else {
@@ -807,7 +807,7 @@ func (o *OSD) finisher(p *sim.Proc, eng *engine) {
 				o.commitArrived(p, ev.e.cop, false)
 			}
 			if ev.e.rop != nil {
-				o.sendRepCommit(ev.e.rop)
+				o.sendRepCommit(p, ev.e.rop)
 			}
 		case finApplied:
 			o.logger.Log(p, siteApplied, o.cfg.LogPerStage)
@@ -820,10 +820,10 @@ func (o *OSD) finisher(p *sim.Proc, eng *engine) {
 	}
 }
 
-func (o *OSD) sendRepCommit(rop *repOp) {
+func (o *OSD) sendRepCommit(p *sim.Proc, rop *repOp) {
 	rc := o.getRepCommit()
 	rc.parent = rop.parent
-	o.cep.Send(nil, rop.primary, 150, MsgRepCommit, rc)
+	o.cep.Send(p, rop.primary, 150, MsgRepCommit, rc)
 }
 
 // filestoreWorker applies committed transactions to the backend, releases

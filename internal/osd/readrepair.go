@@ -15,13 +15,13 @@ import (
 // that heals the local copy. If every replica's copy is damaged too, the
 // read fails with EIO; corrupt bytes never reach a client either way.
 //
-// The protocol mirrors replication: MsgRepRead rides the replica's PG
-// queue like a replication sub-op; MsgRepReadReply is handled in messenger
-// context at the primary like a fast ack (a msgChain). The stalled ClientOp stays
-// parked on the primary throughout, holding its msgCap token until the
-// substitute reply (or the EIO) releases it. A replica that crashed before
-// answering simply drops the fetch — the client recovers by timeout and
-// retry against the new acting set.
+// The protocol mirrors replication: MsgRepRead rides the replica's PG queue
+// like a replication sub-op; MsgRepReadReply is handled in messenger
+// context at the primary like a fast ack (a msgChain). The stalled ClientOp
+// stays parked on the primary throughout, holding its msgCap token until
+// the substitute reply (or the EIO) releases it. A replica that crashed
+// before answering simply drops the fetch — the client recovers by timeout
+// and retry against the new acting set.
 
 // startReadRepair begins the replica hunt for op's extent.
 func (o *OSD) startReadRepair(p *sim.Proc, eng *engine, op *ClientOp) {
@@ -42,7 +42,7 @@ func (o *OSD) sendRepRead(p *sim.Proc, eng *engine, rr *repRead) {
 		return
 	}
 	o.node.Use(p, o.cfg.Costs.RepSendCPU)
-	o.cep.Send(nil, target, 200, MsgRepRead, rr)
+	o.cep.Send(p, target, 200, MsgRepRead, rr)
 }
 
 // repReadTarget takes the next untried replica for rr, or returns nil when
@@ -77,7 +77,7 @@ func (o *OSD) processRepRead(p *sim.Proc, eng *engine, rr *repRead) {
 			reply.state, reply.ok = state, true
 		}
 	}
-	o.cep.Send(nil, rr.primary, op.Len+c.ReadReplyOverhead, MsgRepReadReply, reply)
+	o.cep.Send(p, rr.primary, op.Len+c.ReadReplyOverhead, MsgRepReadReply, reply)
 }
 
 // handleRepReadReply resumes the stalled client read at the primary
