@@ -148,7 +148,7 @@ func (c *checker) checkContextCall(r contextRoot, call *ast.CallExpr) {
 }
 
 // isSchedulingCall reports whether call hands a callback to the kernel
-// (At/After/AfterCall/Go) — the points where a func literal becomes a
+// (AfterCall/Go) — the points where a func literal becomes a
 // simulation-context body.
 func (c *checker) isSchedulingCall(call *ast.CallExpr) bool {
 	fn := driver.CalleeFunc(c.pass.TypesInfo, call)
@@ -156,7 +156,7 @@ func (c *checker) isSchedulingCall(call *ast.CallExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "At", "After", "AfterCall", "Go":
+	case "AfterCall", "Go":
 		return true
 	}
 	return false

@@ -34,9 +34,9 @@ func handleRead(p *sim.Proc) int {
 }
 
 func armTimer(k *sim.Kernel) {
-	k.After(10, func() {
+	k.AfterCall(10, func(any) {
 		opCount++ // want `armTimer \(scheduled callback\) writes package-level state`
-	})
+	}, nil)
 }
 
 func localStateIsFine(p *sim.Proc) int {

@@ -14,7 +14,7 @@ func handleOp(p *sim.Proc) {
 }
 
 func armTimer(k *sim.Kernel) {
-	k.After(10, func() {
+	k.AfterCall(10, func(any) {
 		opCount++
-	})
+	}, nil)
 }

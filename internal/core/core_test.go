@@ -70,7 +70,7 @@ func dispatchWorld(usePending bool, workers int, items []int, procTime sim.Time)
 		for _, shard := range items {
 			d.Submit(shard, seq)
 			seq++
-			p.Yield()
+			p.Sleep(0)
 		}
 		d.Close()
 	})

@@ -289,11 +289,11 @@ func TestMessengerSpawnsNoProcess(t *testing.T) {
 		}
 		handled++
 	})
-	k.After(0, func() {
+	k.AfterCall(0, func(any) {
 		for i := 0; i < n; i++ {
 			a.Send(nil, b, 4096, 0, nil)
 		}
-	})
+	}, nil)
 	k.Run(sim.Forever)
 	if handled != n {
 		t.Fatalf("handled %d of %d", handled, n)
@@ -321,22 +321,22 @@ func TestHeldMessageStallsOnlyItsConnection(t *testing.T) {
 		switch {
 		case m.From == a && m.Kind == 0:
 			m.Hold()
-			k.After(10*sim.Millisecond, func() {
+			k.AfterCall(10*sim.Millisecond, func(any) {
 				released = k.Now()
 				m.Release()
-			})
+			}, nil)
 		case m.From == c && m.Kind == 0:
 			m.Hold()
 			m.Release()
 		}
 	})
 	spawned := k.Spawned()
-	k.After(0, func() {
+	k.AfterCall(0, func(any) {
 		for i := 0; i < 3; i++ {
 			a.Send(nil, b, 4096, i, nil)
 			c.Send(nil, b, 4096, i, nil)
 		}
-	})
+	}, nil)
 	k.Run(sim.Forever)
 	want := "[a0 c0 c1 c2 a1 a2]"
 	if fmt.Sprint(got) != want {

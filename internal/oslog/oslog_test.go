@@ -201,7 +201,8 @@ func TestNewSpawnsNoProc(t *testing.T) {
 // TestLogCallMatchesLog runs submitters that log twice each as procs, and
 // again with every other submitter a LogCall chain, and requires the same
 // completion trace, BlockTime, entries, drops and dispatched events, with
-// fewer resumes.
+// fewer resumes. A Sync Log waits on the same Call as LogCall, so the proc
+// run is also held to pinned literals.
 func TestLogCallMatchesLog(t *testing.T) {
 	rotating := CommunityParams()
 	rotating.RotateEvery, rotating.RotateCPU = 5, 10*sim.Microsecond
@@ -211,10 +212,20 @@ func TestLogCallMatchesLog(t *testing.T) {
 		name   string
 		mode   Mode
 		params Params
+		// The all-proc run's completion trace and kernel counters,
+		// recorded when a Sync Log waited on an event of its own.
+		trace               string
+		dispatched, resumes uint64
 	}{
-		{"sync", Sync, CommunityParams()},
-		{"sync-rotating", Sync, rotating},
-		{"async-bounded", Async, bounded},
+		{"sync", Sync, CommunityParams(),
+			"[12.552us:s0.0 23.652us:s1.0 34.698us:s2.0 45.726us:s3.0 56.736us:s4.0 67.746us:s5.0 " +
+				"78.756us:s0.1 89.766us:s1.1 100.758us:s2.1 111.750us:s3.1 122.742us:s4.1 133.716us:s5.1]", 52, 38},
+		{"sync-rotating", Sync, rotating,
+			"[12.552us:s0.0 33.652us:s1.0 44.662us:s2.0 65.672us:s3.0 86.664us:s4.0 97.656us:s5.0 " +
+				"118.648us:s0.1 129.640us:s1.1 150.614us:s2.1 171.588us:s3.1 182.562us:s4.1 203.536us:s5.1]", 59, 38},
+		{"async-bounded", Async, bounded,
+			"[300ns:s0.0 300ns:s1.0 600ns:s0.1 600ns:s1.1 14.352us:s2.0 14.652us:s3.0 " +
+				"14.952us:s4.0 15.252us:s5.0 15.552us:s2.1 17.052us:s3.1 25.404us:s4.1 29.604us:s5.1]", 67, 32},
 	}
 	run := func(mode Mode, params Params, convert bool) ([]string, *Logger, *sim.Kernel) {
 		k := sim.NewKernel()
@@ -234,7 +245,9 @@ func TestLogCallMatchesLog(t *testing.T) {
 						l.LogCall(&c, i+step, 3)
 					}
 				}
-				k.After(0, func() { k.After(start, func() { l.LogCall(&c, i, 3) }) })
+				k.AfterCall(0, func(any) {
+					k.AfterCall(start, func(any) { l.LogCall(&c, i, 3) }, nil)
+				}, nil)
 				continue
 			}
 			k.Go("io", func(p *sim.Proc) {
@@ -252,6 +265,10 @@ func TestLogCallMatchesLog(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want, lp, kp := run(tc.mode, tc.params, false)
 			got, lc, kc := run(tc.mode, tc.params, true)
+			if fmt.Sprint(want) != tc.trace || kp.Dispatched() != tc.dispatched || kp.Resumes() != tc.resumes {
+				t.Fatalf("procs: trace %v, dispatched %d, resumes %d; want %s, %d, %d",
+					want, kp.Dispatched(), kp.Resumes(), tc.trace, tc.dispatched, tc.resumes)
+			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("trace differs\nprocs:     %v\ncallbacks: %v", want, got)
 			}

@@ -87,7 +87,7 @@ func TestEventOrderingSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(Millisecond, func() { order = append(order, i) })
+		k.AfterCall(Millisecond, func(any) { order = append(order, i) }, nil)
 	}
 	k.Run(Forever)
 	for i, v := range order {
@@ -97,11 +97,12 @@ func TestEventOrderingSameTime(t *testing.T) {
 	}
 }
 
-func TestAfterAndAt(t *testing.T) {
+func TestAfterCallFiresInTimeOrder(t *testing.T) {
 	k := NewKernel()
 	var times []Time
-	k.After(3*Millisecond, func() { times = append(times, k.Now()) })
-	k.At(Millisecond, func() { times = append(times, k.Now()) })
+	note := func(any) { times = append(times, k.Now()) }
+	k.AfterCall(3*Millisecond, note, nil)
+	k.AfterCall(Millisecond, note, nil)
 	k.Run(Forever)
 	if len(times) != 2 || times[0] != Millisecond || times[1] != 3*Millisecond {
 		t.Fatalf("times = %v", times)
@@ -111,7 +112,7 @@ func TestAfterAndAt(t *testing.T) {
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	k.At(10*Second, func() { fired = true })
+	k.AfterCall(10*Second, func(any) { fired = true }, nil)
 	k.Run(5 * Second)
 	if fired {
 		t.Fatal("event past until-boundary fired")
@@ -201,34 +202,16 @@ func TestNestedSpawn(t *testing.T) {
 	}
 }
 
-func TestYieldReordersSameInstant(t *testing.T) {
-	k := NewKernel()
-	var trace []string
-	k.Go("a", func(p *Proc) {
-		trace = append(trace, "a1")
-		p.Yield()
-		trace = append(trace, "a2")
-	})
-	k.Go("b", func(p *Proc) {
-		trace = append(trace, "b")
-	})
-	k.Run(Forever)
-	want := []string{"a1", "b", "a2"}
-	if fmt.Sprint(trace) != fmt.Sprint(want) {
-		t.Fatalf("trace = %v, want %v", trace, want)
-	}
-}
-
 func TestRunReentryPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(0, func() {
+	k.AfterCall(0, func(any) {
 		defer func() {
 			if recover() == nil {
 				t.Error("nested Run did not panic")
 			}
 		}()
 		k.Run(Forever)
-	})
+	}, nil)
 	k.Run(Forever)
 }
 
@@ -279,7 +262,7 @@ func TestDeterminism(t *testing.T) {
 func TestDispatchedCounter(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 7; i++ {
-		k.At(Time(i), func() {})
+		k.AfterCall(Time(i), func(any) {}, nil)
 	}
 	n := k.Run(Forever)
 	if n != 7 || k.Dispatched() != 7 {
@@ -418,7 +401,7 @@ func TestCloseMisuse(t *testing.T) {
 		f()
 	}
 	k := NewKernel()
-	k.At(0, func() { mustPanic("Close during Run", k.Close) })
+	k.AfterCall(0, func(any) { mustPanic("Close during Run", k.Close) }, nil)
 	k.Run(Forever)
 	k.Close()
 	mustPanic("Go after Close", func() { k.Go("late", func(*Proc) {}) })
@@ -447,7 +430,7 @@ func TestProcsSliceCompacts(t *testing.T) {
 	k.Go("spawner", func(p *Proc) {
 		for i := 0; i < 10000; i++ {
 			p.Go("child", func(*Proc) {})
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	k.Run(Forever)
@@ -468,7 +451,7 @@ func TestGoNowRunsInTheCallbackSlot(t *testing.T) {
 			note("a")
 			p.Sleep(Millisecond)
 			note("b")
-			p.Yield()
+			p.Sleep(0)
 			note("c")
 		}
 		k.Go("other", func(p *Proc) {
@@ -478,9 +461,9 @@ func TestGoNowRunsInTheCallbackSlot(t *testing.T) {
 			}
 		})
 		if now {
-			k.After(0, func() {
-				k.After(2*Millisecond, func() { k.GoNow("w", work) })
-			})
+			k.AfterCall(0, func(any) {
+				k.AfterCall(2*Millisecond, func(any) { k.GoNow("w", work) }, nil)
+			}, nil)
 		} else {
 			k.Go("w", func(p *Proc) {
 				p.Sleep(2 * Millisecond)

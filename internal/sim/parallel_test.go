@@ -40,7 +40,7 @@ func TestRunParallelPanicIsDeterministic(t *testing.T) {
 				}
 				msg := fmt.Sprintf("job %d", i)
 				if i%2 == 1 {
-					k.After(Time(20-i), func() { panic(msg) })
+					k.AfterCall(Time(20-i), func(any) { panic(msg) }, nil)
 				} else {
 					k.Go("model", func(p *Proc) {
 						p.Sleep(Time(20 - i))

@@ -62,7 +62,7 @@ func runResourceSchedule(servers int64, users []resUser, convert bool) (trace []
 				s++
 				next()
 			}
-			k.After(0, func() { k.After(u.start, next) })
+			k.AfterCall(0, func(any) { k.AfterCall(u.start, func(any) { next() }, nil) }, nil)
 		default:
 			k.Go("user", func(p *Proc) {
 				p.Sleep(u.start)

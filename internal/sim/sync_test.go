@@ -284,30 +284,6 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 	}
 }
 
-func TestSemaphoreResize(t *testing.T) {
-	k := NewKernel()
-	s := NewSemaphore(k, "s", 1)
-	var got []Time
-	for i := 0; i < 3; i++ {
-		k.Go("w", func(p *Proc) {
-			s.Acquire(p, 1)
-			got = append(got, p.Now())
-			p.Sleep(Millisecond)
-			s.Release(1)
-		})
-	}
-	k.Go("grow", func(p *Proc) {
-		p.Sleep(100 * Microsecond)
-		s.Resize(3)
-	})
-	k.Run(Forever)
-	// First acquires at t=0; after resize at 100us the two waiters enter
-	// immediately rather than at 1ms and 2ms.
-	if len(got) != 3 || got[1] != 100*Microsecond || got[2] != 100*Microsecond {
-		t.Fatalf("entry times = %v", got)
-	}
-}
-
 func TestEventBroadcast(t *testing.T) {
 	k := NewKernel()
 	e := NewEvent(k)
@@ -412,15 +388,15 @@ func runSemSchedule(capacity int64, users []semUser, convert bool) (trace []stri
 		if convert && u.cb {
 			granted := func(any) {
 				note(i)
-				k.After(u.hold, func() { s.Release(u.n) })
+				k.AfterCall(u.hold, func(any) { s.Release(u.n) }, nil)
 			}
-			k.After(0, func() {
-				k.After(u.start, func() {
+			k.AfterCall(0, func(any) {
+				k.AfterCall(u.start, func(any) {
 					if s.AcquireCall(u.n, granted, nil) {
 						granted(nil)
 					}
-				})
-			})
+				}, nil)
+			}, nil)
 			continue
 		}
 		k.Go("user", func(p *Proc) {
@@ -445,42 +421,51 @@ func runSemSchedule(capacity int64, users []semUser, convert bool) (trace []stri
 // TestAcquireCallMatchesAcquire runs each schedule with every user a proc
 // and again with some users converted to AcquireCall chains, and requires
 // the same grant trace, Throttled, WaitTime and dispatched events, and
-// exactly the converted users' resumes fewer.
+// exactly the converted users' resumes fewer. Acquire is AcquireCall plus
+// Await, so the proc run is also held to pinned literals.
 func TestAcquireCallMatchesAcquire(t *testing.T) {
 	ms := Millisecond
 	cases := []struct {
 		name     string
 		capacity int64
 		users    []semUser
+		// The all-proc run's grant trace and kernel counters, recorded
+		// when Acquire still parked on a waiter kind of its own.
+		trace               string
+		dispatched, resumes uint64
 	}{
 		{"uncontended", 4, []semUser{
 			{true, 0, 1, ms},
 			{false, ms, 2, ms},
 			{true, 5 * ms, 4, 0},
-		}},
+		}, "[0ns:u0 1.000ms:u1 5.000ms:u2]", 9, 9},
 		{"one-unit-contended", 1, []semUser{
 			{false, 0, 1, 2 * ms},
 			{true, 0, 1, ms},
 			{false, 0, 1, ms},
 			{true, ms, 1, 3 * ms},
 			{true, ms, 1, 0},
-		}},
+		}, "[0ns:u0 2.000ms:u1 3.000ms:u2 4.000ms:u3 7.000ms:u4]", 19, 19},
 		{"head-of-line", 3, []semUser{
 			{true, 0, 2, 2 * ms},
 			{false, 0, 3, ms},
 			{true, 0, 1, ms},
 			{true, ms, 1, ms},
 			{false, 2 * ms, 2, ms},
-		}},
+		}, "[0ns:u0 2.000ms:u1 3.000ms:u2 3.000ms:u3 4.000ms:u4]", 19, 19},
 		{"unlimited", 0, []semUser{
 			{true, 0, 5, ms},
 			{false, 0, 5, ms},
-		}},
+		}, "[0ns:u0 0ns:u1]", 6, 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want, sp, kp, saved := runSemSchedule(tc.capacity, tc.users, false)
 			got, sc, kc, _ := runSemSchedule(tc.capacity, tc.users, true)
+			if fmt.Sprint(want) != tc.trace || kp.Dispatched() != tc.dispatched || kp.Resumes() != tc.resumes {
+				t.Fatalf("procs: grants %v, dispatched %d, resumes %d; want %s, %d, %d",
+					want, kp.Dispatched(), kp.Resumes(), tc.trace, tc.dispatched, tc.resumes)
+			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("grants differ\nprocs:     %v\ncallbacks: %v", want, got)
 			}
