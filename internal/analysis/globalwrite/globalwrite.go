@@ -7,7 +7,7 @@
 // A function body is a simulation context when it takes a *sim.Proc
 // (simulated-process code runs only inside some kernel) or when it is a
 // func literal handed to the kernel's scheduling entry points
-// (At/After/AfterCall/Go). Inside such a context the analyzer flags writes
+// (AfterCall/Go). Inside such a context the analyzer flags writes
 // to package-level variables, direct or transitive: it uses the driver's
 // interprocedural summaries (DESIGN.md §14), so a write any number of calls
 // deep — in any module package — surfaces at the call site.

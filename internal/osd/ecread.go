@@ -67,19 +67,15 @@ func (o *OSD) processECRead(p *sim.Proc, eng *engine, op *ClientOp) {
 		return // crashed during op setup; client retries
 	}
 	g := &ecGather{op: op, need: o.pol.DataShards()}
-	o.ecPump(p, eng, g)
+	o.ecPumpSet(p, eng, g, o.shardPlacer(op.PG))
 }
 
-// ecPump drives the gather: it keeps `need` shard reads in flight while
-// untried candidates remain, serves the client once k usable answers are
-// in, and fails with EIO when the acting set is exhausted short of k.
-// Called from the primary worker for the initial launch (local read
-// inline); each shard reply pumps in messenger context (ecPumpStep).
-func (o *OSD) ecPump(p *sim.Proc, eng *engine, g *ecGather) {
-	o.ecPumpSet(p, eng, g, o.shardPlacer(g.op.PG))
-}
-
-// ecPumpSet is ecPump over an acting set already looked up.
+// ecPumpSet drives the gather over the acting set: it keeps `need` shard
+// reads in flight while untried candidates remain, serves the client once
+// k usable answers are in, and fails with EIO when the acting set is
+// exhausted short of k. The primary worker runs it for the initial launch
+// (local read inline), and p awaits the settle (ecSettle); each shard
+// reply pumps in messenger context (ecPumpStep).
 func (o *OSD) ecPumpSet(p *sim.Proc, eng *engine, g *ecGather, set []ShardTarget) {
 	for idx := g.nextLaunch(set); idx >= 0; idx = g.nextLaunch(set) {
 		if set[idx].Self {
@@ -89,12 +85,10 @@ func (o *OSD) ecPumpSet(p *sim.Proc, eng *engine, g *ecGather, set []ShardTarget
 			o.sendShardRead(eng, g, idx, set[idx].EP)
 		}
 	}
-	switch g.settle() {
-	case ecReady:
-		o.ecServe(p, eng, g)
-	case ecUnreadable:
-		o.sendEIO(p, eng, g.op)
-	}
+	ch := o.getChain(eng, nil, p)
+	ch.g = g
+	ecSettle(ch)
+	p.Await()
 }
 
 // nextLaunch advances the gather to its next launch and returns the
@@ -206,17 +200,9 @@ func (o *OSD) handleShardReadReply(eng *engine, m *netsim.Message, srr *shardRea
 			g.healState, g.healOK = srr.state, true
 		}
 	}
-	ch := o.getChain(eng, m)
+	ch := o.getChain(eng, m, nil)
 	ch.g, ch.set = g, o.shardPlacer(g.op.PG)
 	ecPumpStep(ch)
-}
-
-// ecServe replies to the client from k gathered shards once settle marked
-// the gather done, charging the reconstruction CPU first.
-func (o *OSD) ecServe(p *sim.Proc, eng *engine, g *ecGather) {
-	o.node.Use(p, o.ecDecodeCost(g))
-	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
-	o.ecReply(eng, g)
 }
 
 // ecDecodeCost is the reconstruction CPU of a served gather: zero unless

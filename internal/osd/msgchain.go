@@ -9,28 +9,35 @@ import (
 	"repro/internal/sim"
 )
 
-// msgChain runs the part of a message handler that must wait, in kernel
-// callbacks. handleMessage runs in kernel context (netsim.Receiver) and
-// never blocks; where a SimpleMessenger thread would block — on the
-// client-message throttle, on a CPU charge, on a Sync-mode log — the chain
-// takes over and holds the message, so its connection stays stalled, as
-// behind a blocked thread, until end releases it. Every charge is a
-// cpumodel.UseCall or oslog.LogCall and the throttle wait a
-// sim.Semaphore.AcquireCall, so each step runs in the event slot where a
-// thread would resume, and the simulation is the same as with one.
+// msgChain runs an OSD step that must wait, in kernel callbacks; it is the
+// one implementation of each step. A chain is either held by a message or
+// awaited by a process. handleMessage runs in kernel context
+// (netsim.Receiver) and never blocks; where a SimpleMessenger thread would
+// block — on the client-message throttle, on a CPU charge, on a Sync-mode
+// log — the chain holds the message, so its connection stays stalled, as
+// behind a blocked thread, until end releases it. An op worker parks in
+// sim.Proc.Await until end wakes it. Every charge is a cpumodel.UseCall or
+// oslog.LogCall and the throttle wait a sim.Semaphore.AcquireCall, so each
+// step runs in the event slot where a thread would resume, and the
+// simulation is the same as with one.
 //
 // The chains, by message:
 //   - MsgWrite/MsgRead: msgCap grant, then queue to the OP_WQ (intakeGranted).
 //   - MsgRepCommit with OptFastAck: CommitFastCPU, the commit bookkeeping,
 //     then per ack AckCPU and the ack's log (fastAckCharged, ackStep).
 //   - MsgShardReadReply: per shard launch RepSendCPU; then the decode CPU
-//     and log of the reply, or the EIO's log (ecPumpStep).
+//     and log of the reply, or the EIO's log (ecPumpStep, ecSettle).
 //   - MsgRepReadReply: RepSendCPU toward the next replica, the EIO's log,
 //     or ReadCPU and the log of the substitute reply (handleRepReadReply).
+//
+// And by worker: the acks a completed commit set releases (commitArrived,
+// ackStep), the replica hunt of a damaged read (startReadRepair,
+// repReadStep), and the settle of an EC gather (ecPumpSet, ecSettle).
 type msgChain struct {
 	o    *OSD
 	eng  *engine
-	m    *netsim.Message
+	m    *netsim.Message // the message the chain holds, or nil
+	p    *sim.Proc       // else the process awaiting the chain
 	step func(*msgChain) // run when the charge in flight completes
 	work cpumodel.Work
 	log  oslog.Call
@@ -41,12 +48,14 @@ type msgChain struct {
 	g      *ecGather
 	set    []ShardTarget
 	idx    int
+	rr     *repRead // the repair fetch
 	rrr    *repReadReply
 	target *netsim.Endpoint // the peer the next fetch goes to
 }
 
-// getChain starts a chain for m, which it holds.
-func (o *OSD) getChain(eng *engine, m *netsim.Message) *msgChain {
+// getChain starts a chain held by m (it calls m.Hold), or, with m nil,
+// awaited by p.
+func (o *OSD) getChain(eng *engine, m *netsim.Message, p *sim.Proc) *msgChain {
 	var ch *msgChain
 	if n := len(o.chFree); n > 0 {
 		ch = o.chFree[n-1]
@@ -56,22 +65,32 @@ func (o *OSD) getChain(eng *engine, m *netsim.Message) *msgChain {
 		ch.work.Done, ch.work.Arg = chainStep, ch
 		ch.log.Done, ch.log.Arg = chainStep, ch
 	}
-	ch.eng, ch.m = eng, m
-	m.Hold()
+	ch.eng, ch.m, ch.p = eng, m, p
+	if m != nil {
+		m.Hold()
+	}
 	return ch
 }
 
-// end recycles the chain and releases its message: the connection moves on
-// to its next message at once, as the messenger thread did on return.
-func (ch *msgChain) end() { ch.free().Release() }
+// end recycles the chain, then releases its message, so the connection
+// moves on to its next message at once as the messenger thread did on
+// return, or wakes the process awaiting it.
+func (ch *msgChain) end() {
+	m, p := ch.m, ch.p
+	ch.free()
+	if m != nil {
+		m.Release()
+	} else {
+		sim.Wake(p)
+	}
+}
 
-// free recycles the chain and returns its message, still held.
-func (ch *msgChain) free() *netsim.Message {
-	o, m := ch.o, ch.m
+// free recycles the chain.
+func (ch *msgChain) free() {
+	o := ch.o
 	w, l := ch.work, ch.log
 	*ch = msgChain{o: o, work: w, log: l}
 	o.chFree = append(o.chFree, ch)
-	return m
 }
 
 // charge occupies a core for d on the chain's behalf, then runs step.
@@ -112,14 +131,16 @@ func fastAckCharged(ch *msgChain) {
 	ackStep(ch)
 }
 
-// ackStep is sendAck for the chain's next ack; with none left, the chain
-// ends.
+// ackStep sends the chain's next ack, unless its op was already acked,
+// charging AckCPU and the ack's log first; with none left, the chain ends.
 func ackStep(ch *msgChain) {
 	o := ch.o
 	for {
 		op := o.nextAck(&ch.acks)
 		if op == nil {
-			o.putRepCommit(ch.rc)
+			if ch.rc != nil {
+				o.putRepCommit(ch.rc)
+			}
 			ch.end()
 			return
 		}
@@ -139,7 +160,8 @@ func ackLogged(ch *msgChain) {
 	ackStep(ch)
 }
 
-// eio is sendEIO for the chain: it fails op's read and ends the chain.
+// eio fails op's read once its log is written, and ends the chain: every
+// copy of the extent is damaged, so no honest data exists to return.
 func (ch *msgChain) eio(op *ClientOp) {
 	ch.o.metrics.EIOs.Inc()
 	ch.op = op
@@ -151,8 +173,8 @@ func eioLogged(ch *msgChain) {
 	ch.end()
 }
 
-// ecPumpStep is ecPump for the chain over ch.set: it charges each shard
-// launch, then serves the client or fails the read.
+// ecPumpStep is ecPumpSet for the chain over ch.set: it charges each
+// shard launch, then settles the gather.
 //
 // The local shard is not launched from here in practice. The client sends
 // to the first up member of the acting set, so the worker's first pump
@@ -167,8 +189,8 @@ func ecPumpStep(ch *msgChain) {
 	o, g, set := ch.o, ch.g, ch.set
 	if idx := g.nextLaunch(set); idx >= 0 {
 		if set[idx].Self {
-			eng := ch.eng
-			m := ch.free()
+			eng, m := ch.eng, ch.m
+			ch.free()
 			o.k.GoNow(fmt.Sprintf("osd%d.ecgather", o.cfg.ID), func(p *sim.Proc) {
 				o.localShardRead(p, eng, g, idx)
 				o.ecPumpSet(p, eng, g, set)
@@ -180,9 +202,17 @@ func ecPumpStep(ch *msgChain) {
 		ch.charge(o.cfg.Costs.RepSendCPU, ecShardSent)
 		return
 	}
+	ecSettle(ch)
+}
+
+// ecSettle serves the client from k gathered shards, charging the
+// reconstruction CPU and the reply's log first, or fails the read; with
+// answers still outstanding the chain just ends.
+func ecSettle(ch *msgChain) {
+	g := ch.g
 	switch g.settle() {
 	case ecReady:
-		ch.charge(o.ecDecodeCost(g), ecDecoded)
+		ch.charge(ch.o.ecDecodeCost(g), ecDecoded)
 	case ecUnreadable:
 		ch.eio(g.op)
 	default:
@@ -205,16 +235,15 @@ func ecLogged(ch *msgChain) {
 // repReadStep forwards the chain's repair fetch to the next untried
 // replica, or fails the read with EIO when none are left.
 func repReadStep(ch *msgChain) {
-	rr := ch.rrr.rr
-	if ch.target = ch.o.repReadTarget(rr); ch.target == nil {
-		ch.eio(rr.op)
+	if ch.target = ch.o.repReadTarget(ch.rr); ch.target == nil {
+		ch.eio(ch.rr.op)
 		return
 	}
 	ch.charge(ch.o.cfg.Costs.RepSendCPU, repReadSent)
 }
 
 func repReadSent(ch *msgChain) {
-	ch.o.cep.Send(nil, ch.target, 200, MsgRepRead, ch.rrr.rr)
+	ch.o.cep.Send(nil, ch.target, 200, MsgRepRead, ch.rr)
 	ch.end()
 }
 

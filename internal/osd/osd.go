@@ -452,7 +452,7 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 		}
 		// osd_client_message_cap: stalls this connection when the OSD has
 		// too many client messages in flight.
-		ch := o.getChain(eng, m)
+		ch := o.getChain(eng, m, nil)
 		ch.op = cop
 		if eng.msgCap.AcquireCall(1, intakeGranted, ch) {
 			intakeGranted(ch)
@@ -501,7 +501,7 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 		if o.cfg.OptFastAck {
 			// §3.1: process the ack right away in messenger context
 			// instead of pushing it through the PG queue.
-			ch := o.getChain(eng, m)
+			ch := o.getChain(eng, m, nil)
 			ch.rc = rc
 			ch.charge(o.cfg.Costs.CommitFastCPU, fastAckCharged)
 		} else {
@@ -899,14 +899,18 @@ func (o *OSD) buildTx(e *jEntry) *filestore.Transaction {
 	return o.makeTx(e.t.PG, e.t.OID, e.t.Off, e.t.Len, e.t.Stamp)
 }
 
-// commitArrived records a local or replica journal commit for op and sends
-// the client ack when the commit set is complete. It is called with
-// whatever locking discipline the active profile uses (PG lock in
-// community mode; journal context in AFCeph mode). The fast ack takes the
-// same steps in a msgChain (fastAckCharged).
+// commitArrived records a local or replica journal commit for op and, when
+// the commit set is complete, sends the client acks it releases in a
+// msgChain that p awaits. It is called with whatever locking discipline
+// the active profile uses (PG lock in community mode; journal context in
+// AFCeph mode). The fast ack takes the same steps in the messenger
+// (fastAckCharged).
 func (o *OSD) commitArrived(p *sim.Proc, op *ClientOp, fromReplica bool) {
 	if o.commitsDone(op, fromReplica) {
-		o.readyAck(p, op)
+		ch := o.getChain(o.eng, nil, p)
+		o.startAcks(&ch.acks, op)
+		ackStep(ch)
+		p.Await()
 	}
 }
 
@@ -931,15 +935,6 @@ func (o *OSD) commitsDone(op *ClientOp, fromReplica bool) bool {
 		return true
 	}
 	return false
-}
-
-// readyAck sends the acks op's completed commit set releases.
-func (o *OSD) readyAck(p *sim.Proc, op *ClientOp) {
-	var r ackRun
-	o.startAcks(&r, op)
-	for op := o.nextAck(&r); op != nil; op = o.nextAck(&r) {
-		o.sendAck(p, op)
-	}
 }
 
 // ackRun walks the acks one completed commit set releases: the op itself,
@@ -998,16 +993,6 @@ func (o *OSD) nextAck(r *ackRun) *ClientOp {
 	delete(r.held, r.next)
 	r.next++
 	return op
-}
-
-func (o *OSD) sendAck(p *sim.Proc, op *ClientOp) {
-	if op.acked {
-		return
-	}
-	op.acked = true
-	o.node.Use(p, o.cfg.Costs.AckCPU)
-	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
-	o.finishAck(op)
 }
 
 // finishAck replies to the client once the ack's CPU and log charges are

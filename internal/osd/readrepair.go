@@ -30,19 +30,10 @@ func (o *OSD) startReadRepair(p *sim.Proc, eng *engine, op *ClientOp) {
 	if o.integrityNote != nil {
 		o.integrityNote(op.OID, NoteReadRepair)
 	}
-	o.sendRepRead(p, eng, &repRead{op: op, primary: o.cep, gen: eng.gen})
-}
-
-// sendRepRead forwards the repair fetch to the next untried replica, or
-// fails the client read with EIO when none are left.
-func (o *OSD) sendRepRead(p *sim.Proc, eng *engine, rr *repRead) {
-	target := o.repReadTarget(rr)
-	if target == nil {
-		o.sendEIO(p, eng, rr.op)
-		return
-	}
-	o.node.Use(p, o.cfg.Costs.RepSendCPU)
-	o.cep.Send(p, target, 200, MsgRepRead, rr)
+	ch := o.getChain(eng, nil, p)
+	ch.rr = &repRead{op: op, primary: o.cep, gen: eng.gen}
+	repReadStep(ch)
+	p.Await()
 }
 
 // repReadTarget takes the next untried replica for rr, or returns nil when
@@ -85,8 +76,8 @@ func (o *OSD) processRepRead(p *sim.Proc, eng *engine, rr *repRead) {
 // client and queues the local heal; a damaged one forwards the hunt to the
 // next replica.
 func (o *OSD) handleRepReadReply(eng *engine, m *netsim.Message, rrr *repReadReply) {
-	ch := o.getChain(eng, m)
-	ch.rrr = rrr
+	ch := o.getChain(eng, m, nil)
+	ch.rr, ch.rrr = rrr.rr, rrr
 	if !rrr.ok {
 		repReadStep(ch)
 		return
@@ -139,14 +130,6 @@ func (o *OSD) queueRepair(st filestore.ObjectState, oid string) {
 			o.integrityNote(oid, NoteRepaired)
 		}
 	})
-}
-
-// sendEIO fails a client read: every replica copy of the extent is
-// damaged, so no honest data exists to return.
-func (o *OSD) sendEIO(p *sim.Proc, eng *engine, op *ClientOp) {
-	o.metrics.EIOs.Inc()
-	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
-	o.eioReply(eng, op)
 }
 
 // eioReply sends the EIO once its log is written.

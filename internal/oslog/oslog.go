@@ -110,9 +110,7 @@ type Stats struct {
 type batch struct {
 	site  int
 	count int
-	// In Sync mode the submitter waits on done (Log) or is continued by
-	// call (LogCall); Async batches carry neither.
-	done *sim.Event
+	// call continues the Sync submitter; Async batches carry none.
 	call *Call
 }
 
@@ -133,9 +131,9 @@ type Logger struct {
 	// threads run one-at-a-time under the sim kernel, so a plain field is
 	// race-free and keeps Rotations == floor(Entries/RotateEvery) exactly.
 	sinceRotate int
-	// evFree recycles Sync-mode completion events: once Wait returns the
-	// event has fired and nothing else references it.
-	evFree []*sim.Event
+	// callFree recycles the Calls Sync-mode Log waits on: once Await
+	// returns, the logger thread is done with the Call.
+	callFree []*Call
 }
 
 // thread is one logger thread, run as a chain of kernel callbacks: take a
@@ -188,25 +186,28 @@ func (l *Logger) QueueLen() int {
 }
 
 // Log emits count entries from the given call site. In Sync mode the caller
-// blocks until the logger thread has processed them; in Async mode it pays
-// only SubmitCPU.
+// blocks until the logger thread has processed them, waiting on a pooled
+// Call as LogCall's submitter does; in Async mode it pays only SubmitCPU.
 func (l *Logger) Log(p *sim.Proc, site, count int) {
 	if l.mode == Off || count <= 0 {
 		return
 	}
 	l.node.Use(p, l.params.SubmitCPU)
-	switch l.mode {
-	case Sync:
-		done := l.getEvent()
-		t0 := p.Now()
-		l.submit(batch{site: site, count: count, done: done})
-		done.Wait(p)
-		l.stats.BlockTime.Add(uint64(p.Now() - t0))
-		done.Reset()
-		l.evFree = append(l.evFree, done)
-	case Async:
+	if l.mode == Async {
 		l.submitAsync(site, count)
+		return
 	}
+	var c *Call
+	if n := len(l.callFree); n > 0 {
+		c = l.callFree[n-1]
+		l.callFree = l.callFree[:n-1]
+	} else {
+		c = &Call{Done: sim.Wake, l: l}
+	}
+	c.Arg, c.site, c.count = p, site, count
+	callSubmitted(c)
+	p.Await()
+	l.callFree = append(l.callFree, c)
 }
 
 // submitAsync queues an Async batch, or drops it past MemoryLimit.
@@ -277,15 +278,6 @@ func (l *Logger) submit(b batch) {
 	}
 }
 
-func (l *Logger) getEvent() *sim.Event {
-	if n := len(l.evFree); n > 0 {
-		ev := l.evFree[n-1]
-		l.evFree = l.evFree[:n-1]
-		return ev
-	}
-	return sim.NewEvent(l.k)
-}
-
 func threadNext(a any) { a.(*thread).next() }
 
 // next takes the next batch and charges its entries, or, with the queue
@@ -335,10 +327,7 @@ func (t *thread) rotate() {
 		l.node.UseCall(&t.work, l.params.RotateCPU)
 		return
 	}
-	switch {
-	case t.b.done != nil:
-		t.b.done.Fire()
-	case t.b.call != nil:
+	if t.b.call != nil {
 		l.k.AfterCall(0, callSynced, t.b.call)
 	}
 	t.next()

@@ -4,12 +4,16 @@
 // The kernel maintains virtual time at nanosecond resolution. Exactly one
 // process (or event callback) executes at any instant. Run is a plain
 // central loop: it pops the next event in (t, seq) order and either runs
-// its callback inline (timers and completions scheduled with At/After/
-// AfterCall) or resumes the process it names. Each process runs on an
-// iter.Pull coroutine, so a resume is a direct coroutine switch into the
-// process and a block is a switch back to the loop, with no goroutine
-// scheduler in between; a finished process's coroutine is reused by the
-// next one spawned. Close unwinds whatever is left parked. Event records
+// its callback inline (timers and completions scheduled with AfterCall) or
+// resumes the process it names. Each process runs on an iter.Pull
+// coroutine, so a resume is a direct coroutine switch into the process and
+// a block is a switch back to the loop, with no goroutine scheduler in
+// between; a finished process's coroutine is reused by the next one
+// spawned. Close unwinds whatever is left parked. A callback resumes a
+// process itself with Wake: a process waits on a callback-form request
+// (AcquireCall, Resource.UseCall, ...) by passing Wake as its Done and
+// calling Await, and the request's completion switches into the process in
+// the completing callback's event slot. Event records
 // are pooled on a per-kernel free list, events scheduled for the current
 // instant go through a FIFO ready ring that bypasses the time-ordered heap,
 // and simulated code is still written in ordinary blocking style (Sleep,
@@ -65,8 +69,7 @@ type event struct {
 	t    Time
 	seq  uint64
 	proc *Proc     // if non-nil, resume this process
-	fn   func()    // else run this callback (must not block)
-	fnA  func(any) // else run fnA(arg): closure-free callback
+	fn   func(any) // else run fn(arg), which must not block
 	arg  any
 }
 
@@ -115,8 +118,10 @@ func (k *Kernel) Live() int { return k.live }
 // Dispatched returns the total number of events executed so far.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
-// Resumes returns how many of the dispatched events resumed a process
-// (wake-ups of a process that had already finished are not counted).
+// Resumes returns how many times a process was switched into to continue:
+// by a dispatched event that names it, or by Wake from a callback. A GoNow
+// start and a wake-up of a process that had already finished are not
+// counted.
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Spawned returns the total number of processes started with Go or GoNow.
@@ -147,7 +152,7 @@ func (k *Kernel) newEvent(t Time) *event {
 }
 
 func (k *Kernel) recycle(ev *event) {
-	ev.proc, ev.fn, ev.fnA, ev.arg = nil, nil, nil, nil
+	ev.proc, ev.fn, ev.arg = nil, nil, nil
 	k.free = append(k.free, ev)
 }
 
@@ -159,27 +164,21 @@ func (k *Kernel) enqueue(ev *event) {
 	}
 }
 
-func (k *Kernel) schedule(t Time, p *Proc, fn func()) {
+// schedule queues a resume of p at time t.
+func (k *Kernel) schedule(t Time, p *Proc) {
 	ev := k.newEvent(t)
-	ev.proc, ev.fn = p, fn
+	ev.proc = p
 	k.enqueue(ev)
 }
 
-// At schedules fn to run at absolute time t. fn runs in kernel context and
-// must not block on simulation primitives; it may schedule events and wake
-// processes.
-func (k *Kernel) At(t Time, fn func()) { k.schedule(t, nil, fn) }
-
-// After schedules fn to run d nanoseconds from now.
-func (k *Kernel) After(d Time, fn func()) { k.schedule(k.now+d, nil, fn) }
-
-// AfterCall schedules fn(arg) to run d nanoseconds from now. It is the
-// allocation-free variant of After for hot paths: arg rides in the pooled
-// event record, so callers can use one shared top-level function instead of
+// AfterCall schedules fn(arg) to run d nanoseconds from now. fn runs in
+// kernel context and must not block on simulation primitives; it may
+// schedule events and wake processes. arg rides in the pooled event
+// record, so hot paths can pass one shared top-level function instead of
 // allocating a capturing closure per event.
 func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
 	ev := k.newEvent(k.now + d)
-	ev.fnA, ev.arg = fn, arg
+	ev.fn, ev.arg = fn, arg
 	k.enqueue(ev)
 }
 
@@ -189,7 +188,7 @@ func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
 // processes, but not after Close.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := k.spawn(name, fn)
-	k.schedule(k.now, p, nil)
+	k.schedule(k.now, p)
 	return p
 }
 
@@ -204,10 +203,46 @@ func (k *Kernel) GoNow(name string, fn func(p *Proc)) *Proc {
 		panic("sim: Kernel.GoNow from a process")
 	}
 	p := k.spawn(name, fn)
+	k.enter(p)
+	return p
+}
+
+// Wake is the Done of a callback-form request made by a waiting process:
+// its argument is the *Proc, which waits in Await. Called from a callback,
+// Wake resumes the process at once, in that callback's event slot, and
+// counts one resume. Called by the process itself while it runs (the
+// request completed inline), it makes the next Await return at once. Wake
+// is a no-op on a finished process, and panics while another process runs.
+func Wake(a any) {
+	p := a.(*Proc)
+	if p.done {
+		return
+	}
+	switch k := p.k; k.running {
+	case nil:
+		k.resume(p)
+	case p:
+		p.woken = true
+	default:
+		panic("sim: Wake while another process runs")
+	}
+}
+
+// resume switches into p to continue it, counting one resume, unless p
+// has finished.
+func (k *Kernel) resume(p *Proc) {
+	if p.done {
+		return
+	}
+	k.resumes++
+	k.enter(p)
+}
+
+// enter runs p until it next blocks or returns.
+func (k *Kernel) enter(p *Proc) {
 	k.running = p
 	p.c.next()
 	k.running = nil
-	return p
 }
 
 // spawn creates a process bound to a coroutine, without scheduling it.
@@ -263,27 +298,12 @@ func (k *Kernel) Run(until Time) uint64 {
 			k.now = ev.t
 		}
 		k.dispatched++
-		switch {
-		case ev.proc != nil:
-			p := ev.proc
-			k.recycle(ev)
-			if p.done {
-				continue // stale wakeup for a finished process
-			}
-			k.resumes++
-			k.running = p
-			p.c.next()
-			k.running = nil
-		case ev.fnA != nil:
-			fn, arg := ev.fnA, ev.arg
-			k.recycle(ev)
+		p, fn, arg := ev.proc, ev.fn, ev.arg
+		k.recycle(ev)
+		if p != nil {
+			k.resume(p)
+		} else {
 			fn(arg)
-		default:
-			fn := ev.fn
-			k.recycle(ev)
-			if fn != nil {
-				fn()
-			}
 		}
 	}
 	if until != Forever && k.now < until {

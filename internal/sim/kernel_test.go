@@ -493,3 +493,80 @@ func TestGoNowRunsInTheCallbackSlot(t *testing.T) {
 	})
 	k.Run(Forever)
 }
+
+// TestWakeFromCallbackResumesInline checks that Wake from a callback
+// switches into the awaiting process inside that callback's event: the
+// process runs before the callback's next statement, with one resume and
+// no event of its own.
+func TestWakeFromCallbackResumesInline(t *testing.T) {
+	k := NewKernel()
+	var trace []string
+	note := func(s string) { trace = append(trace, fmt.Sprintf("%v:%s", k.Now(), s)) }
+	w := k.Go("w", func(p *Proc) {
+		p.Await()
+		note("woken")
+	})
+	k.Run(Forever)
+	d0, r0 := k.Dispatched(), k.Resumes()
+	k.AfterCall(Millisecond, func(any) {
+		note("cb")
+		Wake(w)
+		note("cb-after")
+	}, nil)
+	k.Run(Forever)
+	if want := "[1.000ms:cb 1.000ms:woken 1.000ms:cb-after]"; fmt.Sprint(trace) != want {
+		t.Fatalf("trace = %v, want %s", trace, want)
+	}
+	if d, r := k.Dispatched()-d0, k.Resumes()-r0; d != 1 || r != 1 || !w.Done() {
+		t.Fatalf("dispatched %d resumes %d done %v, want 1/1/true", d, r, w.Done())
+	}
+}
+
+// TestWakeByRunningProcSkipsAwait checks that a request completed inline,
+// with Wake called by the process itself, lets the next Await return at
+// once, and only that one.
+func TestWakeByRunningProcSkipsAwait(t *testing.T) {
+	k := NewKernel()
+	var at []Time
+	w := k.Go("w", func(p *Proc) {
+		Wake(p)
+		p.Await()
+		at = append(at, p.Now())
+		p.Await()
+		at = append(at, p.Now())
+	})
+	k.AfterCall(Millisecond, func(any) { Wake(w) }, nil)
+	k.Run(Forever)
+	if fmt.Sprint(at) != "[0ns 1.000ms]" || k.Resumes() != 2 {
+		t.Fatalf("Await returned at %v after %d resumes, want [0ns 1.000ms] and 2", at, k.Resumes())
+	}
+}
+
+// TestWakeFinishedProcIsNoop checks that Wake of a finished process neither
+// resumes it nor counts a resume.
+func TestWakeFinishedProcIsNoop(t *testing.T) {
+	k := NewKernel()
+	w := k.Go("w", func(*Proc) {})
+	k.AfterCall(Millisecond, func(any) { Wake(w) }, nil)
+	k.Run(Forever)
+	if d, r := k.Dispatched(), k.Resumes(); d != 2 || r != 1 {
+		t.Fatalf("dispatched %d resumes %d, want 2/1", d, r)
+	}
+}
+
+// TestWakeWhileAnotherProcRunsPanics checks that one process cannot resume
+// another through Wake.
+func TestWakeWhileAnotherProcRunsPanics(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	parked := k.Go("parked", func(p *Proc) { p.Await() })
+	k.Go("other", func(p *Proc) {
+		defer func() {
+			if recover() == nil {
+				t.Error("Wake while another process runs did not panic")
+			}
+		}()
+		Wake(parked)
+	})
+	k.Run(Forever)
+}

@@ -9,12 +9,19 @@ type Proc struct {
 	id   int64
 	name string
 	done bool
-	c    *coro // the coroutine it runs on; another process's once done
+	// woken records a Wake made while the process itself ran, for the
+	// next Await to consume.
+	woken bool
+	c     *coro // the coroutine it runs on; another process's once done
 }
 
 // closeUnwind is the panic value that unwinds a process stopped by
 // Kernel.Close; the process root recovers it.
 type closeUnwind struct{}
+
+// unwind is closeUnwind boxed once, so the processes that inline park do
+// not each report it escaping to the heap.
+var unwind any = closeUnwind{}
 
 // ID returns the process's unique id (assigned in spawn order).
 func (p *Proc) ID() int64 { return p.id }
@@ -34,7 +41,7 @@ func (p *Proc) Now() Time { return p.k.now }
 // blocks again unwinds too.
 func (p *Proc) park() {
 	if !p.c.yield(struct{}{}) {
-		panic(closeUnwind{})
+		panic(unwind)
 	}
 }
 
@@ -74,8 +81,8 @@ func (p *Proc) close() {
 	p.finish()
 }
 
-// resume schedules the process to continue at time t.
-func (p *Proc) resumeAt(t Time) { p.k.schedule(t, p, nil) }
+// resumeAt schedules the process to continue at time t.
+func (p *Proc) resumeAt(t Time) { p.k.schedule(t, p) }
 
 // Sleep advances the process by d nanoseconds of virtual time.
 func (p *Proc) Sleep(d Time) {
@@ -86,10 +93,15 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield reschedules the process at the current time, letting every other
-// event already queued for this instant run first.
-func (p *Proc) Yield() {
-	p.resumeAt(p.k.now)
+// Await parks the process until Wake resumes it. It is how a process waits
+// on a callback-form request made with Wake as its Done and the process as
+// its argument. If the request already completed while the process ran,
+// Await returns at once.
+func (p *Proc) Await() {
+	if p.woken {
+		p.woken = false
+		return
+	}
 	p.park()
 }
 

@@ -2,10 +2,8 @@ package sim
 
 // Queue is a FIFO channel-like queue of T with optional capacity.
 // Push blocks when the queue is full (capacity > 0); Pop blocks when it is
-// empty. Blocked processes are served in FIFO order. Queue tracks occupancy
-// statistics so models can report queue depths and backpressure. Items and
-// waiter queues live in ring buffers, so steady-state traffic does not
-// allocate.
+// empty. Blocked processes are served in FIFO order. Items and waiter
+// queues live in ring buffers, so steady-state traffic does not allocate.
 type Queue[T any] struct {
 	k        *Kernel
 	name     string
@@ -14,12 +12,6 @@ type Queue[T any] struct {
 	getters  fifo[*Proc]
 	putters  fifo[*Proc]
 	closed   bool
-
-	// stats
-	pushes      uint64
-	maxDepth    int
-	blockedPush uint64
-	blockedPop  uint64
 }
 
 // NewQueue creates a queue. capacity <= 0 means unbounded.
@@ -36,18 +28,6 @@ func (q *Queue[T]) Len() int { return q.items.len() }
 // Cap returns the configured capacity (<=0 means unbounded).
 func (q *Queue[T]) Cap() int { return q.capacity }
 
-// MaxDepth returns the high-water mark of queue occupancy.
-func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
-
-// Pushes returns the total number of completed Push calls.
-func (q *Queue[T]) Pushes() uint64 { return q.pushes }
-
-// BlockedPushes returns how many Push calls had to wait for space.
-func (q *Queue[T]) BlockedPushes() uint64 { return q.blockedPush }
-
-// BlockedPops returns how many Pop calls had to wait for an item.
-func (q *Queue[T]) BlockedPops() uint64 { return q.blockedPop }
-
 // Close marks the queue closed: Pop on an empty closed queue returns
 // ok=false instead of blocking, and blocked getters wake.
 func (q *Queue[T]) Close() {
@@ -61,7 +41,6 @@ func (q *Queue[T]) Close() {
 // queue panics (a model bug).
 func (q *Queue[T]) Push(p *Proc, v T) {
 	for q.capacity > 0 && q.items.len() >= q.capacity && !q.closed {
-		q.blockedPush++
 		q.putters.push(p)
 		p.park()
 	}
@@ -85,10 +64,6 @@ func (q *Queue[T]) TryPush(v T) bool {
 
 func (q *Queue[T]) add(v T) {
 	q.items.push(v)
-	q.pushes++
-	if q.items.len() > q.maxDepth {
-		q.maxDepth = q.items.len()
-	}
 	if q.getters.len() > 0 {
 		q.getters.pop().resumeAt(q.k.now)
 	}
@@ -101,7 +76,6 @@ func (q *Queue[T]) Pop(p *Proc) (v T, ok bool) {
 		if q.closed {
 			return v, false
 		}
-		q.blockedPop++
 		q.getters.push(p)
 		p.park()
 	}

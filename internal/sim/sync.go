@@ -146,10 +146,9 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// semWaiter is a queued Acquire request: a parked process, or a callback
-// (fn, arg) queued by AcquireCall at time since.
+// semWaiter is a request queued by AcquireCall at time since: fn(arg)
+// runs once its n units are granted.
 type semWaiter struct {
-	p     *Proc
 	n     int64
 	fn    func(any)
 	arg   any
@@ -184,39 +183,28 @@ func (s *Semaphore) Available() int64 { return s.avail }
 // Capacity returns the configured capacity (<=0 means unlimited).
 func (s *Semaphore) Capacity() int64 { return s.capacity }
 
-// QueueLen returns the number of blocked Acquire calls.
+// QueueLen returns the number of queued requests.
 func (s *Semaphore) QueueLen() int { return s.waiters.len() }
 
-// Throttled returns how many Acquire calls had to wait.
+// Throttled returns how many requests had to wait.
 func (s *Semaphore) Throttled() uint64 { return s.throttled }
 
-// WaitTime returns the total virtual time spent blocked in Acquire.
+// WaitTime returns the total virtual time requests spent queued.
 func (s *Semaphore) WaitTime() Time { return s.waitTime }
 
-// Acquire obtains n units, blocking p until they are available. Grants are
-// strictly FIFO: a large request at the head blocks smaller ones behind it,
-// which matches the behaviour of Ceph's Throttle.
+// Acquire obtains n units, blocking p until they are available: it is
+// AcquireCall with Wake, then Await.
 func (s *Semaphore) Acquire(p *Proc, n int64) {
-	if s.capacity <= 0 {
-		return
+	if !s.AcquireCall(n, Wake, p) {
+		p.Await()
 	}
-	if s.waiters.len() == 0 && s.avail >= n {
-		s.avail -= n
-		return
-	}
-	s.throttled++
-	t0 := p.k.now
-	s.waiters.push(semWaiter{p: p, n: n})
-	p.park() // Release grants our units before waking us
-	s.waitTime += p.k.now - t0
 }
 
-// AcquireCall is Acquire for callback models. It obtains n units and
-// reports true if they are free now; otherwise it queues fn(arg) behind the
-// waiting processes in the same FIFO and reports false. A queued callback is
-// granted with AfterCall(0, fn, arg) at the point where a process waiter
-// would be resumed, so it runs in the event slot that process's resume would
-// have used; its wait counts in Throttled and WaitTime as a process's does.
+// AcquireCall obtains n units and reports true if they are free now;
+// otherwise it queues fn(arg) and reports false. Grants are strictly FIFO:
+// a large request at the head blocks smaller ones behind it, which matches
+// the behaviour of Ceph's Throttle. A queued request is granted with
+// AfterCall(0, fn, arg) from the Release that frees its units.
 func (s *Semaphore) AcquireCall(n int64, fn func(any), arg any) bool {
 	if s.capacity <= 0 {
 		return true
@@ -228,16 +216,6 @@ func (s *Semaphore) AcquireCall(n int64, fn func(any), arg any) bool {
 	s.throttled++
 	s.waiters.push(semWaiter{n: n, fn: fn, arg: arg, since: s.k.now})
 	return false
-}
-
-// grant wakes a waiter whose units have been granted.
-func (s *Semaphore) grant(w semWaiter) {
-	if w.p != nil {
-		w.p.resumeAt(s.k.now)
-		return
-	}
-	s.waitTime += s.k.now - w.since
-	s.k.AfterCall(0, w.fn, w.arg)
 }
 
 // TryAcquire obtains n units without blocking and reports success.
@@ -264,25 +242,8 @@ func (s *Semaphore) Release(n int64) {
 	for s.waiters.len() > 0 && s.avail >= s.waiters.peek().n {
 		w := s.waiters.pop()
 		s.avail -= w.n
-		s.grant(w)
-	}
-}
-
-// Resize changes the capacity, releasing waiters if it grew.
-func (s *Semaphore) Resize(capacity int64) {
-	delta := capacity - s.capacity
-	s.capacity = capacity
-	if capacity <= 0 {
-		// Became unlimited: release everyone.
-		for s.waiters.len() > 0 {
-			s.grant(s.waiters.pop())
-		}
-		return
-	}
-	if delta > 0 {
-		s.Release(delta)
-	} else {
-		s.avail += delta // may go negative; drains as units return
+		s.waitTime += s.k.now - w.since
+		s.k.AfterCall(0, w.fn, w.arg)
 	}
 }
 
