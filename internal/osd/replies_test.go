@@ -22,11 +22,12 @@ func TestWorkerRepliesPinned(t *testing.T) {
 		dispatched    uint64
 	}
 	cases := []struct {
-		name  string
-		setup func(h *harness)
-		want  map[string]pin // by profile
+		name   string
+		setup  func(h *harness)
+		damage bool           // corrupt the object between write and read
+		want   map[string]pin // by profile
 	}{
-		{"rep-damaged-no-replicas", func(h *harness) {}, map[string]pin{
+		{"rep-damaged-no-replicas", func(h *harness) {}, true, map[string]pin{
 			"afceph":    {351532, 50482889, true, false, 88},
 			"community": {1510382, 51550760, true, false, 106},
 		}},
@@ -34,7 +35,7 @@ func TestWorkerRepliesPinned(t *testing.T) {
 			h.o.SetPolicy(redundancy.EC{K: 2, M: 1})
 			set := []ShardTarget{{Self: true}, {}, {}}
 			h.o.SetShardPlacer(func(uint32) []ShardTarget { return set })
-		}, map[string]pin{
+		}, false, map[string]pin{
 			"afceph":    {352578, 50478249, true, false, 86},
 			"community": {1511428, 51520360, true, false, 103},
 		}},
@@ -43,7 +44,7 @@ func TestWorkerRepliesPinned(t *testing.T) {
 			peer := h.net.NewEndpoint("peer", h.o.node, true)
 			set := []ShardTarget{{Self: true}, {EP: peer}}
 			h.o.SetShardPlacer(func(uint32) []ShardTarget { return set })
-		}, map[string]pin{
+		}, false, map[string]pin{
 			"afceph":    {355439, 50489467, false, true, 86},
 			"community": {1514289, 51531578, false, true, 103},
 		}},
@@ -60,11 +61,10 @@ func TestWorkerRepliesPinned(t *testing.T) {
 			t.Run(tc.name+"/"+pr.name, func(t *testing.T) {
 				h := newHarness(pr.cfg)
 				tc.setup(h)
-				damage := tc.name == "rep-damaged-no-replicas"
 				h.k.Go("c", func(p *sim.Proc) {
 					h.send(p, OpWrite, 1, "obj", 0, 4096, 7)
 					p.Sleep(50 * sim.Millisecond)
-					if damage && !h.o.Store().CorruptObject("obj") {
+					if tc.damage && !h.o.Store().CorruptObject("obj") {
 						t.Error("no object to damage")
 					}
 					h.send(p, OpRead, 2, "obj", 0, 4096, 0)
