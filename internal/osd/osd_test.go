@@ -20,6 +20,7 @@ type harness struct {
 	client *netsim.Endpoint
 	acks   map[uint64]*Reply
 	ackAt  map[uint64]sim.Time
+	prim   *netsim.Endpoint // a peer primary, for tests that play one
 }
 
 func newHarness(cfg Config) *harness {
