@@ -226,7 +226,7 @@ func New(params Params) *Cluster {
 				c.ssds = append(c.ssds, ssd)
 				members = append(members, ssd)
 			}
-			data := device.NewRAID0(fmt.Sprintf("osd%d.raid", id), 64<<10, members...)
+			data := device.NewRAID0(k, fmt.Sprintf("osd%d.raid", id), 64<<10, members...)
 			c.dataDevs = append(c.dataDevs, data)
 			cfg := params.OSD
 			cfg.ID = id

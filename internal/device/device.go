@@ -2,7 +2,10 @@
 // flash SSDs with channel parallelism, sustained-state garbage collection
 // and a mixed read/write penalty; spinning HDDs with a seek model; and
 // µs-class NVRAM used for journals. A RAID0 wrapper aggregates devices into
-// one block device, matching the paper's "3 SSDs tied up as RAID 0".
+// one block device, matching the paper's "3 SSDs tied up as RAID 0". A
+// request is an IO, started with Submit and served in kernel callbacks, so
+// a device holds requests in flight, not processes; Read and Write are the
+// process forms.
 //
 // The models reproduce the device *behaviours* the paper's analysis relies
 // on (flash parallelism, clean-vs-sustained degradation, reads slowing down
@@ -34,10 +37,14 @@ func NewStats() *Stats {
 	return &Stats{ReadLat: stats.NewHistogram(), WriteLat: stats.NewHistogram()}
 }
 
-// Device is a block device inside the simulation. Read and Write block the
-// calling process for the device's queueing plus service time and return the
-// total elapsed device latency.
+// Device is a block device inside the simulation. Submit starts a request
+// that completes by calling its Done; Read and Write are the process forms,
+// Submit plus Await, which block the calling process for the device's
+// queueing plus service time and return that latency.
 type Device interface {
+	// Submit starts io. Every event it schedules lands in the (t, seq) slot
+	// a process making the same request with Read or Write would use.
+	Submit(io *IO)
 	// Read fetches size bytes at off.
 	Read(p *sim.Proc, off, size int64) sim.Time
 	// Write stores size bytes at off.
@@ -46,6 +53,71 @@ type Device interface {
 	Name() string
 	// Stats exposes accumulated metrics.
 	Stats() *Stats
+}
+
+// IO is one request made of a Device with Submit. Its owner keeps it alive
+// and may reuse it once Done has run.
+type IO struct {
+	// Done runs as Done(Arg) when the request completes, after Lat is set.
+	// It runs in kernel context and must not block.
+	Done func(any)
+	Arg  any
+
+	Off, Size int64
+	Write     bool
+	// Lat is the request's device latency, queueing included.
+	Lat sim.Time
+
+	// The serving device's state of the request in flight (a RAID0 sets
+	// only start, and keeps the rest in a raidReq).
+	dev   Device
+	start sim.Time
+	job   sim.Job // the service in flight; its Arg is the IO
+	amp   float64 // SSD write: NAND bytes per host byte
+}
+
+// begin starts dev's service of io: it records the serving device and the
+// start time, and points io's job at done.
+func (io *IO) begin(dev Device, now sim.Time, done func(any)) {
+	io.dev, io.start = dev, now
+	io.job.Done, io.job.Arg = done, io
+}
+
+// complete sets io's latency, records it in st, and runs Done.
+func (io *IO) complete(st *Stats, now sim.Time) {
+	io.Lat = now - io.start
+	if io.Write {
+		st.Writes.Inc()
+		st.BytesWritten.Add(uint64(io.Size))
+		st.WriteLat.Record(int64(io.Lat))
+	} else {
+		st.Reads.Inc()
+		st.BytesRead.Add(uint64(io.Size))
+		st.ReadLat.Record(int64(io.Lat))
+	}
+	io.Done(io.Arg)
+}
+
+// ioPool recycles the IOs of a device's process-form requests.
+type ioPool struct{ free []*IO }
+
+// wait makes a request of d on behalf of p and returns its latency: it is
+// Submit with sim.Wake, then Await.
+func (pl *ioPool) wait(d Device, p *sim.Proc, off, size int64, write bool) sim.Time {
+	var io *IO
+	if n := len(pl.free); n > 0 {
+		io = pl.free[n-1]
+		pl.free = pl.free[:n-1]
+	} else {
+		io = &IO{Done: sim.Wake}
+	}
+	io.Arg, io.Off, io.Size, io.Write = p, off, size, write
+	d.Submit(io)
+	p.Await()
+	lat := io.Lat
+	io.Arg = nil
+	pl.free = append(pl.free, io)
+	return lat
 }
 
 // FaultHook injects extra latency into a device's I/O path (slow-disk
@@ -61,14 +133,28 @@ type FaultHook interface {
 }
 
 // RAID0 stripes requests across member devices, modelling the paper's
-// multi-SSD block devices. A request is routed whole to the stripe owning
-// its starting offset (fine for the <= 64 KiB requests the experiments use).
+// multi-SSD block devices. A request that fits in one stripe is routed
+// whole to the member owning its starting offset (fine for the <= 64 KiB
+// requests the experiments use); a larger one is split into one
+// contiguous segment per member, served in parallel.
 type RAID0 struct {
+	k          *sim.Kernel
 	name       string
 	members    []Device
 	stripeSize int64
 	stats      *Stats
 	fault      FaultHook
+	free       []*raidReq
+	pool       ioPool
+}
+
+// raidReq is the array's state of one request in flight: the member
+// requests it was split into, and how many are outstanding.
+type raidReq struct {
+	r    *RAID0
+	io   *IO
+	segs []IO
+	left int
 }
 
 // SetFaultHook installs (or, with nil, removes) a fault injector covering
@@ -77,14 +163,14 @@ type RAID0 struct {
 func (r *RAID0) SetFaultHook(h FaultHook) { r.fault = h }
 
 // NewRAID0 aggregates members with the given stripe size (bytes).
-func NewRAID0(name string, stripeSize int64, members ...Device) *RAID0 {
+func NewRAID0(k *sim.Kernel, name string, stripeSize int64, members ...Device) *RAID0 {
 	if len(members) == 0 {
 		panic("device: RAID0 needs at least one member")
 	}
 	if stripeSize <= 0 {
 		panic("device: RAID0 stripe size must be positive")
 	}
-	return &RAID0{name: name, members: members, stripeSize: stripeSize, stats: NewStats()}
+	return &RAID0{k: k, name: name, members: members, stripeSize: stripeSize, stats: NewStats()}
 }
 
 // Name returns the array name.
@@ -102,119 +188,124 @@ func (r *RAID0) route(off int64) (Device, int64) {
 	return r.members[member], memberOff
 }
 
-// segment is one member's contiguous share of a striped request.
-type segment struct {
-	dev   Device
-	off   int64
-	bytes int64
-}
-
-// segments splits [off, off+size) into one contiguous run per member.
+// segments returns one member request per member that [off, off+size)
+// touches, in the order the request first touches them, reusing segs'
+// array.
 // Within a multi-stripe request each member's stripes are adjacent in its
 // dense address space, so a member's share is a single extent — which is
-// what keeps large sequential streams sequential *per device*.
-func (r *RAID0) segments(off, size int64) []segment {
-	if size <= r.stripeSize {
-		d, moff := r.route(off)
-		return []segment{{dev: d, off: moff, bytes: size}}
-	}
-	segs := make(map[Device]*segment, len(r.members))
-	var order []Device
+// what keeps large sequential streams sequential *per device*. Stripe s
+// belongs to member s mod n, so the i-th stripe of the request extends the
+// (i mod n)-th segment.
+func (r *RAID0) segments(segs []IO, off, size int64, write bool) []IO {
+	segs = segs[:0]
+	n := int64(len(r.members))
+	first := off / r.stripeSize
 	for pos := off; pos < off+size; {
-		stripeEnd := (pos/r.stripeSize + 1) * r.stripeSize
-		n := stripeEnd - pos
-		if pos+n > off+size {
-			n = off + size - pos
+		stripe := pos / r.stripeSize
+		end := (stripe + 1) * r.stripeSize
+		if end > off+size {
+			end = off + size
 		}
-		d, moff := r.route(pos)
-		if s, ok := segs[d]; ok {
-			s.bytes += n
+		if i := stripe - first; i < n {
+			d, moff := r.route(pos)
+			segs = append(segs, IO{dev: d, Off: moff, Size: end - pos, Write: write})
 		} else {
-			segs[d] = &segment{dev: d, off: moff, bytes: n}
-			order = append(order, d)
+			segs[i%n].Size += end - pos
 		}
-		pos += n
+		pos = end
 	}
-	out := make([]segment, 0, len(order))
-	for _, d := range order {
-		out = append(out, *segs[d])
-	}
-	return out
+	return segs
 }
 
-// parallel runs one I/O per member concurrently and returns when all
-// segments complete (RAID0 striping parallelism).
-func (r *RAID0) parallel(p *sim.Proc, segs []segment, write bool) sim.Time {
-	start := p.Now()
-	if len(segs) == 1 {
-		if write {
-			segs[0].dev.Write(p, segs[0].off, segs[0].bytes)
-		} else {
-			segs[0].dev.Read(p, segs[0].off, segs[0].bytes)
-		}
-		return p.Now() - start
+// Submit starts io on the members. A request with one segment goes to its
+// member, and continues the array request when the member completes it.
+// Otherwise each segment is submitted from its own event, in the slot a
+// per-segment process's start took, and the last segment to complete
+// continues the array request from one more event, in the slot where a
+// joining process would be woken.
+func (r *RAID0) Submit(io *IO) {
+	io.start = r.k.Now()
+	var rq *raidReq
+	if n := len(r.free); n > 0 {
+		rq = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		rq = &raidReq{r: r}
 	}
-	k := p.Kernel()
-	wg := sim.NewWaitGroup(k)
-	for _, s := range segs {
-		s := s
-		wg.Add(1)
-		k.Go(r.name+".stripe", func(sp *sim.Proc) {
-			defer wg.Done()
-			if write {
-				s.dev.Write(sp, s.off, s.bytes)
-			} else {
-				s.dev.Read(sp, s.off, s.bytes)
-			}
-		})
+	rq.io = io
+	if io.Size <= r.stripeSize {
+		d, moff := r.route(io.Off)
+		rq.segs = append(rq.segs[:0], IO{dev: d, Off: moff, Size: io.Size, Write: io.Write})
+	} else {
+		rq.segs = r.segments(rq.segs, io.Off, io.Size, io.Write)
 	}
-	wg.Wait(p)
-	return p.Now() - start
+	rq.left = len(rq.segs)
+	for i := range rq.segs {
+		rq.segs[i].Done, rq.segs[i].Arg = raidSegDone, rq
+	}
+	if rq.left == 1 {
+		raidSegStart(&rq.segs[0])
+		return
+	}
+	for i := range rq.segs {
+		r.k.AfterCall(0, raidSegStart, &rq.segs[i])
+	}
 }
 
-// stripe services a request on its members: directly on the owning member
-// for the single-stripe requests that dominate the experiments (no segment
-// list built), via segments+parallel for multi-stripe ones.
-func (r *RAID0) stripe(p *sim.Proc, off, size int64, write bool) sim.Time {
-	if size <= r.stripeSize {
-		start := p.Now()
-		d, moff := r.route(off)
-		if write {
-			d.Write(p, moff, size)
-		} else {
-			d.Read(p, moff, size)
-		}
-		return p.Now() - start
-	}
-	return r.parallel(p, r.segments(off, size), write)
+func raidSegStart(a any) {
+	seg := a.(*IO)
+	seg.dev.Submit(seg)
 }
 
-// Read stripes the request across members (parallel for multi-stripe ops).
+// raidSegDone counts a member request down; the last one continues the
+// array request.
+func raidSegDone(a any) {
+	rq := a.(*raidReq)
+	if rq.left--; rq.left > 0 {
+		return
+	}
+	if len(rq.segs) == 1 {
+		raidJoined(rq)
+		return
+	}
+	rq.r.k.AfterCall(0, raidJoined, rq)
+}
+
+// raidJoined completes the array request, serving the fault hook's extra
+// latency first.
+func raidJoined(a any) {
+	rq := a.(*raidReq)
+	r, io := rq.r, rq.io
+	if r.fault != nil {
+		lat := r.k.Now() - io.start
+		var extra sim.Time
+		if io.Write {
+			extra = r.fault.WriteDelay(lat, io.Size)
+		} else {
+			extra = r.fault.ReadDelay(lat, io.Size)
+		}
+		if extra > 0 {
+			r.k.AfterCall(extra, raidDone, rq)
+			return
+		}
+	}
+	raidDone(rq)
+}
+
+func raidDone(a any) {
+	rq := a.(*raidReq)
+	r, io := rq.r, rq.io
+	rq.io = nil
+	r.free = append(r.free, rq)
+	io.complete(r.stats, r.k.Now())
+}
+
+// Read stripes the request across members: Submit, then Await.
 func (r *RAID0) Read(p *sim.Proc, off, size int64) sim.Time {
-	lat := r.stripe(p, off, size, false)
-	if r.fault != nil {
-		if extra := r.fault.ReadDelay(lat, size); extra > 0 {
-			p.Sleep(extra)
-			lat += extra
-		}
-	}
-	r.stats.Reads.Inc()
-	r.stats.BytesRead.Add(uint64(size))
-	r.stats.ReadLat.Record(int64(lat))
-	return lat
+	return r.pool.wait(r, p, off, size, false)
 }
 
-// Write stripes the request across members (parallel for multi-stripe ops).
+// Write stripes the request across members: Submit, then Await.
 func (r *RAID0) Write(p *sim.Proc, off, size int64) sim.Time {
-	lat := r.stripe(p, off, size, true)
-	if r.fault != nil {
-		if extra := r.fault.WriteDelay(lat, size); extra > 0 {
-			p.Sleep(extra)
-			lat += extra
-		}
-	}
-	r.stats.Writes.Inc()
-	r.stats.BytesWritten.Add(uint64(size))
-	r.stats.WriteLat.Record(int64(lat))
-	return lat
+	return r.pool.wait(r, p, off, size, true)
 }

@@ -172,7 +172,7 @@ func TestSSDSustainedIOPSCalibration(t *testing.T) {
 		s.SetSustained(true)
 		members = append(members, s)
 	}
-	raid := NewRAID0("raid", 64<<10, members...)
+	raid := NewRAID0(k, "raid", 64<<10, members...)
 	const workers = 32
 	done := 0
 	for w := 0; w < workers; w++ {
@@ -274,7 +274,7 @@ func TestRAID0RoutesAcrossMembers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		members = append(members, NewSSD(k, fmt.Sprintf("s%d", i), DefaultSSDParams(), r))
 	}
-	raid := NewRAID0("raid", 64<<10, members...)
+	raid := NewRAID0(k, "raid", 64<<10, members...)
 	k.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 300; i++ {
 			raid.Write(p, int64(i)*(64<<10), 4096)
@@ -296,7 +296,7 @@ func TestRAID0ReadRouting(t *testing.T) {
 	r := rng.New(5)
 	a := NewSSD(k, "a", DefaultSSDParams(), r)
 	b := NewSSD(k, "b", DefaultSSDParams(), r)
-	raid := NewRAID0("raid", 4096, a, b)
+	raid := NewRAID0(k, "raid", 4096, a, b)
 	k.Go("r", func(p *sim.Proc) {
 		raid.Read(p, 0, 4096)    // stripe 0 -> a
 		raid.Read(p, 4096, 4096) // stripe 1 -> b
@@ -309,8 +309,8 @@ func TestRAID0ReadRouting(t *testing.T) {
 
 func TestRAID0Validation(t *testing.T) {
 	for _, tc := range []func(){
-		func() { NewRAID0("x", 4096) },
-		func() { NewRAID0("x", 0, NewNVRAM(sim.NewKernel(), "n", DefaultNVRAMParams())) },
+		func() { NewRAID0(sim.NewKernel(), "x", 4096) },
+		func() { NewRAID0(sim.NewKernel(), "x", 0, NewNVRAM(sim.NewKernel(), "n", DefaultNVRAMParams())) },
 	} {
 		func() {
 			defer func() {
@@ -336,8 +336,26 @@ func TestSSDParamValidation(t *testing.T) {
 
 func TestDeviceInterfaceCompliance(t *testing.T) {
 	k := sim.NewKernel()
-	var _ Device = NewSSD(k, "s", DefaultSSDParams(), rng.New(1))
-	var _ Device = NewHDD(k, "h", DefaultHDDParams(), rng.New(1))
-	var _ Device = NewNVRAM(k, "n", DefaultNVRAMParams())
-	var _ Device = NewRAID0("r", 4096, NewNVRAM(k, "n2", DefaultNVRAMParams()))
+	devs := []Device{
+		NewSSD(k, "s", DefaultSSDParams(), rng.New(1)),
+		NewHDD(k, "h", DefaultHDDParams(), rng.New(1)),
+		NewNVRAM(k, "n", DefaultNVRAMParams()),
+		NewRAID0(k, "r", 4096, NewNVRAM(k, "n2", DefaultNVRAMParams())),
+	}
+	// Submit completes every request through Done, with its latency.
+	done := 0
+	for _, d := range devs {
+		io := &IO{Off: 8192, Size: 4096, Write: true}
+		io.Done = func(any) {
+			if io.Lat <= 0 {
+				t.Errorf("%s: latency %v", d.Name(), io.Lat)
+			}
+			done++
+		}
+		d.Submit(io)
+	}
+	k.Run(sim.Forever)
+	if done != len(devs) {
+		t.Fatalf("%d of %d submitted requests completed", done, len(devs))
+	}
 }

@@ -46,6 +46,7 @@ type HDD struct {
 	streams []int64 // recently active stream end offsets (elevator batching)
 	evict   int
 	stats   *Stats
+	pool    ioPool
 }
 
 // NewHDD creates an HDD.
@@ -98,33 +99,37 @@ func (d *HDD) service(off, size int64) sim.Time {
 	return d.noise(svc)
 }
 
-// Read services a read request.
-func (d *HDD) Read(p *sim.Proc, off, size int64) sim.Time {
-	start := p.Now()
-	d.arm.Acquire(p)
-	svc := d.service(off, size)
-	p.Sleep(svc)
-	d.arm.Release()
-	lat := p.Now() - start
-	d.stats.Reads.Inc()
-	d.stats.BytesRead.Add(uint64(size))
-	d.stats.ReadLat.Record(int64(lat))
-	return lat
+// Submit starts io: it waits for the arm, then holds it for a service
+// time computed at the grant, where the elevator sees the queue behind it.
+func (d *HDD) Submit(io *IO) {
+	io.begin(d, d.k.Now(), hddGranted)
+	d.arm.AcquireCall(&io.job)
 }
 
-// Write services a write request.
-func (d *HDD) Write(p *sim.Proc, off, size int64) sim.Time {
-	start := p.Now()
-	d.arm.Acquire(p)
-	svc := d.service(off, size)
-	p.Sleep(svc)
+func hddGranted(a any) {
+	io := a.(*IO)
+	d := io.dev.(*HDD)
+	d.k.AfterCall(d.service(io.Off, io.Size), hddServed, io)
+}
+
+func hddServed(a any) {
+	io := a.(*IO)
+	d := io.dev.(*HDD)
 	d.arm.Release()
-	lat := p.Now() - start
-	d.stats.Writes.Inc()
-	d.stats.BytesWritten.Add(uint64(size))
-	d.stats.NANDBytesWritten.Add(uint64(size))
-	d.stats.WriteLat.Record(int64(lat))
-	return lat
+	if io.Write {
+		d.stats.NANDBytesWritten.Add(uint64(io.Size))
+	}
+	io.complete(d.stats, d.k.Now())
+}
+
+// Read services a read request: Submit, then Await.
+func (d *HDD) Read(p *sim.Proc, off, size int64) sim.Time {
+	return d.pool.wait(d, p, off, size, false)
+}
+
+// Write services a write request: Submit, then Await.
+func (d *HDD) Write(p *sim.Proc, off, size int64) sim.Time {
+	return d.pool.wait(d, p, off, size, true)
 }
 
 // NVRAMParams configures the battery-backed DRAM journal device.
@@ -150,15 +155,18 @@ func DefaultNVRAMParams() NVRAMParams {
 // NVRAM is a µs-class persistent memory device.
 type NVRAM struct {
 	name    string
+	k       *sim.Kernel
 	params  NVRAMParams
 	engines *sim.Resource
 	stats   *Stats
+	pool    ioPool
 }
 
 // NewNVRAM creates an NVRAM device.
 func NewNVRAM(k *sim.Kernel, name string, params NVRAMParams) *NVRAM {
 	return &NVRAM{
 		name:    name,
+		k:       k,
 		params:  params,
 		engines: sim.NewResource(k, name+".dma", params.Parallelism),
 		stats:   NewStats(),
@@ -175,25 +183,27 @@ func (d *NVRAM) svc(size int64) sim.Time {
 	return d.params.AccessLatency + sim.Time(size*int64(sim.Second)/d.params.TransferBytesPerSec)
 }
 
-// Read services a read request.
-func (d *NVRAM) Read(p *sim.Proc, off, size int64) sim.Time {
-	start := p.Now()
-	d.engines.Use(p, d.svc(size))
-	lat := p.Now() - start
-	d.stats.Reads.Inc()
-	d.stats.BytesRead.Add(uint64(size))
-	d.stats.ReadLat.Record(int64(lat))
-	return lat
+// Submit starts io on a free DMA engine.
+func (d *NVRAM) Submit(io *IO) {
+	io.begin(d, d.k.Now(), nvramDone)
+	d.engines.UseCall(&io.job, d.svc(io.Size))
 }
 
-// Write services a write request.
+func nvramDone(a any) {
+	io := a.(*IO)
+	d := io.dev.(*NVRAM)
+	if io.Write {
+		d.stats.NANDBytesWritten.Add(uint64(io.Size))
+	}
+	io.complete(d.stats, d.k.Now())
+}
+
+// Read services a read request: Submit, then Await.
+func (d *NVRAM) Read(p *sim.Proc, off, size int64) sim.Time {
+	return d.pool.wait(d, p, off, size, false)
+}
+
+// Write services a write request: Submit, then Await.
 func (d *NVRAM) Write(p *sim.Proc, off, size int64) sim.Time {
-	start := p.Now()
-	d.engines.Use(p, d.svc(size))
-	lat := p.Now() - start
-	d.stats.Writes.Inc()
-	d.stats.BytesWritten.Add(uint64(size))
-	d.stats.NANDBytesWritten.Add(uint64(size))
-	d.stats.WriteLat.Record(int64(lat))
-	return lat
+	return d.pool.wait(d, p, off, size, true)
 }

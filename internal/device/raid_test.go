@@ -20,7 +20,7 @@ func testRAID(k *sim.Kernel, members int, stripe int64) (*RAID0, []*SSD) {
 		ssds = append(ssds, s)
 		devs = append(devs, s)
 	}
-	return NewRAID0("raid", stripe, devs...), ssds
+	return NewRAID0(k, "raid", stripe, devs...), ssds
 }
 
 func TestRAID0SegmentsCoverRequestProperty(t *testing.T) {
@@ -29,20 +29,20 @@ func TestRAID0SegmentsCoverRequestProperty(t *testing.T) {
 	f := func(offRaw uint32, sizeRaw uint16) bool {
 		off := int64(offRaw)
 		size := int64(sizeRaw) + 1
-		segs := raid.segments(off, size)
+		segs := raid.segments(nil, off, size, false)
 		// Segments must cover exactly `size` bytes, each on a distinct
 		// member, each non-empty.
 		var total int64
 		seen := map[Device]bool{}
 		for _, s := range segs {
-			if s.bytes <= 0 {
+			if s.Size <= 0 {
 				return false
 			}
 			if seen[s.dev] {
 				return false
 			}
 			seen[s.dev] = true
-			total += s.bytes
+			total += s.Size
 		}
 		return total == size && len(segs) <= 3
 	}

@@ -99,7 +99,7 @@ type SSD struct {
 	stats     *Stats
 
 	busyWrites int64 // writes currently in service or queued
-	busyReads  int64
+	pool       ioPool
 
 	// FTL stream tracker: end offsets of recently seen sequential streams.
 	wStreams []int64
@@ -183,9 +183,43 @@ func (d *SSD) transfer(size int64) sim.Time {
 	return sim.Time(size * int64(sim.Second) / d.params.TransferBytesPerSec)
 }
 
-// Read services a read request.
-func (d *SSD) Read(p *sim.Proc, off, size int64) sim.Time {
-	start := p.Now()
+// Submit starts io: a channel service, then the transfer on the host bus.
+// The service time, its rng draws and the stream and mixed-load state are
+// taken at submission, as a process's Read or Write takes them on entry.
+func (d *SSD) Submit(io *IO) {
+	io.begin(d, d.k.Now(), ssdChannelDone)
+	if io.Write {
+		svc := d.writeService(io)
+		d.busyWrites++
+		d.channels.UseCall(&io.job, svc)
+		return
+	}
+	d.channels.UseCall(&io.job, d.readService(io.Off, io.Size))
+}
+
+// ssdChannelDone moves a request from its channel to the host-interface
+// transfer: all of the device's traffic shares the bus.
+func ssdChannelDone(a any) {
+	io := a.(*IO)
+	d := io.dev.(*SSD)
+	if io.Write {
+		d.busyWrites--
+	}
+	io.job.Done = ssdBusDone
+	d.bus.UseCall(&io.job, d.transfer(io.Size))
+}
+
+func ssdBusDone(a any) {
+	io := a.(*IO)
+	d := io.dev.(*SSD)
+	if io.Write {
+		d.stats.NANDBytesWritten.Add(uint64(float64(io.Size) * io.amp))
+	}
+	io.complete(d.stats, d.k.Now())
+}
+
+// readService draws the channel service time of a read.
+func (d *SSD) readService(off, size int64) sim.Time {
 	base := d.params.ReadBase
 	var seq bool
 	d.rStreams, seq = seqHit(d.rStreams, &d.evictR, d.params.SeqWindow, off, off+size)
@@ -205,22 +239,13 @@ func (d *SSD) Read(p *sim.Proc, off, size int64) sim.Time {
 		}
 		svc = sim.Time(float64(svc) * (1 + d.params.MixedReadPenalty*frac))
 	}
-	svc = d.noise(svc)
-	d.busyReads++
-	d.channels.Use(p, svc)
-	d.busyReads--
-	// Host-interface transfer: all of the device's traffic shares the bus.
-	d.bus.Use(p, d.transfer(size))
-	lat := p.Now() - start
-	d.stats.Reads.Inc()
-	d.stats.BytesRead.Add(uint64(size))
-	d.stats.ReadLat.Record(int64(lat))
-	return lat
+	return d.noise(svc)
 }
 
-// Write services a write request.
-func (d *SSD) Write(p *sim.Proc, off, size int64) sim.Time {
-	start := p.Now()
+// writeService draws the channel service time of a write and sets io's
+// write amplification.
+func (d *SSD) writeService(io *IO) sim.Time {
+	off, size := io.Off, io.Size
 	base := d.params.WriteBaseClean
 	amp := d.params.WriteAmpClean
 	if d.sustained {
@@ -245,6 +270,7 @@ func (d *SSD) Write(p *sim.Proc, off, size int64) sim.Time {
 		pages := float64(size) / 4096
 		base = sim.Time(float64(base) * pow075(pages))
 	}
+	io.amp = amp
 	svc := base
 	if d.sustained && !seq && d.rnd.Bool(d.params.GCStallProb) {
 		stall := sim.Time(d.rnd.Pareto(float64(d.params.GCStallMin), d.params.GCStallShape))
@@ -255,15 +281,15 @@ func (d *SSD) Write(p *sim.Proc, off, size int64) sim.Time {
 		svc += stall
 		d.stats.GCStalls.Inc()
 	}
-	svc = d.noise(svc)
-	d.busyWrites++
-	d.channels.Use(p, svc)
-	d.busyWrites--
-	d.bus.Use(p, d.transfer(size))
-	lat := p.Now() - start
-	d.stats.Writes.Inc()
-	d.stats.BytesWritten.Add(uint64(size))
-	d.stats.NANDBytesWritten.Add(uint64(float64(size) * amp))
-	d.stats.WriteLat.Record(int64(lat))
-	return lat
+	return d.noise(svc)
+}
+
+// Read services a read request: Submit, then Await.
+func (d *SSD) Read(p *sim.Proc, off, size int64) sim.Time {
+	return d.pool.wait(d, p, off, size, false)
+}
+
+// Write services a write request: Submit, then Await.
+func (d *SSD) Write(p *sim.Proc, off, size int64) sim.Time {
+	return d.pool.wait(d, p, off, size, true)
 }

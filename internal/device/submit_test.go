@@ -76,6 +76,23 @@ func runDevSchedule(c devCase, convert bool) (trace []string, stats string, k *s
 	}
 	for i, u := range c.users {
 		i, u := i, u
+		if convert && u.cb {
+			var io IO
+			s := 0
+			next := func() {
+				if s < len(u.ios) {
+					io.Write, io.Off, io.Size = u.ios[s].write, u.ios[s].off, u.ios[s].size
+					dev.Submit(&io)
+				}
+			}
+			io.Done = func(any) {
+				note(i, s, io.Lat)
+				s++
+				next()
+			}
+			k.AfterCall(0, func(any) { k.AfterCall(u.start, func(any) { next() }, nil) }, nil)
+			continue
+		}
 		k.Go("user", func(p *sim.Proc) {
 			p.Sleep(u.start)
 			for s, io := range u.ios {
@@ -115,7 +132,7 @@ func raidOf(k *sim.Kernel, members int, stripe int64, fault FaultHook) (Device, 
 	for i := range devs {
 		devs[i] = NewSSD(k, fmt.Sprintf("m%d", i), DefaultSSDParams(), r)
 	}
-	raid := NewRAID0("raid", stripe, devs...)
+	raid := NewRAID0(k, "raid", stripe, devs...)
 	raid.SetFaultHook(fault)
 	return raid, append([]Device{raid}, devs...)
 }
@@ -224,11 +241,44 @@ func TestSubmitMatchesRead(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, wantStats, kp, _ := runDevSchedule(tc, false)
+			want, wantStats, kp, saved := runDevSchedule(tc, false)
 			if h := traceHash(want); h != tc.trace || kp.Dispatched() != tc.dispatched || wantStats != tc.stats {
 				t.Fatalf("procs: trace %s, dispatched %d, stats %q; want %s, %d, %q\ntrace: %v",
 					h, kp.Dispatched(), wantStats, tc.trace, tc.dispatched, tc.stats, want)
 			}
+			got, gotStats, kc, _ := runDevSchedule(tc, true)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trace differs\nprocs:     %v\ncallbacks: %v", want, got)
+			}
+			if gotStats != wantStats {
+				t.Fatalf("stats differ\nprocs:     %s\ncallbacks: %s", wantStats, gotStats)
+			}
+			if kc.Dispatched() != kp.Dispatched() {
+				t.Fatalf("dispatched %d, procs dispatched %d", kc.Dispatched(), kp.Dispatched())
+			}
+			if kc.Resumes() != kp.Resumes()-saved {
+				t.Fatalf("resumes %d, want %d - %d", kc.Resumes(), kp.Resumes(), saved)
+			}
 		})
+	}
+}
+
+// TestRAID0StripesSpawnNoProcess checks that a request split over several
+// members runs without a process per segment.
+func TestRAID0StripesSpawnNoProcess(t *testing.T) {
+	k := sim.NewKernel()
+	raid, ssds := testRAID(k, 3, 64<<10)
+	k.Go("w", func(p *sim.Proc) {
+		before := k.Spawned()
+		raid.Write(p, 0, 256<<10)
+		if n := k.Spawned() - before; n != 0 {
+			t.Errorf("a 256 KiB write spawned %d processes", n)
+		}
+	})
+	k.Run(sim.Forever)
+	for i, s := range ssds {
+		if s.Stats().Writes.Value() != 1 {
+			t.Fatalf("member %d got %d writes, want 1", i, s.Stats().Writes.Value())
+		}
 	}
 }

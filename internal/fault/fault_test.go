@@ -201,7 +201,7 @@ func TestRAID0FaultHookInflatesLatency(t *testing.T) {
 		p := device.DefaultSSDParams()
 		p.NoiseSigma = 0
 		ssd := device.NewSSD(k, "s0", p, rng.New(31))
-		raid := device.NewRAID0("raid", 64<<10, ssd)
+		raid := device.NewRAID0(k, "raid", 64<<10, ssd)
 		if hook != nil {
 			raid.SetFaultHook(hook)
 		}

@@ -372,35 +372,99 @@ func (f *FileStore) lookup(oid string) *object {
 	return obj
 }
 
+// ReadReq is one Read made by a callback chain (see ReadCall). Its owner
+// keeps it alive, and may reuse it once Done has run.
+type ReadReq struct {
+	// Done runs as Done(Arg) when the read is over, after Stamp and Exists
+	// are set. It runs in kernel context and must not block.
+	Done func(any)
+	Arg  any
+
+	OID       string
+	Off, Size int64
+
+	// Stamp is the stamp recorded for that exact extent (when VerifyData
+	// is on); Exists reports whether the object exists.
+	Stamp  uint64
+	Exists bool
+
+	f    *FileStore
+	obj  *object // the object found after the syscall charge, or nil
+	work cpumodel.Work
+	io   device.IO
+}
+
+// ReadCall is Read for callback models: it charges the syscalls, reads the
+// object's metadata from the device on a cache miss, then its data, and
+// runs r.Done. The object lookup and the miss draw happen once the
+// syscalls are charged, and every event lands in the slot Read's would.
+func (f *FileStore) ReadCall(r *ReadReq) {
+	f.stats.Reads.Inc()
+	n := 3 // open + read + close
+	if f.cfg.MinimizeSyscalls {
+		n = 1
+	}
+	f.stats.Syscalls.Add(uint64(n))
+	r.f = f
+	r.work.Done, r.work.Arg = readCharged, r
+	r.io.Arg = r
+	f.node.UseCall(&r.work, f.cfg.SyscallCost*sim.Time(n))
+}
+
+// readCharged looks the object up and reads its metadata on a cache miss:
+// without the write-through metadata cache, serving a read needs the
+// object's inode, xattr and omap header from storage first.
+func readCharged(a any) {
+	r := a.(*ReadReq)
+	f := r.f
+	r.obj = f.objects[r.OID]
+	if !f.cfg.WriteThroughMetaCache && f.rnd.Float64() < f.cfg.MetaMissProb {
+		r.io.Done = readMetaDone
+		r.io.Off, r.io.Size, r.io.Write = f.rnd.Int63n(1<<34)&^4095, f.cfg.MetaReadSize, false
+		f.dev.Submit(&r.io)
+		return
+	}
+	readData(r)
+}
+
+func readMetaDone(a any) {
+	r := a.(*ReadReq)
+	r.f.stats.MetaReads.Inc()
+	r.f.stats.MetaReadBytes.Add(uint64(r.f.cfg.MetaReadSize))
+	readData(r)
+}
+
+// readData reads the extent, at the object's device extent (an absent
+// object reads at extent 0).
+func readData(r *ReadReq) {
+	base := int64(0)
+	if r.obj != nil {
+		base = r.obj.base
+	}
+	r.io.Done = readDone
+	r.io.Off, r.io.Size, r.io.Write = base+r.Off%extentSize, r.Size, false
+	r.f.dev.Submit(&r.io)
+}
+
+func readDone(a any) {
+	r := a.(*ReadReq)
+	obj := r.obj
+	r.obj = nil
+	r.Stamp, r.Exists = 0, obj != nil
+	if obj != nil && r.f.cfg.VerifyData && obj.stamps != nil {
+		r.Stamp = obj.stamps[r.Off]
+	}
+	r.Done(r.Arg)
+}
+
 // Read fetches size bytes at off of oid. It returns the stamp recorded for
 // that exact extent (when VerifyData is on) and whether the object exists.
+// It is ReadCall with sim.Wake, then Await.
 func (f *FileStore) Read(p *sim.Proc, oid string, off, size int64) (stamp uint64, exists bool) {
-	f.stats.Reads.Inc()
-	if f.cfg.MinimizeSyscalls {
-		f.syscalls(p, 1)
-	} else {
-		f.syscalls(p, 3) // open + read + close
-	}
-	obj, ok := f.objects[oid]
-	// Without the write-through metadata cache, serving a read needs the
-	// object's metadata (inode, xattr, omap header) from storage first.
-	if !f.cfg.WriteThroughMetaCache && f.rnd.Float64() < f.cfg.MetaMissProb {
-		f.dev.Read(p, f.rnd.Int63n(1<<34)&^4095, f.cfg.MetaReadSize)
-		f.stats.MetaReads.Inc()
-		f.stats.MetaReadBytes.Add(uint64(f.cfg.MetaReadSize))
-	}
-	base := int64(0)
-	if ok {
-		base = obj.base
-	}
-	f.dev.Read(p, base+off%extentSize, size)
-	if !ok {
-		return 0, false
-	}
-	if f.cfg.VerifyData && obj.stamps != nil {
-		return obj.stamps[off], true
-	}
-	return 0, true
+	r := &ReadReq{Done: sim.Wake, Arg: p, OID: oid, Off: off, Size: size}
+	f.ReadCall(r)
+	p.Await()
+	return r.Stamp, r.Exists
 }
 
 // ObjectSize returns the current size of oid (0 if absent).

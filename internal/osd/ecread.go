@@ -57,38 +57,28 @@ func (g *ecGather) recordUsable(idx int, stamp uint64, exists bool) {
 	}
 }
 
-// processECRead services a read on an EC primary under the PG lock.
+// processECRead services a read on an EC primary under the PG lock: the
+// read's log, the op setup CPU, then the gather (ecPumpStep), in a
+// msgChain the worker awaits.
 func (o *OSD) processECRead(p *sim.Proc, eng *engine, op *ClientOp) {
 	o.metrics.ReadOps.Inc()
-	c := &o.cfg.Costs
-	o.logger.Log(p, siteRead, o.cfg.LogPerStage)
-	o.node.UseWithAllocs(p, c.OpSetupCPU, c.OpSetupAllocs)
-	if o.gen != eng.gen {
-		return // crashed during op setup; client retries
-	}
-	g := &ecGather{op: op, need: o.pol.DataShards()}
-	o.ecPumpSet(p, eng, g, o.shardPlacer(op.PG))
+	ch := o.getChain(eng, nil, p)
+	ch.op = op
+	ch.logStep(siteRead, ecReadLogged)
+	p.Await()
 }
 
-// ecPumpSet drives the gather over the acting set: it keeps `need` shard
-// reads in flight while untried candidates remain, serves the client once
-// k usable answers are in, and fails with EIO when the acting set is
-// exhausted short of k. The primary worker runs it for the initial launch
-// (local read inline), and p awaits the settle (ecSettle); each shard
-// reply pumps in messenger context (ecPumpStep).
-func (o *OSD) ecPumpSet(p *sim.Proc, eng *engine, g *ecGather, set []ShardTarget) {
-	for idx := g.nextLaunch(set); idx >= 0; idx = g.nextLaunch(set) {
-		if set[idx].Self {
-			o.localShardRead(p, eng, g, idx)
-		} else {
-			o.node.Use(p, o.cfg.Costs.RepSendCPU)
-			o.sendShardRead(eng, g, idx, set[idx].EP)
-		}
+func ecReadLogged(ch *msgChain) { ch.setUp(ecReadSetUp) }
+
+func ecReadSetUp(ch *msgChain) {
+	o, op := ch.o, ch.op
+	if o.gen != ch.eng.gen {
+		ch.end() // crashed during op setup; client retries
+		return
 	}
-	ch := o.getChain(eng, nil, p)
-	ch.g = g
-	ecSettle(ch)
-	p.Await()
+	ch.g = &ecGather{op: op, need: o.pol.DataShards()}
+	ch.set = o.shardPlacer(op.PG)
+	ecPumpStep(ch)
 }
 
 // nextLaunch advances the gather to its next launch and returns the
@@ -138,52 +128,40 @@ func (o *OSD) sendShardRead(eng *engine, g *ecGather, idx int, ep *netsim.Endpoi
 	o.cep.Send(nil, ep, 200, MsgShardRead, sr)
 }
 
-// localShardRead reads this OSD's own shard inline (worker context, PG
-// lock held). A damaged local shard is an unusable answer — the pump
-// launches a replacement — and flags the asynchronous heal.
-func (o *OSD) localShardRead(p *sim.Proc, eng *engine, g *ecGather, idx int) {
-	c := &o.cfg.Costs
-	o.node.Use(p, c.ReadCPU)
-	op := g.op
-	st, exists := o.store.Read(p, op.OID, op.Off, o.pol.ShardLen(op.Len))
-	if o.gen != eng.gen {
-		g.done = true // crashed mid-read: the gather dies with this daemon
-		return
-	}
-	g.out--
-	if exists && o.store.ExtentDamaged(op.OID, op.Off) {
-		g.localDamaged = true
-		return
-	}
-	g.recordUsable(idx, st, exists)
-}
-
 // processShardRead serves the primary's gather fetch on a shard holder,
-// under the PG lock. A clean shard (present or absent) answers ok with a
-// state snapshot when present — the payload for a damaged primary's heal;
-// a damaged one reports unusable so the pump tries the next member.
+// under the PG lock: the read path (startRead), then the answer, in a
+// msgChain the worker awaits.
 func (o *OSD) processShardRead(p *sim.Proc, eng *engine, sr *shardRead) {
 	o.metrics.RepReads.Inc()
-	c := &o.cfg.Costs
-	o.logger.Log(p, siteRead, o.cfg.LogPerStage)
-	o.node.UseWithAllocs(p, c.OpSetupCPU, c.OpSetupAllocs)
-	o.node.Use(p, c.ReadCPU)
+	ch := o.getChain(eng, nil, p)
+	ch.sr = sr
 	op := sr.op // read-only here: the op is primary-owned
-	shardLen := o.pol.ShardLen(op.Len)
-	st, exists := o.store.Read(p, op.OID, op.Off, shardLen)
-	if o.gen != eng.gen {
-		return // crashed mid-read: the fetch dies with this daemon
+	ch.startRead(op.OID, op.Off, o.pol.ShardLen(op.Len), shardReadDone)
+	p.Await()
+}
+
+// shardReadDone answers the primary. A clean shard (present or absent)
+// answers ok with a state snapshot when present — the payload for a
+// damaged primary's heal; a damaged one reports unusable so the pump tries
+// the next member.
+func shardReadDone(ch *msgChain) {
+	o, sr := ch.o, ch.sr
+	if o.gen != ch.eng.gen {
+		ch.end() // crashed mid-read: the fetch dies with this daemon
+		return
 	}
-	reply := &shardReadReply{sr: sr, stamp: st, exists: exists}
-	if !exists || !o.store.ExtentDamaged(op.OID, op.Off) {
+	op := sr.op
+	reply := &shardReadReply{sr: sr, stamp: ch.rd.Stamp, exists: ch.rd.Exists}
+	if !reply.exists || !o.store.ExtentDamaged(op.OID, op.Off) {
 		reply.ok = true
-		if exists {
+		if reply.exists {
 			if state, ok := o.store.ExportObject(op.OID); ok {
 				reply.state, reply.stateOK = state, true
 			}
 		}
 	}
-	o.cep.Send(p, sr.primary, shardLen+c.ReadReplyOverhead, MsgShardReadReply, reply)
+	o.cep.Send(nil, sr.primary, ch.rd.Size+o.cfg.Costs.ReadReplyOverhead, MsgShardReadReply, reply)
+	ch.end()
 }
 
 // handleShardReadReply folds a holder's answer into the gather at the

@@ -13,11 +13,10 @@ import (
 // shard reply, not the op worker, launches the primary's own shard read:
 // the acting set lists two up peers ahead of the primary (as when they
 // come back up between the client's send and the worker's first pump),
-// and both answer unusable. The local read is device I/O, so the reply's
-// chain hands it to a process started in its own event slot. The reply
-// time and the event count are pinned to those of the same read with the
-// replies handled on a process per connection, which the callback
-// handlers must reproduce exactly.
+// and both answer unusable. The reply's chain reads the local shard itself,
+// with no process started. The reply time and the event count are pinned
+// to those of the same read with the replies handled on a process per
+// connection, which the callback handlers must reproduce exactly.
 func TestECReplyLaunchesLocalShard(t *testing.T) {
 	h := newHarness(AFCeph().Config())
 	h.o.SetPolicy(redundancy.EC{K: 2, M: 2})
@@ -39,8 +38,8 @@ func TestECReplyLaunchesLocalShard(t *testing.T) {
 	if rep == nil || rep.EIO || rep.Exists {
 		t.Fatalf("read reply = %+v, want an answer for an absent extent", rep)
 	}
-	if n := h.k.Spawned() - spawned; n != 1 {
-		t.Fatalf("spawned %d procs, want the one that reads the local shard", n)
+	if n := h.k.Spawned() - spawned; n != 0 {
+		t.Fatalf("spawned %d procs, want none", n)
 	}
 	if h.ackAt[1] != 639596 || h.k.Dispatched() != 78 {
 		t.Fatalf("reply at %d after %d events, want 639596 and 78", h.ackAt[1], h.k.Dispatched())

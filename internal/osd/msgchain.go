@@ -1,9 +1,8 @@
 package osd
 
 import (
-	"fmt"
-
 	"repro/internal/cpumodel"
+	"repro/internal/filestore"
 	"repro/internal/netsim"
 	"repro/internal/oslog"
 	"repro/internal/sim"
@@ -16,31 +15,47 @@ import (
 // block — on the client-message throttle, on a CPU charge, on a Sync-mode
 // log — the chain holds the message, so its connection stays stalled, as
 // behind a blocked thread, until end releases it. An op worker parks in
-// sim.Proc.Await until end wakes it. Every charge is a cpumodel.UseCall or
-// oslog.LogCall and the throttle wait a sim.Semaphore.AcquireCall, so each
-// step runs in the event slot where a thread would resume, and the
-// simulation is the same as with one.
+// sim.Proc.Await until end wakes it. Every charge is a
+// cpumodel.UseCall or oslog.LogCall, every store read a
+// store.Backend.ReadCall and the throttle wait a
+// sim.Semaphore.AcquireCall, so each step runs in the event slot where a
+// thread would resume, and the simulation is the same as with one.
 //
 // The chains, by message:
 //   - MsgWrite/MsgRead: msgCap grant, then queue to the OP_WQ (intakeGranted).
 //   - MsgRepCommit with OptFastAck: CommitFastCPU, the commit bookkeeping,
 //     then per ack AckCPU and the ack's log (fastAckCharged, ackStep).
-//   - MsgShardReadReply: per shard launch RepSendCPU; then the decode CPU
-//     and log of the reply, or the EIO's log (ecPumpStep, ecSettle).
+//   - MsgShardReadReply: per shard launch RepSendCPU, or ReadCPU and the
+//     store read for the local shard; then the decode CPU and log of the
+//     reply, or the EIO's log (ecPumpStep, ecSettle).
 //   - MsgRepReadReply: RepSendCPU toward the next replica, the EIO's log,
 //     or ReadCPU and the log of the substitute reply (handleRepReadReply).
 //
-// And by worker: the acks a completed commit set releases (commitArrived,
-// ackStep), the replica hunt of a damaged read (startReadRepair,
-// repReadStep), and the settle of an EC gather (ecPumpSet, ecSettle).
+// And by worker:
+//   - a read: the read's log, OpSetupCPU, ReadCPU and the store read
+//     (startRead), then the generation check and the ack's log and reply,
+//     or the replica hunt of a damaged copy (processRead, readDone), or
+//     the answer to a peer's shard or repair fetch (processShardRead,
+//     processRepRead);
+//   - an EC read: the read's log and OpSetupCPU, then the gather, the
+//     local shard read inline (processECRead, ecPumpStep, ecSettle);
+//   - the acks a completed commit set releases (commitArrived, ackStep).
 type msgChain struct {
-	o    *OSD
+	o *OSD
+	// The requests the chain makes, each continued by chainStep. They are
+	// wired once and kept when the chain is recycled.
+	work cpumodel.Work
+	log  oslog.Call
+	rd   filestore.ReadReq // the store read, whose result the next step reads
+	chainRun
+}
+
+// chainRun is a chain's per-run state, cleared when the chain is recycled.
+type chainRun struct {
 	eng  *engine
 	m    *netsim.Message // the message the chain holds, or nil
 	p    *sim.Proc       // else the process awaiting the chain
-	step func(*msgChain) // run when the charge in flight completes
-	work cpumodel.Work
-	log  oslog.Call
+	step func(*msgChain) // run when the request in flight completes
 
 	op     *ClientOp // intake: the client op; ack and EIO: the op replied to
 	rc     *repCommit
@@ -51,6 +66,8 @@ type msgChain struct {
 	rr     *repRead // the repair fetch
 	rrr    *repReadReply
 	target *netsim.Endpoint // the peer the next fetch goes to
+	sr     *shardRead       // a shard holder's fetch
+	then   func(*msgChain)  // run when the read path's store read completes
 }
 
 // getChain starts a chain held by m (it calls m.Hold), or, with m nil,
@@ -64,6 +81,7 @@ func (o *OSD) getChain(eng *engine, m *netsim.Message, p *sim.Proc) *msgChain {
 		ch = &msgChain{o: o}
 		ch.work.Done, ch.work.Arg = chainStep, ch
 		ch.log.Done, ch.log.Arg = chainStep, ch
+		ch.rd.Done, ch.rd.Arg = chainStep, ch
 	}
 	ch.eng, ch.m, ch.p = eng, m, p
 	if m != nil {
@@ -87,10 +105,8 @@ func (ch *msgChain) end() {
 
 // free recycles the chain.
 func (ch *msgChain) free() {
-	o := ch.o
-	w, l := ch.work, ch.log
-	*ch = msgChain{o: o, work: w, log: l}
-	o.chFree = append(o.chFree, ch)
+	ch.chainRun = chainRun{}
+	ch.o.chFree = append(ch.o.chFree, ch)
 }
 
 // charge occupies a core for d on the chain's behalf, then runs step.
@@ -103,6 +119,19 @@ func (ch *msgChain) charge(d sim.Time, step func(*msgChain)) {
 func (ch *msgChain) logStep(site int, step func(*msgChain)) {
 	ch.step = step
 	ch.o.logger.LogCall(&ch.log, site, ch.o.cfg.LogPerStage)
+}
+
+// setUp charges the op setup CPU, with its allocations priced now, then
+// runs step.
+func (ch *msgChain) setUp(step func(*msgChain)) {
+	c := &ch.o.cfg.Costs
+	ch.charge(c.OpSetupCPU+ch.o.node.AllocCost(c.OpSetupAllocs), step)
+}
+
+// read reads the extent set in ch.rd from the store, then runs step.
+func (ch *msgChain) read(step func(*msgChain)) {
+	ch.step = step
+	ch.o.store.ReadCall(&ch.rd)
 }
 
 func chainStep(a any) {
@@ -173,36 +202,46 @@ func eioLogged(ch *msgChain) {
 	ch.end()
 }
 
-// ecPumpStep is ecPumpSet for the chain over ch.set: it charges each
-// shard launch, then settles the gather.
-//
-// The local shard is not launched from here in practice. The client sends
-// to the first up member of the acting set, so the worker's first pump
-// launches the local shard before any peer. A reply reaches it only if k
-// members ahead of it in canonical order were all down when the client
-// sent and came back up before the worker pumped, and one of their
-// answers is unusable. That case stays exact: the local read is device
-// I/O, so the rest of the gather moves to a process started in this event
-// slot, which reads the shard and finishes the pump as the messenger
-// thread did.
+// ecPumpStep drives the gather over ch.set: it keeps `need` shard reads
+// in flight while untried candidates remain, charging each launch, then
+// settles the gather. The local shard is read inline (ReadCPU and the
+// store read); every other launch is a MsgShardRead.
 func ecPumpStep(ch *msgChain) {
 	o, g, set := ch.o, ch.g, ch.set
 	if idx := g.nextLaunch(set); idx >= 0 {
+		ch.idx = idx
 		if set[idx].Self {
-			eng, m := ch.eng, ch.m
-			ch.free()
-			o.k.GoNow(fmt.Sprintf("osd%d.ecgather", o.cfg.ID), func(p *sim.Proc) {
-				o.localShardRead(p, eng, g, idx)
-				o.ecPumpSet(p, eng, g, set)
-				m.Release()
-			})
+			ch.charge(o.cfg.Costs.ReadCPU, localShardCharged)
 			return
 		}
-		ch.idx = idx
 		ch.charge(o.cfg.Costs.RepSendCPU, ecShardSent)
 		return
 	}
 	ecSettle(ch)
+}
+
+func localShardCharged(ch *msgChain) {
+	op := ch.g.op
+	ch.rd.OID, ch.rd.Off, ch.rd.Size = op.OID, op.Off, ch.o.pol.ShardLen(op.Len)
+	ch.read(localShardRead)
+}
+
+// localShardRead folds this OSD's own shard into the gather. A damaged
+// local shard is an unusable answer — the pump launches a replacement —
+// and flags the asynchronous heal.
+func localShardRead(ch *msgChain) {
+	o, g := ch.o, ch.g
+	switch op := g.op; {
+	case o.gen != ch.eng.gen:
+		g.done = true // crashed mid-read: the gather dies with this daemon
+	case ch.rd.Exists && o.store.ExtentDamaged(op.OID, op.Off):
+		g.out--
+		g.localDamaged = true
+	default:
+		g.out--
+		g.recordUsable(ch.idx, ch.rd.Stamp, ch.rd.Exists)
+	}
+	ecPumpStep(ch)
 }
 
 // ecSettle serves the client from k gathered shards, charging the

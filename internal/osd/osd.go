@@ -662,7 +662,9 @@ func (o *OSD) processWrite(p *sim.Proc, eng *engine, op *ClientOp) {
 	eng.journalQ.Push(p, e)
 }
 
-// processRead services a read on the primary under the PG lock.
+// processRead services a read on the primary under the PG lock: the read
+// path (startRead), then the reply or the read-repair, in a msgChain the
+// worker awaits.
 func (o *OSD) processRead(p *sim.Proc, eng *engine, op *ClientOp) {
 	if o.pol.Kind() == redundancy.KindEC {
 		// EC pools cannot serve from one copy: the primary gathers k of the
@@ -671,26 +673,52 @@ func (o *OSD) processRead(p *sim.Proc, eng *engine, op *ClientOp) {
 		return
 	}
 	o.metrics.ReadOps.Inc()
-	c := &o.cfg.Costs
-	o.logger.Log(p, siteRead, o.cfg.LogPerStage)
-	o.node.UseWithAllocs(p, c.OpSetupCPU, c.OpSetupAllocs)
-	o.node.Use(p, c.ReadCPU)
-	st, exists := o.store.Read(p, op.OID, op.Off, op.Len)
-	if o.gen != eng.gen {
-		return // crashed mid-read: no reply, client retries elsewhere
-	}
-	if exists && o.store.ExtentDamaged(op.OID, op.Off) {
+	ch := o.getChain(eng, nil, p)
+	ch.op = op
+	ch.startRead(op.OID, op.Off, op.Len, readDone)
+	p.Await()
+}
+
+// startRead runs the head of every read an op worker serves: the read's
+// log, the op setup CPU, ReadCPU, then the store read of size bytes of oid
+// at off; then tail.
+func (ch *msgChain) startRead(oid string, off, size int64, tail func(*msgChain)) {
+	ch.rd.OID, ch.rd.Off, ch.rd.Size = oid, off, size
+	ch.then = tail
+	ch.logStep(siteRead, readLogged)
+}
+
+func readLogged(ch *msgChain) { ch.setUp(readSetUp) }
+
+func readSetUp(ch *msgChain) { ch.charge(ch.o.cfg.Costs.ReadCPU, readCharged) }
+
+func readCharged(ch *msgChain) { ch.read(ch.then) }
+
+// readDone answers a replicated read from the local copy, once the ack's
+// log is written, or starts the replica hunt when the copy is damaged.
+func readDone(ch *msgChain) {
+	o, op := ch.o, ch.op
+	switch {
+	case o.gen != ch.eng.gen:
+		// Crashed mid-read: no reply, client retries elsewhere.
+		ch.end()
+	case ch.rd.Exists && o.store.ExtentDamaged(op.OID, op.Off):
 		// The local copy failed verification: corrupt data is never
 		// returned. Fetch the extent from a replica (read-repair), or fail
 		// the read with EIO when no healthy copy exists anywhere.
-		o.startReadRepair(p, eng, op)
-		return
+		startReadRepair(ch)
+	default:
+		ch.logStep(siteAck, readAcked)
 	}
-	o.logger.Log(p, siteAck, o.cfg.LogPerStage)
+}
+
+func readAcked(ch *msgChain) {
+	o, op := ch.o, ch.op
 	rep := o.newReply()
-	rep.Op, rep.Stamp, rep.Exists = op, st, exists
-	o.ep.Send(p, op.Client, op.Len+c.ReadReplyOverhead, MsgReply, rep)
-	eng.msgCap.Release(1)
+	rep.Op, rep.Stamp, rep.Exists = op, ch.rd.Stamp, ch.rd.Exists
+	o.ep.Send(nil, op.Client, op.Len+o.cfg.Costs.ReadReplyOverhead, MsgReply, rep)
+	ch.eng.msgCap.Release(1)
+	ch.end()
 }
 
 // processRepOp is the replica write path.

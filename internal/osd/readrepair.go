@@ -23,17 +23,20 @@ import (
 // before answering simply drops the fetch — the client recovers by timeout
 // and retry against the new acting set.
 
-// startReadRepair begins the replica hunt for op's extent.
-func (o *OSD) startReadRepair(p *sim.Proc, eng *engine, op *ClientOp) {
-	o.metrics.ReadRepairs.Inc()
-	o.logger.Log(p, siteScrub, o.cfg.LogPerStage)
+// startReadRepair begins the replica hunt for the read of ch.op, whose
+// local copy is damaged: the hunt's log, then the first fetch.
+func startReadRepair(ch *msgChain) {
+	ch.o.metrics.ReadRepairs.Inc()
+	ch.logStep(siteScrub, readRepairLogged)
+}
+
+func readRepairLogged(ch *msgChain) {
+	o, op := ch.o, ch.op
 	if o.integrityNote != nil {
 		o.integrityNote(op.OID, NoteReadRepair)
 	}
-	ch := o.getChain(eng, nil, p)
-	ch.rr = &repRead{op: op, primary: o.cep, gen: eng.gen}
+	ch.rr = &repRead{op: op, primary: o.cep, gen: ch.eng.gen}
 	repReadStep(ch)
-	p.Await()
 }
 
 // repReadTarget takes the next untried replica for rr, or returns nil when
@@ -48,27 +51,35 @@ func (o *OSD) repReadTarget(rr *repRead) *netsim.Endpoint {
 }
 
 // processRepRead serves a peer primary's repair fetch on this replica,
-// under the PG lock. A clean local copy is returned with a state snapshot
-// (the payload for the primary's overwrite); a damaged or missing copy
-// sends the hunt onward.
+// under the PG lock: the read path (startRead), then the answer, in a
+// msgChain the worker awaits.
 func (o *OSD) processRepRead(p *sim.Proc, eng *engine, rr *repRead) {
 	o.metrics.RepReads.Inc()
-	c := &o.cfg.Costs
-	o.logger.Log(p, siteRead, o.cfg.LogPerStage)
-	o.node.UseWithAllocs(p, c.OpSetupCPU, c.OpSetupAllocs)
-	o.node.Use(p, c.ReadCPU)
+	ch := o.getChain(eng, nil, p)
+	ch.rr = rr
 	op := rr.op
-	st, exists := o.store.Read(p, op.OID, op.Off, op.Len)
-	if o.gen != eng.gen {
-		return // crashed mid-read: the fetch dies with this daemon
+	ch.startRead(op.OID, op.Off, op.Len, repReadDone)
+	p.Await()
+}
+
+// repReadDone answers the primary: a clean local copy is returned with a
+// state snapshot (the payload for the primary's overwrite); a damaged or
+// missing copy sends the hunt onward.
+func repReadDone(ch *msgChain) {
+	o, rr := ch.o, ch.rr
+	if o.gen != ch.eng.gen {
+		ch.end() // crashed mid-read: the fetch dies with this daemon
+		return
 	}
-	reply := &repReadReply{rr: rr, stamp: st, exists: exists}
-	if exists && !o.store.ExtentDamaged(op.OID, op.Off) {
+	op := rr.op
+	reply := &repReadReply{rr: rr, stamp: ch.rd.Stamp, exists: ch.rd.Exists}
+	if reply.exists && !o.store.ExtentDamaged(op.OID, op.Off) {
 		if state, ok := o.store.ExportObject(op.OID); ok {
 			reply.state, reply.ok = state, true
 		}
 	}
-	o.cep.Send(p, rr.primary, op.Len+c.ReadReplyOverhead, MsgRepReadReply, reply)
+	o.cep.Send(nil, rr.primary, op.Len+o.cfg.Costs.ReadReplyOverhead, MsgRepReadReply, reply)
+	ch.end()
 }
 
 // handleRepReadReply resumes the stalled client read at the primary

@@ -9,12 +9,16 @@
 // coroutine, so a resume is a direct coroutine switch into the process and
 // a block is a switch back to the loop, with no goroutine scheduler in
 // between; a finished process's coroutine is reused by the next one
-// spawned. Close unwinds whatever is left parked. A callback resumes a
-// process itself with Wake: a process waits on a callback-form request
-// (AcquireCall, Resource.UseCall, ...) by passing Wake as its Done and
-// calling Await, and the request's completion switches into the process in
-// the completing callback's event slot. Event records
-// are pooled on a per-kernel free list, events scheduled for the current
+// spawned by Go. Close unwinds whatever is left parked.
+//
+// Model code that never has to block is a chain of callbacks, continued by
+// the Done of each request it makes (Resource.UseCall and AcquireCall,
+// Semaphore.AcquireCall, and their users' request types up the stack). A
+// process waits on the same requests: it passes Wake as the Done and calls
+// Await, and the request's completion switches into the process in the
+// completing callback's event slot. A chain never needs a process to
+// finish its work, so a process starts only with Go. Event records are
+// pooled on a per-kernel free list, events scheduled for the current
 // instant go through a FIFO ready ring that bypasses the time-ordered heap,
 // and simulated code is still written in ordinary blocking style (Sleep,
 // Lock, Push/Pop on queues) without data races and without real wall-clock
@@ -119,12 +123,12 @@ func (k *Kernel) Live() int { return k.live }
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
 // Resumes returns how many times a process was switched into to continue:
-// by a dispatched event that names it, or by Wake from a callback. A GoNow
-// start and a wake-up of a process that had already finished are not
+// by a dispatched event that names it (its start included), or by Wake
+// from a callback. A wake-up of a process that had already finished is not
 // counted.
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
-// Spawned returns the total number of processes started with Go or GoNow.
+// Spawned returns the total number of processes started with Go.
 func (k *Kernel) Spawned() uint64 { return uint64(k.nextID) }
 
 // Stop makes the current or next Run call return as soon as the event in
@@ -187,23 +191,18 @@ func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
 // be called both from outside Run (to set up the world) and from running
 // processes, but not after Close.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := k.spawn(name, fn)
-	k.schedule(k.now, p)
-	return p
-}
-
-// GoNow spawns a process and runs it at once, inside the calling callback,
-// until it first blocks or returns; no event is scheduled for its start. A
-// callback chain that reaches work only a process can do hands the rest of
-// it to GoNow, and every event the process schedules from there lands in
-// the slot the chain's own would have used. GoNow must be called from
-// kernel context (a callback), not from a process.
-func (k *Kernel) GoNow(name string, fn func(p *Proc)) *Proc {
-	if k.running != nil {
-		panic("sim: Kernel.GoNow from a process")
+	if k.closed {
+		panic("sim: Kernel.Go after Close")
 	}
-	p := k.spawn(name, fn)
-	k.enter(p)
+	k.nextID++
+	p := &Proc{k: k, id: k.nextID, name: name}
+	k.start(p, fn)
+	if len(k.procs) == cap(k.procs) && 2*k.live <= len(k.procs) {
+		k.compactProcs()
+	}
+	k.live++
+	k.procs = append(k.procs, p)
+	k.schedule(k.now, p)
 	return p
 }
 
@@ -235,30 +234,9 @@ func (k *Kernel) resume(p *Proc) {
 		return
 	}
 	k.resumes++
-	k.enter(p)
-}
-
-// enter runs p until it next blocks or returns.
-func (k *Kernel) enter(p *Proc) {
 	k.running = p
 	p.c.next()
 	k.running = nil
-}
-
-// spawn creates a process bound to a coroutine, without scheduling it.
-func (k *Kernel) spawn(name string, fn func(p *Proc)) *Proc {
-	if k.closed {
-		panic("sim: Kernel.Go after Close")
-	}
-	k.nextID++
-	p := &Proc{k: k, id: k.nextID, name: name}
-	k.start(p, fn)
-	if len(k.procs) == cap(k.procs) && 2*k.live <= len(k.procs) {
-		k.compactProcs()
-	}
-	k.live++
-	k.procs = append(k.procs, p)
-	return p
 }
 
 // compactProcs drops finished processes from k.procs, keeping spawn order.

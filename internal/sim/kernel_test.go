@@ -439,61 +439,6 @@ func TestProcsSliceCompacts(t *testing.T) {
 	}
 }
 
-// TestGoNowRunsInTheCallbackSlot hands a proc's work to GoNow from the
-// callback that replaces the proc's resume and requires the same trace and
-// dispatched events, with the proc's start and first resume saved.
-func TestGoNowRunsInTheCallbackSlot(t *testing.T) {
-	run := func(now bool) ([]string, *Kernel) {
-		k := NewKernel()
-		var trace []string
-		note := func(s string) { trace = append(trace, fmt.Sprintf("%v:%s", k.Now(), s)) }
-		work := func(p *Proc) {
-			note("a")
-			p.Sleep(Millisecond)
-			note("b")
-			p.Sleep(0)
-			note("c")
-		}
-		k.Go("other", func(p *Proc) {
-			for i := 0; i < 4; i++ {
-				note("o")
-				p.Sleep(Millisecond)
-			}
-		})
-		if now {
-			k.AfterCall(0, func(any) {
-				k.AfterCall(2*Millisecond, func(any) { k.GoNow("w", work) }, nil)
-			}, nil)
-		} else {
-			k.Go("w", func(p *Proc) {
-				p.Sleep(2 * Millisecond)
-				work(p)
-			})
-		}
-		k.Run(Forever)
-		return trace, k
-	}
-	want, kp := run(false)
-	got, kc := run(true)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("trace differs\nproc:  %v\nGoNow: %v", want, got)
-	}
-	if kc.Dispatched() != kp.Dispatched() || kc.Resumes() != kp.Resumes()-2 {
-		t.Fatalf("dispatched %d resumes %d, proc run %d and %d",
-			kc.Dispatched(), kc.Resumes(), kp.Dispatched(), kp.Resumes())
-	}
-	k := NewKernel()
-	k.Go("p", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("GoNow from a process did not panic")
-			}
-		}()
-		k.GoNow("q", func(*Proc) {})
-	})
-	k.Run(Forever)
-}
-
 // TestWakeFromCallbackResumesInline checks that Wake from a callback
 // switches into the awaiting process inside that callback's event: the
 // process runs before the callback's next statement, with one resume and

@@ -228,14 +228,19 @@ func TestResourceAcquireRelease(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "dev", 1)
 	var order []string
+	acquire := func(p *Proc) {
+		j := Job{Done: Wake, Arg: p}
+		r.AcquireCall(&j)
+		p.Await()
+	}
 	k.Go("a", func(p *Proc) {
-		r.Acquire(p)
+		acquire(p)
 		p.Sleep(Millisecond)
 		order = append(order, "a")
 		r.Release()
 	})
 	k.Go("b", func(p *Proc) {
-		r.Acquire(p)
+		acquire(p)
 		order = append(order, "b")
 		r.Release()
 	})

@@ -6,8 +6,8 @@ package sim
 // all servers are busy. The resource integrates busy-time so utilization can
 // be reported.
 //
-// A process calls Use; a callback chain calls UseCall with a Job and is
-// continued by the job's Done callback. Both kinds of request share one FIFO,
+// A process calls Use; a callback chain calls UseCall (or AcquireCall and
+// Release) with a Job and is continued by the job's Done callback. Both kinds of request share one FIFO,
 // and each UseCall event lands in the (t, seq) slot that the matching Use
 // resume would have used, so converting a process to a callback chain
 // changes Kernel.Resumes and nothing else.
@@ -71,19 +71,14 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
-// Acquire grabs a server without a fixed service time; pair with Release.
-func (r *Resource) Acquire(p *Proc) {
-	r.sem.Acquire(p, 1)
-	r.account(+1)
-}
-
-// Release returns a server acquired with Acquire.
+// Release returns a server acquired with AcquireCall.
 func (r *Resource) Release() {
 	r.account(-1)
 	r.sem.Release(1)
 }
 
-// Job is one request a callback chain makes of a Resource (see UseCall).
+// Job is one request a callback chain makes of a Resource (see UseCall and
+// AcquireCall).
 // Its owner keeps it alive, and may reuse it once Done has run.
 type Job struct {
 	// Done runs as Done(Arg) when service ends, after the server is
@@ -109,6 +104,23 @@ func (r *Resource) UseCall(j *Job, d Time) {
 func jobGranted(a any) {
 	j := a.(*Job)
 	j.r.serve(j)
+}
+
+// AcquireCall grabs one server for j without a fixed service time, for a
+// model that learns its service time only once it holds the server; pair
+// it with Release. j.Done runs once the server is held: inline when one is
+// free, else in the slot where a queued Use would be resumed.
+func (r *Resource) AcquireCall(j *Job) {
+	j.r = r
+	if r.sem.AcquireCall(1, jobAcquired, j) {
+		jobAcquired(j)
+	}
+}
+
+func jobAcquired(a any) {
+	j := a.(*Job)
+	j.r.account(+1)
+	j.Done(j.Arg)
 }
 
 // serve starts j's service, which ends in jobServed.

@@ -97,7 +97,7 @@ func New(params Params) *Cluster {
 		}
 		c.nodes = append(c.nodes, &node{
 			cpu:   cpu,
-			flash: device.NewRAID0(fmt.Sprintf("sf%d.flash", n), 64<<10, members...),
+			flash: device.NewRAID0(k, fmt.Sprintf("sf%d.flash", n), 64<<10, members...),
 			nvram: device.NewNVRAM(k, fmt.Sprintf("sf%d.nvram", n), device.DefaultNVRAMParams()),
 		})
 	}

@@ -220,6 +220,9 @@ func (d *DirectStore) Read(p *sim.Proc, oid string, off, size int64) (uint64, bo
 	return d.fs.Read(p, oid, off, size)
 }
 
+// ReadCall delegates to the shared filestore read path.
+func (d *DirectStore) ReadCall(r *filestore.ReadReq) { d.fs.ReadCall(r) }
+
 // Replay finishes every committed-but-unflushed deferred write after a
 // crash: the payload is durable in the KV WAL, so it is written to its
 // device extent and the WAL record deleted. Metadata and object state

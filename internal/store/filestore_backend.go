@@ -75,6 +75,9 @@ func (b *FileStoreBackend) Read(p *sim.Proc, oid string, off, size int64) (uint6
 	return b.fs.Read(p, oid, off, size)
 }
 
+// ReadCall delegates to the filestore.
+func (b *FileStoreBackend) ReadCall(r *filestore.ReadReq) { b.fs.ReadCall(r) }
+
 // Replay re-reserves ring space for every journaled-but-unapplied entry
 // (the data is already on the journal device) and applies each to the
 // filestore in journal order.

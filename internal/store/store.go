@@ -75,9 +75,9 @@ type ReplayHooks struct {
 }
 
 // Backend is an object store driving the durable half of the OSD write
-// path. All methods are called from OSD worker processes; Commit and Apply
-// are the blocking-I/O halves, Committed and Applied the bookkeeping
-// halves run only when the daemon generation still matches.
+// path. All methods but ReadCall are called from OSD worker processes;
+// Commit and Apply are the blocking-I/O halves, Committed and Applied the
+// bookkeeping halves run only when the daemon generation still matches.
 type Backend interface {
 	// Name returns the backend selector string.
 	Name() string
@@ -105,6 +105,9 @@ type Backend interface {
 	// Read fetches size bytes of oid, returning the verification stamp
 	// recorded for that extent and whether the object exists.
 	Read(p *sim.Proc, oid string, off, size int64) (stamp uint64, exists bool)
+	// ReadCall is Read for callback chains: it runs r.Done once r's
+	// Stamp and Exists are set (see filestore.ReadCall).
+	ReadCall(r *filestore.ReadReq)
 	// Replay re-lands every committed-but-unapplied entry after a crash,
 	// in commit order, and returns how many entries it replayed.
 	Replay(p *sim.Proc, h ReplayHooks) int
