@@ -463,6 +463,61 @@ func BenchmarkKV_WriteAmp(b *testing.B) {
 	}
 }
 
+// BenchmarkKVApply drives DB.Apply with the two batch shapes the OSD
+// writes: filestore's light-weight transaction (a 180 B PG-log entry plus
+// a 300 B omap overwrite) and directstore's small-write commit (a 4 KiB
+// deferred-write WAL payload plus the PG-log entry). One op is 8192
+// batches on a fresh store over the OSD's SSD, enough for directstore to
+// flush and compact; sim-events and proc-resumes per op are exact.
+func BenchmarkKVApply(b *testing.B) {
+	const batches = 8192
+	pglogKeys, omapKeys, dwalKeys := make([]string, batches), make([]string, 256), make([]string, batches)
+	for i := range pglogKeys {
+		pglogKeys[i] = fmt.Sprintf("pglog.%d.%d", i%64, i)
+		dwalKeys[i] = fmt.Sprintf("dwal.%d", i)
+	}
+	for i := range omapKeys {
+		omapKeys[i] = fmt.Sprintf("omap.obj%d.info", i)
+	}
+	pglog, omap, dwal := make([]byte, 180), make([]byte, 300), make([]byte, 4096)
+	shapes := []struct {
+		name  string
+		batch func(ops []kvstore.Op, i int) []kvstore.Op
+	}{
+		{"filestore", func(ops []kvstore.Op, i int) []kvstore.Op {
+			return append(ops, kvstore.Op{Key: pglogKeys[i], Value: pglog}, kvstore.Op{Key: omapKeys[i%len(omapKeys)], Value: omap})
+		}},
+		{"directstore", func(ops []kvstore.Op, i int) []kvstore.Op {
+			return append(ops, kvstore.Op{Key: dwalKeys[i], Value: dwal}, kvstore.Op{Key: pglogKeys[i], Value: pglog})
+		}},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events, resumes uint64
+			for n := 0; n < b.N; n++ {
+				k := sim.NewKernel()
+				node := cpumodel.NewNode(k, "n", 8, cpumodel.JEMalloc)
+				ssd := device.NewSSD(k, "ssd", device.DefaultSSDParams(), rng.New(1))
+				db := kvstore.New(k, "db", ssd, node, kvstore.DefaultParams())
+				k.Go("w", func(p *sim.Proc) {
+					var ops []kvstore.Op
+					for i := 0; i < batches; i++ {
+						ops = sh.batch(ops[:0], i)
+						db.Apply(p, ops)
+					}
+				})
+				k.Run(sim.Forever)
+				events += k.Dispatched()
+				resumes += k.Resumes()
+				k.Close()
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "sim-events")
+			b.ReportMetric(float64(resumes)/float64(b.N), "proc-resumes")
+		})
+	}
+}
+
 func BenchmarkDeviceSSD4KRandWrite(b *testing.B) {
 	k := sim.NewKernel()
 	d := device.NewSSD(k, "ssd", device.DefaultSSDParams(), rng.New(1))

@@ -244,11 +244,10 @@ func TestCompactionAddsDeviceWrites(t *testing.T) {
 	}
 }
 
-func TestWriteStallTriggers(t *testing.T) {
-	k := sim.NewKernel()
+// slowDB pairs a tiny memtable with a deliberately slow device, so
+// compaction cannot keep up with the flush rate and writers stall.
+func slowDB(k *sim.Kernel) *DB {
 	node := cpumodel.NewNode(k, "node", 8, cpumodel.JEMalloc)
-	// A deliberately slow device so compaction cannot keep up with the
-	// tiny memtable's flush rate.
 	sp := device.DefaultSSDParams()
 	sp.TransferBytesPerSec = 2 << 20
 	sp.WriteBaseSeq = 2 * sim.Millisecond
@@ -258,7 +257,12 @@ func TestWriteStallTriggers(t *testing.T) {
 	p.MemtableSize = 2 << 10
 	p.L0CompactTrigger = 2
 	p.L0StallTrigger = 3
-	db := New(k, "db", ssd, node, p)
+	return New(k, "db", ssd, node, p)
+}
+
+func TestWriteStallTriggers(t *testing.T) {
+	k := sim.NewKernel()
+	db := slowDB(k)
 	k.Go("io", func(pp *sim.Proc) {
 		// Large distinct values: L1 grows every cycle, so compaction time
 		// grows until it falls behind the flush rate and writers stall.
@@ -272,6 +276,53 @@ func TestWriteStallTriggers(t *testing.T) {
 	}
 	if db.Stats().StallTime.Value() == 0 {
 		t.Fatal("stall time not accounted")
+	}
+}
+
+// TestStatsPinned runs one fixed sequence of the OSD's KV shapes (a PG-log
+// append plus an omap overwrite per write, a deferred-write WAL put, and
+// that WAL record's later delete) on a churning store and on a stalling
+// one, and pins every counter and the finishing time as literals. A store
+// refactor that keeps byte counts, CPU charges and device calls identical
+// leaves every number here unchanged.
+func TestStatsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		db   func(*sim.Kernel) *DB
+		want [11]uint64 // puts, deletes, user, wal, flush, compaction read/write, compactions, stalls, stall ns, k.Now
+	}{
+		{"small", smallDB, [11]uint64{1400, 200, 1125324, 1227724, 1162586, 5314875, 4302435, 50, 0, 0, 62332364}},
+		{"slow", slowDB, [11]uint64{1400, 200, 1125324, 1227724, 1162586, 9544421, 8531981, 100, 4, 21530184, 11203257235}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			db := tc.db(k)
+			pglog, omap, dwal := make([]byte, 180), make([]byte, 300), make([]byte, 4096)
+			k.Go("io", func(p *sim.Proc) {
+				for i := 0; i < 600; i++ {
+					db.Apply(p, []Op{
+						{Key: fmt.Sprintf("pglog.%06d", i), Value: pglog},
+						{Key: fmt.Sprintf("omap.%03d.info", i%50), Value: omap},
+					})
+					switch i % 3 {
+					case 0:
+						db.Put(p, fmt.Sprintf("dwal.%d", i), dwal)
+					case 2:
+						db.Delete(p, fmt.Sprintf("dwal.%d", i-2))
+					}
+				}
+			})
+			k.Run(sim.Forever)
+			s := db.Stats()
+			got := [11]uint64{
+				s.Puts.Value(), s.Deletes.Value(), s.UserBytes.Value(), s.WALBytes.Value(),
+				s.FlushBytes.Value(), s.CompactionReadBytes.Value(), s.CompactionWriteBytes.Value(),
+				s.Compactions.Value(), s.Stalls.Value(), s.StallTime.Value(), uint64(k.Now()),
+			}
+			if got != tc.want {
+				t.Errorf("stats = %v\nwant    %v", got, tc.want)
+			}
+		})
 	}
 }
 

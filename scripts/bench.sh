@@ -6,7 +6,8 @@
 #   scripts/bench.sh -update    # refresh the baseline (see EXPERIMENTS.md)
 #
 # Environment knobs:
-#   BENCH_PATTERN  benchmark selector (default: the figure and ablation benchmarks)
+#   BENCH_PATTERN  benchmark selector (default: the figure and ablation
+#                  benchmarks and the DB.Apply microbenchmark)
 #   BENCH_COUNT    repetitions per benchmark; best-of is kept (default 3)
 #   BENCH_OUT      result file (default BENCH_results.json)
 #
@@ -19,7 +20,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation}"
+PATTERN="${BENCH_PATTERN:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation|KVApply}"
 # A custom BENCH_PATTERN intentionally runs a subset of the baseline;
 # benchgate would otherwise fail on the benchmarks the pattern skipped.
 SUBSET=""
