@@ -6,11 +6,13 @@
 // store, and the paper attributes part of the transaction overhead to it:
 // many small Puts cause WAL churn and write amplification ("writing 2GB
 // with 4KB blocks writes an additional 2GB"), and compaction makes
-// request latency unstable. Because this implementation is a real data
-// structure (Get returns what Put stored, tombstones delete, compaction
-// preserves content), the paper's "batch the transaction's KV operations"
-// optimization changes real WAL and compaction behaviour rather than a
-// synthetic counter.
+// request latency unstable. All of that depends on keys, their order,
+// tombstones, layering and byte counts, so that is what the store keeps:
+// an entry records its value's length, never its bytes, and nothing reads
+// a value back. Flushes, compaction merges (newest version wins,
+// tombstones dropped) and stalls are real, so the paper's "batch the
+// transaction's KV operations" optimization changes real WAL and
+// compaction behaviour rather than a synthetic counter.
 package kvstore
 
 import (
@@ -18,7 +20,6 @@ import (
 
 	"repro/internal/cpumodel"
 	"repro/internal/device"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -32,8 +33,6 @@ type Params struct {
 	// L0StallTrigger is the L0 table count at which writers stall (the
 	// RocksDB "write stall"); must be >= L0CompactTrigger.
 	L0StallTrigger int
-	// BlockSize is the device read granularity for table probes.
-	BlockSize int64
 	// ChunkSize is the device write granularity for flush/compaction.
 	ChunkSize int64
 	// EntryOverhead is per-entry on-disk overhead (header, CRC, index).
@@ -41,12 +40,10 @@ type Params struct {
 	// WALBatchHeader is the fixed per-WAL-write overhead; batching many
 	// operations into one write amortizes it.
 	WALBatchHeader int64
-	// PutCPU / GetCPU are per-operation CPU costs (skiplist/memtable work).
+	// PutCPU is the per-operation CPU cost (skiplist/memtable work).
 	PutCPU sim.Time
-	GetCPU sim.Time
-	// PutAllocs / GetAllocs are small allocations per operation.
+	// PutAllocs is the small allocations per operation.
 	PutAllocs int
-	GetAllocs int
 }
 
 // DefaultParams returns LevelDB-era defaults.
@@ -55,21 +52,17 @@ func DefaultParams() Params {
 		MemtableSize:     4 << 20,
 		L0CompactTrigger: 4,
 		L0StallTrigger:   8,
-		BlockSize:        4096,
 		ChunkSize:        128 << 10,
 		EntryOverhead:    24,
 		WALBatchHeader:   64,
 		PutCPU:           2 * sim.Microsecond,
-		GetCPU:           2 * sim.Microsecond,
 		PutAllocs:        6,
-		GetAllocs:        4,
 	}
 }
 
 // Stats aggregates store activity.
 type Stats struct {
-	Puts, Gets, Deletes  stats.Counter
-	Scans                stats.Counter
+	Puts, Deletes        stats.Counter
 	UserBytes            stats.Counter // payload bytes offered by callers
 	WALBytes             stats.Counter
 	FlushBytes           stats.Counter
@@ -92,7 +85,7 @@ func (s *Stats) WriteAmplification() float64 {
 
 type entry struct {
 	key       string
-	value     []byte
+	size      int // value length; the bytes themselves are never kept
 	tombstone bool
 }
 
@@ -108,14 +101,6 @@ type sstable struct {
 	entries []entry // sorted by key
 	bytes   int64
 	seq     uint64 // creation order; larger = newer
-}
-
-func (t *sstable) get(key string) (entry, bool) {
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].key >= key })
-	if i < len(t.entries) && t.entries[i].key == key {
-		return t.entries[i], true
-	}
-	return entry{}, false
 }
 
 // DB is the store. All methods taking a *sim.Proc block the calling process
@@ -138,14 +123,7 @@ type DB struct {
 	compacting bool
 	flushing   bool
 
-	// valFree pools value-copy buffers by power-of-two size class. A buffer
-	// is recycled only when its entry is overwritten in the ACTIVE memtable
-	// — the one point where nothing else can reference it (immutable
-	// memtables and sstables share entries with in-flight readers).
-	valFree map[int][][]byte
-
 	devOff int64 // monotonically advancing write cursor
-	rnd    *rng.Rand
 
 	stats Stats
 }
@@ -162,7 +140,6 @@ func New(k *sim.Kernel, name string, dev device.Device, node *cpumodel.Node, par
 		node:   node,
 		params: params,
 		mem:    newMemtable(),
-		rnd:    rng.New(0x5eed ^ uint64(len(name))*2654435761),
 	}
 	db.mu = sim.NewMutex(k, name+".mu")
 	db.stallCond = sim.NewCond(db.mu)
@@ -175,7 +152,8 @@ func (db *DB) Stats() *Stats { return &db.stats }
 // L0Tables returns the current L0 run count (for tests/monitoring).
 func (db *DB) L0Tables() int { return len(db.l0) }
 
-// Op is one mutation in a batch.
+// Op is one mutation in a batch. Only len(Value) is kept: the store
+// never reads or retains the bytes, so callers may reuse the buffer.
 type Op struct {
 	Key    string
 	Value  []byte
@@ -220,23 +198,15 @@ func (db *DB) Apply(p *sim.Proc, ops []Op) {
 	// WAL write under the writer lock (LevelDB single-writer discipline).
 	db.dev.Write(p, db.alloc(walBytes), walBytes)
 	db.stats.WALBytes.Add(uint64(walBytes))
-	// Memtable inserts. Value payloads are copied into pooled buffers; the
-	// copy replaced in the active memtable by an overwrite (the omap-info
-	// update pattern) or a tombstone (a deferred-write WAL delete) is
-	// recycled on the spot.
+	// Memtable inserts; an overwrite replaces the active memtable's entry.
 	db.node.UseWithAllocs(p, db.params.PutCPU*sim.Time(len(ops)), db.params.PutAllocs*len(ops))
 	for _, op := range ops {
-		e := entry{key: op.Key, tombstone: op.Delete}
-		if len(op.Value) > 0 {
-			e.value = db.getVal(len(op.Value))
-			copy(e.value, op.Value)
-		}
+		e := entry{key: op.Key, size: len(op.Value), tombstone: op.Delete}
 		if old, ok := db.mem.data[op.Key]; ok {
-			db.mem.bytes -= int64(len(old.key) + len(old.value) + int(db.params.EntryOverhead))
-			db.putVal(old.value)
+			db.mem.bytes -= db.entryBytes(old)
 		}
 		db.mem.data[op.Key] = e
-		db.mem.bytes += int64(len(op.Key) + len(op.Value) + int(db.params.EntryOverhead))
+		db.mem.bytes += db.entryBytes(e)
 		if op.Delete {
 			db.stats.Deletes.Inc()
 		} else {
@@ -250,40 +220,9 @@ func (db *DB) Apply(p *sim.Proc, ops []Op) {
 	db.mu.Unlock(p)
 }
 
-// valClass rounds a value length up to its pool size class.
-func valClass(n int) int {
-	c := 64
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
-
-// getVal returns an n-byte value buffer, reusing a pooled copy when one of
-// the right class is free.
-func (db *DB) getVal(n int) []byte {
-	c := valClass(n)
-	if s := db.valFree[c]; len(s) > 0 {
-		b := s[len(s)-1]
-		s[len(s)-1] = nil
-		db.valFree[c] = s[:len(s)-1]
-		return b[:n]
-	}
-	return make([]byte, n, c)
-}
-
-// putVal recycles a value buffer whose memtable entry was just replaced.
-// Only buffers with an exact class capacity are kept (anything else came
-// from outside the pool).
-func (db *DB) putVal(b []byte) {
-	c := cap(b)
-	if c == 0 || c != valClass(c) {
-		return
-	}
-	if db.valFree == nil {
-		db.valFree = make(map[int][][]byte)
-	}
-	db.valFree[c] = append(db.valFree[c], b[:0])
+// entryBytes is an entry's on-disk footprint.
+func (db *DB) entryBytes(e entry) int64 {
+	return int64(len(e.key)+e.size) + db.params.EntryOverhead
 }
 
 // alloc advances the device write cursor (log-structured layout).
@@ -308,18 +247,19 @@ func (db *DB) rotateMemtable() {
 	}
 }
 
-// flushLoop drains immutable memtables into L0 tables.
+// flushLoop drains immutable memtables into L0 tables. A memtable leaves
+// imm only when its table joins L0, so every entry sits in some layer
+// throughout the flush.
 func (db *DB) flushLoop(p *sim.Proc) {
 	db.mu.Lock(p)
 	for len(db.imm) > 0 {
-		imm := db.imm[0]
-		db.imm = db.imm[1:]
-		table := db.buildTable(imm)
+		table := db.buildTable(db.imm[0])
 		db.mu.Unlock(p)
 		// Sequential write of the table, chunked.
 		db.writeSequential(p, table.bytes)
 		db.stats.FlushBytes.Add(uint64(table.bytes))
 		db.mu.Lock(p)
+		db.imm = db.imm[1:]
 		db.l0 = append([]*sstable{table}, db.l0...) // newest first
 		if len(db.l0) >= db.params.L0CompactTrigger && !db.compacting {
 			db.compacting = true
@@ -427,59 +367,8 @@ func (db *DB) merge(inputs []*sstable) *sstable {
 			continue
 		}
 		out.entries = append(out.entries, e)
-		out.bytes += int64(len(e.key)+len(e.value)) + db.params.EntryOverhead
+		out.bytes += db.entryBytes(e)
 	}
 	sort.Slice(out.entries, func(i, j int) bool { return out.entries[i].key < out.entries[j].key })
 	return out
-}
-
-// Get returns the newest value for key, reading table blocks from the
-// device as needed. ok is false for missing or deleted keys. The returned
-// slice aliases the store's pooled copy: it is valid until the next write
-// to the same key and must not be retained past that.
-func (db *DB) Get(p *sim.Proc, key string) (value []byte, ok bool) {
-	db.mu.Lock(p)
-	db.node.UseWithAllocs(p, db.params.GetCPU, db.params.GetAllocs)
-	db.stats.Gets.Inc()
-	// Memtable and immutables are in memory: no device charge.
-	if e, found := db.mem.data[key]; found {
-		db.mu.Unlock(p)
-		return valueOf(e)
-	}
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		if e, found := db.imm[i].data[key]; found {
-			db.mu.Unlock(p)
-			return valueOf(e)
-		}
-	}
-	l0 := append([]*sstable{}, db.l0...)
-	l1 := append([]*sstable{}, db.l1...)
-	db.mu.Unlock(p)
-	// Table probes hit the device at scattered (random) block offsets.
-	for _, t := range l0 {
-		db.dev.Read(p, db.probeOff(), db.params.BlockSize)
-		if e, found := t.get(key); found {
-			return valueOf(e)
-		}
-	}
-	for _, t := range l1 {
-		db.dev.Read(p, db.probeOff(), db.params.BlockSize)
-		if e, found := t.get(key); found {
-			return valueOf(e)
-		}
-	}
-	return nil, false
-}
-
-// probeOff scatters table-probe reads across the device address space so
-// the device model treats them as random I/O.
-func (db *DB) probeOff() int64 {
-	return db.rnd.Int63n(1<<34) &^ (db.params.BlockSize - 1)
-}
-
-func valueOf(e entry) ([]byte, bool) {
-	if e.tombstone {
-		return nil, false
-	}
-	return e.value, true
 }

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -26,37 +27,126 @@ func smallDB(k *sim.Kernel) *DB {
 	return New(k, "db", ssd, node, p)
 }
 
+// live resolves the newest version of every key across the layers and
+// returns each live key's value size. It visits versions oldest first (L1,
+// L0 back to front since db.l0 is newest-first, the immutable memtables in
+// rotation order, then the active memtable), so newer versions win and a
+// tombstone removes the key.
+func live(db *DB) map[string]int {
+	m := map[string]int{}
+	put := func(e entry) {
+		if e.tombstone {
+			delete(m, e.key)
+		} else {
+			m[e.key] = e.size
+		}
+	}
+	for _, t := range db.l1 {
+		for _, e := range t.entries {
+			put(e)
+		}
+	}
+	for i := len(db.l0) - 1; i >= 0; i-- {
+		for _, e := range db.l0[i].entries {
+			put(e)
+		}
+	}
+	for _, mt := range db.imm {
+		for _, e := range mt.data {
+			put(e)
+		}
+	}
+	for _, e := range db.mem.data {
+		put(e)
+	}
+	return m
+}
+
+// modelBytes is the on-disk footprint of a model's live entries.
+func modelBytes(db *DB, model map[string]int) int64 {
+	var n int64
+	for key, size := range model {
+		n += int64(len(key)+size) + db.params.EntryOverhead
+	}
+	return n
+}
+
+// checkLayers compares the resolved store with model and checks each
+// layer's accounting: a memtable's or table's bytes are the sum of its
+// entries, and table entries are strictly ascending by key.
+func checkLayers(db *DB, model map[string]int) error {
+	if got := live(db); !maps.Equal(got, model) {
+		return fmt.Errorf("resolved %v, model %v", got, model)
+	}
+	sum := func(es []entry) (n int64) {
+		for _, e := range es {
+			n += int64(len(e.key)+e.size) + db.params.EntryOverhead
+		}
+		return n
+	}
+	for _, mt := range append([]*memtable{db.mem}, db.imm...) {
+		var es []entry
+		for _, e := range mt.data {
+			es = append(es, e)
+		}
+		if sum(es) != mt.bytes {
+			return fmt.Errorf("memtable bytes %d, entries sum to %d", mt.bytes, sum(es))
+		}
+	}
+	for _, t := range append(append([]*sstable{}, db.l0...), db.l1...) {
+		if sum(t.entries) != t.bytes {
+			return fmt.Errorf("table %d bytes %d, entries sum to %d", t.seq, t.bytes, sum(t.entries))
+		}
+		for i := 1; i < len(t.entries); i++ {
+			if t.entries[i-1].key >= t.entries[i].key {
+				return fmt.Errorf("table %d out of order at %q", t.seq, t.entries[i].key)
+			}
+		}
+	}
+	return nil
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	k := sim.NewKernel()
 	db := testDB(k)
 	k.Go("io", func(p *sim.Proc) {
 		db.Put(p, "alpha", []byte("one"))
-		db.Put(p, "beta", []byte("two"))
-		if v, ok := db.Get(p, "alpha"); !ok || string(v) != "one" {
-			t.Errorf("alpha = %q, %v", v, ok)
-		}
-		if v, ok := db.Get(p, "beta"); !ok || string(v) != "two" {
-			t.Errorf("beta = %q, %v", v, ok)
-		}
-		if _, ok := db.Get(p, "gamma"); ok {
-			t.Error("missing key found")
-		}
+		db.Put(p, "beta", []byte("three"))
 	})
 	k.Run(sim.Forever)
+	if err := checkLayers(db, map[string]int{"alpha": 3, "beta": 5}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestOverwriteReturnsNewest(t *testing.T) {
+	// Overwrites within the memtable replace the entry; an overwrite after
+	// a flush leaves the old version in a table, and the newest still wins.
 	k := sim.NewKernel()
-	db := testDB(k)
+	db := smallDB(k)
 	k.Go("io", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			db.Put(p, "k", []byte(fmt.Sprintf("v%d", i)))
+		for i := 1; i <= 10; i++ {
+			db.Put(p, "target", make([]byte, i))
 		}
-		if v, _ := db.Get(p, "k"); string(v) != "v9" {
-			t.Errorf("k = %q", v)
+		for i := 0; i < 500; i++ { // push target out through a flush
+			db.Put(p, fmt.Sprintf("fill%04d", i), make([]byte, 64))
 		}
+		p.Sleep(100 * sim.Millisecond)
+		db.Put(p, "target", make([]byte, 3))
 	})
 	k.Run(sim.Forever)
+	if got := live(db)["target"]; got != 3 {
+		t.Fatalf("target size %d, want the newest 3", got)
+	}
+	var tabled bool
+	for _, tab := range append(append([]*sstable{}, db.l0...), db.l1...) {
+		for _, e := range tab.entries {
+			tabled = tabled || e.key == "target" && e.size == 10
+		}
+	}
+	if !tabled {
+		t.Fatal("the old version never reached a table; layering not exercised")
+	}
 }
 
 func TestDeleteHidesKey(t *testing.T) {
@@ -65,33 +155,31 @@ func TestDeleteHidesKey(t *testing.T) {
 	k.Go("io", func(p *sim.Proc) {
 		db.Put(p, "k", []byte("v"))
 		db.Delete(p, "k")
-		if _, ok := db.Get(p, "k"); ok {
-			t.Error("deleted key still visible")
-		}
 	})
 	k.Run(sim.Forever)
+	if err := checkLayers(db, map[string]int{}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestGetAcrossFlushedTables(t *testing.T) {
 	k := sim.NewKernel()
 	db := smallDB(k)
+	model := map[string]int{}
 	k.Go("io", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
-			db.Put(p, fmt.Sprintf("key%04d", i), []byte(fmt.Sprintf("val%04d", i)))
+			key := fmt.Sprintf("key%04d", i)
+			db.Put(p, key, make([]byte, i%100))
+			model[key] = i % 100
 		}
 		p.Sleep(100 * sim.Millisecond) // let flush/compaction settle
-		for i := 0; i < 500; i++ {
-			key := fmt.Sprintf("key%04d", i)
-			v, ok := db.Get(p, key)
-			if !ok || string(v) != fmt.Sprintf("val%04d", i) {
-				t.Errorf("%s = %q, %v", key, v, ok)
-				return
-			}
-		}
 	})
 	k.Run(sim.Forever)
 	if db.Stats().FlushBytes.Value() == 0 {
 		t.Fatal("no flush happened; memtable threshold not exercised")
+	}
+	if err := checkLayers(db, model); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -106,18 +194,22 @@ func TestDeleteSurvivesCompaction(t *testing.T) {
 			db.Put(p, fmt.Sprintf("filler%05d", i), make([]byte, 64))
 		}
 		p.Sleep(200 * sim.Millisecond)
-		if _, ok := db.Get(p, "victim"); ok {
-			t.Error("tombstoned key resurrected by compaction")
-		}
 	})
 	k.Run(sim.Forever)
 	if db.Stats().Compactions.Value() == 0 {
 		t.Fatal("compaction never ran")
 	}
+	if _, ok := live(db)["victim"]; ok {
+		t.Fatal("tombstoned key resurrected by compaction")
+	}
 }
 
 func TestModelEquivalenceProperty(t *testing.T) {
-	// The DB must agree with a plain map across random op sequences.
+	// Random puts, overwrites and deletes must agree with a map of value
+	// sizes after every op, resolved across mem, imm, L0 and L1. Then
+	// rotating the memtable until one compaction runs merges every table
+	// into L1, which must hold exactly the model, without tombstones, and
+	// that compaction must write exactly the model's bytes.
 	type opDesc struct {
 		Key    uint8
 		Del    bool
@@ -126,40 +218,59 @@ func TestModelEquivalenceProperty(t *testing.T) {
 	f := func(descs []opDesc) bool {
 		k := sim.NewKernel()
 		db := smallDB(k)
-		model := map[string]string{}
-		okAll := true
+		model := map[string]int{}
+		var err error
 		k.Go("io", func(p *sim.Proc) {
 			for i, d := range descs {
-				key := fmt.Sprintf("k%d", d.Key%32)
+				key := fmt.Sprintf("k%02d", d.Key%32)
 				if d.Del {
 					db.Delete(p, key)
 					delete(model, key)
 				} else {
-					val := fmt.Sprintf("v%d-%d", i, d.ValLen)
-					db.Put(p, key, []byte(val))
-					model[key] = val
+					size := int(d.ValLen) * 8
+					db.Put(p, key, make([]byte, size))
+					model[key] = size
 				}
-			}
-			p.Sleep(100 * sim.Millisecond)
-			for key, want := range model {
-				v, ok := db.Get(p, key)
-				if !ok || string(v) != want {
-					okAll = false
+				if err = checkLayers(db, model); err != nil {
+					err = fmt.Errorf("after op %d: %w", i, err)
 					return
 				}
 			}
-			for i := 0; i < 32; i++ {
-				key := fmt.Sprintf("k%d", i)
-				if _, inModel := model[key]; !inModel {
-					if _, ok := db.Get(p, key); ok {
-						okAll = false
+			p.Sleep(100 * sim.Millisecond)
+			s := db.Stats()
+			c0, w0 := s.Compactions.Value(), s.CompactionWriteBytes.Value()
+			for i := 0; s.Compactions.Value() == c0; i++ {
+				key := fmt.Sprintf("k%02d", i%32)
+				db.Put(p, key, make([]byte, 1))
+				model[key] = 1
+				db.mu.Lock(p)
+				db.rotateMemtable()
+				db.mu.Unlock(p)
+				p.Sleep(100 * sim.Millisecond)
+			}
+			switch {
+			case len(db.mem.data)+len(db.imm)+len(db.l0) != 0 || len(db.l1) != 1:
+				err = fmt.Errorf("after the drain: %d mem entries, %d imm, %d L0, %d L1 tables",
+					len(db.mem.data), len(db.imm), len(db.l0), len(db.l1))
+			case s.Compactions.Value() != c0+1:
+				err = fmt.Errorf("the drain ran %d compactions, want 1", s.Compactions.Value()-c0)
+			case int64(s.CompactionWriteBytes.Value()-w0) != modelBytes(db, model):
+				err = fmt.Errorf("compaction wrote %d bytes, model holds %d", s.CompactionWriteBytes.Value()-w0, modelBytes(db, model))
+			default:
+				for _, e := range db.l1[0].entries {
+					if e.tombstone {
+						err = fmt.Errorf("L1 holds a tombstone for %q", e.key)
 						return
 					}
 				}
+				err = checkLayers(db, model)
 			}
 		})
 		k.Run(sim.Forever)
-		return okAll
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -358,11 +469,10 @@ func TestStatsCounts(t *testing.T) {
 	k.Go("io", func(p *sim.Proc) {
 		db.Put(p, "a", []byte("1"))
 		db.Delete(p, "b")
-		db.Get(p, "a")
 	})
 	k.Run(sim.Forever)
 	s := db.Stats()
-	if s.Puts.Value() != 1 || s.Deletes.Value() != 1 || s.Gets.Value() != 1 {
-		t.Fatalf("puts=%d deletes=%d gets=%d", s.Puts.Value(), s.Deletes.Value(), s.Gets.Value())
+	if s.Puts.Value() != 1 || s.Deletes.Value() != 1 {
+		t.Fatalf("puts=%d deletes=%d", s.Puts.Value(), s.Deletes.Value())
 	}
 }

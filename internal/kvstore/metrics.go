@@ -5,9 +5,7 @@ import "repro/internal/metrics"
 // RegisterMetrics exposes the LSM's counters on a perf-dump subsystem.
 func (db *DB) RegisterMetrics(s *metrics.Subsystem) {
 	s.Counter("puts", &db.stats.Puts)
-	s.Counter("gets", &db.stats.Gets)
 	s.Counter("deletes", &db.stats.Deletes)
-	s.Counter("scans", &db.stats.Scans)
 	s.Counter("user_bytes", &db.stats.UserBytes)
 	s.Counter("wal_bytes", &db.stats.WALBytes)
 	s.Counter("flush_bytes", &db.stats.FlushBytes)

@@ -890,9 +890,9 @@ func (o *OSD) filestoreWorker(p *sim.Proc, eng *engine) {
 }
 
 // makeTx builds a filestore transaction for one logical write. Transactions
-// and their value buffers are recycled (the kvstore copies values); key
-// strings are freshly allocated because the kvstore retains them, except the
-// per-oid omap key, which is immutable and cached.
+// are recycled and their value buffers shared (the kvstore keeps only a
+// value's length); key strings are freshly allocated because the kvstore
+// retains them, except the per-oid omap key, which is immutable and cached.
 func (o *OSD) makeTx(pg uint32, oid string, off, length int64, stamp uint64) *filestore.Transaction {
 	c := &o.cfg.Costs
 	o.logSeq++

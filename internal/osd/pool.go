@@ -68,8 +68,8 @@ func (o *OSD) getTrace() *Trace {
 func (o *OSD) putTrace(tr *Trace) { o.trFree = append(o.trFree, tr) }
 
 // getTx returns a transaction with reusable buffers: the PG-log and omap
-// value buffers are recycled (the kvstore copies values), while key strings
-// must stay freshly allocated because the memtable retains them.
+// value buffers are shared (the kvstore keeps only their length), while key
+// strings must stay freshly allocated because the memtable retains them.
 func (o *OSD) getTx() *filestore.Transaction {
 	if n := len(o.txFree); n > 0 {
 		tx := o.txFree[n-1]

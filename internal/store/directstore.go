@@ -56,11 +56,14 @@ type DirectStore struct {
 	walPending int64 // committed-but-unflushed WAL payload bytes
 	walSeq     uint64
 	keyBuf     []byte
-	// Scratch pools for KV batches and WAL payload buffers: a worker can
-	// be parked inside db.Apply while another commits, so scratch is
-	// checked out per call rather than shared (cf. Transaction.kvScratch).
+	// walBuf is the payload every small write hands the KV WAL: the store
+	// keeps only its length, so one zero buffer of WALThreshold bytes
+	// serves every write.
+	walBuf []byte
+	// Scratch pool for KV batches: a worker can be parked inside db.Apply
+	// while another commits, so a batch is checked out per call rather
+	// than shared (cf. Transaction.kvScratch).
 	opsFree [][]kvstore.Op
-	valFree [][]byte
 
 	stats DirectStats
 }
@@ -75,7 +78,7 @@ func NewDirectStore(k *sim.Kernel, fs *filestore.FileStore, node *cpumodel.Node,
 	if cfg.SyscallCost <= 0 {
 		cfg.SyscallCost = def.SyscallCost
 	}
-	return &DirectStore{k: k, fs: fs, db: fs.DB(), node: node, cfg: cfg}
+	return &DirectStore{k: k, fs: fs, db: fs.DB(), node: node, cfg: cfg, walBuf: make([]byte, cfg.WALThreshold)}
 }
 
 // Name returns "directstore".
@@ -108,30 +111,6 @@ func (d *DirectStore) putOps(s []kvstore.Op) {
 	d.opsFree = append(d.opsFree, s)
 }
 
-func (d *DirectStore) getVal(n int64) []byte {
-	if m := len(d.valFree); m > 0 {
-		b := d.valFree[m-1]
-		if int64(cap(b)) >= n {
-			d.valFree[m-1] = nil
-			d.valFree = d.valFree[:m-1]
-			return b[:n]
-		}
-		// Too small for this write: leave it pooled for the next caller
-		// instead of leaking it, and size the new buffer to the largest
-		// payload the WAL path can carry so it never goes stale.
-	}
-	return make([]byte, n, max64(n, d.cfg.WALThreshold))
-}
-
-func (d *DirectStore) putVal(b []byte) { d.valFree = append(d.valFree, b) }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Commit makes the write durable: one batched KV apply carrying the PG log
 // entry, the omap mutations and — for small writes — the data payload in
 // the WAL. Large writes hit the device extent first, so a crash between
@@ -139,7 +118,6 @@ func max64(a, b int64) int64 {
 // metadata.
 func (d *DirectStore) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
 	ops := d.getOps()
-	var val []byte
 	t.small = t.Len > 0 && t.Len <= d.cfg.WALThreshold
 	if t.small {
 		d.walSeq++
@@ -147,8 +125,7 @@ func (d *DirectStore) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
 		b = strconv.AppendUint(b, d.walSeq, 10)
 		d.keyBuf = b
 		t.walKey = string(b)
-		val = d.getVal(t.Len)
-		ops = append(ops, kvstore.Op{Key: t.walKey, Value: val})
+		ops = append(ops, kvstore.Op{Key: t.walKey, Value: d.walBuf[:t.Len]})
 	} else if t.Len > 0 {
 		d.node.Use(p, d.cfg.SyscallCost)
 		d.fs.Device().Write(p, d.fs.DevOffset(t.OID, t.Off), t.Len)
@@ -159,9 +136,6 @@ func (d *DirectStore) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
 	ops = append(ops, meta.OmapOps...)
 	d.db.Apply(p, ops) // the durability point
 	d.putOps(ops)
-	if val != nil {
-		d.putVal(val)
-	}
 }
 
 // Committed makes the write visible (object table commit) and retains its
