@@ -42,7 +42,7 @@ type Params struct {
 	WALBatchHeader int64
 	// PutCPU is the per-operation CPU cost (skiplist/memtable work).
 	PutCPU sim.Time
-	// PutAllocs is the small allocations per operation.
+	// PutAllocs is the number of small allocations per operation.
 	PutAllocs int
 }
 
