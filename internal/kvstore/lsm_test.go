@@ -120,32 +120,16 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestOverwriteReturnsNewest(t *testing.T) {
-	// Overwrites within the memtable replace the entry; an overwrite after
-	// a flush leaves the old version in a table, and the newest still wins.
 	k := sim.NewKernel()
-	db := smallDB(k)
+	db := testDB(k)
 	k.Go("io", func(p *sim.Proc) {
 		for i := 1; i <= 10; i++ {
-			db.Put(p, "target", make([]byte, i))
+			db.Put(p, "k", make([]byte, i))
 		}
-		for i := 0; i < 500; i++ { // push target out through a flush
-			db.Put(p, fmt.Sprintf("fill%04d", i), make([]byte, 64))
-		}
-		p.Sleep(100 * sim.Millisecond)
-		db.Put(p, "target", make([]byte, 3))
 	})
 	k.Run(sim.Forever)
-	if got := live(db)["target"]; got != 3 {
-		t.Fatalf("target size %d, want the newest 3", got)
-	}
-	var tabled bool
-	for _, tab := range append(append([]*sstable{}, db.l0...), db.l1...) {
-		for _, e := range tab.entries {
-			tabled = tabled || e.key == "target" && e.size == 10
-		}
-	}
-	if !tabled {
-		t.Fatal("the old version never reached a table; layering not exercised")
+	if err := checkLayers(db, map[string]int{"k": 10}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -274,6 +258,160 @@ func TestModelEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestScanMatchesModelProperty(t *testing.T) {
+	// Random op sequences (puts, overwrites, deletes) left to settle under
+	// the store's own background flushes and compactions: the resolved
+	// layers must agree with a map of sizes, and the live keys inside a
+	// random [lo, hi) must be exactly the model's keys there.
+	type opDesc struct {
+		Key    uint8
+		Del    bool
+		ValLen uint8
+	}
+	f := func(descs []opDesc, loSel, hiSel uint8) bool {
+		k := sim.NewKernel()
+		db := smallDB(k)
+		model := map[string]int{}
+		k.Go("io", func(p *sim.Proc) {
+			for _, d := range descs {
+				key := fmt.Sprintf("k%02d", d.Key%32)
+				if d.Del {
+					db.Delete(p, key)
+					delete(model, key)
+				} else {
+					size := int(d.ValLen) * 8
+					db.Put(p, key, make([]byte, size))
+					model[key] = size
+				}
+			}
+			p.Sleep(100 * sim.Millisecond) // settle flush/compaction
+		})
+		k.Run(sim.Forever)
+		if err := checkLayers(db, model); err != nil {
+			t.Log(err)
+			return false
+		}
+		lo := fmt.Sprintf("k%02d", loSel%32)
+		hi := fmt.Sprintf("k%02d", hiSel%32)
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		inRange := func(m map[string]int) map[string]int {
+			out := map[string]int{}
+			for key, size := range m {
+				if key >= lo && key < hi {
+					out[key] = size
+				}
+			}
+			return out
+		}
+		return maps.Equal(inRange(live(db)), inRange(model))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestScanOrderingInvariant(t *testing.T) {
+	// Whatever the put sequence, every flushed and compacted table is
+	// strictly ascending by key, and the tables plus memtables hold every
+	// key that was put.
+	f := func(keysRaw []uint16) bool {
+		k := sim.NewKernel()
+		db := smallDB(k)
+		model := map[string]int{}
+		k.Go("io", func(p *sim.Proc) {
+			for _, kr := range keysRaw {
+				key := fmt.Sprintf("key%05d", kr%512)
+				db.Put(p, key, []byte("v"))
+				model[key] = 1
+			}
+			p.Sleep(100 * sim.Millisecond)
+		})
+		k.Run(sim.Forever)
+		if err := checkLayers(db, model); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCompactionPreservesScanAndGets(t *testing.T) {
+	// Heavy churn (overwrites + deletes) forces flushes and compactions;
+	// afterwards the resolved layers must still agree with the model and
+	// L1 holds no tombstones — compaction may drop garbage, never live
+	// data.
+	k := sim.NewKernel()
+	db := smallDB(k)
+	model := map[string]int{}
+	k.Go("io", func(p *sim.Proc) {
+		for round := 0; round < 8; round++ {
+			for i := 0; i < 300; i++ {
+				key := fmt.Sprintf("key%04d", i%200)
+				if (i+round)%7 == 0 {
+					db.Delete(p, key)
+					delete(model, key)
+				} else {
+					size := 1 + (round*300+i)%48
+					db.Put(p, key, make([]byte, size))
+					model[key] = size
+				}
+			}
+			p.Sleep(50 * sim.Millisecond)
+		}
+		p.Sleep(200 * sim.Millisecond)
+	})
+	k.Run(sim.Forever)
+	if db.Stats().Compactions.Value() == 0 {
+		t.Fatal("compaction never ran; churn insufficient")
+	}
+	if err := checkLayers(db, model); err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range db.l1 {
+		for _, e := range tab.entries {
+			if e.tombstone {
+				t.Fatalf("L1 holds a tombstone for %q", e.key)
+			}
+		}
+	}
+}
+
+func TestScanSeesNewestVersionAcrossLayers(t *testing.T) {
+	// Overwrite the same key so versions land in different layers (a
+	// flushed table and the live memtable); only the newest size resolves.
+	k := sim.NewKernel()
+	db := smallDB(k)
+	k.Go("io", func(p *sim.Proc) {
+		db.Put(p, "target", make([]byte, 10))
+		for i := 0; i < 500; i++ { // push the old version out through a flush
+			db.Put(p, fmt.Sprintf("fill%04d", i), make([]byte, 64))
+		}
+		p.Sleep(100 * sim.Millisecond)
+		db.Put(p, "target", make([]byte, 3))
+	})
+	k.Run(sim.Forever)
+	if db.Stats().FlushBytes.Value() == 0 {
+		t.Fatal("no flush happened; layering not exercised")
+	}
+	if got := live(db)["target"]; got != 3 {
+		t.Fatalf("target size %d, want the newest 3", got)
+	}
+	var tabled bool
+	for _, tab := range append(append([]*sstable{}, db.l0...), db.l1...) {
+		for _, e := range tab.entries {
+			tabled = tabled || e.key == "target" && e.size == 10
+		}
+	}
+	if !tabled {
+		t.Fatal("the old version never reached a table; layering not exercised")
 	}
 }
 
