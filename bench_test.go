@@ -15,6 +15,8 @@ import (
 	"repro/internal/crush"
 	"repro/internal/device"
 	"repro/internal/figures"
+	"repro/internal/filestore"
+	"repro/internal/journal"
 	"repro/internal/kvstore"
 	"repro/internal/osd"
 	"repro/internal/rng"
@@ -507,6 +509,128 @@ func BenchmarkKVApply(b *testing.B) {
 						db.Apply(p, ops)
 					}
 				})
+				k.Run(sim.Forever)
+				events += k.Dispatched()
+				resumes += k.Resumes()
+				k.Close()
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "sim-events")
+			b.ReportMetric(float64(resumes)/float64(b.N), "proc-resumes")
+		})
+	}
+}
+
+// BenchmarkFileStoreApply drives FileStore.Apply with the OSD's 4 KiB
+// write transaction (a 180 B PG-log entry, a 300 B omap overwrite and the
+// data write) under both transaction profiles: light (batched KV ops,
+// minimized syscalls, write-through metadata cache) and community (one KV
+// write per op and a metadata read on most writes). One op is 4096 applies
+// from four appliers on a fresh filestore over the OSD's SSD; sim-events
+// and proc-resumes per op are exact.
+func BenchmarkFileStoreApply(b *testing.B) {
+	const applies, appliers = 4096, 4
+	pglogKeys, oids := make([]string, applies), make([]string, 256)
+	for i := range pglogKeys {
+		pglogKeys[i] = fmt.Sprintf("pglog.%d.%d", i%64, i)
+	}
+	for i := range oids {
+		oids[i] = fmt.Sprintf("obj%d", i)
+	}
+	pglog, omap := make([]byte, 180), make([]byte, 300)
+	profiles := []struct {
+		name string
+		cfg  filestore.Config
+	}{
+		{"light", filestore.LightConfig()},
+		{"community", filestore.CommunityConfig()},
+	}
+	for _, pr := range profiles {
+		b.Run(pr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events, resumes uint64
+			for n := 0; n < b.N; n++ {
+				k := sim.NewKernel()
+				node := cpumodel.NewNode(k, "n", 8, cpumodel.JEMalloc)
+				r := rng.New(1)
+				ssd := device.NewSSD(k, "ssd", device.DefaultSSDParams(), r)
+				db := kvstore.New(k, "db", ssd, node, kvstore.DefaultParams())
+				fs := filestore.New(k, "fs", ssd, db, node, pr.cfg, r)
+				for a := 0; a < appliers; a++ {
+					a := a
+					k.Go("applier", func(p *sim.Proc) {
+						tx := &filestore.Transaction{Len: 4096, PGLogValue: pglog, OmapOps: make([]kvstore.Op, 1)}
+						for i := a; i < applies; i += appliers {
+							tx.OID = oids[i%len(oids)]
+							tx.Off = int64(i%1024) * 4096
+							tx.PGLogKey = pglogKeys[i]
+							tx.OmapOps[0] = kvstore.Op{Key: tx.OID + ".info", Value: omap}
+							fs.Apply(p, tx)
+						}
+					})
+				}
+				k.Run(sim.Forever)
+				events += k.Dispatched()
+				resumes += k.Resumes()
+				k.Close()
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "sim-events")
+			b.ReportMetric(float64(resumes)/float64(b.N), "proc-resumes")
+		})
+	}
+}
+
+// BenchmarkJournalSubmit drives Journal.Submit with the OSD's 4 KiB entry
+// (payload plus journal header) on the NVRAM device. One op is 8192
+// submits on a fresh journal. In "free" the submitter trims each entry at
+// once; in "full" the ring holds eight entries and a trimmer releases
+// each one 20us after it lands, so most submits wait for ring space.
+// sim-events and proc-resumes per op are exact.
+func BenchmarkJournalSubmit(b *testing.B) {
+	const submits = 8192
+	entry := int64(4096 + osd.DefaultCosts().JournalHeaderBytes)
+	shapes := []struct {
+		name string
+		full bool
+	}{
+		{"free", false},
+		{"full", true},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events, resumes uint64
+			for n := 0; n < b.N; n++ {
+				k := sim.NewKernel()
+				nvram := device.NewNVRAM(k, "nvram", device.DefaultNVRAMParams())
+				size := int64(64 << 20)
+				if sh.full {
+					size = 8 * journal.BlockSize * ((entry + journal.BlockSize - 1) / journal.BlockSize)
+				}
+				j := journal.New(k, "journal", nvram, size)
+				landed := sim.NewQueue[int64](k, "landed", 0)
+				k.Go("submitter", func(p *sim.Proc) {
+					for i := 0; i < submits; i++ {
+						padded := j.Submit(p, entry)
+						if !sh.full {
+							j.Trim(padded)
+							continue
+						}
+						landed.Push(p, padded)
+					}
+					landed.Close()
+				})
+				if sh.full {
+					k.Go("trimmer", func(p *sim.Proc) {
+						for {
+							padded, ok := landed.Pop(p)
+							if !ok {
+								return
+							}
+							p.Sleep(20 * sim.Microsecond)
+							j.Trim(padded)
+						}
+					})
+				}
 				k.Run(sim.Forever)
 				events += k.Dispatched()
 				resumes += k.Resumes()

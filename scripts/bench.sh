@@ -7,7 +7,8 @@
 #
 # Environment knobs:
 #   BENCH_PATTERN  benchmark selector (default: the figure and ablation
-#                  benchmarks and the DB.Apply microbenchmark)
+#                  benchmarks and the DB.Apply, FileStore.Apply and
+#                  Journal.Submit layer microbenchmarks)
 #   BENCH_COUNT    repetitions per benchmark; best-of is kept (default 3)
 #   BENCH_OUT      result file (default BENCH_results.json)
 #
@@ -20,7 +21,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation|KVApply}"
+PATTERN="${BENCH_PATTERN:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation|KVApply|FileStoreApply|JournalSubmit}"
 # A custom BENCH_PATTERN intentionally runs a subset of the baseline;
 # benchgate would otherwise fail on the benchmarks the pattern skipped.
 SUBSET=""
