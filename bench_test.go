@@ -372,6 +372,41 @@ func BenchmarkSimKernelEventThroughput(b *testing.B) {
 	k.Run(sim.Time(b.N) * sim.Microsecond)
 }
 
+// BenchmarkSimEventHeap measures one timer event through the kernel's
+// time-ordered heap at the depths a figure run keeps queued: 108 pending
+// events is the mean and 177 the peak measured on Fig10/4K-randwrite. Each
+// event reschedules itself with a pseudo-random delay of up to 200us, so
+// every op is one pop and one push at that depth.
+func BenchmarkSimEventHeap(b *testing.B) {
+	for _, depth := range []int{108, 177} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			k := sim.NewKernel()
+			x := uint64(88172645463325252)
+			delay := func() sim.Time { // xorshift64: cheap next to a heap op
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return sim.Time(1 + x%200_000)
+			}
+			n := 0
+			var tick func(any)
+			tick = func(any) {
+				if n++; n >= b.N {
+					k.Stop()
+					return
+				}
+				k.AfterCall(delay(), tick, nil)
+			}
+			for i := 0; i < depth; i++ {
+				k.AfterCall(delay(), tick, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.Run(sim.Forever)
+		})
+	}
+}
+
 func BenchmarkSimQueueHandoff(b *testing.B) {
 	k := sim.NewKernel()
 	q := sim.NewQueue[int](k, "q", 64)
