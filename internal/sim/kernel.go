@@ -83,9 +83,10 @@ type Kernel struct {
 	now Time
 	seq uint64
 
-	// events is a hand-rolled binary min-heap ordered by (t, seq); it only
-	// holds events scheduled for a future instant.
-	events []*event
+	// events is a hand-rolled 4-ary min-heap ordered by (t, seq); it only
+	// holds events scheduled for a future instant. Each slot keeps its
+	// key inline, so sifting compares without loading the event records.
+	events []heapSlot
 
 	// ready is a FIFO ring of events scheduled for the current instant.
 	// Time is non-decreasing and seq is assigned in push order, so the ring
@@ -319,15 +320,14 @@ func (k *Kernel) peekEvent() (ev *event, fromReady bool) {
 	if k.ready.len() > 0 {
 		re := k.ready.peek()
 		if len(k.events) > 0 {
-			he := k.events[0]
-			if he.t < re.t || (he.t == re.t && he.seq < re.seq) {
-				return he, false
+			if he := &k.events[0]; he.before(re.t, re.seq) {
+				return he.ev, false
 			}
 		}
 		return re, true
 	}
 	if len(k.events) > 0 {
-		return k.events[0], false
+		return k.events[0].ev, false
 	}
 	return nil, false
 }
@@ -338,49 +338,69 @@ func (k *Kernel) Running() *Proc { return k.running }
 
 // --- event heap -----------------------------------------------------------
 
-func eventLess(a, b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
+// heapSlot is one heap entry: an event and its (t, seq) key. Keys are
+// unique, so the pop order is fixed by the keys alone, whatever the heap's
+// shape.
+type heapSlot struct {
+	t   Time
+	seq uint64
+	ev  *event
+}
+
+// before reports whether the slot's key orders before (t, seq).
+func (s *heapSlot) before(t Time, seq uint64) bool {
+	return s.t < t || (s.t == t && s.seq < seq)
 }
 
 func (k *Kernel) heapPush(ev *event) {
-	h := append(k.events, ev)
+	h := append(k.events, heapSlot{})
 	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
+		parent := (i - 1) / 4
+		if !ev.less(&h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = heapSlot{ev.t, ev.seq, ev}
 	k.events = h
+}
+
+// less reports whether ev orders before slot s.
+func (ev *event) less(s *heapSlot) bool {
+	return ev.t < s.t || (ev.t == s.t && ev.seq < s.seq)
 }
 
 func (k *Kernel) heapPop() *event {
 	h := k.events
-	ev := h[0]
+	ev := h[0].ev
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
+	last := h[n]
+	h[n] = heapSlot{}
 	h = h[:n]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && eventLess(h[l], h[min]) {
-			min = l
-		}
-		if r < n && eventLess(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		// The least of up to four children, its key kept in registers.
+		end := min(c+4, n)
+		m, mt, ms := c, h[c].t, h[c].seq
+		for j := c + 1; j < end; j++ {
+			if s := &h[j]; s.t < mt || (s.t == mt && s.seq < ms) {
+				m, mt, ms = j, s.t, s.seq
+			}
+		}
+		if mt > last.t || (mt == last.t && ms > last.seq) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = last
 	}
 	k.events = h
 	return ev

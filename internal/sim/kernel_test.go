@@ -109,6 +109,47 @@ func TestAfterCallFiresInTimeOrder(t *testing.T) {
 	}
 }
 
+// TestHeapPopsInKeyOrder schedules callbacks at pseudo-random times, many
+// of them equal, from callbacks that run at interleaved times, and
+// requires every event to fire in (t, seq) order: time never goes back,
+// and events of one instant fire in the order they were scheduled.
+func TestHeapPopsInKeyOrder(t *testing.T) {
+	k := NewKernel()
+	x := uint64(1)
+	next := func(n uint64) uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return (x >> 33) % n
+	}
+	type fired struct {
+		t     Time
+		order int
+	}
+	var got []fired
+	scheduled := 0
+	var fire func(any)
+	fire = func(a any) {
+		got = append(got, fired{k.Now(), a.(int)})
+		for i := next(3); i > 0 && scheduled < 5000; i-- {
+			scheduled++
+			k.AfterCall(Time(next(40)), fire, scheduled)
+		}
+	}
+	for scheduled < 200 {
+		scheduled++
+		k.AfterCall(Time(next(40)), fire, scheduled)
+	}
+	k.Run(Forever)
+	if len(got) != scheduled {
+		t.Fatalf("%d events fired, %d scheduled", len(got), scheduled)
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if b.t < a.t || (b.t == a.t && b.order < a.order) {
+			t.Fatalf("event %d fired at %v after event %d at %v", b.order, b.t, a.order, a.t)
+		}
+	}
+}
+
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	k := NewKernel()
 	fired := false
