@@ -29,11 +29,15 @@ func (q *Queue[T]) Len() int { return q.items.len() }
 func (q *Queue[T]) Cap() int { return q.capacity }
 
 // Close marks the queue closed: Pop on an empty closed queue returns
-// ok=false instead of blocking, and blocked getters wake.
+// ok=false instead of blocking, and blocked getters wake. Blocked putters
+// wake too, and their Push panics as on any closed queue.
 func (q *Queue[T]) Close() {
 	q.closed = true
 	for q.getters.len() > 0 {
 		q.getters.pop().resumeAt(q.k.now)
+	}
+	for q.putters.len() > 0 {
+		q.putters.pop().resumeAt(q.k.now)
 	}
 }
 

@@ -128,6 +128,31 @@ func TestQueueCloseWakesGetters(t *testing.T) {
 	}
 }
 
+// TestQueueCloseWakesPutters closes a full queue while a producer is
+// blocked pushing to it: the producer must wake and hit the
+// push-to-closed panic, not stay parked forever.
+func TestQueueCloseWakesPutters(t *testing.T) {
+	k := NewKernel()
+	q := NewQueue[int](k, "q", 1)
+	var panicked any
+	k.Go("producer", func(p *Proc) {
+		defer func() { panicked = recover() }()
+		q.Push(p, 1)
+		q.Push(p, 2) // blocks: the queue is full
+	})
+	k.Go("closer", func(p *Proc) {
+		p.Sleep(Millisecond)
+		q.Close()
+	})
+	k.Run(Forever)
+	if panicked != "sim: Push to closed Queue q" {
+		t.Fatalf("blocked Push after Close: recovered %v, want the push-to-closed panic", panicked)
+	}
+	if k.Live() != 0 {
+		t.Fatalf("%d procs still blocked", k.Live())
+	}
+}
+
 func TestQueuePushToClosedPanics(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k, "q", 0)
