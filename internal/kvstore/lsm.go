@@ -94,7 +94,10 @@ type memtable struct {
 	bytes int64
 }
 
-func newMemtable() *memtable { return &memtable{data: make(map[string]entry)} }
+// newMemtable returns an empty memtable whose map has room for n entries:
+// a memtable is sized from its predecessor, so filling it does not grow
+// the map step by step.
+func newMemtable(n int) *memtable { return &memtable{data: make(map[string]entry, n)} }
 
 // sstable is an immutable sorted run.
 type sstable struct {
@@ -139,7 +142,7 @@ func New(k *sim.Kernel, name string, dev device.Device, node *cpumodel.Node, par
 		dev:    dev,
 		node:   node,
 		params: params,
-		mem:    newMemtable(),
+		mem:    newMemtable(0),
 	}
 	db.mu = sim.NewMutex(k, name+".mu")
 	db.stallCond = sim.NewCond(db.mu)
@@ -239,7 +242,7 @@ func (db *DB) rotateMemtable() {
 		return
 	}
 	imm := db.mem
-	db.mem = newMemtable()
+	db.mem = newMemtable(len(imm.data))
 	db.imm = append(db.imm, imm)
 	if !db.flushing {
 		db.flushing = true
