@@ -16,14 +16,17 @@ type MutexStats struct {
 }
 
 // Mutex is a simulated mutual-exclusion lock with FIFO handoff.
-// Ownership transfers directly to the longest-waiting process on Unlock,
-// so the lock cannot be barged.
+// Ownership transfers directly to the longest waiter on Unlock, so the
+// lock cannot be barged. A process locks with Lock; a callback chain locks
+// with LockCall and unlocks with UnlockCall. Both kinds of waiter share one
+// FIFO, and a LockCall grant lands in the (t, seq) slot where a waiting
+// Lock would resume.
 type Mutex struct {
 	k        *Kernel
 	name     string
 	locked   bool
-	holder   *Proc
-	waiters  fifo[*Proc]
+	holder   any // the holding *Proc, or the arg of the holding LockCall
+	waiters  fifo[waiter]
 	lockedAt Time
 	stats    MutexStats
 	// unlockHook runs whenever the mutex transitions to free (no waiter to
@@ -32,9 +35,17 @@ type Mutex struct {
 	unlockHook func()
 }
 
+// waiter is a queued request of a Mutex, Cond or Queue: fn(arg) runs when
+// it is granted or woken. since is when it was queued.
+type waiter struct {
+	fn    func(any)
+	arg   any
+	since Time
+}
+
 // SetUnlockHook installs a callback invoked each time the mutex becomes
-// free. The callback runs in the unlocking process's context and must not
-// block on simulation primitives.
+// free. The callback runs in the unlocking context and must not block on
+// simulation primitives.
 func (m *Mutex) SetUnlockHook(f func()) { m.unlockHook = f }
 
 // NewMutex creates a named mutex on kernel k.
@@ -53,27 +64,32 @@ func (m *Mutex) Stats() MutexStats { return m.stats }
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.locked }
 
-// QueueLen returns the number of processes waiting for the lock.
+// QueueLen returns the number of waiters for the lock.
 func (m *Mutex) QueueLen() int { return m.waiters.len() }
 
-// Lock acquires the mutex, blocking p until it is available.
+// Lock acquires the mutex, blocking p until it is available: it is
+// LockCall with Wake, then Await.
 func (m *Mutex) Lock(p *Proc) {
+	if !m.LockCall(Wake, p) {
+		p.Await()
+	}
+}
+
+// LockCall acquires the mutex on behalf of holder arg and reports true if
+// it was free. Otherwise it queues fn(arg) and reports false: the Unlock
+// that hands the lock over grants it with AfterCall(0, fn, arg). The
+// holder releases the lock with UnlockCall(arg).
+func (m *Mutex) LockCall(fn func(any), arg any) bool {
 	m.stats.Acquires++
 	if !m.locked {
 		m.locked = true
-		m.holder = p
-		m.lockedAt = p.k.now
-		return
+		m.holder = arg
+		m.lockedAt = m.k.now
+		return true
 	}
 	m.stats.Contended++
-	t0 := p.k.now
-	m.waiters.push(p)
-	p.park() // Unlock transfers ownership before waking us
-	w := p.k.now - t0
-	m.stats.WaitTime += w
-	if w > m.stats.MaxWait {
-		m.stats.MaxWait = w
-	}
+	m.waiters.push(waiter{fn: fn, arg: arg, since: m.k.now})
+	return false
 }
 
 // TryLock acquires the mutex if it is free and reports whether it did.
@@ -88,21 +104,30 @@ func (m *Mutex) TryLock(p *Proc) bool {
 	return true
 }
 
-// Unlock releases the mutex. If processes are waiting, ownership passes to
-// the head of the queue.
-func (m *Mutex) Unlock(p *Proc) {
+// Unlock releases the mutex p holds (UnlockCall with p).
+func (m *Mutex) Unlock(p *Proc) { m.UnlockCall(p) }
+
+// UnlockCall releases the mutex held by holder. If there are waiters,
+// ownership passes to the head of the queue.
+func (m *Mutex) UnlockCall(holder any) {
 	if !m.locked {
 		panic("sim: Unlock of unlocked Mutex " + m.name)
 	}
-	if m.holder != p {
+	if m.holder != holder {
 		panic("sim: Unlock of Mutex " + m.name + " by non-holder")
 	}
-	m.stats.HoldTime += m.k.now - m.lockedAt
+	now := m.k.now
+	m.stats.HoldTime += now - m.lockedAt
 	if m.waiters.len() > 0 {
-		next := m.waiters.pop()
-		m.holder = next
-		m.lockedAt = m.k.now
-		next.resumeAt(m.k.now)
+		w := m.waiters.pop()
+		m.holder = w.arg
+		m.lockedAt = now
+		wait := now - w.since
+		m.stats.WaitTime += wait
+		if wait > m.stats.MaxWait {
+			m.stats.MaxWait = wait
+		}
+		m.k.AfterCall(0, w.fn, w.arg)
 		return
 	}
 	m.locked = false
@@ -115,34 +140,68 @@ func (m *Mutex) Unlock(p *Proc) {
 // Cond is a condition variable associated with a Mutex.
 type Cond struct {
 	m       *Mutex
-	waiters fifo[*Proc]
+	waiters fifo[*condWaiter]
+	free    []*condWaiter
+}
+
+// condWaiter is a WaitCall waiting on c.
+type condWaiter struct {
+	c *Cond
+	waiter
 }
 
 // NewCond creates a condition variable using m.
 func NewCond(m *Mutex) *Cond { return &Cond{m: m} }
 
 // Wait atomically releases the mutex, suspends p until Signal/Broadcast,
-// then re-acquires the mutex before returning. As with sync.Cond, callers
-// must re-check their predicate in a loop.
+// then re-acquires the mutex before returning: it is WaitCall with Wake,
+// then Await. As with sync.Cond, callers must re-check their predicate in
+// a loop.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters.push(p)
-	c.m.Unlock(p)
-	p.park()
-	c.m.Lock(p)
+	c.WaitCall(Wake, p)
+	p.Await()
 }
 
-// Signal wakes the longest-waiting process, if any.
+// WaitCall is Wait for callback chains: it releases the mutex held by arg
+// and queues fn(arg) until Signal or Broadcast. A woken waiter re-acquires
+// the mutex with LockCall in the slot where a waiting Wait would resume,
+// and fn(arg) runs once it holds the mutex again.
+func (c *Cond) WaitCall(fn func(any), arg any) {
+	var w *condWaiter
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		w = &condWaiter{c: c}
+	}
+	w.fn, w.arg = fn, arg
+	c.waiters.push(w)
+	c.m.UnlockCall(arg)
+}
+
+// condWoken re-acquires a woken waiter's mutex and continues it once held.
+func condWoken(a any) {
+	w := a.(*condWaiter)
+	c, fn, arg := w.c, w.fn, w.arg
+	w.fn, w.arg = nil, nil
+	c.free = append(c.free, w)
+	if c.m.LockCall(fn, arg) {
+		fn(arg)
+	}
+}
+
+// Signal wakes the longest waiter, if any.
 func (c *Cond) Signal() {
 	if c.waiters.len() == 0 {
 		return
 	}
-	c.waiters.pop().resumeAt(c.m.k.now)
+	c.m.k.AfterCall(0, condWoken, c.waiters.pop())
 }
 
-// Broadcast wakes all waiting processes.
+// Broadcast wakes all waiters.
 func (c *Cond) Broadcast() {
 	for c.waiters.len() > 0 {
-		c.waiters.pop().resumeAt(c.m.k.now)
+		c.m.k.AfterCall(0, condWoken, c.waiters.pop())
 	}
 }
 
