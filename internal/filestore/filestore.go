@@ -97,8 +97,14 @@ type Stats struct {
 	DataBytes     stats.Counter
 }
 
-// Transaction is one OSD write transaction.
+// Transaction is one OSD write transaction, and the request ApplyCall
+// makes of it.
 type Transaction struct {
+	// Done runs as Done(Arg) once ApplyCall has applied the transaction.
+	// It runs in kernel context and must not block.
+	Done func(any)
+	Arg  any
+
 	OID string
 	Off int64
 	Len int64
@@ -111,11 +117,19 @@ type Transaction struct {
 	XattrBytes int64
 	// Stamp verifies read-your-write when Config.VerifyData is on.
 	Stamp uint64
-	// kvScratch is Apply's combined-op buffer; it rides on the transaction
-	// because a pooled tx is exclusively owned for the duration of its
-	// apply, while a FileStore-level scratch would be shared by every
-	// worker parked inside Apply.
+	// kvScratch is the apply's combined-op buffer; it rides on the
+	// transaction because a pooled tx is exclusively owned for the
+	// duration of its apply, while a FileStore-level scratch would be
+	// shared by every apply in flight.
 	kvScratch []kvstore.Op
+
+	// ApplyCall's state of the apply in flight.
+	f    *FileStore
+	obj  *object
+	next int // per-op KV mode: the next op of kvScratch to apply
+	work cpumodel.Work
+	io   device.IO
+	kv   kvstore.Batch
 }
 
 // object is the authoritative per-object record.
@@ -241,12 +255,6 @@ func (f *FileStore) Device() device.Device { return f.dev }
 // DB returns the metadata store.
 func (f *FileStore) DB() *kvstore.DB { return f.db }
 
-// syscalls charges n system calls of CPU.
-func (f *FileStore) syscalls(p *sim.Proc, n int) {
-	f.stats.Syscalls.Add(uint64(n))
-	f.node.Use(p, f.cfg.SyscallCost*sim.Time(n))
-}
-
 // writeSyscallCount returns the syscall count for one data write.
 func (f *FileStore) writeSyscallCount() int {
 	if f.cfg.MinimizeSyscalls {
@@ -266,63 +274,135 @@ func (f *FileStore) writeSyscallCount() int {
 }
 
 // Apply performs a write transaction and blocks until it is durable on the
-// data device and the KV store.
+// data device and the KV store. It is ApplyCall with sim.Wake as tx's
+// Done, then Await.
 func (f *FileStore) Apply(p *sim.Proc, tx *Transaction) {
+	tx.Done, tx.Arg = sim.Wake, p
+	f.ApplyCall(tx)
+	p.Await()
+	tx.Arg = nil
+}
+
+// ApplyCall is Apply for callback models: it charges the transaction's
+// syscalls, reads metadata from the device on a cache miss (the miss draw
+// happens once the syscalls are charged), applies the KV mutations, looks
+// the object up, then writes the data or hands it to writeback, and runs
+// tx.Done. Every event lands in the slot Apply's process would use.
+func (f *FileStore) ApplyCall(tx *Transaction) {
 	f.stats.Applies.Inc()
-	f.syscalls(p, f.writeSyscallCount())
+	n := f.writeSyscallCount()
+	f.stats.Syscalls.Add(uint64(n))
+	tx.f = f
+	tx.work.Done, tx.work.Arg = txCharged, tx
+	tx.io.Arg = tx
+	tx.kv.Arg = tx
+	f.node.UseCall(&tx.work, f.cfg.SyscallCost*sim.Time(n))
+}
 
-	// Metadata read (read-modify-write) on the write path unless the
-	// write-through cache holds it. Inode/omap blocks are scattered, so
-	// the read is random — it lands in the middle of the write stream and
-	// pays the SSD mixed read/write penalty.
+// txCharged reads metadata (read-modify-write) on the write path unless
+// the write-through cache holds it. Inode/omap blocks are scattered, so
+// the read is random — it lands in the middle of the write stream and
+// pays the SSD mixed read/write penalty.
+func txCharged(a any) {
+	tx := a.(*Transaction)
+	f := tx.f
 	if !f.cfg.WriteThroughMetaCache && f.rnd.Float64() < f.cfg.MetaMissProb {
-		f.dev.Read(p, f.rnd.Int63n(1<<34)&^4095, f.cfg.MetaReadSize)
-		f.stats.MetaReads.Inc()
-		f.stats.MetaReadBytes.Add(uint64(f.cfg.MetaReadSize))
+		tx.io.Done = txMetaRead
+		tx.io.Off, tx.io.Size, tx.io.Write = f.rnd.Int63n(1<<34)&^4095, f.cfg.MetaReadSize, false
+		f.dev.Submit(&tx.io)
+		return
 	}
+	txKV(tx)
+}
 
-	// KV mutations: PG log entry + omap ops.
+func txMetaRead(a any) {
+	tx := a.(*Transaction)
+	tx.f.stats.MetaReads.Inc()
+	tx.f.stats.MetaReadBytes.Add(uint64(tx.f.cfg.MetaReadSize))
+	txKV(tx)
+}
+
+// txKV applies the KV mutations, the PG log entry and the omap ops: as one
+// batch, or one batch per op.
+func txKV(tx *Transaction) {
 	ops := tx.kvScratch[:0]
 	if tx.PGLogKey != "" {
 		ops = append(ops, kvstore.Op{Key: tx.PGLogKey, Value: tx.PGLogValue})
 	}
 	ops = append(ops, tx.OmapOps...)
 	tx.kvScratch = ops
-	if f.cfg.BatchKVOps {
-		f.db.Apply(p, ops)
-	} else {
-		for _, op := range ops {
-			f.db.Apply(p, []kvstore.Op{op})
-		}
+	if tx.f.cfg.BatchKVOps {
+		tx.kv.Done, tx.kv.Ops = txKVApplied, ops
+		tx.f.db.ApplyCall(&tx.kv)
+		return
 	}
+	tx.next = 0
+	txNextOp(tx)
+}
 
-	// Bookkeeping (the authoritative object table).
-	obj := f.lookup(tx.OID)
-
-	// Data write, at the object's device extent.
-	if tx.Len > 0 {
-		devOff := obj.base + tx.Off%extentSize
-		if f.cfg.ApplyWriteback {
-			// Page-cache write: block only when past the dirty limit,
-			// then hand the extent to the background flusher.
-			f.dirtyMu.Lock(p)
-			for f.dirty >= f.cfg.DirtyLimit {
-				f.dirtyCond.Wait(p)
-			}
-			f.dirty += tx.Len
-			f.dirtyMu.Unlock(p)
-			f.flushQ.Push(p, flushReq{off: devOff, size: tx.Len})
-		} else {
-			f.dev.Write(p, devOff, tx.Len)
-		}
-		f.stats.DataBytes.Add(uint64(tx.Len))
+func txNextOp(a any) {
+	tx := a.(*Transaction)
+	if tx.next == len(tx.kvScratch) {
+		txKVApplied(tx)
+		return
 	}
+	tx.kv.Done, tx.kv.Ops = txNextOp, tx.kvScratch[tx.next:tx.next+1]
+	tx.next++
+	tx.f.db.ApplyCall(&tx.kv)
+}
+
+// txKVApplied looks the object up in the authoritative table and writes
+// the data at the object's device extent: through the page cache with
+// writeback on, or straight to the device.
+func txKVApplied(a any) {
+	tx := a.(*Transaction)
+	f := tx.f
+	tx.kv.Ops = nil
+	tx.obj = f.lookup(tx.OID)
+	switch {
+	case tx.Len == 0:
+		txDone(tx)
+	case f.cfg.ApplyWriteback:
+		// Page-cache write: wait only when past the dirty limit, then
+		// hand the extent to the background flusher.
+		if f.dirtyMu.LockCall(txDirtyLocked, tx) {
+			txDirtyLocked(tx)
+		}
+	default:
+		tx.io.Done = txWritten
+		tx.io.Off, tx.io.Size, tx.io.Write = tx.obj.base+tx.Off%extentSize, tx.Len, true
+		f.dev.Submit(&tx.io)
+	}
+}
+
+func txDirtyLocked(a any) {
+	tx := a.(*Transaction)
+	f := tx.f
+	if f.dirty >= f.cfg.DirtyLimit {
+		f.dirtyCond.WaitCall(txDirtyLocked, tx)
+		return
+	}
+	f.dirty += tx.Len
+	f.dirtyMu.UnlockCall(tx)
+	f.flushQ.TryPush(flushReq{off: tx.obj.base + tx.Off%extentSize, size: tx.Len})
+	txWritten(tx)
+}
+
+func txWritten(a any) {
+	tx := a.(*Transaction)
+	tx.f.stats.DataBytes.Add(uint64(tx.Len))
+	txDone(tx)
+}
+
+// txDone updates the object table and completes the apply.
+func txDone(tx *Transaction) {
+	obj := tx.obj
 	if end := tx.Off + tx.Len; end > obj.size {
 		obj.size = end
 	}
 	obj.version++
 	if tx.Len > 0 {
-		if f.cfg.VerifyData {
+		if tx.f.cfg.VerifyData {
 			if obj.stamps == nil {
 				obj.stamps = make(map[int64]uint64)
 			}
@@ -330,6 +410,8 @@ func (f *FileStore) Apply(p *sim.Proc, tx *Transaction) {
 		}
 		obj.overwritten(tx.Off)
 	}
+	tx.obj = nil
+	tx.Done(tx.Arg)
 }
 
 // DevOffset translates an object-relative offset to the device address of

@@ -36,6 +36,7 @@ type Journal struct {
 	size  int64
 	space *sim.Semaphore
 	head  int64
+	free  []*Write // Submit's requests, for reuse
 	stats Stats
 }
 
@@ -71,23 +72,80 @@ func align(n int64) int64 {
 // block size), writes it to the journal device, and returns the padded
 // size. The caller must later pass that size to Trim when the transaction
 // has been applied to the filestore. Submit blocks while the ring is full.
+// It is SubmitCall with sim.Wake, then Await.
 func (j *Journal) Submit(p *sim.Proc, bytes int64) int64 {
-	padded := align(bytes)
-	if padded > j.size {
+	var w *Write
+	if n := len(j.free); n > 0 {
+		w = j.free[n-1]
+		j.free = j.free[:n-1]
+	} else {
+		w = &Write{Done: sim.Wake}
+	}
+	w.Arg, w.Bytes = p, bytes
+	j.SubmitCall(w)
+	p.Await()
+	padded := w.Padded
+	w.Arg = nil
+	j.free = append(j.free, w)
+	return padded
+}
+
+// Write is one Submit made by a callback chain (see SubmitCall). Its owner
+// keeps it alive, and may reuse it once Done has run.
+type Write struct {
+	// Done runs as Done(Arg) once the entry is on the journal device,
+	// after Padded is set. It runs in kernel context and must not block.
+	Done func(any)
+	Arg  any
+	// Bytes is the entry's payload; Padded is the ring space it took,
+	// which the caller passes to Trim once the entry is applied.
+	Bytes, Padded int64
+
+	j  *Journal
+	t0 sim.Time // when the entry began to wait for ring space
+	io device.IO
+}
+
+// SubmitCall is Submit for callback models: it reserves ring space for
+// w's entry, waiting while the ring is full, writes the entry and runs
+// w.Done, each in the event slot Submit's process would use.
+func (j *Journal) SubmitCall(w *Write) {
+	w.Padded = align(w.Bytes)
+	if w.Padded > j.size {
 		panic("journal: entry larger than ring")
 	}
-	if !j.space.TryAcquire(padded) {
-		j.stats.FullStalls.Inc()
-		t0 := p.Now()
-		j.space.Acquire(p, padded)
-		j.stats.StallTime.Add(uint64(p.Now() - t0))
+	w.j = j
+	w.io.Done, w.io.Arg = submitWritten, w
+	if j.space.TryAcquire(w.Padded) {
+		j.write(w)
+		return
 	}
+	j.stats.FullStalls.Inc()
+	w.t0 = j.k.Now()
+	if j.space.AcquireCall(w.Padded, submitGranted, w) {
+		submitGranted(w)
+	}
+}
+
+func submitGranted(a any) {
+	w := a.(*Write)
+	w.j.stats.StallTime.Add(uint64(w.j.k.Now() - w.t0))
+	w.j.write(w)
+}
+
+// write puts w's entry at the ring head on the journal device.
+func (j *Journal) write(w *Write) {
 	off := j.head % j.size
-	j.head += padded
-	j.dev.Write(p, off, padded)
-	j.stats.Writes.Inc()
-	j.stats.Bytes.Add(uint64(padded))
-	return padded
+	j.head += w.Padded
+	w.io.Off, w.io.Size, w.io.Write = off, w.Padded, true
+	j.dev.Submit(&w.io)
+}
+
+func submitWritten(a any) {
+	w := a.(*Write)
+	w.j.stats.Writes.Inc()
+	w.j.stats.Bytes.Add(uint64(w.Padded))
+	w.Done(w.Arg)
 }
 
 // Trim releases `padded` bytes reserved by a prior Submit.

@@ -107,7 +107,7 @@ type sstable struct {
 }
 
 // DB is the store. All methods taking a *sim.Proc block the calling process
-// for the modelled latency.
+// for the modelled latency; ApplyCall is the callback form of Apply.
 type DB struct {
 	k      *sim.Kernel
 	name   string
@@ -127,6 +127,8 @@ type DB struct {
 	flushing   bool
 
 	devOff int64 // monotonically advancing write cursor
+
+	batchFree []*Batch // Apply's batches, for reuse
 
 	stats Stats
 }
@@ -177,33 +179,100 @@ func (db *DB) Delete(p *sim.Proc, key string) {
 
 // Apply atomically applies a batch: one WAL write covering every op, then
 // memtable inserts. This is the primitive behind both community behaviour
-// (one-op batches) and the light-weight transaction (multi-op batches).
+// (one-op batches) and the light-weight transaction (multi-op batches). It
+// is ApplyCall with sim.Wake, then Await.
 func (db *DB) Apply(p *sim.Proc, ops []Op) {
-	if len(ops) == 0 {
+	var b *Batch
+	if n := len(db.batchFree); n > 0 {
+		b = db.batchFree[n-1]
+		db.batchFree = db.batchFree[:n-1]
+	} else {
+		b = &Batch{Done: sim.Wake}
+	}
+	b.Arg, b.Ops = p, ops
+	db.ApplyCall(b)
+	p.Await()
+	b.Arg, b.Ops = nil, nil
+	db.batchFree = append(db.batchFree, b)
+}
+
+// Batch is one Apply made by a callback chain (see ApplyCall). Its owner
+// keeps it alive, and may reuse it and its ops once Done has run.
+type Batch struct {
+	// Done runs as Done(Arg) once the batch is applied. It runs in kernel
+	// context and must not block.
+	Done func(any)
+	Arg  any
+	Ops  []Op
+
+	db                  *DB
+	userBytes, walBytes int64
+	t0                  sim.Time // when the batch began to stall
+	io                  device.IO
+	work                cpumodel.Work
+}
+
+// ApplyCall is Apply for callback models: it takes the writer lock, waits
+// out an L0 write stall, writes the batch's WAL record, charges the put CPU
+// (its allocations priced once the WAL write lands), inserts the entries
+// and runs b.Done, each in the event slot Apply's process would use. An
+// empty batch completes inline.
+func (db *DB) ApplyCall(b *Batch) {
+	if len(b.Ops) == 0 {
+		b.Done(b.Arg)
 		return
 	}
-	var userBytes, walBytes int64
-	walBytes = db.params.WALBatchHeader
-	for _, op := range ops {
+	b.db = db
+	b.userBytes, b.walBytes = 0, db.params.WALBatchHeader
+	for _, op := range b.Ops {
 		n := int64(len(op.Key) + len(op.Value))
-		userBytes += n
-		walBytes += n + db.params.EntryOverhead
+		b.userBytes += n
+		b.walBytes += n + db.params.EntryOverhead
 	}
+	b.io.Done, b.io.Arg = applyLogged, b
+	b.work.Done, b.work.Arg = applyCharged, b
+	if db.mu.LockCall(applyLocked, b) {
+		applyLocked(b)
+	}
+}
 
-	db.mu.Lock(p)
-	// Write stall: too many L0 files means compaction is behind.
-	for len(db.l0) >= db.params.L0StallTrigger {
+// applyLocked writes the WAL record under the writer lock (LevelDB
+// single-writer discipline), unless too many L0 files mean compaction is
+// behind: then the batch stalls until compaction signals.
+func applyLocked(a any) {
+	b := a.(*Batch)
+	db := b.db
+	if len(db.l0) >= db.params.L0StallTrigger {
 		db.stats.Stalls.Inc()
-		t0 := p.Now()
-		db.stallCond.Wait(p)
-		db.stats.StallTime.Add(uint64(p.Now() - t0))
+		b.t0 = db.k.Now()
+		db.stallCond.WaitCall(applyUnstalled, b)
+		return
 	}
-	// WAL write under the writer lock (LevelDB single-writer discipline).
-	db.dev.Write(p, db.alloc(walBytes), walBytes)
-	db.stats.WALBytes.Add(uint64(walBytes))
-	// Memtable inserts; an overwrite replaces the active memtable's entry.
-	db.node.UseWithAllocs(p, db.params.PutCPU*sim.Time(len(ops)), db.params.PutAllocs*len(ops))
-	for _, op := range ops {
+	b.io.Off, b.io.Size, b.io.Write = db.alloc(b.walBytes), b.walBytes, true
+	db.dev.Submit(&b.io)
+}
+
+func applyUnstalled(a any) {
+	b := a.(*Batch)
+	b.db.stats.StallTime.Add(uint64(b.db.k.Now() - b.t0))
+	applyLocked(b)
+}
+
+// applyLogged charges the memtable inserts' CPU once the WAL record lands.
+func applyLogged(a any) {
+	b := a.(*Batch)
+	db := b.db
+	db.stats.WALBytes.Add(uint64(b.walBytes))
+	n := len(b.Ops)
+	db.node.UseCall(&b.work, db.params.PutCPU*sim.Time(n)+db.node.AllocCost(db.params.PutAllocs*n))
+}
+
+// applyCharged inserts the batch into the memtable (an overwrite replaces
+// the active memtable's entry), releases the writer lock and completes.
+func applyCharged(a any) {
+	b := a.(*Batch)
+	db := b.db
+	for _, op := range b.Ops {
 		e := entry{key: op.Key, size: len(op.Value), tombstone: op.Delete}
 		if old, ok := db.mem.data[op.Key]; ok {
 			db.mem.bytes -= db.entryBytes(old)
@@ -216,11 +285,12 @@ func (db *DB) Apply(p *sim.Proc, ops []Op) {
 			db.stats.Puts.Inc()
 		}
 	}
-	db.stats.UserBytes.Add(uint64(userBytes))
+	db.stats.UserBytes.Add(uint64(b.userBytes))
 	if db.mem.bytes >= db.params.MemtableSize {
 		db.rotateMemtable()
 	}
-	db.mu.Unlock(p)
+	db.mu.UnlockCall(b)
+	b.Done(b.Arg)
 }
 
 // entryBytes is an entry's on-disk footprint.

@@ -60,9 +60,9 @@ type DirectStore struct {
 	// keeps only its length, so one zero buffer of WALThreshold bytes
 	// serves every write.
 	walBuf []byte
-	// Scratch pool for KV batches: a worker can be parked inside db.Apply
-	// while another commits, so a batch is checked out per call rather
-	// than shared (cf. Transaction.kvScratch).
+	// Scratch pool for KV batches: several commits and flushes can be in
+	// flight at once, so a batch is checked out per call rather than
+	// shared (cf. Transaction.kvScratch).
 	opsFree [][]kvstore.Op
 
 	stats DirectStats
@@ -111,12 +111,12 @@ func (d *DirectStore) putOps(s []kvstore.Op) {
 	d.opsFree = append(d.opsFree, s)
 }
 
-// Commit makes the write durable: one batched KV apply carrying the PG log
-// entry, the omap mutations and — for small writes — the data payload in
-// the WAL. Large writes hit the device extent first, so a crash between
-// the data write and the KV commit leaves unreferenced garbage, never torn
-// metadata.
-func (d *DirectStore) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
+// CommitCall makes the write durable: one batched KV apply carrying the
+// PG log entry, the omap mutations and — for small writes — the data
+// payload in the WAL. Large writes hit the device extent first, so a crash
+// between the data write and the KV commit leaves unreferenced garbage,
+// never torn metadata.
+func (d *DirectStore) CommitCall(t *Txn, meta *filestore.Transaction) {
 	ops := d.getOps()
 	t.small = t.Len > 0 && t.Len <= d.cfg.WALThreshold
 	if t.small {
@@ -126,16 +126,53 @@ func (d *DirectStore) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
 		d.keyBuf = b
 		t.walKey = string(b)
 		ops = append(ops, kvstore.Op{Key: t.walKey, Value: d.walBuf[:t.Len]})
-	} else if t.Len > 0 {
-		d.node.Use(p, d.cfg.SyscallCost)
-		d.fs.Device().Write(p, d.fs.DevOffset(t.OID, t.Off), t.Len)
 	}
 	if meta.PGLogKey != "" {
 		ops = append(ops, kvstore.Op{Key: meta.PGLogKey, Value: meta.PGLogValue})
 	}
-	ops = append(ops, meta.OmapOps...)
-	d.db.Apply(p, ops) // the durability point
-	d.putOps(ops)
+	t.ops = append(ops, meta.OmapOps...)
+	t.ds = d
+	if !t.small && t.Len > 0 {
+		d.write(t, dsCommitKV)
+		return
+	}
+	dsCommitKV(t)
+}
+
+// write charges a direct-I/O submission, then writes t's payload at its
+// object's device extent (placed once the charge is paid), and runs next.
+func (d *DirectStore) write(t *Txn, next func(any)) {
+	t.work.Done, t.work.Arg = dsCharged, t
+	t.io.Done, t.io.Arg = next, t
+	d.node.UseCall(&t.work, d.cfg.SyscallCost)
+}
+
+func dsCharged(a any) {
+	t := a.(*Txn)
+	d := t.ds
+	t.io.Off, t.io.Size, t.io.Write = d.fs.DevOffset(t.OID, t.Off), t.Len, true
+	d.fs.Device().Submit(&t.io)
+}
+
+// dsCommitKV applies the commit's KV batch: the durability point.
+func dsCommitKV(a any) { a.(*Txn).applyOps(dsOpsApplied) }
+
+// applyOps applies t.ops as one KV batch, then recycles them and runs next.
+func (t *Txn) applyOps(next func(any)) {
+	t.kv.Done, t.kv.Arg, t.kv.Ops = next, t, t.ops
+	t.ds.db.ApplyCall(&t.kv)
+}
+
+func dsOpsApplied(a any) {
+	t := a.(*Txn)
+	t.ds.putOps(t.ops)
+	t.ops, t.kv.Ops = nil, nil
+	t.Done(t.Arg)
+}
+
+// Commit is CommitCall with sim.Wake, then Await.
+func (d *DirectStore) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
+	await(p, d.CommitCall, t, meta)
 }
 
 // Committed makes the write visible (object table commit) and retains its
@@ -169,21 +206,54 @@ func (d *DirectStore) finish(e *retained) {
 	}
 }
 
-// Apply flushes a small write's payload from the WAL to its device extent
-// and deletes the WAL record; large writes were already placed at commit.
-func (d *DirectStore) Apply(p *sim.Proc, t *Txn, _ *filestore.Transaction) {
+// ApplyCall flushes a small write's payload from the WAL to its device
+// extent and deletes the WAL record; large writes were already placed at
+// commit, so they complete inline.
+func (d *DirectStore) ApplyCall(t *Txn, _ *filestore.Transaction) {
 	if t.small {
-		d.node.Use(p, d.cfg.SyscallCost)
-		d.fs.Device().Write(p, d.fs.DevOffset(t.OID, t.Off), t.Len)
-		ops := d.getOps()
-		ops = append(ops, kvstore.Op{Key: t.walKey, Delete: true})
-		d.db.Apply(p, ops)
-		d.putOps(ops)
-		d.stats.Flushes.Inc()
+		t.then = dsApplyFlushed
+		d.flush(t)
+		return
 	}
+	d.applied(t)
+}
+
+func dsApplyFlushed(t *Txn) {
+	t.ds.stats.Flushes.Inc()
+	t.ds.applied(t)
+}
+
+// applied returns t's WAL credit and completes the apply.
+func (d *DirectStore) applied(t *Txn) {
 	if t.ret != nil {
 		d.finish(t.ret)
 	}
+	t.Done(t.Arg)
+}
+
+// Apply is ApplyCall with sim.Wake, then Await.
+func (d *DirectStore) Apply(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
+	await(p, d.ApplyCall, t, meta)
+}
+
+// flush writes a deferred payload from the WAL to its device extent, then
+// deletes the WAL record, and runs t.then.
+func (d *DirectStore) flush(t *Txn) {
+	t.ds = d
+	d.write(t, dsFlushWritten)
+}
+
+func dsFlushWritten(a any) {
+	t := a.(*Txn)
+	t.ops = append(t.ds.getOps(), kvstore.Op{Key: t.walKey, Delete: true})
+	t.applyOps(dsFlushed)
+}
+
+func dsFlushed(a any) {
+	t := a.(*Txn)
+	t.ds.putOps(t.ops)
+	t.ops, t.kv.Ops = nil, nil
+	t.then(t)
 }
 
 // Applied compacts the replay image (the WAL credit was returned by Apply).
@@ -207,19 +277,20 @@ func (d *DirectStore) Replay(p *sim.Proc, h ReplayHooks) int {
 	n := 0
 	for _, e := range pending {
 		if e.small {
-			d.node.Use(p, d.cfg.SyscallCost)
-			d.fs.Device().Write(p, d.fs.DevOffset(e.oid, e.off), e.length)
-			ops := d.getOps()
-			ops = append(ops, kvstore.Op{Key: e.walKey, Delete: true})
-			d.db.Apply(p, ops)
-			d.putOps(ops)
-			d.stats.Replays.Inc()
+			t := &Txn{Done: sim.Wake, Arg: p, OID: e.oid, Off: e.off, Len: e.length, walKey: e.walKey, then: dsReplayFlushed}
+			d.flush(t)
+			p.Await()
 		}
 		d.finish(e)
 		h.Applied(e.pg, e.seq, nil)
 		n++
 	}
 	return n
+}
+
+func dsReplayFlushed(t *Txn) {
+	t.ds.stats.Replays.Inc()
+	t.Done(t.Arg)
 }
 
 // UnappliedSeqs visits the committed-but-unflushed entries.

@@ -45,23 +45,47 @@ func (b *FileStoreBackend) Reopen(gen string) {
 // Journal exposes the ring of the current generation.
 func (b *FileStoreBackend) Journal() *journal.Journal { return b.jrnl }
 
-// Commit writes the entry to the journal ring, blocking while it is full.
-func (b *FileStoreBackend) Commit(p *sim.Proc, t *Txn, _ *filestore.Transaction) {
-	t.pad = b.jrnl.Submit(p, t.Bytes)
+// CommitCall writes the entry to the journal ring, waiting while it is
+// full.
+func (b *FileStoreBackend) CommitCall(t *Txn, _ *filestore.Transaction) {
+	t.jw.Done, t.jw.Arg, t.jw.Bytes = fbCommitted, t, t.Bytes
+	b.jrnl.SubmitCall(&t.jw)
+}
+
+func fbCommitted(a any) {
+	t := a.(*Txn)
+	t.pad = t.jw.Padded
+	t.Done(t.Arg)
+}
+
+// Commit is CommitCall with sim.Wake, then Await.
+func (b *FileStoreBackend) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
+	await(p, b.CommitCall, t, meta)
 }
 
 // Committed retains the entry's image for crash replay until the apply
 // lands.
 func (b *FileStoreBackend) Committed(t *Txn) { b.rlog.retain(t) }
 
-// Apply lands the transaction in the filestore. The retained entry is
+// ApplyCall lands the transaction in the filestore. The retained entry is
 // marked applied even if the daemon died mid-I/O: the apply completed, and
 // a possible duplicate replay is healed by the dirty-restart backfill.
-func (b *FileStoreBackend) Apply(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
-	b.fs.Apply(p, meta)
+func (b *FileStoreBackend) ApplyCall(t *Txn, meta *filestore.Transaction) {
+	meta.Done, meta.Arg = fbApplied, t
+	b.fs.ApplyCall(meta)
+}
+
+func fbApplied(a any) {
+	t := a.(*Txn)
 	if t.ret != nil {
 		t.ret.applied = true
 	}
+	t.Done(t.Arg)
+}
+
+// Apply is ApplyCall with sim.Wake, then Await.
+func (b *FileStoreBackend) Apply(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
+	await(p, b.ApplyCall, t, meta)
 }
 
 // Applied trims the entry's ring space and compacts the replay image.

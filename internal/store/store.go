@@ -21,7 +21,11 @@ package store
 import (
 	"fmt"
 
+	"repro/internal/cpumodel"
+	"repro/internal/device"
 	"repro/internal/filestore"
+	"repro/internal/journal"
+	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -42,10 +46,16 @@ func CheckBackend(name string) error {
 	return fmt.Errorf("unknown backend %q (want %s or %s)", name, BackendFileStore, BackendDirectStore)
 }
 
-// Txn is one logical write moving through the OSD pipeline. The exported
-// fields are filled by the OSD when the write is accepted; the unexported
-// ones are backend state threaded from Commit to Applied.
+// Txn is one logical write moving through the OSD pipeline, and the
+// request CommitCall and ApplyCall make of it. The exported fields are
+// filled by the OSD when the write is accepted; the unexported ones are
+// backend state threaded from Commit to Applied.
 type Txn struct {
+	// Done runs as Done(Arg) when CommitCall or ApplyCall is over. It runs
+	// in kernel context and must not block.
+	Done func(any)
+	Arg  any
+
 	PG    uint32
 	Seq   uint64
 	OID   string
@@ -61,6 +71,25 @@ type Txn struct {
 	small  bool   // DirectStore: payload rides the KV WAL (deferred write)
 	walKey string // DirectStore: deferred-write WAL key
 	ret    *retained
+
+	// The requests of the call in flight.
+	jw   journal.Write // FileStoreBackend: the journal entry
+	ds   *DirectStore
+	ops  []kvstore.Op // DirectStore: the KV batch
+	work cpumodel.Work
+	io   device.IO
+	kv   kvstore.Batch
+	then func(*Txn) // DirectStore: run when a deferred payload is flushed
+}
+
+// await makes call of t with sim.Wake as its Done and waits for it: it is
+// how the process forms Commit and Apply are built on CommitCall and
+// ApplyCall.
+func await(p *sim.Proc, call func(*Txn, *filestore.Transaction), t *Txn, meta *filestore.Transaction) {
+	t.Done, t.Arg = sim.Wake, p
+	call(t, meta)
+	p.Await()
+	t.Arg = nil
 }
 
 // ReplayHooks let Replay call back into OSD bookkeeping without the store
@@ -75,9 +104,10 @@ type ReplayHooks struct {
 }
 
 // Backend is an object store driving the durable half of the OSD write
-// path. All methods but ReadCall are called from OSD worker processes;
-// Commit and Apply are the blocking-I/O halves, Committed and Applied the
-// bookkeeping halves run only when the daemon generation still matches.
+// path. CommitCall and ApplyCall are the I/O halves, run by callback
+// chains; Commit and Apply are their process forms. Committed and Applied
+// are the bookkeeping halves, run only when the daemon generation still
+// matches.
 type Backend interface {
 	// Name returns the backend selector string.
 	Name() string
@@ -89,15 +119,21 @@ type Backend interface {
 	// Reopen builds the per-generation write-ahead state (a fresh ring
 	// for the journaled backend); called at construction and on Restart.
 	Reopen(gen string)
-	// Commit makes t durable, blocking while write-ahead space is
-	// exhausted. meta is non-nil iff MetaAtCommit.
+	// CommitCall makes t durable, waiting while write-ahead space is
+	// exhausted, then runs t.Done. meta is non-nil iff MetaAtCommit.
+	// Every event lands in the slot a process committing t would use.
+	CommitCall(t *Txn, meta *filestore.Transaction)
+	// Commit is CommitCall with sim.Wake as t's Done, then Await.
 	Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction)
 	// Committed records t as durable-but-unapplied (the crash-replay
 	// image) and makes it visible to reads where the backend commits
 	// object state up front.
 	Committed(t *Txn)
-	// Apply lands t in the object store. meta is non-nil iff
+	// ApplyCall lands t in the object store, then runs t.Done (inline
+	// when there is nothing to wait for). meta is non-nil iff
 	// !MetaAtCommit.
+	ApplyCall(t *Txn, meta *filestore.Transaction)
+	// Apply is ApplyCall with sim.Wake as t's Done, then Await.
 	Apply(p *sim.Proc, t *Txn, meta *filestore.Transaction)
 	// Applied releases t's write-ahead space and drops it from the
 	// replay image.
