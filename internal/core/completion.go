@@ -6,12 +6,15 @@ import (
 )
 
 // Completion is deferred PG-lock work produced by a commit/applied/ack
-// event. Fn runs with the shard's lock held. At is stamped by Defer so
-// the worker can attribute dispatch queueing delay.
+// event. At is stamped by Defer so the worker can attribute dispatch
+// queueing delay.
 type Completion struct {
 	Shard int
-	Fn    func(p *sim.Proc)
-	At    sim.Time
+	// Fn does the work with the shard's lock held. It runs in kernel
+	// context and calls done(arg) once the work is over, inline or from a
+	// later callback.
+	Fn func(done func(any), arg any)
+	At sim.Time
 }
 
 // CompletionWorkerStats reports batching effectiveness.
@@ -25,7 +28,9 @@ type CompletionWorkerStats struct {
 // events defer their PG-lock work here, and the worker opportunistically
 // batches everything queued, grouping by shard so each shard's lock is
 // taken once per batch ("multiple completion per PG can be processed at
-// once").
+// once"). The thread is a callback machine: it waits on its queue with
+// PopCall and on a shard lock with LockCall, in the event slots where the
+// thread would resume.
 type CompletionWorker struct {
 	k        *sim.Kernel
 	locks    *ShardLocks
@@ -37,16 +42,24 @@ type CompletionWorker struct {
 	// between Defer and the start of its batch (observation only).
 	QueueDelay *stats.Histogram
 
-	// Per-batch scratch, reused across iterations so a steady stream of
+	// The batch in service, grouped by shard in first-seen order. The
+	// group slices are reused across batches, so a steady stream of
 	// completions is processed without allocating.
-	batch  []Completion
-	order  []int
-	groups map[int][]Completion
+	groups  []shardGroup
+	ngroups int
+	gi, ci  int  // the group and completion in service
+	locked  bool // groups[gi]'s lock is held or requested
+	inFn    bool // inside a Fn call: a Fn that completes inline is seen here
 }
 
-// NewCompletionWorker creates the worker state; call Run in one or more
-// spawned processes. batchMax bounds how many completions one batch
-// collects (<= 0 means 64).
+// shardGroup is one shard's completions of a batch, in arrival order.
+type shardGroup struct {
+	shard int
+	cs    []Completion
+}
+
+// NewCompletionWorker creates the worker state; call Start to run it.
+// batchMax bounds how many completions one batch collects (<= 0 means 64).
 func NewCompletionWorker(k *sim.Kernel, name string, locks *ShardLocks, batchMax int) *CompletionWorker {
 	if batchMax <= 0 {
 		batchMax = 64
@@ -56,7 +69,6 @@ func NewCompletionWorker(k *sim.Kernel, name string, locks *ShardLocks, batchMax
 		locks:    locks,
 		q:        sim.NewQueue[Completion](k, name+".compq", 0),
 		batchMax: batchMax,
-		groups:   make(map[int][]Completion, 4),
 	}
 }
 
@@ -66,63 +78,115 @@ func (w *CompletionWorker) Stats() *CompletionWorkerStats { return &w.stats }
 // QueueLen returns queued completions.
 func (w *CompletionWorker) QueueLen() int { return w.q.Len() }
 
-// Defer queues PG-lock work. Callable from any process (messenger, journal
-// writer, finisher); never blocks the caller beyond queue push.
-func (w *CompletionWorker) Defer(p *sim.Proc, c Completion) {
-	c.At = p.Now()
-	w.q.Push(p, c)
+// Defer queues PG-lock work. The queue is unbounded, so Defer never
+// blocks and may be called from kernel context.
+func (w *CompletionWorker) Defer(c Completion) {
+	c.At = w.k.Now()
+	w.q.TryPush(c)
 }
 
-// Close lets Run loops exit after draining.
+// Close lets the worker stop once it has drained the queue.
 func (w *CompletionWorker) Close() { w.q.Close() }
 
-// Run is the worker loop.
-func (w *CompletionWorker) Run(p *sim.Proc) {
+// Start starts the worker at the current instant, in the event slot where
+// a process spawned now would start.
+func (w *CompletionWorker) Start() { w.k.AfterCall(0, compRun, w) }
+
+func compRun(a any) { a.(*CompletionWorker).run() }
+
+func compLocked(a any) {
+	w := a.(*CompletionWorker)
+	w.stats.LockAcquires.Inc()
+	w.run()
+}
+
+func compFnDone(a any) {
+	w := a.(*CompletionWorker)
+	if w.inFn {
+		w.inFn = false // completed inline: run goes on
+		return
+	}
+	w.run()
+}
+
+// run serves the batch until it has to wait: for a shard lock, for a
+// completion's work, or for the next batch.
+func (w *CompletionWorker) run() {
 	for {
-		first, ok := w.q.Pop(p)
-		if !ok {
+		if w.gi == w.ngroups {
+			if !w.takeBatch() {
+				return
+			}
+			continue
+		}
+		g := &w.groups[w.gi]
+		if !w.locked {
+			w.locked = true
+			if !w.locks.Get(g.shard).LockCall(compLocked, w) {
+				return
+			}
+			w.stats.LockAcquires.Inc()
+		}
+		if w.ci < len(g.cs) {
+			c := g.cs[w.ci]
+			w.ci++
+			w.inFn = true
+			c.Fn(compFnDone, w)
+			if w.inFn {
+				w.inFn = false
+				return // compFnDone goes on
+			}
+			continue
+		}
+		clear(g.cs)
+		g.cs = g.cs[:0]
+		w.gi, w.ci, w.locked = w.gi+1, 0, false
+		w.locks.Get(g.shard).UnlockCall(w)
+	}
+}
+
+// takeBatch collects everything queued, up to batchMax, into shard groups
+// (first-seen order for determinism, arrival order within a shard) and
+// reports true; with the queue empty it waits for a completion and
+// reports false.
+func (w *CompletionWorker) takeBatch() bool {
+	w.gi, w.ngroups = 0, 0
+	c, ok := w.q.PopCall(compRun, w)
+	if !ok {
+		return false
+	}
+	now := w.k.Now()
+	n := 0
+	for ok {
+		w.add(c)
+		if w.QueueDelay != nil {
+			w.QueueDelay.Record(int64(now - c.At))
+		}
+		if n++; n == w.batchMax {
+			break
+		}
+		c, ok = w.q.TryPop()
+	}
+	w.stats.Batches.Inc()
+	w.stats.Completions.Add(uint64(n))
+	return true
+}
+
+// add appends c to its shard's group, opening a group on first sight.
+func (w *CompletionWorker) add(c Completion) {
+	for i := 0; i < w.ngroups; i++ {
+		if w.groups[i].shard == c.Shard {
+			w.groups[i].cs = append(w.groups[i].cs, c)
 			return
 		}
-		batch := append(w.batch[:0], first)
-		for len(batch) < w.batchMax {
-			c, ok := w.q.TryPop()
-			if !ok {
-				break
-			}
-			batch = append(batch, c)
-		}
-		w.batch = batch
-		w.stats.Batches.Inc()
-		w.stats.Completions.Add(uint64(len(batch)))
-		if w.QueueDelay != nil {
-			for _, c := range batch {
-				w.QueueDelay.Record(int64(p.Now() - c.At))
-			}
-		}
-
-		// Group by shard, preserving first-seen order for determinism and
-		// per-shard completion order. The group lists stay in the map
-		// between batches, truncated, so grouping reuses their storage.
-		order := w.order[:0]
-		for _, c := range batch {
-			g, seen := w.groups[c.Shard]
-			if !seen || len(g) == 0 {
-				order = append(order, c.Shard)
-			}
-			w.groups[c.Shard] = append(g, c)
-		}
-		w.order = order
-		for _, shard := range order {
-			lock := w.locks.Get(shard)
-			lock.Lock(p)
-			w.stats.LockAcquires.Inc()
-			for _, c := range w.groups[shard] {
-				c.Fn(p)
-			}
-			w.groups[shard] = w.groups[shard][:0]
-			lock.Unlock(p)
-		}
 	}
+	if w.ngroups == len(w.groups) {
+		w.groups = append(w.groups, shardGroup{})
+	}
+	g := &w.groups[w.ngroups]
+	w.ngroups++
+	g.shard = c.Shard
+	g.cs = append(g.cs, c)
 }
 
 // ThrottleConfig carries Ceph's rate-limiting parameters (§3.2). The two

@@ -170,13 +170,13 @@ func TestCompletionWorkerBatchesPerShardLock(t *testing.T) {
 	locks := NewShardLocks(k, "pg")
 	w := NewCompletionWorker(k, "comp", locks, 64)
 	done := 0
-	k.Go("comp", w.Run)
+	w.Start()
 	k.Go("producer", func(p *sim.Proc) {
 		// Queue 32 completions for one shard while the worker is busy
 		// elsewhere, so they arrive as one batch.
 		locks.Get(9).Lock(p)
 		for i := 0; i < 32; i++ {
-			w.Defer(p, Completion{Shard: 9, Fn: func(p *sim.Proc) { done++ }})
+			w.Defer(Completion{Shard: 9, Fn: func(next func(any), arg any) { done++; next(arg) }})
 		}
 		p.Sleep(sim.Millisecond)
 		locks.Get(9).Unlock(p)
@@ -197,10 +197,11 @@ func TestCompletionWorkerRunsUnderLock(t *testing.T) {
 	locks := NewShardLocks(k, "pg")
 	w := NewCompletionWorker(k, "comp", locks, 0)
 	ok := false
-	k.Go("comp", w.Run)
+	w.Start()
 	k.Go("producer", func(p *sim.Proc) {
-		w.Defer(p, Completion{Shard: 1, Fn: func(p *sim.Proc) {
+		w.Defer(Completion{Shard: 1, Fn: func(next func(any), arg any) {
 			ok = locks.Get(1).Locked()
+			next(arg)
 		}})
 	})
 	k.Run(sim.Forever)
@@ -214,12 +215,12 @@ func TestCompletionWorkerPerShardOrder(t *testing.T) {
 	locks := NewShardLocks(k, "pg")
 	w := NewCompletionWorker(k, "comp", locks, 64)
 	var got []int
-	k.Go("comp", w.Run)
+	w.Start()
 	k.Go("producer", func(p *sim.Proc) {
 		locks.Get(2).Lock(p) // hold so batch accumulates
 		for i := 0; i < 10; i++ {
 			i := i
-			w.Defer(p, Completion{Shard: 2, Fn: func(p *sim.Proc) { got = append(got, i) }})
+			w.Defer(Completion{Shard: 2, Fn: func(next func(any), arg any) { got = append(got, i); next(arg) }})
 		}
 		p.Sleep(sim.Millisecond)
 		locks.Get(2).Unlock(p)
@@ -232,18 +233,30 @@ func TestCompletionWorkerPerShardOrder(t *testing.T) {
 	}
 }
 
+// TestCompletionWorkerClose closes the queue while completions are still
+// queued behind a held shard lock: the worker drains them in two batches,
+// then stops waiting on the closed queue, and the run ends.
 func TestCompletionWorkerClose(t *testing.T) {
 	k := sim.NewKernel()
 	locks := NewShardLocks(k, "pg")
 	w := NewCompletionWorker(k, "comp", locks, 4)
-	k.Go("comp", w.Run)
+	w.Start()
+	ran := 0
 	k.Go("closer", func(p *sim.Proc) {
-		p.Sleep(sim.Millisecond)
+		locks.Get(3).Lock(p)
+		for i := 0; i < 6; i++ {
+			w.Defer(Completion{Shard: 3, Fn: func(next func(any), arg any) { ran++; next(arg) }})
+		}
 		w.Close()
+		p.Sleep(sim.Millisecond)
+		locks.Get(3).Unlock(p)
 	})
 	k.Run(sim.Forever)
-	if k.Live() != 0 {
-		t.Fatal("completion worker did not exit on close")
+	if ran != 6 || w.Stats().Batches.Value() != 2 {
+		t.Fatalf("ran %d completions in %d batches, want 6 in 2", ran, w.Stats().Batches.Value())
+	}
+	if k.Live() != 0 || w.QueueLen() != 0 {
+		t.Fatalf("%d procs live, %d completions queued after close", k.Live(), w.QueueLen())
 	}
 }
 

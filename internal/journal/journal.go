@@ -82,7 +82,7 @@ func (j *Journal) Submit(p *sim.Proc, bytes int64) int64 {
 		w = &Write{Done: sim.Wake}
 	}
 	w.Arg, w.Bytes = p, bytes
-	j.SubmitCall(w)
+	j.SubmitCall(w) //afvet:allow poolsafe the request is done with w once Await returns, before w is freed
 	p.Await()
 	padded := w.Padded
 	w.Arg = nil

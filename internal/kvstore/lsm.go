@@ -190,7 +190,7 @@ func (db *DB) Apply(p *sim.Proc, ops []Op) {
 		b = &Batch{Done: sim.Wake}
 	}
 	b.Arg, b.Ops = p, ops
-	db.ApplyCall(b)
+	db.ApplyCall(b) //afvet:allow poolsafe the batch is done with b once Await returns, before b is freed
 	p.Await()
 	b.Arg, b.Ops = nil, nil
 	db.batchFree = append(db.batchFree, b)

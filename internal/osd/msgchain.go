@@ -15,11 +15,13 @@ import (
 // block — on the client-message throttle, on a CPU charge, on a Sync-mode
 // log — the chain holds the message, so its connection stays stalled, as
 // behind a blocked thread, until end releases it. An op worker parks in
-// sim.Proc.Await until end wakes it. Every charge is a
+// sim.Proc.Await until end wakes it, and the journal writer, a callback
+// machine itself, is continued by end. Every charge is a
 // cpumodel.UseCall or oslog.LogCall, every store read a
 // store.Backend.ReadCall and the throttle wait a
-// sim.Semaphore.AcquireCall, so each step runs in the event slot where a
-// thread would resume, and the simulation is the same as with one.
+// sim.Semaphore.AcquireCall, and the journal push a sim.Queue.PushCall,
+// so each step runs in the event slot where a thread would resume, and
+// the simulation is the same as with one.
 //
 // The chains, by message:
 //   - MsgWrite/MsgRead: msgCap grant, then queue to the OP_WQ (intakeGranted).
@@ -32,6 +34,12 @@ import (
 //     or ReadCPU and the log of the substitute reply (handleRepReadReply).
 //
 // And by worker:
+//   - a client write on the primary: the op's log, OpSetupCPU,
+//     PGLogBuildCPU, the generation check and PG-log append, the encode
+//     CPU, per replica RepSendCPU and the sub-op send, the submit log, the
+//     filestore throttle, the generation check, then the journal push
+//     (processWrite, startWrite, writeLogBuilt, ...); a replica's sub-op
+//     takes the same steps without the sends (processRepOp, repLogBuilt);
 //   - a read: the read's log, OpSetupCPU, ReadCPU and the store read
 //     (startRead), then the generation check and the ack's log and reply,
 //     or the replica hunt of a damaged copy (processRead, readDone), or
@@ -39,7 +47,8 @@ import (
 //     processRepRead);
 //   - an EC read: the read's log and OpSetupCPU, then the gather, the
 //     local shard read inline (processECRead, ecPumpStep, ecSettle);
-//   - the acks a completed commit set releases (commitArrived, ackStep).
+//   - the acks a completed commit set releases (commitArrived, ackStep),
+//     also for the journal writer (jwCharged).
 type msgChain struct {
 	o *OSD
 	// The requests the chain makes, each continued by chainStep. They are
@@ -54,7 +63,8 @@ type msgChain struct {
 type chainRun struct {
 	eng  *engine
 	m    *netsim.Message // the message the chain holds, or nil
-	p    *sim.Proc       // else the process awaiting the chain
+	done func(any)       // else run as done(arg) when the chain ends
+	arg  any
 	step func(*msgChain) // run when the request in flight completes
 
 	op     *ClientOp // intake: the client op; ack and EIO: the op replied to
@@ -67,12 +77,33 @@ type chainRun struct {
 	rrr    *repReadReply
 	target *netsim.Endpoint // the peer the next fetch goes to
 	sr     *shardRead       // a shard holder's fetch
-	then   func(*msgChain)  // run when the read path's store read completes
+	then   func(*msgChain)  // run when a read's store read or a write's set-up completes
+	rop    *repOp           // a replica's sub-op
+	reps   []*netsim.Endpoint
+	e      *jEntry // the write's journal entry, until pushed
 }
 
 // getChain starts a chain held by m (it calls m.Hold), or, with m nil,
 // awaited by p.
 func (o *OSD) getChain(eng *engine, m *netsim.Message, p *sim.Proc) *msgChain {
+	ch := o.newChain(eng)
+	ch.m = m
+	if m != nil {
+		m.Hold()
+	} else {
+		ch.done, ch.arg = sim.Wake, p
+	}
+	return ch
+}
+
+// callChain starts a chain that ends by running done(arg).
+func (o *OSD) callChain(eng *engine, done func(any), arg any) *msgChain {
+	ch := o.newChain(eng)
+	ch.done, ch.arg = done, arg
+	return ch
+}
+
+func (o *OSD) newChain(eng *engine) *msgChain {
 	var ch *msgChain
 	if n := len(o.chFree); n > 0 {
 		ch = o.chFree[n-1]
@@ -83,23 +114,20 @@ func (o *OSD) getChain(eng *engine, m *netsim.Message, p *sim.Proc) *msgChain {
 		ch.log.Done, ch.log.Arg = chainStep, ch
 		ch.rd.Done, ch.rd.Arg = chainStep, ch
 	}
-	ch.eng, ch.m, ch.p = eng, m, p
-	if m != nil {
-		m.Hold()
-	}
+	ch.eng = eng
 	return ch
 }
 
 // end recycles the chain, then releases its message, so the connection
 // moves on to its next message at once as the messenger thread did on
-// return, or wakes the process awaiting it.
+// return, or continues what awaits it.
 func (ch *msgChain) end() {
-	m, p := ch.m, ch.p
+	m, done, arg := ch.m, ch.done, ch.arg
 	ch.free()
 	if m != nil {
 		m.Release()
 	} else {
-		sim.Wake(p)
+		done(arg)
 	}
 }
 

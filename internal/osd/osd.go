@@ -105,9 +105,41 @@ type engine struct {
 	stageQ    *sim.Queue[stagedItem]
 
 	// Deferred completion bookkeeping (commit/applied), built once instead
-	// of closed over on every journal write and filestore apply.
-	commitFn func(p *sim.Proc)
-	applyFn  func(p *sim.Proc)
+	// of closed over on every journal write and filestore apply. The
+	// completion worker runs one completion at a time, so both share one
+	// record of the work in flight.
+	commitFn func(done func(any), arg any)
+	applyFn  func(done func(any), arg any)
+	deferred deferredWork
+}
+
+// deferredWork is the AFCeph completion worker's commit or applied
+// bookkeeping: DeferredCPU, then the stage's log entries.
+type deferredWork struct {
+	o    *OSD
+	site int
+	work cpumodel.Work
+	log  oslog.Call
+	done func(any)
+	arg  any
+}
+
+// run starts the bookkeeping for site; done(arg) runs once it is over.
+func (d *deferredWork) run(site int, done func(any), arg any) {
+	d.site, d.done, d.arg = site, done, arg
+	d.o.node.UseCall(&d.work, d.o.cfg.Costs.DeferredCPU)
+}
+
+func deferredCharged(a any) {
+	d := a.(*deferredWork)
+	d.o.logger.LogCall(&d.log, d.site, d.o.cfg.LogPerStage)
+}
+
+func deferredLogged(a any) {
+	d := a.(*deferredWork)
+	done, arg := d.done, d.arg
+	d.done, d.arg = nil, nil
+	done(arg)
 }
 
 // OSD is one object storage daemon.
@@ -286,14 +318,12 @@ func (o *OSD) buildEngine() {
 	if cfg.OptCompletionWorker {
 		eng.compw = core.NewCompletionWorker(k, name+".comp", eng.locks, 64)
 		eng.compw.QueueDelay = o.CompletionQDelay
-		eng.commitFn = func(pp *sim.Proc) {
-			o.node.Use(pp, o.cfg.Costs.DeferredCPU)
-			o.logger.Log(pp, siteCommit, o.cfg.LogPerStage)
-		}
-		eng.applyFn = func(pp *sim.Proc) {
-			o.node.Use(pp, o.cfg.Costs.DeferredCPU)
-			o.logger.Log(pp, siteApplied, o.cfg.LogPerStage)
-		}
+		d := &eng.deferred
+		d.o = o
+		d.work.Done, d.work.Arg = deferredCharged, d
+		d.log.Done, d.log.Arg = deferredLogged, d
+		eng.commitFn = func(done func(any), arg any) { d.run(siteCommit, done, arg) }
+		eng.applyFn = func(done func(any), arg any) { d.run(siteApplied, done, arg) }
 	} else {
 		eng.finisherQ = sim.NewQueue[finEvent](k, name+".finq", 0)
 	}
@@ -303,7 +333,11 @@ func (o *OSD) buildEngine() {
 	o.eng = eng
 }
 
-// spawnWorkers starts the worker processes of the current engine.
+// spawnWorkers starts the workers of the current engine: it spawns the
+// op workers (and the community finisher and batcher) as processes, and
+// starts the journal writer, the filestore workers and the completion
+// worker, which are callback machines, with AfterCall(0) in the slots
+// where their processes started.
 func (o *OSD) spawnWorkers() {
 	eng := o.eng
 	cfg := o.cfg
@@ -315,12 +349,12 @@ func (o *OSD) spawnWorkers() {
 			})
 		})
 	}
-	o.k.Go(name+".journalw", func(p *sim.Proc) { o.journalWriter(p, eng) })
+	o.k.AfterCall(0, jwNext, &journalWriter{o: o, eng: eng})
 	for i := 0; i < cfg.NumFilestoreWorkers; i++ {
-		o.k.Go(fmt.Sprintf("%s.fsw%d", name, i), func(p *sim.Proc) { o.filestoreWorker(p, eng) })
+		o.k.AfterCall(0, fswNext, &fsWorker{o: o, eng: eng})
 	}
 	if cfg.OptCompletionWorker {
-		o.k.Go(name+".comp", eng.compw.Run)
+		eng.compw.Start()
 	} else {
 		o.k.Go(name+".finisher", func(p *sim.Proc) { o.finisher(p, eng) })
 	}
@@ -604,16 +638,39 @@ func (o *OSD) processItem(p *sim.Proc, eng *engine, shard int, it workItem) {
 	}
 }
 
-// processWrite is the primary write path, steps (1)-(3) of Figure 2(b).
+// processWrite is the primary write path, steps (1)-(3) of Figure 2(b),
+// in a msgChain the worker awaits.
 func (o *OSD) processWrite(p *sim.Proc, eng *engine, op *ClientOp) {
 	op.tr.Stamp(StageDequeued, p.Now())
 	o.metrics.WriteOps.Inc()
-	o.logger.Log(p, siteOpEnter, o.cfg.LogPerStage)
-	c := &o.cfg.Costs
-	o.node.UseWithAllocs(p, c.OpSetupCPU, c.OpSetupAllocs)
-	o.node.UseWithAllocs(p, c.PGLogBuildCPU, c.PGLogBuildAllocs)
+	ch := o.getChain(eng, nil, p)
+	ch.op = op
+	ch.startWrite(writeLogBuilt)
+	p.Await()
+}
+
+// startWrite runs the head of every write an op worker serves, on the
+// primary or a replica: the op's log, OpSetupCPU, then PGLogBuildCPU with
+// its allocations priced at that charge; then step.
+func (ch *msgChain) startWrite(step func(*msgChain)) {
+	ch.then = step
+	ch.logStep(siteOpEnter, writeLogged)
+}
+
+func writeLogged(ch *msgChain) { ch.setUp(writeSetUp) }
+
+func writeSetUp(ch *msgChain) {
+	c := &ch.o.cfg.Costs
+	ch.charge(c.PGLogBuildCPU+ch.o.node.AllocCost(c.PGLogBuildAllocs), ch.then)
+}
+
+// writeLogBuilt assigns the write its PG sequence and logs it, then
+// charges the parity encode.
+func writeLogBuilt(ch *msgChain) {
+	o, eng, op := ch.o, ch.eng, ch.op
 	if o.gen != eng.gen {
-		return // crashed during op setup: nothing assigned yet
+		ch.end() // crashed during op setup: nothing assigned yet
+		return
 	}
 	op.gen = eng.gen
 	o.pgSeq[op.PG]++
@@ -632,34 +689,79 @@ func (o *OSD) processWrite(p *sim.Proc, eng *engine, op *ClientOp) {
 	// Under an EC policy the same fan-out ships shard-sized fragments
 	// (ceil(len/k) bytes each) and the primary pays the parity-encode CPU
 	// first; under replication ShardLen is the identity and EncodeCost is
-	// zero, so this block is byte-for-byte the pre-seam path.
-	shardLen := o.pol.ShardLen(op.Len)
-	o.node.Use(p, o.pol.EncodeCost(op.Len))
-	reps := o.placer(op.PG)
-	op.waitCommits = len(reps)
-	for _, r := range reps {
-		o.node.Use(p, c.RepSendCPU)
-		rop := o.getRepOp()
-		rop.oid, rop.pg, rop.off, rop.length = op.OID, op.PG, op.Off, shardLen
-		rop.stamp, rop.seq, rop.parent, rop.primary = op.Stamp, op.seq, op, o.cep
-		o.cep.Send(p, r, shardLen+c.RepMsgOverhead, MsgRepOp, rop)
-	}
-	o.logger.Log(p, siteSubmit, o.cfg.LogPerStage)
-	op.tr.Stamp(StagePrepared, p.Now())
+	// zero, so this chain is step-for-step the pre-seam path.
+	ch.charge(o.pol.EncodeCost(op.Len), writeEncoded)
+}
 
-	// filestore_queue_max_ops: a token is held from journal submission
-	// until the filestore has applied the transaction. With the HDD-sized
-	// default this acquire blocks *while the PG lock is held* — the §2.4
-	// backup the paper observed.
-	eng.fsThrottle.Acquire(p, 1)
-	if o.gen != eng.gen {
-		return // crashed before the journal saw it: never acked, never durable
+func writeEncoded(ch *msgChain) {
+	ch.reps = ch.o.placer(ch.op.PG)
+	ch.op.waitCommits = len(ch.reps)
+	writeRepStep(ch)
+}
+
+// writeRepStep sends the next replica its sub-op, charging RepSendCPU
+// first; with none left, it logs the submit.
+func writeRepStep(ch *msgChain) {
+	if ch.idx < len(ch.reps) {
+		ch.charge(ch.o.cfg.Costs.RepSendCPU, writeRepCharged)
+		return
 	}
-	op.tr.Stamp(StageSubmitted, p.Now())
+	ch.logStep(siteSubmit, writeSubmitLogged)
+}
+
+func writeRepCharged(ch *msgChain) {
+	o, op := ch.o, ch.op
+	r := ch.reps[ch.idx]
+	ch.idx++
+	shardLen := o.pol.ShardLen(op.Len)
+	rop := o.getRepOp()
+	rop.oid, rop.pg, rop.off, rop.length = op.OID, op.PG, op.Off, shardLen
+	rop.stamp, rop.seq, rop.parent, rop.primary = op.Stamp, op.seq, op, o.cep
+	o.cep.Send(nil, r, shardLen+o.cfg.Costs.RepMsgOverhead, MsgRepOp, rop)
+	writeRepStep(ch)
+}
+
+// writeSubmitLogged takes a filestore_queue_max_ops token: it is held from
+// journal submission until the filestore has applied the transaction.
+// With the HDD-sized default this wait happens *while the PG lock is
+// held* — the §2.4 backup the paper observed.
+func writeSubmitLogged(ch *msgChain) {
+	ch.op.tr.Stamp(StagePrepared, ch.o.k.Now())
+	ch.throttle(writeThrottled)
+}
+
+// throttle takes a filestore_queue_max_ops token for the chain, then runs
+// step.
+func (ch *msgChain) throttle(step func(*msgChain)) {
+	ch.step = step
+	if ch.eng.fsThrottle.AcquireCall(1, chainStep, ch) {
+		step(ch)
+	}
+}
+
+func writeThrottled(ch *msgChain) {
+	o, op := ch.o, ch.op
+	if o.gen != ch.eng.gen {
+		ch.end() // crashed before the journal saw it: never acked, never durable
+		return
+	}
+	now := o.k.Now()
+	op.tr.Stamp(StageSubmitted, now)
+	shardLen := o.pol.ShardLen(op.Len)
 	e := o.getJEntry()
-	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.cop = op.PG, op.seq, shardLen+c.JournalHeaderBytes, p.Now(), op
+	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.cop = op.PG, op.seq, shardLen+o.cfg.Costs.JournalHeaderBytes, now, op
 	e.t.OID, e.t.Off, e.t.Len, e.t.Stamp = op.OID, op.Off, shardLen, op.Stamp
-	eng.journalQ.Push(p, e)
+	ch.e = e
+	journalPush(ch)
+}
+
+// journalPush queues the chain's entry for the journal writer, waiting
+// while the journal queue is full, and ends the chain.
+func journalPush(ch *msgChain) {
+	ch.step = journalPush
+	if ch.eng.journalQ.PushCall(ch.e, chainStep, ch) {
+		ch.end()
+	}
 }
 
 // processRead services a read on the primary under the PG lock: the read
@@ -721,14 +823,22 @@ func readAcked(ch *msgChain) {
 	ch.end()
 }
 
-// processRepOp is the replica write path.
+// processRepOp is the replica write path, in a msgChain the worker
+// awaits.
 func (o *OSD) processRepOp(p *sim.Proc, eng *engine, rop *repOp) {
 	o.metrics.RepOps.Inc()
-	c := &o.cfg.Costs
-	o.logger.Log(p, siteOpEnter, o.cfg.LogPerStage)
-	o.node.UseWithAllocs(p, c.OpSetupCPU, c.OpSetupAllocs)
-	o.node.UseWithAllocs(p, c.PGLogBuildCPU, c.PGLogBuildAllocs)
-	if o.gen != eng.gen {
+	ch := o.getChain(eng, nil, p)
+	ch.rop = rop
+	ch.startWrite(repLogBuilt)
+	p.Await()
+}
+
+// repLogBuilt logs the sub-op's primary-assigned sequence, then takes a
+// filestore throttle token.
+func repLogBuilt(ch *msgChain) {
+	o, rop := ch.o, ch.rop
+	if o.gen != ch.eng.gen {
+		ch.end()
 		return
 	}
 	// Track the primary-assigned sequence so this OSD can continue the
@@ -754,65 +864,115 @@ func (o *OSD) processRepOp(p *sim.Proc, eng *engine, rop *repOp) {
 		// the one the log recorded for that sequence, so applying it is
 		// idempotent and the commit keeps the primary's ack path whole.
 	}
-	eng.fsThrottle.Acquire(p, 1)
-	if o.gen != eng.gen {
+	ch.throttle(repThrottled)
+}
+
+func repThrottled(ch *msgChain) {
+	o, rop := ch.o, ch.rop
+	if o.gen != ch.eng.gen {
+		ch.end()
 		return
 	}
 	e := o.getJEntry()
-	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.rop = rop.pg, rop.seq, rop.length+c.JournalHeaderBytes, p.Now(), rop
+	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.rop = rop.pg, rop.seq, rop.length+o.cfg.Costs.JournalHeaderBytes, o.k.Now(), rop
 	e.t.OID, e.t.Off, e.t.Len, e.t.Stamp = rop.oid, rop.off, rop.length, rop.stamp
-	eng.journalQ.Push(p, e)
+	ch.e = e
+	journalPush(ch)
 }
 
-// journalWriter drains the commit queue into the backend's write-ahead
-// path and dispatches commit completions.
-func (o *OSD) journalWriter(p *sim.Proc, eng *engine) {
-	c := &o.cfg.Costs
-	for {
-		e, ok := eng.journalQ.Pop(p)
-		if !ok || o.gen != eng.gen {
-			return
-		}
-		o.JournalQDelay.Record(int64(p.Now() - e.enq))
-		var meta *filestore.Transaction
-		if o.metaAtCommit {
-			meta = o.buildTx(e)
-		}
-		o.store.Commit(p, &e.t, meta) // blocks while write-ahead space is full
-		if o.gen != eng.gen {
-			// Torn commit: the crash hit mid-I/O, so the entry is not
-			// durable. It was never acked; the client retries.
-			return
-		}
-		if meta != nil {
-			o.putTx(meta)
-		}
-		// The entry is durable: retain its image for crash replay until
-		// the backend apply lands.
-		o.store.Committed(&e.t)
-		if e.cop != nil {
-			e.cop.tr.Stamp(StageJournalWritten, p.Now())
-		}
-		if e.rop != nil {
-			e.rop.parent.tr.Stamp(StageRepJournaled, p.Now())
-		}
-		if o.cfg.OptCompletionWorker {
-			// Minimal work under the OP lock; PG-lock bookkeeping deferred
-			// to the batching completion worker (§3.1, Fig. 6).
-			o.node.Use(p, c.CommitFastCPU)
-			if e.cop != nil {
-				o.commitArrived(p, e.cop, false)
-			}
-			if e.rop != nil {
-				o.sendRepCommit(p, e.rop)
-			}
-			eng.compw.Defer(p, core.Completion{Shard: int(e.t.PG), Fn: eng.commitFn})
-		} else {
-			eng.finisherQ.Push(p, finEvent{kind: finCommit, e: e, at: p.Now()})
-		}
-		// Write-ahead order: the backend apply follows the commit.
-		eng.fsQ.Push(p, e)
+// journalWriter is the journal writer thread as a callback machine: it
+// drains the commit queue into the backend's write-ahead path and
+// dispatches commit completions. Each step runs in the event slot where
+// the thread would have resumed.
+type journalWriter struct {
+	o    *OSD
+	eng  *engine
+	e    *jEntry // the entry in flight
+	meta *filestore.Transaction
+	work cpumodel.Work
+}
+
+// jwNext takes the next entry off the commit queue, or waits for one, and
+// commits it; the writer stops once its daemon instance has crashed.
+func jwNext(a any) {
+	w := a.(*journalWriter)
+	o, eng := w.o, w.eng
+	e, ok := eng.journalQ.PopCall(jwNext, w)
+	if !ok || o.gen != eng.gen {
+		return
 	}
+	o.JournalQDelay.Record(int64(o.k.Now() - e.enq))
+	w.e, w.meta = e, nil
+	if o.metaAtCommit {
+		w.meta = o.buildTx(e)
+	}
+	e.t.Done, e.t.Arg = jwCommitted, w
+	o.store.CommitCall(&e.t, w.meta) // waits while write-ahead space is full
+}
+
+func jwCommitted(a any) {
+	w := a.(*journalWriter)
+	o, e := w.o, w.e
+	if o.gen != w.eng.gen {
+		// Torn commit: the crash hit mid-I/O, so the entry is not
+		// durable. It was never acked; the client retries.
+		return
+	}
+	if w.meta != nil {
+		o.putTx(w.meta)
+		w.meta = nil
+	}
+	// The entry is durable: retain its image for crash replay until
+	// the backend apply lands.
+	o.store.Committed(&e.t)
+	now := o.k.Now()
+	if e.cop != nil {
+		e.cop.tr.Stamp(StageJournalWritten, now)
+	}
+	if e.rop != nil {
+		e.rop.parent.tr.Stamp(StageRepJournaled, now)
+	}
+	if o.cfg.OptCompletionWorker {
+		// Minimal work under the OP lock; PG-lock bookkeeping deferred
+		// to the batching completion worker (§3.1, Fig. 6).
+		w.work.Done, w.work.Arg = jwCharged, w
+		o.node.UseCall(&w.work, o.cfg.Costs.CommitFastCPU)
+		return
+	}
+	w.eng.finisherQ.TryPush(finEvent{kind: finCommit, e: e, at: now})
+	jwApply(w)
+}
+
+// jwCharged records the local commit and sends the acks it releases.
+func jwCharged(a any) {
+	w := a.(*journalWriter)
+	o, op := w.o, w.e.cop
+	if op != nil && o.commitsDone(op, false) {
+		ch := o.callChain(o.eng, jwAcked, w)
+		o.startAcks(&ch.acks, op)
+		ackStep(ch)
+		return
+	}
+	jwAcked(w)
+}
+
+func jwAcked(a any) {
+	w := a.(*journalWriter)
+	e := w.e
+	if e.rop != nil {
+		w.o.sendRepCommit(e.rop)
+	}
+	w.eng.compw.Defer(core.Completion{Shard: int(e.t.PG), Fn: w.eng.commitFn})
+	jwApply(w)
+}
+
+// jwApply hands the entry on to the filestore workers (write-ahead order:
+// the backend apply follows the commit) and takes the next.
+func jwApply(w *journalWriter) {
+	e := w.e
+	w.e = nil
+	w.eng.fsQ.TryPush(e)
+	jwNext(w)
 }
 
 // finisher is the community single completion thread: every journal commit
@@ -835,7 +995,7 @@ func (o *OSD) finisher(p *sim.Proc, eng *engine) {
 				o.commitArrived(p, ev.e.cop, false)
 			}
 			if ev.e.rop != nil {
-				o.sendRepCommit(p, ev.e.rop)
+				o.sendRepCommit(ev.e.rop)
 			}
 		case finApplied:
 			o.logger.Log(p, siteApplied, o.cfg.LogPerStage)
@@ -848,45 +1008,87 @@ func (o *OSD) finisher(p *sim.Proc, eng *engine) {
 	}
 }
 
-func (o *OSD) sendRepCommit(p *sim.Proc, rop *repOp) {
+func (o *OSD) sendRepCommit(rop *repOp) {
 	rc := o.getRepCommit()
 	rc.parent = rop.parent
-	o.cep.Send(p, rop.primary, 150, MsgRepCommit, rc)
+	o.cep.Send(nil, rop.primary, 150, MsgRepCommit, rc)
 }
 
-// filestoreWorker applies committed transactions to the backend, releases
-// their write-ahead space and returns the throttle token.
-func (o *OSD) filestoreWorker(p *sim.Proc, eng *engine) {
+// fsWorker is one filestore worker thread as a callback machine: it
+// applies committed transactions to the backend, releases their
+// write-ahead space and returns the throttle token. The workers share the
+// apply queue's getter FIFO, so an entry goes to the worker whose pop
+// would have taken it.
+type fsWorker struct {
+	o       *OSD
+	eng     *engine
+	e       *jEntry // the entry in flight
+	meta    *filestore.Transaction
+	inApply bool // inside ApplyCall: an apply that completes inline is seen here
+}
+
+// fswNext applies entries until one has to wait, or waits for the next;
+// the worker stops once its daemon instance has crashed.
+func fswNext(a any) {
+	w := a.(*fsWorker)
+	o, eng := w.o, w.eng
 	for {
-		e, ok := eng.fsQ.Pop(p)
+		e, ok := eng.fsQ.PopCall(fswNext, w)
 		if !ok || o.gen != eng.gen {
 			return
 		}
-		var meta *filestore.Transaction
+		w.e, w.meta = e, nil
 		if !o.metaAtCommit {
-			meta = o.buildTx(e)
+			w.meta = o.buildTx(e)
 		}
-		o.store.Apply(p, &e.t, meta)
-		if o.gen != eng.gen {
+		e.t.Done, e.t.Arg = fswApplied, w
+		w.inApply = true
+		o.store.ApplyCall(&e.t, w.meta)
+		if w.inApply {
+			w.inApply = false
+			return // fswApplied goes on
+		}
+		if !w.applied() {
 			return
 		}
-		o.ApplyDelay.Record(int64(p.Now() - e.enq))
-		if meta != nil {
-			o.putTx(meta)
-		}
-		o.markApplied(e.t.PG, e.t.Seq)
-		o.store.Applied(&e.t)
-		eng.fsThrottle.Release(1)
-		if o.cfg.OptCompletionWorker {
-			eng.compw.Defer(p, core.Completion{Shard: int(e.t.PG), Fn: eng.applyFn})
-			// The entry has cleared commit, apply and completion dispatch;
-			// the commit notification was sent back in the journal writer.
-			// Recycle it and its replica sub-op.
-			o.putJEntry(e)
-		} else {
-			eng.finisherQ.Push(p, finEvent{kind: finApplied, e: e, at: p.Now()})
-		}
 	}
+}
+
+func fswApplied(a any) {
+	w := a.(*fsWorker)
+	if w.inApply {
+		w.inApply = false // completed inline: fswNext goes on
+		return
+	}
+	if w.applied() {
+		fswNext(w)
+	}
+}
+
+// applied books a landed apply and reports whether the worker goes on.
+func (w *fsWorker) applied() bool {
+	o, eng, e := w.o, w.eng, w.e
+	if o.gen != eng.gen {
+		return false
+	}
+	o.ApplyDelay.Record(int64(o.k.Now() - e.enq))
+	if w.meta != nil {
+		o.putTx(w.meta)
+	}
+	w.e, w.meta = nil, nil
+	o.markApplied(e.t.PG, e.t.Seq)
+	o.store.Applied(&e.t)
+	eng.fsThrottle.Release(1)
+	if o.cfg.OptCompletionWorker {
+		eng.compw.Defer(core.Completion{Shard: int(e.t.PG), Fn: eng.applyFn})
+		// The entry has cleared commit, apply and completion dispatch;
+		// the commit notification was sent back by the journal writer.
+		// Recycle it and its replica sub-op.
+		o.putJEntry(e)
+	} else {
+		eng.finisherQ.TryPush(finEvent{kind: finApplied, e: e, at: o.k.Now()})
+	}
+	return true
 }
 
 // makeTx builds a filestore transaction for one logical write. Transactions
@@ -929,10 +1131,9 @@ func (o *OSD) buildTx(e *jEntry) *filestore.Transaction {
 
 // commitArrived records a local or replica journal commit for op and, when
 // the commit set is complete, sends the client acks it releases in a
-// msgChain that p awaits. It is called with whatever locking discipline
-// the active profile uses (PG lock in community mode; journal context in
-// AFCeph mode). The fast ack takes the same steps in the messenger
-// (fastAckCharged).
+// msgChain that p awaits. The community finisher and ack processing call
+// it under the PG lock; the journal writer (jwCharged) and the fast ack
+// (fastAckCharged) take the same steps in their own chains.
 func (o *OSD) commitArrived(p *sim.Proc, op *ClientOp, fromReplica bool) {
 	if o.commitsDone(op, fromReplica) {
 		ch := o.getChain(o.eng, nil, p)

@@ -141,7 +141,6 @@ func (m *Mutex) UnlockCall(holder any) {
 type Cond struct {
 	m       *Mutex
 	waiters fifo[*condWaiter]
-	free    []*condWaiter
 }
 
 // condWaiter is a WaitCall waiting on c.
@@ -167,26 +166,15 @@ func (c *Cond) Wait(p *Proc) {
 // the mutex with LockCall in the slot where a waiting Wait would resume,
 // and fn(arg) runs once it holds the mutex again.
 func (c *Cond) WaitCall(fn func(any), arg any) {
-	var w *condWaiter
-	if n := len(c.free); n > 0 {
-		w = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		w = &condWaiter{c: c}
-	}
-	w.fn, w.arg = fn, arg
-	c.waiters.push(w)
+	c.waiters.push(&condWaiter{c: c, waiter: waiter{fn: fn, arg: arg}})
 	c.m.UnlockCall(arg)
 }
 
 // condWoken re-acquires a woken waiter's mutex and continues it once held.
 func condWoken(a any) {
 	w := a.(*condWaiter)
-	c, fn, arg := w.c, w.fn, w.arg
-	w.fn, w.arg = nil, nil
-	c.free = append(c.free, w)
-	if c.m.LockCall(fn, arg) {
-		fn(arg)
+	if w.c.m.LockCall(w.fn, w.arg) {
+		w.fn(w.arg)
 	}
 }
 
