@@ -13,10 +13,11 @@
 //
 // Model code that never has to block is a chain of callbacks, continued by
 // the Done of each request it makes (Resource.UseCall and AcquireCall,
-// Semaphore.AcquireCall, and their users' request types up the stack). A
-// process waits on the same requests: it passes Wake as the Done and calls
-// Await, and the request's completion switches into the process in the
-// completing callback's event slot. A chain never needs a process to
+// Semaphore.AcquireCall, Mutex.LockCall, Cond.WaitCall, Queue.PushCall and
+// PopCall, and their users' request types up the stack). A process waits
+// on the same requests: it passes Wake as the Done and calls Await, and
+// the request's completion switches into the process in the completing
+// callback's event slot. A chain never needs a process to
 // finish its work, so a process starts only with Go. Event records are
 // pooled on a per-kernel free list, events scheduled for the current
 // instant go through a FIFO ready ring that bypasses the time-ordered heap,
