@@ -48,7 +48,9 @@ import (
 //   - an EC read: the read's log and OpSetupCPU, then the gather, the
 //     local shard read inline (processECRead, ecPumpStep, ecSettle);
 //   - the acks a completed commit set releases (commitArrived, ackStep),
-//     also for the journal writer (jwCharged).
+//     also for the journal writer (jwCharged);
+//   - the completion worker's AFCeph bookkeeping: DeferredCPU, then the
+//     commit or applied log (deferred).
 type msgChain struct {
 	o *OSD
 	// The requests the chain makes, each continued by chainStep. They are
@@ -81,6 +83,7 @@ type chainRun struct {
 	rop    *repOp           // a replica's sub-op
 	reps   []*netsim.Endpoint
 	e      *jEntry // the write's journal entry, until pushed
+	site   int     // the completion worker's bookkeeping: its log site
 }
 
 // getChain starts a chain held by m (it calls m.Hold), or, with m nil,

@@ -105,41 +105,9 @@ type engine struct {
 	stageQ    *sim.Queue[stagedItem]
 
 	// Deferred completion bookkeeping (commit/applied), built once instead
-	// of closed over on every journal write and filestore apply. The
-	// completion worker runs one completion at a time, so both share one
-	// record of the work in flight.
+	// of closed over on every journal write and filestore apply.
 	commitFn func(done func(any), arg any)
 	applyFn  func(done func(any), arg any)
-	deferred deferredWork
-}
-
-// deferredWork is the AFCeph completion worker's commit or applied
-// bookkeeping: DeferredCPU, then the stage's log entries.
-type deferredWork struct {
-	o    *OSD
-	site int
-	work cpumodel.Work
-	log  oslog.Call
-	done func(any)
-	arg  any
-}
-
-// run starts the bookkeeping for site; done(arg) runs once it is over.
-func (d *deferredWork) run(site int, done func(any), arg any) {
-	d.site, d.done, d.arg = site, done, arg
-	d.o.node.UseCall(&d.work, d.o.cfg.Costs.DeferredCPU)
-}
-
-func deferredCharged(a any) {
-	d := a.(*deferredWork)
-	d.o.logger.LogCall(&d.log, d.site, d.o.cfg.LogPerStage)
-}
-
-func deferredLogged(a any) {
-	d := a.(*deferredWork)
-	done, arg := d.done, d.arg
-	d.done, d.arg = nil, nil
-	done(arg)
 }
 
 // OSD is one object storage daemon.
@@ -318,12 +286,8 @@ func (o *OSD) buildEngine() {
 	if cfg.OptCompletionWorker {
 		eng.compw = core.NewCompletionWorker(k, name+".comp", eng.locks, 64)
 		eng.compw.QueueDelay = o.CompletionQDelay
-		d := &eng.deferred
-		d.o = o
-		d.work.Done, d.work.Arg = deferredCharged, d
-		d.log.Done, d.log.Arg = deferredLogged, d
-		eng.commitFn = func(done func(any), arg any) { d.run(siteCommit, done, arg) }
-		eng.applyFn = func(done func(any), arg any) { d.run(siteApplied, done, arg) }
+		eng.commitFn = func(done func(any), arg any) { o.deferred(eng, siteCommit, done, arg) }
+		eng.applyFn = func(done func(any), arg any) { o.deferred(eng, siteApplied, done, arg) }
 	} else {
 		eng.finisherQ = sim.NewQueue[finEvent](k, name+".finq", 0)
 	}
@@ -362,6 +326,17 @@ func (o *OSD) spawnWorkers() {
 		o.k.Go(name+".batcher", func(p *sim.Proc) { o.batchFlusher(p, eng) })
 	}
 }
+
+// deferred runs the AFCeph completion worker's commit or applied
+// bookkeeping in a chain: DeferredCPU, then the log entries of site; then
+// done(arg).
+func (o *OSD) deferred(eng *engine, site int, done func(any), arg any) {
+	ch := o.callChain(eng, done, arg)
+	ch.site = site
+	ch.charge(o.cfg.Costs.DeferredCPU, deferredCharged)
+}
+
+func deferredCharged(ch *msgChain) { ch.logStep(ch.site, (*msgChain).end) }
 
 // SetPlacer installs the function mapping a PG to its replica endpoints
 // (excluding this OSD, which is the primary for PGs it receives writes on).

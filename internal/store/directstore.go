@@ -131,19 +131,22 @@ func (d *DirectStore) CommitCall(t *Txn, meta *filestore.Transaction) {
 		ops = append(ops, kvstore.Op{Key: meta.PGLogKey, Value: meta.PGLogValue})
 	}
 	t.ops = append(ops, meta.OmapOps...)
-	t.ds = d
+	t.ds, t.then = d, txnDone
 	if !t.small && t.Len > 0 {
-		d.write(t, dsCommitKV)
+		d.write(t)
 		return
 	}
-	dsCommitKV(t)
+	dsApplyOps(t)
 }
 
+func txnDone(t *Txn) { t.Done(t.Arg) }
+
 // write charges a direct-I/O submission, then writes t's payload at its
-// object's device extent (placed once the charge is paid), and runs next.
-func (d *DirectStore) write(t *Txn, next func(any)) {
+// object's device extent (placed once the charge is paid), then applies
+// t.ops.
+func (d *DirectStore) write(t *Txn) {
 	t.work.Done, t.work.Arg = dsCharged, t
-	t.io.Done, t.io.Arg = next, t
+	t.io.Done, t.io.Arg = dsApplyOps, t
 	d.node.UseCall(&t.work, d.cfg.SyscallCost)
 }
 
@@ -154,12 +157,11 @@ func dsCharged(a any) {
 	d.fs.Device().Submit(&t.io)
 }
 
-// dsCommitKV applies the commit's KV batch: the durability point.
-func dsCommitKV(a any) { a.(*Txn).applyOps(dsOpsApplied) }
-
-// applyOps applies t.ops as one KV batch, then recycles them and runs next.
-func (t *Txn) applyOps(next func(any)) {
-	t.kv.Done, t.kv.Arg, t.kv.Ops = next, t, t.ops
+// dsApplyOps applies t.ops as one KV batch (a commit's is the durability
+// point), then recycles them and runs t.then.
+func dsApplyOps(a any) {
+	t := a.(*Txn)
+	t.kv.Done, t.kv.Arg, t.kv.Ops = dsOpsApplied, t, t.ops
 	t.ds.db.ApplyCall(&t.kv)
 }
 
@@ -167,7 +169,7 @@ func dsOpsApplied(a any) {
 	t := a.(*Txn)
 	t.ds.putOps(t.ops)
 	t.ops, t.kv.Ops = nil, nil
-	t.Done(t.Arg)
+	t.then(t)
 }
 
 // Commit is CommitCall with sim.Wake, then Await.
@@ -211,8 +213,7 @@ func (d *DirectStore) finish(e *retained) {
 // commit, so they complete inline.
 func (d *DirectStore) ApplyCall(t *Txn, _ *filestore.Transaction) {
 	if t.small {
-		t.then = dsApplyFlushed
-		d.flush(t)
+		d.flush(t, dsApplyFlushed)
 		return
 	}
 	d.applied(t)
@@ -237,23 +238,11 @@ func (d *DirectStore) Apply(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
 }
 
 // flush writes a deferred payload from the WAL to its device extent, then
-// deletes the WAL record, and runs t.then.
-func (d *DirectStore) flush(t *Txn) {
-	t.ds = d
-	d.write(t, dsFlushWritten)
-}
-
-func dsFlushWritten(a any) {
-	t := a.(*Txn)
-	t.ops = append(t.ds.getOps(), kvstore.Op{Key: t.walKey, Delete: true})
-	t.applyOps(dsFlushed)
-}
-
-func dsFlushed(a any) {
-	t := a.(*Txn)
-	t.ds.putOps(t.ops)
-	t.ops, t.kv.Ops = nil, nil
-	t.then(t)
+// deletes the WAL record, and runs then.
+func (d *DirectStore) flush(t *Txn, then func(*Txn)) {
+	t.ds, t.then = d, then
+	t.ops = append(d.getOps(), kvstore.Op{Key: t.walKey, Delete: true})
+	d.write(t)
 }
 
 // Applied compacts the replay image (the WAL credit was returned by Apply).
@@ -277,8 +266,8 @@ func (d *DirectStore) Replay(p *sim.Proc, h ReplayHooks) int {
 	n := 0
 	for _, e := range pending {
 		if e.small {
-			t := &Txn{Done: sim.Wake, Arg: p, OID: e.oid, Off: e.off, Len: e.length, walKey: e.walKey, then: dsReplayFlushed}
-			d.flush(t)
+			t := &Txn{Done: sim.Wake, Arg: p, OID: e.oid, Off: e.off, Len: e.length, walKey: e.walKey}
+			d.flush(t, dsReplayFlushed)
 			p.Await()
 		}
 		d.finish(e)

@@ -79,7 +79,7 @@ type Txn struct {
 	work cpumodel.Work
 	io   device.IO
 	kv   kvstore.Batch
-	then func(*Txn) // DirectStore: run when a deferred payload is flushed
+	then func(*Txn) // DirectStore: run once the KV batch is applied
 }
 
 // await makes call of t with sim.Wake as its Done and waits for it: it is
