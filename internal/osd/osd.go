@@ -87,7 +87,7 @@ const (
 // with the daemon on a crash and is rebuilt on restart. Durable state (the
 // filestore, the PG logs up to the durable horizon, the retained journal
 // image) lives on the OSD itself. Workers capture the engine they were
-// spawned with; a generation mismatch against the OSD tells a worker its
+// started with; a generation mismatch against the OSD tells a worker its
 // daemon instance is gone and it must stop touching shared state.
 type engine struct {
 	gen int
@@ -197,7 +197,7 @@ type OSD struct {
 }
 
 // New builds an OSD on the given node/endpoint with its data device and
-// journal device, and spawns its worker processes. The caller must install
+// journal device, and starts its workers. The caller must install
 // a placement function with SetPlacer before any write arrives.
 func New(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep *netsim.Endpoint,
 	dataDev device.Device, journalDev device.Device, r *rng.Rand) *OSD {
@@ -270,7 +270,7 @@ func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.En
 // buildEngine creates a fresh daemon instance: queues, throttles, locks,
 // dispatcher and the backend's per-generation write-ahead state. Called at
 // construction and again at Restart; the previous engine (if any) is simply
-// abandoned — workers of the old generation park on its queues forever
+// abandoned — workers of the old generation wait on its queues forever
 // without generating events.
 func (o *OSD) buildEngine() {
 	k, cfg := o.k, o.cfg
