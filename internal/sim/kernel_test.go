@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -147,6 +148,136 @@ func TestHeapPopsInKeyOrder(t *testing.T) {
 		if b.t < a.t || (b.t == a.t && b.order < a.order) {
 			t.Fatalf("event %d fired at %v after event %d at %v", b.order, b.t, a.order, a.t)
 		}
+	}
+}
+
+// TestDispatchMatchesKeySort schedules callbacks and process resumes with
+// delays from 0 to 200ms and requires the dispatch order to equal a
+// reference sort of every scheduled event by (t, seq). The delays put
+// events at the current instant, at equal times, out of order within a
+// few hundred nanoseconds, across the first millisecond and far beyond
+// it, so every path through the event queue is taken.
+func TestDispatchMatchesKeySort(t *testing.T) {
+	k := NewKernel()
+	x := uint64(7)
+	next := func(n uint64) uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return (x >> 33) % n
+	}
+	delay := func() Time {
+		switch next(6) {
+		case 0:
+			return 0
+		case 1:
+			return Time(next(8)) * 64
+		case 2:
+			return Time(next(4000))
+		case 3:
+			return Time(next(2000)) * 500
+		case 4:
+			return Time(next(200)) * Millisecond
+		default:
+			return Time(next(uint64(200 * Millisecond)))
+		}
+	}
+	// key is an event's (t, seq): seq counts the test's schedule calls,
+	// which make every event the kernel gets.
+	type key struct {
+		t   Time
+		seq int
+	}
+	var want, got []key
+	sched := func(d Time) key {
+		kk := key{k.Now() + d, len(want) + 1}
+		want = append(want, kk)
+		return kk
+	}
+	fired := func(kk key) {
+		if k.Now() != kk.t {
+			t.Fatalf("event %d fired at %v, scheduled for %v", kk.seq, k.Now(), kk.t)
+		}
+		got = append(got, kk)
+	}
+	const budget = 30000
+	var spawn func()
+	var fire func(any)
+	fire = func(a any) {
+		fired(a.(key))
+		for i := next(4); i > 0 && len(want) < budget; i-- {
+			if next(3) == 0 {
+				spawn()
+				continue
+			}
+			d := delay()
+			k.AfterCall(d, fire, sched(d))
+		}
+	}
+	spawn = func() {
+		start := sched(0)
+		k.Go("p", func(p *Proc) {
+			fired(start)
+			for i := next(5); i > 0 && len(want) < budget; i-- {
+				d := delay()
+				kk := sched(d)
+				p.Sleep(d)
+				fired(kk)
+				if next(2) == 0 && len(want) < budget {
+					d := delay()
+					k.AfterCall(d, fire, sched(d))
+				}
+			}
+		})
+	}
+	for len(want) < 300 {
+		if next(4) == 0 {
+			spawn()
+			continue
+		}
+		d := delay()
+		k.AfterCall(d, fire, sched(d))
+	}
+	k.Run(Forever)
+	if len(want) < budget {
+		t.Fatalf("only %d events scheduled, want %d", len(want), budget)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+	})
+	if len(got) != len(want) {
+		t.Fatalf("%d events fired, %d scheduled", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d was event %d at %v, want event %d at %v",
+				i, got[i].seq, got[i].t, want[i].seq, want[i].t)
+		}
+	}
+}
+
+// TestRunUntilThenScheduleAroundFarEvent stops Run with only a far event
+// queued, then schedules from outside Run events before it, at its instant
+// and after it: each fires in (t, seq) order, the new event at the far
+// event's instant after the far event.
+func TestRunUntilThenScheduleAroundFarEvent(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	note := func(a any) { got = append(got, fmt.Sprintf("%s@%v", a, k.Now())) }
+	k.AfterCall(Microsecond, note, "first")
+	k.AfterCall(100*Millisecond, note, "far")
+	if n := k.Run(10 * Millisecond); n != 1 {
+		t.Fatalf("Run(10ms) dispatched %d events, want 1", n)
+	}
+	k.AfterCall(150*Millisecond, note, "after")
+	k.AfterCall(90*Millisecond, note, "same")
+	k.AfterCall(50*Millisecond, note, "before")
+	k.AfterCall(5*Microsecond, note, "near")
+	k.AfterCall(0, note, "now")
+	k.Run(Forever)
+	want := []string{"first@1.000us", "now@10.000ms", "near@10.005ms", "before@60.000ms",
+		"far@100.000ms", "same@100.000ms", "after@160.000ms"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 }
 
