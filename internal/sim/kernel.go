@@ -29,7 +29,10 @@
 // makes every run bit-for-bit reproducible for a given seed.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is virtual simulation time in nanoseconds.
 type Time int64
@@ -48,6 +51,8 @@ const Forever Time = -1
 // String formats a Time with an adaptive unit, e.g. "1.500ms".
 func (t Time) String() string {
 	switch {
+	case t <= -Second: // formatted directly: -t overflows at the least Time
+		return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
 	case t < 0:
 		return "-" + (-t).String()
 	case t < Microsecond:
@@ -157,6 +162,15 @@ func (k *Kernel) newEvent(t Time) *event {
 	return ev
 }
 
+// after returns now+d, saturated at the largest Time: a delay past it
+// means never, not a time that wrapped into the past.
+func (k *Kernel) after(d Time) Time {
+	if d > math.MaxInt64-k.now {
+		return math.MaxInt64
+	}
+	return k.now + d
+}
+
 func (k *Kernel) recycle(ev *event) {
 	ev.proc, ev.fn, ev.arg = nil, nil, nil
 	k.free = append(k.free, ev)
@@ -183,7 +197,7 @@ func (k *Kernel) schedule(t Time, p *Proc) {
 // record, so hot paths can pass one shared top-level function instead of
 // allocating a capturing closure per event.
 func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
-	ev := k.newEvent(k.now + d)
+	ev := k.newEvent(k.after(d))
 	ev.fn, ev.arg = fn, arg
 	k.enqueue(ev)
 }

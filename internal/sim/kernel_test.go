@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -18,6 +19,9 @@ func TestTimeString(t *testing.T) {
 		{2 * Millisecond, "2.000ms"},
 		{3*Second + 500*Millisecond, "3.500s"},
 		{-1500, "-1.500us"},
+		{-3*Second - 500*Millisecond, "-3.500s"},
+		{math.MaxInt64, "9223372036.855s"},
+		{math.MinInt64, "-9223372036.855s"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
@@ -81,6 +85,31 @@ func TestNegativeSleepIsZero(t *testing.T) {
 	if woke != 0 {
 		t.Fatalf("woke at %v, want 0", woke)
 	}
+}
+
+// TestHugeDelaySaturates schedules a callback and a sleep whose now+d is
+// past the largest Time: both saturate there, so neither fires within
+// any finite horizon.
+func TestHugeDelaySaturates(t *testing.T) {
+	k := NewKernel()
+	var fired []string
+	k.AfterCall(Millisecond, func(any) {
+		k.AfterCall(math.MaxInt64, func(any) { fired = append(fired, "call") }, nil)
+	}, nil)
+	k.Go("sleeper", func(p *Proc) {
+		p.Sleep(Millisecond)
+		p.Sleep(math.MaxInt64 - 10)
+		fired = append(fired, "sleep")
+	})
+	k.Run(Second)
+	if len(fired) != 0 {
+		t.Fatalf("%v fired by 1s; a saturated delay must not wrap into the past", fired)
+	}
+	k.Run(Forever)
+	if fmt.Sprint(fired) != "[call sleep]" || k.Now() != math.MaxInt64 {
+		t.Fatalf("fired %v, Now = %d; want both at the largest Time", fired, int64(k.Now()))
+	}
+	k.Close()
 }
 
 func TestEventOrderingSameTime(t *testing.T) {

@@ -89,7 +89,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.resumeAt(p.k.now + d)
+	p.resumeAt(p.k.after(d))
 	p.park()
 }
 
