@@ -18,6 +18,7 @@ import (
 	"repro/internal/filestore"
 	"repro/internal/journal"
 	"repro/internal/kvstore"
+	"repro/internal/netsim"
 	"repro/internal/osd"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -372,37 +373,50 @@ func BenchmarkSimKernelEventThroughput(b *testing.B) {
 	k.Run(sim.Time(b.N) * sim.Microsecond)
 }
 
-// BenchmarkSimEventHeap measures one timer event through the kernel's
-// time-ordered heap at the depths a figure run keeps queued: 108 pending
-// events is the mean and 177 the peak measured on Fig10/4K-randwrite. Each
-// event reschedules itself with a pseudo-random delay of up to 200us, so
-// every op is one pop and one push at that depth.
+// BenchmarkSimEventHeap measures timer events through the kernel's queue of
+// future events at the depths runs keep queued. One op runs a fresh kernel
+// for 50ms of simulated time. In depth-108 and depth-177 (the mean and the
+// peak measured on Fig10/4K-randwrite) every event reschedules itself with
+// a pseudo-random delay of up to 200us. failover keeps the shape of the
+// afperf failover workload's queue, about 3,600 events deep: 100 such
+// events and 3,500 op timeouts, each re-armed 50ms after it fires.
+// sim-events per op is exact.
 func BenchmarkSimEventHeap(b *testing.B) {
-	for _, depth := range []int{108, 177} {
-		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
-			k := sim.NewKernel()
-			x := uint64(88172645463325252)
-			delay := func() sim.Time { // xorshift64: cheap next to a heap op
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				return sim.Time(1 + x%200_000)
-			}
-			n := 0
-			var tick func(any)
-			tick = func(any) {
-				if n++; n >= b.N {
-					k.Stop()
-					return
-				}
-				k.AfterCall(delay(), tick, nil)
-			}
-			for i := 0; i < depth; i++ {
-				k.AfterCall(delay(), tick, nil)
-			}
+	shapes := []struct {
+		name             string
+		events, timeouts int
+	}{
+		{"depth-108", 108, 0},
+		{"depth-177", 177, 0},
+		{"failover", 100, 3500},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
-			k.Run(sim.Forever)
+			var events uint64
+			for n := 0; n < b.N; n++ {
+				k := sim.NewKernel()
+				x := uint64(88172645463325252)
+				below := func(n sim.Time) sim.Time { // xorshift64: cheap next to a queue op
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					return sim.Time(x % uint64(n))
+				}
+				var tick, timeout func(any)
+				tick = func(any) { k.AfterCall(1+below(200*sim.Microsecond), tick, nil) }
+				timeout = func(any) { k.AfterCall(50*sim.Millisecond, timeout, nil) }
+				for i := 0; i < sh.events; i++ {
+					k.AfterCall(1+below(200*sim.Microsecond), tick, nil)
+				}
+				for i := 0; i < sh.timeouts; i++ {
+					k.AfterCall(1+below(50*sim.Millisecond), timeout, nil)
+				}
+				k.Run(50 * sim.Millisecond)
+				events += k.Dispatched()
+				k.Close()
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "sim-events")
 		})
 	}
 }
@@ -675,6 +689,90 @@ func BenchmarkJournalSubmit(b *testing.B) {
 			b.ReportMetric(float64(resumes)/float64(b.N), "proc-resumes")
 		})
 	}
+}
+
+// BenchmarkSSDSubmit drives SSD.Submit with 4 KiB random requests at
+// queue depth 8, each request resubmitted by its own Done. One op is 8192
+// requests on a fresh sustained-state SSD; sim-events and proc-resumes per
+// op are exact.
+func BenchmarkSSDSubmit(b *testing.B) {
+	const requests, depth = 8192, 8
+	for _, write := range []bool{true, false} {
+		name := "randread"
+		if write {
+			name = "randwrite"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events, resumes uint64
+			for n := 0; n < b.N; n++ {
+				k := sim.NewKernel()
+				d := device.NewSSD(k, "ssd", device.DefaultSSDParams(), rng.New(1))
+				d.SetSustained(true)
+				r := rng.New(2)
+				submitted := 0
+				var resubmit func(any)
+				submit := func(io *device.IO) {
+					submitted++
+					io.Off, io.Size, io.Write = r.Int63n(1<<36)&^4095, 4096, write
+					d.Submit(io)
+				}
+				resubmit = func(a any) {
+					if submitted < requests {
+						submit(a.(*device.IO))
+					}
+				}
+				for i := 0; i < depth; i++ {
+					io := &device.IO{Done: resubmit}
+					io.Arg = io
+					submit(io)
+				}
+				k.Run(sim.Forever)
+				events += k.Dispatched()
+				resumes += k.Resumes()
+				k.Close()
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "sim-events")
+			b.ReportMetric(float64(resumes)/float64(b.N), "proc-resumes")
+		})
+	}
+}
+
+// BenchmarkNetsimSend sends one 4 KiB message at a time from one endpoint
+// to another, from Send to the receiver, paced 50us apart so the
+// connection never queues. One op is 8192 messages on a fresh network;
+// sim-events and proc-resumes per op are exact.
+func BenchmarkNetsimSend(b *testing.B) {
+	const messages = 8192
+	b.ReportAllocs()
+	var events, resumes uint64
+	for n := 0; n < b.N; n++ {
+		k := sim.NewKernel()
+		net := netsim.New(k, netsim.DefaultParams())
+		node := cpumodel.NewNode(k, "node", 16, cpumodel.JEMalloc)
+		src := net.NewEndpoint("src", node, true)
+		dst := net.NewEndpoint("dst", node, true)
+		received := 0
+		dst.SetReceiver(func(*netsim.Message) { received++ })
+		sent := 0
+		var send func(any)
+		send = func(any) {
+			src.Send(nil, dst, 4096, 1, nil)
+			if sent++; sent < messages {
+				k.AfterCall(50*sim.Microsecond, send, nil)
+			}
+		}
+		k.AfterCall(0, send, nil)
+		k.Run(sim.Forever)
+		if received != messages {
+			b.Fatalf("%d of %d messages received", received, messages)
+		}
+		events += k.Dispatched()
+		resumes += k.Resumes()
+		k.Close()
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "sim-events")
+	b.ReportMetric(float64(resumes)/float64(b.N), "proc-resumes")
 }
 
 func BenchmarkDeviceSSD4KRandWrite(b *testing.B) {

@@ -7,8 +7,9 @@
 #
 # Environment knobs:
 #   BENCH_PATTERN  benchmark selector (default: the figure and ablation
-#                  benchmarks and the DB.Apply, FileStore.Apply and
-#                  Journal.Submit layer microbenchmarks)
+#                  benchmarks and the layer microbenchmarks: DB.Apply,
+#                  FileStore.Apply, Journal.Submit, the kernel's event
+#                  queue, SSD.Submit and one netsim message)
 #   BENCH_COUNT    repetitions per benchmark; best-of is kept (default 3)
 #   BENCH_OUT      result file (default BENCH_results.json)
 #
@@ -21,7 +22,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation|KVApply|FileStoreApply|JournalSubmit}"
+PATTERN="${BENCH_PATTERN:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation|KVApply|FileStoreApply|JournalSubmit|SimEventHeap|SSDSubmit|NetsimSend}"
 # A custom BENCH_PATTERN intentionally runs a subset of the baseline;
 # benchgate would otherwise fail on the benchmarks the pattern skipped.
 SUBSET=""

@@ -23,7 +23,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 REV="${1:?usage: scripts/benchpair.sh REV [PATTERN] [N]}"
-PATTERN="${2:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation|KVApply|FileStoreApply|JournalSubmit}"
+PATTERN="${2:-Fig|DropIn|MixedRW|Backends|Scrub|Scenarios|ECvsRep|Ablation|KVApply|FileStoreApply|JournalSubmit|SimEventHeap|SSDSubmit|NetsimSend}"
 N="${3:-10}"
 WORK="$(pwd)"
 TMP="$(mktemp -d "${TMPDIR:-/tmp}/benchpair.XXXXXX")"
