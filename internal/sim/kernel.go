@@ -19,19 +19,27 @@
 // the request's completion switches into the process in the completing
 // callback's event slot. A chain never needs a process to
 // finish its work, so a process starts only with Go. Event records are
-// pooled on a per-kernel free list, events scheduled for the current
-// instant go through a FIFO ready ring that bypasses the time-ordered heap,
-// and simulated code is still written in ordinary blocking style (Sleep,
-// Lock, Push/Pop on queues) without data races and without real wall-clock
-// delays.
+// pooled on a per-kernel free list, and simulated code is still written in
+// ordinary blocking style (Sleep, Lock, Push/Pop on queues) without data
+// races and without real wall-clock delays.
 //
 // Events scheduled for the same virtual time fire in schedule order, which
-// makes every run bit-for-bit reproducible for a given seed.
+// makes every run bit-for-bit reproducible for a given seed. Every event
+// carries a unique key (t, seq), seq counting schedule calls, and Run
+// dispatches in key order, so the order depends on the keys alone and not
+// on the structure that queues them. Events for the current instant go
+// through a FIFO ready ring. Future events wait in a timing wheel of 4,096
+// buckets of 256ns each, a window of about 1ms that starts at the bucket
+// of the last dispatched future event; each bucket is a list sorted by
+// key, and a bitmap finds the next non-empty one. Events beyond the window
+// (op timeouts, heartbeats) wait in a 4-ary heap and move into the wheel
+// when the window reaches them.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is virtual simulation time in nanoseconds.
@@ -78,6 +86,7 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 type event struct {
 	t    Time
 	seq  uint64
+	next *event    // the next event of its wheel bucket, in key order
 	proc *Proc     // if non-nil, resume this process
 	fn   func(any) // else run fn(arg), which must not block
 	arg  any
@@ -89,15 +98,16 @@ type Kernel struct {
 	now Time
 	seq uint64
 
-	// events is a hand-rolled 4-ary min-heap ordered by (t, seq); it only
-	// holds events scheduled for a future instant. Each slot keeps its
-	// key inline, so sifting compares without loading the event records.
-	events []heapSlot
-
 	// ready is a FIFO ring of events scheduled for the current instant.
 	// Time is non-decreasing and seq is assigned in push order, so the ring
 	// head is always the ring's (t, seq) minimum.
 	ready fifo[*event]
+
+	// Future events wait in the wheel, whose window is the wheelSize
+	// buckets from base, or beyond it in far, a 4-ary heap of the events
+	// whose bucket is at least base+wheelSize.
+	far  []heapSlot
+	base int64 // the bucket of the last dispatched future event
 
 	free []*event // event record free list
 
@@ -115,6 +125,9 @@ type Kernel struct {
 	nextID     int64
 	dispatched uint64
 	resumes    uint64
+
+	occupied [wheelSize / 64]uint64 // bit i is set when wheel[i] is not empty
+	wheel    [wheelSize]bucket
 }
 
 // NewKernel returns a fresh kernel at time zero.
@@ -177,10 +190,13 @@ func (k *Kernel) recycle(ev *event) {
 }
 
 func (k *Kernel) enqueue(ev *event) {
-	if ev.t <= k.now {
+	switch {
+	case ev.t <= k.now:
 		k.ready.push(ev)
-	} else {
-		k.heapPush(ev)
+	case int64(ev.t>>bucketShift)-k.base < wheelSize:
+		k.insert(ev)
+	default:
+		k.farPush(ev)
 	}
 }
 
@@ -278,15 +294,14 @@ func (k *Kernel) Run(until Time) uint64 {
 	k.inRun = true
 	defer func() { k.inRun, k.running = false, nil }()
 	start := k.dispatched
+	limit := until
+	if until == Forever {
+		limit = math.MaxInt64
+	}
 	for !k.stopped {
-		ev, fromReady := k.peekEvent()
-		if ev == nil || (until != Forever && ev.t > until) {
+		ev := k.pop(limit)
+		if ev == nil {
 			break
-		}
-		if fromReady {
-			k.ready.pop()
-		} else {
-			k.heapPop()
 		}
 		if ev.t > k.now {
 			k.now = ev.t
@@ -329,46 +344,132 @@ func (k *Kernel) Close() {
 	k.procs, k.idle = nil, nil
 }
 
-// peekEvent returns the next event in (t, seq) order without removing it,
-// or nil if none is queued.
-func (k *Kernel) peekEvent() (ev *event, fromReady bool) {
+// pop removes and returns the next event in (t, seq) order, or returns nil
+// if none is queued or the next one is due after limit.
+func (k *Kernel) pop(limit Time) *event {
+	var i int // the wheel slot of the earliest future event
 	if k.ready.len() > 0 {
+		// Ready events are due now and no future event is due before now
+		// (Run moves the clock past queued events only after Stop, which
+		// ends dispatch). A future event due now was scheduled before
+		// every ready event, so it orders first. As the earliest future
+		// event it heads its bucket. It is not in far: the window reaches
+		// a far event's bucket, moving it into the wheel, before a
+		// dispatch brings the clock there, and the clock's move to until
+		// stops short of every queued event.
 		re := k.ready.peek()
-		if len(k.events) > 0 {
-			if he := &k.events[0]; he.before(re.t, re.seq) {
-				return he.ev, false
+		i = int(re.t>>bucketShift) & wheelMask
+		if k.occupied[i>>6]&(1<<(i&63)) == 0 || k.wheel[i].head.t != re.t {
+			if re.t > limit {
+				return nil
 			}
+			return k.ready.pop()
 		}
-		return re, true
+	} else if i = k.nextSlot(); i < 0 {
+		if len(k.far) == 0 || k.far[0].t > limit {
+			return nil
+		}
+		ev := k.farPop()
+		k.base = int64(ev.t >> bucketShift)
+		k.migrate()
+		return ev
 	}
-	if len(k.events) > 0 {
-		return k.events[0].ev, false
+	b := &k.wheel[i]
+	ev := b.head
+	if ev.t > limit {
+		return nil
 	}
-	return nil, false
+	if b.head = ev.next; b.head == nil {
+		k.occupied[i>>6] &^= 1 << (i & 63)
+	}
+	k.base = int64(ev.t >> bucketShift)
+	if len(k.far) > 0 {
+		k.migrate()
+	}
+	return ev
 }
 
 // Running returns the currently executing process, or nil when the kernel is
 // running a callback or is idle.
 func (k *Kernel) Running() *Proc { return k.running }
 
-// --- event heap -----------------------------------------------------------
+// --- future events --------------------------------------------------------
 
-// heapSlot is one heap entry: an event and its (t, seq) key. Keys are
-// unique, so the pop order is fixed by the keys alone, whatever the heap's
-// shape.
+// The wheel's shape: wheelSize buckets of 1<<bucketShift ns each.
+const (
+	bucketShift = 8
+	wheelSize   = 4096
+	wheelMask   = wheelSize - 1
+)
+
+// bucket is one wheel slot: a list of the events of one bucket in (t, seq)
+// order, with the tail's time kept inline so that an append decides
+// without loading the tail.
+type bucket struct {
+	head, tail *event
+	last       Time
+}
+
+// insert links ev into its bucket. A new event has the largest seq so far,
+// and far hands its events to a bucket in key order before the bucket
+// takes any new one, so ev goes last unless an earlier time follows it.
+func (k *Kernel) insert(ev *event) {
+	i := int(ev.t>>bucketShift) & wheelMask
+	b, w, bit := &k.wheel[i], &k.occupied[i>>6], uint64(1)<<(i&63)
+	switch {
+	case *w&bit == 0: // the bitmap says so without loading the bucket
+		*w |= bit
+		ev.next = nil
+		b.head, b.tail, b.last = ev, ev, ev.t
+	case ev.t >= b.last:
+		ev.next = nil
+		b.tail.next = ev
+		b.tail, b.last = ev, ev.t
+	default:
+		p := &b.head
+		for e := *p; e.t < ev.t || (e.t == ev.t && e.seq < ev.seq); e = *p {
+			p = &e.next
+		}
+		ev.next = *p
+		*p = ev
+	}
+}
+
+// nextSlot returns the slot of the earliest non-empty bucket, the first
+// occupied slot from base's in circular order, or -1 if the wheel is empty.
+func (k *Kernel) nextSlot() int {
+	i := int(k.base) & wheelMask
+	w := i >> 6
+	if x := k.occupied[w] >> (i & 63); x != 0 {
+		return i + bits.TrailingZeros64(x)
+	}
+	for j := 1; j <= len(k.occupied); j++ { // the last step rereads word w for the slots below i
+		w := (w + j) & (len(k.occupied) - 1)
+		if x := k.occupied[w]; x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// migrate moves into the wheel the far events its window reaches, once a
+// future event's dispatch has moved the window to that event's bucket.
+func (k *Kernel) migrate() {
+	for len(k.far) > 0 && int64(k.far[0].t>>bucketShift)-k.base < wheelSize {
+		k.insert(k.farPop())
+	}
+}
+
+// heapSlot is one far heap entry: an event and its (t, seq) key, kept
+// inline so that sifting compares without loading the event records.
 type heapSlot struct {
 	t   Time
 	seq uint64
 	ev  *event
 }
 
-// before reports whether the slot's key orders before (t, seq).
-func (s *heapSlot) before(t Time, seq uint64) bool {
-	return s.t < t || (s.t == t && s.seq < seq)
-}
-
-func (k *Kernel) heapPush(ev *event) {
-	h := append(k.events, heapSlot{})
+func (k *Kernel) farPush(ev *event) {
+	h := append(k.far, heapSlot{})
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -379,7 +480,7 @@ func (k *Kernel) heapPush(ev *event) {
 		i = parent
 	}
 	h[i] = heapSlot{ev.t, ev.seq, ev}
-	k.events = h
+	k.far = h
 }
 
 // less reports whether ev orders before slot s.
@@ -387,8 +488,8 @@ func (ev *event) less(s *heapSlot) bool {
 	return ev.t < s.t || (ev.t == s.t && ev.seq < s.seq)
 }
 
-func (k *Kernel) heapPop() *event {
-	h := k.events
+func (k *Kernel) farPop() *event {
+	h := k.far
 	ev := h[0].ev
 	n := len(h) - 1
 	last := h[n]
@@ -417,6 +518,6 @@ func (k *Kernel) heapPop() *event {
 	if n > 0 {
 		h[i] = last
 	}
-	k.events = h
+	k.far = h
 	return ev
 }

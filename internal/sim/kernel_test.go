@@ -310,6 +310,31 @@ func TestRunUntilThenScheduleAroundFarEvent(t *testing.T) {
 	}
 }
 
+// TestLoneEventDelaysAroundOneMillisecond chains callbacks, each the only
+// queued event, whose delays sweep from 0.98ms to 1.07ms in 37ns steps:
+// across the end of the kernel's first-millisecond window, from every
+// offset within its buckets. Each fires exactly on time.
+func TestLoneEventDelaysAroundOneMillisecond(t *testing.T) {
+	k := NewKernel()
+	d, due, fired := 980*Microsecond, Microsecond, 0
+	var fire func(any)
+	fire = func(any) {
+		if k.Now() != due {
+			t.Fatalf("event %d fired at %v, due at %v", fired, k.Now(), due)
+		}
+		fired++
+		if d += 37; d < 1070*Microsecond {
+			due = k.Now() + d
+			k.AfterCall(d, fire, nil)
+		}
+	}
+	k.AfterCall(due, fire, nil)
+	k.Run(Forever)
+	if want := 1 + int((90*Microsecond-1)/37); fired != want {
+		t.Fatalf("%d events fired, want %d", fired, want)
+	}
+}
+
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	k := NewKernel()
 	fired := false
