@@ -349,14 +349,13 @@ func (k *Kernel) Close() {
 func (k *Kernel) pop(limit Time) *event {
 	var i int // the wheel slot of the earliest future event
 	if k.ready.len() > 0 {
-		// Ready events are due now and no future event is due before now
-		// (Run moves the clock past queued events only after Stop, which
-		// ends dispatch). A future event due now was scheduled before
-		// every ready event, so it orders first. As the earliest future
-		// event it heads its bucket. It is not in far: the window reaches
-		// a far event's bucket, moving it into the wheel, before a
-		// dispatch brings the clock there, and the clock's move to until
-		// stops short of every queued event.
+		// Ready events are due now, and no future event is due earlier:
+		// Run moves the clock to until only when every queued event is
+		// later, or after Stop, which ends dispatch. A future event due
+		// now was scheduled before every ready event, so it orders first.
+		// As the earliest future event it heads its bucket. It is not in
+		// far: a dispatch moves the window onto a far event's bucket, and
+		// the event into the wheel, before the clock can reach it.
 		re := k.ready.peek()
 		i = int(re.t>>bucketShift) & wheelMask
 		if k.occupied[i>>6]&(1<<(i&63)) == 0 || k.wheel[i].head.t != re.t {
@@ -443,7 +442,8 @@ func (k *Kernel) nextSlot() int {
 	if x := k.occupied[w] >> (i & 63); x != 0 {
 		return i + bits.TrailingZeros64(x)
 	}
-	for j := 1; j <= len(k.occupied); j++ { // the last step rereads word w for the slots below i
+	// The last step rereads word w for the slots below i.
+	for j := 1; j <= len(k.occupied); j++ {
 		w := (w + j) & (len(k.occupied) - 1)
 		if x := k.occupied[w]; x != 0 {
 			return w<<6 + bits.TrailingZeros64(x)
