@@ -711,13 +711,12 @@ func BenchmarkSSDSubmit(b *testing.B) {
 				d.SetSustained(true)
 				r := rng.New(2)
 				submitted := 0
-				var resubmit func(any)
 				submit := func(io *device.IO) {
 					submitted++
 					io.Off, io.Size, io.Write = r.Int63n(1<<36)&^4095, 4096, write
 					d.Submit(io)
 				}
-				resubmit = func(a any) {
+				resubmit := func(a any) {
 					if submitted < requests {
 						submit(a.(*device.IO))
 					}
