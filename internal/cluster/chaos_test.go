@@ -262,10 +262,10 @@ func TestRepairHealsCorruptedReplica(t *testing.T) {
 			pg := crush.ObjectToPG(oid, c.Params.PGs)
 			set := c.Map().PGToOSDs(pg, c.PoolWidth())
 			victim := set[len(set)-1]
-			if !c.OSDs()[victim].Store().CorruptObject(oid) {
+			if !c.OSDs()[victim].FileStore().CorruptObject(oid) {
 				t.Fatalf("osd.%d holds no copy of %s", victim, oid)
 			}
-			if !c.OSDs()[victim].Store().ObjectDamaged(oid) {
+			if !c.OSDs()[victim].FileStore().ObjectDamaged(oid) {
 				t.Fatal("CorruptObject did not flag the copy damaged")
 			}
 
@@ -286,14 +286,14 @@ func TestRepairHealsCorruptedReplica(t *testing.T) {
 			if inc := c.ScrubAll(); len(inc) != 0 {
 				t.Fatalf("scrub still dirty after repair: %+v", inc[0])
 			}
-			if c.OSDs()[victim].Store().ObjectDamaged(oid) {
+			if c.OSDs()[victim].FileStore().ObjectDamaged(oid) {
 				t.Fatal("repaired copy still flagged damaged")
 			}
 
 			// The healed copy must carry the original data, not the
 			// scrambled bits.
-			ref, _ := c.OSDs()[set[0]].Store().ExportObject(oid)
-			got, ok := c.OSDs()[victim].Store().ExportObject(oid)
+			ref, _ := c.OSDs()[set[0]].FileStore().ExportObject(oid)
+			got, ok := c.OSDs()[victim].FileStore().ExportObject(oid)
 			if !ok || !sameStamps(ref.Stamps, got.Stamps) {
 				t.Fatalf("healed copy diverges from primary: %+v vs %+v", got, ref)
 			}

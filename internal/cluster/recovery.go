@@ -301,8 +301,8 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 // after a push that raced ongoing writes; that is scrub-visible and
 // converged by Repair.
 func (c *Cluster) recoverPG(p *sim.Proc, pg uint32, srcID, dstID int, missed map[string]bool, st *RecoveryStats) int {
-	src := c.osds[srcID].Store()
-	dst := c.osds[dstID].Store()
+	src := c.osds[srcID].FileStore()
+	dst := c.osds[dstID].FileStore()
 	var todo []string
 	for _, oid := range src.ObjectNames() {
 		if crush.ObjectToPG(oid, c.Params.PGs) != pg {
@@ -373,7 +373,7 @@ func (c *Cluster) recoverPG(p *sim.Proc, pg uint32, srcID, dstID int, missed map
 // clean contributors is skipped (unrecoverable until more members return;
 // the final repair pass converges it).
 func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[string]bool, st *RecoveryStats) int {
-	dst := c.osds[dstID].Store()
+	dst := c.osds[dstID].FileStore()
 	k := c.pol.DataShards()
 	var peers []int
 	for _, pid := range c.cmap.PGToOSDs(pg, c.pol.Width()) {
@@ -387,7 +387,7 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 	// Work list: any object some peer knows at a version the target lacks.
 	names := map[string]bool{}
 	for _, pid := range peers {
-		for _, oid := range c.osds[pid].Store().ObjectNames() {
+		for _, oid := range c.osds[pid].FileStore().ObjectNames() {
 			if crush.ObjectToPG(oid, c.Params.PGs) != pg {
 				continue
 			}
@@ -401,7 +401,7 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 	for oid := range names { //afvet:allow determinism keys are sorted before use
 		var maxV uint64
 		for _, pid := range peers {
-			if v := c.osds[pid].Store().ObjectVersion(oid); v > maxV {
+			if v := c.osds[pid].FileStore().ObjectVersion(oid); v > maxV {
 				maxV = v
 			}
 		}
@@ -423,7 +423,7 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 		contributed := 0
 		var readers []int
 		for _, pid := range peers {
-			ps, ok := c.osds[pid].Store().ExportObject(oid)
+			ps, ok := c.osds[pid].FileStore().ExportObject(oid)
 			if !ok || (ps.Damaged && len(ps.Rot) == 0) {
 				continue
 			}
@@ -455,7 +455,7 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 			// k shard reads on the survivors, k shards over the cluster
 			// network, reconstruction on the rejoining node, local install.
 			for _, pid := range readers {
-				c.osds[pid].Store().Read(pp, oid, 0, size)
+				c.osds[pid].FileStore().Read(pp, oid, 0, size)
 			}
 			pp.Sleep(c.pushTime(int64(k) * size))
 			c.nodes[dstID/c.Params.OSDsPerNode].Use(pp, c.pol.DecodeCost(size*int64(k), 1))

@@ -36,7 +36,7 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 		}
 		var versions []uint64
 		for id, o := range c.osds {
-			v := o.Store().ObjectVersion(oid)
+			v := o.FileStore().ObjectVersion(oid)
 			if v > 0 && !inSet[id] {
 				out = append(out, Inconsistency{OID: oid, PG: pg,
 					Detail: fmt.Sprintf("stray copy on osd.%d", id)})
@@ -65,7 +65,7 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 				if c.down[id] {
 					continue
 				}
-				st, ok := c.osds[id].Store().ExportObject(oid)
+				st, ok := c.osds[id].FileStore().ExportObject(oid)
 				if !ok {
 					continue
 				}
@@ -93,7 +93,7 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 func (c *Cluster) objectNames() []string {
 	names := map[string]bool{}
 	for _, o := range c.osds {
-		for _, n := range o.Store().ObjectNames() {
+		for _, n := range o.FileStore().ObjectNames() {
 			names[n] = true
 		}
 	}
@@ -172,7 +172,7 @@ func (c *Cluster) repairObject(p *sim.Proc, oid string) int {
 	}
 	healed := 0
 	for id, o := range c.osds {
-		if !inSet[id] && o.Store().DeleteObject(oid) {
+		if !inSet[id] && o.FileStore().DeleteObject(oid) {
 			healed++
 		}
 	}
@@ -230,7 +230,7 @@ func (c *Cluster) repairObject(p *sim.Proc, oid string) int {
 				if mm.id == auth || !mm.ok || (mm.st.Damaged && len(mm.st.Rot) == 0) {
 					continue
 				}
-				c.osds[mm.id].Store().Read(p, oid, 0, size)
+				c.osds[mm.id].FileStore().Read(p, oid, 0, size)
 				extra--
 			}
 		}
@@ -239,15 +239,15 @@ func (c *Cluster) repairObject(p *sim.Proc, oid string) int {
 				c.pol.DecodeCost(size*int64(c.pol.DataShards()), 1))
 		}
 		// Same data motion as recovery: peer read, network push, install.
-		c.osds[auth].Store().Read(p, oid, 0, size)
+		c.osds[auth].FileStore().Read(p, oid, 0, size)
 		p.Sleep(c.pushTime(size))
 		// Re-merge against the member's live state at install time: a
 		// client write acked during the push above must survive the heal.
 		st := target
-		if live, ok := c.osds[m.id].Store().ExportObject(oid); ok {
+		if live, ok := c.osds[m.id].FileStore().ExportObject(oid); ok {
 			st = filestore.UnionState(live.Cleansed(), target)
 		}
-		c.osds[m.id].Store().IngestObject(p, oid, st)
+		c.osds[m.id].FileStore().IngestObject(p, oid, st)
 		c.noteIntegrity(p.Now(), m.id, oid, IntegrityRepaired)
 		healed++
 	}

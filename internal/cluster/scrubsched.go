@@ -226,7 +226,7 @@ func (c *Cluster) captureObject(oid string, want []int) []memberSnap {
 		if c.down[id] || c.osds[id].Crashed() {
 			continue
 		}
-		st, ok := c.osds[id].Store().ExportObject(oid)
+		st, ok := c.osds[id].FileStore().ExportObject(oid)
 		ms = append(ms, memberSnap{id: id, st: st, ok: ok})
 	}
 	return ms
@@ -375,5 +375,5 @@ func (c *Cluster) scrubRead(p *sim.Proc, id int, oid string, size int64) {
 	}
 	s.stats.DeepReads.Inc()
 	s.stats.BytesRead.Add(uint64(size))
-	c.osds[id].Store().Read(p, oid, 0, size)
+	c.osds[id].FileStore().Read(p, oid, 0, size)
 }

@@ -163,7 +163,7 @@ func TestScrubDetectsAndRepairsRot(t *testing.T) {
 	})
 	c.K.Go("rot", func(pp *sim.Proc) {
 		pp.Sleep(60 * sim.Millisecond)
-		if !c.OSDs()[victim].Store().CorruptObject(oid) {
+		if !c.OSDs()[victim].FileStore().CorruptObject(oid) {
 			t.Errorf("osd.%d holds no copy of %s", victim, oid)
 		}
 		injectedAt = pp.Now()
@@ -181,7 +181,7 @@ func TestScrubDetectsAndRepairsRot(t *testing.T) {
 	if st.Repairs.Value() == 0 {
 		t.Fatal("auto-repair healed nothing")
 	}
-	if c.OSDs()[victim].Store().ObjectDamaged(oid) {
+	if c.OSDs()[victim].FileStore().ObjectDamaged(oid) {
 		t.Fatal("damaged copy survived the scrub window")
 	}
 	var detect, repair sim.Time
@@ -216,7 +216,7 @@ func TestReadRepairServesFromReplica(t *testing.T) {
 	var exists bool
 	c.K.Go("io", func(pp *sim.Proc) {
 		cl.WriteObject(pp, oid, 0, 4096, 42)
-		if !c.OSDs()[primary].Store().CorruptObject(oid) {
+		if !c.OSDs()[primary].FileStore().CorruptObject(oid) {
 			t.Errorf("primary osd.%d holds no copy of %s", primary, oid)
 		}
 		got, exists = cl.ReadObject(pp, oid, 0, 4096)
@@ -230,10 +230,10 @@ func TestReadRepairServesFromReplica(t *testing.T) {
 	}
 	// The async overwrite has drained with the kernel: the primary's copy
 	// must be healthy again and carry the real data.
-	if c.OSDs()[primary].Store().ObjectDamaged(oid) {
+	if c.OSDs()[primary].FileStore().ObjectDamaged(oid) {
 		t.Fatal("primary copy still damaged after read-repair")
 	}
-	st, ok := c.OSDs()[primary].Store().ExportObject(oid)
+	st, ok := c.OSDs()[primary].FileStore().ExportObject(oid)
 	if !ok || st.Stamps[0] != 42 {
 		t.Fatalf("healed primary stamp = %d, want 42", st.Stamps[0])
 	}
@@ -264,7 +264,7 @@ func TestReadEIOWhenNoHealthyCopy(t *testing.T) {
 	c.K.Go("io", func(pp *sim.Proc) {
 		cl.WriteObject(pp, oid, 0, 4096, 42)
 		for _, id := range set {
-			if !c.OSDs()[id].Store().CorruptObject(oid) {
+			if !c.OSDs()[id].FileStore().CorruptObject(oid) {
 				t.Errorf("osd.%d holds no copy of %s", id, oid)
 			}
 		}

@@ -88,7 +88,7 @@ func Scrub(opt Options) Report {
 				oid := fmt.Sprintf("scrub.cold.%d", i)
 				ic.WriteObject(pp, oid, 0, 4096, 1000+uint64(i))
 				pp.Sleep(10 * sim.Millisecond) // let replica applies settle
-				if c.PrimaryFor(oid).Store().CorruptObject(oid) {
+				if c.PrimaryFor(oid).FileStore().CorruptObject(oid) {
 					injected = append(injected, inj{oid: oid, at: pp.Now()})
 				}
 			}
@@ -107,7 +107,7 @@ func Scrub(opt Options) Report {
 				clean := injectDone
 				for _, in := range injected {
 					for _, o := range c.OSDs() {
-						if o.Store().ObjectDamaged(in.oid) {
+						if o.FileStore().ObjectDamaged(in.oid) {
 							clean = false
 						}
 					}

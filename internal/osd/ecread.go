@@ -152,10 +152,10 @@ func shardReadDone(ch *msgChain) {
 	}
 	op := sr.op
 	reply := &shardReadReply{sr: sr, stamp: ch.rd.Stamp, exists: ch.rd.Exists}
-	if !reply.exists || !o.store.ExtentDamaged(op.OID, op.Off) {
+	if !reply.exists || !o.fs.ExtentDamaged(op.OID, op.Off) {
 		reply.ok = true
 		if reply.exists {
-			if state, ok := o.store.ExportObject(op.OID); ok {
+			if state, ok := o.fs.ExportObject(op.OID); ok {
 				reply.state, reply.stateOK = state, true
 			}
 		}

@@ -18,7 +18,7 @@ import (
 // sim.Proc.Await until end wakes it, and the journal writer, a callback
 // machine itself, is continued by end. Every charge is a
 // cpumodel.UseCall or oslog.LogCall, every store read a
-// store.Backend.ReadCall and the throttle wait a
+// filestore.ReadCall and the throttle wait a
 // sim.Semaphore.AcquireCall, and the journal push a sim.Queue.PushCall,
 // so each step runs in the event slot where a thread would resume, and
 // the simulation is the same as with one.
@@ -162,7 +162,7 @@ func (ch *msgChain) setUp(step func(*msgChain)) {
 // read reads the extent set in ch.rd from the store, then runs step.
 func (ch *msgChain) read(step func(*msgChain)) {
 	ch.step = step
-	ch.o.store.ReadCall(&ch.rd)
+	ch.o.fs.ReadCall(&ch.rd)
 }
 
 func chainStep(a any) {
@@ -265,7 +265,7 @@ func localShardRead(ch *msgChain) {
 	switch op := g.op; {
 	case o.gen != ch.eng.gen:
 		g.done = true // crashed mid-read: the gather dies with this daemon
-	case ch.rd.Exists && o.store.ExtentDamaged(op.OID, op.Off):
+	case ch.rd.Exists && o.fs.ExtentDamaged(op.OID, op.Off):
 		g.out--
 		g.localDamaged = true
 	default:

@@ -379,11 +379,11 @@ func (o *OSD) Endpoint() *netsim.Endpoint { return o.ep }
 // Endpoint when the networks are not separated).
 func (o *OSD) ClusterEndpoint() *netsim.Endpoint { return o.cep }
 
-// FileStore exposes the shared object table/read engine (for
-// integration-test verification, scrub and recovery; backend-neutral).
+// FileStore exposes the object table both backends share: reads, scrub,
+// recovery, repair and fault injection go through it.
 func (o *OSD) FileStore() *filestore.FileStore { return o.fs }
 
-// Store exposes the object-store backend behind the OSD↔store seam.
+// Store exposes the write-ahead backend (pending and stall statistics).
 func (o *OSD) Store() store.Backend { return o.store }
 
 // Journal exposes the write-ahead journal ring (of the current generation)
@@ -779,7 +779,7 @@ func readDone(ch *msgChain) {
 	case o.gen != ch.eng.gen:
 		// Crashed mid-read: no reply, client retries elsewhere.
 		ch.end()
-	case ch.rd.Exists && o.store.ExtentDamaged(op.OID, op.Off):
+	case ch.rd.Exists && o.fs.ExtentDamaged(op.OID, op.Off):
 		// The local copy failed verification: corrupt data is never
 		// returned. Fetch the extent from a replica (read-repair), or fail
 		// the read with EIO when no healthy copy exists anywhere.

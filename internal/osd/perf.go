@@ -13,7 +13,8 @@ import (
 // the registry on demand at dump time (cluster.Perf) rather than caching it
 // across restarts.
 func (o *OSD) RegisterMetrics(r *metrics.Registry) {
-	s := r.Sub(fmt.Sprintf("osd.%d", o.cfg.ID))
+	prefix := fmt.Sprintf("osd.%d", o.cfg.ID)
+	s := r.Sub(prefix)
 
 	s.Counter("write_ops", &o.metrics.WriteOps)
 	s.Counter("read_ops", &o.metrics.ReadOps)
@@ -63,6 +64,8 @@ func (o *OSD) RegisterMetrics(r *metrics.Registry) {
 		s.Counter("comp_lock_acquires", &cs.LockAcquires)
 	}
 
-	o.store.RegisterMetrics(r, fmt.Sprintf("osd.%d", o.cfg.ID))
-	o.logger.RegisterMetrics(r.Sub(fmt.Sprintf("osd.%d.log", o.cfg.ID)))
+	o.store.RegisterMetrics(r, prefix)
+	o.fs.RegisterMetrics(r.Sub(prefix + ".filestore"))
+	o.fs.DB().RegisterMetrics(r.Sub(prefix + ".kv"))
+	o.logger.RegisterMetrics(r.Sub(prefix + ".log"))
 }

@@ -73,8 +73,8 @@ func repReadDone(ch *msgChain) {
 	}
 	op := rr.op
 	reply := &repReadReply{rr: rr, stamp: ch.rd.Stamp, exists: ch.rd.Exists}
-	if reply.exists && !o.store.ExtentDamaged(op.OID, op.Off) {
-		if state, ok := o.store.ExportObject(op.OID); ok {
+	if reply.exists && !o.fs.ExtentDamaged(op.OID, op.Off) {
+		if state, ok := o.fs.ExportObject(op.OID); ok {
 			reply.state, reply.ok = state, true
 		}
 	}
@@ -129,10 +129,10 @@ func (o *OSD) queueRepair(st filestore.ObjectState, oid string) {
 			return // the daemon died before the heal ran
 		}
 		target := st.Cleansed()
-		if local, ok := o.store.ExportObject(oid); ok {
+		if local, ok := o.fs.ExportObject(oid); ok {
 			target = filestore.UnionState(local.Cleansed(), target)
 		}
-		o.store.IngestObject(p, oid, target)
+		o.fs.IngestObject(p, oid, target)
 		if o.gen != gen {
 			return // crashed mid-ingest: no bookkeeping for a dead daemon
 		}

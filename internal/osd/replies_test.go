@@ -90,7 +90,7 @@ func TestWorkerRepliesPinned(t *testing.T) {
 				h.k.Go("c", func(p *sim.Proc) {
 					h.send(p, OpWrite, 1, "obj", 0, 4096, 7)
 					p.Sleep(50 * sim.Millisecond)
-					if tc.damage && !h.o.Store().CorruptObject("obj") {
+					if tc.damage && !h.o.FileStore().CorruptObject("obj") {
 						t.Error("no object to damage")
 					}
 					if tc.read != nil {

@@ -299,9 +299,9 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 				// sorted name space from a seeded start keeps the choice
 				// deterministic yet varied.
 				if oid, victim, ok := pickRotVictim(c, rotRng); ok {
-					c.OSDs()[victim].Store().CorruptObject(oid)
+					c.OSDs()[victim].FileStore().CorruptObject(oid)
 					inj := rotInject{oid: oid, osd: victim, at: pp.Now(), rot: map[int64]uint64{}}
-					if st, ok := c.OSDs()[victim].Store().ExportObject(oid); ok {
+					if st, ok := c.OSDs()[victim].FileStore().ExportObject(oid); ok {
 						for off := range st.Rot { //afvet:allow determinism map-to-map copy is order-insensitive
 							inj.rot[off] = st.Stamps[off]
 						}
@@ -380,7 +380,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 			}
 		}
 		if !detected && !repaired {
-			if st, ok := c.OSDs()[inj.osd].Store().ExportObject(inj.oid); ok && !st.Damaged && len(inj.rot) > 0 {
+			if st, ok := c.OSDs()[inj.osd].FileStore().ExportObject(inj.oid); ok && !st.Damaged && len(inj.rot) > 0 {
 				vacated := true
 				for off, stamp := range inj.rot { //afvet:allow determinism all-must-hold check is order-insensitive
 					if st.Stamps[off] == stamp {
@@ -406,8 +406,8 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		}
 	}
 	for id, o := range c.OSDs() {
-		for _, oid := range o.Store().ObjectNames() {
-			if o.Store().ObjectDamaged(oid) {
+		for _, oid := range o.FileStore().ObjectNames() {
+			if o.FileStore().ObjectDamaged(oid) {
 				res.violate("osd.%d still holds damaged copy of %s after repair", id, oid)
 			}
 		}
@@ -478,7 +478,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 func pickRotVictim(c *cluster.Cluster, r *rng.Rand) (string, int, bool) {
 	names := map[string]bool{}
 	for _, o := range c.OSDs() {
-		for _, n := range o.Store().ObjectNames() {
+		for _, n := range o.FileStore().ObjectNames() {
 			names[n] = true
 		}
 	}
@@ -498,7 +498,7 @@ func pickRotVictim(c *cluster.Cluster, r *rng.Rand) (string, int, bool) {
 			if c.Down(id) || o.Crashed() {
 				continue
 			}
-			if o.Store().ObjectVersion(oid) == 0 || o.Store().ObjectDamaged(oid) {
+			if o.FileStore().ObjectVersion(oid) == 0 || o.FileStore().ObjectDamaged(oid) {
 				eligible = false
 				break
 			}

@@ -172,11 +172,6 @@ func dsOpsApplied(a any) {
 	t.then(t)
 }
 
-// Commit is CommitCall with sim.Wake, then Await.
-func (d *DirectStore) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
-	await(p, d.CommitCall, t, meta)
-}
-
 // Committed makes the write visible (object table commit) and retains its
 // image for crash replay until the deferred flush lands.
 func (d *DirectStore) Committed(t *Txn) {
@@ -232,11 +227,6 @@ func (d *DirectStore) applied(t *Txn) {
 	t.Done(t.Arg)
 }
 
-// Apply is ApplyCall with sim.Wake, then Await.
-func (d *DirectStore) Apply(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
-	await(p, d.ApplyCall, t, meta)
-}
-
 // flush writes a deferred payload from the WAL to its device extent, then
 // deletes the WAL record, and runs then.
 func (d *DirectStore) flush(t *Txn, then func(*Txn)) {
@@ -245,16 +235,8 @@ func (d *DirectStore) flush(t *Txn, then func(*Txn)) {
 	d.write(t)
 }
 
-// Applied compacts the replay image (the WAL credit was returned by Apply).
+// Applied compacts the replay image (the WAL credit was returned by ApplyCall).
 func (d *DirectStore) Applied(t *Txn) { d.rlog.compact() }
-
-// Read delegates to the shared filestore read path.
-func (d *DirectStore) Read(p *sim.Proc, oid string, off, size int64) (uint64, bool) {
-	return d.fs.Read(p, oid, off, size)
-}
-
-// ReadCall delegates to the shared filestore read path.
-func (d *DirectStore) ReadCall(r *filestore.ReadReq) { d.fs.ReadCall(r) }
 
 // Replay finishes every committed-but-unflushed deferred write after a
 // crash: the payload is durable in the KV WAL, so it is written to its
@@ -295,47 +277,7 @@ func (d *DirectStore) PendingBytes() int64 { return d.walPending }
 // backend's analogue of a full journal ring).
 func (d *DirectStore) WALFullStalls() uint64 { return d.db.Stats().Stalls.Value() }
 
-// FileStore returns the shared object table/read engine.
-func (d *DirectStore) FileStore() *filestore.FileStore { return d.fs }
-
-// Integrity surface — object bookkeeping lives in the shared filestore
-// table, so the direct backend's copy state is scrubbed and repaired
-// through the same door.
-
-// ObjectNames lists every stored object in sorted order.
-func (d *DirectStore) ObjectNames() []string { return d.fs.ObjectNames() }
-
-// ObjectVersion returns oid's mutation count.
-func (d *DirectStore) ObjectVersion(oid string) uint64 { return d.fs.ObjectVersion(oid) }
-
-// ObjectSize returns oid's current size.
-func (d *DirectStore) ObjectSize(oid string) int64 { return d.fs.ObjectSize(oid) }
-
-// ObjectDamaged reports the copy's corruption flag.
-func (d *DirectStore) ObjectDamaged(oid string) bool { return d.fs.ObjectDamaged(oid) }
-
-// ExtentDamaged reports whether the extent at off is rotten on this copy.
-func (d *DirectStore) ExtentDamaged(oid string, off int64) bool {
-	return d.fs.ExtentDamaged(oid, off)
-}
-
-// CorruptObject injects media corruption into the stored copy.
-func (d *DirectStore) CorruptObject(oid string) bool { return d.fs.CorruptObject(oid) }
-
-// ExportObject snapshots oid's state for recovery and repair.
-func (d *DirectStore) ExportObject(oid string) (filestore.ObjectState, bool) {
-	return d.fs.ExportObject(oid)
-}
-
-// IngestObject installs a recovered or repaired copy of oid.
-func (d *DirectStore) IngestObject(p *sim.Proc, oid string, st filestore.ObjectState) {
-	d.fs.IngestObject(p, oid, st)
-}
-
-// DeleteObject removes a stray copy.
-func (d *DirectStore) DeleteObject(oid string) bool { return d.fs.DeleteObject(oid) }
-
-// RegisterMetrics publishes the direct, filestore and KV subsystems.
+// RegisterMetrics publishes the direct-write counters.
 func (d *DirectStore) RegisterMetrics(r *metrics.Registry, prefix string) {
 	s := r.Sub(prefix + ".direct")
 	s.Counter("small_writes", &d.stats.SmallWrites)
@@ -345,6 +287,4 @@ func (d *DirectStore) RegisterMetrics(r *metrics.Registry, prefix string) {
 	s.Counter("flushes", &d.stats.Flushes)
 	s.Counter("replays", &d.stats.Replays)
 	s.Gauge("wal_pending_bytes", func() float64 { return float64(d.walPending) })
-	d.fs.RegisterMetrics(r.Sub(prefix + ".filestore"))
-	d.fs.DB().RegisterMetrics(r.Sub(prefix + ".kv"))
 }

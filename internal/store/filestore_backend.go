@@ -58,11 +58,6 @@ func fbCommitted(a any) {
 	t.Done(t.Arg)
 }
 
-// Commit is CommitCall with sim.Wake, then Await.
-func (b *FileStoreBackend) Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
-	await(p, b.CommitCall, t, meta)
-}
-
 // Committed retains the entry's image for crash replay until the apply
 // lands.
 func (b *FileStoreBackend) Committed(t *Txn) { b.rlog.retain(t) }
@@ -83,24 +78,11 @@ func fbApplied(a any) {
 	t.Done(t.Arg)
 }
 
-// Apply is ApplyCall with sim.Wake, then Await.
-func (b *FileStoreBackend) Apply(p *sim.Proc, t *Txn, meta *filestore.Transaction) {
-	await(p, b.ApplyCall, t, meta)
-}
-
 // Applied trims the entry's ring space and compacts the replay image.
 func (b *FileStoreBackend) Applied(t *Txn) {
 	b.jrnl.Trim(t.pad)
 	b.rlog.compact()
 }
-
-// Read delegates to the filestore.
-func (b *FileStoreBackend) Read(p *sim.Proc, oid string, off, size int64) (uint64, bool) {
-	return b.fs.Read(p, oid, off, size)
-}
-
-// ReadCall delegates to the filestore.
-func (b *FileStoreBackend) ReadCall(r *filestore.ReadReq) { b.fs.ReadCall(r) }
 
 // Replay re-reserves ring space for every journaled-but-unapplied entry
 // (the data is already on the journal device) and applies each to the
@@ -134,47 +116,7 @@ func (b *FileStoreBackend) PendingBytes() int64 { return b.jrnl.Size() - b.jrnl.
 // WALFullStalls counts journal submissions that blocked on a full ring.
 func (b *FileStoreBackend) WALFullStalls() uint64 { return b.jrnl.Stats().FullStalls.Value() }
 
-// FileStore returns the object store.
-func (b *FileStoreBackend) FileStore() *filestore.FileStore { return b.fs }
-
-// Integrity surface — object bookkeeping lives in the filestore table.
-
-// ObjectNames lists every stored object in sorted order.
-func (b *FileStoreBackend) ObjectNames() []string { return b.fs.ObjectNames() }
-
-// ObjectVersion returns oid's mutation count.
-func (b *FileStoreBackend) ObjectVersion(oid string) uint64 { return b.fs.ObjectVersion(oid) }
-
-// ObjectSize returns oid's current size.
-func (b *FileStoreBackend) ObjectSize(oid string) int64 { return b.fs.ObjectSize(oid) }
-
-// ObjectDamaged reports the copy's corruption flag.
-func (b *FileStoreBackend) ObjectDamaged(oid string) bool { return b.fs.ObjectDamaged(oid) }
-
-// ExtentDamaged reports whether the extent at off is rotten on this copy.
-func (b *FileStoreBackend) ExtentDamaged(oid string, off int64) bool {
-	return b.fs.ExtentDamaged(oid, off)
-}
-
-// CorruptObject injects media corruption into the stored copy.
-func (b *FileStoreBackend) CorruptObject(oid string) bool { return b.fs.CorruptObject(oid) }
-
-// ExportObject snapshots oid's state for recovery and repair.
-func (b *FileStoreBackend) ExportObject(oid string) (filestore.ObjectState, bool) {
-	return b.fs.ExportObject(oid)
-}
-
-// IngestObject installs a recovered or repaired copy of oid.
-func (b *FileStoreBackend) IngestObject(p *sim.Proc, oid string, st filestore.ObjectState) {
-	b.fs.IngestObject(p, oid, st)
-}
-
-// DeleteObject removes a stray copy.
-func (b *FileStoreBackend) DeleteObject(oid string) bool { return b.fs.DeleteObject(oid) }
-
-// RegisterMetrics publishes the journal, filestore and KV subsystems.
+// RegisterMetrics publishes the journal.
 func (b *FileStoreBackend) RegisterMetrics(r *metrics.Registry, prefix string) {
 	b.jrnl.RegisterMetrics(r.Sub(prefix + ".journal"))
-	b.fs.RegisterMetrics(r.Sub(prefix + ".filestore"))
-	b.fs.DB().RegisterMetrics(r.Sub(prefix + ".kv"))
 }

@@ -1,11 +1,16 @@
 // Package store defines the seam between the OSD engine and its object
 // store backend. The OSD pipeline (messenger, OP_WQ, replication,
 // completion dispatch) is backend-neutral: a write flows through
-// Commit/Committed (make it durable, write-ahead) and Apply/Applied
-// (land it in the object store, release write-ahead space). Each pair is
-// split so the OSD can run its crash-generation check between the blocking
-// I/O half and the bookkeeping half — a daemon that died mid-I/O must not
-// touch shared state when its process resumes.
+// CommitCall/Committed (make it durable, write-ahead) and
+// ApplyCall/Applied (land it in the object store, release write-ahead
+// space). Each pair is split so the OSD can run its crash-generation check
+// between the I/O half and the bookkeeping half — a daemon that died
+// mid-I/O must not touch shared state when its chain resumes.
+//
+// The seam holds only what differs between the backends. Both keep object
+// bookkeeping (sizes, versions, stamps, damage) in one
+// filestore.FileStore that the OSD owns, so reads, scrub, recovery and
+// repair call that table directly.
 //
 // Two backends implement the seam:
 //
@@ -49,7 +54,7 @@ func CheckBackend(name string) error {
 // Txn is one logical write moving through the OSD pipeline, and the
 // request CommitCall and ApplyCall make of it. The exported fields are
 // filled by the OSD when the write is accepted; the unexported ones are
-// backend state threaded from Commit to Applied.
+// backend state threaded from CommitCall to Applied.
 type Txn struct {
 	// Done runs as Done(Arg) when CommitCall or ApplyCall is over. It runs
 	// in kernel context and must not block.
@@ -67,7 +72,7 @@ type Txn struct {
 	// records and ignores it.
 	Bytes int64
 
-	pad    int64  // FileStoreBackend: padded ring bytes reserved by Commit
+	pad    int64  // FileStoreBackend: padded ring bytes reserved by CommitCall
 	small  bool   // DirectStore: payload rides the KV WAL (deferred write)
 	walKey string // DirectStore: deferred-write WAL key
 	ret    *retained
@@ -80,16 +85,6 @@ type Txn struct {
 	io   device.IO
 	kv   kvstore.Batch
 	then func(*Txn) // DirectStore: run once the KV batch is applied
-}
-
-// await makes call of t with sim.Wake as its Done and waits for it: it is
-// how the process forms Commit and Apply are built on CommitCall and
-// ApplyCall.
-func await(p *sim.Proc, call func(*Txn, *filestore.Transaction), t *Txn, meta *filestore.Transaction) {
-	t.Done, t.Arg = sim.Wake, p
-	call(t, meta)
-	p.Await()
-	t.Arg = nil
 }
 
 // ReplayHooks let Replay call back into OSD bookkeeping without the store
@@ -105,15 +100,14 @@ type ReplayHooks struct {
 
 // Backend is an object store driving the durable half of the OSD write
 // path. CommitCall and ApplyCall are the I/O halves, run by callback
-// chains; Commit and Apply are their process forms. Committed and Applied
-// are the bookkeeping halves, run only when the daemon generation still
-// matches.
+// chains. Committed and Applied are the bookkeeping halves, run only when
+// the daemon generation still matches.
 type Backend interface {
 	// Name returns the backend selector string.
 	Name() string
 	// MetaAtCommit reports when the OSD must build a write's metadata
-	// transaction: before Commit (the backend commits metadata with the
-	// data) or before Apply (metadata lands at apply time, behind a
+	// transaction: before CommitCall (the backend commits metadata with
+	// the data) or before ApplyCall (metadata lands at apply time, behind a
 	// full-data write-ahead log).
 	MetaAtCommit() bool
 	// Reopen builds the per-generation write-ahead state (a fresh ring
@@ -123,8 +117,6 @@ type Backend interface {
 	// exhausted, then runs t.Done. meta is non-nil iff MetaAtCommit.
 	// Every event lands in the slot a process committing t would use.
 	CommitCall(t *Txn, meta *filestore.Transaction)
-	// Commit is CommitCall with sim.Wake as t's Done, then Await.
-	Commit(p *sim.Proc, t *Txn, meta *filestore.Transaction)
 	// Committed records t as durable-but-unapplied (the crash-replay
 	// image) and makes it visible to reads where the backend commits
 	// object state up front.
@@ -133,17 +125,9 @@ type Backend interface {
 	// when there is nothing to wait for). meta is non-nil iff
 	// !MetaAtCommit.
 	ApplyCall(t *Txn, meta *filestore.Transaction)
-	// Apply is ApplyCall with sim.Wake as t's Done, then Await.
-	Apply(p *sim.Proc, t *Txn, meta *filestore.Transaction)
 	// Applied releases t's write-ahead space and drops it from the
 	// replay image.
 	Applied(t *Txn)
-	// Read fetches size bytes of oid, returning the verification stamp
-	// recorded for that extent and whether the object exists.
-	Read(p *sim.Proc, oid string, off, size int64) (stamp uint64, exists bool)
-	// ReadCall is Read for callback chains: it runs r.Done once r's
-	// Stamp and Exists are set (see filestore.ReadCall).
-	ReadCall(r *filestore.ReadReq)
 	// Replay re-lands every committed-but-unapplied entry after a crash,
 	// in commit order, and returns how many entries it replayed.
 	Replay(p *sim.Proc, h ReplayHooks) int
@@ -158,47 +142,16 @@ type Backend interface {
 	// WALFullStalls counts commits that blocked on exhausted write-ahead
 	// space (ring full, or KV write stall).
 	WALFullStalls() uint64
-	// FileStore returns the shared object table/read engine. Both
-	// backends keep object bookkeeping in the filestore so scrub,
-	// recovery and verification see one source of truth.
-	FileStore() *filestore.FileStore
-
-	// Integrity surface: scrub, recovery and read-repair talk to the
-	// object table through these so they stay backend-neutral — a backend
-	// that moved bookkeeping out of the shared filestore would implement
-	// them against its own state.
-
-	// ObjectNames lists every stored object in sorted order.
-	ObjectNames() []string
-	// ObjectVersion returns oid's mutation count (0 if absent).
-	ObjectVersion(oid string) uint64
-	// ObjectSize returns oid's current size (0 if absent).
-	ObjectSize(oid string) int64
-	// ObjectDamaged reports whether the stored copy of oid carries latent
-	// corruption a checksum verify would catch.
-	ObjectDamaged(oid string) bool
-	// ExtentDamaged reports whether the extent starting at off of oid is
-	// corrupt on this copy (object-granular damage counts every extent).
-	ExtentDamaged(oid string, off int64) bool
-	// CorruptObject injects media corruption into the stored copy (fault
-	// injection); reports whether the object existed.
-	CorruptObject(oid string) bool
-	// ExportObject snapshots oid's state for recovery and repair.
-	ExportObject(oid string) (filestore.ObjectState, bool)
-	// IngestObject installs a recovered or repaired copy of oid, charging
-	// the device writes of a recovery push.
-	IngestObject(p *sim.Proc, oid string, st filestore.ObjectState)
-	// DeleteObject removes a stray copy; reports whether it existed.
-	DeleteObject(oid string) bool
-	// RegisterMetrics publishes the backend's subsystems under
-	// prefix (e.g. "osd.3"), perf-dump style.
+	// RegisterMetrics publishes the backend's own subsystem (the journal,
+	// or the direct-write counters) under prefix (e.g. "osd.3"),
+	// perf-dump style.
 	RegisterMetrics(r *metrics.Registry, prefix string)
 }
 
 // retained mirrors one committed-but-not-yet-applied transaction: the
 // crash-survivable image of the write-ahead log. On a crash every
 // unapplied entry is replayed at Restart, which is what makes an ack
-// (sent after Commit) durable across the crash.
+// (sent after CommitCall) durable across the crash.
 type retained struct {
 	pg      uint32
 	seq     uint64

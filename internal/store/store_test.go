@@ -42,19 +42,27 @@ func txn(seq uint64, oid string, length int64, stamp uint64) *Txn {
 	return &Txn{PG: 1, Seq: seq, OID: oid, Off: 0, Len: length, Stamp: stamp, Bytes: length + 300}
 }
 
-// commitApplyCycle pushes one write through the full Commit/Committed/
-// Apply/Applied sequence the way the OSD pipeline does.
+// await runs call (a backend's CommitCall or ApplyCall) on t from p and
+// waits for its Done.
+func await(p *sim.Proc, call func(*Txn, *filestore.Transaction), t *Txn, m *filestore.Transaction) {
+	t.Done, t.Arg = sim.Wake, p
+	call(t, m)
+	p.Await()
+}
+
+// commitApplyCycle pushes one write through the full CommitCall/Committed/
+// ApplyCall/Applied sequence the way the OSD pipeline does.
 func commitApplyCycle(p *sim.Proc, b Backend, t *Txn) {
 	var m *filestore.Transaction
 	if b.MetaAtCommit() {
 		m = meta(t.OID, t.Off, t.Len, t.Stamp)
 	}
-	b.Commit(p, t, m)
+	await(p, b.CommitCall, t, m)
 	b.Committed(t)
 	if !b.MetaAtCommit() {
 		m = meta(t.OID, t.Off, t.Len, t.Stamp)
 	}
-	b.Apply(p, t, m)
+	await(p, b.ApplyCall, t, m)
 	b.Applied(t)
 }
 
@@ -84,7 +92,7 @@ func TestBackendContract(t *testing.T) {
 					}
 					tx := txn(i, fmt.Sprintf("obj%d", i), length, 100+i)
 					commitApplyCycle(p, b, tx)
-					if got, ok := b.Read(p, tx.OID, 0, length); !ok || got != 100+i {
+					if got, ok := w.fs.Read(p, tx.OID, 0, length); !ok || got != 100+i {
 						t.Errorf("read %s: stamp %d ok=%v, want %d", tx.OID, got, ok, 100+i)
 					}
 				}
@@ -93,17 +101,15 @@ func TestBackendContract(t *testing.T) {
 			if ops, bytes := b.PendingOps(), b.PendingBytes(); ops != 0 || bytes != 0 {
 				t.Fatalf("not drained after full cycles: %d ops, %d bytes", ops, bytes)
 			}
-			if b.FileStore() != w.fs {
-				t.Fatal("FileStore() lost the shared object table")
-			}
 		})
 	}
 }
 
-// TestBackendIntegrityContract pins the integrity surface of the seam on
-// both backends: enumeration, version/size/damage queries, corruption,
-// per-extent damage, export/ingest round-trips and stray deletion must all
-// behave identically — scrub, repair and recovery depend on it.
+// TestBackendIntegrityContract commits through each backend and checks the
+// object table they share: both must land their writes in the filestore
+// they were built over, so that enumeration, version/size/damage queries,
+// corruption, per-extent damage, export/ingest round-trips and stray
+// deletion there see them. Scrub, repair and recovery depend on it.
 func TestBackendIntegrityContract(t *testing.T) {
 	for _, name := range []string{BackendFileStore, BackendDirectStore} {
 		name := name
@@ -123,7 +129,8 @@ func TestBackendIntegrityContract(t *testing.T) {
 			})
 			w.k.Run(sim.Forever)
 
-			names := b.ObjectNames()
+			fs := w.fs
+			names := fs.ObjectNames()
 			if len(names) != 3 {
 				t.Fatalf("ObjectNames = %v, want 3 objects", names)
 			}
@@ -132,33 +139,33 @@ func TestBackendIntegrityContract(t *testing.T) {
 					t.Fatalf("ObjectNames[%d] = %q, want %q (sorted)", i, n, want)
 				}
 			}
-			if v := b.ObjectVersion("obj1"); v != 1 {
+			if v := fs.ObjectVersion("obj1"); v != 1 {
 				t.Fatalf("ObjectVersion = %d, want 1", v)
 			}
-			if s := b.ObjectSize("obj1"); s != 4096 {
+			if s := fs.ObjectSize("obj1"); s != 4096 {
 				t.Fatalf("ObjectSize = %d, want 4096", s)
 			}
-			if b.ObjectDamaged("obj1") || b.ExtentDamaged("obj1", 0) {
+			if fs.ObjectDamaged("obj1") || fs.ExtentDamaged("obj1", 0) {
 				t.Fatal("fresh object reports damage")
 			}
 
-			if !b.CorruptObject("obj1") {
+			if !fs.CorruptObject("obj1") {
 				t.Fatal("CorruptObject failed on existing object")
 			}
-			if !b.ObjectDamaged("obj1") || !b.ExtentDamaged("obj1", 0) {
-				t.Fatal("corruption not visible through the seam")
+			if !fs.ObjectDamaged("obj1") || !fs.ExtentDamaged("obj1", 0) {
+				t.Fatal("corruption not visible in the table")
 			}
-			if b.ExtentDamaged("obj1", 8192) {
+			if fs.ExtentDamaged("obj1", 8192) {
 				t.Fatal("extent never written reports rot")
 			}
 
 			// Export the healthy copy, ingest it over the damaged one: the
 			// repair path in one motion.
-			healthy, ok := b.ExportObject("obj2")
+			healthy, ok := fs.ExportObject("obj2")
 			if !ok {
 				t.Fatal("ExportObject missed obj2")
 			}
-			rotten, _ := b.ExportObject("obj1")
+			rotten, _ := fs.ExportObject("obj1")
 			if !rotten.Damaged || len(rotten.Rot) == 0 {
 				t.Fatalf("export dropped damage state: %+v", rotten)
 			}
@@ -166,20 +173,20 @@ func TestBackendIntegrityContract(t *testing.T) {
 				st := rotten.Cleansed()
 				st.Stamps = healthy.Stamps
 				st.Version = rotten.Version
-				b.IngestObject(p, "obj1", st)
+				fs.IngestObject(p, "obj1", st)
 			})
 			w.k.Run(sim.Forever)
-			if b.ObjectDamaged("obj1") || b.ExtentDamaged("obj1", 0) {
+			if fs.ObjectDamaged("obj1") || fs.ExtentDamaged("obj1", 0) {
 				t.Fatal("ingest did not clear the damage")
 			}
 
-			if !b.DeleteObject("obj3") {
+			if !fs.DeleteObject("obj3") {
 				t.Fatal("DeleteObject failed on existing object")
 			}
-			if b.DeleteObject("obj3") {
+			if fs.DeleteObject("obj3") {
 				t.Fatal("DeleteObject succeeded twice")
 			}
-			if got := len(b.ObjectNames()); got != 2 {
+			if got := len(fs.ObjectNames()); got != 2 {
 				t.Fatalf("objects after delete = %d, want 2", got)
 			}
 		})
@@ -209,7 +216,7 @@ func TestBackendReplay(t *testing.T) {
 					if b.MetaAtCommit() {
 						m = meta(tx.OID, tx.Off, tx.Len, tx.Stamp)
 					}
-					b.Commit(p, tx, m)
+					await(p, b.CommitCall, tx, m)
 					b.Committed(tx)
 				}
 			})
@@ -244,7 +251,7 @@ func TestBackendReplay(t *testing.T) {
 				}
 				for i := uint64(1); i <= n; i++ {
 					oid := fmt.Sprintf("obj%d", i)
-					if got, ok := b.Read(p, oid, 0, 4096); !ok || got != 100+i {
+					if got, ok := w.fs.Read(p, oid, 0, 4096); !ok || got != 100+i {
 						t.Errorf("post-replay read %s: stamp %d ok=%v, want %d", oid, got, ok, 100+i)
 					}
 				}
@@ -272,20 +279,20 @@ func TestDirectStoreWALThreshold(t *testing.T) {
 	d.Reopen("g0")
 	w.k.Go("io", func(p *sim.Proc) {
 		small := txn(1, "small", 16<<10, 7) // exactly at threshold: WAL
-		d.Commit(p, small, meta("small", 0, 16<<10, 7))
+		await(p, d.CommitCall, small, meta("small", 0, 16<<10, 7))
 		d.Committed(small)
 		if got := d.PendingBytes(); got != 16<<10 {
 			t.Errorf("WAL credit after small commit = %d, want %d", got, 16<<10)
 		}
 		large := txn(2, "large", 16<<10+1, 8) // one past threshold: direct
-		d.Commit(p, large, meta("large", 0, 16<<10+1, 8))
+		await(p, d.CommitCall, large, meta("large", 0, 16<<10+1, 8))
 		d.Committed(large)
 		if got := d.PendingBytes(); got != 16<<10 {
 			t.Errorf("large write took WAL credit: pending = %d", got)
 		}
-		d.Apply(p, small, nil)
+		await(p, d.ApplyCall, small, nil)
 		d.Applied(small)
-		d.Apply(p, large, nil)
+		await(p, d.ApplyCall, large, nil)
 		d.Applied(large)
 	})
 	w.k.Run(sim.Forever)
@@ -314,7 +321,7 @@ func TestDirectStoreZombieApply(t *testing.T) {
 	d.Reopen("g0")
 	tx := txn(1, "obj", 4096, 9)
 	w.k.Go("commit", func(p *sim.Proc) {
-		d.Commit(p, tx, meta("obj", 0, 4096, 9))
+		await(p, d.CommitCall, tx, meta("obj", 0, 4096, 9))
 		d.Committed(tx)
 	})
 	w.k.Run(sim.Forever)
@@ -332,7 +339,7 @@ func TestDirectStoreZombieApply(t *testing.T) {
 	}
 
 	// The zombie worker of generation g0 resumes and runs its apply half.
-	w.k.Go("zombie", func(p *sim.Proc) { d.Apply(p, tx, nil) })
+	w.k.Go("zombie", func(p *sim.Proc) { await(p, d.ApplyCall, tx, nil) })
 	w.k.Run(sim.Forever)
 	if d.PendingBytes() != 0 {
 		t.Fatalf("zombie apply double-returned WAL credit: pending = %d", d.PendingBytes())
