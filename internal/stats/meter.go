@@ -19,51 +19,6 @@ func (c *Counter) Value() uint64 { return c.n }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
 
-// Meter measures event throughput over a window of virtual time: record
-// events with Mark and compute the rate over [since, now].
-type Meter struct {
-	events      uint64
-	bytes       uint64
-	windowStart int64 // virtual ns
-}
-
-// StartWindow resets the measurement window to begin at now.
-func (m *Meter) StartWindow(now int64) {
-	m.events = 0
-	m.bytes = 0
-	m.windowStart = now
-}
-
-// Mark records one event carrying n bytes.
-func (m *Meter) Mark(n uint64) {
-	m.events++
-	m.bytes += n
-}
-
-// Events returns the number of events in the window.
-func (m *Meter) Events() uint64 { return m.events }
-
-// Bytes returns the byte total in the window.
-func (m *Meter) Bytes() uint64 { return m.bytes }
-
-// RatePerSec returns events/second over the window ending at now.
-func (m *Meter) RatePerSec(now int64) float64 {
-	dt := float64(now-m.windowStart) / 1e9
-	if dt <= 0 {
-		return 0
-	}
-	return float64(m.events) / dt
-}
-
-// BytesPerSec returns bytes/second over the window ending at now.
-func (m *Meter) BytesPerSec(now int64) float64 {
-	dt := float64(now-m.windowStart) / 1e9
-	if dt <= 0 {
-		return 0
-	}
-	return float64(m.bytes) / dt
-}
-
 // TimeSeries records (t, value) samples, e.g. IOPS per interval for the
 // paper's Figure 4 time plot.
 type TimeSeries struct {
@@ -91,22 +46,6 @@ func (ts *TimeSeries) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(ts.V))
-}
-
-// MeanAfter returns the mean of samples with T >= t0; useful for skipping a
-// warm-up ramp.
-func (ts *TimeSeries) MeanAfter(t0 int64) float64 {
-	sum, n := 0.0, 0
-	for i, t := range ts.T {
-		if t >= t0 {
-			sum += ts.V[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Stddev returns the population standard deviation of the sample values.

@@ -7,7 +7,7 @@ import (
 )
 
 // Property tests hardening the measurement substrate: every figure and
-// benchmark metric flows through Histogram/Meter, so silent wrap-around or
+// benchmark metric flows through Histogram, so silent wrap-around or
 // bucket-edge bugs would corrupt results without failing any figure test.
 
 // TestHistogramSingleValueProperty: a histogram holding exactly one sample
@@ -121,59 +121,6 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 			prev = got
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMeterWindowBoundaries: a window restart discards earlier marks, and
-// rates are computed against the new window start — including a restart at
-// the current instant (zero-width window) and one in the "future" relative
-// to a stale now (both must yield 0, not Inf or negative rates).
-func TestMeterWindowBoundaries(t *testing.T) {
-	var m Meter
-	m.StartWindow(0)
-	m.Mark(4096)
-	m.Mark(4096)
-	if got := m.RatePerSec(1e9); got != 2 {
-		t.Fatalf("rate = %v", got)
-	}
-
-	// Restart mid-run: the old window's events must not leak in.
-	m.StartWindow(5e9)
-	if m.Events() != 0 || m.Bytes() != 0 {
-		t.Fatalf("window restart kept events=%d bytes=%d", m.Events(), m.Bytes())
-	}
-	m.Mark(100)
-	if got := m.RatePerSec(6e9); got != 1 {
-		t.Fatalf("rate after restart = %v (window must start at restart, not 0)", got)
-	}
-	if got := m.BytesPerSec(6e9); got != 100 {
-		t.Fatalf("bytes/s after restart = %v", got)
-	}
-
-	// Degenerate windows: now at or before the window start.
-	if got := m.RatePerSec(5e9); got != 0 {
-		t.Fatalf("zero-width window rate = %v", got)
-	}
-	if got := m.RatePerSec(4e9); got != 0 {
-		t.Fatalf("negative window rate = %v", got)
-	}
-}
-
-// TestMeterConservationProperty: event and byte totals equal the sum of
-// the marks since the last window start, regardless of mark sizes.
-func TestMeterConservationProperty(t *testing.T) {
-	f := func(sizes []uint32) bool {
-		var m Meter
-		m.StartWindow(0)
-		var wantBytes uint64
-		for _, s := range sizes {
-			m.Mark(uint64(s))
-			wantBytes += uint64(s)
-		}
-		return m.Events() == uint64(len(sizes)) && m.Bytes() == wantBytes
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
