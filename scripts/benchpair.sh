@@ -1,8 +1,9 @@
 #!/bin/sh
 # Paired benchmark comparison: build a benchmark at a revision and from
 # the working tree, run N pairs of the two (alternating which side runs
-# first), and print per entry the working tree's wins, both medians and
-# the revision's interquartile range. The claim rule of EXPERIMENTS.md
+# first), and print per entry the working tree's wins, both medians, both
+# sides' lowest and highest runs and the revision's interquartile range
+# (a floor is set from the lowest run). The claim rule of EXPERIMENTS.md
 # reads off the output: a gain counts when the working tree wins at least
 # nine pairs in ten and its median beats the revision's by more than the
 # revision's IQR.
@@ -89,8 +90,9 @@ while [ "$i" -le "$N" ]; do
     i=$((i + 1))
 done
 
-# Per (entry, metric): wins of the working tree, both medians, the
-# revision's IQR (quartiles by linear interpolation) and the median change.
+# Per (entry, metric): wins of the working tree, both medians and the
+# median change, each side's min and max, and the revision's IQR
+# (quartiles by linear interpolation).
 sort -k3,3 -k4,4 -k2,2n "$TMP/runs" | awk '
 function quantile(a, n, q,    h, lo) {
     h = (n - 1) * q
@@ -123,8 +125,9 @@ function flush(    nb, nw, i, wins, ties, sb, sw, mb, mw, iqr, better) {
     sorted(bv, nb, bs); sorted(wv, nw, ws)
     mb = quantile(bs, nb, 0.5); mw = quantile(ws, nw, 0.5)
     iqr = quantile(bs, nb, 0.75) - quantile(bs, nb, 0.25)
-    printf "%-44s %-15s wins %2d/%-2d ties %d  median %.6g -> %.6g (%+.1f%%)  base IQR %.6g\n", \
-        name, metric, wins, (nb < nw ? nb : nw), ties, mb, mw, (mb != 0 ? 100 * (mw - mb) / mb : 0), iqr
+    printf "%-44s %-15s wins %2d/%-2d ties %d  median %.6g -> %.6g (%+.1f%%)  min %.6g -> %.6g  max %.6g -> %.6g  base IQR %.6g\n", \
+        name, metric, wins, (nb < nw ? nb : nw), ties, mb, mw, (mb != 0 ? 100 * (mw - mb) / mb : 0), \
+        bs[0], ws[0], bs[nb - 1], ws[nw - 1], iqr
     split("", base); split("", work)
 }
 {
