@@ -283,29 +283,22 @@ func (c *Cluster) Stats() Stats {
 // aggregated over all OSDs. Requires Config.TraceSample > 0 and at least
 // one write workload run.
 func (c *Cluster) TraceReport() string {
-	var total uint64
-	stages := make([]float64, len(osd.StageNames))
+	agg := c.traces()
+	if agg.Count() == 0 {
+		return noTraces
+	}
+	return agg.Report()
+}
+
+const noTraces = "no traces recorded (set Config.TraceSample and run a write workload)"
+
+// traces merges every OSD's sampled write traces.
+func (c *Cluster) traces() *osd.TraceCollector {
+	agg := osd.NewTraceCollector(true)
 	for _, o := range c.inner.OSDs() {
-		n := o.Traces().Count()
-		if n == 0 {
-			continue
-		}
-		for s := range stages {
-			stages[s] += o.Traces().StageMeanMillis(s) * float64(n)
-		}
-		total += n
+		agg.Merge(o.Traces())
 	}
-	if total == 0 {
-		return "no traces recorded (set Config.TraceSample and run a write workload)"
-	}
-	out := fmt.Sprintf("write path stage breakdown (%d samples)\n", total)
-	prev := 0.0
-	for s, name := range osd.StageNames {
-		cum := stages[s] / float64(total)
-		out += fmt.Sprintf("  %-18s cum %8.3f ms   +%8.3f ms\n", name, cum, cum-prev)
-		prev = cum
-	}
-	return out
+	return agg
 }
 
 // PerfDump renders every perf counter in the cluster — network, CPU, and
@@ -320,10 +313,7 @@ func (c *Cluster) PerfDump() string { return c.inner.PerfDump() }
 // Requires Config.TraceSample > 0 and a write workload; returns nil
 // otherwise.
 func (c *Cluster) Breakdown() []trace.BreakdownRow {
-	agg := osd.NewTraceCollector(true)
-	for _, o := range c.inner.OSDs() {
-		agg.Merge(o.Traces())
-	}
+	agg := c.traces()
 	if agg.Count() == 0 {
 		return nil
 	}
@@ -334,7 +324,7 @@ func (c *Cluster) Breakdown() []trace.BreakdownRow {
 func (c *Cluster) BreakdownTable() string {
 	rows := c.Breakdown()
 	if len(rows) == 0 {
-		return "no traces recorded (set Config.TraceSample and run a write workload)"
+		return noTraces
 	}
 	return trace.FormatBreakdown(rows)
 }

@@ -636,7 +636,7 @@ func BenchmarkFileStoreApply(b *testing.B) {
 // sim-events and proc-resumes per op are exact.
 func BenchmarkJournalSubmit(b *testing.B) {
 	const submits = 8192
-	entry := int64(4096 + osd.DefaultCosts().JournalHeaderBytes)
+	entry := int64(4096 + osd.JournalHeaderBytes)
 	shapes := []struct {
 		name string
 		full bool

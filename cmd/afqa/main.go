@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/osd"
@@ -19,25 +21,46 @@ import (
 	"repro/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is afqa with its arguments and output streams as parameters; it
+// returns the exit status: 0 when every invariant held, 1 when one broke,
+// 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("afqa", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		profile = flag.String("profile", "afceph", "community | afceph")
-		backend = flag.String("backend", "filestore", "object-store backend: filestore | directstore")
-		clients = flag.Int("clients", 6, "concurrent clients")
-		ops     = flag.Int("ops", 120, "randomized ops per client")
-		seeds   = flag.Int("seeds", 3, "number of seeds to sweep")
-		thrash  = flag.Bool("thrash", false, "include an OSD failure/recovery cycle")
+		profile = fs.String("profile", "afceph", "community | afceph")
+		backend = fs.String("backend", "filestore", "object-store backend: filestore | directstore")
+		clients = fs.Int("clients", 6, "concurrent clients")
+		ops     = fs.Int("ops", 120, "randomized ops per client")
+		seeds   = fs.Int("seeds", 3, "number of seeds to sweep")
+		thrash  = fs.Bool("thrash", false, "include an OSD failure/recovery cycle")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	tuning, err := osd.ProfileByName(*profile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "afqa:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "afqa:", err)
+		return 2
 	}
 	if err := store.CheckBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "afqa:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "afqa:", err)
+		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"clients", *clients}, {"ops", *ops}, {"seeds", *seeds}} {
+		if f.v < 1 {
+			fmt.Fprintf(stderr, "afqa: -%s is %d, want at least 1\n", f.name, f.v)
+			return 2
+		}
 	}
 
 	failed := false
@@ -58,15 +81,16 @@ func main() {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%s seed=%d writes=%d reads=%d verified=%d objects=%d recovered=%d simtime=%v\n",
+		fmt.Fprintf(stdout, "%s seed=%d writes=%d reads=%d verified=%d objects=%d recovered=%d simtime=%v\n",
 			status, seed, res.Writes, res.Reads, res.ReadVerified,
 			res.ObjectsWritten, res.Recovered, res.SimulatedTime)
 		for _, v := range res.Violations {
-			fmt.Println("  violation:", v)
+			fmt.Fprintln(stdout, "  violation:", v)
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("all invariants held")
+	fmt.Fprintln(stdout, "all invariants held")
+	return 0
 }

@@ -243,8 +243,9 @@ func TestClientRidesOutPartition(t *testing.T) {
 }
 
 // TestRepairHealsCorruptedReplica runs against both backends: corruption,
-// detection and repair all flow through the store.Backend seam, so the
-// journal+filestore and direct-write paths must behave identically.
+// detection and repair all go through the object table both backends
+// share, so the journal+filestore and direct-write paths must behave
+// identically.
 func TestRepairHealsCorruptedReplica(t *testing.T) {
 	for _, backend := range []string{store.BackendFileStore, store.BackendDirectStore} {
 		backend := backend

@@ -26,7 +26,7 @@ func smallParams(cfg osd.Config) Params {
 
 func profiles() map[string]osd.Config {
 	return map[string]osd.Config{
-		"community": osd.CommunityConfig(),
+		"community": osd.Community().Config(),
 		"afceph":    osd.AFCeph().Config(),
 	}
 }
@@ -292,7 +292,7 @@ func TestImageObjects(t *testing.T) {
 }
 
 func TestPrimaryForIsDeterministic(t *testing.T) {
-	c := New(smallParams(osd.CommunityConfig()))
+	c := New(smallParams(osd.Community().Config()))
 	a := c.PrimaryFor("some-object")
 	b := c.PrimaryFor("some-object")
 	if a != b {
@@ -324,7 +324,7 @@ func TestOrderedAcksOptionDeliversInOrder(t *testing.T) {
 }
 
 func TestSetSustainedPropagates(t *testing.T) {
-	c := New(smallParams(osd.CommunityConfig()))
+	c := New(smallParams(osd.Community().Config()))
 	c.SetSustained(true)
 	for _, s := range c.SSDs() {
 		if !s.Sustained() {
@@ -334,7 +334,7 @@ func TestSetSustainedPropagates(t *testing.T) {
 }
 
 func TestAggregateStatsAccessors(t *testing.T) {
-	c := New(smallParams(osd.CommunityConfig()))
+	c := New(smallParams(osd.Community().Config()))
 	cl := c.NewClient()
 	c.K.Go("io", func(p *sim.Proc) {
 		cl.WriteObject(p, "o", 0, 4096, 1)

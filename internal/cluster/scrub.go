@@ -23,8 +23,8 @@ type Inconsistency struct {
 // replicas must agree on the object's version (mutation count). A clean
 // scrub after a randomized workload shows that the optimization profiles
 // preserved replication semantics; a tampered store must be caught. All
-// object queries go through the store.Backend seam, so both backends are
-// scrubbed through the same door.
+// object queries go to each OSD's filestore, whose object table both
+// backends share, so both backends are scrubbed through the same door.
 func (c *Cluster) ScrubAll() []Inconsistency {
 	var out []Inconsistency
 	for _, oid := range c.objectNames() {

@@ -79,7 +79,7 @@ func TestWithJournalOverride(t *testing.T) {
 		t.Fatalf("journal = %d", got)
 	}
 	same := withJournal(cluster.DefaultParams(), 0)
-	if got := same.OSD.JournalSize; got != osd.CommunityConfig().JournalSize {
+	if got := same.OSD.JournalSize; got != osd.Community().Config().JournalSize {
 		t.Fatal("zero MB must keep the default")
 	}
 }

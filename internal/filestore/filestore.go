@@ -29,26 +29,17 @@ import (
 
 // Config selects the transaction-processing behaviour.
 type Config struct {
-	// SyscallCost is the CPU cost of one system call (mode switch + VFS).
-	SyscallCost sim.Time
-	// MinimizeSyscalls collapses the repeated open/stat/write/close
-	// sequences to one open+write per transaction (light-weight tx).
-	MinimizeSyscalls bool
-	// SetAllocHint issues the extra fallocate-style syscall per data write
-	// (community behaviour; useless for random workloads).
-	SetAllocHint bool
-	// BatchKVOps applies all of a transaction's KV mutations as one batch
-	// instead of one WAL write per mutation.
-	BatchKVOps bool
-	// WriteThroughMetaCache keeps object/PG metadata in a write-through
-	// cache so writes never read metadata from storage.
-	WriteThroughMetaCache bool
+	// LightTx selects the paper's light-weight transaction (§3.4): one
+	// open+write per transaction instead of the repeated
+	// open/stat/write/close sequence, no set-alloc-hint (fallocate)
+	// syscall, all of a transaction's KV mutations in one batch instead of
+	// one WAL write each, and a write-through metadata cache, so writes
+	// never read metadata from storage.
+	LightTx bool
 	// MetaMissProb is the probability a write needs a metadata read from
 	// the device when there is no write-through cache. It reflects dataset
 	// size vs. page cache (high in the paper's sustained 80%-full tests).
 	MetaMissProb float64
-	// MetaReadSize is the device read size for one metadata miss.
-	MetaReadSize int64
 	// VerifyData records per-extent stamps so tests can check
 	// read-your-write semantics (costs host memory; off for big benches).
 	VerifyData bool
@@ -57,35 +48,24 @@ type Config struct {
 	// the deep writeback queue is what lets the disk's elevator scheduler
 	// amortize seeks). When false, applies write through synchronously.
 	ApplyWriteback bool
-	// DirtyLimit bounds buffered dirty bytes; applies block beyond it.
-	DirtyLimit int64
+	// dirtyLimit bounds buffered dirty bytes; applies block beyond it.
+	// Zero means 128 MB.
+	dirtyLimit int64
 }
+
+const (
+	// syscallCost is the CPU cost of one system call (mode switch + VFS).
+	syscallCost = 2 * sim.Microsecond
+	// metaReadSize is the device read size for one metadata miss.
+	metaReadSize = 4096
+)
 
 // CommunityConfig returns FileStore behaviour matching stock Ceph 0.94.
-func CommunityConfig() Config {
-	return Config{
-		SyscallCost:           2 * sim.Microsecond,
-		MinimizeSyscalls:      false,
-		SetAllocHint:          true,
-		BatchKVOps:            false,
-		WriteThroughMetaCache: false,
-		MetaMissProb:          0.65,
-		MetaReadSize:          4096,
-	}
-}
+func CommunityConfig() Config { return Config{MetaMissProb: 0.65} }
 
 // LightConfig returns the paper's light-weight transaction behaviour.
-func LightConfig() Config {
-	return Config{
-		SyscallCost:           2 * sim.Microsecond,
-		MinimizeSyscalls:      true,
-		SetAllocHint:          false,
-		BatchKVOps:            true,
-		WriteThroughMetaCache: true,
-		MetaMissProb:          0.65, // irrelevant when cache is on
-		MetaReadSize:          4096,
-	}
-}
+// MetaMissProb is irrelevant with the write-through cache on.
+func LightConfig() Config { return Config{LightTx: true, MetaMissProb: 0.65} }
 
 // Stats aggregates filestore activity.
 type Stats struct {
@@ -209,8 +189,8 @@ func New(k *sim.Kernel, name string, dev device.Device, db *kvstore.DB, node *cp
 		objects: make(map[string]*object),
 	}
 	if cfg.ApplyWriteback {
-		if f.cfg.DirtyLimit <= 0 {
-			f.cfg.DirtyLimit = 128 << 20
+		if f.cfg.dirtyLimit <= 0 {
+			f.cfg.dirtyLimit = 128 << 20
 		}
 		f.flushQ = sim.NewQueue[flushReq](k, name+".flushq", 0)
 		f.dirtyMu = sim.NewMutex(k, name+".dirty")
@@ -257,20 +237,12 @@ func (f *FileStore) DB() *kvstore.DB { return f.db }
 
 // writeSyscallCount returns the syscall count for one data write.
 func (f *FileStore) writeSyscallCount() int {
-	if f.cfg.MinimizeSyscalls {
-		// open + write (fd cache hit, stat folded into cached metadata)
-		n := 2
-		if f.cfg.SetAllocHint {
-			n++
-		}
-		return n
+	if f.cfg.LightTx {
+		return 2 // open + write (fd cache hit, stat folded into cached metadata)
 	}
-	// open + stat + write + setxattr + omap touch + close
-	n := 6
-	if f.cfg.SetAllocHint {
-		n++ // set-alloc-hint (fallocate)
-	}
-	return n
+	// open + stat + write + setxattr + omap touch + close, and
+	// set-alloc-hint (fallocate)
+	return 7
 }
 
 // Apply performs a write transaction and blocks until it is durable on the
@@ -296,7 +268,7 @@ func (f *FileStore) ApplyCall(tx *Transaction) {
 	tx.work.Done, tx.work.Arg = txCharged, tx
 	tx.io.Arg = tx
 	tx.kv.Arg = tx
-	f.node.UseCall(&tx.work, f.cfg.SyscallCost*sim.Time(n))
+	f.node.UseCall(&tx.work, syscallCost*sim.Time(n))
 }
 
 // txCharged reads metadata (read-modify-write) on the write path unless
@@ -306,9 +278,9 @@ func (f *FileStore) ApplyCall(tx *Transaction) {
 func txCharged(a any) {
 	tx := a.(*Transaction)
 	f := tx.f
-	if !f.cfg.WriteThroughMetaCache && f.rnd.Float64() < f.cfg.MetaMissProb {
+	if !f.cfg.LightTx && f.rnd.Float64() < f.cfg.MetaMissProb {
 		tx.io.Done = txMetaRead
-		tx.io.Off, tx.io.Size, tx.io.Write = f.rnd.Int63n(1<<34)&^4095, f.cfg.MetaReadSize, false
+		tx.io.Off, tx.io.Size, tx.io.Write = f.rnd.Int63n(1<<34)&^4095, metaReadSize, false
 		f.dev.Submit(&tx.io)
 		return
 	}
@@ -318,7 +290,7 @@ func txCharged(a any) {
 func txMetaRead(a any) {
 	tx := a.(*Transaction)
 	tx.f.stats.MetaReads.Inc()
-	tx.f.stats.MetaReadBytes.Add(uint64(tx.f.cfg.MetaReadSize))
+	tx.f.stats.MetaReadBytes.Add(uint64(metaReadSize))
 	txKV(tx)
 }
 
@@ -331,7 +303,7 @@ func txKV(tx *Transaction) {
 	}
 	ops = append(ops, tx.OmapOps...)
 	tx.kvScratch = ops
-	if tx.f.cfg.BatchKVOps {
+	if tx.f.cfg.LightTx {
 		tx.kv.Done, tx.kv.Ops = txKVApplied, ops
 		tx.f.db.ApplyCall(&tx.kv)
 		return
@@ -378,7 +350,7 @@ func txKVApplied(a any) {
 func txDirtyLocked(a any) {
 	tx := a.(*Transaction)
 	f := tx.f
-	if f.dirty >= f.cfg.DirtyLimit {
+	if f.dirty >= f.cfg.dirtyLimit {
 		f.dirtyCond.WaitCall(txDirtyLocked, tx)
 		return
 	}
@@ -483,14 +455,14 @@ type ReadReq struct {
 func (f *FileStore) ReadCall(r *ReadReq) {
 	f.stats.Reads.Inc()
 	n := 3 // open + read + close
-	if f.cfg.MinimizeSyscalls {
+	if f.cfg.LightTx {
 		n = 1
 	}
 	f.stats.Syscalls.Add(uint64(n))
 	r.f = f
 	r.work.Done, r.work.Arg = readCharged, r
 	r.io.Arg = r
-	f.node.UseCall(&r.work, f.cfg.SyscallCost*sim.Time(n))
+	f.node.UseCall(&r.work, syscallCost*sim.Time(n))
 }
 
 // readCharged looks the object up and reads its metadata on a cache miss:
@@ -500,9 +472,9 @@ func readCharged(a any) {
 	r := a.(*ReadReq)
 	f := r.f
 	r.obj = f.objects[r.OID]
-	if !f.cfg.WriteThroughMetaCache && f.rnd.Float64() < f.cfg.MetaMissProb {
+	if !f.cfg.LightTx && f.rnd.Float64() < f.cfg.MetaMissProb {
 		r.io.Done = readMetaDone
-		r.io.Off, r.io.Size, r.io.Write = f.rnd.Int63n(1<<34)&^4095, f.cfg.MetaReadSize, false
+		r.io.Off, r.io.Size, r.io.Write = f.rnd.Int63n(1<<34)&^4095, metaReadSize, false
 		f.dev.Submit(&r.io)
 		return
 	}
@@ -512,7 +484,7 @@ func readCharged(a any) {
 func readMetaDone(a any) {
 	r := a.(*ReadReq)
 	r.f.stats.MetaReads.Inc()
-	r.f.stats.MetaReadBytes.Add(uint64(r.f.cfg.MetaReadSize))
+	r.f.stats.MetaReadBytes.Add(uint64(metaReadSize))
 	readData(r)
 }
 

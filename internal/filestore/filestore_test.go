@@ -203,7 +203,7 @@ func TestTransactionWithoutData(t *testing.T) {
 
 func TestConfigAccessors(t *testing.T) {
 	w := newWorld(LightConfig())
-	if !w.fs.Config().BatchKVOps || w.fs.Device() == nil || w.fs.DB() == nil {
+	if !w.fs.Config().LightTx || w.fs.Device() == nil || w.fs.DB() == nil {
 		t.Fatal("accessors broken")
 	}
 }
@@ -211,7 +211,7 @@ func TestConfigAccessors(t *testing.T) {
 func TestWritebackApplyBuffersAndFlushes(t *testing.T) {
 	cfg := CommunityConfig()
 	cfg.ApplyWriteback = true
-	cfg.DirtyLimit = 64 << 10
+	cfg.dirtyLimit = 64 << 10
 	cfg.VerifyData = true
 	w := newWorld(cfg)
 	w.k.Go("io", func(p *sim.Proc) {
@@ -246,7 +246,7 @@ func TestWritebackDirtyLimitBlocks(t *testing.T) {
 	db := kvstore.New(k, "db", ssd, node, kvstore.DefaultParams())
 	cfg := LightConfig()
 	cfg.ApplyWriteback = true
-	cfg.DirtyLimit = 32 << 10
+	cfg.dirtyLimit = 32 << 10
 	fs := New(k, "fs", ssd, db, node, cfg, rng.New(2))
 	maxDirty := int64(0)
 	k.Go("io", func(p *sim.Proc) {

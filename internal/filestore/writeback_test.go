@@ -7,14 +7,14 @@ import (
 	"repro/internal/sim"
 )
 
-// TestWritebackBackpressure exercises the ApplyWriteback/DirtyLimit path:
+// TestWritebackBackpressure exercises the ApplyWriteback/dirtyLimit path:
 // applies outrun the background flushers until dirty bytes hit the limit,
 // later applies block on the dirty condition until the syncer returns
 // credit, and VerifyData stamps stay read-your-write through the stall.
 func TestWritebackBackpressure(t *testing.T) {
 	cfg := CommunityConfig()
 	cfg.ApplyWriteback = true
-	cfg.DirtyLimit = 128 << 10
+	cfg.dirtyLimit = 128 << 10
 	cfg.VerifyData = true
 	w := newWorld(cfg)
 
@@ -61,8 +61,8 @@ func TestWritebackBackpressure(t *testing.T) {
 	// The limit must actually have been reached — otherwise nothing blocked
 	// and the test is vacuous. 4 writers x 64K against a 128K limit cannot
 	// stay under it while the flushers pay device latency.
-	if maxDirty < cfg.DirtyLimit {
-		t.Fatalf("dirty bytes peaked at %d, never reached the %d limit", maxDirty, cfg.DirtyLimit)
+	if maxDirty < cfg.dirtyLimit {
+		t.Fatalf("dirty bytes peaked at %d, never reached the %d limit", maxDirty, cfg.dirtyLimit)
 	}
 	// Drain invariant: once the kernel idles, the syncer returned every
 	// byte of credit.
@@ -92,9 +92,9 @@ func TestWritebackBackpressure(t *testing.T) {
 func TestWritebackDefaultLimit(t *testing.T) {
 	cfg := CommunityConfig()
 	cfg.ApplyWriteback = true
-	cfg.DirtyLimit = 0
+	cfg.dirtyLimit = 0
 	w := newWorld(cfg)
-	if got := w.fs.Config().DirtyLimit; got != 128<<20 {
-		t.Fatalf("default DirtyLimit = %d, want %d", got, int64(128<<20))
+	if got := w.fs.Config().dirtyLimit; got != 128<<20 {
+		t.Fatalf("default dirtyLimit = %d, want %d", got, int64(128<<20))
 	}
 }

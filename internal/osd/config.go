@@ -13,78 +13,17 @@ import (
 	"repro/internal/filestore"
 	"repro/internal/oslog"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
-// Costs collects the CPU/byte constants of the OSD pipeline. They are
-// calibrated so that the *relative* behaviour matches the paper's
-// measurements (§2.3's stage latencies under saturation, §4's throughput
-// ratios); absolute values approximate Ceph 0.94 on 2016-era Xeons.
-type Costs struct {
-	// OpSetupCPU: request decode, op context creation, PG resolution.
-	OpSetupCPU    sim.Time
-	OpSetupAllocs int
-	// PGLogBuildCPU: building the pg_log entry and object context under
-	// the PG lock (the §2.3 step-2 work).
-	PGLogBuildCPU    sim.Time
-	PGLogBuildAllocs int
-	// RepSendCPU: per-replica sub-op marshalling.
-	RepSendCPU sim.Time
-	// CommitCPU: community completion handling (journal commit, applied,
-	// replica ack) done by the finisher under the PG lock.
-	CommitCPU    sim.Time
-	CommitAllocs int
-	// CommitFastCPU: AFCeph minimal completion work under the OP lock.
-	CommitFastCPU sim.Time
-	// DeferredCPU: AFCeph deferred bookkeeping done in completion-worker
-	// batches under the PG lock.
-	DeferredCPU sim.Time
-	// AckCPU: building and sending the client ack.
-	AckCPU sim.Time
-	// ReadCPU: read-path CPU besides the filestore read.
-	ReadCPU sim.Time
-	// Message framing overheads in bytes.
-	JournalHeaderBytes int64
-	RepMsgOverhead     int64
-	AckBytes           int64
-	ReadReplyOverhead  int64
-	// PGLogValueBytes / OmapBytes: metadata payload per write transaction.
-	PGLogValueBytes int64
-	OmapBytes       int64
-}
-
-// DefaultCosts returns the calibrated pipeline constants.
-func DefaultCosts() Costs {
-	return Costs{
-		OpSetupCPU:         60 * sim.Microsecond,
-		OpSetupAllocs:      50,
-		PGLogBuildCPU:      80 * sim.Microsecond,
-		PGLogBuildAllocs:   60,
-		RepSendCPU:         12 * sim.Microsecond,
-		CommitCPU:          55 * sim.Microsecond,
-		CommitAllocs:       40,
-		CommitFastCPU:      4 * sim.Microsecond,
-		DeferredCPU:        12 * sim.Microsecond,
-		AckCPU:             25 * sim.Microsecond,
-		ReadCPU:            150 * sim.Microsecond,
-		JournalHeaderBytes: 300,
-		RepMsgOverhead:     250,
-		AckBytes:           100,
-		ReadReplyOverhead:  150,
-		PGLogValueBytes:    180,
-		OmapBytes:          300,
-	}
-}
-
-// Config selects the OSD's behaviour. CommunityConfig is the stock
-// profile; Tuning.Config derives AFCeph and every ablation from it. A
-// cluster copies one Config to every OSD: all of its fields are values
-// except Admission.Tenants, which the OSDs only read.
+// Config selects the OSD's behaviour. Tuning.Config derives the stock
+// profile, AFCeph and every ablation. A cluster copies one Config to every
+// OSD: all of its fields are values except Admission.Tenants, which the
+// OSDs only read. What no profile varies is a constant: the pipeline
+// costs in costs.go and the pipeline shape below.
 type Config struct {
 	// ID names the daemon; cluster.New numbers its OSDs 0..n-1.
 	ID int
-	// Worker pools.
-	NumOpWorkers        int
+	// NumFilestoreWorkers sizes the filestore worker pool.
 	NumFilestoreWorkers int
 	// Throttles (§3.2).
 	Throttles core.ThrottleConfig
@@ -93,8 +32,9 @@ type Config struct {
 	// rejected before they take a message-cap token or PG-queue slot. The
 	// zero value (every profile's default) changes nothing.
 	Admission core.AdmissionConfig
-	// JournalQueueCap bounds ops queued toward the journal writer.
-	JournalQueueCap int
+	// journalQueueCap bounds ops queued toward the journal writer; only
+	// in-package tests shrink it.
+	journalQueueCap int
 	// JournalSize is the NVRAM ring size in bytes (paper: 2 GB per OSD).
 	JournalSize int64
 	// Optimization toggles (§3.1).
@@ -103,49 +43,29 @@ type Config struct {
 	OptFastAck          bool
 	OrderedAcks         bool
 	// Batching-based wakeup (§2.1): community Ceph batches queued ops to
-	// amortize HDD seeks; ops wait for WakeupBatch peers or WakeupTimeout.
-	WakeupBatch   int
-	WakeupTimeout sim.Time
-	// Logging (§3.3).
-	LogMode     oslog.Mode
-	LogParams   oslog.Params
-	LogPerStage int // debug entries emitted per pipeline stage
+	// amortize HDD seeks; ops wait for WakeupBatch peers or wakeupTimeout.
+	WakeupBatch int
+	// Logging (§3.3); the mode picks the logger's cost model.
+	LogMode oslog.Mode
 	// Backend selects the object-store backend: store.BackendFileStore
 	// (default; journal + filestore double-write) or
 	// store.BackendDirectStore (direct write with a KV WAL for small
 	// writes — no journal double-write).
 	Backend string
-	// DStore configures the directstore backend (ignored by filestore).
-	DStore store.DirectConfig
 	// Filestore / transaction behaviour (§3.4).
 	FStore filestore.Config
 	// TraceSample: record a stage trace for every Nth client write
 	// (0 disables tracing).
 	TraceSample int
-	Costs       Costs
 }
 
-// CommunityConfig returns stock Ceph 0.94 behaviour.
-func CommunityConfig() Config {
-	return Config{
-		NumOpWorkers:        2, // osd_op_threads default
-		NumFilestoreWorkers: 2, // filestore_op_threads default
-		Throttles:           core.HDDThrottles(),
-		JournalQueueCap:     500,
-		JournalSize:         2 << 30,
-		OptPendingQueue:     false,
-		OptCompletionWorker: false,
-		OptFastAck:          false,
-		OrderedAcks:         false,
-		WakeupBatch:         4,
-		WakeupTimeout:       sim.Millisecond,
-		LogMode:             oslog.Sync,
-		LogParams:           oslog.CommunityParams(),
-		LogPerStage:         8,
-		FStore:              filestore.CommunityConfig(),
-		Costs:               DefaultCosts(),
-	}
-}
+// Fixed pipeline shape: the stock thread count, debug volume and
+// batching-wakeup timeout, which every profile shares.
+const (
+	numOpWorkers  = 2 // osd_op_threads default
+	logPerStage   = 8 // debug entries emitted per pipeline stage
+	wakeupTimeout = sim.Millisecond
+)
 
 // Tuning selects which of the paper's optimizations are active. The zero
 // value is fully stock (community Ceph 0.94 behaviour). It is the one
@@ -212,26 +132,32 @@ func ProfileByName(name string) (Tuning, error) {
 	return Tuning{}, fmt.Errorf("unknown profile %q (want community or afceph)", name)
 }
 
-// Config returns the OSD configuration: CommunityConfig with each selected
-// optimization applied. Jemalloc and NoDelay are host settings with no OSD
-// effect.
+// Config returns the OSD configuration: stock Ceph 0.94 behaviour with
+// each selected optimization applied. Jemalloc and NoDelay are host
+// settings with no OSD effect.
 func (t Tuning) Config() Config {
-	c := CommunityConfig()
-	c.OptPendingQueue = t.PendingQueue
-	c.OptCompletionWorker = t.CompletionWorker
-	c.OptFastAck = t.FastAck
-	c.OrderedAcks = t.OrderedAcks
+	c := Config{
+		NumFilestoreWorkers: 2, // filestore_op_threads default
+		Throttles:           core.HDDThrottles(),
+		journalQueueCap:     500,
+		JournalSize:         2 << 30,
+		OptPendingQueue:     t.PendingQueue,
+		OptCompletionWorker: t.CompletionWorker,
+		OptFastAck:          t.FastAck,
+		OrderedAcks:         t.OrderedAcks,
+		WakeupBatch:         4,
+		LogMode:             oslog.Sync,
+		FStore:              filestore.CommunityConfig(),
+	}
 	if t.ThrottleSSD {
 		c.Throttles = core.SSDThrottles()
 		c.NumFilestoreWorkers = 6 // flash-era thread tuning (part of §3.2)
 	}
 	if t.NoBatchWakeup {
 		c.WakeupBatch = 1
-		c.WakeupTimeout = 0
 	}
 	if t.AsyncLog {
 		c.LogMode = oslog.Async
-		c.LogParams = oslog.AFCephParams()
 	}
 	if t.LogOff {
 		c.LogMode = oslog.Off

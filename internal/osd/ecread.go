@@ -160,7 +160,7 @@ func shardReadDone(ch *msgChain) {
 			}
 		}
 	}
-	o.cep.Send(nil, sr.primary, ch.rd.Size+o.cfg.Costs.ReadReplyOverhead, MsgShardReadReply, reply)
+	o.cep.Send(nil, sr.primary, ch.rd.Size+readReplyOverhead, MsgShardReadReply, reply)
 	ch.end()
 }
 
@@ -203,7 +203,7 @@ func (o *OSD) ecReply(eng *engine, g *ecGather) {
 	oid := op.OID
 	rep := o.newReply()
 	rep.Op, rep.Stamp, rep.Exists = op, g.stamp, g.exists
-	o.ep.Send(nil, op.Client, op.Len+o.cfg.Costs.ReadReplyOverhead, MsgReply, rep)
+	o.ep.Send(nil, op.Client, op.Len+readReplyOverhead, MsgReply, rep)
 	eng.msgCap.Release(1)
 	// The client is served; op must not be referenced past this point.
 	if g.localDamaged && g.healOK {

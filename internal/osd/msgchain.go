@@ -25,31 +25,31 @@ import (
 //
 // The chains, by message:
 //   - MsgWrite/MsgRead: msgCap grant, then queue to the OP_WQ (intakeGranted).
-//   - MsgRepCommit with OptFastAck: CommitFastCPU, the commit bookkeeping,
-//     then per ack AckCPU and the ack's log (fastAckCharged, ackStep).
-//   - MsgShardReadReply: per shard launch RepSendCPU, or ReadCPU and the
+//   - MsgRepCommit with OptFastAck: commitFastCPU, the commit bookkeeping,
+//     then per ack ackCPU and the ack's log (fastAckCharged, ackStep).
+//   - MsgShardReadReply: per shard launch repSendCPU, or readCPU and the
 //     store read for the local shard; then the decode CPU and log of the
 //     reply, or the EIO's log (ecPumpStep, ecSettle).
-//   - MsgRepReadReply: RepSendCPU toward the next replica, the EIO's log,
-//     or ReadCPU and the log of the substitute reply (handleRepReadReply).
+//   - MsgRepReadReply: repSendCPU toward the next replica, the EIO's log,
+//     or readCPU and the log of the substitute reply (handleRepReadReply).
 //
 // And by worker:
-//   - a client write on the primary: the op's log, OpSetupCPU,
-//     PGLogBuildCPU, the generation check and PG-log append, the encode
-//     CPU, per replica RepSendCPU and the sub-op send, the submit log, the
+//   - a client write on the primary: the op's log, opSetupCPU,
+//     pglogBuildCPU, the generation check and PG-log append, the encode
+//     CPU, per replica repSendCPU and the sub-op send, the submit log, the
 //     filestore throttle, the generation check, then the journal push
 //     (processWrite, startWrite, writeLogBuilt, ...); a replica's sub-op
 //     takes the same steps without the sends (processRepOp, repLogBuilt);
-//   - a read: the read's log, OpSetupCPU, ReadCPU and the store read
+//   - a read: the read's log, opSetupCPU, readCPU and the store read
 //     (startRead), then the generation check and the ack's log and reply,
 //     or the replica hunt of a damaged copy (processRead, readDone), or
 //     the answer to a peer's shard or repair fetch (processShardRead,
 //     processRepRead);
-//   - an EC read: the read's log and OpSetupCPU, then the gather, the
+//   - an EC read: the read's log and opSetupCPU, then the gather, the
 //     local shard read inline (processECRead, ecPumpStep, ecSettle);
 //   - the acks a completed commit set releases (commitArrived, ackStep),
 //     also for the journal writer (jwCharged);
-//   - the completion worker's AFCeph bookkeeping: DeferredCPU, then the
+//   - the completion worker's AFCeph bookkeeping: deferredCPU, then the
 //     commit or applied log (deferred).
 type msgChain struct {
 	o *OSD
@@ -149,14 +149,13 @@ func (ch *msgChain) charge(d sim.Time, step func(*msgChain)) {
 // logStep emits the per-stage log entries of site, then runs step.
 func (ch *msgChain) logStep(site int, step func(*msgChain)) {
 	ch.step = step
-	ch.o.logger.LogCall(&ch.log, site, ch.o.cfg.LogPerStage)
+	ch.o.logger.LogCall(&ch.log, site, logPerStage)
 }
 
 // setUp charges the op setup CPU, with its allocations priced now, then
 // runs step.
 func (ch *msgChain) setUp(step func(*msgChain)) {
-	c := &ch.o.cfg.Costs
-	ch.charge(c.OpSetupCPU+ch.o.node.AllocCost(c.OpSetupAllocs), step)
+	ch.charge(opSetupCPU+ch.o.node.AllocCost(opSetupAllocs), step)
 }
 
 // read reads the extent set in ch.rd from the store, then runs step.
@@ -181,7 +180,7 @@ func intakeGranted(a any) {
 	ch.end()
 }
 
-// fastAckCharged records a replica commit once CommitFastCPU is paid and
+// fastAckCharged records a replica commit once commitFastCPU is paid and
 // sends the acks it releases.
 func fastAckCharged(ch *msgChain) {
 	o, op := ch.o, ch.rc.parent
@@ -192,7 +191,7 @@ func fastAckCharged(ch *msgChain) {
 }
 
 // ackStep sends the chain's next ack, unless its op was already acked,
-// charging AckCPU and the ack's log first; with none left, the chain ends.
+// charging ackCPU and the ack's log first; with none left, the chain ends.
 func ackStep(ch *msgChain) {
 	o := ch.o
 	for {
@@ -207,7 +206,7 @@ func ackStep(ch *msgChain) {
 		if !op.acked {
 			op.acked = true
 			ch.op = op
-			ch.charge(o.cfg.Costs.AckCPU, ackCharged)
+			ch.charge(ackCPU, ackCharged)
 			return
 		}
 	}
@@ -235,17 +234,17 @@ func eioLogged(ch *msgChain) {
 
 // ecPumpStep drives the gather over ch.set: it keeps `need` shard reads
 // in flight while untried candidates remain, charging each launch, then
-// settles the gather. The local shard is read inline (ReadCPU and the
+// settles the gather. The local shard is read inline (readCPU and the
 // store read); every other launch is a MsgShardRead.
 func ecPumpStep(ch *msgChain) {
-	o, g, set := ch.o, ch.g, ch.set
+	g, set := ch.g, ch.set
 	if idx := g.nextLaunch(set); idx >= 0 {
 		ch.idx = idx
 		if set[idx].Self {
-			ch.charge(o.cfg.Costs.ReadCPU, localShardCharged)
+			ch.charge(readCPU, localShardCharged)
 			return
 		}
-		ch.charge(o.cfg.Costs.RepSendCPU, ecShardSent)
+		ch.charge(repSendCPU, ecShardSent)
 		return
 	}
 	ecSettle(ch)
@@ -309,7 +308,7 @@ func repReadStep(ch *msgChain) {
 		ch.eio(ch.rr.op)
 		return
 	}
-	ch.charge(ch.o.cfg.Costs.RepSendCPU, repReadSent)
+	ch.charge(repSendCPU, repReadSent)
 }
 
 func repReadSent(ch *msgChain) {

@@ -216,10 +216,7 @@ func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.En
 		// one KV batch; only the light-weight transaction cost model
 		// (minimized syscalls, batched KV, write-through metadata cache)
 		// matches that design, so it is forced regardless of profile.
-		cfg.FStore.MinimizeSyscalls = true
-		cfg.FStore.SetAllocHint = false
-		cfg.FStore.BatchKVOps = true
-		cfg.FStore.WriteThroughMetaCache = true
+		cfg.FStore.LightTx = true
 		cfg.FStore.ApplyWriteback = false
 	}
 	name := fmt.Sprintf("osd%d", cfg.ID)
@@ -244,12 +241,12 @@ func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.En
 	}
 	db := kvstore.New(k, name+".kv", dataDev, node, kvstore.DefaultParams())
 	o.fs = filestore.New(k, name+".fs", dataDev, db, node, cfg.FStore, r)
-	o.logger = oslog.New(k, name, node, cfg.LogMode, cfg.LogParams)
+	o.logger = oslog.New(k, name, node, cfg.LogMode)
 	switch cfg.Backend {
 	case "", store.BackendFileStore:
 		o.store = store.NewFileStoreBackend(k, o.fs, journalDev, cfg.JournalSize)
 	case store.BackendDirectStore:
-		o.store = store.NewDirectStore(k, o.fs, node, cfg.DStore)
+		o.store = store.NewDirectStore(k, o.fs, node)
 	default:
 		panic("osd: unknown backend " + cfg.Backend)
 	}
@@ -281,7 +278,7 @@ func (o *OSD) buildEngine() {
 	eng.disp = core.NewDispatcher[workItem](k, name+".opwq", eng.locks, cfg.OptPendingQueue)
 	eng.msgCap = sim.NewSemaphore(k, name+".msgcap", cfg.Throttles.OSDClientMessageCap)
 	eng.fsThrottle = sim.NewSemaphore(k, name+".fsq", cfg.Throttles.FilestoreQueueMaxOps)
-	eng.journalQ = sim.NewQueue[*jEntry](k, name+".jq", cfg.JournalQueueCap)
+	eng.journalQ = sim.NewQueue[*jEntry](k, name+".jq", cfg.journalQueueCap)
 	eng.fsQ = sim.NewQueue[*jEntry](k, name+".fsq", 0)
 	if cfg.OptCompletionWorker {
 		eng.compw = core.NewCompletionWorker(k, name+".comp", eng.locks, 64)
@@ -306,7 +303,7 @@ func (o *OSD) spawnWorkers() {
 	eng := o.eng
 	cfg := o.cfg
 	name := fmt.Sprintf("osd%d.g%d", cfg.ID, eng.gen)
-	for i := 0; i < cfg.NumOpWorkers; i++ {
+	for i := 0; i < numOpWorkers; i++ {
 		o.k.Go(fmt.Sprintf("%s.opwq%d", name, i), func(p *sim.Proc) {
 			eng.disp.RunWorker(p, func(p *sim.Proc, shard int, it workItem) {
 				o.processItem(p, eng, shard, it)
@@ -328,12 +325,12 @@ func (o *OSD) spawnWorkers() {
 }
 
 // deferred runs the AFCeph completion worker's commit or applied
-// bookkeeping in a chain: DeferredCPU, then the log entries of site; then
+// bookkeeping in a chain: deferredCPU, then the log entries of site; then
 // done(arg).
 func (o *OSD) deferred(eng *engine, site int, done func(any), arg any) {
 	ch := o.callChain(eng, done, arg)
 	ch.site = site
-	ch.charge(o.cfg.Costs.DeferredCPU, deferredCharged)
+	ch.charge(deferredCPU, deferredCharged)
 }
 
 func deferredCharged(ch *msgChain) { ch.logStep(ch.site, (*msgChain).end) }
@@ -370,7 +367,7 @@ func (o *OSD) SetIntegrityNote(fn func(oid string, kind int)) { o.integrityNote 
 
 // LogScrub charges one scrub-site debug-log line (the scrub trace site);
 // called by the cluster scrub scheduler per scrubbed object.
-func (o *OSD) LogScrub(p *sim.Proc) { o.logger.Log(p, siteScrub, o.cfg.LogPerStage) }
+func (o *OSD) LogScrub(p *sim.Proc) { o.logger.Log(p, siteScrub, logPerStage) }
 
 // Endpoint returns the OSD's public (client-facing) network identity.
 func (o *OSD) Endpoint() *netsim.Endpoint { return o.ep }
@@ -448,7 +445,7 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 			o.metrics.AdmitRejected.Inc()
 			rep := o.newReply()
 			rep.Op, rep.Rejected = cop, true
-			o.ep.Send(nil, cop.Client, o.cfg.Costs.AckBytes, MsgReply, rep)
+			o.ep.Send(nil, cop.Client, ackBytes, MsgReply, rep)
 			return
 		}
 		cop.received = now
@@ -512,7 +509,7 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 			// instead of pushing it through the PG queue.
 			ch := o.getChain(eng, m, nil)
 			ch.rc = rc
-			ch.charge(o.cfg.Costs.CommitFastCPU, fastAckCharged)
+			ch.charge(commitFastCPU, fastAckCharged)
 		} else {
 			// Community: acks share the data path and its PG locking.
 			o.enqueue(eng, workItem{rc: rc})
@@ -550,7 +547,7 @@ func (o *OSD) itemPG(it workItem) uint32 {
 }
 
 // batchFlusher implements the HDD-era batching wakeup: ops wait until
-// WakeupBatch peers have queued or the oldest has waited WakeupTimeout.
+// WakeupBatch peers have queued or the oldest has waited wakeupTimeout.
 func (o *OSD) batchFlusher(p *sim.Proc, eng *engine) {
 	const poll = 200 * sim.Microsecond
 	var scratch []stagedItem // one flusher per engine: reuse across batches
@@ -560,7 +557,7 @@ func (o *OSD) batchFlusher(p *sim.Proc, eng *engine) {
 			return
 		}
 		batch := append(scratch[:0], first)
-		deadline := first.at + o.cfg.WakeupTimeout
+		deadline := first.at + wakeupTimeout
 		for len(batch) < o.cfg.WakeupBatch {
 			if v, ok := eng.stageQ.TryPop(); ok {
 				batch = append(batch, v)
@@ -606,8 +603,8 @@ func (o *OSD) processItem(p *sim.Proc, eng *engine, shard int, it workItem) {
 			return
 		}
 		// Community ack processing: full completion cost under the PG lock.
-		o.node.UseWithAllocs(p, o.cfg.Costs.CommitCPU, o.cfg.Costs.CommitAllocs)
-		o.logger.Log(p, siteCommit, o.cfg.LogPerStage)
+		o.node.UseWithAllocs(p, commitCPU, commitAllocs)
+		o.logger.Log(p, siteCommit, logPerStage)
 		o.commitArrived(p, it.rc.parent, true)
 		o.putRepCommit(it.rc)
 	}
@@ -625,7 +622,7 @@ func (o *OSD) processWrite(p *sim.Proc, eng *engine, op *ClientOp) {
 }
 
 // startWrite runs the head of every write an op worker serves, on the
-// primary or a replica: the op's log, OpSetupCPU, then PGLogBuildCPU with
+// primary or a replica: the op's log, opSetupCPU, then pglogBuildCPU with
 // its allocations priced at that charge; then step.
 func (ch *msgChain) startWrite(step func(*msgChain)) {
 	ch.then = step
@@ -635,8 +632,7 @@ func (ch *msgChain) startWrite(step func(*msgChain)) {
 func writeLogged(ch *msgChain) { ch.setUp(writeSetUp) }
 
 func writeSetUp(ch *msgChain) {
-	c := &ch.o.cfg.Costs
-	ch.charge(c.PGLogBuildCPU+ch.o.node.AllocCost(c.PGLogBuildAllocs), ch.then)
+	ch.charge(pglogBuildCPU+ch.o.node.AllocCost(pglogBuildAllocs), ch.then)
 }
 
 // writeLogBuilt assigns the write its PG sequence and logs it, then
@@ -674,11 +670,11 @@ func writeEncoded(ch *msgChain) {
 	writeRepStep(ch)
 }
 
-// writeRepStep sends the next replica its sub-op, charging RepSendCPU
+// writeRepStep sends the next replica its sub-op, charging repSendCPU
 // first; with none left, it logs the submit.
 func writeRepStep(ch *msgChain) {
 	if ch.idx < len(ch.reps) {
-		ch.charge(ch.o.cfg.Costs.RepSendCPU, writeRepCharged)
+		ch.charge(repSendCPU, writeRepCharged)
 		return
 	}
 	ch.logStep(siteSubmit, writeSubmitLogged)
@@ -692,7 +688,7 @@ func writeRepCharged(ch *msgChain) {
 	rop := o.getRepOp()
 	rop.oid, rop.pg, rop.off, rop.length = op.OID, op.PG, op.Off, shardLen
 	rop.stamp, rop.seq, rop.parent, rop.primary = op.Stamp, op.seq, op, o.cep
-	o.cep.Send(nil, r, shardLen+o.cfg.Costs.RepMsgOverhead, MsgRepOp, rop)
+	o.cep.Send(nil, r, shardLen+repMsgOverhead, MsgRepOp, rop)
 	writeRepStep(ch)
 }
 
@@ -724,7 +720,7 @@ func writeThrottled(ch *msgChain) {
 	op.tr.Stamp(StageSubmitted, now)
 	shardLen := o.pol.ShardLen(op.Len)
 	e := o.getJEntry()
-	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.cop = op.PG, op.seq, shardLen+o.cfg.Costs.JournalHeaderBytes, now, op
+	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.cop = op.PG, op.seq, shardLen+JournalHeaderBytes, now, op
 	e.t.OID, e.t.Off, e.t.Len, e.t.Stamp = op.OID, op.Off, shardLen, op.Stamp
 	ch.e = e
 	journalPush(ch)
@@ -757,7 +753,7 @@ func (o *OSD) processRead(p *sim.Proc, eng *engine, op *ClientOp) {
 }
 
 // startRead runs the head of every read an op worker serves: the read's
-// log, the op setup CPU, ReadCPU, then the store read of size bytes of oid
+// log, the op setup CPU, readCPU, then the store read of size bytes of oid
 // at off; then tail.
 func (ch *msgChain) startRead(oid string, off, size int64, tail func(*msgChain)) {
 	ch.rd.OID, ch.rd.Off, ch.rd.Size = oid, off, size
@@ -767,7 +763,7 @@ func (ch *msgChain) startRead(oid string, off, size int64, tail func(*msgChain))
 
 func readLogged(ch *msgChain) { ch.setUp(readSetUp) }
 
-func readSetUp(ch *msgChain) { ch.charge(ch.o.cfg.Costs.ReadCPU, readCharged) }
+func readSetUp(ch *msgChain) { ch.charge(readCPU, readCharged) }
 
 func readCharged(ch *msgChain) { ch.read(ch.then) }
 
@@ -793,7 +789,7 @@ func readAcked(ch *msgChain) {
 	o, op := ch.o, ch.op
 	rep := o.newReply()
 	rep.Op, rep.Stamp, rep.Exists = op, ch.rd.Stamp, ch.rd.Exists
-	o.ep.Send(nil, op.Client, op.Len+o.cfg.Costs.ReadReplyOverhead, MsgReply, rep)
+	o.ep.Send(nil, op.Client, op.Len+readReplyOverhead, MsgReply, rep)
 	ch.eng.msgCap.Release(1)
 	ch.end()
 }
@@ -849,7 +845,7 @@ func repThrottled(ch *msgChain) {
 		return
 	}
 	e := o.getJEntry()
-	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.rop = rop.pg, rop.seq, rop.length+o.cfg.Costs.JournalHeaderBytes, o.k.Now(), rop
+	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.rop = rop.pg, rop.seq, rop.length+JournalHeaderBytes, o.k.Now(), rop
 	e.t.OID, e.t.Off, e.t.Len, e.t.Stamp = rop.oid, rop.off, rop.length, rop.stamp
 	ch.e = e
 	journalPush(ch)
@@ -911,7 +907,7 @@ func jwCommitted(a any) {
 		// Minimal work under the OP lock; PG-lock bookkeeping deferred
 		// to the batching completion worker (§3.1, Fig. 6).
 		w.work.Done, w.work.Arg = jwCharged, w
-		o.node.UseCall(&w.work, o.cfg.Costs.CommitFastCPU)
+		o.node.UseCall(&w.work, commitFastCPU)
 		return
 	}
 	w.eng.finisherQ.TryPush(finEvent{kind: finCommit, e: e, at: now})
@@ -953,7 +949,6 @@ func jwApply(w *journalWriter) {
 // finisher is the community single completion thread: every journal commit
 // and filestore-applied event takes the PG lock here, one at a time.
 func (o *OSD) finisher(p *sim.Proc, eng *engine) {
-	c := &o.cfg.Costs
 	for {
 		ev, ok := eng.finisherQ.Pop(p)
 		if !ok || o.gen != eng.gen {
@@ -962,10 +957,10 @@ func (o *OSD) finisher(p *sim.Proc, eng *engine) {
 		o.CompletionQDelay.Record(int64(p.Now() - ev.at))
 		lock := eng.locks.Get(int(ev.e.t.PG))
 		lock.Lock(p)
-		o.node.UseWithAllocs(p, c.CommitCPU, c.CommitAllocs)
+		o.node.UseWithAllocs(p, commitCPU, commitAllocs)
 		switch ev.kind {
 		case finCommit:
-			o.logger.Log(p, siteCommit, o.cfg.LogPerStage)
+			o.logger.Log(p, siteCommit, logPerStage)
 			if ev.e.cop != nil {
 				o.commitArrived(p, ev.e.cop, false)
 			}
@@ -973,7 +968,7 @@ func (o *OSD) finisher(p *sim.Proc, eng *engine) {
 				o.sendRepCommit(ev.e.rop)
 			}
 		case finApplied:
-			o.logger.Log(p, siteApplied, o.cfg.LogPerStage)
+			o.logger.Log(p, siteApplied, logPerStage)
 			// Both finisher events for this entry have run (the queue is
 			// FIFO, so finCommit preceded this); nothing references the
 			// entry or its replica sub-op any longer.
@@ -1071,11 +1066,10 @@ func (w *fsWorker) applied() bool {
 // value's length); key strings are freshly allocated because the kvstore
 // retains them, except the per-oid omap key, which is immutable and cached.
 func (o *OSD) makeTx(pg uint32, oid string, off, length int64, stamp uint64) *filestore.Transaction {
-	c := &o.cfg.Costs
 	o.logSeq++
 	if o.pglogVal == nil {
-		o.pglogVal = make([]byte, c.PGLogValueBytes)
-		o.omapVal = make([]byte, c.OmapBytes)
+		o.pglogVal = make([]byte, pglogValueBytes)
+		o.omapVal = make([]byte, omapBytes)
 	}
 	b := append(o.keyBuf[:0], "pglog."...)
 	b = strconv.AppendUint(b, uint64(pg), 10)
@@ -1204,7 +1198,7 @@ func (o *OSD) nextAck(r *ackRun) *ClientOp {
 func (o *OSD) finishAck(op *ClientOp) {
 	rep := o.newReply()
 	rep.Op = op
-	o.ep.Send(nil, op.Client, o.cfg.Costs.AckBytes, MsgReply, rep)
+	o.ep.Send(nil, op.Client, ackBytes, MsgReply, rep)
 	// Release on the op's own generation is exact; after a crash the
 	// current semaphore's clamped Release makes a mismatch harmless.
 	o.eng.msgCap.Release(1)

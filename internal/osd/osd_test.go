@@ -1,7 +1,6 @@
 package osd
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -96,7 +95,7 @@ func TestCommunityBatchingDelaysLowLoadOps(t *testing.T) {
 		h.k.Run(5 * sim.Second)
 		return h.ackAt[1]
 	}
-	comm := ackTime(CommunityConfig())
+	comm := ackTime(Community().Config())
 	af := ackTime(AFCeph().Config())
 	if comm < af+sim.Millisecond {
 		t.Fatalf("community single-op latency %v should exceed AFCeph %v by the batch timeout", comm, af)
@@ -108,8 +107,7 @@ func TestJournalFullBlocksWrites(t *testing.T) {
 	cfg.JournalSize = 64 << 10 // 16 blocks
 	// Slow the filestore drain so the ring fills: sustained device +
 	// community heavy transactions.
-	cfg.FStore.MinimizeSyscalls = false
-	cfg.FStore.WriteThroughMetaCache = false
+	cfg.FStore.LightTx = false
 	cfg.FStore.MetaMissProb = 1.0
 	cfg.NumFilestoreWorkers = 1
 	h := newHarness(cfg)
@@ -150,7 +148,7 @@ func TestTraceCollectorSampling(t *testing.T) {
 }
 
 func TestTraceStagesMonotonic(t *testing.T) {
-	cfg := CommunityConfig()
+	cfg := Community().Config()
 	cfg.TraceSample = 1
 	h := newHarness(cfg)
 	h.k.Go("c", func(p *sim.Proc) {
@@ -185,7 +183,7 @@ func TestTraceCollectorIgnoresIncomplete(t *testing.T) {
 }
 
 func TestProfilesDiffer(t *testing.T) {
-	comm := CommunityConfig()
+	comm := Community().Config()
 	af := AFCeph().Config()
 	if !af.OptPendingQueue || !af.OptCompletionWorker || !af.OptFastAck {
 		t.Fatal("AFCeph toggles off")
@@ -199,7 +197,7 @@ func TestProfilesDiffer(t *testing.T) {
 	if comm.WakeupBatch <= af.WakeupBatch {
 		t.Fatal("batching not relaxed")
 	}
-	if comm.FStore.BatchKVOps || !af.FStore.BatchKVOps {
+	if comm.FStore.LightTx || !af.FStore.LightTx {
 		t.Fatal("light tx not applied")
 	}
 }
@@ -218,9 +216,6 @@ func TestTuningPresets(t *testing.T) {
 	}
 	if af.OrderedAcks {
 		t.Fatal("AFCeph leaves ack ordering to the client")
-	}
-	if !reflect.DeepEqual(Community().Config(), CommunityConfig()) {
-		t.Fatal("Community().Config drifted from CommunityConfig")
 	}
 }
 
@@ -265,11 +260,10 @@ func TestOrderedAcksHoldOutOfOrder(t *testing.T) {
 }
 
 func TestCostsDefaultsSane(t *testing.T) {
-	c := DefaultCosts()
-	if c.OpSetupCPU <= 0 || c.PGLogBuildCPU <= 0 || c.CommitCPU <= c.CommitFastCPU {
+	if opSetupCPU <= 0 || pglogBuildCPU <= 0 || commitCPU <= commitFastCPU {
 		t.Fatal("cost defaults inconsistent")
 	}
-	if c.JournalHeaderBytes <= 0 || c.PGLogValueBytes <= 0 {
+	if JournalHeaderBytes <= 0 || pglogValueBytes <= 0 {
 		t.Fatal("byte overheads missing")
 	}
 }
@@ -277,7 +271,7 @@ func TestCostsDefaultsSane(t *testing.T) {
 func TestMsgCapThrottlesConnections(t *testing.T) {
 	// With a tiny osd_client_message_cap, a burst of client writes must be
 	// admitted at most cap-at-a-time: the throttle blocks the messenger.
-	cfg := CommunityConfig()
+	cfg := Community().Config()
 	cfg.Throttles.OSDClientMessageCap = 2
 	h := newHarness(cfg)
 	h.k.Go("c", func(p *sim.Proc) {
@@ -297,7 +291,7 @@ func TestMsgCapThrottlesConnections(t *testing.T) {
 func TestFsThrottleBackpressuresWriters(t *testing.T) {
 	// A filestore throttle of 1 serializes the journal->apply pipeline;
 	// all ops still complete.
-	cfg := CommunityConfig()
+	cfg := Community().Config()
 	cfg.Throttles.FilestoreQueueMaxOps = 1
 	h := newHarness(cfg)
 	h.k.Go("c", func(p *sim.Proc) {

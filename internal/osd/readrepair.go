@@ -78,7 +78,7 @@ func repReadDone(ch *msgChain) {
 			reply.state, reply.ok = state, true
 		}
 	}
-	o.cep.Send(nil, rr.primary, op.Len+o.cfg.Costs.ReadReplyOverhead, MsgRepReadReply, reply)
+	o.cep.Send(nil, rr.primary, op.Len+readReplyOverhead, MsgRepReadReply, reply)
 	ch.end()
 }
 
@@ -93,7 +93,7 @@ func (o *OSD) handleRepReadReply(eng *engine, m *netsim.Message, rrr *repReadRep
 		repReadStep(ch)
 		return
 	}
-	ch.charge(o.cfg.Costs.ReadCPU, repairRead)
+	ch.charge(readCPU, repairRead)
 }
 
 // repairReply answers the client from a clean replica copy, then heals the
@@ -103,7 +103,7 @@ func (o *OSD) repairReply(eng *engine, rrr *repReadReply) {
 	oid := op.OID
 	rep := o.newReply()
 	rep.Op, rep.Stamp, rep.Exists = op, rrr.stamp, rrr.exists
-	o.ep.Send(nil, op.Client, op.Len+o.cfg.Costs.ReadReplyOverhead, MsgReply, rep)
+	o.ep.Send(nil, op.Client, op.Len+readReplyOverhead, MsgReply, rep)
 	eng.msgCap.Release(1)
 	// op must not be referenced past this point (the client may recycle it).
 	o.queueRepair(rrr.state, oid)
@@ -150,6 +150,6 @@ func (o *OSD) eioReply(eng *engine, op *ClientOp) {
 	}
 	rep := o.newReply()
 	rep.Op, rep.EIO = op, true
-	o.ep.Send(nil, op.Client, o.cfg.Costs.AckBytes, MsgReply, rep)
+	o.ep.Send(nil, op.Client, ackBytes, MsgReply, rep)
 	eng.msgCap.Release(1)
 }

@@ -80,7 +80,7 @@ func TestWorkerRepliesPinned(t *testing.T) {
 		cfg  Config
 	}{
 		{"afceph", AFCeph().Config()},
-		{"community", CommunityConfig()},
+		{"community", Community().Config()},
 	}
 	for _, tc := range cases {
 		for _, pr := range profiles {
@@ -131,7 +131,7 @@ func crashMidReadPinned(t *testing.T) {
 		dispatched uint64
 	}{
 		{"afceph", AFCeph().Config(), 50350 * sim.Microsecond, 83},
-		{"community", CommunityConfig(), 51380 * sim.Microsecond, 100},
+		{"community", Community().Config(), 51380 * sim.Microsecond, 100},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

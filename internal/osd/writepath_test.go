@@ -182,22 +182,22 @@ func TestWritePathPinned(t *testing.T) {
 		sum  uint64
 	}
 	want := map[string]pin{
-		"afceph/filestore/clean":                 {800, 0x77733d29798240da},
-		"afceph/filestore/tight":                 {800, 0x84bdffc03c8dc7de},
-		"afceph/filestore/crash-mid-commit":      {520, 0x7746584d0505d837},
-		"afceph/filestore/crash-mid-apply":       {773, 0xab4cb913bd7d15ec},
-		"afceph/directstore/clean":               {800, 0x329348e29c6ac231},
-		"afceph/directstore/tight":               {800, 0xfc2d71644127197e},
-		"afceph/directstore/crash-mid-commit":    {449, 0x709d7bdb6f218cac},
-		"afceph/directstore/crash-mid-apply":     {772, 0x13380d1b40d03772},
-		"community/filestore/clean":              {800, 0x2c516ea13f15e8b3},
-		"community/filestore/tight":              {800, 0xe9313b35ff94f9b3},
-		"community/filestore/crash-mid-commit":   {200, 0x8ae18578fc67e7aa},
-		"community/filestore/crash-mid-apply":    {757, 0xeb17f3cda33974e0},
-		"community/directstore/clean":            {800, 0xe234226e33c6d5ba},
-		"community/directstore/tight":            {800, 0xe234226e33c6d5ba},
-		"community/directstore/crash-mid-commit": {200, 0xf5443c96ff8be125},
-		"community/directstore/crash-mid-apply":  {747, 0xe6fd3f36ca5bd955},
+		"afceph/filestore/clean":                 {800, 0x74008da4c65c422e},
+		"afceph/filestore/tight":                 {800, 0x8fbcafd46d45acde},
+		"afceph/filestore/crash-mid-commit":      {520, 0xb61cbdd9d20ec149},
+		"afceph/filestore/crash-mid-apply":       {773, 0xff87362e50a4ffbe},
+		"afceph/directstore/clean":               {800, 0xa4df021801aed115},
+		"afceph/directstore/tight":               {800, 0x3c79a9705bc13a6a},
+		"afceph/directstore/crash-mid-commit":    {449, 0xd373a5c51a944b46},
+		"afceph/directstore/crash-mid-apply":     {772, 0x965873f6cbac3f56},
+		"community/filestore/clean":              {800, 0x6ac4ed97403b688f},
+		"community/filestore/tight":              {800, 0x39d9e2b0a1ad3747},
+		"community/filestore/crash-mid-commit":   {200, 0xa2fececd5040274},
+		"community/filestore/crash-mid-apply":    {757, 0x73347b399623260c},
+		"community/directstore/clean":            {800, 0x988c976181334f1a},
+		"community/directstore/tight":            {800, 0x988c976181334f1a},
+		"community/directstore/crash-mid-commit": {200, 0x457bae00bfa1924f},
+		"community/directstore/crash-mid-apply":  {747, 0x39ee52aff712d19b},
 	}
 	for _, profile := range []string{"afceph", "community"} {
 		for _, backend := range []string{store.BackendFileStore, store.BackendDirectStore} {
@@ -218,7 +218,7 @@ func TestWritePathPinned(t *testing.T) {
 					cfg := tn.Config()
 					cfg.Backend = backend
 					if sc.tight {
-						cfg.JournalQueueCap = 2
+						cfg.journalQueueCap = 2
 						cfg.JournalSize = 48 << 10
 						cfg.Throttles.FilestoreQueueMaxOps = 4
 					}

@@ -8,15 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// rotationParams is an async logger stressed enough that both overflow
-// drops and rotations occur: one slow logger thread, a tiny queue bound,
-// and a rotation every 256 entries.
-func rotationParams() Params {
-	p := AFCephParams()
-	p.Threads = 1
-	p.MemoryLimit = 64
-	p.RotateEvery = 256
-	p.RotateCPU = 10 * sim.Microsecond
+// stormParams is an async logger stressed enough that its queue
+// overflows: one slow logger thread and a tiny queue bound.
+func stormParams() params {
+	p := afcephParams()
+	p.threads = 1
+	p.memoryLimit = 64
 	return p
 }
 
@@ -27,7 +24,7 @@ func rotationParams() Params {
 func runLoggerStorm(writers, calls int) (Stats, sim.Time) {
 	k := sim.NewKernel()
 	node := cpumodel.NewNode(k, "node", 16, cpumodel.JEMalloc)
-	l := New(k, "osd0", node, Async, rotationParams())
+	l := newLogger(k, "osd0", node, Async, stormParams())
 	var worst sim.Time
 	for w := 0; w < writers; w++ {
 		site := w
@@ -46,10 +43,9 @@ func runLoggerStorm(writers, calls int) (Stats, sim.Time) {
 }
 
 // TestAsyncLoggerConcurrentWritersNeverBlock is the §3.3 contract under
-// load: with rotation enabled and the queue overflowing, submitters still
-// only ever pay CPU-queueing time — never logger-thread time — every
-// entry is either written or counted dropped, and rotations happen every
-// RotateEvery entries on the logger thread. The test body also runs from
+// load: with the queue overflowing, submitters still only ever pay
+// CPU-queueing time — never logger-thread time — and every entry is
+// either written or counted dropped. The test body also runs from
 // several OS goroutines at once (independent kernels) so `go test -race`
 // checks the logger has no hidden shared state; the simulation being
 // deterministic, every goroutine must see bit-identical stats.
@@ -75,7 +71,7 @@ func TestAsyncLoggerConcurrentWritersNeverBlock(t *testing.T) {
 	}
 	wg.Wait()
 
-	p := rotationParams()
+	p := stormParams()
 	first := results[0]
 	if first.st.BlockTime.Value() != 0 {
 		t.Fatalf("async callers blocked for %d ns", first.st.BlockTime.Value())
@@ -83,7 +79,7 @@ func TestAsyncLoggerConcurrentWritersNeverBlock(t *testing.T) {
 	// A caller pays SubmitCPU plus at most core-queue waiting behind the
 	// other 7 writers' submits; logger-thread entry costs must never
 	// appear on the caller path.
-	if limit := p.SubmitCPU * writers * 2; first.worst > limit {
+	if limit := p.submitCPU * writers * 2; first.worst > limit {
 		t.Fatalf("worst caller delay %v exceeds %v: submit path is blocking", first.worst, limit)
 	}
 	entries := first.st.Entries.Value()
@@ -94,33 +90,9 @@ func TestAsyncLoggerConcurrentWritersNeverBlock(t *testing.T) {
 	if entries+dropped != writers*calls {
 		t.Fatalf("entries %d + dropped %d != %d submitted", entries, dropped, writers*calls)
 	}
-	if want := entries / uint64(p.RotateEvery); first.st.Rotations.Value() != want {
-		t.Fatalf("rotations = %d, want %d (= %d entries / %d)",
-			first.st.Rotations.Value(), want, entries, p.RotateEvery)
-	}
-	if first.st.Rotations.Value() == 0 {
-		t.Fatal("rotation never triggered")
-	}
 	for g := 1; g < goroutines; g++ {
 		if results[g] != first {
 			t.Fatalf("goroutine %d diverged: %+v vs %+v", g, results[g], first)
 		}
-	}
-}
-
-// TestRotationDisabledByDefault pins that RotateEvery=0 keeps the
-// historical behaviour bit-identical: no rotations, no extra CPU.
-func TestRotationDisabledByDefault(t *testing.T) {
-	k := sim.NewKernel()
-	node := cpumodel.NewNode(k, "node", 8, cpumodel.JEMalloc)
-	l := New(k, "osd0", node, Async, AFCephParams())
-	k.Go("io", func(p *sim.Proc) {
-		for i := 0; i < 2000; i++ {
-			l.Log(p, 1, 1)
-		}
-	})
-	k.Run(sim.Forever)
-	if l.Stats().Rotations.Value() != 0 {
-		t.Fatalf("rotations = %d with RotateEvery unset", l.Stats().Rotations.Value())
 	}
 }

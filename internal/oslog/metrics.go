@@ -8,6 +8,5 @@ func (l *Logger) RegisterMetrics(s *metrics.Subsystem) {
 	s.Counter("dropped", &l.stats.Dropped)
 	s.Counter("cache_hits", &l.stats.CacheHits)
 	s.Counter("block_time_ns", &l.stats.BlockTime)
-	s.Counter("rotations", &l.stats.Rotations)
 	s.Gauge("queue_len", func() float64 { return float64(l.QueueLen()) })
 }

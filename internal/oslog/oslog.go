@@ -47,52 +47,44 @@ func (m Mode) String() string {
 	}
 }
 
-// Params configures the logger cost model.
-type Params struct {
-	// EntryCPU is the string-formatting CPU cost per log entry.
-	EntryCPU sim.Time
-	// EntryAllocs is the allocation count per formatted entry.
-	EntryAllocs int
-	// CachedEntryCPU / CachedEntryAllocs apply when the log cache already
+// params configures the logger cost model.
+type params struct {
+	// entryCPU is the string-formatting CPU cost per log entry.
+	entryCPU sim.Time
+	// entryAllocs is the allocation count per formatted entry.
+	entryAllocs int
+	// cachedEntryCPU / cachedEntryAllocs apply when the log cache already
 	// holds the entry's formatted string.
-	CachedEntryCPU    sim.Time
-	CachedEntryAllocs int
-	// SubmitCPU is the cost paid by the submitting thread per Log call.
-	SubmitCPU sim.Time
-	// Threads is the logger thread count (Sync mode forces 1).
-	Threads int
-	// LogCache enables the formatted-entry cache.
-	LogCache bool
-	// MemoryLimit bounds queued entries in Async mode; beyond it, entries
+	cachedEntryCPU    sim.Time
+	cachedEntryAllocs int
+	// submitCPU is the cost paid by the submitting thread per Log call.
+	submitCPU sim.Time
+	// threads is the logger thread count (Sync mode forces 1).
+	threads int
+	// logCache enables the formatted-entry cache.
+	logCache bool
+	// memoryLimit bounds queued entries in Async mode; beyond it, entries
 	// are dropped (bounded memory, as §3.3 requires). <=0 means unbounded.
-	MemoryLimit int
-	// RotateEvery rotates the log file after that many entries (<=0 never
-	// rotates, the historical behaviour). Rotation is charged to the logger
-	// thread, never the submitter, so the non-blocking property holds.
-	RotateEvery int
-	// RotateCPU is the logger-thread cost of one rotation.
-	RotateCPU sim.Time
+	memoryLimit int
 }
 
-// CommunityParams returns the stock single-thread synchronous logger.
-func CommunityParams() Params {
-	return Params{
-		EntryCPU:    2500 * sim.Nanosecond,
-		EntryAllocs: 6,
-		SubmitCPU:   300 * sim.Nanosecond,
-		Threads:     1,
-		LogCache:    false,
+// communityParams is the stock single-thread synchronous logger.
+func communityParams() params {
+	return params{
+		entryCPU:    2500 * sim.Nanosecond,
+		entryAllocs: 6,
+		submitCPU:   300 * sim.Nanosecond,
+		threads:     1,
 	}
 }
 
-// AFCephParams returns the non-blocking multi-thread logger with log cache.
-func AFCephParams() Params {
-	p := CommunityParams()
-	p.Threads = 4
-	p.LogCache = true
-	p.CachedEntryCPU = 400 * sim.Nanosecond
-	p.CachedEntryAllocs = 0
-	p.MemoryLimit = 16384
+// afcephParams is the non-blocking multi-thread logger with log cache.
+func afcephParams() params {
+	p := communityParams()
+	p.threads = 4
+	p.logCache = true
+	p.cachedEntryCPU = 400 * sim.Nanosecond
+	p.memoryLimit = 16384
 	return p
 }
 
@@ -103,8 +95,6 @@ type Stats struct {
 	CacheHits stats.Counter
 	// BlockTime is virtual time submitters spent waiting (Sync mode).
 	BlockTime stats.Counter
-	// Rotations counts log-file rotations (RotateEvery > 0 only).
-	Rotations stats.Counter
 }
 
 type batch struct {
@@ -120,45 +110,51 @@ type Logger struct {
 	name   string
 	node   *cpumodel.Node
 	mode   Mode
-	params Params
+	params params
 	q      *sim.Queue[batch]
 	cache  map[int]bool
 	stats  Stats
 	// idle holds the logger threads waiting for a batch, longest-waiting
 	// first: Log wakes the head.
 	idle []*thread
-	// sinceRotate counts entries written since the last rotation; logger
-	// threads run one-at-a-time under the sim kernel, so a plain field is
-	// race-free and keeps Rotations == floor(Entries/RotateEvery) exactly.
-	sinceRotate int
 	// callFree recycles the Calls Sync-mode Log waits on: once Await
 	// returns, the logger thread is done with the Call.
 	callFree []*Call
 }
 
 // thread is one logger thread, run as a chain of kernel callbacks: take a
-// batch, charge its entries, rotate while due, release the batch's Sync
-// submitter, repeat; with the queue empty it joins the idle list.
+// batch, charge its entries, release the batch's Sync submitter, repeat;
+// with the queue empty it joins the idle list.
 type thread struct {
 	l    *Logger
 	b    batch
 	work cpumodel.Work // the CPU charge in flight
 }
 
-// New creates a logger charging CPU to node.
-func New(k *sim.Kernel, name string, node *cpumodel.Node, mode Mode, params Params) *Logger {
+// New creates a logger charging CPU to node, with the cost model of its
+// mode: Sync is the stock logger, Async AFCeph's.
+func New(k *sim.Kernel, name string, node *cpumodel.Node, mode Mode) *Logger {
+	p := communityParams()
+	if mode == Async {
+		p = afcephParams()
+	}
+	return newLogger(k, name, node, mode, p)
+}
+
+// newLogger is New with an explicit cost model.
+func newLogger(k *sim.Kernel, name string, node *cpumodel.Node, mode Mode, p params) *Logger {
 	l := &Logger{
 		k:      k,
 		name:   name,
 		node:   node,
 		mode:   mode,
-		params: params,
+		params: p,
 		cache:  make(map[int]bool),
 	}
 	if mode == Off {
 		return l
 	}
-	threads := params.Threads
+	threads := p.threads
 	if mode == Sync || threads < 1 {
 		threads = 1
 	}
@@ -187,12 +183,12 @@ func (l *Logger) QueueLen() int {
 
 // Log emits count entries from the given call site. In Sync mode the caller
 // blocks until the logger thread has processed them, waiting on a pooled
-// Call as LogCall's submitter does; in Async mode it pays only SubmitCPU.
+// Call as LogCall's submitter does; in Async mode it pays only submitCPU.
 func (l *Logger) Log(p *sim.Proc, site, count int) {
 	if l.mode == Off || count <= 0 {
 		return
 	}
-	l.node.Use(p, l.params.SubmitCPU)
+	l.node.Use(p, l.params.submitCPU)
 	if l.mode == Async {
 		l.submitAsync(site, count)
 		return
@@ -210,9 +206,9 @@ func (l *Logger) Log(p *sim.Proc, site, count int) {
 	l.callFree = append(l.callFree, c)
 }
 
-// submitAsync queues an Async batch, or drops it past MemoryLimit.
+// submitAsync queues an Async batch, or drops it past memoryLimit.
 func (l *Logger) submitAsync(site, count int) {
-	if l.params.MemoryLimit > 0 && l.q.Len() >= l.params.MemoryLimit {
+	if l.params.memoryLimit > 0 && l.q.Len() >= l.params.memoryLimit {
 		l.stats.Dropped.Add(uint64(count))
 		return
 	}
@@ -245,7 +241,7 @@ func (l *Logger) LogCall(c *Call, site, count int) {
 	}
 	c.l, c.site, c.count = l, site, count
 	c.work.Done, c.work.Arg = callSubmitted, c
-	l.node.UseCall(&c.work, l.params.SubmitCPU)
+	l.node.UseCall(&c.work, l.params.submitCPU)
 }
 
 func callSubmitted(a any) {
@@ -291,12 +287,12 @@ func (t *thread) next() {
 		return
 	}
 	t.b = b
-	cpu := l.params.EntryCPU
-	allocs := l.params.EntryAllocs
-	if l.params.LogCache {
+	cpu := l.params.entryCPU
+	allocs := l.params.entryAllocs
+	if l.params.logCache {
 		if l.cache[b.site] {
-			cpu = l.params.CachedEntryCPU
-			allocs = l.params.CachedEntryAllocs
+			cpu = l.params.cachedEntryCPU
+			allocs = l.params.cachedEntryAllocs
 			l.stats.CacheHits.Add(uint64(b.count))
 		} else {
 			l.cache[b.site] = true
@@ -310,31 +306,8 @@ func threadCharged(a any) {
 	t := a.(*thread)
 	l := t.l
 	l.stats.Entries.Add(uint64(t.b.count))
-	if l.params.RotateEvery > 0 {
-		l.sinceRotate += t.b.count
-	}
-	t.rotate()
-}
-
-// rotate charges the next due rotation or, with none due, completes the
-// batch and moves on. Rotations are shared by all threads: another thread
-// may take a due rotation while this one waits for a core.
-func (t *thread) rotate() {
-	l := t.l
-	if l.params.RotateEvery > 0 && l.sinceRotate >= l.params.RotateEvery {
-		l.sinceRotate -= l.params.RotateEvery
-		t.work.Done = threadRotated
-		l.node.UseCall(&t.work, l.params.RotateCPU)
-		return
-	}
 	if t.b.call != nil {
 		l.k.AfterCall(0, callSynced, t.b.call)
 	}
 	t.next()
-}
-
-func threadRotated(a any) {
-	t := a.(*thread)
-	t.l.stats.Rotations.Inc()
-	t.rotate()
 }

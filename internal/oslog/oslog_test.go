@@ -8,14 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-func newLogger(k *sim.Kernel, mode Mode, params Params) (*Logger, *cpumodel.Node) {
+func testLogger(k *sim.Kernel, mode Mode, p params) (*Logger, *cpumodel.Node) {
 	node := cpumodel.NewNode(k, "node", 8, cpumodel.JEMalloc)
-	return New(k, "osd0", node, mode, params), node
+	return newLogger(k, "osd0", node, mode, p), node
 }
 
 func TestOffModeIsFree(t *testing.T) {
 	k := sim.NewKernel()
-	l, node := newLogger(k, Off, CommunityParams())
+	l, node := testLogger(k, Off, communityParams())
 	k.Go("io", func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ {
 			l.Log(p, i, 5)
@@ -32,7 +32,7 @@ func TestOffModeIsFree(t *testing.T) {
 
 func TestSyncBlocksSubmitter(t *testing.T) {
 	k := sim.NewKernel()
-	l, _ := newLogger(k, Sync, CommunityParams())
+	l, _ := testLogger(k, Sync, communityParams())
 	var elapsed sim.Time
 	k.Go("io", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -40,7 +40,7 @@ func TestSyncBlocksSubmitter(t *testing.T) {
 		elapsed = p.Now() - t0
 	})
 	k.Run(sim.Forever)
-	want := CommunityParams().EntryCPU * 4
+	want := communityParams().entryCPU * 4
 	if elapsed < want {
 		t.Fatalf("sync submit returned after %v, want >= %v", elapsed, want)
 	}
@@ -51,7 +51,7 @@ func TestSyncBlocksSubmitter(t *testing.T) {
 
 func TestAsyncSubmitReturnsImmediately(t *testing.T) {
 	k := sim.NewKernel()
-	l, _ := newLogger(k, Async, AFCephParams())
+	l, _ := testLogger(k, Async, afcephParams())
 	var elapsed sim.Time
 	k.Go("io", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -62,7 +62,7 @@ func TestAsyncSubmitReturnsImmediately(t *testing.T) {
 	})
 	k.Run(sim.Forever)
 	// Submitter pays only SubmitCPU per call (plus core queueing).
-	if elapsed > 100*AFCephParams().SubmitCPU*10 {
+	if elapsed > 100*afcephParams().submitCPU*10 {
 		t.Fatalf("async submit path too slow: %v", elapsed)
 	}
 	if l.Stats().Entries.Value() != 400 {
@@ -74,8 +74,8 @@ func TestSyncSingleThreadSerializes(t *testing.T) {
 	// Many concurrent submitters through one sync logger thread: total time
 	// is at least entries*EntryCPU (no parallelism).
 	k := sim.NewKernel()
-	params := CommunityParams()
-	l, _ := newLogger(k, Sync, params)
+	p := communityParams()
+	l, _ := testLogger(k, Sync, p)
 	const workers, per = 8, 50
 	for i := 0; i < workers; i++ {
 		k.Go("io", func(p *sim.Proc) {
@@ -85,7 +85,7 @@ func TestSyncSingleThreadSerializes(t *testing.T) {
 		})
 	}
 	k.Run(sim.Forever)
-	minTime := params.EntryCPU * sim.Time(workers*per)
+	minTime := p.entryCPU * sim.Time(workers*per)
 	if k.Now() < minTime {
 		t.Fatalf("finished in %v, single thread needs >= %v", k.Now(), minTime)
 	}
@@ -94,9 +94,9 @@ func TestSyncSingleThreadSerializes(t *testing.T) {
 func TestAsyncMultiThreadParallelism(t *testing.T) {
 	// The same entry volume drains faster with the async multi-thread
 	// logger than the sync single-thread one.
-	drainTime := func(mode Mode, params Params) sim.Time {
+	drainTime := func(mode Mode, p params) sim.Time {
 		k := sim.NewKernel()
-		l, _ := newLogger(k, mode, params)
+		l, _ := testLogger(k, mode, p)
 		for i := 0; i < 8; i++ {
 			k.Go("io", func(p *sim.Proc) {
 				for j := 0; j < 100; j++ {
@@ -107,8 +107,8 @@ func TestAsyncMultiThreadParallelism(t *testing.T) {
 		k.Run(sim.Forever)
 		return k.Now()
 	}
-	syncT := drainTime(Sync, CommunityParams())
-	asyncT := drainTime(Async, AFCephParams())
+	syncT := drainTime(Sync, communityParams())
+	asyncT := drainTime(Async, afcephParams())
 	if asyncT >= syncT {
 		t.Fatalf("async total %v not faster than sync %v", asyncT, syncT)
 	}
@@ -116,7 +116,7 @@ func TestAsyncMultiThreadParallelism(t *testing.T) {
 
 func TestLogCacheHits(t *testing.T) {
 	k := sim.NewKernel()
-	l, _ := newLogger(k, Async, AFCephParams())
+	l, _ := testLogger(k, Async, afcephParams())
 	k.Go("io", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			l.Log(p, 7, 1) // same site every time
@@ -130,12 +130,12 @@ func TestLogCacheHits(t *testing.T) {
 
 func TestMemoryLimitDropsEntries(t *testing.T) {
 	k := sim.NewKernel()
-	params := AFCephParams()
-	params.MemoryLimit = 10
-	params.Threads = 1
-	params.EntryCPU = sim.Millisecond // slow drain to force backlog
-	params.CachedEntryCPU = sim.Millisecond
-	l, _ := newLogger(k, Async, params)
+	p := afcephParams()
+	p.memoryLimit = 10
+	p.threads = 1
+	p.entryCPU = sim.Millisecond // slow drain to force backlog
+	p.cachedEntryCPU = sim.Millisecond
+	l, _ := testLogger(k, Async, p)
 	k.Go("io", func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ {
 			l.Log(p, i, 1)
@@ -153,7 +153,7 @@ func TestMemoryLimitDropsEntries(t *testing.T) {
 
 func TestZeroCountIsNoop(t *testing.T) {
 	k := sim.NewKernel()
-	l, _ := newLogger(k, Sync, CommunityParams())
+	l, _ := testLogger(k, Sync, communityParams())
 	k.Go("io", func(p *sim.Proc) {
 		l.Log(p, 1, 0)
 		l.Log(p, 1, -3)
@@ -179,7 +179,7 @@ func TestNewSpawnsNoProc(t *testing.T) {
 	resumes := map[Mode]uint64{Off: 1, Sync: 1 + 10*2, Async: 1 + 10}
 	for _, mode := range []Mode{Off, Sync, Async} {
 		k := sim.NewKernel()
-		l, _ := newLogger(k, mode, AFCephParams())
+		l, _ := testLogger(k, mode, afcephParams())
 		if k.Spawned() != 0 {
 			t.Fatalf("%v: New spawned %d procs", mode, k.Spawned())
 		}
@@ -204,33 +204,28 @@ func TestNewSpawnsNoProc(t *testing.T) {
 // fewer resumes. A Sync Log waits on the same Call as LogCall, so the proc
 // run is also held to pinned literals.
 func TestLogCallMatchesLog(t *testing.T) {
-	rotating := CommunityParams()
-	rotating.RotateEvery, rotating.RotateCPU = 5, 10*sim.Microsecond
-	bounded := AFCephParams()
-	bounded.MemoryLimit = 2
+	bounded := afcephParams()
+	bounded.memoryLimit = 2
 	cases := []struct {
 		name   string
 		mode   Mode
-		params Params
+		params params
 		// The all-proc run's completion trace and kernel counters,
 		// recorded when a Sync Log waited on an event of its own.
 		trace               string
 		dispatched, resumes uint64
 	}{
-		{"sync", Sync, CommunityParams(),
+		{"sync", Sync, communityParams(),
 			"[12.552us:s0.0 23.652us:s1.0 34.698us:s2.0 45.726us:s3.0 56.736us:s4.0 67.746us:s5.0 " +
 				"78.756us:s0.1 89.766us:s1.1 100.758us:s2.1 111.750us:s3.1 122.742us:s4.1 133.716us:s5.1]", 52, 38},
-		{"sync-rotating", Sync, rotating,
-			"[12.552us:s0.0 33.652us:s1.0 44.662us:s2.0 65.672us:s3.0 86.664us:s4.0 97.656us:s5.0 " +
-				"118.648us:s0.1 129.640us:s1.1 150.614us:s2.1 171.588us:s3.1 182.562us:s4.1 203.536us:s5.1]", 59, 38},
 		{"async-bounded", Async, bounded,
 			"[300ns:s0.0 300ns:s1.0 600ns:s0.1 600ns:s1.1 14.352us:s2.0 14.652us:s3.0 " +
 				"14.952us:s4.0 15.252us:s5.0 15.552us:s2.1 17.052us:s3.1 25.404us:s4.1 29.604us:s5.1]", 67, 32},
 	}
-	run := func(mode Mode, params Params, convert bool) ([]string, *Logger, *sim.Kernel) {
+	run := func(mode Mode, p params, convert bool) ([]string, *Logger, *sim.Kernel) {
 		k := sim.NewKernel()
 		node := cpumodel.NewNode(k, "node", 2, cpumodel.JEMalloc)
-		l := New(k, "osd0", node, mode, params)
+		l := newLogger(k, "osd0", node, mode, p)
 		var trace []string
 		note := func(i, step int) { trace = append(trace, fmt.Sprintf("%v:s%d.%d", k.Now(), i, step)) }
 		for i := 0; i < 6; i++ {
@@ -274,7 +269,7 @@ func TestLogCallMatchesLog(t *testing.T) {
 			}
 			sp, sc := lp.Stats(), lc.Stats()
 			if sc.BlockTime.Value() != sp.BlockTime.Value() || sc.Entries.Value() != sp.Entries.Value() ||
-				sc.Dropped.Value() != sp.Dropped.Value() || sc.Rotations.Value() != sp.Rotations.Value() {
+				sc.Dropped.Value() != sp.Dropped.Value() {
 				t.Fatalf("stats differ: callbacks %+v, procs %+v", *sc, *sp)
 			}
 			if tc.mode == Sync && sp.BlockTime.Value() == 0 {

@@ -29,7 +29,7 @@ func runProfile(t *testing.T, name string, osdCfg osd.Config, seed uint64) {
 }
 
 func TestStressCommunity(t *testing.T) {
-	runProfile(t, "community", osd.CommunityConfig(), 1)
+	runProfile(t, "community", osd.Community().Config(), 1)
 }
 
 func TestStressAFCeph(t *testing.T) {
@@ -144,7 +144,7 @@ func TestStressHDDThrottleProfile(t *testing.T) {
 	// Community throttles with AFCeph speed elsewhere: heavy backpressure
 	// through the 50-op filestore throttle must not deadlock.
 	osdCfg := osd.AFCeph().Config()
-	osdCfg.Throttles = osd.CommunityConfig().Throttles
+	osdCfg.Throttles = osd.Community().Config().Throttles
 	cfg := DefaultStress(osdCfg)
 	res := RunStress(cfg)
 	if res.Failed() {

@@ -11,22 +11,16 @@ import (
 	"repro/internal/stats"
 )
 
-// DirectConfig configures the direct-write backend.
-type DirectConfig struct {
-	// WALThreshold: writes of at most this many bytes ride the KV WAL
+const (
+	// walThreshold: writes of at most this many bytes ride the KV WAL
 	// (deferred write — payload committed with the metadata batch,
 	// flushed to the device extent after the ack). Larger writes go
-	// straight to the device with a metadata-only KV commit.
-	WALThreshold int64
-	// SyscallCost is the CPU charge per direct-I/O submission.
-	SyscallCost sim.Time
-}
-
-// DefaultDirectConfig returns flash-era defaults (BlueStore's deferred
-// threshold generation: 64 KiB).
-func DefaultDirectConfig() DirectConfig {
-	return DirectConfig{WALThreshold: 64 << 10, SyscallCost: 2 * sim.Microsecond}
-}
+	// straight to the device with a metadata-only KV commit. 64 KiB is
+	// BlueStore's deferred threshold generation.
+	walThreshold = 64 << 10
+	// directSyscallCost is the CPU charge per direct-I/O submission.
+	directSyscallCost = 2 * sim.Microsecond
+)
 
 // DirectStats aggregates direct-write backend activity.
 type DirectStats struct {
@@ -50,14 +44,13 @@ type DirectStore struct {
 	fs   *filestore.FileStore
 	db   *kvstore.DB
 	node *cpumodel.Node
-	cfg  DirectConfig
 
 	rlog       replayLog
 	walPending int64 // committed-but-unflushed WAL payload bytes
 	walSeq     uint64
 	keyBuf     []byte
 	// walBuf is the payload every small write hands the KV WAL: the store
-	// keeps only its length, so one zero buffer of WALThreshold bytes
+	// keeps only its length, so one zero buffer of walThreshold bytes
 	// serves every write.
 	walBuf []byte
 	// Scratch pool for KV batches: several commits and flushes can be in
@@ -70,15 +63,8 @@ type DirectStore struct {
 
 // NewDirectStore builds the backend over the filestore's object table,
 // device and KV store.
-func NewDirectStore(k *sim.Kernel, fs *filestore.FileStore, node *cpumodel.Node, cfg DirectConfig) *DirectStore {
-	def := DefaultDirectConfig()
-	if cfg.WALThreshold <= 0 {
-		cfg.WALThreshold = def.WALThreshold
-	}
-	if cfg.SyscallCost <= 0 {
-		cfg.SyscallCost = def.SyscallCost
-	}
-	return &DirectStore{k: k, fs: fs, db: fs.DB(), node: node, cfg: cfg, walBuf: make([]byte, cfg.WALThreshold)}
+func NewDirectStore(k *sim.Kernel, fs *filestore.FileStore, node *cpumodel.Node) *DirectStore {
+	return &DirectStore{k: k, fs: fs, db: fs.DB(), node: node, walBuf: make([]byte, walThreshold)}
 }
 
 // Name returns "directstore".
@@ -118,7 +104,7 @@ func (d *DirectStore) putOps(s []kvstore.Op) {
 // never torn metadata.
 func (d *DirectStore) CommitCall(t *Txn, meta *filestore.Transaction) {
 	ops := d.getOps()
-	t.small = t.Len > 0 && t.Len <= d.cfg.WALThreshold
+	t.small = t.Len > 0 && t.Len <= walThreshold
 	if t.small {
 		d.walSeq++
 		b := append(d.keyBuf[:0], "dwal."...)
@@ -147,7 +133,7 @@ func txnDone(t *Txn) { t.Done(t.Arg) }
 func (d *DirectStore) write(t *Txn) {
 	t.work.Done, t.work.Arg = dsCharged, t
 	t.io.Done, t.io.Arg = dsApplyOps, t
-	d.node.UseCall(&t.work, d.cfg.SyscallCost)
+	d.node.UseCall(&t.work, directSyscallCost)
 }
 
 func dsCharged(a any) {

@@ -77,7 +77,7 @@ func TestBackendContract(t *testing.T) {
 			if name == BackendFileStore {
 				b = NewFileStoreBackend(w.k, w.fs, w.nvram, 8<<20)
 			} else {
-				b = NewDirectStore(w.k, w.fs, w.node, DirectConfig{})
+				b = NewDirectStore(w.k, w.fs, w.node)
 			}
 			b.Reopen("g0")
 			if b.Name() != name {
@@ -119,7 +119,7 @@ func TestBackendIntegrityContract(t *testing.T) {
 			if name == BackendFileStore {
 				b = NewFileStoreBackend(w.k, w.fs, w.nvram, 8<<20)
 			} else {
-				b = NewDirectStore(w.k, w.fs, w.node, DirectConfig{})
+				b = NewDirectStore(w.k, w.fs, w.node)
 			}
 			b.Reopen("g0")
 			w.k.Go("io", func(p *sim.Proc) {
@@ -205,7 +205,7 @@ func TestBackendReplay(t *testing.T) {
 			if name == BackendFileStore {
 				b = NewFileStoreBackend(w.k, w.fs, w.nvram, 8<<20)
 			} else {
-				b = NewDirectStore(w.k, w.fs, w.node, DirectConfig{})
+				b = NewDirectStore(w.k, w.fs, w.node)
 			}
 			b.Reopen("g0")
 			const n = 5
@@ -275,19 +275,19 @@ func TestBackendReplay(t *testing.T) {
 // WAL credit.
 func TestDirectStoreWALThreshold(t *testing.T) {
 	w := newWorld()
-	d := NewDirectStore(w.k, w.fs, w.node, DirectConfig{WALThreshold: 16 << 10})
+	d := NewDirectStore(w.k, w.fs, w.node)
 	d.Reopen("g0")
 	w.k.Go("io", func(p *sim.Proc) {
-		small := txn(1, "small", 16<<10, 7) // exactly at threshold: WAL
-		await(p, d.CommitCall, small, meta("small", 0, 16<<10, 7))
+		small := txn(1, "small", walThreshold, 7) // exactly at threshold: WAL
+		await(p, d.CommitCall, small, meta("small", 0, walThreshold, 7))
 		d.Committed(small)
-		if got := d.PendingBytes(); got != 16<<10 {
-			t.Errorf("WAL credit after small commit = %d, want %d", got, 16<<10)
+		if got := d.PendingBytes(); got != walThreshold {
+			t.Errorf("WAL credit after small commit = %d, want %d", got, walThreshold)
 		}
-		large := txn(2, "large", 16<<10+1, 8) // one past threshold: direct
-		await(p, d.CommitCall, large, meta("large", 0, 16<<10+1, 8))
+		large := txn(2, "large", walThreshold+1, 8) // one past threshold: direct
+		await(p, d.CommitCall, large, meta("large", 0, walThreshold+1, 8))
 		d.Committed(large)
-		if got := d.PendingBytes(); got != 16<<10 {
+		if got := d.PendingBytes(); got != walThreshold {
 			t.Errorf("large write took WAL credit: pending = %d", got)
 		}
 		await(p, d.ApplyCall, small, nil)
@@ -300,7 +300,7 @@ func TestDirectStoreWALThreshold(t *testing.T) {
 	if st.SmallWrites.Value() != 1 || st.LargeWrites.Value() != 1 {
 		t.Fatalf("small=%d large=%d, want 1/1", st.SmallWrites.Value(), st.LargeWrites.Value())
 	}
-	if st.WALBytes.Value() != 16<<10 || st.DirectBytes.Value() != 16<<10+1 {
+	if st.WALBytes.Value() != walThreshold || st.DirectBytes.Value() != walThreshold+1 {
 		t.Fatalf("wal=%d direct=%d bytes", st.WALBytes.Value(), st.DirectBytes.Value())
 	}
 	if st.Flushes.Value() != 1 {
@@ -317,7 +317,7 @@ func TestDirectStoreWALThreshold(t *testing.T) {
 // may not go negative and pending counts stay zero.
 func TestDirectStoreZombieApply(t *testing.T) {
 	w := newWorld()
-	d := NewDirectStore(w.k, w.fs, w.node, DirectConfig{})
+	d := NewDirectStore(w.k, w.fs, w.node)
 	d.Reopen("g0")
 	tx := txn(1, "obj", 4096, 9)
 	w.k.Go("commit", func(p *sim.Proc) {
