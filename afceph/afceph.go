@@ -135,7 +135,7 @@ func (cfg Config) params() cluster.Params {
 // Close releases the simulated processes the cluster still has parked.
 // Call it once the results have been read; the cluster must not run again
 // afterwards.
-func (c *Cluster) Close() { c.inner.Close() }
+func (c *Cluster) Close() { c.inner.Close() } //afvet:allow unused afceph_test.go checks that it ends every parked proc
 
 // Internal exposes the underlying cluster for advanced instrumentation
 // (benchmark harnesses); ordinary users should not need it.
@@ -369,9 +369,6 @@ func (d *Device) Write(ctx *Ctx, off, size int64, stamp uint64) {
 func (d *Device) Read(ctx *Ctx, off, size int64) (stamp uint64, exists bool) {
 	return d.bd.ReadAt(ctx.p, off, size)
 }
-
-// Size returns the device capacity.
-func (d *Device) Size() int64 { return d.bd.Size() }
 
 // Run executes fn as a simulated process and drives the cluster until fn
 // and all I/O it issued complete.

@@ -54,7 +54,7 @@ func TestScriptedWriteRead(t *testing.T) {
 		d := ctx.OpenDevice("img", 64<<20)
 		d.Write(ctx, 0, 4096, 1234)
 		stamp, exists = d.Read(ctx, 0, 4096)
-		if d.Size() != 64<<20 {
+		if d.bd.Size() != 64<<20 {
 			t.Error("size wrong")
 		}
 	})

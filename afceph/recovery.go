@@ -74,16 +74,6 @@ func (c *Cluster) RecoverOSD(id int) RecoveryReport {
 	return reportFromStats(c.inner.RecoverOSD(id))
 }
 
-// Repair heals everything Scrub finds (replica divergence, checksum
-// damage, stray copies), modelling `ceph pg repair`. Returns the number of
-// copies healed. Quiescent-cluster call — from scripted I/O use Ctx.Repair.
-func (c *Cluster) Repair() int { return c.inner.Repair() }
-
-// StopHeartbeats shuts down the failure detector so the simulation can
-// drain. Required at the end of any scripted run on a cluster built with
-// Config.HeartbeatMs > 0; safe to call when heartbeats are off.
-func (c *Cluster) StopHeartbeats() { c.inner.StopHeartbeats() }
-
 // DownsDetected reports how many OSD failures the heartbeat monitor
 // detected on its own (zero when heartbeats are disabled or every down was
 // administrative).
@@ -118,12 +108,6 @@ func (c *Cluster) ScrubStats() ScrubReport {
 	}
 }
 
-// CrashOSD is the scripted-I/O variant: crash an OSD mid-workload.
-func (ctx *Ctx) CrashOSD(id int) { ctx.c.inner.CrashOSD(id) }
-
-// FailOSD is the scripted-I/O variant of Cluster.FailOSD.
-func (ctx *Ctx) FailOSD(id int) { ctx.c.inner.FailOSD(id) }
-
 // RestartOSD reboots a crashed OSD from inside a scripted run; the journal
 // replay I/O advances this script's virtual clock.
 func (ctx *Ctx) RestartOSD(id int) int { return ctx.c.inner.RestartOSDIn(ctx.p, id) }
@@ -135,17 +119,10 @@ func (ctx *Ctx) RecoverOSD(id int) RecoveryReport {
 	return reportFromStats(ctx.c.inner.RecoverOSDIn(ctx.p, id))
 }
 
-// Repair is the scripted-I/O variant of Cluster.Repair.
-func (ctx *Ctx) Repair() int { return ctx.c.inner.RepairIn(ctx.p) }
-
-// OSDDown is the scripted-I/O variant of Cluster.OSDDown.
-func (ctx *Ctx) OSDDown(id int) bool { return ctx.c.inner.Down(id) }
-
-// StopHeartbeats is the scripted-I/O variant of Cluster.StopHeartbeats.
+// StopHeartbeats shuts down the failure detector so the simulation can
+// drain. Required at the end of any scripted run on a cluster built with
+// Config.HeartbeatMs > 0; safe to call when heartbeats are off.
 func (ctx *Ctx) StopHeartbeats() { ctx.c.inner.StopHeartbeats() }
-
-// StopScrub is the scripted-I/O variant of Cluster.StopScrub.
-func (ctx *Ctx) StopScrub() { ctx.c.inner.StopScrub() }
 
 // Scrub runs the cluster-wide consistency check and returns human-readable
 // findings: replication placement, replica version agreement, deep-scrub
@@ -159,6 +136,3 @@ func (c *Cluster) Scrub() []string {
 	out = append(out, c.inner.ScrubPGLogs()...)
 	return out
 }
-
-// NumOSDs returns the number of OSDs in the cluster.
-func (c *Cluster) NumOSDs() int { return len(c.inner.OSDs()) }

@@ -46,8 +46,8 @@ func TestFailRecoverScrubCycle(t *testing.T) {
 
 func TestNumOSDs(t *testing.T) {
 	c := New(miniConfig(Community()))
-	if c.NumOSDs() != 4 {
-		t.Fatalf("NumOSDs = %d", c.NumOSDs())
+	if n := len(c.inner.OSDs()); n != 4 {
+		t.Fatalf("NumOSDs = %d", n)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestCrashRestartRecoverViaFacade(t *testing.T) {
 		},
 		func(ctx *Ctx) {
 			ctx.SleepMs(15)
-			ctx.CrashOSD(1) // crash mid-workload; clients must retry
+			ctx.c.inner.CrashOSD(1) // crash mid-workload; clients must retry
 			retried = true
 		},
 	)
@@ -109,7 +109,7 @@ func TestHeartbeatDetectionViaFacade(t *testing.T) {
 		ctx.SleepMs(10)
 		c.Internal().OSDs()[2].Crash() // silent: only heartbeats can notice
 		ctx.SleepMs(60)
-		down = ctx.OSDDown(2)
+		down = ctx.c.inner.Down(2)
 		ctx.StopHeartbeats()
 	})
 	if !down {

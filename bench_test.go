@@ -437,7 +437,7 @@ func BenchmarkSimQueueHandoff(b *testing.B) {
 	})
 	b.ResetTimer()
 	k.Run(sim.Time(b.N)) // ~1 handoff per ns of virtual time
-	k.Stop()
+	k.Close()
 }
 
 func BenchmarkHistogramRecord(b *testing.B) {
@@ -503,7 +503,7 @@ func BenchmarkKV_WriteAmp(b *testing.B) {
 				k.Go("w", func(p *sim.Proc) {
 					total := 256 << 10
 					for j := 0; j < total/valSize; j++ {
-						db.Put(p, fmt.Sprintf("key%06d", j), make([]byte, valSize))
+						db.Apply(p, []kvstore.Op{{Key: fmt.Sprintf("key%06d", j), Value: make([]byte, valSize)}})
 					}
 				})
 				k.Run(sim.Forever)

@@ -22,7 +22,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/figures"
@@ -30,31 +32,80 @@ import (
 	"repro/internal/prof"
 )
 
-func main() {
+// allFigures are the figures -fig all runs; extraFigures are the ones run
+// only by name.
+var (
+	allFigures   = []string{"1", "3", "4", "9", "10", "11", "12", "breakdown", "backends", "scrub", "scenarios", "ecvsrep"}
+	extraFigures = []string{"load", "mixed", "dropin"}
+)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is afbench with its arguments and streams, returning the exit
+// status: 2 for a bad flag, 1 for a failed write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("afbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		figList   = flag.String("fig", "all", "comma-separated figure list: 1,3,4,9,10,11,12,breakdown,backends,scrub,scenarios,ecvsrep,load,mixed,dropin or 'all'")
-		scale     = flag.Float64("scale", 0.25, "experiment scale in (0,1]: multiplies VM counts and runtimes")
-		runtime   = flag.Float64("runtime", 2.0, "measured seconds per point at scale=1")
-		ramp      = flag.Float64("ramp", 0.6, "warm-up seconds per point at scale=1")
-		journalMB = flag.Int("journal-mb", 96, "per-OSD journal ring MB (0 = paper's 2GB)")
-		seed      = flag.Uint64("seed", 1, "random seed (runs are deterministic per seed)")
-		series    = flag.Bool("series", false, "also dump time series data (fig 4)")
-		csv       = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-		vms       = flag.String("vms", "", "override Fig10 VM counts, e.g. 10,40,80")
-		panels    = flag.String("panels", "", "restrict Fig10 panels, e.g. 4K-randwrite,seq-write")
-		nodes     = flag.String("nodes", "", "override Fig12 node counts, e.g. 4,8,16")
-		perfDump  = flag.Bool("perf-dump", false, "with breakdown: also print the cluster perf-counter dump (JSON)")
-		traceOut  = flag.String("trace-out", "", "with breakdown: write the breakdown table as CSV to this file")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		figList   = fs.String("fig", "all", "comma-separated figure list: 1,3,4,9,10,11,12,breakdown,backends,scrub,scenarios,ecvsrep,load,mixed,dropin or 'all'")
+		scale     = fs.Float64("scale", 0.25, "experiment scale in (0,1]: multiplies VM counts and runtimes")
+		runtime   = fs.Float64("runtime", 2.0, "measured seconds per point at scale=1")
+		ramp      = fs.Float64("ramp", 0.6, "warm-up seconds per point at scale=1")
+		journalMB = fs.Int("journal-mb", 96, "per-OSD journal ring MB (0 = paper's 2GB)")
+		seed      = fs.Uint64("seed", 1, "random seed (runs are deterministic per seed)")
+		series    = fs.Bool("series", false, "also dump time series data (fig 4)")
+		csv       = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
+		vms       = fs.String("vms", "", "override Fig10 VM counts, e.g. 10,40,80")
+		panels    = fs.String("panels", "", "restrict Fig10 panels, e.g. 4K-randwrite,seq-write")
+		nodes     = fs.String("nodes", "", "override Fig12 node counts, e.g. 4,8,16")
+		perfDump  = fs.Bool("perf-dump", false, "with breakdown: also print the cluster perf-counter dump (JSON)")
+		traceOut  = fs.String("trace-out", "", "with breakdown: write the breakdown table as CSV to this file")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	bad := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "afbench: "+format+"\n", a...)
+		return 2
+	}
+	switch {
+	case *scale <= 0 || *scale > 1:
+		return bad("-scale must be in (0,1]")
+	case *runtime <= 0:
+		return bad("-runtime must be positive")
+	case *ramp < 0:
+		return bad("-ramp must not be negative")
+	}
+	list := *figList
+	if list == "all" {
+		list = strings.Join(allFigures, ",")
+	}
+	figs, err := names("-fig", list, append(allFigures, extraFigures...))
+	if err != nil {
+		return bad("%v", err)
+	}
+	want := map[string]bool{}
+	for _, f := range figs {
+		want[f] = true
+	}
+	var panelList []string
+	if *panels != "" {
+		if panelList, err = names("-panels", *panels, figures.Fig10Panels()); err != nil {
+			return bad("%v", err)
+		}
+	}
+	vmCounts, err := counts("-vms", *vms)
+	if err != nil {
+		return bad("%v", err)
+	}
+	nodeCounts, err := counts("-nodes", *nodes)
+	if err != nil {
+		return bad("%v", err)
+	}
 	defer prof.Start(*cpuProf, *memProf)()
 
-	if *scale <= 0 || *scale > 1 {
-		fmt.Fprintln(os.Stderr, "afbench: -scale must be in (0,1]")
-		os.Exit(2)
-	}
 	opt := figures.Options{
 		Scale:      *scale,
 		RuntimeSec: *runtime,
@@ -62,46 +113,14 @@ func main() {
 		JournalMB:  *journalMB,
 		Seed:       *seed,
 	}
-
-	want := map[string]bool{}
-	if *figList == "all" {
-		for _, f := range []string{"1", "3", "4", "9", "10", "11", "12", "breakdown", "backends", "scrub", "scenarios", "ecvsrep"} {
-			want[f] = true
-		}
-	} else {
-		for _, f := range strings.Split(*figList, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-
-	parseInts := func(s string) []int {
-		if s == "" {
-			return nil
-		}
-		var out []int
-		for _, part := range strings.Split(s, ",") {
-			var v int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &v); err != nil {
-				fmt.Fprintf(os.Stderr, "afbench: bad integer list %q\n", s)
-				os.Exit(2)
-			}
-			out = append(out, v)
-		}
-		return out
-	}
-	var panelList []string
-	if *panels != "" {
-		panelList = strings.Split(*panels, ",")
-	}
-
 	emit := func(rep figures.Report) {
 		if *csv {
-			fmt.Printf("# %s\n%s\n", rep.Title, rep.CSV())
+			fmt.Fprintf(stdout, "# %s\n%s\n", rep.Title, rep.CSV())
 		} else {
-			fmt.Println(rep.String())
+			fmt.Fprintln(stdout, rep.String())
 		}
 		if *series && len(rep.Series) > 0 {
-			fmt.Println(figures.RenderSeries(rep))
+			fmt.Fprintln(stdout, figures.RenderSeries(rep))
 		}
 	}
 
@@ -118,13 +137,13 @@ func main() {
 		emit(figures.Fig9(opt))
 	}
 	if want["10"] {
-		emit(figures.Fig10(opt, parseInts(*vms), panelList))
+		emit(figures.Fig10(opt, vmCounts, panelList))
 	}
 	if want["11"] {
 		emit(figures.Fig11(opt))
 	}
 	if want["12"] {
-		emit(figures.Fig12(opt, parseInts(*nodes)))
+		emit(figures.Fig12(opt, nodeCounts))
 	}
 	if want["breakdown"] {
 		var rep figures.Report
@@ -136,12 +155,12 @@ func main() {
 		}
 		emit(rep)
 		if perf != "" {
-			fmt.Println(perf)
+			fmt.Fprintln(stdout, perf)
 		}
 		if *traceOut != "" {
 			if err := os.WriteFile(*traceOut, []byte(rep.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "afbench:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "afbench:", err)
+				return 1
 			}
 		}
 	}
@@ -167,4 +186,39 @@ func main() {
 		emit(figures.LatencyVsLoad(opt, "community", osd.Community()))
 		emit(figures.LatencyVsLoad(opt, "afceph", osd.AFCeph()))
 	}
+	return 0
+}
+
+// names splits the comma-separated list given to option and checks each
+// name against valid.
+func names(option, list string, valid []string) ([]string, error) {
+	var out []string
+	for _, n := range strings.Split(list, ",") {
+		n = strings.TrimSpace(n)
+		if !slices.Contains(valid, n) {
+			return nil, fmt.Errorf("%s: unknown name %q (valid: %s)", option, n, strings.Join(valid, ","))
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// counts parses the comma-separated list of counts given to option; every
+// entry must be at least 1. An empty list means the figure's default.
+func counts(option, list string) ([]int, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(list, ",") {
+		var v int
+		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &v); err != nil {
+			return nil, fmt.Errorf("%s: bad integer list %q", option, list)
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("%s: %d is below 1", option, v)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

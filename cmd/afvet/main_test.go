@@ -114,3 +114,17 @@ func TestUnknownAnalyzer(t *testing.T) {
 		t.Errorf("stderr missing unknown-analyzer message: %s", stderr.String())
 	}
 }
+
+// TestUnusedPartialLoad: a load that leaves out a package's importers
+// must not report their references as missing. ./internal/sim alone has
+// no importer loaded, so unused reports nothing on it.
+func TestUnusedPartialLoad(t *testing.T) {
+	dir, err := filepath.Abs(filepath.Join("..", "..", "internal", "sim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-only", "unused", dir}, &stdout, &stderr); code != 0 || stdout.Len() > 0 {
+		t.Fatalf("exit = %d, want 0 with no output\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+}

@@ -65,7 +65,7 @@ func main() {
 		// The fault: first degrade osd.1's data device (a failing disk
 		// serving I/O at 1/50th speed — journaled writes back up behind the
 		// slow applies), then kill the daemon 30ms in, while writes are in
-		// flight. Ctx.CrashOSD would also tell the cluster map (an operator
+		// flight. Cluster.CrashOSD would also tell the cluster map (an operator
 		// watching the crash); killing the daemon directly is truly silent,
 		// so only the heartbeat monitor can mark it down.
 		func(ctx *afceph.Ctx) {

@@ -1,4 +1,4 @@
-// Package analysis assembles the afvet lint suite: seven project-specific
+// Package analysis assembles the afvet lint suite: eight project-specific
 // analyzers that reject, at lint time, the classes of bug the golden-hash
 // and -race suites can only catch after the fact. The analyzers and the
 // invariants they enforce are specified in DESIGN.md §9 and §14; the
@@ -16,6 +16,7 @@ import (
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/logpath"
 	"repro/internal/analysis/poolsafe"
+	"repro/internal/analysis/unused"
 )
 
 // All returns the afvet analyzers in stable order.
@@ -28,6 +29,7 @@ func All() []*driver.Analyzer {
 		lockorder.Analyzer,
 		logpath.Analyzer,
 		poolsafe.Analyzer,
+		unused.Analyzer,
 	}
 }
 

@@ -38,7 +38,7 @@ type lineKey struct {
 
 // Run loads each fixture package (a path relative to testdata/src) and
 // checks analyzer's diagnostics against the fixtures' want comments.
-func Run(t *testing.T, testdata string, a *driver.Analyzer, fixtures ...string) {
+func Run(t *testing.T, testdata string, a *driver.Analyzer, fixtures ...string) { //afvet:allow unused every analyzer's _test.go checks its fixtures through it
 	t.Helper()
 	for _, fx := range fixtures {
 		dir, err := filepath.Abs(filepath.Join(testdata, "src", fx))

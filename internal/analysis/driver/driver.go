@@ -63,6 +63,13 @@ type Pass struct {
 	// accessors on Summaries are nil-safe.
 	Summaries *Summaries
 
+	// Loaded lists every package of the run, and ImportersLoaded says
+	// whether it includes every module package that imports this one
+	// (Package.ImportersLoaded). A check that needs the whole program,
+	// such as unused, reports nothing on a partial load.
+	Loaded          []*Package
+	ImportersLoaded bool
+
 	diags *[]Diagnostic
 }
 
@@ -117,15 +124,17 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Syntax,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-				PkgPath:   pkg.PkgPath,
-				Dir:       pkg.Dir,
-				Summaries: pkg.Summaries,
-				diags:     &pkgDiags,
+				Analyzer:        a,
+				Fset:            pkg.Fset,
+				Files:           pkg.Syntax,
+				Pkg:             pkg.Types,
+				TypesInfo:       pkg.TypesInfo,
+				PkgPath:         pkg.PkgPath,
+				Dir:             pkg.Dir,
+				Summaries:       pkg.Summaries,
+				Loaded:          pkgs,
+				ImportersLoaded: pkg.ImportersLoaded,
+				diags:           &pkgDiags,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)

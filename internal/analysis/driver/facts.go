@@ -16,6 +16,8 @@ package driver
 // summarized from source composes with the same package imported from
 // export data. Dynamic calls (func values, interface methods) have no
 // callee facts; each client analyzer documents how it treats that edge.
+// Refs is the exception to "may do": it lists every module-internal
+// function a body names, called or not, for the unused analyzer.
 
 import (
 	"go/ast"
@@ -93,10 +95,12 @@ type FuncFacts struct {
 	// Writes made by func init() are excluded: initialization happens
 	// before any simulated execution starts.
 	WritesGlobals []string `json:"writes_globals,omitempty"`
-	// Calls lists the module-internal functions the function statically
-	// calls (the call-graph edges the transitive facts were closed
-	// over).
-	Calls []FuncID `json:"calls,omitempty"`
+	// Refs lists the module-internal functions and concrete methods the
+	// body references: called, taken as a method value or used as a func
+	// value. The entry for the package's init also holds the references
+	// made by package-level variable initializers, which run as part of
+	// package initialization.
+	Refs []FuncID `json:"refs,omitempty"`
 }
 
 // PkgFacts is one package's persisted summary.
@@ -142,12 +146,23 @@ func (s *Summaries) Facts(id FuncID) *FuncFacts {
 	return nil
 }
 
-// Pkg returns the summary of the package at path, or nil.
-func (s *Summaries) Pkg(path string) *PkgFacts {
+// Referenced returns the set of functions that some summarized function
+// other than themselves references.
+func (s *Summaries) Referenced() map[FuncID]bool {
+	out := map[FuncID]bool{}
 	if s == nil {
-		return nil
+		return out
 	}
-	return s.pkgs[path]
+	for _, pf := range s.pkgs {
+		for caller, f := range pf.Funcs {
+			for _, id := range f.Refs {
+				if id != caller {
+					out[id] = true
+				}
+			}
+		}
+	}
+	return out
 }
 
 func (s *Summaries) add(pf *PkgFacts) { s.pkgs[pf.Path] = pf }
@@ -181,19 +196,30 @@ func ComputeFacts(pkg *Package, s *Summaries) *PkgFacts {
 	for _, f := range pkg.Syntax {
 		fc.trackFileAssigns(f)
 	}
+	seedOf := func(id FuncID) *funcSeed {
+		sd := seeds[id]
+		if sd == nil {
+			sd = &funcSeed{}
+			seeds[id] = sd
+			order = append(order, id)
+		}
+		return sd
+	}
 	for _, f := range pkg.Syntax {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				fn, _ := pkg.TypesInfo.Defs[decl.Name].(*types.Func)
+				if decl.Body == nil || fn == nil {
+					continue
+				}
+				// Every init of the package shares one entry.
+				fc.seed(seedOf(IDOf(fn)), decl, fn)
+			case *ast.GenDecl:
+				if decl.Tok == token.VAR {
+					fc.addRefs(&seedOf(FuncID(pkg.PkgPath+".init")).facts.Refs, decl)
+				}
 			}
-			fn, _ := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			id := IDOf(fn)
-			seeds[id] = fc.seed(fd, fn)
-			order = append(order, id)
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
@@ -250,7 +276,7 @@ func ComputeFacts(pkg *Package, s *Summaries) *PkgFacts {
 		sort.Ints(f.ReleasesParams)
 		sort.Ints(f.RetainsParams)
 		sort.Strings(f.WritesGlobals)
-		sortIDs(f.Calls)
+		sortIDs(f.Refs)
 		pf.Funcs[id] = f
 	}
 	return pf
@@ -347,9 +373,31 @@ func MutexLockCall(info *types.Info, call *ast.CallExpr) (ast.Expr, string) {
 	return sel.X, name
 }
 
-// seed computes fd's intraprocedural facts and call sites.
-func (fc *factsCollector) seed(fd *ast.FuncDecl, fn *types.Func) *funcSeed {
-	sd := &funcSeed{}
+// addRefs adds to refs every module-internal function or concrete method
+// that node references.
+func (fc *factsCollector) addRefs(refs *[]FuncID, node ast.Node) {
+	prefix := modulePrefixOf(fc.pkg.PkgPath)
+	ast.Inspect(node, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		fn, ok := fc.pkg.TypesInfo.Uses[id].(*types.Func)
+		if !ok {
+			return true
+		}
+		if sig := fn.Type().(*types.Signature); sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+			return true // an abstract method: no body to keep alive
+		}
+		if ref := IDOf(fn); strings.HasPrefix(string(ref), prefix) {
+			addID(refs, ref)
+		}
+		return true
+	})
+}
+
+// seed adds fd's intraprocedural facts and call sites to sd.
+func (fc *factsCollector) seed(sd *funcSeed, fd *ast.FuncDecl, fn *types.Func) {
 	info := fc.pkg.TypesInfo
 	sig := fn.Type().(*types.Signature)
 	isInit := fd.Recv == nil && fd.Name.Name == "init"
@@ -408,9 +456,6 @@ func (fc *factsCollector) seed(fd *ast.FuncDecl, fn *types.Func) *funcSeed {
 				}
 			}
 			sd.calls = append(sd.calls, cs)
-			if strings.HasPrefix(string(id), modulePrefixOf(fc.pkg.PkgPath)) {
-				addID(&sd.facts.Calls, id)
-			}
 			// Primitive pool release: (*sync.Pool).Put(param).
 			if callee.Name() == "Put" && NamedIs(RecvNamed(callee), "sync", "Pool") {
 				for _, arg := range n.Args {
@@ -430,7 +475,7 @@ func (fc *factsCollector) seed(fd *ast.FuncDecl, fn *types.Func) *funcSeed {
 		}
 		return true
 	})
-	return sd
+	fc.addRefs(&sd.facts.Refs, fd.Body)
 }
 
 // seedAssign harvests global writes, free-list releases, and param

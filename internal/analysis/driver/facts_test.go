@@ -43,35 +43,44 @@ func TestSummariesCrossPackageFacts(t *testing.T) {
 		{fixtureB + ".Bump", FuncFacts{WritesGlobals: []string{fixtureB + ".Counter"}}},
 		{fixtureB + ".(*Pool).Put", FuncFacts{ReleasesParams: []int{0}}},
 		{fixtureB + ".(*Pool).Keep", FuncFacts{RetainsParams: []int{0}}},
-		// Lock() is consumed as an acquisition fact, not a call edge;
-		// Get and Unlock remain ordinary module-internal edges.
+		// Lock() is an acquisition fact and a reference like any other.
 		{fixtureB + ".LockShard", FuncFacts{
 			Acquires: []int{LockPG},
-			Calls: []FuncID{
+			Refs: []FuncID{
 				"repro/internal/core.(*ShardLocks).Get",
+				"repro/internal/sim.(*Mutex).Lock",
 				"repro/internal/sim.(*Mutex).Unlock",
 			},
 		}},
+		// A method value is a reference, not a call.
+		{fixtureB + ".Later", FuncFacts{
+			Refs: []FuncID{
+				FuncID(fixtureB + ".(*Pool).Release"),
+				"repro/internal/sim.(*Kernel).AfterCall",
+			},
+		}},
+		// Package-level initializers are recorded as the package's init.
+		{fixtureB + ".init", FuncFacts{Refs: []FuncID{FuncID(fixtureB + ".Bump")}}},
 		// Facts inherited across the package boundary.
 		{fixtureA + ".CallBump", FuncFacts{
 			WritesGlobals: []string{fixtureB + ".Counter"},
-			Calls:         []FuncID{FuncID(fixtureB + ".Bump")},
+			Refs:          []FuncID{FuncID(fixtureB + ".Bump")},
 		}},
 		{fixtureA + ".CallBumpTwice", FuncFacts{
 			WritesGlobals: []string{fixtureB + ".Counter"},
-			Calls:         []FuncID{FuncID(fixtureA + ".CallBump")},
+			Refs:          []FuncID{FuncID(fixtureA + ".CallBump")},
 		}},
 		{fixtureA + ".HandOff", FuncFacts{
 			ReleasesParams: []int{1},
-			Calls:          []FuncID{FuncID(fixtureB + ".(*Pool).Put")},
+			Refs:           []FuncID{FuncID(fixtureB + ".(*Pool).Put")},
 		}},
 		{fixtureA + ".Hold", FuncFacts{
 			RetainsParams: []int{1},
-			Calls:         []FuncID{FuncID(fixtureB + ".(*Pool).Keep")},
+			Refs:          []FuncID{FuncID(fixtureB + ".(*Pool).Keep")},
 		}},
 		{fixtureA + ".UseLock", FuncFacts{
 			Acquires: []int{LockPG},
-			Calls:    []FuncID{FuncID(fixtureB + ".LockShard")},
+			Refs:     []FuncID{FuncID(fixtureB + ".LockShard")},
 		}},
 		{fixtureA + ".Pure", FuncFacts{}},
 	}
@@ -125,6 +134,32 @@ func TestSummariesCachePersistence(t *testing.T) {
 	got := pkgs[0].Summaries.Facts(FuncID(fixtureA + ".HandOff"))
 	if got == nil || !reflect.DeepEqual(got.ReleasesParams, []int{1}) {
 		t.Errorf("cached reload: Facts(HandOff) = %+v, want ReleasesParams [1]", got)
+	}
+}
+
+// TestRefsReadBackFromCache: the summary of a dependency, read back from
+// the cache rather than recomputed, carries the Refs it was computed with.
+func TestRefsReadBackFromCache(t *testing.T) {
+	pkgs := loadFixture(t, "driver/a")
+	computed := pkgs[0].Summaries.pkgs[fixtureB]
+	if computed == nil {
+		t.Fatalf("no summary of %s", fixtureB)
+	}
+	cached := loadCachedFacts(computed.Hash)
+	if cached == nil {
+		t.Fatalf("no cached summary of %s", fixtureB)
+	}
+	for _, id := range []string{".Later", ".LockShard", ".init"} {
+		id := FuncID(fixtureB + id)
+		want, got := computed.Funcs[id], cached.Funcs[id]
+		if want == nil || len(want.Refs) == 0 {
+			t.Fatalf("computed %s has no Refs", id)
+		}
+		if got == nil {
+			t.Errorf("cached summary lacks %s", id)
+		} else if !reflect.DeepEqual(got.Refs, want.Refs) {
+			t.Errorf("cached %s: Refs = %v, want %v", id, got.Refs, want.Refs)
+		}
 	}
 }
 

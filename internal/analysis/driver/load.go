@@ -30,6 +30,12 @@ type Package struct {
 	// retention, and global-write facts, closed transitively over the
 	// module call graph (facts.go).
 	Summaries *Summaries
+
+	// ImportersLoaded reports whether the same Load also loaded every
+	// package of the module that imports this one, directly or
+	// transitively. Only then do the summaries hold every reference the
+	// module makes to the package's functions.
+	ImportersLoaded bool
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -40,6 +46,7 @@ type listPkg struct {
 	GoFiles    []string
 	CgoFiles   []string
 	Imports    []string
+	Deps       []string
 	Standard   bool
 	Export     string
 	DepOnly    bool
@@ -74,27 +81,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("driver.Load: no packages given")
 	}
-	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, err := goList(dir, append([]string{"-export", "-deps", "-json"}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, err
 	}
 
 	exports := map[string]string{} // import path -> export data file
 	var order []*listPkg           // module-internal packages, dependency-first
 	moduleOf := map[string]bool{}  // import path -> module-internal
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding output: %v", err)
-		}
+	modulePath := ""
+	for _, p := range listed {
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
@@ -102,10 +98,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			exports[p.ImportPath] = p.Export
 		}
 		if p.Module != nil && p.Module.Main && len(p.GoFiles) > 0 {
-			q := p
-			order = append(order, &q)
+			order = append(order, p)
 			moduleOf[p.ImportPath] = true
+			modulePath = p.Module.Path
 		}
+	}
+	unloaded, err := importedByUnloaded(dir, modulePath, order)
+	if err != nil {
+		return nil, err
 	}
 
 	fset := token.NewFileSet()
@@ -163,6 +163,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		pkg.Summaries = summaries
+		pkg.ImportersLoaded = !unloaded[t.ImportPath]
 		pf := ComputeFacts(pkg, summaries)
 		pf.Hash = hash
 		summaries.add(pf)
@@ -171,6 +172,58 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
 	return pkgs, nil
+}
+
+// goList runs `go list` with args in dir and decodes the JSON objects it
+// prints.
+func goList(dir string, args ...string) ([]*listPkg, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %v: %v\n%s", args, err, stderr.String())
+	}
+	var pkgs []*listPkg
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		p := new(listPkg)
+		if err := dec.Decode(p); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list: decoding output: %v", err)
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// importedByUnloaded lists the module's import graph with one more `go
+// list` and returns the packages that some module package outside the
+// target set imports, directly or transitively.
+func importedByUnloaded(dir, modulePath string, order []*listPkg) (map[string]bool, error) {
+	out := map[string]bool{}
+	if modulePath == "" {
+		return out, nil
+	}
+	module, err := goList(dir, "-e", "-json=ImportPath,Deps", modulePath+"/...")
+	if err != nil {
+		return nil, err
+	}
+	target := map[string]bool{}
+	for _, t := range order {
+		if !t.DepOnly {
+			target[t.ImportPath] = true
+		}
+	}
+	for _, p := range module {
+		if !target[p.ImportPath] {
+			for _, d := range p.Deps {
+				out[d] = true
+			}
+		}
+	}
+	return out, nil
 }
 
 // parseAndCheck parses t's sources into fset and typechecks them against

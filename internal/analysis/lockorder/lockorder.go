@@ -23,18 +23,6 @@ import (
 	"repro/internal/analysis/driver"
 )
 
-// Lock classes and rank order live in the driver (facts.go) so the
-// summary layer carries them across package boundaries: a lock may only
-// be acquired while holding locks of strictly lower rank.
-const (
-	classUnknown = driver.LockNone
-	classPG      = driver.LockPG    // core.ShardLocks shard (PG) mutex
-	classDirty   = driver.LockDirty // filestore dirty-list mutex (field dirtyMu)
-	classKV      = driver.LockKV    // kvstore LSM mutex (field mu)
-)
-
-var className = driver.LockClassName
-
 // Analyzer implements the lockorder check.
 var Analyzer = &driver.Analyzer{
 	Name: "lockorder",
@@ -94,7 +82,7 @@ func (c *checker) trackAssign(as *ast.AssignStmt) {
 			continue
 		}
 		cls := c.classify(as.Rhs[i])
-		if cls == classUnknown {
+		if cls == driver.LockNone {
 			continue
 		}
 		if v, ok := c.pass.TypesInfo.Defs[id].(*types.Var); ok {
@@ -269,17 +257,17 @@ func (c *checker) checkCall(call *ast.CallExpr, held *[]heldLock) {
 	}
 	for _, cls := range facts.Acquires {
 		for _, h := range *held {
-			if h.class == classUnknown || cls == classUnknown {
+			if h.class == driver.LockNone || cls == driver.LockNone {
 				continue
 			}
 			if h.class == cls {
 				c.pass.Reportf(call.Pos(),
 					"call to %s acquires the %s while it is already held (acquired %s); sim.Mutex is not reentrant (DESIGN.md §9)",
-					name, className[cls], c.pos(h.pos))
+					name, driver.LockClassName[cls], c.pos(h.pos))
 			} else if h.class > cls {
 				c.pass.Reportf(call.Pos(),
 					"call to %s acquires the %s while holding the %s; documented order is PG/shard -> filestore dirty -> kvstore (DESIGN.md §9)",
-					name, className[cls], className[h.class])
+					name, driver.LockClassName[cls], driver.LockClassName[h.class])
 			}
 		}
 	}
@@ -287,17 +275,17 @@ func (c *checker) checkCall(call *ast.CallExpr, held *[]heldLock) {
 
 func (c *checker) acquire(call *ast.CallExpr, cls int, recv ast.Expr, held *[]heldLock) {
 	for _, h := range *held {
-		if h.class == classUnknown || cls == classUnknown {
+		if h.class == driver.LockNone || cls == driver.LockNone {
 			continue
 		}
 		if h.class == cls {
 			c.pass.Reportf(call.Pos(),
 				"acquiring the %s while already holding it (acquired %s); sim.Mutex is not reentrant (DESIGN.md §9)",
-				className[cls], c.pos(h.pos))
+				driver.LockClassName[cls], c.pos(h.pos))
 		} else if h.class > cls {
 			c.pass.Reportf(call.Pos(),
 				"lock order violation: acquiring the %s while holding the %s; documented order is PG/shard -> filestore dirty -> kvstore (DESIGN.md §9)",
-				className[cls], className[h.class])
+				driver.LockClassName[cls], driver.LockClassName[h.class])
 		}
 	}
 	*held = append(*held, heldLock{class: cls, expr: types.ExprString(recv), pos: call.Pos()})
@@ -348,7 +336,7 @@ func heldNames(held []heldLock) string {
 		if i > 0 {
 			s += ", "
 		}
-		if n, ok := className[h.class]; ok {
+		if n, ok := driver.LockClassName[h.class]; ok {
 			s += n
 		} else {
 			s += h.expr

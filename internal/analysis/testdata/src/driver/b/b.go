@@ -1,7 +1,8 @@
 // Package b is the dependency side of the driver summary-layer fixture:
 // it defines the primitive facts (a global write, a lock acquisition, a
 // pool release, a retention) that package a must observe transitively
-// through the summary table.
+// through the summary table, and references that are not calls (a method
+// value, a package-level initializer).
 package b
 
 import (
@@ -11,6 +12,10 @@ import (
 
 // Counter is package-level mutable state.
 var Counter int
+
+// OnBump is initialized at package level: the package's init references
+// Bump.
+var OnBump = Bump
 
 // Bump writes the global directly.
 func Bump() {
@@ -43,4 +48,13 @@ func LockShard(pr *sim.Proc, locks *core.ShardLocks) {
 	l := locks.Get(9)
 	l.Lock(pr)
 	l.Unlock(pr)
+}
+
+// Release returns r to the pool in callback form.
+func (p *Pool) Release(r any) { p.free = append(p.free, r.(*Rec)) }
+
+// Later hands Release to the kernel as a method value: a reference to it,
+// not a call.
+func Later(k *sim.Kernel, p *Pool, r *Rec) {
+	k.AfterCall(0, p.Release, r)
 }

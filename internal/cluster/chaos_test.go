@@ -106,7 +106,7 @@ func TestHeartbeatDetectsSilentCrash(t *testing.T) {
 	if detected != 1 {
 		t.Fatalf("DownsDetected = %d, want 1 (one crash, one report acted on)", detected)
 	}
-	if c.Epoch() == 0 {
+	if c.epoch == 0 {
 		t.Fatal("detection did not bump the map epoch")
 	}
 }

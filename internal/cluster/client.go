@@ -78,10 +78,6 @@ func (c *Cluster) NewClientTenant(tenant string) *Client {
 // Endpoint returns the client's network identity.
 func (cl *Client) Endpoint() *netsim.Endpoint { return cl.ep }
 
-// Tenant returns the tenant name stamped on this client's ops ("" for a
-// plain client).
-func (cl *Client) Tenant() string { return cl.tenant }
-
 // Retries reports how many attempts were resent after a timeout or an
 // epoch change.
 func (cl *Client) Retries() uint64 { return cl.retries }
@@ -278,11 +274,6 @@ func (img *Image) locate(off int64) (oid string, objOff int64) {
 		img.names = append(img.names, fmt.Sprintf("rbd.%s.%d", img.Name, int64(len(img.names))))
 	}
 	return img.names[idx], off % ObjectSize
-}
-
-// Objects returns the object count backing the image.
-func (img *Image) Objects() int64 {
-	return (img.Size + ObjectSize - 1) / ObjectSize
 }
 
 // BlockDevice is a client's view of an image (a mapped /dev/rbd*).

@@ -361,9 +361,6 @@ func (c *Cluster) OSDs() []*osd.OSD { return c.osds }
 // Nodes returns the server CPU nodes.
 func (c *Cluster) Nodes() []*cpumodel.Node { return c.nodes }
 
-// SSDs returns every flash device in the cluster.
-func (c *Cluster) SSDs() []*device.SSD { return c.ssds }
-
 // Map returns the CRUSH map.
 func (c *Cluster) Map() *crush.Map { return c.cmap }
 
@@ -389,22 +386,6 @@ func (c *Cluster) DiskFaults(id int) *fault.DiskFaults {
 		c.dataDevs[id].SetFaultHook(c.diskFaults[id])
 	}
 	return c.diskFaults[id]
-}
-
-// SetSustained flips the wear state of every SSD.
-func (c *Cluster) SetSustained(v bool) {
-	for _, s := range c.ssds {
-		s.SetSustained(v)
-	}
-}
-
-// TotalOSDWrites sums write ops over all OSDs (primary + replica).
-func (c *Cluster) TotalOSDWrites() uint64 {
-	var n uint64
-	for _, o := range c.osds {
-		n += o.Metrics().WriteOps.Value() + o.Metrics().RepOps.Value()
-	}
-	return n
 }
 
 // AdmissionTotals sums admission decisions over all OSD enforcement points

@@ -284,13 +284,6 @@ func TestBlockDeviceBoundsChecked(t *testing.T) {
 	c.K.Run(sim.Second)
 }
 
-func TestImageObjects(t *testing.T) {
-	img := Image{Name: "x", Size: 10 << 20}
-	if img.Objects() != 3 {
-		t.Fatalf("objects = %d, want 3 for 10MB/4MB", img.Objects())
-	}
-}
-
 func TestPrimaryForIsDeterministic(t *testing.T) {
 	c := New(smallParams(osd.Community().Config()))
 	a := c.PrimaryFor("some-object")
@@ -323,16 +316,6 @@ func TestOrderedAcksOptionDeliversInOrder(t *testing.T) {
 	}
 }
 
-func TestSetSustainedPropagates(t *testing.T) {
-	c := New(smallParams(osd.Community().Config()))
-	c.SetSustained(true)
-	for _, s := range c.SSDs() {
-		if !s.Sustained() {
-			t.Fatal("SetSustained did not propagate")
-		}
-	}
-}
-
 func TestAggregateStatsAccessors(t *testing.T) {
 	c := New(smallParams(osd.Community().Config()))
 	cl := c.NewClient()
@@ -340,8 +323,8 @@ func TestAggregateStatsAccessors(t *testing.T) {
 		cl.WriteObject(p, "o", 0, 4096, 1)
 	})
 	c.K.Run(10 * sim.Second)
-	if c.TotalOSDWrites() != 2 {
-		t.Fatalf("total OSD writes = %d, want 2", c.TotalOSDWrites())
+	if n := totalOSDWrites(c); n != 2 {
+		t.Fatalf("total OSD writes = %d, want 2", n)
 	}
 	if c.AggregateLockStats().Acquires == 0 {
 		t.Fatal("no PG lock activity recorded")

@@ -25,7 +25,7 @@ func fingerprint(seed uint64) string {
 		lastStamp, _ = bd.ReadAt(pp, 0, 4096)
 	})
 	c.K.Run(sim.Forever)
-	s := fmt.Sprintf("t=%d stamp=%d writes=%d", c.K.Now(), lastStamp, c.TotalOSDWrites())
+	s := fmt.Sprintf("t=%d stamp=%d writes=%d", c.K.Now(), lastStamp, totalOSDWrites(c))
 	ls := c.AggregateLockStats()
 	s += fmt.Sprintf(" lock=%d/%d/%d", ls.Acquires, ls.Contended, ls.WaitTime)
 	for _, o := range c.OSDs() {
@@ -47,4 +47,13 @@ func TestClusterDeterminism(t *testing.T) {
 	if a == c {
 		t.Fatal("different seeds produced identical fingerprints (suspicious)")
 	}
+}
+
+// totalOSDWrites sums write ops over all OSDs (primary + replica).
+func totalOSDWrites(c *Cluster) uint64 {
+	var n uint64
+	for _, o := range c.osds {
+		n += o.Metrics().WriteOps.Value() + o.Metrics().RepOps.Value()
+	}
+	return n
 }

@@ -43,9 +43,6 @@ import (
 // Down reports whether an OSD is failed out.
 func (c *Cluster) Down(id int) bool { return c.down[id] }
 
-// Epoch returns the OSD-map epoch (bumped by failures and recoveries).
-func (c *Cluster) Epoch() int { return c.epoch }
-
 // FailOSD administratively marks an OSD down: clients route around it (the
 // next up OSD in the CRUSH set acts as primary) and primaries stop
 // replicating to it. Writes during the outage are degraded.

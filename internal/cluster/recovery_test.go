@@ -161,11 +161,11 @@ func TestRecoveryWritesContinueCleanly(t *testing.T) {
 
 func TestEpochBumps(t *testing.T) {
 	c := New(smallParams(osd.AFCeph().Config()))
-	e0 := c.Epoch()
+	e0 := c.epoch
 	c.FailOSD(3)
 	c.RecoverOSD(3)
-	if c.Epoch() != e0+2 {
-		t.Fatalf("epoch = %d, want %d", c.Epoch(), e0+2)
+	if c.epoch != e0+2 {
+		t.Fatalf("epoch = %d, want %d", c.epoch, e0+2)
 	}
 }
 

@@ -147,7 +147,7 @@ func (c *Cluster) ScrubStats() *ScrubStats {
 
 // ScrubOrderHash returns the determinism pin over every scrub visit; two
 // runs with identical seeds and parameters must return identical hashes.
-func (c *Cluster) ScrubOrderHash() uint64 {
+func (c *Cluster) ScrubOrderHash() uint64 { //afvet:allow unused scrubsched_test.go pins the scrub visit order through it
 	if c.scrub == nil {
 		return 0
 	}
@@ -155,7 +155,7 @@ func (c *Cluster) ScrubOrderHash() uint64 {
 }
 
 // SetScrubReadTrace installs a test observer for throttled deep reads.
-func (c *Cluster) SetScrubReadTrace(fn func(at sim.Time, bytes int64)) {
+func (c *Cluster) SetScrubReadTrace(fn func(at sim.Time, bytes int64)) { //afvet:allow unused scrubsched_test.go checks the deep-read throttle through it
 	if c.scrub != nil {
 		c.scrub.readTrace = fn
 	}

@@ -59,15 +59,6 @@ func (b *TokenBucket) Take(now sim.Time, n float64) bool {
 	return true
 }
 
-// Tokens returns the balance after refilling to now (observation only).
-func (b *TokenBucket) Tokens(now sim.Time) float64 {
-	b.refill(now)
-	return b.tokens
-}
-
-// Burst returns the bucket capacity.
-func (b *TokenBucket) Burst() float64 { return b.burst }
-
 // TenantRate is one tenant's admission limit. OpsPerSec <= 0 means the
 // tenant is listed but unlimited (it is tracked, never rejected).
 type TenantRate struct {
@@ -119,7 +110,6 @@ type AdmissionStats struct {
 // always admitted without touching any state.
 type Admission struct {
 	buckets map[string]*TokenBucket
-	order   []string // tenant names in config order, for deterministic dumps
 	stats   AdmissionStats
 }
 
@@ -133,9 +123,6 @@ func NewAdmission(cfg AdmissionConfig, now sim.Time) *Admission {
 		burst := t.Burst
 		if burst <= 0 {
 			burst = t.OpsPerSec / 10
-		}
-		if _, dup := a.buckets[t.Tenant]; !dup {
-			a.order = append(a.order, t.Tenant)
 		}
 		a.buckets[t.Tenant] = NewTokenBucket(t.OpsPerSec, burst, now)
 	}
@@ -156,9 +143,3 @@ func (a *Admission) Admit(now sim.Time, tenant string) bool {
 
 // Stats returns the live decision counters.
 func (a *Admission) Stats() *AdmissionStats { return &a.stats }
-
-// Tenants returns the throttled tenant names in configuration order.
-func (a *Admission) Tenants() []string { return a.order }
-
-// Bucket returns a tenant's bucket (nil when unlimited), for observation.
-func (a *Admission) Bucket(tenant string) *TokenBucket { return a.buckets[tenant] }

@@ -75,18 +75,12 @@ func NewCompletionWorker(k *sim.Kernel, name string, locks *ShardLocks, batchMax
 // Stats returns live statistics.
 func (w *CompletionWorker) Stats() *CompletionWorkerStats { return &w.stats }
 
-// QueueLen returns queued completions.
-func (w *CompletionWorker) QueueLen() int { return w.q.Len() }
-
 // Defer queues PG-lock work. The queue is unbounded, so Defer never
 // blocks and may be called from kernel context.
 func (w *CompletionWorker) Defer(c Completion) {
 	c.At = w.k.Now()
 	w.q.TryPush(c)
 }
-
-// Close lets the worker stop once it has drained the queue.
-func (w *CompletionWorker) Close() { w.q.Close() }
 
 // Start starts the worker at the current instant, in the event slot where
 // a process spawned now would start.

@@ -19,8 +19,8 @@ func TestShardLocksLazyAndStable(t *testing.T) {
 	if s.Get(4) == a {
 		t.Fatal("different shards share a lock")
 	}
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.locks) != 2 {
+		t.Fatalf("len = %d", len(s.locks))
 	}
 }
 
@@ -72,7 +72,7 @@ func dispatchWorld(usePending bool, workers int, items []int, procTime sim.Time)
 			seq++
 			p.Sleep(0)
 		}
-		d.Close()
+		d.ready.Close()
 	})
 	k.Run(sim.Forever)
 	return order, k.Now(), d.Stats()
@@ -247,7 +247,7 @@ func TestCompletionWorkerClose(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			w.Defer(Completion{Shard: 3, Fn: func(next func(any), arg any) { ran++; next(arg) }})
 		}
-		w.Close()
+		w.q.Close()
 		p.Sleep(sim.Millisecond)
 		locks.Get(3).Unlock(p)
 	})
@@ -255,8 +255,8 @@ func TestCompletionWorkerClose(t *testing.T) {
 	if ran != 6 || w.Stats().Batches.Value() != 2 {
 		t.Fatalf("ran %d completions in %d batches, want 6 in 2", ran, w.Stats().Batches.Value())
 	}
-	if k.Live() != 0 || w.QueueLen() != 0 {
-		t.Fatalf("%d procs live, %d completions queued after close", k.Live(), w.QueueLen())
+	if k.Live() != 0 || w.q.Len() != 0 {
+		t.Fatalf("%d procs live, %d completions queued after close", k.Live(), w.q.Len())
 	}
 }
 

@@ -95,9 +95,6 @@ func (d *Dispatcher[T]) Submit(shard int, v T) {
 	d.ready.TryPush(dispItem[T]{shard: shard, val: v, at: d.k.Now()})
 }
 
-// Close wakes idle workers and lets them exit once the queue drains.
-func (d *Dispatcher[T]) Close() { d.ready.Close() }
-
 // RunWorker is one OP_WQ worker's main loop; spawn one process per worker.
 // process is invoked with the shard lock held.
 func (d *Dispatcher[T]) RunWorker(p *sim.Proc, process func(p *sim.Proc, shard int, v T)) {

@@ -70,6 +70,3 @@ func (s *ShardLocks) AggregateStats() sim.MutexStats {
 	}
 	return agg
 }
-
-// Len returns the number of instantiated shard locks.
-func (s *ShardLocks) Len() int { return len(s.locks) }

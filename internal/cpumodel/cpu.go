@@ -73,20 +73,8 @@ func NewNode(k *sim.Kernel, name string, cores int64, alloc Allocator) *Node {
 // Name returns the node name.
 func (n *Node) Name() string { return n.name }
 
-// Cores returns the configured core count.
-func (n *Node) Cores() int64 { return n.cores.Servers() }
-
-// Allocator returns the active allocator profile.
-func (n *Node) Allocator() Allocator { return n.allocator }
-
-// SetAllocator switches the allocator profile (a deploy-time tuning knob).
-func (n *Node) SetAllocator(a Allocator) { n.allocator = a }
-
 // Utilization returns the mean busy-core fraction.
 func (n *Node) Utilization() float64 { return n.cores.Utilization() }
-
-// QueueLen returns runnable work waiting for a core.
-func (n *Node) QueueLen() int { return n.cores.QueueLen() }
 
 // BusyNanos returns total CPU nanoseconds charged.
 func (n *Node) BusyNanos() uint64 { return n.busyTime.Value() }
@@ -133,7 +121,7 @@ func workDone(a any) {
 }
 
 // AllocCost returns the CPU time for `count` small heap allocations under
-// the node's current allocator and load. The returned time should then be
+// the node's allocator and load. The returned time should then be
 // charged via Use (callers usually fold it into a larger slice of work).
 func (n *Node) AllocCost(count int) sim.Time {
 	if count <= 0 {

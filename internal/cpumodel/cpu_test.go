@@ -99,20 +99,6 @@ func TestJemallocLessSensitiveThanTcmalloc(t *testing.T) {
 	}
 }
 
-func TestSetAllocator(t *testing.T) {
-	k := sim.NewKernel()
-	n := NewNode(k, "node0", 4, TCMalloc)
-	before := n.AllocCost(1000)
-	n.SetAllocator(JEMalloc)
-	after := n.AllocCost(1000)
-	if after >= before {
-		t.Fatalf("switch to jemalloc did not reduce cost: %v -> %v", before, after)
-	}
-	if n.Allocator() != JEMalloc {
-		t.Fatal("allocator not switched")
-	}
-}
-
 func TestAllocCostZeroCount(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNode(k, "node0", 4, TCMalloc)
@@ -186,10 +172,10 @@ func TestECCostModelPinned(t *testing.T) {
 func TestNodeMetadata(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNode(k, "node7", 16, JEMalloc)
-	if n.Name() != "node7" || n.Cores() != 16 {
+	if n.Name() != "node7" {
 		t.Fatal("metadata wrong")
 	}
-	if n.QueueLen() != 0 {
+	if n.cores.QueueLen() != 0 {
 		t.Fatal("fresh node has queue")
 	}
 }

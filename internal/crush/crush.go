@@ -60,9 +60,6 @@ func NewMap(hosts []Host) (*Map, error) {
 // NumOSDs returns the number of OSDs in the map.
 func (m *Map) NumOSDs() int { return m.totalOSDs }
 
-// NumHosts returns the number of failure domains.
-func (m *Map) NumHosts() int { return len(m.hosts) }
-
 // hash64 mixes inputs into a 64-bit value (SplitMix64 finalizer over a
 // simple combination; CRUSH uses rjenkins, any good mixer works here).
 func hash64(a, b, c uint64) uint64 {

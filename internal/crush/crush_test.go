@@ -47,8 +47,8 @@ func TestNewMapValidation(t *testing.T) {
 
 func TestMapCounts(t *testing.T) {
 	m := uniformMap(t, 4, 4)
-	if m.NumOSDs() != 16 || m.NumHosts() != 4 {
-		t.Fatalf("NumOSDs=%d NumHosts=%d", m.NumOSDs(), m.NumHosts())
+	if m.NumOSDs() != 16 || len(m.hosts) != 4 {
+		t.Fatalf("NumOSDs=%d NumHosts=%d", m.NumOSDs(), len(m.hosts))
 	}
 }
 

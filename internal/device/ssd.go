@@ -163,15 +163,6 @@ func (d *SSD) Stats() *Stats { return d.stats }
 // behaviour. The paper evaluates both states explicitly.
 func (d *SSD) SetSustained(v bool) { d.sustained = v }
 
-// Sustained reports the current wear state.
-func (d *SSD) Sustained() bool { return d.sustained }
-
-// Utilization reports mean channel busy fraction.
-func (d *SSD) Utilization() float64 { return d.channels.Utilization() }
-
-// QueueLen reports operations waiting for a free channel.
-func (d *SSD) QueueLen() int { return d.channels.QueueLen() }
-
 func (d *SSD) noise(t sim.Time) sim.Time {
 	if d.params.NoiseSigma <= 0 {
 		return t

@@ -58,9 +58,6 @@ func (d *DiskFaults) Clear() {
 	d.readErrProb = 0
 }
 
-// Stats returns accumulated fault counts.
-func (d *DiskFaults) Stats() DiskStats { return d.stats }
-
 // ReadDelay returns extra latency for a read of `size` bytes whose fault-free
 // service time was `base`. The rng is only consulted while a probabilistic
 // fault is active, keeping fault-free runs bit-identical to hook-free ones.

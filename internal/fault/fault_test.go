@@ -14,7 +14,7 @@ func TestDiskFaultsInactiveAddsNothing(t *testing.T) {
 	if d.ReadDelay(sim.Millisecond, 4096) != 0 || d.WriteDelay(sim.Millisecond, 4096) != 0 {
 		t.Fatal("inactive hook added latency")
 	}
-	if s := d.Stats(); s != (DiskStats{}) {
+	if s := d.stats; s != (DiskStats{}) {
 		t.Fatalf("inactive hook counted faults: %+v", s)
 	}
 }
@@ -32,7 +32,7 @@ func TestDiskFaultsSlowFactor(t *testing.T) {
 	if d.ReadDelay(sim.Millisecond, 4096) != 0 || d.WriteDelay(sim.Millisecond, 4096) != 0 {
 		t.Fatal("Clear did not remove the slow fault")
 	}
-	s := d.Stats()
+	s := d.stats
 	if s.SlowReads != 1 || s.SlowWrites != 1 {
 		t.Fatalf("slow counters = %+v, want 1/1", s)
 	}
@@ -49,7 +49,7 @@ func TestDiskFaultsReadErrors(t *testing.T) {
 	if d.WriteDelay(sim.Millisecond, 4096) != 0 {
 		t.Fatal("read errors leaked into the write path")
 	}
-	if s := d.Stats(); s.ReadErrors != 3 {
+	if s := d.stats; s.ReadErrors != 3 {
 		t.Fatalf("ReadErrors = %d, want 3", s.ReadErrors)
 	}
 }

@@ -24,6 +24,15 @@ var fig10Workloads = []struct {
 	{"seq-read", workload.SeqRead, 1 << 20, 4},
 }
 
+// Fig10Panels names Figure 10's panels, in table order.
+func Fig10Panels() []string {
+	names := make([]string, len(fig10Workloads))
+	for i, wl := range fig10Workloads {
+		names[i] = wl.Name
+	}
+	return names
+}
+
 // Fig10 reproduces Figure 10: community vs AFCeph across VM counts for all
 // six workload panels (sustained state). The headline cells: 4K randwrite
 // 22K IOPS / 58.2 ms (community, 80 VMs) vs 81K / 7.9 ms (AFCeph); ~4x at
@@ -405,7 +414,7 @@ func MixedRW(opt Options, readPcts []int) Report {
 
 // LatencyVsLoadPoint runs one 4K-randwrite point at the given full-scale VM
 // count and returns the raw result; the ablation benchmarks use it.
-func LatencyVsLoadPoint(opt Options, t osd.Tuning, vmsFull int) workload.Result {
+func LatencyVsLoadPoint(opt Options, t osd.Tuning, vmsFull int) workload.Result { //afvet:allow unused bench_test.go's gated benchmark and figures_test.go run one load point through it
 	vms, depth := opt.scaleLoad(vmsFull, 8)
 	p := profileParams(opt, t, true)
 	return runPoint(p, vms, 512<<20, workload.Spec{

@@ -41,6 +41,6 @@ func noteSimWork(w SimWork) {
 
 // TakeSimWork returns the accumulated simulated work and resets the
 // accumulator.
-func TakeSimWork() SimWork {
+func TakeSimWork() SimWork { //afvet:allow unused bench_test.go reports each benchmark's sim-wall-x through it
 	return SimWork{Nanos: simNanos.Swap(0), Events: simEvents.Swap(0), Resumes: simResumes.Swap(0)}
 }

@@ -58,8 +58,8 @@ func TestApplyUpdatesObjectState(t *testing.T) {
 	if w.fs.ObjectVersion("obj1") != 2 {
 		t.Fatalf("version = %d", w.fs.ObjectVersion("obj1"))
 	}
-	if w.fs.Objects() != 1 {
-		t.Fatalf("objects = %d", w.fs.Objects())
+	if len(w.fs.objects) != 1 {
+		t.Fatalf("objects = %d", len(w.fs.objects))
 	}
 }
 
@@ -203,7 +203,7 @@ func TestTransactionWithoutData(t *testing.T) {
 
 func TestConfigAccessors(t *testing.T) {
 	w := newWorld(LightConfig())
-	if !w.fs.Config().LightTx || w.fs.Device() == nil || w.fs.DB() == nil {
+	if !w.fs.cfg.LightTx || w.fs.Device() == nil || w.fs.DB() == nil {
 		t.Fatal("accessors broken")
 	}
 }
@@ -221,8 +221,8 @@ func TestWritebackApplyBuffersAndFlushes(t *testing.T) {
 		p.Sleep(100 * sim.Millisecond) // flushers drain
 	})
 	w.k.Run(sim.Forever)
-	if w.fs.DirtyBytes() != 0 {
-		t.Fatalf("dirty bytes = %d after drain", w.fs.DirtyBytes())
+	if w.fs.dirty != 0 {
+		t.Fatalf("dirty bytes = %d after drain", w.fs.dirty)
 	}
 	// All data eventually reached the device.
 	if w.ssd.Stats().BytesWritten.Value() < 50*4096 {
@@ -252,7 +252,7 @@ func TestWritebackDirtyLimitBlocks(t *testing.T) {
 	k.Go("io", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
 			fs.Apply(p, basicTx(fmt.Sprintf("o%d", i), 0, 4096, 0))
-			if d := fs.DirtyBytes(); d > maxDirty {
+			if d := fs.dirty; d > maxDirty {
 				maxDirty = d
 			}
 		}

@@ -32,7 +32,7 @@ func TestWritebackBackpressure(t *testing.T) {
 				oid := fmt.Sprintf("obj%d.%d", wi, r)
 				stamp := uint64(wi)<<32 + uint64(r) + 1
 				w.fs.Apply(p, basicTx(oid, 0, perWrite, stamp))
-				if d := w.fs.DirtyBytes(); d > maxDirty {
+				if d := w.fs.dirty; d > maxDirty {
 					maxDirty = d
 				}
 				// Read-your-write while the flushers are still behind: the
@@ -66,7 +66,7 @@ func TestWritebackBackpressure(t *testing.T) {
 	}
 	// Drain invariant: once the kernel idles, the syncer returned every
 	// byte of credit.
-	if d := w.fs.DirtyBytes(); d != 0 {
+	if d := w.fs.dirty; d != 0 {
 		t.Fatalf("dirty bytes not drained: %d", d)
 	}
 	// Post-drain readback: every object still carries its newest stamp.
@@ -94,7 +94,7 @@ func TestWritebackDefaultLimit(t *testing.T) {
 	cfg.ApplyWriteback = true
 	cfg.dirtyLimit = 0
 	w := newWorld(cfg)
-	if got := w.fs.Config().dirtyLimit; got != 128<<20 {
+	if got := w.fs.cfg.dirtyLimit; got != 128<<20 {
 		t.Fatalf("default dirtyLimit = %d, want %d", got, int64(128<<20))
 	}
 }

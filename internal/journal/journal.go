@@ -73,7 +73,7 @@ func align(n int64) int64 {
 // size. The caller must later pass that size to Trim when the transaction
 // has been applied to the filestore. Submit blocks while the ring is full.
 // It is SubmitCall with sim.Wake, then Await.
-func (j *Journal) Submit(p *sim.Proc, bytes int64) int64 {
+func (j *Journal) Submit(p *sim.Proc, bytes int64) int64 { //afvet:allow unused cmd/afperf calls it
 	var w *Write
 	if n := len(j.free); n > 0 {
 		w = j.free[n-1]

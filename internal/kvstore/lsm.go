@@ -165,23 +165,11 @@ type Op struct {
 	Delete bool
 }
 
-// Put stores a single key. Equivalent to Apply with one op, paying the full
-// per-write WAL overhead — the expensive pattern the paper's light-weight
-// transaction replaces with batching.
-func (db *DB) Put(p *sim.Proc, key string, value []byte) {
-	db.Apply(p, []Op{{Key: key, Value: value}})
-}
-
-// Delete removes a key (writes a tombstone).
-func (db *DB) Delete(p *sim.Proc, key string) {
-	db.Apply(p, []Op{{Key: key, Delete: true}})
-}
-
 // Apply atomically applies a batch: one WAL write covering every op, then
 // memtable inserts. This is the primitive behind both community behaviour
 // (one-op batches) and the light-weight transaction (multi-op batches). It
 // is ApplyCall with sim.Wake, then Await.
-func (db *DB) Apply(p *sim.Proc, ops []Op) {
+func (db *DB) Apply(p *sim.Proc, ops []Op) { //afvet:allow unused cmd/afperf calls it
 	var b *Batch
 	if n := len(db.batchFree); n > 0 {
 		b = db.batchFree[n-1]

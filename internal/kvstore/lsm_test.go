@@ -110,8 +110,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	k := sim.NewKernel()
 	db := testDB(k)
 	k.Go("io", func(p *sim.Proc) {
-		db.Put(p, "alpha", []byte("one"))
-		db.Put(p, "beta", []byte("three"))
+		db.Apply(p, []Op{{Key: "alpha", Value: []byte("one")}})
+		db.Apply(p, []Op{{Key: "beta", Value: []byte("three")}})
 	})
 	k.Run(sim.Forever)
 	if err := checkLayers(db, map[string]int{"alpha": 3, "beta": 5}); err != nil {
@@ -124,7 +124,7 @@ func TestOverwriteReturnsNewest(t *testing.T) {
 	db := testDB(k)
 	k.Go("io", func(p *sim.Proc) {
 		for i := 1; i <= 10; i++ {
-			db.Put(p, "k", make([]byte, i))
+			db.Apply(p, []Op{{Key: "k", Value: make([]byte, i)}})
 		}
 	})
 	k.Run(sim.Forever)
@@ -137,8 +137,8 @@ func TestDeleteHidesKey(t *testing.T) {
 	k := sim.NewKernel()
 	db := testDB(k)
 	k.Go("io", func(p *sim.Proc) {
-		db.Put(p, "k", []byte("v"))
-		db.Delete(p, "k")
+		db.Apply(p, []Op{{Key: "k", Value: []byte("v")}})
+		db.Apply(p, []Op{{Key: "k", Delete: true}})
 	})
 	k.Run(sim.Forever)
 	if err := checkLayers(db, map[string]int{}); err != nil {
@@ -153,7 +153,7 @@ func TestGetAcrossFlushedTables(t *testing.T) {
 	k.Go("io", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
 			key := fmt.Sprintf("key%04d", i)
-			db.Put(p, key, make([]byte, i%100))
+			db.Apply(p, []Op{{Key: key, Value: make([]byte, i%100)}})
 			model[key] = i % 100
 		}
 		p.Sleep(100 * sim.Millisecond) // let flush/compaction settle
@@ -171,11 +171,11 @@ func TestDeleteSurvivesCompaction(t *testing.T) {
 	k := sim.NewKernel()
 	db := smallDB(k)
 	k.Go("io", func(p *sim.Proc) {
-		db.Put(p, "victim", []byte("x"))
-		db.Delete(p, "victim")
+		db.Apply(p, []Op{{Key: "victim", Value: []byte("x")}})
+		db.Apply(p, []Op{{Key: "victim", Delete: true}})
 		// Force many flushes and compactions on top.
 		for i := 0; i < 2000; i++ {
-			db.Put(p, fmt.Sprintf("filler%05d", i), make([]byte, 64))
+			db.Apply(p, []Op{{Key: fmt.Sprintf("filler%05d", i), Value: make([]byte, 64)}})
 		}
 		p.Sleep(200 * sim.Millisecond)
 	})
@@ -208,11 +208,11 @@ func TestModelEquivalenceProperty(t *testing.T) {
 			for i, d := range descs {
 				key := fmt.Sprintf("k%02d", d.Key%32)
 				if d.Del {
-					db.Delete(p, key)
+					db.Apply(p, []Op{{Key: key, Delete: true}})
 					delete(model, key)
 				} else {
 					size := int(d.ValLen) * 8
-					db.Put(p, key, make([]byte, size))
+					db.Apply(p, []Op{{Key: key, Value: make([]byte, size)}})
 					model[key] = size
 				}
 				if err = checkLayers(db, model); err != nil {
@@ -225,7 +225,7 @@ func TestModelEquivalenceProperty(t *testing.T) {
 			c0, w0 := s.Compactions.Value(), s.CompactionWriteBytes.Value()
 			for i := 0; s.Compactions.Value() == c0; i++ {
 				key := fmt.Sprintf("k%02d", i%32)
-				db.Put(p, key, make([]byte, 1))
+				db.Apply(p, []Op{{Key: key, Value: make([]byte, 1)}})
 				model[key] = 1
 				db.mu.Lock(p)
 				db.rotateMemtable()
@@ -279,11 +279,11 @@ func TestScanMatchesModelProperty(t *testing.T) {
 			for _, d := range descs {
 				key := fmt.Sprintf("k%02d", d.Key%32)
 				if d.Del {
-					db.Delete(p, key)
+					db.Apply(p, []Op{{Key: key, Delete: true}})
 					delete(model, key)
 				} else {
 					size := int(d.ValLen) * 8
-					db.Put(p, key, make([]byte, size))
+					db.Apply(p, []Op{{Key: key, Value: make([]byte, size)}})
 					model[key] = size
 				}
 			}
@@ -326,7 +326,7 @@ func TestScanOrderingInvariant(t *testing.T) {
 		k.Go("io", func(p *sim.Proc) {
 			for _, kr := range keysRaw {
 				key := fmt.Sprintf("key%05d", kr%512)
-				db.Put(p, key, []byte("v"))
+				db.Apply(p, []Op{{Key: key, Value: []byte("v")}})
 				model[key] = 1
 			}
 			p.Sleep(100 * sim.Millisecond)
@@ -356,11 +356,11 @@ func TestCompactionPreservesScanAndGets(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				key := fmt.Sprintf("key%04d", i%200)
 				if (i+round)%7 == 0 {
-					db.Delete(p, key)
+					db.Apply(p, []Op{{Key: key, Delete: true}})
 					delete(model, key)
 				} else {
 					size := 1 + (round*300+i)%48
-					db.Put(p, key, make([]byte, size))
+					db.Apply(p, []Op{{Key: key, Value: make([]byte, size)}})
 					model[key] = size
 				}
 			}
@@ -390,12 +390,12 @@ func TestScanSeesNewestVersionAcrossLayers(t *testing.T) {
 	k := sim.NewKernel()
 	db := smallDB(k)
 	k.Go("io", func(p *sim.Proc) {
-		db.Put(p, "target", make([]byte, 10))
+		db.Apply(p, []Op{{Key: "target", Value: make([]byte, 10)}})
 		for i := 0; i < 500; i++ { // push the old version out through a flush
-			db.Put(p, fmt.Sprintf("fill%04d", i), make([]byte, 64))
+			db.Apply(p, []Op{{Key: fmt.Sprintf("fill%04d", i), Value: make([]byte, 64)}})
 		}
 		p.Sleep(100 * sim.Millisecond)
-		db.Put(p, "target", make([]byte, 3))
+		db.Apply(p, []Op{{Key: "target", Value: make([]byte, 3)}})
 	})
 	k.Run(sim.Forever)
 	if db.Stats().FlushBytes.Value() == 0 {
@@ -460,7 +460,7 @@ func TestWALOverheadWorseForSmallEntries(t *testing.T) {
 			total := 256 << 10 // same payload either way
 			n := total / valSize
 			for i := 0; i < n; i++ {
-				db.Put(p, fmt.Sprintf("key%06d", i), make([]byte, valSize))
+				db.Apply(p, []Op{{Key: fmt.Sprintf("key%06d", i), Value: make([]byte, valSize)}})
 			}
 		})
 		k.Run(sim.Forever)
@@ -480,7 +480,7 @@ func TestCompactionAddsDeviceWrites(t *testing.T) {
 	db := smallDB(k)
 	k.Go("io", func(p *sim.Proc) {
 		for i := 0; i < 4000; i++ {
-			db.Put(p, fmt.Sprintf("key%06d", i), make([]byte, 64))
+			db.Apply(p, []Op{{Key: fmt.Sprintf("key%06d", i), Value: make([]byte, 64)}})
 		}
 		p.Sleep(500 * sim.Millisecond)
 	})
@@ -516,7 +516,7 @@ func TestWriteStallTriggers(t *testing.T) {
 		// Large distinct values: L1 grows every cycle, so compaction time
 		// grows until it falls behind the flush rate and writers stall.
 		for i := 0; i < 800; i++ {
-			db.Put(pp, fmt.Sprintf("key%06d", i), make([]byte, 4096))
+			db.Apply(pp, []Op{{Key: fmt.Sprintf("key%06d", i), Value: make([]byte, 4096)}})
 		}
 	})
 	k.Run(sim.Forever)
@@ -555,9 +555,9 @@ func TestStatsPinned(t *testing.T) {
 					})
 					switch i % 3 {
 					case 0:
-						db.Put(p, fmt.Sprintf("dwal.%d", i), dwal)
+						db.Apply(p, []Op{{Key: fmt.Sprintf("dwal.%d", i), Value: dwal}})
 					case 2:
-						db.Delete(p, fmt.Sprintf("dwal.%d", i-2))
+						db.Apply(p, []Op{{Key: fmt.Sprintf("dwal.%d", i-2), Delete: true}})
 					}
 				}
 			})
@@ -605,8 +605,8 @@ func TestStatsCounts(t *testing.T) {
 	k := sim.NewKernel()
 	db := testDB(k)
 	k.Go("io", func(p *sim.Proc) {
-		db.Put(p, "a", []byte("1"))
-		db.Delete(p, "b")
+		db.Apply(p, []Op{{Key: "a", Value: []byte("1")}})
+		db.Apply(p, []Op{{Key: "b", Delete: true}})
 	})
 	k.Run(sim.Forever)
 	s := db.Stats()

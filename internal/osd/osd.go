@@ -196,14 +196,6 @@ type OSD struct {
 	omapKeys map[string]string
 }
 
-// New builds an OSD on the given node/endpoint with its data device and
-// journal device, and starts its workers. The caller must install
-// a placement function with SetPlacer before any write arrives.
-func New(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep *netsim.Endpoint,
-	dataDev device.Device, journalDev device.Device, r *rng.Rand) *OSD {
-	return NewSplit(k, cfg, node, ep, ep, dataDev, journalDev, r)
-}
-
 // NewSplit builds an OSD with separate public (client) and cluster
 // (replication) endpoints — the paper's testbed separates the two 10 GbE
 // networks for Ceph (Figure 8), so sequential client traffic and replica
@@ -352,9 +344,6 @@ type ShardTarget struct {
 // bit-identical; the cluster overrides it before traffic starts.
 func (o *OSD) SetPolicy(pol redundancy.Policy) { o.pol = pol }
 
-// Policy returns the active redundancy policy.
-func (o *OSD) Policy() redundancy.Policy { return o.pol }
-
 // SetShardPlacer installs the function mapping a PG to its full EC acting
 // set (canonical order, Self-marked, nil EP for down members). Required
 // before any read arrives on an EC pool; unused under replication.
@@ -385,15 +374,12 @@ func (o *OSD) Store() store.Backend { return o.store }
 
 // Journal exposes the write-ahead journal ring (of the current generation)
 // when the filestore backend is active; nil for backends without a ring.
-func (o *OSD) Journal() *journal.Journal {
+func (o *OSD) Journal() *journal.Journal { //afvet:allow unused cluster/cluster_test.go checks each OSD's journal ring through it
 	if b, ok := o.store.(*store.FileStoreBackend); ok {
 		return b.Journal()
 	}
 	return nil
 }
-
-// Logger exposes the debug-log subsystem.
-func (o *OSD) Logger() *oslog.Logger { return o.logger }
 
 // Locks exposes the PG lock table (contention stats).
 func (o *OSD) Locks() *core.ShardLocks { return o.eng.locks }
@@ -410,11 +396,8 @@ func (o *OSD) Traces() *TraceCollector { return o.traces }
 // FsThrottle exposes the filestore throttle (for fluctuation analysis).
 func (o *OSD) FsThrottle() *sim.Semaphore { return o.eng.fsThrottle }
 
-// MsgCap exposes the client-message throttle.
-func (o *OSD) MsgCap() *sim.Semaphore { return o.eng.msgCap }
-
 // Config returns the active configuration.
-func (o *OSD) Config() Config { return o.cfg }
+func (o *OSD) Config() Config { return o.cfg } //afvet:allow unused cluster/cluster_test.go checks the configuration each OSD received through it
 
 // Admission exposes the per-tenant admission enforcement point; nil when
 // Config.Admission lists no tenants.

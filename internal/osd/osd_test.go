@@ -32,7 +32,7 @@ func newHarness(cfg Config) *harness {
 	nvram := device.NewNVRAM(k, "nvram", device.DefaultNVRAMParams())
 	ep := net.NewEndpoint("osd", node, true)
 	cfg.FStore.VerifyData = true
-	o := New(k, cfg, node, ep, ssd, nvram, r)
+	o := NewSplit(k, cfg, node, ep, ep, ssd, nvram, r)
 	o.SetPlacer(func(pg uint32) []*netsim.Endpoint { return nil })
 	h := &harness{k: k, net: net, o: o, acks: make(map[uint64]*Reply), ackAt: make(map[uint64]sim.Time)}
 	h.client = net.NewEndpoint("client", clientNode, true)
@@ -283,7 +283,7 @@ func TestMsgCapThrottlesConnections(t *testing.T) {
 	if len(h.acks) != 12 {
 		t.Fatalf("acked %d of 12", len(h.acks))
 	}
-	if h.o.MsgCap().Throttled() == 0 {
+	if h.o.eng.msgCap.Throttled() == 0 {
 		t.Fatal("message cap never throttled a 12-deep burst with cap 2")
 	}
 }

@@ -66,7 +66,7 @@ func newPairHarness(cfg Config) *pairHarness {
 		c.ID = i
 		c.FStore.VerifyData = true
 		ep := net.NewEndpoint(fmt.Sprintf("osd%d", i), node, true)
-		h.osds[i] = New(k, c, node, ep, h.data[i], h.jrnl[i], r)
+		h.osds[i] = NewSplit(k, c, node, ep, ep, h.data[i], h.jrnl[i], r)
 	}
 	replica := []*netsim.Endpoint{h.osds[1].ClusterEndpoint()}
 	h.osds[0].SetPlacer(func(uint32) []*netsim.Endpoint { return replica })

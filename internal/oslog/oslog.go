@@ -167,12 +167,6 @@ func newLogger(k *sim.Kernel, name string, node *cpumodel.Node, mode Mode, p par
 	return l
 }
 
-// Mode returns the active mode.
-func (l *Logger) Mode() Mode { return l.mode }
-
-// Stats returns live statistics.
-func (l *Logger) Stats() *Stats { return &l.stats }
-
 // QueueLen returns pending batches (Async backlog).
 func (l *Logger) QueueLen() int {
 	if l.q == nil {

@@ -25,7 +25,7 @@ func TestOffModeIsFree(t *testing.T) {
 	if k.Now() != 0 || node.BusyNanos() != 0 {
 		t.Fatal("Off mode consumed time")
 	}
-	if l.Stats().Entries.Value() != 0 {
+	if l.stats.Entries.Value() != 0 {
 		t.Fatal("Off mode recorded entries")
 	}
 }
@@ -44,7 +44,7 @@ func TestSyncBlocksSubmitter(t *testing.T) {
 	if elapsed < want {
 		t.Fatalf("sync submit returned after %v, want >= %v", elapsed, want)
 	}
-	if l.Stats().BlockTime.Value() == 0 {
+	if l.stats.BlockTime.Value() == 0 {
 		t.Fatal("block time not recorded")
 	}
 }
@@ -65,8 +65,8 @@ func TestAsyncSubmitReturnsImmediately(t *testing.T) {
 	if elapsed > 100*afcephParams().submitCPU*10 {
 		t.Fatalf("async submit path too slow: %v", elapsed)
 	}
-	if l.Stats().Entries.Value() != 400 {
-		t.Fatalf("entries = %d, want 400 drained in background", l.Stats().Entries.Value())
+	if l.stats.Entries.Value() != 400 {
+		t.Fatalf("entries = %d, want 400 drained in background", l.stats.Entries.Value())
 	}
 }
 
@@ -123,7 +123,7 @@ func TestLogCacheHits(t *testing.T) {
 		}
 	})
 	k.Run(sim.Forever)
-	if hits := l.Stats().CacheHits.Value(); hits != 99 {
+	if hits := l.stats.CacheHits.Value(); hits != 99 {
 		t.Fatalf("cache hits = %d, want 99", hits)
 	}
 }
@@ -142,12 +142,12 @@ func TestMemoryLimitDropsEntries(t *testing.T) {
 		}
 	})
 	k.Run(sim.Forever)
-	if l.Stats().Dropped.Value() == 0 {
+	if l.stats.Dropped.Value() == 0 {
 		t.Fatal("no drops despite memory limit")
 	}
-	if l.Stats().Entries.Value()+l.Stats().Dropped.Value() != 1000 {
+	if l.stats.Entries.Value()+l.stats.Dropped.Value() != 1000 {
 		t.Fatalf("entries %d + dropped %d != 1000",
-			l.Stats().Entries.Value(), l.Stats().Dropped.Value())
+			l.stats.Entries.Value(), l.stats.Dropped.Value())
 	}
 }
 
@@ -159,7 +159,7 @@ func TestZeroCountIsNoop(t *testing.T) {
 		l.Log(p, 1, -3)
 	})
 	k.Run(sim.Forever)
-	if l.Stats().Entries.Value() != 0 {
+	if l.stats.Entries.Value() != 0 {
 		t.Fatal("zero-count log recorded entries")
 	}
 }
@@ -267,7 +267,7 @@ func TestLogCallMatchesLog(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("trace differs\nprocs:     %v\ncallbacks: %v", want, got)
 			}
-			sp, sc := lp.Stats(), lc.Stats()
+			sp, sc := &lp.stats, &lc.stats
 			if sc.BlockTime.Value() != sp.BlockTime.Value() || sc.Entries.Value() != sp.Entries.Value() ||
 				sc.Dropped.Value() != sp.Dropped.Value() {
 				t.Fatalf("stats differ: callbacks %+v, procs %+v", *sc, *sp)

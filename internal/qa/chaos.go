@@ -61,7 +61,7 @@ type ChaosConfig struct {
 // DefaultChaos returns the standard thrasher shape: a small AFCeph-profile
 // cluster with two replicas, clients slow enough that the fault schedule
 // lands mid-workload.
-func DefaultChaos() ChaosConfig {
+func DefaultChaos() ChaosConfig { //afvet:allow unused chaos_test.go, golden_test.go, leak_test.go and differential_test.go start from it
 	return ChaosConfig{
 		Cluster:      Testbed(osd.AFCeph().Config()),
 		Clients:      4,
@@ -106,9 +106,6 @@ type ChaosResult struct {
 	// must produce identical fingerprints.
 	Fingerprint uint64
 }
-
-// Failed reports whether any invariant was violated.
-func (r *ChaosResult) Failed() bool { return len(r.Violations) > 0 }
 
 func (r *ChaosResult) violate(format string, args ...interface{}) {
 	if len(r.Violations) < 20 {

@@ -41,7 +41,7 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 
 			cfg := DefaultChaos()
 			cfg.Cluster.OSD.Backend = backend
-			if r := RunChaos(cfg); r.Failed() {
+			if r := RunChaos(cfg); len(r.Violations) > 0 {
 				t.Fatalf("chaos violations: %v", r.Violations)
 			}
 			if n := runtime.NumGoroutine(); n > base {

@@ -9,7 +9,7 @@ import "repro/internal/sim"
 // count: RunChaosSweep(cfgs, 1) and RunChaosSweep(cfgs, 32) produce the
 // same fingerprints, which the differential determinism tests enforce.
 // workers <= 0 means sim.DefaultWorkers().
-func RunChaosSweep(cfgs []ChaosConfig, workers int) []*ChaosResult {
+func RunChaosSweep(cfgs []ChaosConfig, workers int) []*ChaosResult { //afvet:allow unused golden_test.go and differential_test.go sweep chaos seeds through it
 	out := make([]*ChaosResult, len(cfgs))
 	jobs := make([]func(), len(cfgs))
 	for i := range jobs {
@@ -22,7 +22,7 @@ func RunChaosSweep(cfgs []ChaosConfig, workers int) []*ChaosResult {
 
 // RunStressSweep is RunChaosSweep's analogue for the plain randomized
 // stress runs; same ownership discipline, same determinism contract.
-func RunStressSweep(cfgs []StressConfig, workers int) []*Result {
+func RunStressSweep(cfgs []StressConfig, workers int) []*Result { //afvet:allow unused differential_test.go sweeps stress seeds through it
 	out := make([]*Result, len(cfgs))
 	jobs := make([]func(), len(cfgs))
 	for i := range jobs {

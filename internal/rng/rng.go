@@ -56,9 +56,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -171,86 +168,4 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 		u = math.Nextafter(1, 0)
 	}
 	return xm / math.Pow(1-u, 1/alpha)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Zipf samples from a bounded Zipf distribution over [0, n) with skew s>1,
-// using rejection-inversion (Hörmann). For s very close to 1 accuracy is
-// adequate for workload-skew purposes.
-type Zipf struct {
-	r                 *Rand
-	n                 float64
-	s                 float64
-	oneMinusS         float64
-	hIntegralX1       float64
-	hIntegralNumElems float64
-}
-
-// NewZipf creates a Zipf sampler over [0, n) with exponent s > 1.
-func NewZipf(r *Rand, s float64, n uint64) *Zipf {
-	if s <= 1 || n == 0 {
-		panic("rng: NewZipf needs s > 1 and n > 0")
-	}
-	z := &Zipf{r: r, n: float64(n), s: s, oneMinusS: 1 - s}
-	z.hIntegralX1 = z.hIntegral(1.5) - 1
-	z.hIntegralNumElems = z.hIntegral(z.n + 0.5)
-	return z
-}
-
-func (z *Zipf) hIntegral(x float64) float64 {
-	logX := math.Log(x)
-	return helper2(z.oneMinusS*logX) * logX
-}
-
-func (z *Zipf) h(x float64) float64 {
-	return math.Exp(-z.s * math.Log(x))
-}
-
-func helper2(x float64) float64 {
-	if math.Abs(x) > 1e-8 {
-		return math.Expm1(x) / x
-	}
-	return 1 + x/2*(1+x/3*(1+x/4))
-}
-
-func (z *Zipf) hIntegralInverse(x float64) float64 {
-	t := x * z.oneMinusS
-	if t < -1 {
-		t = -1
-	}
-	return math.Exp(helper1(t) * x)
-}
-
-func helper1(x float64) float64 {
-	if math.Abs(x) > 1e-8 {
-		return math.Log1p(x) / x
-	}
-	return 1 - x/2*(1-2*x/3*(1-3*x/4))
-}
-
-// Next returns the next Zipf sample in [0, n).
-func (z *Zipf) Next() uint64 {
-	for {
-		u := z.hIntegralNumElems + z.r.Float64()*(z.hIntegralX1-z.hIntegralNumElems)
-		x := z.hIntegralInverse(u)
-		k := math.Floor(x + 0.5)
-		if k < 1 {
-			k = 1
-		} else if k > z.n {
-			k = z.n
-		}
-		if k-x <= 0.5 || u >= z.hIntegral(k+0.5)-z.h(k) {
-			return uint64(k) - 1
-		}
-	}
 }

@@ -507,7 +507,7 @@ func (g *opGen) draw(at sim.Time, stamp uint64) arrivalRec {
 // Fingerprint folds every counter and latency quantile into one 64-bit
 // FNV-1a hash; the differential determinism tests compare fingerprints
 // across host-parallelism settings.
-func (r *Result) Fingerprint() uint64 {
+func (r *Result) Fingerprint() uint64 { //afvet:allow unused qa/differential_test.go and engine_test.go compare runs through it
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {

@@ -35,12 +35,6 @@ func TestTimeConversions(t *testing.T) {
 	if tt.Seconds() != 1.5 {
 		t.Errorf("Seconds = %v", tt.Seconds())
 	}
-	if tt.Millis() != 1500 {
-		t.Errorf("Millis = %v", tt.Millis())
-	}
-	if Time(2500).Micros() != 2.5 {
-		t.Errorf("Micros = %v", Time(2500).Micros())
-	}
 }
 
 func TestRunEmptyKernel(t *testing.T) {
@@ -352,43 +346,22 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	k.Go("loop", func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			count++
-			if count == 5 {
-				k.Stop()
-			}
-			p.Sleep(Millisecond)
-		}
-	})
-	k.Run(Forever)
-	if count != 5 {
-		t.Fatalf("ran %d iterations, want 5", count)
-	}
-	if !k.Stopped() {
-		t.Fatal("Stopped() = false")
-	}
-}
-
 func TestProcIdentity(t *testing.T) {
 	k := NewKernel()
 	var id int64
 	var name string
 	p := k.Go("worker", func(p *Proc) {
-		id = p.ID()
-		name = p.Name()
-		if p.Kernel() != k {
+		id = p.id
+		name = p.name
+		if p.k != k {
 			t.Error("Kernel() mismatch")
 		}
 	})
 	k.Run(Forever)
-	if id != p.ID() || name != "worker" {
+	if id != p.id || name != "worker" {
 		t.Fatalf("id=%d name=%q", id, name)
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("proc not done")
 	}
 }
@@ -415,7 +388,7 @@ func TestNestedSpawn(t *testing.T) {
 	var trace []string
 	k.Go("parent", func(p *Proc) {
 		trace = append(trace, "parent-start")
-		p.Go("child", func(c *Proc) {
+		p.k.Go("child", func(c *Proc) {
 			trace = append(trace, "child")
 		})
 		p.Sleep(Millisecond)
@@ -538,8 +511,8 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	if k.Now() != 10 {
 		t.Fatalf("Now = %v, want 10ns", k.Now())
 	}
-	if !boom.Done() || k.Live() != 1 || k.Running() != nil {
-		t.Fatalf("after panic: done=%v live=%d running=%v", boom.Done(), k.Live(), k.Running())
+	if !boom.done || k.Live() != 1 || k.running != nil {
+		t.Fatalf("after panic: done=%v live=%d running=%v", boom.done, k.Live(), k.running)
 	}
 	// The kernel stays usable: the bystander finishes on the next Run, and
 	// a new process does not land on the panicked one's dead coroutine.
@@ -573,7 +546,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 		{"pop", func(p *Proc) { empty.Pop(p) }},
 		{"push", func(p *Proc) { full.Push(p, 1) }},
 		{"lock", func(p *Proc) { m.Lock(p) }},
-		{"wait", func(p *Proc) { cm.Lock(p); c.Wait(p) }},
+		{"wait", func(p *Proc) { cm.Lock(p); c.WaitCall(Wake, p); p.Await() }},
 		{"acquire", func(p *Proc) { sem.Acquire(p, 1) }},
 		{"event", func(p *Proc) { ev.Wait(p) }},
 	}
@@ -606,8 +579,8 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	if fmt.Sprint(unwound) != fmt.Sprint(names) {
 		t.Fatalf("unwound %v, want %v", unwound, names)
 	}
-	if k.Live() != 0 || !never.Done() {
-		t.Fatalf("Live = %d, never.Done = %v after Close", k.Live(), never.Done())
+	if k.Live() != 0 || !never.done {
+		t.Fatalf("Live = %d, never.done = %v after Close", k.Live(), never.done)
 	}
 	// Other tests' pool workers may still be exiting, so the count can
 	// only be bounded, not matched exactly.
@@ -644,8 +617,8 @@ func TestFinishedProcCoroutineIsReused(t *testing.T) {
 		t.Fatal("b did not reuse a's coroutine")
 	}
 	k.Run(Forever)
-	if !b.Done() || k.Now() != 2 {
-		t.Fatalf("b done=%v now=%v", b.Done(), k.Now())
+	if !b.done || k.Now() != 2 {
+		t.Fatalf("b done=%v now=%v", b.done, k.Now())
 	}
 }
 
@@ -655,7 +628,7 @@ func TestProcsSliceCompacts(t *testing.T) {
 	k := NewKernel()
 	k.Go("spawner", func(p *Proc) {
 		for i := 0; i < 10000; i++ {
-			p.Go("child", func(*Proc) {})
+			p.k.Go("child", func(*Proc) {})
 			p.Sleep(0)
 		}
 	})
@@ -688,8 +661,8 @@ func TestWakeFromCallbackResumesInline(t *testing.T) {
 	if want := "[1.000ms:cb 1.000ms:woken 1.000ms:cb-after]"; fmt.Sprint(trace) != want {
 		t.Fatalf("trace = %v, want %s", trace, want)
 	}
-	if d, r := k.Dispatched()-d0, k.Resumes()-r0; d != 1 || r != 1 || !w.Done() {
-		t.Fatalf("dispatched %d resumes %d done %v, want 1/1/true", d, r, w.Done())
+	if d, r := k.Dispatched()-d0, k.Resumes()-r0; d != 1 || r != 1 || !w.done {
+		t.Fatalf("dispatched %d resumes %d done %v, want 1/1/true", d, r, w.done)
 	}
 }
 

@@ -23,15 +23,6 @@ type closeUnwind struct{}
 // not each report it escaping to the heap.
 var unwind any = closeUnwind{}
 
-// ID returns the process's unique id (assigned in spawn order).
-func (p *Proc) ID() int64 { return p.id }
-
-// Name returns the name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -104,9 +95,3 @@ func (p *Proc) Await() {
 	}
 	p.park()
 }
-
-// Go spawns a child process (convenience for p.Kernel().Go).
-func (p *Proc) Go(name string, fn func(p *Proc)) *Proc { return p.k.Go(name, fn) }
-
-// Done reports whether the process function has returned.
-func (p *Proc) Done() bool { return p.done }

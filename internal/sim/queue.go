@@ -21,14 +21,8 @@ func NewQueue[T any](k *Kernel, name string, capacity int) *Queue[T] {
 	return &Queue[T]{k: k, name: name, capacity: capacity}
 }
 
-// Name returns the queue name.
-func (q *Queue[T]) Name() string { return q.name }
-
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.len() }
-
-// Cap returns the configured capacity (<=0 means unbounded).
-func (q *Queue[T]) Cap() int { return q.capacity }
 
 // Close marks the queue closed: Pop on an empty closed queue returns
 // ok=false instead of blocking, and blocked getters wake. Blocked putters
@@ -130,12 +124,4 @@ func (q *Queue[T]) take() T {
 		q.wake(q.putters.pop())
 	}
 	return v
-}
-
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (v T, ok bool) {
-	if q.items.len() == 0 {
-		return v, false
-	}
-	return q.items.peek(), true
 }

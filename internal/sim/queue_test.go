@@ -91,9 +91,6 @@ func TestQueueTryOps(t *testing.T) {
 	if q.TryPush(43) {
 		t.Fatal("TryPush succeeded when full")
 	}
-	if v, ok := q.Peek(); !ok || v != 42 {
-		t.Fatalf("Peek = %d, %v", v, ok)
-	}
 	if v, ok := q.TryPop(); !ok || v != 42 {
 		t.Fatalf("TryPop = %d, %v", v, ok)
 	}
@@ -181,7 +178,7 @@ func TestQueueStats(t *testing.T) {
 	if q.Len() != 4 {
 		t.Fatalf("len=%d", q.Len())
 	}
-	if q.Cap() != 0 || q.Name() != "q" {
+	if q.capacity != 0 || q.name != "q" {
 		t.Fatal("metadata mismatch")
 	}
 }

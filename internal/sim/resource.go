@@ -36,12 +36,6 @@ func NewResource(k *Kernel, name string, servers int64) *Resource {
 	}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// Servers returns the number of parallel servers.
-func (r *Resource) Servers() int64 { return r.servers }
-
 // QueueLen returns the number of requests waiting for a server.
 func (r *Resource) QueueLen() int { return r.sem.QueueLen() }
 

@@ -55,17 +55,11 @@ func NewMutex(k *Kernel, name string) *Mutex { return &Mutex{k: k, name: name} }
 // block-allocate their locks.
 func MakeMutex(k *Kernel, name string) Mutex { return Mutex{k: k, name: name} }
 
-// Name returns the mutex name.
-func (m *Mutex) Name() string { return m.name }
-
 // Stats returns a copy of the accumulated contention statistics.
 func (m *Mutex) Stats() MutexStats { return m.stats }
 
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.locked }
-
-// QueueLen returns the number of waiters for the lock.
-func (m *Mutex) QueueLen() int { return m.waiters.len() }
 
 // Lock acquires the mutex, blocking p until it is available: it is
 // LockCall with Wake, then Await.
@@ -137,7 +131,9 @@ func (m *Mutex) UnlockCall(holder any) {
 	}
 }
 
-// Cond is a condition variable associated with a Mutex.
+// Cond is a condition variable associated with a Mutex. Waiters are
+// callback chains (WaitCall); a process waits with WaitCall(Wake, p) and
+// then Await.
 type Cond struct {
 	m       *Mutex
 	waiters fifo[*condWaiter]
@@ -152,19 +148,10 @@ type condWaiter struct {
 // NewCond creates a condition variable using m.
 func NewCond(m *Mutex) *Cond { return &Cond{m: m} }
 
-// Wait atomically releases the mutex, suspends p until Signal/Broadcast,
-// then re-acquires the mutex before returning: it is WaitCall with Wake,
-// then Await. As with sync.Cond, callers must re-check their predicate in
-// a loop.
-func (c *Cond) Wait(p *Proc) {
-	c.WaitCall(Wake, p)
-	p.Await()
-}
-
-// WaitCall is Wait for callback chains: it releases the mutex held by arg
-// and queues fn(arg) until Signal or Broadcast. A woken waiter re-acquires
-// the mutex with LockCall in the slot where a waiting Wait would resume,
-// and fn(arg) runs once it holds the mutex again.
+// WaitCall releases the mutex held by arg and queues fn(arg) until
+// Broadcast. A woken waiter re-acquires the mutex with LockCall in its
+// wake-up slot, and fn(arg) runs once it holds the mutex again. As with
+// sync.Cond, callers must re-check their predicate.
 func (c *Cond) WaitCall(fn func(any), arg any) {
 	c.waiters.push(&condWaiter{c: c, waiter: waiter{fn: fn, arg: arg}})
 	c.m.UnlockCall(arg)
@@ -176,14 +163,6 @@ func condWoken(a any) {
 	if w.c.m.LockCall(w.fn, w.arg) {
 		w.fn(w.arg)
 	}
-}
-
-// Signal wakes the longest waiter, if any.
-func (c *Cond) Signal() {
-	if c.waiters.len() == 0 {
-		return
-	}
-	c.m.k.AfterCall(0, condWoken, c.waiters.pop())
 }
 
 // Broadcast wakes all waiters.
@@ -220,9 +199,6 @@ type Semaphore struct {
 func NewSemaphore(k *Kernel, name string, capacity int64) *Semaphore {
 	return &Semaphore{k: k, name: name, capacity: capacity, avail: capacity}
 }
-
-// Name returns the semaphore name.
-func (s *Semaphore) Name() string { return s.name }
 
 // Available returns the currently free units (meaningless when unlimited).
 func (s *Semaphore) Available() int64 { return s.avail }
@@ -305,9 +281,6 @@ type Event struct {
 // NewEvent creates an unfired event.
 func NewEvent(k *Kernel) *Event { return &Event{k: k} }
 
-// Fired reports whether Fire has been called.
-func (e *Event) Fired() bool { return e.fired }
-
 // Fire wakes all current and future waiters. Firing twice is a no-op.
 func (e *Event) Fire() {
 	if e.fired {
@@ -363,9 +336,6 @@ func (w *WaitGroup) Add(delta int64) {
 
 // Done decrements the count by one.
 func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Count returns the current counter value.
-func (w *WaitGroup) Count() int64 { return w.n }
 
 // Wait blocks p until the count is zero.
 func (w *WaitGroup) Wait(p *Proc) {

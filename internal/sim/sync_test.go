@@ -129,39 +129,6 @@ func TestMutexWaitStats(t *testing.T) {
 	}
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
-	k := NewKernel()
-	m := NewMutex(k, "m")
-	c := NewCond(m)
-	tokens := 0
-	served := 0
-	for i := 0; i < 3; i++ {
-		k.Go(fmt.Sprintf("waiter%d", i), func(p *Proc) {
-			m.Lock(p)
-			for tokens == 0 {
-				c.Wait(p)
-			}
-			tokens--
-			served++
-			m.Unlock(p)
-		})
-	}
-	k.Go("signaler", func(p *Proc) {
-		p.Sleep(Millisecond)
-		m.Lock(p)
-		tokens++
-		c.Signal()
-		m.Unlock(p)
-	})
-	k.Run(Forever)
-	if served != 1 {
-		t.Fatalf("served = %d, want exactly 1", served)
-	}
-	if k.Live() != 2 {
-		t.Fatalf("live = %d, want 2 still waiting", k.Live())
-	}
-}
-
 func TestCondBroadcastWakesAll(t *testing.T) {
 	k := NewKernel()
 	m := NewMutex(k, "m")
@@ -172,7 +139,8 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 		k.Go(fmt.Sprintf("waiter%d", i), func(p *Proc) {
 			m.Lock(p)
 			for !released {
-				c.Wait(p)
+				c.WaitCall(Wake, p)
+				p.Await()
 			}
 			woke++
 			m.Unlock(p)
@@ -308,8 +276,8 @@ func TestEventBroadcast(t *testing.T) {
 	if woke != 6 {
 		t.Fatalf("woke = %d, want 6", woke)
 	}
-	if !e.Fired() {
-		t.Fatal("Fired() = false")
+	if !e.fired {
+		t.Fatal("fired = false")
 	}
 }
 
@@ -333,8 +301,8 @@ func TestWaitGroup(t *testing.T) {
 	if doneAt != 3*Millisecond {
 		t.Fatalf("waiter released at %v, want 3ms", doneAt)
 	}
-	if wg.Count() != 0 {
-		t.Fatalf("count = %d", wg.Count())
+	if wg.n != 0 {
+		t.Fatalf("count = %d", wg.n)
 	}
 }
 

@@ -106,6 +106,14 @@ type condStep struct {
 	broadcast bool
 }
 
+// signal wakes c's longest waiter alone, the way Broadcast wakes each, so
+// that the schedules below can pin one woken waiter re-locking.
+func signal(c *Cond) {
+	if c.waiters.len() > 0 {
+		c.m.k.AfterCall(0, condWoken, c.waiters.pop())
+	}
+}
+
 // runCondSchedule runs steps on one Mutex and Cond and returns the trace
 // of token takes and signals in execution order.
 func runCondSchedule(steps []condStep, convert bool) (trace []string, k *Kernel) {
@@ -141,7 +149,8 @@ func runCondSchedule(steps []condStep, convert bool) (trace []string, k *Kernel)
 			m.Lock(p)
 			if s.waiter {
 				for tokens == 0 {
-					c.Wait(p)
+					c.WaitCall(Wake, p)
+					p.Await()
 				}
 				tokens--
 				trace = append(trace, fmt.Sprintf("%v:take%d", k.Now(), i))
@@ -152,7 +161,7 @@ func runCondSchedule(steps []condStep, convert bool) (trace []string, k *Kernel)
 				if s.broadcast {
 					c.Broadcast()
 				} else {
-					c.Signal()
+					signal(c)
 				}
 			}
 			m.Unlock(p)

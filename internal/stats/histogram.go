@@ -99,10 +99,10 @@ func satAdd(a, b int64) int64 {
 }
 
 // Count returns how many values were recorded.
-func (h *Histogram) Count() uint64 { return h.total }
+func (h *Histogram) Count() uint64 { return h.total } //afvet:allow unused device/submit_test.go pins a device's latency histograms through it
 
 // Sum returns the sum of recorded values.
-func (h *Histogram) Sum() int64 { return h.sum }
+func (h *Histogram) Sum() int64 { return h.sum } //afvet:allow unused device/submit_test.go pins a device's latency histograms through it
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (h *Histogram) Mean() float64 {
@@ -177,7 +177,7 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // Reset clears all recorded values.
-func (h *Histogram) Reset() {
+func (h *Histogram) Reset() { //afvet:allow unused device/device_test.go clears a device's write latency between phases
 	for i := range h.counts {
 		h.counts[i] = 0
 	}
@@ -218,23 +218,9 @@ func (h *Histogram) String() string {
 		s.Count, s.Mean, s.P50, s.P99, s.Max)
 }
 
-// Distribution returns (lowerBound, count) pairs for non-empty buckets;
-// useful for plotting.
-func (h *Histogram) Distribution() ([]int64, []uint64) {
-	var bounds []int64
-	var counts []uint64
-	for i, c := range h.counts {
-		if c > 0 {
-			bounds = append(bounds, h.bucketLow(i))
-			counts = append(counts, c)
-		}
-	}
-	return bounds, counts
-}
-
 // ExactQuantile computes the exact q-quantile of a raw sample slice; used by
 // tests to validate the histogram approximation.
-func ExactQuantile(samples []int64, q float64) int64 {
+func ExactQuantile(samples []int64, q float64) int64 { //afvet:allow unused stats_test.go checks the histogram's quantiles against it
 	if len(samples) == 0 {
 		return 0
 	}

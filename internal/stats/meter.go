@@ -16,9 +16,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // TimeSeries records (t, value) samples, e.g. IOPS per interval for the
 // paper's Figure 4 time plot.
 type TimeSeries struct {

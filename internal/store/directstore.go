@@ -78,9 +78,6 @@ func (d *DirectStore) MetaAtCommit() bool { return true }
 // across daemon generations; there is no per-generation ring.
 func (d *DirectStore) Reopen(string) {}
 
-// Stats returns live backend statistics.
-func (d *DirectStore) Stats() *DirectStats { return &d.stats }
-
 func (d *DirectStore) getOps() []kvstore.Op {
 	if n := len(d.opsFree); n > 0 {
 		s := d.opsFree[n-1]

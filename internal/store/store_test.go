@@ -296,7 +296,7 @@ func TestDirectStoreWALThreshold(t *testing.T) {
 		d.Applied(large)
 	})
 	w.k.Run(sim.Forever)
-	st := d.Stats()
+	st := &d.stats
 	if st.SmallWrites.Value() != 1 || st.LargeWrites.Value() != 1 {
 		t.Fatalf("small=%d large=%d, want 1/1", st.SmallWrites.Value(), st.LargeWrites.Value())
 	}
@@ -344,7 +344,7 @@ func TestDirectStoreZombieApply(t *testing.T) {
 	if d.PendingBytes() != 0 {
 		t.Fatalf("zombie apply double-returned WAL credit: pending = %d", d.PendingBytes())
 	}
-	if st := d.Stats(); st.Replays.Value() != 1 {
+	if st := &d.stats; st.Replays.Value() != 1 {
 		t.Fatalf("replays = %d, want 1", st.Replays.Value())
 	}
 }

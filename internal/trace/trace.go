@@ -36,17 +36,6 @@ func (s *Span) Stamp(stage int, now sim.Time) {
 	s.t[stage] = now
 }
 
-// At returns the recorded time for a stage (0 = never stamped).
-func (s *Span) At(stage int) sim.Time {
-	if s == nil {
-		return 0
-	}
-	return s.t[stage]
-}
-
-// Reset clears all stamps so the Span can go back on a free list.
-func (s *Span) Reset() { *s = Span{} }
-
 // Segment names one hop of the pipeline's critical path: the latency
 // between two stages. A chain of segments where each From equals the
 // previous To telescopes — the segment deltas of one span sum exactly to
@@ -97,12 +86,6 @@ func NewCollector(spec *Spec, enabled bool) *Collector {
 	return c
 }
 
-// Enabled reports whether the collector records anything.
-func (c *Collector) Enabled() bool { return c.cum != nil }
-
-// Spec returns the pipeline description this collector aggregates.
-func (c *Collector) Spec() *Spec { return c.spec }
-
 // Add folds one completed span in. Spans that never reached the final
 // stage are ignored (the op never finished: crashed generation, still in
 // flight). Stage stamps earlier than the base stamp (or absent) are
@@ -141,18 +124,6 @@ func (c *Collector) StageMeanMillis(stage int) float64 {
 	}
 	return c.cum[stage].Mean() / 1e6
 }
-
-// SegmentHist returns the i-th segment's delta histogram, nil when
-// disabled.
-func (c *Collector) SegmentHist(i int) *stats.Histogram {
-	if c.seg == nil {
-		return nil
-	}
-	return c.seg[i]
-}
-
-// EndToEnd returns the base→final latency histogram, nil when disabled.
-func (c *Collector) EndToEnd() *stats.Histogram { return c.e2e }
 
 // Merge folds another collector's samples into c. Both must share the
 // spec shape; disabled collectors merge as empty.

@@ -39,25 +39,19 @@ func TestCalibrationDiagnostics(t *testing.T) {
 		t.Logf("%s locks: acquires=%d contended=%d waitTotal=%v holdTotal=%v maxWait=%v",
 			name, ls.Acquires, ls.Contended, ls.WaitTime, ls.HoldTime, ls.MaxWait)
 		for i, n := range c.Nodes() {
-			t.Logf("%s node%d cpu util=%.2f queue=%d", name, i, n.Utilization(), n.QueueLen())
+			t.Logf("%s node%d cpu util=%.2f", name, i, n.Utilization())
 		}
 		t.Logf("%s osd0: dispQ=%d pending=%d deferred=%d blocked=%d fsThrottle avail=%d waited=%v throttled=%d",
 			name, o.Dispatcher().QueueLen(), o.Dispatcher().PendingLen(),
 			o.Dispatcher().Stats().Deferred.Value(), o.Dispatcher().Stats().Blocked.Value(),
 			o.FsThrottle().Available(), o.FsThrottle().WaitTime(), o.FsThrottle().Throttled())
-		t.Logf("%s osd0: journal free=%d/%d fullStalls=%d logQ=%d logBlock=%vns",
+		t.Logf("%s osd0: journal free=%d/%d fullStalls=%d",
 			name, o.Journal().Free(), o.Journal().Size(),
-			o.Journal().Stats().FullStalls.Value(), o.Logger().QueueLen(),
-			o.Logger().Stats().BlockTime.Value())
+			o.Journal().Stats().FullStalls.Value())
 		fs := o.FileStore().Stats()
 		t.Logf("%s osd0 fs: applies=%d syscalls=%d metaReads=%d kvWAL=%d kvStalls=%d",
 			name, fs.Applies.Value(), fs.Syscalls.Value(), fs.MetaReads.Value(),
 			o.FileStore().DB().Stats().WALBytes.Value(), o.FileStore().DB().Stats().Stalls.Value())
-		ssd := c.SSDs()[0]
-		t.Logf("%s ssd0: util=%.2f queue=%d reads=%d writes=%d readLat=%v writeLat=%v",
-			name, ssd.Utilization(), ssd.QueueLen(),
-			ssd.Stats().Reads.Value(), ssd.Stats().Writes.Value(),
-			sim.Time(ssd.Stats().ReadLat.Mean()), sim.Time(ssd.Stats().WriteLat.Mean()))
 	}
 	run("community", osd.Community())
 	run("afceph", osd.AFCeph())

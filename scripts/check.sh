@@ -4,7 +4,8 @@
 #   fmt        gofmt -l must be clean
 #   lint       static checks: go vet plus afvet, the project's own
 #              multichecker (determinism, errcheck, globalwrite, hotalloc,
-#              lockorder, logpath, poolsafe — see DESIGN.md §9 and §14)
+#              lockorder, logpath, poolsafe, unused — see DESIGN.md §9
+#              and §14)
 #   build      every package compiles
 #   test       full suite — unit, integration, recovery/chaos, determinism
 #              (shuffled, to catch test-order dependence)
