@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/crush"
@@ -80,43 +82,72 @@ func validateWidth(m *crush.Map, pgs, width, replicas, osdsPer int) widthReport 
 	return rep
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is crushtool with its arguments and output streams as parameters; it
+// returns the exit status: 0 on success, 1 when the map cannot be built or
+// a -width validation finds a violation, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("crushtool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		hosts    = flag.Int("hosts", 4, "number of hosts (failure domains)")
-		osdsPer  = flag.Int("osds-per-host", 4, "OSDs per host")
-		pgs      = flag.Int("pgs", 1024, "placement groups")
-		replicas = flag.Int("replicas", 2, "replica count")
-		width    = flag.Int("width", 0, "validate placement at this set width (an EC pool's k+m) and exit")
-		remove   = flag.Int("remove-host", -1, "also compute remap fraction after removing this host index")
+		hosts    = fs.Int("hosts", 4, "number of hosts (failure domains)")
+		osdsPer  = fs.Int("osds-per-host", 4, "OSDs per host")
+		pgs      = fs.Int("pgs", 1024, "placement groups")
+		replicas = fs.Int("replicas", 2, "replica count")
+		width    = fs.Int("width", 0, "validate placement at this set width (an EC pool's k+m) and exit")
+		remove   = fs.Int("remove-host", -1, "also compute remap fraction after removing this host index")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"hosts", *hosts}, {"osds-per-host", *osdsPer}, {"pgs", *pgs}, {"replicas", *replicas}} {
+		if f.v < 1 {
+			fmt.Fprintf(stderr, "crushtool: -%s is %d, want at least 1\n", f.name, f.v)
+			return 2
+		}
+	}
+	if *width < 0 {
+		fmt.Fprintf(stderr, "crushtool: -width is %d, want 0 (off) or more\n", *width)
+		return 2
+	}
+	if *remove != -1 && (*remove < 0 || *remove >= *hosts) {
+		fmt.Fprintf(stderr, "crushtool: -remove-host is %d, want a host index in [0, %d)\n", *remove, *hosts)
+		return 2
+	}
 
 	m, err := buildMap(*hosts, *osdsPer, -1)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crushtool:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "crushtool:", err)
+		return 1
 	}
 
 	if *width > 0 {
 		rep := validateWidth(m, *pgs, *width, *replicas, *osdsPer)
-		fmt.Printf("width %d over %d hosts x %d OSDs, %d PGs:\n", *width, *hosts, *osdsPer, *pgs)
-		fmt.Printf("  host-separation relaxed (set reuses a host): %d/%d PGs\n", rep.HostReuse, *pgs)
+		fmt.Fprintf(stdout, "width %d over %d hosts x %d OSDs, %d PGs:\n", *width, *hosts, *osdsPer, *pgs)
+		fmt.Fprintf(stdout, "  host-separation relaxed (set reuses a host): %d/%d PGs\n", rep.HostReuse, *pgs)
 		bad := false
 		report := func(what string, pgs []uint32) {
 			if len(pgs) == 0 {
 				return
 			}
 			bad = true
-			fmt.Printf("  VIOLATION %s: %d PGs, first pg %d\n", what, len(pgs), pgs[0])
+			fmt.Fprintf(stdout, "  VIOLATION %s: %d PGs, first pg %d\n", what, len(pgs), pgs[0])
 		}
 		report("short set (map cannot satisfy width)", rep.Short)
 		report("duplicate OSD in set", rep.DupOSD)
 		report(fmt.Sprintf("primary moved vs %d-replica placement", *replicas), rep.MovedPrimary)
 		if bad {
-			os.Exit(1)
+			return 1
 		}
-		fmt.Println("  ok: full-width sets, distinct OSDs, primaries stable")
-		return
+		fmt.Fprintln(stdout, "  ok: full-width sets, distinct OSDs, primaries stable")
+		return 0
 	}
 
 	counts := make(map[int]int)
@@ -138,21 +169,21 @@ func main() {
 		}
 	}
 
-	fmt.Printf("map: %d hosts x %d OSDs, %d PGs, %d replicas\n",
+	fmt.Fprintf(stdout, "map: %d hosts x %d OSDs, %d PGs, %d replicas\n",
 		*hosts, *osdsPer, *pgs, *replicas)
 	mean := float64(*pgs**replicas) / float64(m.NumOSDs())
-	fmt.Printf("%-6s %8s %10s %8s\n", "osd", "pgs", "primaries", "dev%")
+	fmt.Fprintf(stdout, "%-6s %8s %10s %8s\n", "osd", "pgs", "primaries", "dev%")
 	for o := 0; o < m.NumOSDs(); o++ {
 		dev := 100 * (float64(counts[o]) - mean) / mean
-		fmt.Printf("osd.%-3d %8d %10d %+7.1f%%\n", o, counts[o], primaries[o], dev)
+		fmt.Fprintf(stdout, "osd.%-3d %8d %10d %+7.1f%%\n", o, counts[o], primaries[o], dev)
 	}
-	fmt.Printf("replica sets violating host separation: %d\n", sameHost)
+	fmt.Fprintf(stdout, "replica sets violating host separation: %d\n", sameHost)
 
 	if *remove >= 0 {
 		after, err := buildMap(*hosts, *osdsPer, *remove)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "crushtool:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "crushtool:", err)
+			return 1
 		}
 		moved := 0
 		for pg := 0; pg < *pgs; pg++ {
@@ -160,7 +191,8 @@ func main() {
 				moved++
 			}
 		}
-		fmt.Printf("after removing host%d: %d/%d primaries moved (%.1f%%, ideal %.1f%%)\n",
+		fmt.Fprintf(stdout, "after removing host%d: %d/%d primaries moved (%.1f%%, ideal %.1f%%)\n",
 			*remove, moved, *pgs, 100*float64(moved)/float64(*pgs), 100/float64(*hosts))
 	}
+	return 0
 }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestValidateWidthECOverSmallMap drives the -width validation mode at an
 // EC pool's footprint on a map with fewer hosts than shards: RS(4,2) on
@@ -41,5 +44,59 @@ func TestValidateWidthWithinHosts(t *testing.T) {
 	}
 	if rep.HostReuse != 0 {
 		t.Errorf("HostReuse = %d at width 3 on 4 hosts, want 0", rep.HostReuse)
+	}
+}
+
+// TestBadFlagsRejected: counts below 1, a negative -width and a
+// -remove-host outside the map exit 2 with a message naming the flag, and
+// print no report. Otherwise -replicas 0 panics in crush, -pgs 0 prints
+// NaN deviations, and removing a host the map does not have reports that
+// nothing moved.
+func TestBadFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-hosts", "0"}, "-hosts"},
+		{[]string{"-osds-per-host", "0"}, "-osds-per-host"},
+		{[]string{"-pgs", "0"}, "-pgs"},
+		{[]string{"-pgs", "-5"}, "-pgs"},
+		{[]string{"-replicas", "0"}, "-replicas"},
+		{[]string{"-width", "-1"}, "-width"},
+		{[]string{"-hosts", "4", "-remove-host", "9"}, "-remove-host"},
+		{[]string{"-hosts", "4", "-remove-host", "4"}, "-remove-host"},
+		{[]string{"-remove-host", "-2"}, "-remove-host"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("crushtool %v: exit %d, want 2\nstdout: %s", tc.args, code, stdout.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.flag) {
+			t.Errorf("crushtool %v: stderr %q does not name %s", tc.args, msg, tc.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("crushtool %v: printed a report for a run it should reject:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestValidRunsReport: the defaults, a host removal and a width check
+// still print their reports and exit 0.
+func TestValidRunsReport(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "replica sets violating host separation: 0"},
+		{[]string{"-hosts", "4", "-remove-host", "3"}, "after removing host3:"},
+		{[]string{"-hosts", "3", "-osds-per-host", "2", "-width", "6"}, "ok: full-width sets"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != 0 {
+			t.Errorf("crushtool %v: exit %d\nstderr: %s", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), tc.want) {
+			t.Errorf("crushtool %v: output lacks %q:\n%s", tc.args, tc.want, stdout.String())
+		}
 	}
 }

@@ -251,9 +251,6 @@ func New(params Params) *Cluster {
 	}
 	c.cmap = m
 	c.diskFaults = make([]*fault.DiskFaults, len(c.osds))
-	// The chaos rng stream is created unconditionally but only consulted
-	// while message-drop chaos is active, so fault-free runs are unchanged.
-	c.Net.SeedFaults(params.Seed ^ 0x6e65746661756c74)
 	if params.HeartbeatInterval > 0 {
 		c.startHeartbeats()
 	}

@@ -333,3 +333,21 @@ func TestAggregateStatsAccessors(t *testing.T) {
 		t.Fatal("topology accessors wrong")
 	}
 }
+
+// TestOSDsRunNoProcess: every OSD thread — the op workers, the journal
+// writer, the filestore workers, the completion worker or finisher and
+// the batcher — is a callback machine, so a built cluster has no live
+// process, and a crash and restart leaves none behind either (the
+// restart's replay process finishes).
+func TestOSDsRunNoProcess(t *testing.T) {
+	c := New(DefaultParams())
+	defer c.Close()
+	if n := c.K.Live(); n != 0 {
+		t.Fatalf("%d processes live after New, want 0", n)
+	}
+	c.CrashOSD(1)
+	c.RestartOSD(1)
+	if n := c.K.Live(); n != 0 {
+		t.Fatalf("%d processes live after a crash and restart, want 0", n)
+	}
+}

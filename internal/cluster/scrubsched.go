@@ -283,7 +283,7 @@ func (c *Cluster) scrubObject(p *sim.Proc, pg uint32, oid string) {
 	// Head-of-line yield: client ops queued on the acting primary go
 	// first. Bounded, so a saturated OSD cannot starve scrub forever.
 	for i := 0; i < 8; i++ {
-		d := c.osds[primary].Dispatcher()
+		d := c.osds[primary].OpWQ()
 		if d.QueueLen()+d.PendingLen() == 0 {
 			break
 		}

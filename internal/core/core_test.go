@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -49,23 +48,21 @@ func TestShardLocksAggregateStats(t *testing.T) {
 	}
 }
 
-// dispatchWorld runs items through a dispatcher with the given worker count
-// and per-item processing time, returning the per-shard processing order
-// and the total elapsed time.
-func dispatchWorld(usePending bool, workers int, items []int, procTime sim.Time) (map[int][]int, sim.Time, *DispatcherStats) {
+// dispatchWorld runs items through an OP_WQ pool with the given worker
+// count and per-item processing time, returning the per-shard processing
+// order and the total elapsed time.
+func dispatchWorld(usePending bool, workers int, items []int, procTime sim.Time) (map[int][]int, sim.Time, *PoolStats) {
 	k := sim.NewKernel()
 	locks := NewShardLocks(k, "pg")
-	d := NewDispatcher[int](k, "opwq", locks, usePending)
 	order := make(map[int][]int)
+	d := NewPool(k, "opwq", locks, 1, usePending, func(shard int, v int, done func(any), arg any) {
+		k.AfterCall(procTime, func(any) {
+			order[shard] = append(order[shard], v)
+			done(arg)
+		}, nil)
+	})
+	d.Start(workers)
 	seq := 0
-	for w := 0; w < workers; w++ {
-		k.Go(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
-			d.RunWorker(p, func(p *sim.Proc, shard int, v int) {
-				p.Sleep(procTime)
-				order[shard] = append(order[shard], v)
-			})
-		})
-	}
 	k.Go("submitter", func(p *sim.Proc) {
 		for _, shard := range items {
 			d.Submit(shard, seq)
@@ -165,18 +162,27 @@ func TestDispatcherOrderProperty(t *testing.T) {
 	}
 }
 
+// completionPool is a completion worker: one worker taking batches of up
+// to batchMax, whose items are their own work.
+func completionPool(k *sim.Kernel, locks *ShardLocks, batchMax int) *Pool[func(func(any), any)] {
+	w := NewPool(k, "comp", locks, batchMax, false, func(_ int, fn func(func(any), any), done func(any), arg any) {
+		fn(done, arg)
+	})
+	w.Start(1)
+	return w
+}
+
 func TestCompletionWorkerBatchesPerShardLock(t *testing.T) {
 	k := sim.NewKernel()
 	locks := NewShardLocks(k, "pg")
-	w := NewCompletionWorker(k, "comp", locks, 64)
+	w := completionPool(k, locks, 64)
 	done := 0
-	w.Start()
 	k.Go("producer", func(p *sim.Proc) {
 		// Queue 32 completions for one shard while the worker is busy
 		// elsewhere, so they arrive as one batch.
 		locks.Get(9).Lock(p)
 		for i := 0; i < 32; i++ {
-			w.Defer(Completion{Shard: 9, Fn: func(next func(any), arg any) { done++; next(arg) }})
+			w.Submit(9, func(next func(any), arg any) { done++; next(arg) })
 		}
 		p.Sleep(sim.Millisecond)
 		locks.Get(9).Unlock(p)
@@ -186,23 +192,22 @@ func TestCompletionWorkerBatchesPerShardLock(t *testing.T) {
 		t.Fatalf("done = %d", done)
 	}
 	st := w.Stats()
-	if st.LockAcquires.Value() >= st.Completions.Value() {
+	if st.LockAcquires.Value() >= st.Taken.Value() {
 		t.Fatalf("no batching: %d lock acquires for %d completions",
-			st.LockAcquires.Value(), st.Completions.Value())
+			st.LockAcquires.Value(), st.Taken.Value())
 	}
 }
 
 func TestCompletionWorkerRunsUnderLock(t *testing.T) {
 	k := sim.NewKernel()
 	locks := NewShardLocks(k, "pg")
-	w := NewCompletionWorker(k, "comp", locks, 0)
+	w := completionPool(k, locks, 64)
 	ok := false
-	w.Start()
 	k.Go("producer", func(p *sim.Proc) {
-		w.Defer(Completion{Shard: 1, Fn: func(next func(any), arg any) {
+		w.Submit(1, func(next func(any), arg any) {
 			ok = locks.Get(1).Locked()
 			next(arg)
-		}})
+		})
 	})
 	k.Run(sim.Forever)
 	if !ok {
@@ -213,14 +218,13 @@ func TestCompletionWorkerRunsUnderLock(t *testing.T) {
 func TestCompletionWorkerPerShardOrder(t *testing.T) {
 	k := sim.NewKernel()
 	locks := NewShardLocks(k, "pg")
-	w := NewCompletionWorker(k, "comp", locks, 64)
+	w := completionPool(k, locks, 64)
 	var got []int
-	w.Start()
 	k.Go("producer", func(p *sim.Proc) {
 		locks.Get(2).Lock(p) // hold so batch accumulates
 		for i := 0; i < 10; i++ {
 			i := i
-			w.Defer(Completion{Shard: 2, Fn: func(next func(any), arg any) { got = append(got, i); next(arg) }})
+			w.Submit(2, func(next func(any), arg any) { got = append(got, i); next(arg) })
 		}
 		p.Sleep(sim.Millisecond)
 		locks.Get(2).Unlock(p)
@@ -239,15 +243,14 @@ func TestCompletionWorkerPerShardOrder(t *testing.T) {
 func TestCompletionWorkerClose(t *testing.T) {
 	k := sim.NewKernel()
 	locks := NewShardLocks(k, "pg")
-	w := NewCompletionWorker(k, "comp", locks, 4)
-	w.Start()
+	w := completionPool(k, locks, 4)
 	ran := 0
 	k.Go("closer", func(p *sim.Proc) {
 		locks.Get(3).Lock(p)
 		for i := 0; i < 6; i++ {
-			w.Defer(Completion{Shard: 3, Fn: func(next func(any), arg any) { ran++; next(arg) }})
+			w.Submit(3, func(next func(any), arg any) { ran++; next(arg) })
 		}
-		w.q.Close()
+		w.ready.Close()
 		p.Sleep(sim.Millisecond)
 		locks.Get(3).Unlock(p)
 	})
@@ -255,8 +258,43 @@ func TestCompletionWorkerClose(t *testing.T) {
 	if ran != 6 || w.Stats().Batches.Value() != 2 {
 		t.Fatalf("ran %d completions in %d batches, want 6 in 2", ran, w.Stats().Batches.Value())
 	}
-	if k.Live() != 0 || w.q.Len() != 0 {
-		t.Fatalf("%d procs live, %d completions queued after close", k.Live(), w.q.Len())
+	if k.Live() != 0 || w.ready.Len() != 0 {
+		t.Fatalf("%d procs live, %d completions queued after close", k.Live(), w.ready.Len())
+	}
+}
+
+// TestPoolStopped stops a finisher-shaped pool (one worker, one item per
+// take) between two items: the worker drops the item it takes next and
+// stops, so a later item stays queued and the run ends.
+func TestPoolStopped(t *testing.T) {
+	k := sim.NewKernel()
+	locks := NewShardLocks(k, "pg")
+	stopped := false
+	var ran []int
+	w := NewPool(k, "fin", locks, 1, false, func(_ int, v int, done func(any), arg any) {
+		ran = append(ran, v)
+		k.AfterCall(sim.Millisecond, done, arg)
+	})
+	w.Stopped = func() bool { return stopped }
+	w.Start(1)
+	k.Go("producer", func(p *sim.Proc) {
+		w.Submit(1, 1)
+		w.Submit(1, 2)
+		p.Sleep(sim.Microsecond) // item 1 is in service, item 2 queued
+		stopped = true
+		p.Sleep(10 * sim.Millisecond)
+		w.Submit(1, 3)
+	})
+	k.Run(sim.Forever)
+	if len(ran) != 1 || ran[0] != 1 {
+		t.Fatalf("processed %v, want only the item taken before the stop", ran)
+	}
+	if n := w.Stats().Processed.Value(); n != 1 {
+		t.Fatalf("processed count %d, want 1", n)
+	}
+	if w.QueueLen() != 1 || locks.Get(1).Locked() {
+		t.Fatalf("%d items queued, lock held %v; want the late item queued and the lock free",
+			w.QueueLen(), locks.Get(1).Locked())
 	}
 }
 

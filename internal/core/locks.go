@@ -4,14 +4,14 @@
 //   - ShardLocks: per-PG coarse-grained locks with contention statistics
 //     (the paper keeps Ceph's PG lock scheme — it protects recovery and
 //     ordering — and attacks the time spent *waiting* on it instead).
-//   - Dispatcher: the OP_WQ worker pool. In community mode a worker that
-//     hits a held PG lock blocks; with the pending queue (§3.1, Fig. 5) the
-//     op parks in a per-PG FIFO and the worker moves on, preserving per-PG
-//     order while keeping workers utilized.
-//   - CompletionWorker: the dedicated batching completion thread (§3.1,
-//     Fig. 6). Commit/applied/ack events do minimal work under an op-level
-//     lock and defer their PG-lock work here, where one lock acquisition
-//     covers a whole batch.
+//   - Pool: a worker pool over a ready queue of shard-tagged items, each
+//     processed under its shard's lock; every worker is a callback
+//     machine. It runs the OP_WQ, where with the pending queue (§3.1,
+//     Fig. 5) an op whose PG lock is held parks in a per-PG FIFO and the
+//     worker moves on, preserving per-PG order while keeping workers
+//     utilized; the dedicated batching completion thread (§3.1, Fig. 6),
+//     where one lock acquisition covers a whole batch of a PG's
+//     commit/applied work; and the community single finisher.
 //   - ThrottleConfig: the throttle policy (§3.2) expressed in Ceph's own
 //     parameter names, with HDD-era defaults and the SSD-sized values the
 //     paper derives from the 30K IOPS sustained capability of one block

@@ -684,21 +684,57 @@ func (f *FileStore) ExportObject(oid string) (ObjectState, bool) {
 
 // IngestObject installs a recovered object: the payload is written to the
 // local device (stream-class, it arrives as one large push) and the
-// object's metadata — including verification stamps — is replaced.
+// object's metadata — including verification stamps — is replaced. It is
+// IngestCall with sim.Wake, then Await.
 func (f *FileStore) IngestObject(p *sim.Proc, oid string, st ObjectState) {
-	obj := f.lookup(oid)
+	f.IngestCall(&Ingest{Done: sim.Wake, Arg: p, OID: oid, State: st})
+	p.Await()
+}
+
+// Ingest is one IngestObject made by a callback chain (see IngestCall).
+// Its owner keeps it alive until Done has run.
+type Ingest struct {
+	// Done runs as Done(Arg) once the object is installed. It runs in
+	// kernel context and must not block.
+	Done  func(any)
+	Arg   any
+	OID   string
+	State ObjectState
+
+	f   *FileStore
+	obj *object
+	off int64 // the payload written so far
+	io  device.IO
+}
+
+// ingestChunk is the size of one payload write: recovery pushes land as
+// large contiguous writes.
+const ingestChunk = 1 << 20
+
+// IngestCall is IngestObject for callback models: it writes the payload
+// chunk by chunk, replaces the object's metadata, and runs in.Done. Every
+// event lands in the slot IngestObject's would.
+func (f *FileStore) IngestCall(in *Ingest) {
+	in.f, in.obj, in.off = f, f.lookup(in.OID), 0
+	in.io.Done, in.io.Arg, in.io.Write = ingestWritten, in, true
+	ingestWritten(in)
+}
+
+// ingestWritten writes the payload's next chunk, or installs the object's
+// metadata once every chunk is written.
+func ingestWritten(a any) {
+	in := a.(*Ingest)
+	f, obj, st := in.f, in.obj, &in.State
 	size := st.Size
 	if size <= 0 {
 		size = 4096
 	}
-	// Recovery pushes land as large contiguous writes.
-	const chunk = 1 << 20
-	for off := int64(0); off < size; off += chunk {
-		n := size - off
-		if n > chunk {
-			n = chunk
-		}
-		f.dev.Write(p, obj.base+off%extentSize, n)
+	if in.off < size {
+		n := min(size-in.off, ingestChunk)
+		in.io.Off, in.io.Size = obj.base+in.off%extentSize, n
+		in.off += n
+		f.dev.Submit(&in.io)
+		return
 	}
 	f.stats.DataBytes.Add(uint64(size))
 	obj.size = st.Size
@@ -717,4 +753,5 @@ func (f *FileStore) IngestObject(p *sim.Proc, oid string, st ObjectState) {
 			obj.stamps[k] = v
 		}
 	}
+	in.Done(in.Arg)
 }

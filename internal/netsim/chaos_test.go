@@ -6,8 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Fault-injection tests for the fabric: partitions, dead (crashed)
-// endpoints, and probabilistic chaos drops/delays.
+// Fault-injection tests for the fabric: partitions and dead (crashed)
+// endpoints.
 
 func TestPartitionDropsAndHealRestores(t *testing.T) {
 	k, net, na, nb := testWorld()
@@ -84,57 +84,5 @@ func TestDeadSenderDropsQueuedMessages(t *testing.T) {
 	k.Run(sim.Forever)
 	if delivered != 1 {
 		t.Fatalf("revived endpoint delivered %d, want 1", delivered)
-	}
-}
-
-func TestChaosDropsAreSeededAndDeterministic(t *testing.T) {
-	run := func(seed uint64) (delivered int, dropped uint64) {
-		k, net, na, nb := testWorld()
-		src := net.NewEndpoint("src", na, true)
-		dst := net.NewEndpoint("dst", nb, true)
-		dst.SetReceiver(func(m *Message) { delivered++ })
-		net.SeedFaults(seed)
-		net.dropProb = 0.3
-		k.Go("send", func(p *sim.Proc) {
-			for i := 0; i < 200; i++ {
-				src.Send(p, dst, 4096, 0, nil)
-			}
-		})
-		k.Run(sim.Forever)
-		return delivered, net.Dropped.Value()
-	}
-	d1, x1 := run(7)
-	if x1 == 0 || d1 == 200 {
-		t.Fatalf("chaos dropped nothing: delivered=%d dropped=%d", d1, x1)
-	}
-	if d1+int(x1) != 200 {
-		t.Fatalf("accounting: delivered=%d + dropped=%d != 200", d1, x1)
-	}
-	d2, x2 := run(7)
-	if d1 != d2 || x1 != x2 {
-		t.Fatalf("same seed diverged: (%d,%d) vs (%d,%d)", d1, x1, d2, x2)
-	}
-	d3, x3 := run(8)
-	if d1 == d3 && x1 == x3 {
-		t.Fatal("different seeds produced identical drop pattern (suspicious)")
-	}
-}
-
-func TestChaosExtraDelayShiftsDelivery(t *testing.T) {
-	deliveryTime := func(extra sim.Time) sim.Time {
-		k, net, na, nb := testWorld()
-		src := net.NewEndpoint("src", na, true)
-		dst := net.NewEndpoint("dst", nb, true)
-		var at sim.Time
-		dst.SetReceiver(func(m *Message) { at = k.Now() })
-		net.extraDelay = extra
-		k.Go("send", func(p *sim.Proc) { src.Send(p, dst, 4096, 0, nil) })
-		k.Run(sim.Forever)
-		return at
-	}
-	base := deliveryTime(0)
-	slow := deliveryTime(5 * sim.Millisecond)
-	if slow != base+5*sim.Millisecond {
-		t.Fatalf("extra delay off: base=%v slow=%v, want +5ms exactly", base, slow)
 	}
 }

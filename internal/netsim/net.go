@@ -13,7 +13,6 @@ package netsim
 
 import (
 	"repro/internal/cpumodel"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -64,18 +63,12 @@ type Network struct {
 	BytesSent stats.Counter
 	// Msgs counts messages delivered.
 	Msgs stats.Counter
-	// Dropped counts messages lost to partitions, chaos drops, or dead
-	// (crashed) sender endpoints.
+	// Dropped counts messages lost to partitions or dead (crashed) sender
+	// endpoints.
 	Dropped stats.Counter
 
-	// Fault-injection state. Partitions are symmetric per endpoint pair;
-	// dropProb/extraDelay apply to every message while set. The chaos rng
-	// is consulted only while dropProb > 0, so fault-free runs are
-	// bit-identical with or without a seeded stream.
+	// Fault-injection state: partitions are symmetric per endpoint pair.
 	partitions map[epPair]bool
-	dropProb   float64
-	extraDelay sim.Time
-	chaosRnd   *rng.Rand
 
 	// msgFree pools Message records: a message is recycled once its handler
 	// is done with it (handlers take payloads, never the wrapper) or when it
@@ -89,10 +82,6 @@ type epPair struct{ a, b *Endpoint }
 func New(k *sim.Kernel, params Params) *Network {
 	return &Network{K: k, Params: params, partitions: make(map[epPair]bool)}
 }
-
-// SeedFaults installs the rng stream that decides chaos drops; a dropProb
-// above zero needs it.
-func (n *Network) SeedFaults(seed uint64) { n.chaosRnd = rng.New(seed) }
 
 // Partition cuts the link between a and b in both directions: messages
 // between them are silently dropped until Heal.
@@ -309,18 +298,18 @@ func (c *txConn) next() {
 	}
 }
 
-// txSent runs when a message has left the NIC: it is lost to a partition
-// or a chaos drop, or handed to the delivery timer. The connection then
-// sends its next message.
+// txSent runs when a message has left the NIC: it is lost to a partition,
+// or handed to the delivery timer. The connection then sends its next
+// message.
 func txSent(a any) {
 	c := a.(*txConn)
 	e, n, m := c.e, c.e.net, c.m
 	n.BytesSent.Add(uint64(m.Size))
-	if n.Partitioned(e, c.dst) || (n.dropProb > 0 && n.chaosRnd.Float64() < n.dropProb) {
+	if n.Partitioned(e, c.dst) {
 		n.Dropped.Inc()
 		n.putMsg(m)
 	} else {
-		delay := n.Params.Propagation + n.extraDelay
+		delay := n.Params.Propagation
 		if !e.noDelay && m.Size < MSS {
 			delay += n.Params.NagleDelay
 		}

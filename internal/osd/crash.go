@@ -98,7 +98,7 @@ func (o *OSD) Restart(p *sim.Proc) int {
 	if o.cep != o.ep {
 		o.cep.SetDead(false)
 	}
-	o.spawnWorkers()
+	o.startWorkers()
 	return replayed
 }
 

@@ -58,14 +58,12 @@ func (g *ecGather) recordUsable(idx int, stamp uint64, exists bool) {
 }
 
 // processECRead services a read on an EC primary under the PG lock: the
-// read's log, the op setup CPU, then the gather (ecPumpStep), in a
-// msgChain the worker awaits.
-func (o *OSD) processECRead(p *sim.Proc, eng *engine, op *ClientOp) {
+// read's log, the op setup CPU, then the gather (ecPumpStep), in the
+// worker's chain.
+func (o *OSD) processECRead(ch *msgChain, op *ClientOp) {
 	o.metrics.ReadOps.Inc()
-	ch := o.getChain(eng, nil, p)
 	ch.op = op
 	ch.logStep(siteRead, ecReadLogged)
-	p.Await()
 }
 
 func ecReadLogged(ch *msgChain) { ch.setUp(ecReadSetUp) }
@@ -129,15 +127,13 @@ func (o *OSD) sendShardRead(eng *engine, g *ecGather, idx int, ep *netsim.Endpoi
 }
 
 // processShardRead serves the primary's gather fetch on a shard holder,
-// under the PG lock: the read path (startRead), then the answer, in a
-// msgChain the worker awaits.
-func (o *OSD) processShardRead(p *sim.Proc, eng *engine, sr *shardRead) {
+// under the PG lock: the read path (startRead), then the answer, in the
+// worker's chain.
+func (o *OSD) processShardRead(ch *msgChain, sr *shardRead) {
 	o.metrics.RepReads.Inc()
-	ch := o.getChain(eng, nil, p)
 	ch.sr = sr
 	op := sr.op // read-only here: the op is primary-owned
 	ch.startRead(op.OID, op.Off, o.pol.ShardLen(op.Len), shardReadDone)
-	p.Await()
 }
 
 // shardReadDone answers the primary. A clean shard (present or absent)
@@ -178,7 +174,7 @@ func (o *OSD) handleShardReadReply(eng *engine, m *netsim.Message, srr *shardRea
 			g.healState, g.healOK = srr.state, true
 		}
 	}
-	ch := o.getChain(eng, m, nil)
+	ch := o.getChain(eng, m)
 	ch.g, ch.set = g, o.shardPlacer(g.op.PG)
 	ecPumpStep(ch)
 }

@@ -10,13 +10,14 @@ import (
 
 // msgChain runs an OSD step that must wait, in kernel callbacks; it is the
 // one implementation of each step. A chain is either held by a message or
-// awaited by a process. handleMessage runs in kernel context
-// (netsim.Receiver) and never blocks; where a SimpleMessenger thread would
-// block — on the client-message throttle, on a CPU charge, on a Sync-mode
-// log — the chain holds the message, so its connection stays stalled, as
-// behind a blocked thread, until end releases it. An op worker parks in
-// sim.Proc.Await until end wakes it, and the journal writer, a callback
-// machine itself, is continued by end. Every charge is a
+// continues a callback machine when it ends. handleMessage runs in kernel
+// context (netsim.Receiver) and never blocks; where a SimpleMessenger
+// thread would block — on the client-message throttle, on a CPU charge, on
+// a Sync-mode log — the chain holds the message, so its connection stays
+// stalled, as behind a blocked thread, until end releases it. The op
+// workers, the completion worker, the finisher and the journal writer are
+// callback machines themselves, and end continues the one that started
+// the chain. Every charge is a
 // cpumodel.UseCall or oslog.LogCall, every store read a
 // filestore.ReadCall and the throttle wait a
 // sim.Semaphore.AcquireCall, and the journal push a sim.Queue.PushCall,
@@ -39,7 +40,7 @@ import (
 //     CPU, per replica repSendCPU and the sub-op send, the submit log, the
 //     filestore throttle, the generation check, then the journal push
 //     (processWrite, startWrite, writeLogBuilt, ...); a replica's sub-op
-//     takes the same steps without the sends (processRepOp, repLogBuilt);
+//     takes the same steps without the sends (processItem, repLogBuilt);
 //   - a read: the read's log, opSetupCPU, readCPU and the store read
 //     (startRead), then the generation check and the ack's log and reply,
 //     or the replica hunt of a damaged copy (processRead, readDone), or
@@ -47,10 +48,15 @@ import (
 //     processRepRead);
 //   - an EC read: the read's log and opSetupCPU, then the gather, the
 //     local shard read inline (processECRead, ecPumpStep, ecSettle);
-//   - the acks a completed commit set releases (commitArrived, ackStep),
-//     also for the journal writer (jwCharged);
-//   - the completion worker's AFCeph bookkeeping: deferredCPU, then the
-//     commit or applied log (deferred).
+//   - a community replica commit: commitCPU with its allocations and the
+//     commit log, then the commit bookkeeping and per ack ackCPU and the
+//     ack's log (processItem, repCommitCharged, fastAckCharged, ackStep);
+//   - the acks the journal writer's local commit releases (jwCharged);
+//   - a completion: the AFCeph completion worker's deferredCPU, or the
+//     community finisher's commitCPU with its allocations, then the
+//     commit or applied log; then, for the finisher, the replica's commit
+//     notification, the acks the commit releases or the entry's recycling
+//     (complete, completionLogged).
 type msgChain struct {
 	o *OSD
 	// The requests the chain makes, each continued by chainStep. They are
@@ -82,20 +88,15 @@ type chainRun struct {
 	then   func(*msgChain)  // run when a read's store read or a write's set-up completes
 	rop    *repOp           // a replica's sub-op
 	reps   []*netsim.Endpoint
-	e      *jEntry // the write's journal entry, until pushed
-	site   int     // the completion worker's bookkeeping: its log site
+	e      *jEntry // the write's journal entry until pushed, or a finisher completion's
+	site   int     // a completion's log site
 }
 
-// getChain starts a chain held by m (it calls m.Hold), or, with m nil,
-// awaited by p.
-func (o *OSD) getChain(eng *engine, m *netsim.Message, p *sim.Proc) *msgChain {
+// getChain starts a chain held by m (it calls m.Hold).
+func (o *OSD) getChain(eng *engine, m *netsim.Message) *msgChain {
 	ch := o.newChain(eng)
 	ch.m = m
-	if m != nil {
-		m.Hold()
-	} else {
-		ch.done, ch.arg = sim.Wake, p
-	}
+	m.Hold()
 	return ch
 }
 

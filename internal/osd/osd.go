@@ -30,16 +30,12 @@ const (
 	siteScrub
 )
 
-// finisher event kinds (community completion path).
-const (
-	finCommit = iota
-	finApplied
-)
-
-type finEvent struct {
-	kind int
+// completion is a journal commit or filestore apply queued for the
+// completion pool: the AFCeph completion worker, or the community
+// finisher, which alone needs the entry.
+type completion struct {
+	site int // siteCommit or siteApplied
 	e    *jEntry
-	at   sim.Time // enqueue time, for completion-dispatch queue-delay stats
 }
 
 type stagedItem struct {
@@ -93,21 +89,15 @@ type engine struct {
 	gen int
 
 	locks *core.ShardLocks
-	disp  *core.Dispatcher[workItem]
-	compw *core.CompletionWorker
+	opwq  *core.Pool[workItem]
+	comp  *core.Pool[completion] // completion worker or finisher
 
 	msgCap     *sim.Semaphore
 	fsThrottle *sim.Semaphore
 
-	journalQ  *sim.Queue[*jEntry]
-	fsQ       *sim.Queue[*jEntry]
-	finisherQ *sim.Queue[finEvent]
-	stageQ    *sim.Queue[stagedItem]
-
-	// Deferred completion bookkeeping (commit/applied), built once instead
-	// of closed over on every journal write and filestore apply.
-	commitFn func(done func(any), arg any)
-	applyFn  func(done func(any), arg any)
+	journalQ *sim.Queue[*jEntry]
+	fsQ      *sim.Queue[*jEntry]
+	stageQ   *sim.Queue[stagedItem]
 }
 
 // OSD is one object storage daemon.
@@ -252,33 +242,37 @@ func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.En
 		cep.SetReceiver(o.handleMessage)
 	}
 	o.buildEngine()
-	o.spawnWorkers()
+	o.startWorkers()
 	return o
 }
 
 // buildEngine creates a fresh daemon instance: queues, throttles, locks,
-// dispatcher and the backend's per-generation write-ahead state. Called at
-// construction and again at Restart; the previous engine (if any) is simply
-// abandoned — workers of the old generation wait on its queues forever
-// without generating events.
+// worker pools and the backend's per-generation write-ahead state. Called
+// at construction and again at Restart; the previous engine (if any) is
+// simply abandoned — the callbacks of old-generation workers waiting on
+// its queues are never run, and generate no events.
 func (o *OSD) buildEngine() {
 	k, cfg := o.k, o.cfg
 	name := fmt.Sprintf("osd%d.g%d", cfg.ID, o.gen)
 	eng := &engine{gen: o.gen}
 	o.store.Reopen(name)
 	eng.locks = core.NewShardLocks(k, name)
-	eng.disp = core.NewDispatcher[workItem](k, name+".opwq", eng.locks, cfg.OptPendingQueue)
+	eng.opwq = core.NewPool(k, name+".opwq", eng.locks, 1, cfg.OptPendingQueue,
+		func(_ int, it workItem, done func(any), arg any) { o.processItem(eng, it, done, arg) })
+	eng.opwq.QueueDelay = stats.NewHistogram()
 	eng.msgCap = sim.NewSemaphore(k, name+".msgcap", cfg.Throttles.OSDClientMessageCap)
 	eng.fsThrottle = sim.NewSemaphore(k, name+".fsq", cfg.Throttles.FilestoreQueueMaxOps)
 	eng.journalQ = sim.NewQueue[*jEntry](k, name+".jq", cfg.journalQueueCap)
 	eng.fsQ = sim.NewQueue[*jEntry](k, name+".fsq", 0)
+	batch := 1 // the community finisher
 	if cfg.OptCompletionWorker {
-		eng.compw = core.NewCompletionWorker(k, name+".comp", eng.locks, 64)
-		eng.compw.QueueDelay = o.CompletionQDelay
-		eng.commitFn = func(done func(any), arg any) { o.deferred(eng, siteCommit, done, arg) }
-		eng.applyFn = func(done func(any), arg any) { o.deferred(eng, siteApplied, done, arg) }
-	} else {
-		eng.finisherQ = sim.NewQueue[finEvent](k, name+".finq", 0)
+		batch = 64
+	}
+	eng.comp = core.NewPool(k, name+".comp", eng.locks, batch, false,
+		func(_ int, c completion, done func(any), arg any) { o.complete(eng, c, done, arg) })
+	eng.comp.QueueDelay = o.CompletionQDelay
+	if !cfg.OptCompletionWorker {
+		eng.comp.Stopped = func() bool { return o.gen != eng.gen }
 	}
 	if cfg.WakeupBatch > 1 {
 		eng.stageQ = sim.NewQueue[stagedItem](k, name+".stage", 0)
@@ -286,46 +280,22 @@ func (o *OSD) buildEngine() {
 	o.eng = eng
 }
 
-// spawnWorkers starts the workers of the current engine: it spawns the
-// op workers (and the community finisher and batcher) as processes, and
-// starts the journal writer, the filestore workers and the completion
-// worker, which are callback machines, with AfterCall(0) in the slots
-// where their processes started.
-func (o *OSD) spawnWorkers() {
+// startWorkers starts the workers of the current engine, all callback
+// machines, each with an AfterCall(0) in the slot where its thread would
+// start: the op workers, the journal writer, the filestore workers, the
+// completion worker or finisher, and the batcher.
+func (o *OSD) startWorkers() {
 	eng := o.eng
-	cfg := o.cfg
-	name := fmt.Sprintf("osd%d.g%d", cfg.ID, eng.gen)
-	for i := 0; i < numOpWorkers; i++ {
-		o.k.Go(fmt.Sprintf("%s.opwq%d", name, i), func(p *sim.Proc) {
-			eng.disp.RunWorker(p, func(p *sim.Proc, shard int, it workItem) {
-				o.processItem(p, eng, shard, it)
-			})
-		})
-	}
+	eng.opwq.Start(numOpWorkers)
 	o.k.AfterCall(0, jwNext, &journalWriter{o: o, eng: eng})
-	for i := 0; i < cfg.NumFilestoreWorkers; i++ {
+	for i := 0; i < o.cfg.NumFilestoreWorkers; i++ {
 		o.k.AfterCall(0, fswNext, &fsWorker{o: o, eng: eng})
 	}
-	if cfg.OptCompletionWorker {
-		eng.compw.Start()
-	} else {
-		o.k.Go(name+".finisher", func(p *sim.Proc) { o.finisher(p, eng) })
-	}
-	if cfg.WakeupBatch > 1 {
-		o.k.Go(name+".batcher", func(p *sim.Proc) { o.batchFlusher(p, eng) })
+	eng.comp.Start(1)
+	if eng.stageQ != nil {
+		o.k.AfterCall(0, batcherRun, &batcher{o: o, eng: eng})
 	}
 }
-
-// deferred runs the AFCeph completion worker's commit or applied
-// bookkeeping in a chain: deferredCPU, then the log entries of site; then
-// done(arg).
-func (o *OSD) deferred(eng *engine, site int, done func(any), arg any) {
-	ch := o.callChain(eng, done, arg)
-	ch.site = site
-	ch.charge(deferredCPU, deferredCharged)
-}
-
-func deferredCharged(ch *msgChain) { ch.logStep(ch.site, (*msgChain).end) }
 
 // SetPlacer installs the function mapping a PG to its replica endpoints
 // (excluding this OSD, which is the primary for PGs it receives writes on).
@@ -384,8 +354,8 @@ func (o *OSD) Journal() *journal.Journal { //afvet:allow unused cluster/cluster_
 // Locks exposes the PG lock table (contention stats).
 func (o *OSD) Locks() *core.ShardLocks { return o.eng.locks }
 
-// Dispatcher exposes the OP_WQ.
-func (o *OSD) Dispatcher() *core.Dispatcher[workItem] { return o.eng.disp }
+// OpWQ exposes the OP_WQ.
+func (o *OSD) OpWQ() *core.Pool[workItem] { return o.eng.opwq }
 
 // Metrics returns operation counters.
 func (o *OSD) Metrics() *Metrics { return &o.metrics }
@@ -441,7 +411,7 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 		}
 		// osd_client_message_cap: stalls this connection when the OSD has
 		// too many client messages in flight.
-		ch := o.getChain(eng, m, nil)
+		ch := o.getChain(eng, m)
 		ch.op = cop
 		if eng.msgCap.AcquireCall(1, intakeGranted, ch) {
 			intakeGranted(ch)
@@ -490,7 +460,7 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 		if o.cfg.OptFastAck {
 			// §3.1: process the ack right away in messenger context
 			// instead of pushing it through the PG queue.
-			ch := o.getChain(eng, m, nil)
+			ch := o.getChain(eng, m)
 			ch.rc = rc
 			ch.charge(commitFastCPU, fastAckCharged)
 		} else {
@@ -510,7 +480,7 @@ func (o *OSD) enqueue(eng *engine, it workItem) {
 		eng.stageQ.TryPush(stagedItem{it: it, at: o.k.Now()})
 		return
 	}
-	eng.disp.Submit(int(o.itemPG(it)), it)
+	eng.opwq.Submit(int(o.itemPG(it)), it)
 }
 
 func (o *OSD) itemPG(it workItem) uint32 {
@@ -529,79 +499,93 @@ func (o *OSD) itemPG(it workItem) uint32 {
 	panic("osd: empty work item")
 }
 
-// batchFlusher implements the HDD-era batching wakeup: ops wait until
-// WakeupBatch peers have queued or the oldest has waited wakeupTimeout.
-func (o *OSD) batchFlusher(p *sim.Proc, eng *engine) {
+// batcher implements the HDD-era batching wakeup as a callback machine:
+// ops wait until WakeupBatch peers have queued or the oldest has waited
+// wakeupTimeout, polling the stage queue as the thread slept.
+type batcher struct {
+	o        *OSD
+	eng      *engine
+	batch    []stagedItem // reused across batches
+	deadline sim.Time
+}
+
+// batcherRun fills the batch until it is full or due, or waits for its
+// first item or the next poll; the batcher stops once its daemon instance
+// has crashed.
+func batcherRun(a any) {
 	const poll = 200 * sim.Microsecond
-	var scratch []stagedItem // one flusher per engine: reuse across batches
+	b := a.(*batcher)
+	o, eng := b.o, b.eng
 	for {
-		first, ok := eng.stageQ.Pop(p)
-		if !ok || o.gen != eng.gen {
-			return
+		if len(b.batch) == 0 {
+			first, ok := eng.stageQ.PopCall(batcherRun, b)
+			if !ok || o.gen != eng.gen {
+				return
+			}
+			b.batch = append(b.batch, first)
+			b.deadline = first.at + wakeupTimeout
 		}
-		batch := append(scratch[:0], first)
-		deadline := first.at + wakeupTimeout
-		for len(batch) < o.cfg.WakeupBatch {
+		for len(b.batch) < o.cfg.WakeupBatch {
 			if v, ok := eng.stageQ.TryPop(); ok {
-				batch = append(batch, v)
+				b.batch = append(b.batch, v)
 				continue
 			}
-			if p.Now() >= deadline {
+			now := o.k.Now()
+			if now >= b.deadline {
 				break
 			}
-			d := deadline - p.Now()
-			if d > poll {
-				d = poll
-			}
-			p.Sleep(d)
+			o.k.AfterCall(min(b.deadline-now, poll), batcherRun, b)
+			return
 		}
 		if o.gen != eng.gen {
 			return
 		}
-		for _, s := range batch {
-			eng.disp.Submit(int(o.itemPG(s.it)), s.it)
+		for _, s := range b.batch {
+			eng.opwq.Submit(int(o.itemPG(s.it)), s.it)
 		}
-		scratch = batch
+		b.batch = b.batch[:0]
 	}
 }
 
-// processItem runs in an OP_WQ worker with the PG lock held.
-func (o *OSD) processItem(p *sim.Proc, eng *engine, shard int, it workItem) {
-	if o.gen != eng.gen {
-		return // this daemon instance crashed; drop queued work
+// processItem runs in an OP_WQ worker with the PG lock held, in a msgChain
+// that ends by running done(arg).
+func (o *OSD) processItem(eng *engine, it workItem, done func(any), arg any) {
+	if o.gen != eng.gen || it.rc != nil && it.rc.parent.gen != o.gen {
+		done(arg) // this daemon instance crashed; drop queued work
+		return
 	}
+	ch := o.callChain(eng, done, arg)
 	switch {
 	case it.cop != nil && it.cop.Kind == OpWrite:
-		o.processWrite(p, eng, it.cop)
+		o.processWrite(ch, it.cop)
 	case it.cop != nil:
-		o.processRead(p, eng, it.cop)
+		o.processRead(ch, it.cop)
 	case it.rop != nil:
-		o.processRepOp(p, eng, it.rop)
+		// The replica write path.
+		o.metrics.RepOps.Inc()
+		ch.rop = it.rop
+		ch.startWrite(repLogBuilt)
 	case it.rr != nil:
-		o.processRepRead(p, eng, it.rr)
+		o.processRepRead(ch, it.rr)
 	case it.sr != nil:
-		o.processShardRead(p, eng, it.sr)
+		o.processShardRead(ch, it.sr)
 	case it.rc != nil:
-		if it.rc.parent.gen != o.gen {
-			return
-		}
-		// Community ack processing: full completion cost under the PG lock.
-		o.node.UseWithAllocs(p, commitCPU, commitAllocs)
-		o.logger.Log(p, siteCommit, logPerStage)
-		o.commitArrived(p, it.rc.parent, true)
-		o.putRepCommit(it.rc)
+		// Community ack processing: full completion cost under the PG
+		// lock, then the commit bookkeeping and the acks it releases.
+		ch.rc = it.rc
+		ch.charge(commitCPU+o.node.AllocCost(commitAllocs), repCommitCharged)
 	}
 }
 
+func repCommitCharged(ch *msgChain) { ch.logStep(siteCommit, fastAckCharged) }
+
 // processWrite is the primary write path, steps (1)-(3) of Figure 2(b),
-// in a msgChain the worker awaits.
-func (o *OSD) processWrite(p *sim.Proc, eng *engine, op *ClientOp) {
-	op.tr.Stamp(StageDequeued, p.Now())
+// in the worker's chain.
+func (o *OSD) processWrite(ch *msgChain, op *ClientOp) {
+	op.tr.Stamp(StageDequeued, o.k.Now())
 	o.metrics.WriteOps.Inc()
-	ch := o.getChain(eng, nil, p)
 	ch.op = op
 	ch.startWrite(writeLogBuilt)
-	p.Await()
 }
 
 // startWrite runs the head of every write an op worker serves, on the
@@ -719,20 +703,18 @@ func journalPush(ch *msgChain) {
 }
 
 // processRead services a read on the primary under the PG lock: the read
-// path (startRead), then the reply or the read-repair, in a msgChain the
-// worker awaits.
-func (o *OSD) processRead(p *sim.Proc, eng *engine, op *ClientOp) {
+// path (startRead), then the reply or the read-repair, in the worker's
+// chain.
+func (o *OSD) processRead(ch *msgChain, op *ClientOp) {
 	if o.pol.Kind() == redundancy.KindEC {
 		// EC pools cannot serve from one copy: the primary gathers k of the
 		// k+m shards (its own included) and reconstructs if any are parity.
-		o.processECRead(p, eng, op)
+		o.processECRead(ch, op)
 		return
 	}
 	o.metrics.ReadOps.Inc()
-	ch := o.getChain(eng, nil, p)
 	ch.op = op
 	ch.startRead(op.OID, op.Off, op.Len, readDone)
-	p.Await()
 }
 
 // startRead runs the head of every read an op worker serves: the read's
@@ -775,16 +757,6 @@ func readAcked(ch *msgChain) {
 	o.ep.Send(nil, op.Client, op.Len+readReplyOverhead, MsgReply, rep)
 	ch.eng.msgCap.Release(1)
 	ch.end()
-}
-
-// processRepOp is the replica write path, in a msgChain the worker
-// awaits.
-func (o *OSD) processRepOp(p *sim.Proc, eng *engine, rop *repOp) {
-	o.metrics.RepOps.Inc()
-	ch := o.getChain(eng, nil, p)
-	ch.rop = rop
-	ch.startWrite(repLogBuilt)
-	p.Await()
 }
 
 // repLogBuilt logs the sub-op's primary-assigned sequence, then takes a
@@ -893,7 +865,7 @@ func jwCommitted(a any) {
 		o.node.UseCall(&w.work, commitFastCPU)
 		return
 	}
-	w.eng.finisherQ.TryPush(finEvent{kind: finCommit, e: e, at: now})
+	w.eng.comp.Submit(int(e.t.PG), completion{site: siteCommit, e: e})
 	jwApply(w)
 }
 
@@ -916,7 +888,7 @@ func jwAcked(a any) {
 	if e.rop != nil {
 		w.o.sendRepCommit(e.rop)
 	}
-	w.eng.compw.Defer(core.Completion{Shard: int(e.t.PG), Fn: w.eng.commitFn})
+	w.eng.comp.Submit(int(e.t.PG), completion{site: siteCommit})
 	jwApply(w)
 }
 
@@ -929,36 +901,40 @@ func jwApply(w *journalWriter) {
 	jwNext(w)
 }
 
-// finisher is the community single completion thread: every journal commit
-// and filestore-applied event takes the PG lock here, one at a time.
-func (o *OSD) finisher(p *sim.Proc, eng *engine) {
-	for {
-		ev, ok := eng.finisherQ.Pop(p)
-		if !ok || o.gen != eng.gen {
-			return
-		}
-		o.CompletionQDelay.Record(int64(p.Now() - ev.at))
-		lock := eng.locks.Get(int(ev.e.t.PG))
-		lock.Lock(p)
-		o.node.UseWithAllocs(p, commitCPU, commitAllocs)
-		switch ev.kind {
-		case finCommit:
-			o.logger.Log(p, siteCommit, logPerStage)
-			if ev.e.cop != nil {
-				o.commitArrived(p, ev.e.cop, false)
-			}
-			if ev.e.rop != nil {
-				o.sendRepCommit(ev.e.rop)
-			}
-		case finApplied:
-			o.logger.Log(p, siteApplied, logPerStage)
-			// Both finisher events for this entry have run (the queue is
-			// FIFO, so finCommit preceded this); nothing references the
-			// entry or its replica sub-op any longer.
-			o.putJEntry(ev.e)
-		}
-		lock.Unlock(p)
+// complete runs a completion under its PG lock, in a chain that ends by
+// running done(arg): deferredCPU for the AFCeph completion worker's
+// bookkeeping, or commitCPU with its allocations for the community
+// finisher; then the site's log entries; then, for the finisher, a
+// replica commit's notification or the acks a commit releases, or an
+// apply's recycling of the entry.
+func (o *OSD) complete(eng *engine, c completion, done func(any), arg any) {
+	ch := o.callChain(eng, done, arg)
+	ch.site, ch.e = c.site, c.e
+	cost := deferredCPU
+	if !o.cfg.OptCompletionWorker {
+		cost = commitCPU + o.node.AllocCost(commitAllocs)
 	}
+	ch.charge(cost, completionCharged)
+}
+
+func completionCharged(ch *msgChain) { ch.logStep(ch.site, completionLogged) }
+
+func completionLogged(ch *msgChain) {
+	o, e := ch.o, ch.e
+	switch {
+	case e == nil:
+		// AFCeph: the journal writer and the filestore worker did the rest.
+	case ch.site == siteApplied:
+		// Both completions of this entry have run (the queue is FIFO, so
+		// the commit preceded this); nothing references the entry or its
+		// replica sub-op any longer.
+		o.putJEntry(e)
+	case e.rop != nil:
+		o.sendRepCommit(e.rop)
+	case o.commitsDone(e.cop, false):
+		o.startAcks(&ch.acks, e.cop)
+	}
+	ackStep(ch)
 }
 
 func (o *OSD) sendRepCommit(rop *repOp) {
@@ -1033,13 +1009,13 @@ func (w *fsWorker) applied() bool {
 	o.store.Applied(&e.t)
 	eng.fsThrottle.Release(1)
 	if o.cfg.OptCompletionWorker {
-		eng.compw.Defer(core.Completion{Shard: int(e.t.PG), Fn: eng.applyFn})
+		eng.comp.Submit(int(e.t.PG), completion{site: siteApplied})
 		// The entry has cleared commit, apply and completion dispatch;
 		// the commit notification was sent back by the journal writer.
 		// Recycle it and its replica sub-op.
 		o.putJEntry(e)
 	} else {
-		eng.finisherQ.TryPush(finEvent{kind: finApplied, e: e, at: o.k.Now()})
+		eng.comp.Submit(int(e.t.PG), completion{site: siteApplied, e: e})
 	}
 	return true
 }
@@ -1079,20 +1055,6 @@ func (o *OSD) makeTx(pg uint32, oid string, off, length int64, stamp uint64) *fi
 // already be acked (and recycled) by apply time.
 func (o *OSD) buildTx(e *jEntry) *filestore.Transaction {
 	return o.makeTx(e.t.PG, e.t.OID, e.t.Off, e.t.Len, e.t.Stamp)
-}
-
-// commitArrived records a local or replica journal commit for op and, when
-// the commit set is complete, sends the client acks it releases in a
-// msgChain that p awaits. The community finisher and ack processing call
-// it under the PG lock; the journal writer (jwCharged) and the fast ack
-// (fastAckCharged) take the same steps in their own chains.
-func (o *OSD) commitArrived(p *sim.Proc, op *ClientOp, fromReplica bool) {
-	if o.commitsDone(op, fromReplica) {
-		ch := o.getChain(o.eng, nil, p)
-		o.startAcks(&ch.acks, op)
-		ackStep(ch)
-		p.Await()
-	}
 }
 
 // commitsDone records a commit for op and reports whether it completed the

@@ -33,12 +33,12 @@ func (o *OSD) RegisterMetrics(r *metrics.Registry) {
 		s.Counter("admit_decisions_rejected", &as.Rejected)
 	}
 
-	s.Histogram("opq_delay", o.eng.disp.QueueDelay)
+	s.Histogram("opq_delay", o.eng.opwq.QueueDelay)
 	s.Histogram("journal_q_delay", o.JournalQDelay)
 	s.Histogram("apply_delay", o.ApplyDelay)
 	s.Histogram("completion_q_delay", o.CompletionQDelay)
 
-	ds := o.eng.disp.Stats()
+	ds := o.eng.opwq.Stats()
 	s.Counter("opq_processed", &ds.Processed)
 	s.Counter("opq_deferred", &ds.Deferred)
 	s.Counter("opq_blocked", &ds.Blocked)
@@ -57,9 +57,9 @@ func (o *OSD) RegisterMetrics(r *metrics.Registry) {
 	s.Gauge("fs_throttle_throttled", func() float64 { return float64(o.eng.fsThrottle.Throttled()) })
 	s.Gauge("fs_throttle_wait_ns", func() float64 { return float64(o.eng.fsThrottle.WaitTime()) })
 
-	if o.eng.compw != nil {
-		cs := o.eng.compw.Stats()
-		s.Counter("comp_completions", &cs.Completions)
+	if o.cfg.OptCompletionWorker {
+		cs := o.eng.comp.Stats()
+		s.Counter("comp_completions", &cs.Taken)
 		s.Counter("comp_batches", &cs.Batches)
 		s.Counter("comp_lock_acquires", &cs.LockAcquires)
 	}

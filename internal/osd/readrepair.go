@@ -1,11 +1,8 @@
 package osd
 
 import (
-	"fmt"
-
 	"repro/internal/filestore"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // Read-path integrity (read-repair). When processRead finds the local
@@ -51,15 +48,13 @@ func (o *OSD) repReadTarget(rr *repRead) *netsim.Endpoint {
 }
 
 // processRepRead serves a peer primary's repair fetch on this replica,
-// under the PG lock: the read path (startRead), then the answer, in a
-// msgChain the worker awaits.
-func (o *OSD) processRepRead(p *sim.Proc, eng *engine, rr *repRead) {
+// under the PG lock: the read path (startRead), then the answer, in the
+// worker's chain.
+func (o *OSD) processRepRead(ch *msgChain, rr *repRead) {
 	o.metrics.RepReads.Inc()
-	ch := o.getChain(eng, nil, p)
 	ch.rr = rr
 	op := rr.op
 	ch.startRead(op.OID, op.Off, op.Len, repReadDone)
-	p.Await()
 }
 
 // repReadDone answers the primary: a clean local copy is returned with a
@@ -87,7 +82,7 @@ func repReadDone(ch *msgChain) {
 // client and queues the local heal; a damaged one forwards the hunt to the
 // next replica.
 func (o *OSD) handleRepReadReply(eng *engine, m *netsim.Message, rrr *repReadReply) {
-	ch := o.getChain(eng, m, nil)
+	ch := o.getChain(eng, m)
 	ch.rr, ch.rrr = rrr.rr, rrr
 	if !rrr.ok {
 		repReadStep(ch)
@@ -109,11 +104,19 @@ func (o *OSD) repairReply(eng *engine, rrr *repReadReply) {
 	o.queueRepair(rrr.state, oid)
 }
 
-// queueRepair spawns the asynchronous overwrite of a damaged local copy
-// from a replica's clean snapshot, deduplicating concurrent repairs of the
-// same object. The overwrite merges with (a cleansed export of) the live
-// local state rather than replacing it, so a write that lands between the
-// snapshot and the heal is never erased.
+// repair is the asynchronous overwrite of a damaged local copy from a
+// replica's clean snapshot.
+type repair struct {
+	o   *OSD
+	gen int
+	in  filestore.Ingest // its State is the snapshot until the heal starts
+}
+
+// queueRepair starts a repair of oid at the current instant, in the slot
+// where a heal thread spawned now would start, deduplicating concurrent
+// repairs of the same object. The overwrite merges with (a cleansed export
+// of) the live local state rather than replacing it, so a write that lands
+// between the snapshot and the heal is never erased.
 func (o *OSD) queueRepair(st filestore.ObjectState, oid string) {
 	if o.repairing == nil {
 		o.repairing = make(map[string]bool)
@@ -122,25 +125,37 @@ func (o *OSD) queueRepair(st filestore.ObjectState, oid string) {
 		return
 	}
 	o.repairing[oid] = true
-	gen := o.gen
-	o.k.Go(fmt.Sprintf("osd%d.readrepair.%s", o.cfg.ID, oid), func(p *sim.Proc) {
-		defer delete(o.repairing, oid)
-		if o.gen != gen || o.crashed {
-			return // the daemon died before the heal ran
-		}
-		target := st.Cleansed()
-		if local, ok := o.fs.ExportObject(oid); ok {
-			target = filestore.UnionState(local.Cleansed(), target)
-		}
-		o.fs.IngestObject(p, oid, target)
-		if o.gen != gen {
-			return // crashed mid-ingest: no bookkeeping for a dead daemon
-		}
+	r := &repair{o: o, gen: o.gen}
+	r.in = filestore.Ingest{Done: repairIngested, Arg: r, OID: oid, State: st}
+	o.k.AfterCall(0, repairStart, r)
+}
+
+func repairStart(a any) {
+	r := a.(*repair)
+	o, oid := r.o, r.in.OID
+	if o.gen != r.gen || o.crashed {
+		delete(o.repairing, oid) // the daemon died before the heal ran
+		return
+	}
+	target := r.in.State.Cleansed()
+	if local, ok := o.fs.ExportObject(oid); ok {
+		target = filestore.UnionState(local.Cleansed(), target)
+	}
+	r.in.State = target
+	o.fs.IngestCall(&r.in)
+}
+
+// repairIngested books the heal, unless the daemon crashed mid-ingest.
+func repairIngested(a any) {
+	r := a.(*repair)
+	o, oid := r.o, r.in.OID
+	if o.gen == r.gen {
 		o.metrics.RepairWrites.Inc()
 		if o.integrityNote != nil {
 			o.integrityNote(oid, NoteRepaired)
 		}
-	})
+	}
+	delete(o.repairing, oid)
 }
 
 // eioReply sends the EIO once its log is written.

@@ -159,7 +159,7 @@ func crashMidReadPinned(t *testing.T) {
 			if n := fs.Device().Stats().Reads.Value(); n != devAtCrash+1 {
 				t.Fatalf("device reads %d after the crash, want the one in flight (%d)", n, devAtCrash+1)
 			}
-			if n := h.o.Dispatcher().Stats().Processed.Value(); n != 3 {
+			if n := h.o.OpWQ().Stats().Processed.Value(); n != 3 {
 				t.Fatalf("dispatcher processed %d items, want 3", n)
 			}
 			if d := h.k.Dispatched(); d != tc.dispatched {

@@ -426,7 +426,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		if ops, bytes := o.Store().PendingOps(), o.Store().PendingBytes(); ops != 0 || bytes != 0 {
 			res.violate("osd.%d write-ahead state not drained: %d ops, %d bytes", id, ops, bytes)
 		}
-		if n := o.Dispatcher().QueueLen() + o.Dispatcher().PendingLen(); n != 0 {
+		if n := o.OpWQ().QueueLen() + o.OpWQ().PendingLen(); n != 0 {
 			res.violate("osd.%d op queue not drained: %d items", id, n)
 		}
 	}

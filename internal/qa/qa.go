@@ -185,7 +185,7 @@ func checkInvariants(c *cluster.Cluster, cfg StressConfig, res *Result, touched 
 		if avail, cap := o.FsThrottle().Available(), o.FsThrottle().Capacity(); avail != cap {
 			res.violate("filestore throttle leaked: %d/%d", avail, cap)
 		}
-		if n := o.Dispatcher().QueueLen() + o.Dispatcher().PendingLen(); n != 0 {
+		if n := o.OpWQ().QueueLen() + o.OpWQ().PendingLen(); n != 0 {
 			res.violate("op queue not drained: %d items", n)
 		}
 	}

@@ -86,15 +86,17 @@ func (m *Mutex) LockCall(fn func(any), arg any) bool {
 	return false
 }
 
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock(p *Proc) bool {
+// TryLock acquires the mutex on behalf of holder (a *Proc, or the holder
+// a callback chain passes to UnlockCall) if it is free, and reports
+// whether it did.
+func (m *Mutex) TryLock(holder any) bool {
 	if m.locked {
 		return false
 	}
 	m.stats.Acquires++
 	m.locked = true
-	m.holder = p
-	m.lockedAt = p.k.now
+	m.holder = holder
+	m.lockedAt = m.k.now
 	return true
 }
 

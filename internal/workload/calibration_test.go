@@ -42,8 +42,8 @@ func TestCalibrationDiagnostics(t *testing.T) {
 			t.Logf("%s node%d cpu util=%.2f", name, i, n.Utilization())
 		}
 		t.Logf("%s osd0: dispQ=%d pending=%d deferred=%d blocked=%d fsThrottle avail=%d waited=%v throttled=%d",
-			name, o.Dispatcher().QueueLen(), o.Dispatcher().PendingLen(),
-			o.Dispatcher().Stats().Deferred.Value(), o.Dispatcher().Stats().Blocked.Value(),
+			name, o.OpWQ().QueueLen(), o.OpWQ().PendingLen(),
+			o.OpWQ().Stats().Deferred.Value(), o.OpWQ().Stats().Blocked.Value(),
 			o.FsThrottle().Available(), o.FsThrottle().WaitTime(), o.FsThrottle().Throttled())
 		t.Logf("%s osd0: journal free=%d/%d fullStalls=%d",
 			name, o.Journal().Free(), o.Journal().Size(),
