@@ -154,6 +154,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	// Each of these would otherwise be replaced by a default or ignored.
+	for _, bad := range []struct {
+		is  bool
+		msg string
+	}{
+		{*runtime <= 0, "-runtime must be positive"},
+		{*ramp < 0, "-ramp must not be negative"},
+		{*imageGB < 1, "-image-gb must be at least 1"},
+		{*failAt < 0, "-fail-at must not be negative"},
+		{*recoverAt != 0 && *failAt == 0, "-recover-at needs -fail-at"},
+		{*scrubMs < 0, "-scrub-ms must not be negative"},
+		{*scrubMBps < 0, "-scrub-mbps must not be negative"},
+		{*scrubPGs < 1, "-scrub-pgs must be at least 1"},
+	} {
+		if bad.is {
+			fmt.Fprintln(stderr, "afsim:", bad.msg)
+			return 2
+		}
+	}
+
 	cfg := afceph.DefaultConfig()
 	cfg.Nodes = *nodes
 	cfg.Pool = *pool

@@ -56,3 +56,36 @@ func TestNodesBelowOneRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfRangeFlagsRejected: each of these used to run, replacing the
+// value with a default or ignoring it, and print results. Every one must
+// exit 2 with a message naming the flag, before any simulation runs.
+func TestOutOfRangeFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-ramp", "-1", "-runtime", "0.05", "-vms", "1", "-iodepth", "1"}, "-ramp"},
+		{[]string{"-runtime", "-1"}, "-runtime"},
+		{[]string{"-runtime", "0"}, "-runtime"},
+		{[]string{"-image-gb", "-1"}, "-image-gb"},
+		{[]string{"-image-gb", "0"}, "-image-gb"},
+		{[]string{"-fail-at", "-5"}, "-fail-at"},
+		{[]string{"-recover-at", "30"}, "-recover-at"},
+		{[]string{"-scrub-ms", "-50"}, "-scrub-ms"},
+		{[]string{"-scrub-ms", "50", "-scrub-mbps", "-2"}, "-scrub-mbps"},
+		{[]string{"-scrub-ms", "50", "-scrub-pgs", "-3"}, "-scrub-pgs"},
+		{[]string{"-scrub-pgs", "0"}, "-scrub-pgs"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("afsim %v: exit %d, want 2\nstdout: %s", tc.args, code, stdout.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.flag) {
+			t.Errorf("afsim %v: stderr %q does not name %s", tc.args, msg, tc.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("afsim %v: printed results for flags it should reject:\n%s", tc.args, stdout.String())
+		}
+	}
+}

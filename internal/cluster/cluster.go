@@ -155,7 +155,7 @@ type Cluster struct {
 	ssds    []*device.SSD
 	rnd     *rng.Rand
 	clients int
-	down    map[int]bool
+	down    []bool // by OSD id
 	epoch   int
 
 	clientList  []*Client
@@ -165,7 +165,7 @@ type Cluster struct {
 	pubNICs     []*netsim.NIC
 	clusterNICs []*netsim.NIC
 	hb          *hbState
-	lastReplays map[int]int
+	lastReplays []int // by OSD id: journal entries replayed since recovery
 	scrub       *scrubState
 	// integrity logs damage-related events (findings, read-repairs, EIOs,
 	// heals) for time-to-detect / time-to-repair accounting. Append-only,
@@ -174,31 +174,60 @@ type Cluster struct {
 
 	// replies recycles ack/read replies between the OSDs and clients.
 	replies *osd.ReplyPool
-	// actCache memoizes actingSet per PG for the current map epoch; CRUSH
-	// placement is pure, so entries only invalidate when the epoch moves.
-	actCache map[uint32][]int
-	actEpoch int
+	// actCache memoizes actingSet per PG for the current map epoch.
+	actCache pgMemo[int]
+}
+
+// pgMemo memoizes a slice per PG, indexed by PG id, for one map epoch:
+// CRUSH placement is pure, so entries only invalidate when the epoch
+// moves. The table grows on the first store of a higher PG id. A nil
+// slice reads as not memoized, and is recomputed at no allocation.
+type pgMemo[E any] struct {
+	epoch int
+	sets  [][]E
+}
+
+// get returns pg's slice memoized in epoch, or nil.
+func (m *pgMemo[E]) get(epoch int, pg uint32) []E {
+	if m.epoch != epoch {
+		clear(m.sets)
+		m.epoch = epoch
+	}
+	if int(pg) < len(m.sets) {
+		return m.sets[pg]
+	}
+	return nil
+}
+
+// put memoizes s for pg in the epoch of the last get, and returns it.
+func (m *pgMemo[E]) put(pg uint32, s []E) []E {
+	for len(m.sets) <= int(pg) {
+		m.sets = append(m.sets, nil)
+	}
+	m.sets[pg] = s
+	return s
 }
 
 // New builds and wires the cluster; the kernel is ready to Run. It panics on
 // Params that Validate rejects.
 func New(params Params) *Cluster {
 	k := sim.NewKernel()
+	nOSDs := params.OSDNodes * params.OSDsPerNode
 	c := &Cluster{
-		K:        k,
-		Net:      netsim.New(k, netsim.DefaultParams()),
-		Params:   params,
-		rnd:      rng.New(params.Seed),
-		down:     make(map[int]bool),
-		replies:  osd.NewReplyPool(),
-		actCache: make(map[uint32][]int),
+		K:           k,
+		Net:         netsim.New(k, netsim.DefaultParams()),
+		Params:      params,
+		rnd:         rng.New(params.Seed),
+		down:        make([]bool, nOSDs),
+		lastReplays: make([]int, nOSDs),
+		replies:     osd.NewReplyPool(),
 	}
 	if err := params.Validate(); err != nil {
 		panic("cluster: " + err.Error())
 	}
 	c.pol, _ = params.policy() // Validate checked it
 
-	perOSDAdmission := params.Admission.PerOSD(params.OSDNodes * params.OSDsPerNode)
+	perOSDAdmission := params.Admission.PerOSD(nOSDs)
 
 	ssdParams, hddParams := device.DefaultSSDParams(), device.DefaultHDDParams()
 	var hosts []crush.Host
@@ -279,14 +308,9 @@ func New(params Params) *Cluster {
 	// read-only.
 	for i := range c.osds {
 		o := c.osds[i]
-		cache := make(map[uint32][]*netsim.Endpoint)
-		cacheEpoch := 0
+		var cache pgMemo[*netsim.Endpoint]
 		o.SetPlacer(func(pg uint32) []*netsim.Endpoint {
-			if cacheEpoch != c.epoch {
-				clear(cache)
-				cacheEpoch = c.epoch
-			}
-			if eps, ok := cache[pg]; ok {
+			if eps := cache.get(c.epoch, pg); eps != nil {
 				return eps
 			}
 			var eps []*netsim.Endpoint
@@ -295,8 +319,7 @@ func New(params Params) *Cluster {
 					eps = append(eps, c.osds[osdID].ClusterEndpoint())
 				}
 			}
-			cache[pg] = eps
-			return eps
+			return cache.put(pg, eps)
 		})
 	}
 	// Redundancy policy: every OSD gets the pool's policy (the constructed
@@ -311,14 +334,9 @@ func New(params Params) *Cluster {
 		for i := range c.osds {
 			o := c.osds[i]
 			self := i
-			cache := make(map[uint32][]osd.ShardTarget)
-			cacheEpoch := 0
+			var cache pgMemo[osd.ShardTarget]
 			o.SetShardPlacer(func(pg uint32) []osd.ShardTarget {
-				if cacheEpoch != c.epoch {
-					clear(cache)
-					cacheEpoch = c.epoch
-				}
-				if ts, ok := cache[pg]; ok {
+				if ts := cache.get(c.epoch, pg); ts != nil {
 					return ts
 				}
 				set := c.cmap.PGToOSDs(pg, c.pol.Width())
@@ -331,8 +349,7 @@ func New(params Params) *Cluster {
 						ts[j] = osd.ShardTarget{EP: c.osds[osdID].ClusterEndpoint()}
 					}
 				}
-				cache[pg] = ts
-				return ts
+				return cache.put(pg, ts)
 			})
 		}
 	}

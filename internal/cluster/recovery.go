@@ -80,9 +80,6 @@ func (c *Cluster) CrashOSD(id int) {
 // journal entries replayed.
 func (c *Cluster) RestartOSDIn(p *sim.Proc, id int) int {
 	n := c.osds[id].Restart(p)
-	if c.lastReplays == nil {
-		c.lastReplays = make(map[int]int)
-	}
 	c.lastReplays[id] += n
 	return n
 }
@@ -103,11 +100,7 @@ func (c *Cluster) RestartOSD(id int) int {
 // entry acts as primary while any preferred member is down. The result is
 // memoized for the current map epoch and must be treated as read-only.
 func (c *Cluster) actingSet(pg uint32) []int {
-	if c.actEpoch != c.epoch {
-		clear(c.actCache)
-		c.actEpoch = c.epoch
-	}
-	if up, ok := c.actCache[pg]; ok {
+	if up := c.actCache.get(c.epoch, pg); up != nil {
 		return up
 	}
 	set := c.cmap.PGToOSDs(pg, c.pol.Width())
@@ -117,8 +110,7 @@ func (c *Cluster) actingSet(pg uint32) []int {
 			up = append(up, id)
 		}
 	}
-	c.actCache[pg] = up
-	return up
+	return c.actCache.put(pg, up)
 }
 
 // RecoveryStats summarizes one RecoverOSD operation.
@@ -155,7 +147,7 @@ func (c *Cluster) RecoverOSD(id int) RecoveryStats {
 // workload is still running (degraded writes proceed; recovered PGs catch
 // up from their peers).
 func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
-	delete(c.down, id)
+	c.down[id] = false
 	c.epoch++
 	c.hbNoteUp(id)
 	start := p.Now()
@@ -168,7 +160,7 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 	// everything it hosts, taking the surviving peer as authoritative.
 	dirty := target.Dirty()
 	st.JournalReplays = c.lastReplays[id]
-	delete(c.lastReplays, id)
+	c.lastReplays[id] = 0
 
 	// Peering prologue. This stretch is synchronous (no simulated I/O, no
 	// yields), so it completes before any client op can reach the rejoining
@@ -234,8 +226,9 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 		// out may still sit unprocessed in a peer's queue — or in flight on
 		// the wire — invisible to PGLogHead. Floor every member's assignment
 		// counter at the maximum assignment horizon over the WHOLE member
-		// set, down members included: pgSeq survives a crash precisely so a
-		// dead assigner still vouches for sequences it launched (this is
+		// set, down members included: the counter survives a crash
+		// precisely so a dead assigner still vouches for sequences it
+		// launched (this is
 		// interval metadata the monitor would hold, so reading a down
 		// member's counter costs no simulated I/O). Whichever member leads
 		// this PG next can then never re-assign a sequence that is queued or

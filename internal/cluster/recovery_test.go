@@ -70,9 +70,9 @@ func TestRecoveryHealsScrub(t *testing.T) {
 			writeBatch(c, bd, 200, 20, 900)
 
 			// The cluster is inconsistent while osd1 is down-stale.
-			c.down = map[int]bool{} // peek with all considered up
+			c.down = make([]bool, len(c.down)) // peek with all considered up
 			dirty := len(c.ScrubAll())
-			c.down = map[int]bool{1: true}
+			c.down[1] = true
 			if dirty == 0 {
 				t.Fatal("outage produced no divergence; test is vacuous")
 			}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/crush"
@@ -30,18 +31,15 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 	for _, oid := range c.objectNames() {
 		pg := crush.ObjectToPG(oid, c.Params.PGs)
 		want := c.cmap.PGToOSDs(pg, c.pol.Width())
-		inSet := map[int]bool{}
-		for _, id := range want {
-			inSet[id] = true
-		}
 		var versions []uint64
 		for id, o := range c.osds {
 			v := o.FileStore().ObjectVersion(oid)
-			if v > 0 && !inSet[id] {
+			inSet := slices.Contains(want, id)
+			if v > 0 && !inSet {
 				out = append(out, Inconsistency{OID: oid, PG: pg,
 					Detail: fmt.Sprintf("stray copy on osd.%d", id)})
 			}
-			if inSet[id] {
+			if inSet {
 				if v == 0 {
 					out = append(out, Inconsistency{OID: oid, PG: pg,
 						Detail: fmt.Sprintf("missing replica on osd.%d", id)})
@@ -166,13 +164,9 @@ func (c *Cluster) RepairIn(p *sim.Proc) int {
 func (c *Cluster) repairObject(p *sim.Proc, oid string) int {
 	pg := crush.ObjectToPG(oid, c.Params.PGs)
 	want := c.cmap.PGToOSDs(pg, c.pol.Width())
-	inSet := map[int]bool{}
-	for _, id := range want {
-		inSet[id] = true
-	}
 	healed := 0
 	for id, o := range c.osds {
-		if !inSet[id] && o.FileStore().DeleteObject(oid) {
+		if !slices.Contains(want, id) && o.FileStore().DeleteObject(oid) {
 			healed++
 		}
 	}

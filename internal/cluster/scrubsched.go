@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/crush"
 	"repro/internal/filestore"
@@ -178,20 +177,17 @@ func (c *Cluster) scrubLoop(p *sim.Proc) {
 func (c *Cluster) scrubRound(p *sim.Proc) {
 	s := c.scrub
 	s.stats.Rounds.Inc()
-	byPG := map[uint32][]string{}
-	var pgs []uint32
+	byPG := make([][]string, c.Params.PGs)
 	for _, n := range c.objectNames() {
 		pg := crush.ObjectToPG(n, c.Params.PGs)
-		if byPG[pg] == nil {
-			pgs = append(pgs, pg)
-		}
 		byPG[pg] = append(byPG[pg], n) // per-PG lists inherit the sort
 	}
-	sort.Slice(pgs, func(i, j int) bool { return pgs[i] < pgs[j] })
 	done := sim.NewWaitGroup(c.K)
-	for _, pg := range pgs {
-		pg := pg
-		oids := byPG[pg]
+	for id, oids := range byPG {
+		if len(oids) == 0 {
+			continue
+		}
+		pg := uint32(id)
 		done.Add(1)
 		c.K.Go(fmt.Sprintf("scrub.pg%d", pg), func(pp *sim.Proc) {
 			defer done.Done()

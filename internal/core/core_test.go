@@ -11,15 +11,25 @@ func TestShardLocksLazyAndStable(t *testing.T) {
 	k := sim.NewKernel()
 	s := NewShardLocks(k, "pg")
 	a := s.Get(3)
+	far := s.Get(1023) // grows the table past the lock handed out above
 	b := s.Get(3)
 	if a != b {
 		t.Fatal("same shard returned different locks")
 	}
-	if s.Get(4) == a {
+	if s.Get(4) == a || far == a {
 		t.Fatal("different shards share a lock")
 	}
-	if len(s.locks) != 2 {
-		t.Fatalf("len = %d", len(s.locks))
+	if s.Get(1023) != far {
+		t.Fatal("same shard returned different locks")
+	}
+	n := 0
+	for _, m := range s.locks {
+		if m != nil {
+			n++
+		}
+	}
+	if n != 3 {
+		t.Fatalf("allocated %d locks, want 3", n)
 	}
 }
 
@@ -29,7 +39,7 @@ func TestShardLocksAggregateStats(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		k.Go("w", func(p *sim.Proc) {
-			m := s.Get(i % 2)
+			m := s.Get(i % 2 * 1023) // shards 0 and 1023
 			m.Lock(p)
 			p.Sleep(sim.Millisecond)
 			m.Unlock(p)
@@ -43,7 +53,7 @@ func TestShardLocksAggregateStats(t *testing.T) {
 	if agg.HoldTime != 3*sim.Millisecond {
 		t.Fatalf("hold = %v", agg.HoldTime)
 	}
-	if agg.Contended != 1 { // two procs on shard 0 or 1 collide once
+	if agg.Contended != 1 { // two procs on shard 0 or 1023 collide once
 		t.Fatalf("contended = %d", agg.Contended)
 	}
 }
@@ -95,17 +105,24 @@ func TestDispatcherProcessesEverything(t *testing.T) {
 func TestDispatcherPreservesPerShardOrder(t *testing.T) {
 	// Sequence numbers are global and increasing; per-shard order must be
 	// increasing too — in both modes.
-	items := make([]int, 200)
-	for i := range items {
-		items[i] = i % 3
+	near := make([]int, 200)
+	far := make([]int, 200) // shards 0, 1 and 1023: the tables grow mid-run
+	for i := range near {
+		near[i] = i % 3
+		far[i] = []int{0, 1, 1023}[i%3]
 	}
-	for _, pending := range []bool{false, true} {
-		order, _, _ := dispatchWorld(pending, 4, items, 50*sim.Microsecond)
-		for shard, seqs := range order {
-			for i := 1; i < len(seqs); i++ {
-				if seqs[i] < seqs[i-1] {
-					t.Fatalf("pending=%v shard %d out of order: %v", pending, shard, seqs)
+	for _, items := range [][]int{near, far} {
+		for _, pending := range []bool{false, true} {
+			order, _, st := dispatchWorld(pending, 4, items, 50*sim.Microsecond)
+			for shard, seqs := range order {
+				for i := 1; i < len(seqs); i++ {
+					if seqs[i] < seqs[i-1] {
+						t.Fatalf("pending=%v shard %d out of order: %v", pending, shard, seqs)
+					}
 				}
+			}
+			if st.Processed.Value() != uint64(len(items)) {
+				t.Fatalf("pending=%v processed %d of %d", pending, st.Processed.Value(), len(items))
 			}
 		}
 	}

@@ -22,28 +22,33 @@ import (
 	"repro/internal/sim"
 )
 
-// ShardLocks is a lazily-populated set of per-shard (per-PG) mutexes.
+// ShardLocks is a lazily-populated set of per-shard (per-PG) mutexes,
+// indexed by shard.
 type ShardLocks struct {
 	k     *sim.Kernel
 	name  string
-	locks map[int]*sim.Mutex
+	locks []*sim.Mutex
 	// block is the current allocation chunk: shard mutexes live for the
 	// table's whole lifetime, so they are carved from arrays instead of
-	// allocated one-by-one (a cluster instantiates OSDs*PGs of them).
+	// allocated one-by-one (a cluster instantiates OSDs*PGs of them). A
+	// mutex never moves, so its pointer stays valid as the table grows.
 	block []sim.Mutex
 }
 
 // NewShardLocks creates the lock table.
 func NewShardLocks(k *sim.Kernel, name string) *ShardLocks {
-	return &ShardLocks{k: k, name: name, locks: make(map[int]*sim.Mutex)}
+	return &ShardLocks{k: k, name: name}
 }
 
 // Get returns the lock for a shard, creating it on first use. All shards
 // share the table's name (per-shard names cost a Sprintf per lock and are
 // only ever read back in debugging).
 func (s *ShardLocks) Get(shard int) *sim.Mutex {
-	m, ok := s.locks[shard]
-	if !ok {
+	for len(s.locks) <= shard {
+		s.locks = append(s.locks, nil)
+	}
+	m := s.locks[shard]
+	if m == nil {
 		if len(s.block) == 0 {
 			s.block = make([]sim.Mutex, 32)
 		}
@@ -59,6 +64,9 @@ func (s *ShardLocks) Get(shard int) *sim.Mutex {
 func (s *ShardLocks) AggregateStats() sim.MutexStats {
 	var agg sim.MutexStats
 	for _, m := range s.locks {
+		if m == nil {
+			continue
+		}
 		st := m.Stats()
 		agg.Acquires += st.Acquires
 		agg.Contended += st.Contended

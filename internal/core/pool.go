@@ -43,8 +43,8 @@ type Pool[T any] struct {
 	process    func(shard int, v T, done func(any), arg any)
 	batchMax   int
 	usePending bool
-	pending    map[int][]T
-	hooked     map[int]bool
+	pending    [][]T  // by shard (pending queue on only)
+	hooked     []bool // by shard: the lock's unlock hook is installed
 	stats      PoolStats
 
 	// QueueDelay, when set, records how long each item waited between
@@ -69,7 +69,7 @@ type poolItem[T any] struct {
 // pending-queue optimization.
 func NewPool[T any](k *sim.Kernel, name string, locks *ShardLocks, batchMax int, usePending bool,
 	process func(shard int, v T, done func(any), arg any)) *Pool[T] {
-	p := &Pool[T]{
+	return &Pool[T]{
 		k:          k,
 		locks:      locks,
 		ready:      sim.NewQueue[poolItem[T]](k, name+".ready", 0),
@@ -77,11 +77,6 @@ func NewPool[T any](k *sim.Kernel, name string, locks *ShardLocks, batchMax int,
 		batchMax:   batchMax,
 		usePending: usePending,
 	}
-	if usePending {
-		p.pending = make(map[int][]T)
-		p.hooked = make(map[int]bool)
-	}
-	return p
 }
 
 // Start starts n workers at the current instant, in the event slots where
@@ -119,7 +114,13 @@ func (p *Pool[T]) Submit(shard int, v T) {
 // workers (e.g. the completion worker).
 func (p *Pool[T]) lockFor(shard int) *sim.Mutex {
 	lock := p.locks.Get(shard)
-	if p.usePending && !p.hooked[shard] {
+	if !p.usePending {
+		return lock
+	}
+	for len(p.pending) <= shard {
+		p.pending, p.hooked = append(p.pending, nil), append(p.hooked, false)
+	}
+	if !p.hooked[shard] {
 		p.hooked[shard] = true
 		lock.SetUnlockHook(func() {
 			if len(p.pending[shard]) > 0 {

@@ -47,7 +47,7 @@ type allocProfile struct {
 	contention float64
 }
 
-var allocProfiles = map[Allocator]allocProfile{
+var allocProfiles = [...]allocProfile{
 	TCMalloc:    {base: 220 * sim.Nanosecond, contention: 5.0},
 	JEMalloc:    {base: 120 * sim.Nanosecond, contention: 1.2},
 	GlibcMalloc: {base: 400 * sim.Nanosecond, contention: 3.0},

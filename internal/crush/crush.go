@@ -10,6 +10,7 @@ package crush
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // OSDInfo describes one placement target.
@@ -127,8 +128,7 @@ func (m *Map) PGToOSDs(pg uint32, replicas int) []int {
 		panic("crush: replicas must be >= 1")
 	}
 	result := make([]int, 0, replicas)
-	usedHosts := make(map[int]bool)
-	usedOSDs := make(map[int]bool)
+	usedHosts := make([]int, 0, replicas)
 	relaxHosts := replicas > len(m.hosts)
 	for r := 0; len(result) < replicas; r++ {
 		if r > 64*replicas {
@@ -142,15 +142,14 @@ func (m *Map) PGToOSDs(pg uint32, replicas int) []int {
 		if h < 0 {
 			break
 		}
-		if usedHosts[h] && !relaxHosts {
+		if !relaxHosts && slices.Contains(usedHosts, h) {
 			continue
 		}
 		o := m.straw2OSD(uint64(pg), uint64(r), h)
-		if o < 0 || usedOSDs[o] {
+		if o < 0 || slices.Contains(result, o) {
 			continue
 		}
-		usedHosts[h] = true
-		usedOSDs[o] = true
+		usedHosts = append(usedHosts, h)
 		result = append(result, o)
 	}
 	return result

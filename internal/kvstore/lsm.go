@@ -16,6 +16,7 @@
 package kvstore
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cpumodel"
@@ -393,13 +394,9 @@ func (db *DB) compactLoop(p *sim.Proc) {
 
 		db.mu.Lock(p)
 		// Remove consumed inputs; new L0 tables may have arrived meanwhile.
-		consumed := make(map[*sstable]bool, len(inputs))
-		for _, t := range inputs {
-			consumed[t] = true
-		}
 		var l0 []*sstable
 		for _, t := range db.l0 {
-			if !consumed[t] {
+			if !slices.Contains(inputs, t) {
 				l0 = append(l0, t)
 			}
 		}

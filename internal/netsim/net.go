@@ -69,6 +69,7 @@ type Network struct {
 
 	// Fault-injection state: partitions are symmetric per endpoint pair.
 	partitions map[epPair]bool
+	endpoints  int // endpoints created: the next one's id
 
 	// msgFree pools Message records: a message is recycled once its handler
 	// is done with it (handlers take payloads, never the wrapper) or when it
@@ -100,7 +101,9 @@ func (n *Network) Heal(a, b *Endpoint) {
 func (n *Network) HealAll() { n.partitions = make(map[epPair]bool) }
 
 // Partitioned reports whether the a->b link is cut.
-func (n *Network) Partitioned(a, b *Endpoint) bool { return n.partitions[epPair{a, b}] }
+func (n *Network) Partitioned(a, b *Endpoint) bool {
+	return len(n.partitions) > 0 && n.partitions[epPair{a, b}]
+}
 
 // Message is one transfer on the fabric. Message records are pooled by the
 // Network: a receiver must not retain one past its return, or past its
@@ -111,8 +114,8 @@ type Message struct {
 	Kind    int
 	Payload interface{}
 	SentAt  sim.Time
-	to      *Endpoint // delivery destination, set when handed to the wire
-	rx      *rxConn   // the connection handling it, set at delivery
+	tx      *txConn // the connection that sent it, set when handed to the wire
+	rx      *rxConn // the connection handling it, set at delivery
 }
 
 func (n *Network) getMsg() *Message {
@@ -177,14 +180,15 @@ func (n *Network) NewNIC(name string) *NIC {
 // Endpoint is one network identity (a client mount, an OSD, a monitor).
 type Endpoint struct {
 	name    string
+	id      int // dense, assigned by the Network in creation order
 	net     *Network
 	node    *cpumodel.Node
 	nic     *NIC
 	noDelay bool
 	dead    bool
 	recv    Receiver
-	rx      map[*Endpoint]*rxConn
-	tx      map[*Endpoint]*txConn
+	tx      []*txConn // connections to peers, indexed by the peer's id
+	conns   int       // connections from peers (each hangs off its sender's txConn)
 	// RxMsgs counts messages received by this endpoint.
 	RxMsgs stats.Counter
 }
@@ -213,6 +217,7 @@ type txConn struct {
 	m      *Message // the message on the NIC
 	busy   bool     // sending, or about to: Send need not start the chain
 	egress sim.Job  // its Done is txSent
+	rx     *rxConn  // dst's receive side, opened at the first delivery
 }
 
 // NewEndpoint creates an endpoint with its own NIC; the receive path
@@ -224,15 +229,9 @@ func (n *Network) NewEndpoint(name string, node *cpumodel.Node, noDelay bool) *E
 // NewEndpointNIC creates an endpoint sharing an existing NIC (e.g. the
 // four OSDs of one server node).
 func (n *Network) NewEndpointNIC(name string, node *cpumodel.Node, nic *NIC, noDelay bool) *Endpoint {
-	return &Endpoint{
-		name:    name,
-		net:     n,
-		node:    node,
-		nic:     nic,
-		noDelay: noDelay,
-		rx:      make(map[*Endpoint]*rxConn),
-		tx:      make(map[*Endpoint]*txConn),
-	}
+	e := &Endpoint{name: name, id: n.endpoints, net: n, node: node, nic: nic, noDelay: noDelay}
+	n.endpoints++
+	return e
 }
 
 // SetReceiver installs the message consumer. Must be set before any peer
@@ -258,11 +257,14 @@ func (e *Endpoint) Send(p *sim.Proc, dst *Endpoint, size int64, kind int, payloa
 	if size <= 0 {
 		size = 1
 	}
-	c, ok := e.tx[dst]
-	if !ok {
+	for len(e.tx) <= dst.id {
+		e.tx = append(e.tx, nil)
+	}
+	c := e.tx[dst.id]
+	if c == nil {
 		c = &txConn{e: e, dst: dst, q: sim.NewQueue[*Message](e.net.K, e.name+"->"+dst.name, 0)}
 		c.egress.Done, c.egress.Arg = txSent, c
-		e.tx[dst] = c
+		e.tx[dst.id] = c
 	}
 	m := e.net.getMsg()
 	m.From, m.Size, m.Kind, m.Payload, m.SentAt = e, size, kind, payload, e.net.K.Now()
@@ -313,7 +315,7 @@ func txSent(a any) {
 		if !e.noDelay && m.Size < MSS {
 			delay += n.Params.NagleDelay
 		}
-		m.to = c.dst
+		m.tx = c
 		n.K.AfterCall(delay, deliverMsg, m)
 	}
 	c.next()
@@ -323,22 +325,23 @@ func txSent(a any) {
 // in-flight message instead of one capturing closure each.
 func deliverMsg(a any) {
 	m := a.(*Message)
-	m.to.enqueue(m.From, m)
+	m.tx.dst.enqueue(m.tx, m)
 }
 
-// enqueue runs in kernel context: append to the per-connection receive
-// queue, creating the connection on first contact and waking an idle
-// connection.
-func (e *Endpoint) enqueue(from *Endpoint, m *Message) {
+// enqueue runs in kernel context: append to the receive queue of the
+// connection tx delivers to, creating it on first contact, and wake it if
+// idle.
+func (e *Endpoint) enqueue(tx *txConn, m *Message) {
 	if e.recv == nil {
 		panic("netsim: message delivered to endpoint without handler: " + e.name)
 	}
-	c, ok := e.rx[from]
-	if !ok {
-		c = &rxConn{e: e, q: sim.NewQueue[*Message](e.net.K, e.name+"<-"+from.name, 0), idle: true}
+	c := tx.rx
+	if c == nil {
+		c = &rxConn{e: e, q: sim.NewQueue[*Message](e.net.K, e.name+"<-"+tx.e.name, 0), idle: true}
 		c.ingress.Done, c.ingress.Arg = rxCharge, c
 		c.cpu.Done, c.cpu.Arg = rxHandle, c
-		e.rx[from] = c
+		tx.rx = c
+		e.conns++
 	}
 	c.q.TryPush(m) // unbounded queue: cannot fail
 	if c.idle {
@@ -370,7 +373,7 @@ func rxCharge(a any) {
 	e := c.e
 	cpu := e.net.Params.MsgCPU
 	if f := e.net.Params.ConnCPUFactor; f > 0 {
-		cpu = sim.Time(float64(cpu) * (1 + f*float64(len(e.rx))/100))
+		cpu = sim.Time(float64(cpu) * (1 + f*float64(e.conns)/100))
 	}
 	e.node.UseCall(&c.cpu, cpu+e.node.AllocCost(e.net.Params.MsgAllocs))
 }

@@ -154,8 +154,8 @@ func TestConnectionsTracked(t *testing.T) {
 		k.Go("send", func(p *sim.Proc) { src.Send(p, dst, 100, 0, nil) })
 	}
 	k.Run(sim.Forever)
-	if len(dst.rx) != 5 {
-		t.Fatalf("connections = %d", len(dst.rx))
+	if dst.conns != 5 {
+		t.Fatalf("connections = %d", dst.conns)
 	}
 }
 

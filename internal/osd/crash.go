@@ -32,37 +32,39 @@ func (o *OSD) Crash() {
 	// Durable horizon per PG: the highest sequence that is applied or
 	// committed. Commit order is per-PG FIFO, so every sequence at or
 	// below the horizon is durable and the kept log prefix stays contiguous.
-	pgs := o.sortedPGIDs()
-	durable := make(map[uint32]uint64)
-	for _, pg := range pgs {
-		durable[pg] = o.pglogs[pg].appliedSeq
-	}
+	var committed []uint64
 	o.store.UnappliedSeqs(func(pg uint32, seq uint64) {
-		if seq > durable[pg] {
-			durable[pg] = seq
+		for len(committed) <= int(pg) {
+			committed = append(committed, 0)
 		}
+		committed[pg] = max(committed[pg], seq)
 	})
-	for _, pg := range pgs {
-		l := o.pglogs[pg]
-		h := durable[pg]
-		cut := len(l.entries)
-		for cut > 0 && l.entries[cut-1].Seq > h {
+	for id, st := range o.pgs {
+		if st == nil {
+			continue
+		}
+		h := st.appliedSeq
+		if id < len(committed) {
+			h = max(h, committed[id])
+		}
+		cut := len(st.entries)
+		for cut > 0 && st.entries[cut-1].Seq > h {
 			cut--
 		}
-		l.entries = l.entries[:cut]
-		// pgSeq is deliberately NOT truncated with the log: it is assignment
+		st.entries = st.entries[:cut]
+		// st.seq is deliberately NOT truncated with the log: it is assignment
 		// memory, not durable state. A sequence this primary assigned may be
 		// in flight to (or already logged by) a peer even though it never
 		// became durable here; recovery peering folds this counter into the
 		// seq floor so no later acting primary can ever re-assign it. Writes
 		// this daemon leads after rejoining adopt past any non-durable tail
 		// (see processWrite), so its own log stays contiguous.
+		//
+		// Pending ordered-ack state referenced dead ops, and the
+		// delivered-seq horizon covered queue entries that just died with
+		// the daemon. An ack run still in flight keeps the held set it took.
+		st.ackNext, st.ackHeld, st.seen = 0, nil, 0
 	}
-	// Pending ordered-ack state referenced dead ops, and the delivered-seq
-	// horizon covered queue entries that just died with the daemon.
-	o.ackNext = make(map[uint32]uint64)
-	o.ackHeld = make(map[uint32]map[uint64]*ClientOp)
-	o.seqSeen = make(map[uint32]uint64)
 }
 
 // Restart boots a fresh daemon instance after a Crash: it rebuilds the

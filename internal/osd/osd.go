@@ -147,15 +147,8 @@ type OSD struct {
 	// so bucket state survives crash/restart like any throttle setting.
 	adm *core.Admission
 
-	pgSeq map[uint32]uint64
-	// seqSeen is the highest replication sub-op sequence delivered per PG,
-	// recorded at message arrival (before dispatch). It widens the peering
-	// seq horizon to cover queued-but-unprocessed sub-ops; reset on crash
-	// because those queue entries die with the daemon.
-	seqSeen map[uint32]uint64
-	pglogs  map[uint32]*pgLog
-	ackNext map[uint32]uint64
-	ackHeld map[uint32]map[uint64]*ClientOp
+	// pgs is the per-PG state, indexed by PG id (see pg).
+	pgs     []*pgState
 	logSeq  uint64
 	opCount uint64
 
@@ -209,11 +202,6 @@ func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.En
 		ep:               ep,
 		cep:              cep,
 		journalDev:       journalDev,
-		pgSeq:            make(map[uint32]uint64),
-		seqSeen:          make(map[uint32]uint64),
-		pglogs:           make(map[uint32]*pgLog),
-		ackNext:          make(map[uint32]uint64),
-		ackHeld:          make(map[uint32]map[uint64]*ClientOp),
 		pol:              redundancy.Replicated{},
 		traces:           NewTraceCollector(cfg.TraceSample > 0),
 		JournalQDelay:    stats.NewHistogram(),
@@ -423,9 +411,8 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 		// dispatcher processes it: recovery peering consults this horizon so
 		// a new acting primary can never re-assign a sequence that is still
 		// sitting in a peer's queue.
-		if rop.seq > o.seqSeen[rop.pg] {
-			o.seqSeen[rop.pg] = rop.seq
-		}
+		st := o.pg(rop.pg)
+		st.seen = max(st.seen, rop.seq)
 		o.enqueue(eng, workItem{rop: rop})
 	case MsgRepRead:
 		// Repair fetch from a peer's primary: rides the PG queue like a
@@ -611,8 +598,9 @@ func writeLogBuilt(ch *msgChain) {
 		return
 	}
 	op.gen = eng.gen
-	o.pgSeq[op.PG]++
-	op.seq = o.pgSeq[op.PG]
+	st := o.pg(op.PG)
+	st.seq++
+	op.seq = st.seq
 	if head := o.PGLogHead(op.PG); op.seq > head+1 {
 		// The assignment counter was floored past this member's own log
 		// (peering learned of sequences assigned by a previous acting
@@ -769,9 +757,8 @@ func repLogBuilt(ch *msgChain) {
 	}
 	// Track the primary-assigned sequence so this OSD can continue the
 	// numbering seamlessly if it ever becomes the acting primary.
-	if rop.seq > o.pgSeq[rop.pg] {
-		o.pgSeq[rop.pg] = rop.seq
-	}
+	st := o.pg(rop.pg)
+	st.seq = max(st.seq, rop.seq)
 	switch head := o.PGLogHead(rop.pg); {
 	case rop.seq == head+1:
 		o.appendPGLog(rop.pg, PGLogEntry{Seq: rop.seq, OID: rop.oid, Stamp: rop.stamp})
@@ -1088,7 +1075,7 @@ func (o *OSD) commitsDone(op *ClientOp, fromReplica bool) bool {
 type ackRun struct {
 	first *ClientOp // acked ahead of any held op
 	held  map[uint64]*ClientOp
-	pg    uint32
+	st    *pgState
 	next  uint64
 }
 
@@ -1098,7 +1085,8 @@ func (o *OSD) startAcks(r *ackRun, op *ClientOp) {
 		r.first = op
 		return
 	}
-	next := o.ackNext[op.PG]
+	st := o.pg(op.PG)
+	next := st.ackNext
 	if next == 0 {
 		next = 1
 	}
@@ -1109,13 +1097,11 @@ func (o *OSD) startAcks(r *ackRun, op *ClientOp) {
 		r.first = op
 		return
 	}
-	held := o.ackHeld[op.PG]
-	if held == nil {
-		held = make(map[uint64]*ClientOp)
-		o.ackHeld[op.PG] = held
+	if st.ackHeld == nil {
+		st.ackHeld = make(map[uint64]*ClientOp)
 	}
-	held[op.seq] = op
-	r.held, r.pg, r.next = held, op.PG, next
+	st.ackHeld[op.seq] = op
+	r.held, r.st, r.next = st.ackHeld, st, next
 }
 
 // nextAck returns the run's next op to ack, or nil once the run is over.
@@ -1129,7 +1115,7 @@ func (o *OSD) nextAck(r *ackRun) *ClientOp {
 	}
 	op, ok := r.held[r.next]
 	if !ok {
-		o.ackNext[r.pg] = r.next
+		r.st.ackNext = r.next
 		r.held = nil
 		return nil
 	}

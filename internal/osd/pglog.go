@@ -10,7 +10,7 @@ package osd
 // must preserve: per-PG sequence numbers strictly increase, and trims only
 // remove applied-and-durable prefixes.
 
-import "sort"
+import "strconv"
 
 // PGLogEntry records one mutation of a placement group.
 type PGLogEntry struct {
@@ -19,11 +19,44 @@ type PGLogEntry struct {
 	Stamp uint64
 }
 
-// pgLog is one PG's log with its applied (durable in filestore) horizon.
-type pgLog struct {
+// pgState is everything an OSD tracks for one PG.
+type pgState struct {
+	// entries is the PG's log, appliedSeq its applied (durable in
+	// filestore) horizon and trimmedTo the last sequence trimmed off it.
 	entries    []PGLogEntry
 	appliedSeq uint64
 	trimmedTo  uint64
+	// seq is the highest primary-assigned sequence assigned or processed
+	// here: assignment memory, kept across a crash (see Crash).
+	seq uint64
+	// seen is the highest replication sub-op sequence delivered, recorded
+	// at message arrival (before dispatch). It widens the peering seq
+	// horizon to cover queued-but-unprocessed sub-ops; reset on crash
+	// because those queue entries die with the daemon.
+	seen uint64
+	// ackNext is the ordered-ack cursor and ackHeld the committed ops
+	// waiting behind it, by sequence (OrderedAcks only).
+	ackNext uint64
+	ackHeld map[uint64]*ClientOp
+}
+
+// pg returns the PG's state, creating it on first use. The table is
+// indexed by PG id, so walking it visits PGs in id order; records never
+// move, so a pointer to one stays valid as the table grows. pg stays out
+// of line, so the allocations of a PG's first touch count here (afvet
+// hotalloc), not against each op-path caller.
+//
+//go:noinline
+func (o *OSD) pg(pg uint32) *pgState {
+	for len(o.pgs) <= int(pg) {
+		o.pgs = append(o.pgs, nil)
+	}
+	st := o.pgs[pg]
+	if st == nil {
+		st = &pgState{}
+		o.pgs[pg] = st
+	}
+	return st
 }
 
 // pgLogKeep is how many applied entries remain after a trim (Ceph keeps a
@@ -33,14 +66,14 @@ const pgLogKeep = 100
 // appendPGLog records a mutation; called with per-PG ordering guaranteed
 // by the caller (dispatcher worker under the PG lock).
 func (o *OSD) appendPGLog(pg uint32, e PGLogEntry) {
-	l := o.pglog(pg)
+	l := o.pg(pg)
 	l.entries = append(l.entries, e)
 }
 
 // markApplied advances the applied horizon and trims the log prefix,
 // keeping pgLogKeep applied entries for recovery.
 func (o *OSD) markApplied(pg uint32, seq uint64) {
-	l := o.pglog(pg)
+	l := o.pg(pg)
 	if seq > l.appliedSeq {
 		l.appliedSeq = seq
 	}
@@ -61,31 +94,13 @@ func (o *OSD) markApplied(pg uint32, seq uint64) {
 	}
 }
 
-func (o *OSD) pglog(pg uint32) *pgLog {
-	l, ok := o.pglogs[pg]
-	if !ok {
-		l = &pgLog{}
-		o.pglogs[pg] = l
-	}
-	return l
-}
-
 // PGLog returns a copy of the retained log for a PG.
 func (o *OSD) PGLog(pg uint32) []PGLogEntry {
-	l, ok := o.pglogs[pg]
-	if !ok {
-		return nil
-	}
-	return append([]PGLogEntry(nil), l.entries...)
+	return append([]PGLogEntry(nil), o.pg(pg).entries...)
 }
 
 // PGLogApplied returns the PG's applied horizon.
-func (o *OSD) PGLogApplied(pg uint32) uint64 {
-	if l, ok := o.pglogs[pg]; ok {
-		return l.appliedSeq
-	}
-	return 0
-}
+func (o *OSD) PGLogApplied(pg uint32) uint64 { return o.pg(pg).appliedSeq }
 
 // AdoptPGState fast-forwards the PG's log to the agreed post-recovery head:
 // the local (stale) entries are discarded, the trim horizon moves to the
@@ -96,28 +111,21 @@ func (o *OSD) AdoptPGState(pg uint32, seq uint64) {
 	if seq == 0 {
 		return
 	}
-	if next := seq + 1; next > o.ackNext[pg] {
-		o.ackNext[pg] = next
-	}
-	l := o.pglog(pg)
-	if seq <= l.appliedSeq {
+	st := o.pg(pg)
+	st.ackNext = max(st.ackNext, seq+1)
+	if seq <= st.appliedSeq {
 		return
 	}
-	l.entries = nil
-	l.trimmedTo = seq
-	l.appliedSeq = seq
-	if seq > o.pgSeq[pg] {
-		o.pgSeq[pg] = seq
-	}
+	st.entries = nil
+	st.trimmedTo = seq
+	st.appliedSeq = seq
+	st.seq = max(st.seq, seq)
 }
 
 // PGLogHead returns the newest sequence this OSD has logged for the PG
 // (zero when it has none).
 func (o *OSD) PGLogHead(pg uint32) uint64 {
-	l, ok := o.pglogs[pg]
-	if !ok {
-		return 0
-	}
+	l := o.pg(pg)
 	if n := len(l.entries); n > 0 {
 		return l.entries[n-1].Seq
 	}
@@ -125,25 +133,21 @@ func (o *OSD) PGLogHead(pg uint32) uint64 {
 }
 
 // PGSeqHorizon returns the highest primary-assigned sequence this OSD
-// knows about for a PG: assigned or processed (pgSeq) or delivered but
-// still queued (seqSeen). Recovery peering takes the maximum across a PG's
+// knows about for a PG: assigned or processed (seq) or delivered but
+// still queued (seen). Recovery peering takes the maximum across a PG's
 // members so a new acting primary never re-assigns a sequence another
 // member has already logged — or is about to log from its queue.
 func (o *OSD) PGSeqHorizon(pg uint32) uint64 {
-	h := o.pgSeq[pg]
-	if s := o.seqSeen[pg]; s > h {
-		h = s
-	}
-	return h
+	st := o.pg(pg)
+	return max(st.seq, st.seen)
 }
 
 // RaisePGSeq floors the PG's assignment counter at seq without touching
 // the log: the next client write this OSD leads will be numbered past every
 // sequence the peering horizon covered.
 func (o *OSD) RaisePGSeq(pg uint32, seq uint64) {
-	if seq > o.pgSeq[pg] {
-		o.pgSeq[pg] = seq
-	}
+	st := o.pg(pg)
+	st.seq = max(st.seq, seq)
 }
 
 // PGLogViolations checks the recovery invariants over every PG this OSD
@@ -152,8 +156,11 @@ func (o *OSD) RaisePGSeq(pg uint32, seq uint64) {
 // It returns human-readable violations (empty = healthy).
 func (o *OSD) PGLogViolations() []string {
 	var out []string
-	for _, pg := range o.sortedPGIDs() {
-		l := o.pglogs[pg]
+	for id, l := range o.pgs {
+		if l == nil {
+			continue
+		}
+		pg := uint32(id)
 		prev := l.trimmedTo
 		for _, e := range l.entries {
 			if e.Seq != prev+1 {
@@ -169,32 +176,6 @@ func (o *OSD) PGLogViolations() []string {
 }
 
 func pgLogErr(pg uint32, what string, a, b uint64) string {
-	return "pg " + itoa(uint64(pg)) + ": " + what + " (" + itoa(a) + " -> " + itoa(b) + ")"
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-// sortedPGIDs returns the ID of every PG this OSD has logged, in sorted
-// order. Anything whose output can feed a figure, a hash, or a violation
-// report must walk o.pglogs through this helper: map iteration order is
-// not reproducible across runs.
-func (o *OSD) sortedPGIDs() []uint32 {
-	pgs := make([]uint32, 0, len(o.pglogs))
-	for pg := range o.pglogs { //afvet:allow determinism keys are sorted before use
-		pgs = append(pgs, pg)
-	}
-	sort.Slice(pgs, func(i, j int) bool { return pgs[i] < pgs[j] })
-	return pgs
+	return "pg " + strconv.FormatUint(uint64(pg), 10) + ": " + what +
+		" (" + strconv.FormatUint(a, 10) + " -> " + strconv.FormatUint(b, 10) + ")"
 }

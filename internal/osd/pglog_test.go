@@ -1,7 +1,6 @@
 package osd
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cpumodel"
@@ -26,8 +25,12 @@ func bareOSD() *OSD {
 
 func TestPGLogAppendAndRead(t *testing.T) {
 	o := bareOSD()
+	o.appendPGLog(900, PGLogEntry{Seq: 1, OID: "far"}) // a high PG id first
 	for s := uint64(1); s <= 5; s++ {
 		o.appendPGLog(7, PGLogEntry{Seq: s, OID: "obj", Stamp: s * 10})
+	}
+	if far := o.PGLog(900); len(far) != 1 || far[0].OID != "far" {
+		t.Fatalf("pg 900 = %+v", far)
 	}
 	log := o.PGLog(7)
 	if len(log) != 5 {
@@ -85,8 +88,8 @@ func TestPGLogViolationGap(t *testing.T) {
 	if len(v) == 0 {
 		t.Fatal("gap not detected")
 	}
-	if !strings.Contains(v[0], "gap") {
-		t.Fatalf("unexpected violation: %v", v)
+	if want := "pg 3: gap or reorder (1 -> 4)"; len(v) != 1 || v[0] != want {
+		t.Fatalf("violations = %q, want [%q]", v, want)
 	}
 }
 
@@ -125,14 +128,5 @@ func TestAdoptPGState(t *testing.T) {
 	o.AdoptPGState(6, 0) // zero seq no-op
 	if o.PGLogHead(6) != 0 {
 		t.Fatal("zero adopt created state")
-	}
-}
-
-func TestItoa(t *testing.T) {
-	cases := map[uint64]string{0: "0", 7: "7", 42: "42", 1234567890: "1234567890"}
-	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Fatalf("itoa(%d) = %q", in, got)
-		}
 	}
 }

@@ -112,7 +112,7 @@ type Logger struct {
 	mode   Mode
 	params params
 	q      *sim.Queue[batch]
-	cache  map[int]bool
+	cache  []bool // by call site: the site's entry format is cached
 	stats  Stats
 	// idle holds the logger threads waiting for a batch, longest-waiting
 	// first: Log wakes the head.
@@ -149,7 +149,6 @@ func newLogger(k *sim.Kernel, name string, node *cpumodel.Node, mode Mode, p par
 		node:   node,
 		mode:   mode,
 		params: p,
-		cache:  make(map[int]bool),
 	}
 	if mode == Off {
 		return l
@@ -284,6 +283,9 @@ func (t *thread) next() {
 	cpu := l.params.entryCPU
 	allocs := l.params.entryAllocs
 	if l.params.logCache {
+		for len(l.cache) <= b.site {
+			l.cache = append(l.cache, false)
+		}
 		if l.cache[b.site] {
 			cpu = l.params.cachedEntryCPU
 			allocs = l.params.cachedEntryAllocs

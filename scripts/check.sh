@@ -11,10 +11,12 @@
 #              (shuffled, to catch test-order dependence)
 #   afperf     vet and test the cmd/afperf benchmark module, which the root
 #              ./... pattern skips because it is a module of its own
-#   race       data-race detector: light infrastructure packages at full
-#              scale, the heavy engine packages (osd, core, cluster, qa,
-#              figures, scenario) in -short mode — their suites are deterministic by
-#              construction but too slow under -race at full scale
+#   race       data-race detector over every simulator package: light
+#              infrastructure packages at full scale, the heavy engine
+#              packages (osd, core, cluster, qa, figures, scenario,
+#              solidfire, workload) and afceph in -short mode — their suites
+#              are deterministic by construction but too slow under -race
+#              at full scale
 #   bench      one-iteration smoke over every benchmark (compile + run,
 #              no timing gate; scripts/bench.sh owns the regression gate)
 #
@@ -44,12 +46,14 @@ run_race() {
         ./internal/crush/ ./internal/fault/ ./internal/netsim/ \
         ./internal/oslog/ ./internal/journal/ ./internal/kvstore/ \
         ./internal/trace/ ./internal/metrics/ ./internal/store/ \
-        ./internal/redundancy/
+        ./internal/redundancy/ ./internal/cpumodel/ ./internal/device/ \
+        ./internal/filestore/
 
     echo "== go test -race -short (engine packages)"
     go test -race -short ./internal/osd/ ./internal/core/ \
         ./internal/cluster/ ./internal/qa/ ./internal/figures/ \
-        ./internal/scenario/
+        ./internal/scenario/ ./internal/solidfire/ ./internal/workload/ \
+        ./afceph/
 }
 
 case "${1:-all}" in
