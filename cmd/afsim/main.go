@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/afceph"
 	"repro/internal/cluster"
@@ -121,6 +122,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
+		}
+		return 2
+	}
+	// A scenario file sets its own workload and cluster, and only a
+	// scenario run reads -scenario-scale and -no-admission, so a flag the
+	// chosen mode would ignore is rejected; -perf-dump and the profiles
+	// serve both.
+	scenarioOnly := map[string]bool{"scenario-scale": true, "no-admission": true}
+	both := map[string]bool{"scenario": true, "perf-dump": true, "cpuprofile": true, "memprofile": true}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !both[f.Name] && scenarioOnly[f.Name] != (*scenFile != "") {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		if *scenFile != "" {
+			fmt.Fprintf(stderr, "afsim: %s cannot be combined with -scenario\n", strings.Join(ignored, ", "))
+		} else {
+			fmt.Fprintf(stderr, "afsim: %s needs -scenario\n", strings.Join(ignored, ", "))
 		}
 		return 2
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,6 +84,44 @@ func TestOutOfRangeFlagsRejected(t *testing.T) {
 		}
 		if msg := stderr.String(); !strings.Contains(msg, tc.flag) {
 			t.Errorf("afsim %v: stderr %q does not name %s", tc.args, msg, tc.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("afsim %v: printed results for flags it should reject:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestFlagsTheModeIgnoresRejected: a scenario run takes its workload and
+// cluster from the file and a fio run has no use for -scenario-scale or
+// -no-admission, so a flag the chosen mode would ignore exits 2 naming
+// every such flag. -perf-dump, -cpuprofile and -memprofile serve both
+// modes.
+func TestFlagsTheModeIgnoresRejected(t *testing.T) {
+	scn := filepath.Join("..", "..", "examples", "scenarios", "noisy-neighbor.json")
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want int
+		msg  string
+	}{
+		{[]string{"-scenario", scn, "-runtime", "-5", "-seed", "9", "-nodes", "7"}, 2, "-nodes, -runtime, -seed cannot be combined with -scenario"},
+		{[]string{"-scenario", scn, "-profile", "community", "-perf-dump"}, 2, "-profile cannot"},
+		{[]string{"-scenario-scale", "0.5"}, 2, "-scenario-scale needs -scenario"},
+		{[]string{"-runtime", "0.05", "-no-admission"}, 2, "-no-admission needs -scenario"},
+		{[]string{"-scenario", scn, "-scenario-scale", "0.02", "-no-admission", "-perf-dump",
+			"-cpuprofile", filepath.Join(dir, "scn.cpu"), "-memprofile", filepath.Join(dir, "scn.mem")}, 0, ""},
+		{[]string{"-runtime", "0.05", "-ramp", "0", "-vms", "1", "-iodepth", "1", "-nodes", "1", "-perf-dump",
+			"-cpuprofile", filepath.Join(dir, "fio.cpu"), "-memprofile", filepath.Join(dir, "fio.mem")}, 0, ""},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != tc.want {
+			t.Errorf("afsim %v: exit %d, want %d\nstderr: %s", tc.args, code, tc.want, stderr.String())
+		}
+		if tc.want == 0 {
+			continue
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.msg) {
+			t.Errorf("afsim %v: stderr %q, want it to say %q", tc.args, msg, tc.msg)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("afsim %v: printed results for flags it should reject:\n%s", tc.args, stdout.String())

@@ -24,18 +24,13 @@ import (
 
 // ChaosConfig sizes a chaos run.
 type ChaosConfig struct {
-	// Cluster is the testbed; its Seed also seeds the workload and the
-	// fault schedule. RunChaos adds the robustness layer (client timeouts,
-	// heartbeats) and, with Scrub, the scrub scheduler.
-	Cluster      cluster.Params
-	Clients      int
-	OpsPerClient int
+	// StressConfig is the testbed and workload; its Cluster.Seed also
+	// seeds the fault schedule. RunChaos adds the robustness layer (client
+	// timeouts, heartbeats) and, with Scrub, the scrub scheduler.
+	StressConfig
 	// Pacing spaces client ops out so the workload spans the fault
 	// schedule instead of finishing before the first crash.
-	Pacing       sim.Time
-	ImageSize    int64
-	BlockSizes   []int64
-	ReadFraction float64
+	Pacing sim.Time
 	// CrashCycles is the number of crash->restart->recover sequences;
 	// Partition adds a client partition window; DiskFaults adds slow-disk
 	// and latent-read-error windows.
@@ -62,14 +57,12 @@ type ChaosConfig struct {
 // cluster with two replicas, clients slow enough that the fault schedule
 // lands mid-workload.
 func DefaultChaos() ChaosConfig { //afvet:allow unused chaos_test.go, golden_test.go, leak_test.go and differential_test.go start from it
+	stress := DefaultStress(osd.AFCeph().Config())
+	stress.Clients = 4
+	stress.ReadFraction = 0.3
 	return ChaosConfig{
-		Cluster:      Testbed(osd.AFCeph().Config()),
-		Clients:      4,
-		OpsPerClient: 120,
+		StressConfig: stress,
 		Pacing:       20 * sim.Millisecond,
-		ImageSize:    64 << 20,
-		BlockSizes:   []int64{4096, 8192, 32768},
-		ReadFraction: 0.3,
 		CrashCycles:  3,
 		Partition:    true,
 		DiskFaults:   true,
@@ -80,15 +73,12 @@ func DefaultChaos() ChaosConfig { //afvet:allow unused chaos_test.go, golden_tes
 
 // ChaosResult summarizes a chaos run.
 type ChaosResult struct {
-	Writes, Reads  int
-	ReadVerified   int // acked writes verified by the final readback
-	ObjectsWritten int
+	Result
 	Retries        uint64 // client attempts resent after timeout/epoch change
 	Crashes        int
 	JournalReplays int
 	DownsDetected  uint64 // failures noticed by the heartbeat monitor
 	DegradedPGs    int
-	Recovered      int // objects copied by recovery
 	Repaired       int // objects healed by the final repair pass
 	NetDropped     uint64
 	// Self-healing accounting.
@@ -100,23 +90,17 @@ type ChaosResult struct {
 	EIOs          uint64 // reads failed for want of any healthy copy
 	ScrubFindings uint64 // background scrub findings
 	ScrubRepairs  uint64 // copies healed by background auto-repair
-	SimulatedTime sim.Time
-	Violations    []string
 	// Fingerprint digests the run's observable history; identical seeds
 	// must produce identical fingerprints.
 	Fingerprint uint64
 }
 
-func (r *ChaosResult) violate(format string, args ...interface{}) {
-	if len(r.Violations) < 20 {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
-}
-
-type chaosClient struct {
-	cl    *cluster.Client
-	bd    *cluster.BlockDevice
-	model map[int64]uint64 // block offset -> stamp of last acked write
+// recoverOSD runs recovery of osd id in pp and tallies it.
+func (r *ChaosResult) recoverOSD(c *cluster.Cluster, pp *sim.Proc, id int) {
+	st := c.RecoverOSDIn(pp, id)
+	r.Recovered += st.ObjectsCopied
+	r.JournalReplays += st.JournalReplays
+	r.DegradedPGs += st.DegradedPGs
 }
 
 // RunChaos executes the thrasher and checks every invariant.
@@ -140,65 +124,22 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 	c := cluster.New(p)
 	defer c.Close()
 	res := &ChaosResult{}
-	touched := make(map[string]bool)
+	l := newLoad(c, cfg.StressConfig, &res.Result)
 
-	// Client load. During the chaos phase reads are not verified against
+	// Client load. During the chaos phase reads are not checked against
 	// the model: an ack guarantees durability (journaled on the acting
 	// set), not filestore visibility, and a failed-over or slow-disk read
 	// can legitimately observe the pre-apply state. The authoritative
 	// check is the post-recovery readback below.
-	clients := make([]*chaosClient, cfg.Clients)
-	workers := sim.NewWaitGroup(c.K)
 	for ci := 0; ci < cfg.Clients; ci++ {
-		ci := ci
-		img := fmt.Sprintf("chaos%d", ci)
-		cl := c.NewClient()
-		cc := &chaosClient{cl: cl, bd: cl.OpenDevice(img, cfg.ImageSize), model: make(map[int64]uint64)}
-		clients[ci] = cc
-		r := rng.New(cfg.Cluster.Seed*1000003 + uint64(ci)*7907 + 11)
-		workers.Add(1)
-		c.K.Go("chaos."+img, func(pp *sim.Proc) {
-			defer workers.Done()
-			var written []int64
-			stamp := uint64(ci)<<32 + 1
-			for op := 0; op < cfg.OpsPerClient; op++ {
-				bs := cfg.BlockSizes[r.Intn(len(cfg.BlockSizes))]
-				blocks := cfg.ImageSize / bs
-				off := r.Int63n(blocks) * bs
-				if r.Float64() < cfg.ReadFraction {
-					if len(written) > 0 && r.Float64() < 0.8 {
-						off = written[r.Intn(len(written))]
-						if off+bs > cfg.ImageSize {
-							off = cfg.ImageSize - bs
-						}
-					}
-					got, _ := cc.bd.ReadAt(pp, off, bs)
-					res.Reads++
-					// No acked read may ever return damaged data. Legitimate
-					// stamps from this image carry this client's index in the
-					// high word and a counter no later than the last issued;
-					// rot XORs the low word into the billions.
-					if got != 0 && (got>>32 != uint64(ci) || got&0xffffffff > stamp&0xffffffff) {
-						res.violate("client %d read damaged data at off=%d: stamp %#x", ci, off, got)
-					}
-				} else {
-					stamp++
-					cc.bd.WriteAt(pp, off, bs, stamp)
-					if _, seen := cc.model[off]; !seen {
-						written = append(written, off)
-					}
-					cc.model[off] = stamp
-					res.Writes++
-					for b := off; b < off+bs; b += cluster.ObjectSize {
-						touched[fmt.Sprintf("rbd.%s.%d", img, b/cluster.ObjectSize)] = true
-					}
-					if off/cluster.ObjectSize != (off+bs-1)/cluster.ObjectSize {
-						touched[fmt.Sprintf("rbd.%s.%d", img, (off+bs-1)/cluster.ObjectSize)] = true
-					}
-				}
-				if cfg.Pacing > 0 {
-					pp.Sleep(cfg.Pacing)
-				}
+		seed := cfg.Cluster.Seed*1000003 + uint64(ci)*7907 + 11
+		l.start(ci, fmt.Sprintf("chaos%d", ci), seed, cfg.Pacing, func(cc *client, off, bs int64, got uint64) {
+			// No acked read may ever return damaged data. Legitimate
+			// stamps from this image carry this client's index in the
+			// high word and a counter no later than the last issued;
+			// rot XORs the low word into the billions.
+			if got != 0 && (got>>32 != uint64(cc.id) || got&0xffffffff > cc.stamp&0xffffffff) {
+				res.violate("client %d read damaged data at off=%d: stamp %#x", cc.id, off, got)
 			}
 		})
 	}
@@ -262,24 +203,18 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 					recWG.Add(1)
 					c.K.Go(fmt.Sprintf("chaos.recover.osd%d", id), func(rp *sim.Proc) {
 						defer recWG.Done()
-						st := c.RecoverOSDIn(rp, id)
-						res.Recovered += st.ObjectsCopied
-						res.JournalReplays += st.JournalReplays
-						res.DegradedPGs += st.DegradedPGs
+						res.recoverOSD(c, rp, id)
 					})
 					continue
 				}
-				st := c.RecoverOSDIn(pp, op.Target)
-				res.Recovered += st.ObjectsCopied
-				res.JournalReplays += st.JournalReplays
-				res.DegradedPGs += st.DegradedPGs
+				res.recoverOSD(c, pp, op.Target)
 			case fault.PartitionClient:
-				ep := clients[op.Target].cl.Endpoint()
+				ep := l.clients[op.Target].cl.Endpoint()
 				for _, o := range c.OSDs() {
 					c.Net.Partition(ep, o.Endpoint())
 				}
 			case fault.HealClient:
-				ep := clients[op.Target].cl.Endpoint()
+				ep := l.clients[op.Target].cl.Endpoint()
 				for _, o := range c.OSDs() {
 					c.Net.Heal(ep, o.Endpoint())
 				}
@@ -314,7 +249,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 	// leftover faults, reconcile divergence left by recoveries that raced
 	// ongoing writes (a quiescent repair pass), settle, stop heartbeats.
 	c.K.Go("chaos.controller", func(pp *sim.Proc) {
-		workers.Wait(pp)
+		l.running.Wait(pp)
 		driver.Wait(pp)
 		recWG.Wait(pp)
 		c.Net.HealAll()
@@ -325,10 +260,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		}
 		for id := range c.OSDs() {
 			if c.Down(id) {
-				st := c.RecoverOSDIn(pp, id)
-				res.Recovered += st.ObjectsCopied
-				res.JournalReplays += st.JournalReplays
-				res.DegradedPGs += st.DegradedPGs
+				res.recoverOSD(c, pp, id)
 			}
 		}
 		c.StopScrub()            // in-flight PG scrubs drain during the settle below
@@ -339,10 +271,9 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 	c.K.Run(sim.Forever)
 
 	res.SimulatedTime = c.K.Now()
-	res.ObjectsWritten = len(touched)
 	res.DownsDetected = c.DownsDetected()
 	res.NetDropped = c.Net.Dropped.Value()
-	for _, cc := range clients {
+	for _, cc := range l.clients {
 		res.Retries += cc.cl.Retries()
 		res.EIOs += cc.cl.EIOs()
 	}
@@ -410,37 +341,12 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 		}
 	}
 
-	// Drain and consistency invariants.
-	for _, oid := range sortedOIDs(touched) {
-		holders := 0
-		for _, o := range c.OSDs() {
-			if o.FileStore().ObjectVersion(oid) > 0 {
-				holders++
-			}
-		}
-		if holders != c.PoolWidth() {
-			res.violate("object %s on %d OSDs, want %d", oid, holders, c.PoolWidth())
-		}
-	}
-	for id, o := range c.OSDs() {
-		if ops, bytes := o.Store().PendingOps(), o.Store().PendingBytes(); ops != 0 || bytes != 0 {
-			res.violate("osd.%d write-ahead state not drained: %d ops, %d bytes", id, ops, bytes)
-		}
-		if n := o.OpWQ().QueueLen() + o.OpWQ().PendingLen(); n != 0 {
-			res.violate("osd.%d op queue not drained: %d items", id, n)
-		}
-	}
-	for _, s := range c.ScrubPGLogs() {
-		res.violate("pg log: %s", s)
-	}
-	for _, inc := range c.ScrubAll() {
-		res.violate("scrub: %s %s", inc.OID, inc.Detail)
-	}
+	l.checkDrained()
 
 	// The authoritative invariant: every acked write reads back with the
 	// stamp the client last wrote, after all faults are healed.
 	c.K.Go("chaos.readback", func(pp *sim.Proc) {
-		for ci, cc := range clients {
+		for _, cc := range l.clients {
 			offs := make([]int64, 0, len(cc.model))
 			for off := range cc.model { //afvet:allow determinism keys are sorted before use
 				offs = append(offs, off)
@@ -450,7 +356,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 				got, exists := cc.bd.ReadAt(pp, off, 4096)
 				if !exists || got != cc.model[off] {
 					res.violate("client %d lost acked write at off=%d: stamp %d, want %d (exists=%v)",
-						ci, off, got, cc.model[off], exists)
+						cc.id, off, got, cc.model[off], exists)
 					continue
 				}
 				res.ReadVerified++
@@ -459,7 +365,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 	})
 	c.K.Run(sim.Forever)
 
-	res.Fingerprint = res.fingerprint(c, touched)
+	res.Fingerprint = res.fingerprint(c, l.touched)
 	return res
 }
 

@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/osd"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -26,11 +29,10 @@ type Options struct {
 	Perf bool
 }
 
-// TenantResult is one tenant's aggregate outcome.
-type TenantResult struct {
-	Name    string
-	Class   string
-	Clients int
+// Bucket is the outcome of one measurement bucket: a tenant, an SLO class
+// or the whole cluster. Each bucket's counters are incremented
+// independently of the others.
+type Bucket struct {
 	// Offered counts every generated arrival over the whole run; Accepted +
 	// Rejected == Offered exactly once the run drains.
 	Offered  uint64
@@ -43,18 +45,20 @@ type TenantResult struct {
 	Lat      stats.Snapshot // milliseconds, arrival→completion
 }
 
-// ClassResult aggregates every tenant of one SLO class. Class counters are
-// incremented independently of tenant and cluster counters, and the
-// breakdown telescopes: summing any column over classes reproduces the
-// cluster total exactly.
+// TenantResult is one tenant's aggregate outcome.
+type TenantResult struct {
+	Name    string
+	Class   string
+	Clients int
+	Bucket
+}
+
+// ClassResult aggregates every tenant of one SLO class. The breakdown
+// telescopes: summing any column over classes reproduces the cluster total
+// exactly.
 type ClassResult struct {
-	Class    string
-	Offered  uint64
-	Accepted uint64
-	Rejected uint64
-	Measured uint64
-	IOPS     float64
-	Lat      stats.Snapshot
+	Class string
+	Bucket
 }
 
 // Result is a full scenario outcome.
@@ -65,13 +69,9 @@ type Result struct {
 	RuntimeSec  float64 // measured window, after scaling
 	Tenants     []TenantResult
 	Classes     []ClassResult
-	// Cluster totals (independent counters, not sums of the above).
-	Offered  uint64
-	Accepted uint64
-	Rejected uint64
-	Measured uint64
-	IOPS     float64
-	Lat      stats.Snapshot
+	// Bucket is the cluster totals (independent counters, not sums of the
+	// above).
+	Bucket
 	// OSD-side admission decisions at the messenger seam. Without failures
 	// every offered op is decided exactly once, so OSDAccepted+OSDRejected
 	// == Offered; client retries under failover can decide an op more than
@@ -96,6 +96,28 @@ type agg struct {
 }
 
 func newAgg() *agg { return &agg{hist: stats.NewHistogram()} }
+
+// bucket reads the counters out, with IOPS over a measured window of secs.
+func (a *agg) bucket(secs float64) Bucket {
+	return Bucket{
+		Offered:  a.offered.Value(),
+		Accepted: a.accepted.Value(),
+		Rejected: a.rejected.Value(),
+		Measured: a.measured.Value(),
+		IOPS:     float64(a.measured.Value()) / secs,
+		Lat:      a.hist.SnapshotMillis(),
+	}
+}
+
+// register publishes the counters as perf subsystem name.
+func (a *agg) register(reg *metrics.Registry, name string) {
+	s := reg.Sub(name)
+	s.Counter("offered", &a.offered)
+	s.Counter("accepted", &a.accepted)
+	s.Counter("rejected", &a.rejected)
+	s.Counter("measured", &a.measured)
+	s.Histogram("latency", a.hist)
+}
 
 // arrivalRec is one generated op, fully drawn at arrival time so the event
 // content never depends on which worker slot services it.
@@ -269,8 +291,7 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 	wg := sim.NewWaitGroup(k)
 	for ti := range tenants {
 		t := &tenants[ti]
-		ta := tAggs[ti]
-		ca := cAggs[t.Class]
+		levels := [...]*agg{tAggs[ti], cAggs[t.Class], total} // the buckets each op counts in
 		samp := newSampler(t.Arrival)
 		mod := newRateMult(&t.TenantSpec, scale)
 		for ci := 0; ci < t.Clients; ci++ {
@@ -291,9 +312,9 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 					}
 					stamp++
 					rec := gen.draw(p.Now(), stamp)
-					ta.offered.Inc()
-					ca.offered.Inc()
-					total.offered.Inc()
+					for _, a := range levels {
+						a.offered.Inc()
+					}
 					q.Push(p, rec)
 				}
 				q.Close()
@@ -315,23 +336,16 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 							admitted = cl.TryWriteObject(p, rec.oid, rec.off, rec.size, rec.stamp)
 						}
 						measured := rec.at >= measureFrom && rec.at < end
-						if admitted {
-							ta.accepted.Inc()
-							ca.accepted.Inc()
-							total.accepted.Inc()
-							if measured {
-								ta.measured.Inc()
-								ca.measured.Inc()
-								total.measured.Inc()
-								d := int64(p.Now() - rec.at)
-								ta.hist.Record(d)
-								ca.hist.Record(d)
-								total.hist.Record(d)
+						for _, a := range levels {
+							if !admitted {
+								a.rejected.Inc()
+								continue
 							}
-						} else {
-							ta.rejected.Inc()
-							ca.rejected.Inc()
-							total.rejected.Inc()
+							a.accepted.Inc()
+							if measured {
+								a.measured.Inc()
+								a.hist.Record(int64(p.Now() - rec.at))
+							}
 						}
 					}
 				})
@@ -370,39 +384,15 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 		Events:        k.Dispatched(),
 		Resumes:       k.Resumes(),
 	}
+	secs := runtime.Seconds()
 	for ti := range tenants {
 		t := &tenants[ti]
-		a := tAggs[ti]
-		res.Tenants = append(res.Tenants, TenantResult{
-			Name:     t.Name,
-			Class:    t.Class,
-			Clients:  t.Clients,
-			Offered:  a.offered.Value(),
-			Accepted: a.accepted.Value(),
-			Rejected: a.rejected.Value(),
-			Measured: a.measured.Value(),
-			IOPS:     float64(a.measured.Value()) / runtime.Seconds(),
-			Lat:      a.hist.SnapshotMillis(),
-		})
+		res.Tenants = append(res.Tenants, TenantResult{Name: t.Name, Class: t.Class, Clients: t.Clients, Bucket: tAggs[ti].bucket(secs)})
 	}
 	for _, cls := range classOrder {
-		a := cAggs[cls]
-		res.Classes = append(res.Classes, ClassResult{
-			Class:    cls,
-			Offered:  a.offered.Value(),
-			Accepted: a.accepted.Value(),
-			Rejected: a.rejected.Value(),
-			Measured: a.measured.Value(),
-			IOPS:     float64(a.measured.Value()) / runtime.Seconds(),
-			Lat:      a.hist.SnapshotMillis(),
-		})
+		res.Classes = append(res.Classes, ClassResult{Class: cls, Bucket: cAggs[cls].bucket(secs)})
 	}
-	res.Offered = total.offered.Value()
-	res.Accepted = total.accepted.Value()
-	res.Rejected = total.rejected.Value()
-	res.Measured = total.measured.Value()
-	res.IOPS = float64(res.Measured) / runtime.Seconds()
-	res.Lat = total.hist.SnapshotMillis()
+	res.Bucket = total.bucket(secs)
 	res.OSDAccepted, res.OSDRejected = c.AdmissionTotals()
 	shares := make([]float64, len(res.Tenants))
 	for i, t := range res.Tenants {
@@ -413,29 +403,12 @@ func Run(sc *Scenario, opt Options) (*Result, error) {
 	if opt.Perf {
 		reg := c.Perf()
 		for ti := range tenants {
-			s := reg.Sub("scenario.tenant." + tenants[ti].Name)
-			a := tAggs[ti]
-			s.Counter("offered", &a.offered)
-			s.Counter("accepted", &a.accepted)
-			s.Counter("rejected", &a.rejected)
-			s.Counter("measured", &a.measured)
-			s.Histogram("latency", a.hist)
+			tAggs[ti].register(reg, "scenario.tenant."+tenants[ti].Name)
 		}
 		for _, cls := range classOrder {
-			s := reg.Sub("scenario.class." + cls)
-			a := cAggs[cls]
-			s.Counter("offered", &a.offered)
-			s.Counter("accepted", &a.accepted)
-			s.Counter("rejected", &a.rejected)
-			s.Counter("measured", &a.measured)
-			s.Histogram("latency", a.hist)
+			cAggs[cls].register(reg, "scenario.class."+cls)
 		}
-		s := reg.Sub("scenario.total")
-		s.Counter("offered", &total.offered)
-		s.Counter("accepted", &total.accepted)
-		s.Counter("rejected", &total.rejected)
-		s.Counter("measured", &total.measured)
-		s.Histogram("latency", total.hist)
+		total.register(reg, "scenario.total")
 		res.PerfJSON = reg.DumpJSON()
 	}
 	return res, nil
@@ -505,84 +478,58 @@ func (g *opGen) draw(at sim.Time, stamp uint64) arrivalRec {
 }
 
 // Fingerprint folds every counter and latency quantile into one 64-bit
-// FNV-1a hash; the differential determinism tests compare fingerprints
-// across host-parallelism settings.
+// FNV-1a hash of their little-endian bytes (strings as their bytes); the
+// differential determinism tests compare fingerprints across
+// host-parallelism settings.
 func (r *Result) Fingerprint() uint64 { //afvet:allow unused qa/differential_test.go and engine_test.go compare runs through it
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
+	var b []byte
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	bucket := func(k Bucket) {
+		for _, v := range []uint64{k.Offered, k.Accepted, k.Rejected, k.Measured, k.Lat.Count} {
+			u64(v)
+		}
+		for _, v := range []float64{k.Lat.Mean, k.Lat.P50, k.Lat.P99, k.Lat.Max} {
+			u64(math.Float64bits(v))
 		}
 	}
-	mixStr := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	mixSnap := func(s stats.Snapshot) {
-		mix(s.Count)
-		mix(math.Float64bits(s.Mean))
-		mix(math.Float64bits(s.P50))
-		mix(math.Float64bits(s.P99))
-		mix(math.Float64bits(s.Max))
-	}
-	mixStr(r.Name)
-	mix(r.Seed)
+	b = append(b, r.Name...)
+	u64(r.Seed)
 	for _, t := range r.Tenants {
-		mixStr(t.Name)
-		mixStr(t.Class)
-		mix(t.Offered)
-		mix(t.Accepted)
-		mix(t.Rejected)
-		mix(t.Measured)
-		mixSnap(t.Lat)
+		b = append(append(b, t.Name...), t.Class...)
+		bucket(t.Bucket)
 	}
 	for _, c := range r.Classes {
-		mixStr(c.Class)
-		mix(c.Offered)
-		mix(c.Accepted)
-		mix(c.Rejected)
-		mix(c.Measured)
-		mixSnap(c.Lat)
+		b = append(b, c.Class...)
+		bucket(c.Bucket)
 	}
-	mix(r.Offered)
-	mix(r.Accepted)
-	mix(r.Rejected)
-	mix(r.Measured)
-	mixSnap(r.Lat)
-	mix(r.OSDAccepted)
-	mix(r.OSDRejected)
-	mix(math.Float64bits(r.Fairness))
-	mix(uint64(r.SimulatedTime))
-	return h
+	bucket(r.Bucket)
+	u64(r.OSDAccepted)
+	u64(r.OSDRejected)
+	u64(math.Float64bits(r.Fairness))
+	u64(uint64(r.SimulatedTime))
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // Table renders the per-tenant and per-class breakdown as text.
 func (r *Result) Table() string {
 	header := []string{"tenant", "class", "offered", "accepted", "rejected", "iops", "p50(ms)", "p99(ms)"}
 	var rows [][]string
-	for _, t := range r.Tenants {
+	row := func(name, class string, b Bucket) {
 		rows = append(rows, []string{
-			t.Name, t.Class,
-			fmt.Sprintf("%d", t.Offered), fmt.Sprintf("%d", t.Accepted), fmt.Sprintf("%d", t.Rejected),
-			fmt.Sprintf("%.0f", t.IOPS), fmt.Sprintf("%.2f", t.Lat.P50), fmt.Sprintf("%.2f", t.Lat.P99),
+			name, class,
+			fmt.Sprintf("%d", b.Offered), fmt.Sprintf("%d", b.Accepted), fmt.Sprintf("%d", b.Rejected),
+			fmt.Sprintf("%.0f", b.IOPS), fmt.Sprintf("%.2f", b.Lat.P50), fmt.Sprintf("%.2f", b.Lat.P99),
 		})
+	}
+	for _, t := range r.Tenants {
+		row(t.Name, t.Class, t.Bucket)
 	}
 	for _, c := range r.Classes {
-		rows = append(rows, []string{
-			"class:" + c.Class, "",
-			fmt.Sprintf("%d", c.Offered), fmt.Sprintf("%d", c.Accepted), fmt.Sprintf("%d", c.Rejected),
-			fmt.Sprintf("%.0f", c.IOPS), fmt.Sprintf("%.2f", c.Lat.P50), fmt.Sprintf("%.2f", c.Lat.P99),
-		})
+		row("class:"+c.Class, "", c.Bucket)
 	}
-	rows = append(rows, []string{
-		"TOTAL", "",
-		fmt.Sprintf("%d", r.Offered), fmt.Sprintf("%d", r.Accepted), fmt.Sprintf("%d", r.Rejected),
-		fmt.Sprintf("%.0f", r.IOPS), fmt.Sprintf("%.2f", r.Lat.P50), fmt.Sprintf("%.2f", r.Lat.P99),
-	})
+	row("TOTAL", "", r.Bucket)
 	out := fmt.Sprintf("== scenario %s (seed %d, admission %v) ==\n", r.Name, r.Seed, r.AdmissionOn)
 	out += stats.FormatTable(header, rows)
 	out += fmt.Sprintf("fairness(jain)=%.3f osd_admit=%d/%d sim_time=%.2fs\n",

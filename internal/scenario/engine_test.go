@@ -257,3 +257,25 @@ func TestClusterBlockMapsOntoParams(t *testing.T) {
 		c.Close()
 	}
 }
+
+// goldenScenarios pins the four canonical scenarios' fingerprints at
+// Scale 0.12, as qa's goldenChaos pins the chaos runs. Update a value only
+// with a change that means to alter a scenario run, and say so in its
+// description.
+var goldenScenarios = map[string]uint64{
+	"steady-multi-tenant": 0xfe42ea84752096e1,
+	"noisy-neighbor":      0xcd3b4ab80e530b98,
+	"flash-crowd":         0x873fb0181518ed46,
+	"failover-under-load": 0xc4903bdf6537953f,
+}
+
+// TestScenarioFingerprintsPinned: each canonical scenario still produces
+// its recorded fingerprint.
+func TestScenarioFingerprintsPinned(t *testing.T) {
+	for _, name := range CanonNames {
+		got := mustRun(t, name, Options{Scale: 0.12}).Fingerprint()
+		if want, ok := goldenScenarios[name]; !ok || got != want {
+			t.Errorf("%s: fingerprint %#x, want pinned %#x", name, got, want)
+		}
+	}
+}

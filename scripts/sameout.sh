@@ -52,6 +52,7 @@ go build -o "$TMP/bin.work/" $PKGS
         echo "afqa -profile $profile -seeds 3 -thrash"
     done
     echo "afqa -backend directstore -seeds 3"
+    echo "afqa -backend directstore -seeds 3 -thrash"
     for example in chaos ec recovery quickstart; do
         echo "$example"
     done
