@@ -13,11 +13,16 @@
 // tombstones dropped) and stalls are real, so the paper's "batch the
 // transaction's KV operations" optimization changes real WAL and
 // compaction behaviour rather than a synthetic counter.
+//
+// Memtables and SSTables are one pointer-free table (table.go): key bytes
+// copied into an arena, flat entry records and, for the active memtable,
+// an open-addressing index. The store keeps no caller's key string.
 package kvstore
 
 import (
+	"bytes"
+	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/cpumodel"
 	"repro/internal/device"
@@ -84,29 +89,6 @@ func (s *Stats) WriteAmplification() float64 {
 	return float64(total) / float64(user)
 }
 
-type entry struct {
-	key       string
-	size      int // value length; the bytes themselves are never kept
-	tombstone bool
-}
-
-type memtable struct {
-	data  map[string]entry
-	bytes int64
-}
-
-// newMemtable returns an empty memtable whose map has room for n entries:
-// a memtable is sized from its predecessor, so filling it does not grow
-// the map step by step.
-func newMemtable(n int) *memtable { return &memtable{data: make(map[string]entry, n)} }
-
-// sstable is an immutable sorted run.
-type sstable struct {
-	entries []entry // sorted by key
-	bytes   int64
-	seq     uint64 // creation order; larger = newer
-}
-
 // DB is the store. All methods taking a *sim.Proc block the calling process
 // for the modelled latency; ApplyCall is the callback form of Apply.
 type DB struct {
@@ -119,11 +101,10 @@ type DB struct {
 	mu        *sim.Mutex
 	stallCond *sim.Cond
 
-	mem        *memtable
-	imm        []*memtable
-	l0         []*sstable
-	l1         []*sstable // sorted runs merged together; kept as one logical run
-	seq        uint64
+	mem        *table
+	imm        []*table // rotated memtables, oldest first
+	l0         []*table // newest first
+	l1         []*table // sorted runs merged together; kept as one logical run
 	compacting bool
 	flushing   bool
 
@@ -145,7 +126,7 @@ func New(k *sim.Kernel, name string, dev device.Device, node *cpumodel.Node, par
 		dev:    dev,
 		node:   node,
 		params: params,
-		mem:    newMemtable(0),
+		mem:    newTable(0, 0),
 	}
 	db.mu = sim.NewMutex(k, name+".mu")
 	db.stallCond = sim.NewCond(db.mu)
@@ -214,6 +195,9 @@ func (db *DB) ApplyCall(b *Batch) {
 	b.db = db
 	b.userBytes, b.walBytes = 0, db.params.WALBatchHeader
 	for _, op := range b.Ops {
+		if len(op.Value) > math.MaxUint32 {
+			panic("kvstore: value longer than 4 GiB")
+		}
 		n := int64(len(op.Key) + len(op.Value))
 		b.userBytes += n
 		b.walBytes += n + db.params.EntryOverhead
@@ -262,12 +246,12 @@ func applyCharged(a any) {
 	b := a.(*Batch)
 	db := b.db
 	for _, op := range b.Ops {
-		e := entry{key: op.Key, size: len(op.Value), tombstone: op.Delete}
-		if old, ok := db.mem.data[op.Key]; ok {
-			db.mem.bytes -= db.entryBytes(old)
+		e, found := db.mem.upsert(op.Key)
+		if found {
+			db.mem.bytes -= db.entryBytes(*e)
 		}
-		db.mem.data[op.Key] = e
-		db.mem.bytes += db.entryBytes(e)
+		e.size, e.tombstone = uint32(len(op.Value)), op.Delete
+		db.mem.bytes += db.entryBytes(*e)
 		if op.Delete {
 			db.stats.Deletes.Inc()
 		} else {
@@ -284,7 +268,7 @@ func applyCharged(a any) {
 
 // entryBytes is an entry's on-disk footprint.
 func (db *DB) entryBytes(e entry) int64 {
-	return int64(len(e.key)+e.size) + db.params.EntryOverhead
+	return int64(e.klen) + int64(e.size) + db.params.EntryOverhead
 }
 
 // alloc advances the device write cursor (log-structured layout).
@@ -300,8 +284,10 @@ func (db *DB) rotateMemtable() {
 	if db.mem.bytes == 0 {
 		return
 	}
+	// The next memtable is sized from this one, so filling it does not
+	// grow its entries, arena and index step by step.
 	imm := db.mem
-	db.mem = newMemtable(len(imm.data))
+	db.mem = newTable(len(imm.entries), len(imm.arena))
 	db.imm = append(db.imm, imm)
 	if !db.flushing {
 		db.flushing = true
@@ -309,20 +295,21 @@ func (db *DB) rotateMemtable() {
 	}
 }
 
-// flushLoop drains immutable memtables into L0 tables. A memtable leaves
-// imm only when its table joins L0, so every entry sits in some layer
-// throughout the flush.
+// flushLoop drains immutable memtables into L0 tables: each is frozen in
+// place and joins L0 once written. It leaves imm only then, so every entry
+// sits in some layer throughout the flush.
 func (db *DB) flushLoop(p *sim.Proc) {
 	db.mu.Lock(p)
 	for len(db.imm) > 0 {
-		table := db.buildTable(db.imm[0])
+		t := db.imm[0]
+		t.freeze()
 		db.mu.Unlock(p)
 		// Sequential write of the table, chunked.
-		db.writeSequential(p, table.bytes)
-		db.stats.FlushBytes.Add(uint64(table.bytes))
+		db.writeSequential(p, t.bytes)
+		db.stats.FlushBytes.Add(uint64(t.bytes))
 		db.mu.Lock(p)
 		db.imm = db.imm[1:]
-		db.l0 = append([]*sstable{table}, db.l0...) // newest first
+		db.l0 = append([]*table{t}, db.l0...)
 		if len(db.l0) >= db.params.L0CompactTrigger && !db.compacting {
 			db.compacting = true
 			db.k.Go(db.name+".compact", db.compactLoop)
@@ -330,17 +317,6 @@ func (db *DB) flushLoop(p *sim.Proc) {
 	}
 	db.flushing = false
 	db.mu.Unlock(p)
-}
-
-func (db *DB) buildTable(m *memtable) *sstable {
-	db.seq++
-	t := &sstable{seq: db.seq, bytes: m.bytes}
-	t.entries = make([]entry, 0, len(m.data))
-	for _, e := range m.data {
-		t.entries = append(t.entries, e)
-	}
-	sort.Slice(t.entries, func(i, j int) bool { return t.entries[i].key < t.entries[j].key })
-	return t
 }
 
 func (db *DB) writeSequential(p *sim.Proc, bytes int64) {
@@ -376,7 +352,7 @@ func (db *DB) compactLoop(p *sim.Proc) {
 			db.mu.Unlock(p)
 			return
 		}
-		inputs := append([]*sstable{}, db.l0...)
+		inputs := append([]*table{}, db.l0...)
 		inputs = append(inputs, db.l1...)
 		db.mu.Unlock(p)
 
@@ -394,39 +370,57 @@ func (db *DB) compactLoop(p *sim.Proc) {
 
 		db.mu.Lock(p)
 		// Remove consumed inputs; new L0 tables may have arrived meanwhile.
-		var l0 []*sstable
+		var l0 []*table
 		for _, t := range db.l0 {
 			if !slices.Contains(inputs, t) {
 				l0 = append(l0, t)
 			}
 		}
 		db.l0 = l0
-		db.l1 = []*sstable{merged}
+		db.l1 = []*table{merged}
 		db.stallCond.Broadcast()
 		db.mu.Unlock(p)
 	}
 }
 
-// merge combines tables (inputs ordered newest-first for L0, then L1),
-// keeping the newest version of each key and dropping tombstones.
-func (db *DB) merge(inputs []*sstable) *sstable {
-	latest := make(map[string]entry)
-	// Iterate oldest -> newest so newer entries overwrite.
-	for i := len(inputs) - 1; i >= 0; i-- {
-		for _, e := range inputs[i].entries {
-			latest[e.key] = e
-		}
+// merge combines sorted tables (inputs ordered newest first: L0, then L1)
+// into one, keeping the newest version of each key and dropping
+// tombstones. It walks the inputs in step, so its output is sorted too.
+func (db *DB) merge(inputs []*table) *table {
+	var n, keyBytes int
+	for _, t := range inputs {
+		n += len(t.entries)
+		keyBytes += len(t.arena)
 	}
-	db.seq++
-	out := &sstable{seq: db.seq}
-	out.entries = make([]entry, 0, len(latest))
-	for _, e := range latest {
+	out := &table{arena: make([]byte, 0, keyBytes), entries: make([]entry, 0, n)}
+	next := make([]int, len(inputs)) // each input's first unmerged entry
+	for {
+		// The smallest unmerged key; of the inputs holding it, the first is
+		// the newest.
+		win, key := -1, []byte(nil)
+		for i, t := range inputs {
+			if next[i] == len(t.entries) {
+				continue
+			}
+			if k := t.key(t.entries[next[i]]); win < 0 || bytes.Compare(k, key) < 0 {
+				win, key = i, k
+			}
+		}
+		if win < 0 {
+			return out
+		}
+		e := inputs[win].entries[next[win]]
+		for i, t := range inputs {
+			if next[i] < len(t.entries) && bytes.Equal(t.key(t.entries[next[i]]), key) {
+				next[i]++
+			}
+		}
 		if e.tombstone {
 			continue
 		}
+		e.off = out.keyOff(len(key))
+		out.arena = append(out.arena, key...)
 		out.entries = append(out.entries, e)
 		out.bytes += db.entryBytes(e)
 	}
-	sort.Slice(out.entries, func(i, j int) bool { return out.entries[i].key < out.entries[j].key })
-	return out
 }

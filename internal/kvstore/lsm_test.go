@@ -1,8 +1,12 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"maps"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -27,37 +31,31 @@ func smallDB(k *sim.Kernel) *DB {
 	return New(k, "db", ssd, node, p)
 }
 
+// layers returns every table, oldest versions first: L1, L0 back to front
+// (db.l0 is newest first), the rotated memtables in rotation order, then
+// the active memtable.
+func layers(db *DB) []*table {
+	ts := append([]*table{}, db.l1...)
+	for i := len(db.l0) - 1; i >= 0; i-- {
+		ts = append(ts, db.l0[i])
+	}
+	ts = append(ts, db.imm...)
+	return append(ts, db.mem)
+}
+
 // live resolves the newest version of every key across the layers and
-// returns each live key's value size. It visits versions oldest first (L1,
-// L0 back to front since db.l0 is newest-first, the immutable memtables in
-// rotation order, then the active memtable), so newer versions win and a
-// tombstone removes the key.
+// returns each live key's value size: it visits versions oldest first, so
+// newer versions win and a tombstone removes the key.
 func live(db *DB) map[string]int {
 	m := map[string]int{}
-	put := func(e entry) {
-		if e.tombstone {
-			delete(m, e.key)
-		} else {
-			m[e.key] = e.size
-		}
-	}
-	for _, t := range db.l1 {
+	for _, t := range layers(db) {
 		for _, e := range t.entries {
-			put(e)
+			if key := string(t.key(e)); e.tombstone {
+				delete(m, key)
+			} else {
+				m[key] = int(e.size)
+			}
 		}
-	}
-	for i := len(db.l0) - 1; i >= 0; i-- {
-		for _, e := range db.l0[i].entries {
-			put(e)
-		}
-	}
-	for _, mt := range db.imm {
-		for _, e := range mt.data {
-			put(e)
-		}
-	}
-	for _, e := range db.mem.data {
-		put(e)
 	}
 	return m
 }
@@ -72,35 +70,74 @@ func modelBytes(db *DB, model map[string]int) int64 {
 }
 
 // checkLayers compares the resolved store with model and checks each
-// layer's accounting: a memtable's or table's bytes are the sum of its
-// entries, and table entries are strictly ascending by key.
+// table's representation: its bytes are the sum of its entries, its keys
+// are distinct, L0 and L1 tables are strictly ascending by key, L1 holds
+// no tombstone, and an indexed memtable's index is at most half full and
+// finds every entry from the entry's stored hash, which is its key's hash.
 func checkLayers(db *DB, model map[string]int) error {
 	if got := live(db); !maps.Equal(got, model) {
 		return fmt.Errorf("resolved %v, model %v", got, model)
 	}
-	sum := func(es []entry) (n int64) {
-		for _, e := range es {
-			n += int64(len(e.key)+e.size) + db.params.EntryOverhead
-		}
-		return n
-	}
-	for _, mt := range append([]*memtable{db.mem}, db.imm...) {
-		var es []entry
-		for _, e := range mt.data {
-			es = append(es, e)
-		}
-		if sum(es) != mt.bytes {
-			return fmt.Errorf("memtable bytes %d, entries sum to %d", mt.bytes, sum(es))
-		}
-	}
-	for _, t := range append(append([]*sstable{}, db.l0...), db.l1...) {
-		if sum(t.entries) != t.bytes {
-			return fmt.Errorf("table %d bytes %d, entries sum to %d", t.seq, t.bytes, sum(t.entries))
-		}
-		for i := 1; i < len(t.entries); i++ {
-			if t.entries[i-1].key >= t.entries[i].key {
-				return fmt.Errorf("table %d out of order at %q", t.seq, t.entries[i].key)
+	sstables := append(append([]*table{}, db.l0...), db.l1...)
+	for ti, t := range layers(db) {
+		var sum int64
+		keys := map[string]bool{}
+		for _, e := range t.entries {
+			sum += int64(len(t.key(e))+int(e.size)) + db.params.EntryOverhead
+			if keys[string(t.key(e))] {
+				return fmt.Errorf("table %d holds %q twice", ti, t.key(e))
 			}
+			keys[string(t.key(e))] = true
+		}
+		if sum != t.bytes {
+			return fmt.Errorf("table %d bytes %d, entries sum to %d", ti, t.bytes, sum)
+		}
+		if slices.Contains(db.l1, t) && slices.ContainsFunc(t.entries, func(e entry) bool { return e.tombstone }) {
+			return fmt.Errorf("L1 table %d holds a tombstone", ti)
+		}
+		if slices.Contains(sstables, t) {
+			for i := 1; i < len(t.entries); i++ {
+				if bytes.Compare(t.key(t.entries[i-1]), t.key(t.entries[i])) >= 0 {
+					return fmt.Errorf("table %d out of order at %q", ti, t.key(t.entries[i]))
+				}
+			}
+		}
+		if t.index != nil {
+			if err := checkIndex(t); err != nil {
+				return fmt.Errorf("table %d: %w", ti, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkIndex checks that t's index holds each entry number once, is at most
+// half full, and that probing from an entry's stored hash, which must be its
+// key's hash, reaches the entry before a free slot.
+func checkIndex(t *table) error {
+	if len(t.index)&(len(t.index)-1) != 0 || 2*len(t.entries) > len(t.index) {
+		return fmt.Errorf("index of %d slots for %d entries", len(t.index), len(t.entries))
+	}
+	var used int
+	for _, n := range t.index {
+		if n != 0 {
+			used++
+		}
+	}
+	if used != len(t.entries) {
+		return fmt.Errorf("index holds %d entries, table %d", used, len(t.entries))
+	}
+	mask := uint32(len(t.index) - 1)
+	for n, e := range t.entries {
+		if h := uint32(maphash.Bytes(hashSeed, t.key(e))); h != e.hash {
+			return fmt.Errorf("entry %q stores hash %#x, key hashes to %#x", t.key(e), e.hash, h)
+		}
+		i := e.hash & mask
+		for t.index[i] != uint32(n+1) {
+			if t.index[i] == 0 {
+				return fmt.Errorf("probe for %q hits a free slot", t.key(e))
+			}
+			i = (i + 1) & mask
 		}
 	}
 	return nil
@@ -233,9 +270,9 @@ func TestModelEquivalenceProperty(t *testing.T) {
 				p.Sleep(100 * sim.Millisecond)
 			}
 			switch {
-			case len(db.mem.data)+len(db.imm)+len(db.l0) != 0 || len(db.l1) != 1:
+			case len(db.mem.entries)+len(db.imm)+len(db.l0) != 0 || len(db.l1) != 1:
 				err = fmt.Errorf("after the drain: %d mem entries, %d imm, %d L0, %d L1 tables",
-					len(db.mem.data), len(db.imm), len(db.l0), len(db.l1))
+					len(db.mem.entries), len(db.imm), len(db.l0), len(db.l1))
 			case s.Compactions.Value() != c0+1:
 				err = fmt.Errorf("the drain ran %d compactions, want 1", s.Compactions.Value()-c0)
 			case int64(s.CompactionWriteBytes.Value()-w0) != modelBytes(db, model):
@@ -243,7 +280,7 @@ func TestModelEquivalenceProperty(t *testing.T) {
 			default:
 				for _, e := range db.l1[0].entries {
 					if e.tombstone {
-						err = fmt.Errorf("L1 holds a tombstone for %q", e.key)
+						err = fmt.Errorf("L1 holds a tombstone for %q", db.l1[0].key(e))
 						return
 					}
 				}
@@ -258,6 +295,87 @@ func TestModelEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRandomOpsMatchModel(t *testing.T) {
+	// Random batches of puts, overwrites and deletes (some carrying a
+	// value) over keys that include the empty key and keys longer than 255
+	// bytes, mixed with forced memtable rotations and forced compactions.
+	// A 64 KiB memtable holds a few hundred entries, so the first
+	// memtable's index doubles several times and flushes and compactions
+	// run throughout. After every step the resolved store must equal the
+	// model and every table must pass checkLayers.
+	keys := []string{""}
+	for i := 0; i < 400; i++ {
+		keys = append(keys, fmt.Sprintf("k%03d", i))
+	}
+	for i := 0; i < 8; i++ {
+		keys = append(keys, strings.Repeat(string(rune('a'+i)), 250+30*i))
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		k := sim.NewKernel()
+		node := cpumodel.NewNode(k, "node", 8, cpumodel.JEMalloc)
+		ssd := device.NewSSD(k, "ssd", device.DefaultSSDParams(), rng.New(1))
+		params := DefaultParams()
+		params.MemtableSize = 64 << 10
+		db := New(k, "db", ssd, node, params)
+		r := rng.New(seed)
+		model := map[string]int{}
+		maxSlots := 0
+		var err error
+		k.Go("io", func(p *sim.Proc) {
+			apply := func(ops []Op) {
+				db.Apply(p, ops)
+				for _, op := range ops {
+					if op.Delete {
+						delete(model, op.Key)
+					} else {
+						model[op.Key] = len(op.Value)
+					}
+				}
+			}
+			rotate := func() {
+				db.mu.Lock(p)
+				db.rotateMemtable()
+				db.mu.Unlock(p)
+			}
+			for step := 0; step < 1500; step++ {
+				switch x := r.Intn(100); {
+				case x < 3:
+					rotate()
+				case x < 4:
+					for c0 := db.Stats().Compactions.Value(); db.Stats().Compactions.Value() == c0; {
+						apply([]Op{{Key: keys[r.Intn(len(keys))], Value: make([]byte, 8)}})
+						rotate()
+						p.Sleep(10 * sim.Millisecond)
+					}
+				default:
+					ops := make([]Op, 1+r.Intn(4))
+					for i := range ops {
+						ops[i] = Op{Key: keys[r.Intn(len(keys))], Value: make([]byte, r.Intn(300))}
+						if r.Intn(5) == 0 {
+							ops[i].Delete = true
+							ops[i].Value = ops[i].Value[:r.Intn(2)*len(ops[i].Value)]
+						}
+					}
+					apply(ops)
+				}
+				maxSlots = max(maxSlots, len(db.mem.index))
+				if err = checkLayers(db, model); err != nil {
+					err = fmt.Errorf("seed %d, step %d: %w", seed, step, err)
+					return
+				}
+			}
+		})
+		k.Run(sim.Forever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := db.Stats(); s.Compactions.Value() < 3 || maxSlots < 8<<5 {
+			t.Fatalf("seed %d: %d compactions, index peaked at %d slots (want 5 doublings); too little exercised",
+				seed, s.Compactions.Value(), maxSlots)
+		}
 	}
 }
 
@@ -378,7 +496,7 @@ func TestCompactionPreservesScanAndGets(t *testing.T) {
 	for _, tab := range db.l1 {
 		for _, e := range tab.entries {
 			if e.tombstone {
-				t.Fatalf("L1 holds a tombstone for %q", e.key)
+				t.Fatalf("L1 holds a tombstone for %q", tab.key(e))
 			}
 		}
 	}
@@ -405,9 +523,9 @@ func TestScanSeesNewestVersionAcrossLayers(t *testing.T) {
 		t.Fatalf("target size %d, want the newest 3", got)
 	}
 	var tabled bool
-	for _, tab := range append(append([]*sstable{}, db.l0...), db.l1...) {
+	for _, tab := range append(append([]*table{}, db.l0...), db.l1...) {
 		for _, e := range tab.entries {
-			tabled = tabled || e.key == "target" && e.size == 10
+			tabled = tabled || string(tab.key(e)) == "target" && e.size == 10
 		}
 	}
 	if !tabled {

@@ -1009,8 +1009,9 @@ func (w *fsWorker) applied() bool {
 
 // makeTx builds a filestore transaction for one logical write. Transactions
 // are recycled and their value buffers shared (the kvstore keeps only a
-// value's length); key strings are freshly allocated because the kvstore
-// retains them, except the per-oid omap key, which is immutable and cached.
+// value's length and copies key bytes). The PG-log key is a fresh string
+// because the transaction outlives the next makeTx, which reuses keyBuf;
+// the per-oid omap key is immutable and cached.
 func (o *OSD) makeTx(pg uint32, oid string, off, length int64, stamp uint64) *filestore.Transaction {
 	o.logSeq++
 	if o.pglogVal == nil {

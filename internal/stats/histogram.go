@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -42,7 +43,7 @@ func (h *Histogram) bucketOf(v int64) int {
 		return int(v)
 	}
 	// magnitude = index of highest set bit
-	mag := 63 - leadingZeros64(uint64(v))
+	mag := 63 - bits.LeadingZeros64(uint64(v))
 	// Within this magnitude, which linear sub-bucket?
 	sub := int((uint64(v) >> (uint(mag) - h.subShift)) & uint64(h.subBuckets-1))
 	return (mag-int(h.subShift))*h.subBuckets + h.subBuckets + sub
@@ -58,18 +59,6 @@ func (h *Histogram) bucketLow(i int) int64 {
 	mag := i/h.subBuckets + int(h.subShift)
 	sub := i % h.subBuckets
 	return (1 << uint(mag)) | int64(sub)<<(uint(mag)-h.subShift)
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds a value.

@@ -166,6 +166,41 @@ func TestHistogramBucketRoundTripProperty(t *testing.T) {
 	}
 }
 
+func TestHistogramBucketsMatchReference(t *testing.T) {
+	// ref is bucketOf written out longhand: a value below 32 has a bucket
+	// of its own; above, its magnitude m is the highest set bit, found by
+	// shifting, and 32 sub-buckets split [2^m, 2^(m+1)).
+	ref := func(v int64) int {
+		if v < 32 {
+			return int(v)
+		}
+		m := 0
+		for v>>m > 1 {
+			m++
+		}
+		return (m-5)*32 + 32 + int(v>>(m-5)&31)
+	}
+	vals := []int64{0, 1, 31, 32, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		vals = append(vals, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	h := NewHistogram()
+	for _, v := range vals {
+		b := h.bucketOf(v)
+		if want := ref(v); b != want {
+			t.Fatalf("bucketOf(%d) = %d, want %d", v, b, want)
+		}
+		// bucketLow(b) is the smallest value in bucket b.
+		if low := h.bucketLow(b); low > v || h.bucketOf(low) != b || low > 0 && h.bucketOf(low-1) != b-1 {
+			t.Fatalf("bucketLow(%d) = %d is not the lowest value of the bucket holding %d", b, low, v)
+		}
+	}
+	// The top magnitude is 62: MaxInt64 falls in its last sub-bucket.
+	if b, low := h.bucketOf(math.MaxInt64), h.bucketLow(1887); b != 1887 || low != 1<<62|31<<57 {
+		t.Fatalf("MaxInt64 in bucket %d, want 1887; bucket 1887 starts at %d", b, low)
+	}
+}
+
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()

@@ -17,7 +17,8 @@
 # compares ns/op (lower is better) and, where reported, sim-wall-x (higher
 # is better). PATTERN afperf/<workload> builds cmd/afperf in both trees
 # with cmd/afperf/run.sh's environment and compares the workload's
-# sim_wall_x and host_us_per_op; AFPERF_SECONDS (default 15) is its
+# end-to-end metrics, sim_wall_x (higher is better), host_us_per_op,
+# peak_rss_mb and setup_s (lower is better); AFPERF_SECONDS (default 15) is its
 # -seconds. The revision is extracted with `git archive` into a temporary
 # directory (removed on exit; honours TMPDIR), so the repository itself is
 # never touched. Each side runs from its own root.
@@ -51,7 +52,9 @@ afperf/*)
         (cd "$root" && "$TMP/$1.bin" --workload "$WORKLOAD" --seed 1 --seconds "$SECONDS_ARG" --trace 0) |
             tail -n 1 | tr ',' '\n' | sed -n \
             -e "s/.*\"sim_wall_x\":{\"value\":\([-0-9.e+]*\).*/$1 $2 $WORKLOAD sim_wall_x \1/p" \
-            -e "s/.*\"host_us_per_op\":{\"value\":\([-0-9.e+]*\).*/$1 $2 $WORKLOAD host_us_per_op \1/p"
+            -e "s/.*\"host_us_per_op\":{\"value\":\([-0-9.e+]*\).*/$1 $2 $WORKLOAD host_us_per_op \1/p" \
+            -e "s/.*\"peak_rss_mb\":{\"value\":\([-0-9.e+]*\).*/$1 $2 $WORKLOAD peak_rss_mb \1/p" \
+            -e "s/.*\"setup_s\":{\"value\":\([-0-9.e+]*\).*/$1 $2 $WORKLOAD setup_s \1/p"
     }
     ;;
 *)
@@ -112,7 +115,7 @@ function flush(    nb, nw, i, wins, ties, sb, sw, mb, mw, iqr, better) {
     nb = nw = 0
     for (i in base) nb++
     for (i in work) nw++
-    better = (metric == "ns/op" || metric == "host_us_per_op") ? -1 : 1
+    better = (metric == "sim-wall-x" || metric == "sim_wall_x") ? 1 : -1
     wins = ties = 0
     for (p in base) {
         if (!(p in work)) continue
