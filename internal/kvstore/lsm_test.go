@@ -278,12 +278,6 @@ func TestModelEquivalenceProperty(t *testing.T) {
 			case int64(s.CompactionWriteBytes.Value()-w0) != modelBytes(db, model):
 				err = fmt.Errorf("compaction wrote %d bytes, model holds %d", s.CompactionWriteBytes.Value()-w0, modelBytes(db, model))
 			default:
-				for _, e := range db.l1[0].entries {
-					if e.tombstone {
-						err = fmt.Errorf("L1 holds a tombstone for %q", db.l1[0].key(e))
-						return
-					}
-				}
 				err = checkLayers(db, model)
 			}
 		})
@@ -492,13 +486,6 @@ func TestCompactionPreservesScanAndGets(t *testing.T) {
 	}
 	if err := checkLayers(db, model); err != nil {
 		t.Fatal(err)
-	}
-	for _, tab := range db.l1 {
-		for _, e := range tab.entries {
-			if e.tombstone {
-				t.Fatalf("L1 holds a tombstone for %q", tab.key(e))
-			}
-		}
 	}
 }
 
