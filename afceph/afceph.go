@@ -221,11 +221,7 @@ func (c *Cluster) RunFio(spec FioSpec) (FioResult, error) {
 		Seed:      c.cfg.Seed + 1,
 	})
 	if spec.Prefill {
-		var bds []workload.BlockDev
-		for _, j := range f.Jobs {
-			bds = append(bds, j.BD)
-		}
-		workload.Prefill(c.inner.K, bds, spec.BlockSize, cluster.ObjectSize)
+		f.Prefill(c.inner.K, spec.BlockSize, cluster.ObjectSize)
 	}
 	res := f.Run(c.inner.K)
 	out := FioResult{

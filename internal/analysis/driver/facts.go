@@ -598,7 +598,9 @@ func storeOutlivesCall(info *types.Info, lhs ast.Expr) bool {
 }
 
 // pooledParamType reports whether e's type could denote a pooled record:
-// a pointer to a named struct, excluding the kernel's own types.
+// a pointer to a named struct, excluding the kernel's own types, or a
+// pointer to a type parameter, which a generic free list (sim.FreeList)
+// instantiates with its record type.
 func pooledParamType(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	if !ok {
@@ -607,6 +609,9 @@ func pooledParamType(info *types.Info, e ast.Expr) bool {
 	ptr, ok := tv.Type.(*types.Pointer)
 	if !ok {
 		return false
+	}
+	if _, ok := ptr.Elem().(*types.TypeParam); ok {
+		return true
 	}
 	named, ok := ptr.Elem().(*types.Named)
 	if !ok {

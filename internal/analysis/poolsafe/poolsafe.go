@@ -16,8 +16,9 @@
 //
 // Release points are: appends to fields whose name ends in "free"; any
 // call whose callee's interprocedural summary (driver facts, DESIGN.md
-// §14) says it releases or retains the argument — cross-package and any
-// number of calls deep; same-package unexported put*/release*/free*
+// §14) says it releases or retains the argument — cross-package, any
+// number of calls deep, and through a generic receiver such as
+// sim.FreeList's Put, whose append to its free field is such a release; same-package unexported put*/release*/free*
 // helpers (their first pooled-pointer argument, never the *sim.Proc);
 // zero-argument Release() methods (their receiver); and (*sync.Pool).Put.
 package poolsafe
@@ -198,7 +199,7 @@ func (c *checker) checkUses(e ast.Expr, st *state) {
 }
 
 // clearReassigned drops released/escape tracking for variables that are
-// wholly reassigned (`e = getJEntry()` starts a new lifetime).
+// wholly reassigned (`e = o.jeFree.Get()` starts a new lifetime).
 func (c *checker) clearReassigned(s *ast.AssignStmt, st *state) {
 	for _, lhs := range s.Lhs {
 		var root string

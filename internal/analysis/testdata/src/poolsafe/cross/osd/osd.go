@@ -5,6 +5,7 @@
 package osd
 
 import (
+	"repro/internal/analysis/testdata/src/poolsafe/cross/list"
 	"repro/internal/analysis/testdata/src/poolsafe/cross/pool"
 )
 
@@ -46,4 +47,20 @@ func freshLifetime(pl *pool.Pool) {
 	e = pl.Get()
 	e.N = 9
 	pl.HandBack(e)
+}
+
+// holder keeps a pooled record past the call that filled it.
+type holder struct{ last *pool.Entry }
+
+func useAfterGenericPut(l *list.List[pool.Entry]) {
+	e := l.Get()
+	e.N = 7
+	l.Put(e)
+	e.N = 8 // want `use of e.N after it was released to its pool`
+}
+
+func retainThenGenericPut(l *list.List[pool.Entry], h *holder) {
+	e := l.Get()
+	h.last = e // want `pooled object e is stored here but released to its pool`
+	l.Put(e)
 }

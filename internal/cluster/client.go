@@ -35,8 +35,8 @@ type Client struct {
 	// Free lists for op and pending records. Recycling is safe only without
 	// the retry timeout: a timeout timer retains the done event past the
 	// op's completion, and late replies may reference a dropped attempt.
-	opFree   []*osd.ClientOp
-	pendFree []*pendingOp
+	opFree   sim.FreeList[osd.ClientOp]
+	pendFree sim.FreeList[pendingOp]
 }
 
 type pendingOp struct {
@@ -168,11 +168,14 @@ func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, off, size int64
 		}
 		primary := cl.c.osds[acting[0]]
 		cl.nextID++
-		op := cl.getOp(pool)
+		op := cl.opFree.Get()
 		op.Kind, op.OID, op.PG, op.Off, op.Len = kind, oid, pg, off, size
 		op.Stamp, op.Client, op.ID = stamp, cl.ep, cl.nextID
 		op.Tenant = cl.tenant
-		pend := cl.getPend(pool)
+		pend := cl.pendFree.Get()
+		if pend.done == nil { // a new record: wire its completion event
+			pend.done = sim.NewEvent(cl.c.K)
+		}
 		pend.target = acting[0]
 		// The reply and timeout paths both delete this map entry before the
 		// record recycles below, so no alias survives the release.
@@ -207,12 +210,13 @@ func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, off, size int64
 				// The op is fully quiescent once the primary acked it (all
 				// replica commits precede the ack), so the whole attempt —
 				// op, pending record, completion event, reply — recycles.
+				*rep = osd.Reply{}
 				cl.c.replies.Put(rep)
 				pend.reply = nil
 				pend.done.Reset()
-				cl.pendFree = append(cl.pendFree, pend)
+				cl.pendFree.Put(pend)
 				*op = osd.ClientOp{}
-				cl.opFree = append(cl.opFree, op)
+				cl.opFree.Put(op)
 			}
 			return st, ex, admitted
 		}
@@ -225,24 +229,6 @@ func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, off, size int64
 }
 
 func fireEvent(a any) { a.(*sim.Event).Fire() }
-
-func (cl *Client) getOp(pool bool) *osd.ClientOp {
-	if n := len(cl.opFree); pool && n > 0 {
-		op := cl.opFree[n-1]
-		cl.opFree = cl.opFree[:n-1]
-		return op
-	}
-	return &osd.ClientOp{}
-}
-
-func (cl *Client) getPend(pool bool) *pendingOp {
-	if n := len(cl.pendFree); pool && n > 0 {
-		pend := cl.pendFree[n-1]
-		cl.pendFree = cl.pendFree[:n-1]
-		return pend
-	}
-	return &pendingOp{done: sim.NewEvent(cl.c.K)}
-}
 
 // backoff sleeps an exponentially growing, jittered delay between attempts.
 func (cl *Client) backoff(p *sim.Proc, attempt int) {

@@ -173,7 +173,7 @@ type Cluster struct {
 	integrity []IntegrityEvent
 
 	// replies recycles ack/read replies between the OSDs and clients.
-	replies *osd.ReplyPool
+	replies sim.FreeList[osd.Reply]
 	// actCache memoizes actingSet per PG for the current map epoch.
 	actCache pgMemo[int]
 }
@@ -220,7 +220,6 @@ func New(params Params) *Cluster {
 		rnd:         rng.New(params.Seed),
 		down:        make([]bool, nOSDs),
 		lastReplays: make([]int, nOSDs),
-		replies:     osd.NewReplyPool(),
 	}
 	if err := params.Validate(); err != nil {
 		panic("cluster: " + err.Error())
@@ -266,8 +265,7 @@ func New(params Params) *Cluster {
 			// public (clients) and cluster (replication), as in Figure 8.
 			ep := c.Net.NewEndpointNIC(fmt.Sprintf("osd%d", id), node, nicPub, true)
 			cep := c.Net.NewEndpointNIC(fmt.Sprintf("osd%d.c", id), node, nicCluster, true)
-			o := osd.NewSplit(k, cfg, node, ep, cep, data, nvram, c.rnd)
-			o.SetReplyPool(c.replies)
+			o := osd.NewSplit(k, cfg, node, ep, cep, data, nvram, c.rnd, &c.replies)
 			c.osds = append(c.osds, o)
 			host.OSDs = append(host.OSDs, crush.OSDInfo{ID: id, Weight: 1})
 			id++

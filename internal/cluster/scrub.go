@@ -28,7 +28,7 @@ type Inconsistency struct {
 // backends share, so both backends are scrubbed through the same door.
 func (c *Cluster) ScrubAll() []Inconsistency {
 	var out []Inconsistency
-	for _, oid := range c.objectNames() {
+	for _, oid := range c.ObjectNames() {
 		pg := crush.ObjectToPG(oid, c.Params.PGs)
 		want := c.cmap.PGToOSDs(pg, c.pol.Width())
 		var versions []uint64
@@ -86,9 +86,9 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 	return out
 }
 
-// objectNames returns the sorted union of the objects every OSD's backend
+// ObjectNames returns the sorted union of the objects every OSD's backend
 // holds.
-func (c *Cluster) objectNames() []string {
+func (c *Cluster) ObjectNames() []string {
 	names := map[string]bool{}
 	for _, o := range c.osds {
 		for _, n := range o.FileStore().ObjectNames() {

@@ -178,7 +178,7 @@ func (c *Cluster) scrubRound(p *sim.Proc) {
 	s := c.scrub
 	s.stats.Rounds.Inc()
 	byPG := make([][]string, c.Params.PGs)
-	for _, n := range c.objectNames() {
+	for _, n := range c.ObjectNames() {
 		pg := crush.ObjectToPG(n, c.Params.PGs)
 		byPG[pg] = append(byPG[pg], n) // per-PG lists inherit the sort
 	}

@@ -99,24 +99,18 @@ func (io *IO) complete(st *Stats, now sim.Time) {
 }
 
 // ioPool recycles the IOs of a device's process-form requests.
-type ioPool struct{ free []*IO }
+type ioPool struct{ free sim.FreeList[IO] }
 
 // wait makes a request of d on behalf of p and returns its latency: it is
 // Submit with sim.Wake, then Await.
 func (pl *ioPool) wait(d Device, p *sim.Proc, off, size int64, write bool) sim.Time {
-	var io *IO
-	if n := len(pl.free); n > 0 {
-		io = pl.free[n-1]
-		pl.free = pl.free[:n-1]
-	} else {
-		io = &IO{Done: sim.Wake}
-	}
-	io.Arg, io.Off, io.Size, io.Write = p, off, size, write
+	io := pl.free.Get()
+	io.Done, io.Arg, io.Off, io.Size, io.Write = sim.Wake, p, off, size, write
 	d.Submit(io)
 	p.Await()
 	lat := io.Lat
 	io.Arg = nil
-	pl.free = append(pl.free, io)
+	pl.free.Put(io)
 	return lat
 }
 
@@ -144,7 +138,7 @@ type RAID0 struct {
 	stripeSize int64
 	stats      *Stats
 	fault      FaultHook
-	free       []*raidReq
+	free       sim.FreeList[raidReq]
 	pool       ioPool
 }
 
@@ -225,14 +219,8 @@ func (r *RAID0) segments(segs []IO, off, size int64, write bool) []IO {
 // joining process would be woken.
 func (r *RAID0) Submit(io *IO) {
 	io.start = r.k.Now()
-	var rq *raidReq
-	if n := len(r.free); n > 0 {
-		rq = r.free[n-1]
-		r.free = r.free[:n-1]
-	} else {
-		rq = &raidReq{r: r}
-	}
-	rq.io = io
+	rq := r.free.Get()
+	rq.r, rq.io = r, io
 	if io.Size <= r.stripeSize {
 		d, moff := r.route(io.Off)
 		rq.segs = append(rq.segs[:0], IO{dev: d, Off: moff, Size: io.Size, Write: io.Write})
@@ -296,7 +284,7 @@ func raidDone(a any) {
 	rq := a.(*raidReq)
 	r, io := rq.r, rq.io
 	rq.io = nil
-	r.free = append(r.free, rq)
+	r.free.Put(rq)
 	io.complete(r.stats, r.k.Now())
 }
 

@@ -91,11 +91,7 @@ func ECvsRep(opt Options) Report {
 		rc := cluster.New(mkParams())
 		defer rc.Close()
 		rf := workload.VMFleet(rc, vms, 512<<20, rspec)
-		var bds []workload.BlockDev
-		for _, j := range rf.Jobs {
-			bds = append(bds, j.BD)
-		}
-		workload.Prefill(rc.K, bds, rspec.BlockSize, cluster.ObjectSize)
+		rf.Prefill(rc.K, rspec.BlockSize, cluster.ObjectSize)
 		rc.FailOSD(0)
 		rres := rf.Run(rc.K)
 		noteSim(rc.K)

@@ -132,11 +132,7 @@ func runPoint(p cluster.Params, vms int, imageSize int64, spec workload.Spec, pr
 	defer c.Close()
 	f := workload.VMFleet(c, vms, imageSize, spec)
 	if prefill {
-		var bds []workload.BlockDev
-		for _, j := range f.Jobs {
-			bds = append(bds, j.BD)
-		}
-		workload.Prefill(c.K, bds, spec.BlockSize, cluster.ObjectSize)
+		f.Prefill(c.K, spec.BlockSize, cluster.ObjectSize)
 	}
 	res := f.Run(c.K)
 	noteSim(c.K)

@@ -123,7 +123,7 @@ var fig11Panels = []struct {
 
 // solidfirePoint runs one workload on the SolidFire comparator.
 func solidfirePoint(opt Options, pat workload.Pattern, bs int64, vms, depth int, ramp sim.Time) workload.Result {
-	sf := solidfire.New(solidfire.DefaultParams())
+	sf := solidfire.New()
 	defer sf.K.Close()
 	f := &workload.Fleet{Name: "solidfire"}
 	for v := 0; v < vms; v++ {
@@ -138,11 +138,7 @@ func solidfirePoint(opt Options, pat workload.Pattern, bs int64, vms, depth int,
 		}})
 	}
 	if !pat.IsWrite() {
-		var bds []workload.BlockDev
-		for _, j := range f.Jobs {
-			bds = append(bds, j.BD)
-		}
-		workload.Prefill(sf.K, bds, bs, bs*64)
+		f.Prefill(sf.K, bs, bs*64)
 	}
 	res := f.Run(sf.K)
 	noteSim(sf.K)

@@ -36,7 +36,7 @@ type Journal struct {
 	size  int64
 	space *sim.Semaphore
 	head  int64
-	free  []*Write // Submit's requests, for reuse
+	free  sim.FreeList[Write] // Submit's requests, for reuse
 	stats Stats
 }
 
@@ -74,19 +74,13 @@ func align(n int64) int64 {
 // has been applied to the filestore. Submit blocks while the ring is full.
 // It is SubmitCall with sim.Wake, then Await.
 func (j *Journal) Submit(p *sim.Proc, bytes int64) int64 { //afvet:allow unused cmd/afperf calls it
-	var w *Write
-	if n := len(j.free); n > 0 {
-		w = j.free[n-1]
-		j.free = j.free[:n-1]
-	} else {
-		w = &Write{Done: sim.Wake}
-	}
-	w.Arg, w.Bytes = p, bytes
+	w := j.free.Get()
+	w.Done, w.Arg, w.Bytes = sim.Wake, p, bytes
 	j.SubmitCall(w) //afvet:allow poolsafe the request is done with w once Await returns, before w is freed
 	p.Await()
 	padded := w.Padded
 	w.Arg = nil
-	j.free = append(j.free, w)
+	j.free.Put(w)
 	return padded
 }
 

@@ -110,7 +110,7 @@ type DB struct {
 
 	devOff int64 // monotonically advancing write cursor
 
-	batchFree []*Batch // Apply's batches, for reuse
+	batchFree sim.FreeList[Batch] // Apply's batches, for reuse
 
 	stats Stats
 }
@@ -152,18 +152,12 @@ type Op struct {
 // (one-op batches) and the light-weight transaction (multi-op batches). It
 // is ApplyCall with sim.Wake, then Await.
 func (db *DB) Apply(p *sim.Proc, ops []Op) { //afvet:allow unused cmd/afperf calls it
-	var b *Batch
-	if n := len(db.batchFree); n > 0 {
-		b = db.batchFree[n-1]
-		db.batchFree = db.batchFree[:n-1]
-	} else {
-		b = &Batch{Done: sim.Wake}
-	}
-	b.Arg, b.Ops = p, ops
+	b := db.batchFree.Get()
+	b.Done, b.Arg, b.Ops = sim.Wake, p, ops
 	db.ApplyCall(b) //afvet:allow poolsafe the batch is done with b once Await returns, before b is freed
 	p.Await()
 	b.Arg, b.Ops = nil, nil
-	db.batchFree = append(db.batchFree, b)
+	db.batchFree.Put(b)
 }
 
 // Batch is one Apply made by a callback chain (see ApplyCall). Its owner

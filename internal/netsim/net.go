@@ -74,7 +74,7 @@ type Network struct {
 	// msgFree pools Message records: a message is recycled once its handler
 	// is done with it (handlers take payloads, never the wrapper) or when it
 	// is dropped before reaching the wire.
-	msgFree []*Message
+	msgFree sim.FreeList[Message]
 }
 
 type epPair struct{ a, b *Endpoint }
@@ -118,19 +118,9 @@ type Message struct {
 	rx      *rxConn // the connection handling it, set at delivery
 }
 
-func (n *Network) getMsg() *Message {
-	if l := len(n.msgFree); l > 0 {
-		m := n.msgFree[l-1]
-		n.msgFree[l-1] = nil
-		n.msgFree = n.msgFree[:l-1]
-		return m
-	}
-	return &Message{}
-}
-
 func (n *Network) putMsg(m *Message) {
 	*m = Message{}
-	n.msgFree = append(n.msgFree, m)
+	n.msgFree.Put(m)
 }
 
 // Receiver consumes delivered messages. It runs in kernel context, in the
@@ -266,7 +256,7 @@ func (e *Endpoint) Send(p *sim.Proc, dst *Endpoint, size int64, kind int, payloa
 		c.egress.Done, c.egress.Arg = txSent, c
 		e.tx[dst.id] = c
 	}
-	m := e.net.getMsg()
+	m := e.net.msgFree.Get()
 	m.From, m.Size, m.Kind, m.Payload, m.SentAt = e, size, kind, payload, e.net.K.Now()
 	c.q.TryPush(m) // unbounded: never blocks the caller
 	if !c.busy {

@@ -89,7 +89,7 @@ func (o *OSD) Restart(p *sim.Proc) int {
 		},
 		Applied: func(pg uint32, seq uint64, meta *filestore.Transaction) {
 			if meta != nil {
-				o.putTx(meta)
+				o.txFree.Put(meta)
 			}
 			o.markApplied(pg, seq)
 		},

@@ -197,7 +197,7 @@ func (o *OSD) ecDecodeCost(g *ecGather) sim.Time {
 func (o *OSD) ecReply(eng *engine, g *ecGather) {
 	op := g.op
 	oid := op.OID
-	rep := o.newReply()
+	rep := o.replies.Get()
 	rep.Op, rep.Stamp, rep.Exists = op, g.stamp, g.exists
 	o.ep.Send(nil, op.Client, op.Len+readReplyOverhead, MsgReply, rep)
 	eng.msgCap.Release(1)

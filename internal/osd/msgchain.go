@@ -108,12 +108,9 @@ func (o *OSD) callChain(eng *engine, done func(any), arg any) *msgChain {
 }
 
 func (o *OSD) newChain(eng *engine) *msgChain {
-	var ch *msgChain
-	if n := len(o.chFree); n > 0 {
-		ch = o.chFree[n-1]
-		o.chFree = o.chFree[:n-1]
-	} else {
-		ch = &msgChain{o: o}
+	ch := o.chFree.Get()
+	if ch.o == nil { // a new chain: wire it once
+		ch.o = o
 		ch.work.Done, ch.work.Arg = chainStep, ch
 		ch.log.Done, ch.log.Arg = chainStep, ch
 		ch.rd.Done, ch.rd.Arg = chainStep, ch
@@ -138,7 +135,7 @@ func (ch *msgChain) end() {
 // free recycles the chain.
 func (ch *msgChain) free() {
 	ch.chainRun = chainRun{}
-	ch.o.chFree = append(ch.o.chFree, ch)
+	ch.o.chFree.Put(ch)
 }
 
 // charge occupies a core for d on the chain's behalf, then runs step.
@@ -199,7 +196,8 @@ func ackStep(ch *msgChain) {
 		op := o.nextAck(&ch.acks)
 		if op == nil {
 			if ch.rc != nil {
-				o.putRepCommit(ch.rc)
+				*ch.rc = repCommit{}
+				o.rcFree.Put(ch.rc)
 			}
 			ch.end()
 			return

@@ -164,15 +164,14 @@ type OSD struct {
 	CompletionQDelay *stats.Histogram
 
 	// Free lists for hot-path records (see pool.go) and transaction-key
-	// scratch. The kvstore retains key strings, so keys are built fresh per
-	// transaction; the per-oid omap key is immutable and therefore cached.
-	jeFree   []*jEntry
-	ropFree  []*repOp
-	rcFree   []*repCommit
-	chFree   []*msgChain
-	trFree   []*Trace
-	txFree   []*filestore.Transaction
-	replies  *ReplyPool
+	// scratch; the per-oid omap key is immutable and therefore cached.
+	jeFree   sim.FreeList[jEntry]
+	ropFree  sim.FreeList[repOp]
+	rcFree   sim.FreeList[repCommit]
+	chFree   sim.FreeList[msgChain]
+	trFree   sim.FreeList[Trace]
+	txFree   sim.FreeList[filestore.Transaction]
+	replies  *sim.FreeList[Reply]
 	keyBuf   []byte
 	pglogVal []byte
 	omapVal  []byte
@@ -182,9 +181,10 @@ type OSD struct {
 // NewSplit builds an OSD with separate public (client) and cluster
 // (replication) endpoints — the paper's testbed separates the two 10 GbE
 // networks for Ceph (Figure 8), so sequential client traffic and replica
-// traffic do not share a wire.
+// traffic do not share a wire. The OSD draws its replies from replies,
+// which it shares with the clients that return them (one per cluster).
 func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.Endpoint,
-	dataDev device.Device, journalDev device.Device, r *rng.Rand) *OSD {
+	dataDev device.Device, journalDev device.Device, r *rng.Rand, replies *sim.FreeList[Reply]) *OSD {
 
 	if cfg.Backend == store.BackendDirectStore {
 		// The direct backend owns data placement and commits metadata in
@@ -208,6 +208,7 @@ func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.En
 		ApplyDelay:       stats.NewHistogram(),
 		CompletionQDelay: stats.NewHistogram(),
 		omapKeys:         make(map[string]string),
+		replies:          replies,
 	}
 	db := kvstore.New(k, name+".kv", dataDev, node, kvstore.DefaultParams())
 	o.fs = filestore.New(k, name+".fs", dataDev, db, node, cfg.FStore, r)
@@ -384,7 +385,7 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 			// the cheap ack-sized frame; the client surfaces the rejection
 			// instead of retrying.
 			o.metrics.AdmitRejected.Inc()
-			rep := o.newReply()
+			rep := o.replies.Get()
 			rep.Op, rep.Rejected = cop, true
 			o.ep.Send(nil, cop.Client, ackBytes, MsgReply, rep)
 			return
@@ -393,7 +394,8 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 		if o.cfg.TraceSample > 0 && cop.Kind == OpWrite {
 			o.opCount++
 			if o.opCount%uint64(o.cfg.TraceSample) == 0 {
-				cop.tr = o.getTrace()
+				cop.tr = o.trFree.Get()
+				*cop.tr = Trace{}
 				cop.tr.Stamp(StageReceived, now)
 			}
 		}
@@ -640,7 +642,7 @@ func writeRepCharged(ch *msgChain) {
 	r := ch.reps[ch.idx]
 	ch.idx++
 	shardLen := o.pol.ShardLen(op.Len)
-	rop := o.getRepOp()
+	rop := o.ropFree.Get()
 	rop.oid, rop.pg, rop.off, rop.length = op.OID, op.PG, op.Off, shardLen
 	rop.stamp, rop.seq, rop.parent, rop.primary = op.Stamp, op.seq, op, o.cep
 	o.cep.Send(nil, r, shardLen+repMsgOverhead, MsgRepOp, rop)
@@ -674,7 +676,7 @@ func writeThrottled(ch *msgChain) {
 	now := o.k.Now()
 	op.tr.Stamp(StageSubmitted, now)
 	shardLen := o.pol.ShardLen(op.Len)
-	e := o.getJEntry()
+	e := o.jeFree.Get()
 	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.cop = op.PG, op.seq, shardLen+JournalHeaderBytes, now, op
 	e.t.OID, e.t.Off, e.t.Len, e.t.Stamp = op.OID, op.Off, shardLen, op.Stamp
 	ch.e = e
@@ -740,7 +742,7 @@ func readDone(ch *msgChain) {
 
 func readAcked(ch *msgChain) {
 	o, op := ch.o, ch.op
-	rep := o.newReply()
+	rep := o.replies.Get()
 	rep.Op, rep.Stamp, rep.Exists = op, ch.rd.Stamp, ch.rd.Exists
 	o.ep.Send(nil, op.Client, op.Len+readReplyOverhead, MsgReply, rep)
 	ch.eng.msgCap.Release(1)
@@ -786,7 +788,7 @@ func repThrottled(ch *msgChain) {
 		ch.end()
 		return
 	}
-	e := o.getJEntry()
+	e := o.jeFree.Get()
 	e.t.PG, e.t.Seq, e.t.Bytes, e.enq, e.rop = rop.pg, rop.seq, rop.length+JournalHeaderBytes, o.k.Now(), rop
 	e.t.OID, e.t.Off, e.t.Len, e.t.Stamp = rop.oid, rop.off, rop.length, rop.stamp
 	ch.e = e
@@ -832,7 +834,7 @@ func jwCommitted(a any) {
 		return
 	}
 	if w.meta != nil {
-		o.putTx(w.meta)
+		o.txFree.Put(w.meta)
 		w.meta = nil
 	}
 	// The entry is durable: retain its image for crash replay until
@@ -925,7 +927,7 @@ func completionLogged(ch *msgChain) {
 }
 
 func (o *OSD) sendRepCommit(rop *repOp) {
-	rc := o.getRepCommit()
+	rc := o.rcFree.Get()
 	rc.parent = rop.parent
 	o.cep.Send(nil, rop.primary, 150, MsgRepCommit, rc)
 }
@@ -989,7 +991,7 @@ func (w *fsWorker) applied() bool {
 	}
 	o.ApplyDelay.Record(int64(o.k.Now() - e.enq))
 	if w.meta != nil {
-		o.putTx(w.meta)
+		o.txFree.Put(w.meta)
 	}
 	w.e, w.meta = nil, nil
 	o.markApplied(e.t.PG, e.t.Seq)
@@ -1028,7 +1030,7 @@ func (o *OSD) makeTx(pg uint32, oid string, off, length int64, stamp uint64) *fi
 		okey = "omap." + oid + ".info"
 		o.omapKeys[oid] = okey
 	}
-	tx := o.getTx()
+	tx := o.txFree.Get()
 	tx.OID, tx.Off, tx.Len = oid, off, length
 	tx.PGLogKey = string(b)
 	tx.PGLogValue = o.pglogVal
@@ -1128,7 +1130,7 @@ func (o *OSD) nextAck(r *ackRun) *ClientOp {
 // finishAck replies to the client once the ack's CPU and log charges are
 // paid, returns the op's msgCap token and collects its trace.
 func (o *OSD) finishAck(op *ClientOp) {
-	rep := o.newReply()
+	rep := o.replies.Get()
 	rep.Op = op
 	o.ep.Send(nil, op.Client, ackBytes, MsgReply, rep)
 	// Release on the op's own generation is exact; after a crash the
@@ -1139,7 +1141,7 @@ func (o *OSD) finishAck(op *ClientOp) {
 		// Every stage has stamped by ack time (all replica commits precede
 		// the ack), so the trace is quiescent once collected.
 		o.traces.Add(op.tr)
-		o.putTrace(op.tr)
+		o.trFree.Put(op.tr)
 		op.tr = nil
 	}
 	o.metrics.AcksSent.Inc()

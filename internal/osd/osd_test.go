@@ -32,7 +32,7 @@ func newHarness(cfg Config) *harness {
 	nvram := device.NewNVRAM(k, "nvram", device.DefaultNVRAMParams())
 	ep := net.NewEndpoint("osd", node, true)
 	cfg.FStore.VerifyData = true
-	o := NewSplit(k, cfg, node, ep, ep, ssd, nvram, r)
+	o := NewSplit(k, cfg, node, ep, ep, ssd, nvram, r, &sim.FreeList[Reply]{})
 	o.SetPlacer(func(pg uint32) []*netsim.Endpoint { return nil })
 	h := &harness{k: k, net: net, o: o, acks: make(map[uint64]*Reply), ackAt: make(map[uint64]sim.Time)}
 	h.client = net.NewEndpoint("client", clientNode, true)

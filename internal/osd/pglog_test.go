@@ -20,7 +20,7 @@ func bareOSD() *OSD {
 	ssd := device.NewSSD(k, "ssd", device.DefaultSSDParams(), r)
 	nvram := device.NewNVRAM(k, "nv", device.DefaultNVRAMParams())
 	ep := net.NewEndpoint("osd", node, true)
-	return NewSplit(k, AFCeph().Config(), node, ep, ep, ssd, nvram, r)
+	return NewSplit(k, AFCeph().Config(), node, ep, ep, ssd, nvram, r, &sim.FreeList[Reply]{})
 }
 
 func TestPGLogAppendAndRead(t *testing.T) {

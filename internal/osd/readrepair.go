@@ -96,7 +96,7 @@ func (o *OSD) handleRepReadReply(eng *engine, m *netsim.Message, rrr *repReadRep
 func (o *OSD) repairReply(eng *engine, rrr *repReadReply) {
 	op := rrr.rr.op
 	oid := op.OID
-	rep := o.newReply()
+	rep := o.replies.Get()
 	rep.Op, rep.Stamp, rep.Exists = op, rrr.stamp, rrr.exists
 	o.ep.Send(nil, op.Client, op.Len+readReplyOverhead, MsgReply, rep)
 	eng.msgCap.Release(1)
@@ -163,7 +163,7 @@ func (o *OSD) eioReply(eng *engine, op *ClientOp) {
 	if o.integrityNote != nil {
 		o.integrityNote(op.OID, NoteEIO)
 	}
-	rep := o.newReply()
+	rep := o.replies.Get()
 	rep.Op, rep.EIO = op, true
 	o.ep.Send(nil, op.Client, ackBytes, MsgReply, rep)
 	eng.msgCap.Release(1)

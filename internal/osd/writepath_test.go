@@ -58,6 +58,7 @@ func newPairHarness(cfg Config) *pairHarness {
 	net := netsim.New(k, netsim.DefaultParams())
 	r := rng.New(3)
 	h := &pairHarness{k: k, ackAt: make(map[uint64]sim.Time)}
+	replies := &sim.FreeList[Reply]{}
 	for i := range h.osds {
 		node := cpumodel.NewNode(k, fmt.Sprintf("server%d", i), 4, cpumodel.JEMalloc)
 		h.data[i] = &tapDev{Device: device.NewSSD(k, fmt.Sprintf("ssd%d", i), device.DefaultSSDParams(), r)}
@@ -66,7 +67,7 @@ func newPairHarness(cfg Config) *pairHarness {
 		c.ID = i
 		c.FStore.VerifyData = true
 		ep := net.NewEndpoint(fmt.Sprintf("osd%d", i), node, true)
-		h.osds[i] = NewSplit(k, c, node, ep, ep, h.data[i], h.jrnl[i], r)
+		h.osds[i] = NewSplit(k, c, node, ep, ep, h.data[i], h.jrnl[i], r, replies)
 	}
 	replica := []*netsim.Endpoint{h.osds[1].ClusterEndpoint()}
 	h.osds[0].SetPlacer(func(uint32) []*netsim.Endpoint { return replica })

@@ -119,7 +119,7 @@ type Logger struct {
 	idle []*thread
 	// callFree recycles the Calls Sync-mode Log waits on: once Await
 	// returns, the logger thread is done with the Call.
-	callFree []*Call
+	callFree sim.FreeList[Call]
 }
 
 // thread is one logger thread, run as a chain of kernel callbacks: take a
@@ -186,17 +186,11 @@ func (l *Logger) Log(p *sim.Proc, site, count int) {
 		l.submitAsync(site, count)
 		return
 	}
-	var c *Call
-	if n := len(l.callFree); n > 0 {
-		c = l.callFree[n-1]
-		l.callFree = l.callFree[:n-1]
-	} else {
-		c = &Call{Done: sim.Wake, l: l}
-	}
-	c.Arg, c.site, c.count = p, site, count
+	c := l.callFree.Get()
+	c.Done, c.Arg, c.l, c.site, c.count = sim.Wake, p, l, site, count
 	callSubmitted(c)
 	p.Await()
-	l.callFree = append(l.callFree, c)
+	l.callFree.Put(c)
 }
 
 // submitAsync queues an Async batch, or drops it past memoryLimit.

@@ -379,13 +379,7 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 // is drawn from the up members. Returns ok=false when nothing qualifies
 // (e.g. the whole window is degraded).
 func pickRotVictim(c *cluster.Cluster, r *rng.Rand) (string, int, bool) {
-	names := map[string]bool{}
-	for _, o := range c.OSDs() {
-		for _, n := range o.FileStore().ObjectNames() {
-			names[n] = true
-		}
-	}
-	sorted := sortedOIDs(names)
+	sorted := c.ObjectNames()
 	if len(sorted) == 0 {
 		return "", -1, false
 	}

@@ -103,7 +103,7 @@ type Kernel struct {
 	far  []heapSlot
 	base int64 // the bucket of the last dispatched future event
 
-	free []*event // event record free list
+	free FreeList[event] // event records, for reuse
 
 	// procs holds every spawned process that may not have finished, in
 	// spawn order, for Close. Go compacts it when it is full and at least
@@ -148,14 +148,7 @@ func (k *Kernel) newEvent(t Time) *event {
 	if t < k.now {
 		t = k.now
 	}
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
-		ev = &event{}
-	}
+	ev := k.free.Get()
 	k.seq++
 	ev.t, ev.seq = t, k.seq
 	return ev
@@ -172,7 +165,7 @@ func (k *Kernel) after(d Time) Time {
 
 func (k *Kernel) recycle(ev *event) {
 	ev.proc, ev.fn, ev.arg = nil, nil, nil
-	k.free = append(k.free, ev)
+	k.free.Put(ev)
 }
 
 func (k *Kernel) enqueue(ev *event) {

@@ -28,48 +28,29 @@ import (
 // ChunkSize is the fixed dedup unit.
 const ChunkSize int64 = 4096
 
-// Params configures the model.
-type Params struct {
-	Nodes        int
-	SSDsPerNode  int
-	CoresPerNode int64
-	// HashCPU is the per-chunk content-hash cost (SHA on 4 KiB).
-	HashCPU sim.Time
-	// MetaCPU is the per-chunk metadata-service lookup/update cost.
-	MetaCPU sim.Time
-	// WriteCPU / ReadCPU are the per-chunk block-service costs.
-	WriteCPU sim.Time
-	ReadCPU  sim.Time
-	// MetaReadProb is the probability a chunk read needs an extra metadata
+// The modelled system: the paper's 4-node testbed.
+const (
+	nodes        = 4
+	ssdsPerNode  = 10
+	coresPerNode = 16
+	// hashCPU is the per-chunk content-hash cost (SHA on 4 KiB).
+	hashCPU = 80 * sim.Microsecond
+	// metaCPU is the per-chunk metadata-service lookup/update cost.
+	metaCPU = 120 * sim.Microsecond
+	// chunkWriteCPU and chunkReadCPU are the per-chunk block-service costs.
+	chunkWriteCPU = 300 * sim.Microsecond
+	chunkReadCPU  = 100 * sim.Microsecond
+	// metaReadProb is the probability a chunk read needs an extra metadata
 	// fetch from flash.
-	MetaReadProb float64
-	NetParams    netsim.Params
-	SSDParams    device.SSDParams
-	Seed         uint64
-}
-
-// DefaultParams returns the 4-node testbed matching the paper's setup.
-func DefaultParams() Params {
-	return Params{
-		Nodes:        4,
-		SSDsPerNode:  10,
-		CoresPerNode: 16,
-		HashCPU:      80 * sim.Microsecond,
-		MetaCPU:      120 * sim.Microsecond,
-		WriteCPU:     300 * sim.Microsecond,
-		ReadCPU:      100 * sim.Microsecond,
-		MetaReadProb: 0.3,
-		NetParams:    netsim.DefaultParams(),
-		SSDParams:    device.DefaultSSDParams(),
-		Seed:         1,
-	}
-}
+	metaReadProb = 0.3
+	seed         = 1
+)
 
 // Cluster is a running SolidFire-like system.
 type Cluster struct {
-	K      *sim.Kernel
-	Params Params
+	K *sim.Kernel
 
+	prop    sim.Time // the fabric's propagation delay, each way
 	nodes   []*node
 	rnd     *rng.Rand
 	clients int
@@ -84,14 +65,14 @@ type node struct {
 }
 
 // New builds the cluster.
-func New(params Params) *Cluster {
+func New() *Cluster {
 	k := sim.NewKernel()
-	c := &Cluster{K: k, Params: params, rnd: rng.New(params.Seed)}
-	for n := 0; n < params.Nodes; n++ {
-		cpu := cpumodel.NewNode(k, fmt.Sprintf("sf%d", n), params.CoresPerNode, cpumodel.JEMalloc)
+	c := &Cluster{K: k, prop: netsim.DefaultParams().Propagation, rnd: rng.New(seed)}
+	for n := 0; n < nodes; n++ {
+		cpu := cpumodel.NewNode(k, fmt.Sprintf("sf%d", n), coresPerNode, cpumodel.JEMalloc)
 		var members []device.Device
-		for s := 0; s < params.SSDsPerNode; s++ {
-			ssd := device.NewSSD(k, fmt.Sprintf("sf%d.ssd%d", n, s), params.SSDParams, c.rnd)
+		for s := 0; s < ssdsPerNode; s++ {
+			ssd := device.NewSSD(k, fmt.Sprintf("sf%d.ssd%d", n, s), device.DefaultSSDParams(), c.rnd)
 			ssd.SetSustained(true) // dedup store is always "full" of content
 			members = append(members, ssd)
 		}
@@ -164,33 +145,32 @@ func (v *Volume) WriteAt(p *sim.Proc, off, size int64, stamp uint64) {
 		wg.Add(1)
 		v.c.K.Go("sf.wchunk", func(cp *sim.Proc) {
 			defer wg.Done()
-			pr := &v.c.Params
 			// Network + metadata service. Contiguous multi-chunk requests
 			// amortize the metadata lookup (one block-map range covers
 			// several chunks) and the block-service submission overhead —
 			// only the content hash is inherently per-chunk.
-			cp.Sleep(pr.NetParams.Propagation)
+			cp.Sleep(v.c.prop)
 			// Only large streaming requests (>=32 chunks) amortize the
 			// block-map lookups and submission overhead; small requests
 			// (4K-64K) pay full per-chunk cost — the paper's observed drop
 			// "after non-4KB workload".
 			streaming := count >= 32
 			if !streaming || i%8 == 0 {
-				v.meta.cpu.UseWithAllocs(cp, pr.MetaCPU, 20)
+				v.meta.cpu.UseWithAllocs(cp, metaCPU, 20)
 			}
-			writeCPU := pr.WriteCPU
+			writeCPU := chunkWriteCPU
 			if streaming {
 				writeCPU /= 4
 			}
 			target := v.c.chunkNode(v.id, chunkOff, stamp)
-			target.cpu.UseWithAllocs(cp, pr.HashCPU+writeCPU, 30)
+			target.cpu.UseWithAllocs(cp, hashCPU+writeCPU, 30)
 			// NVRAM journal write, then async flash write (not awaited).
 			target.nvram.Write(cp, chunkOff%(8<<30), ChunkSize)
 			t := target
 			v.c.K.Go("sf.flush", func(fp *sim.Proc) {
 				t.flash.Write(fp, v.rnd.Int63n(1<<36)&^(ChunkSize-1), ChunkSize)
 			})
-			cp.Sleep(pr.NetParams.Propagation)
+			cp.Sleep(v.c.prop)
 			v.c.Chunks.Inc()
 		})
 	}
@@ -215,18 +195,17 @@ func (v *Volume) ReadAt(p *sim.Proc, off, size int64) (stamp uint64, exists bool
 		wg.Add(1)
 		v.c.K.Go("sf.rchunk", func(cp *sim.Proc) {
 			defer wg.Done()
-			pr := &v.c.Params
-			cp.Sleep(pr.NetParams.Propagation)
+			cp.Sleep(v.c.prop)
 			if count < 32 || i%8 == 0 {
-				v.meta.cpu.UseWithAllocs(cp, pr.MetaCPU, 15)
+				v.meta.cpu.UseWithAllocs(cp, metaCPU, 15)
 			}
 			target := v.c.chunkNode(v.id, chunkOff, v.stamps[chunkOff])
-			target.cpu.UseWithAllocs(cp, pr.ReadCPU, 15)
-			if v.rnd.Float64() < pr.MetaReadProb {
+			target.cpu.UseWithAllocs(cp, chunkReadCPU, 15)
+			if v.rnd.Float64() < metaReadProb {
 				target.flash.Read(cp, v.rnd.Int63n(1<<36)&^(ChunkSize-1), ChunkSize)
 			}
 			target.flash.Read(cp, v.rnd.Int63n(1<<36)&^(ChunkSize-1), ChunkSize)
-			cp.Sleep(pr.NetParams.Propagation)
+			cp.Sleep(v.c.prop)
 			v.c.Chunks.Inc()
 		})
 	}

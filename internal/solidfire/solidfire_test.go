@@ -29,7 +29,7 @@ func TestChunkSpan(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	c := New(DefaultParams())
+	c := New()
 	v := c.NewVolume(64 << 20)
 	var stamp uint64
 	var exists bool
@@ -44,7 +44,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestWriteChunksCounted(t *testing.T) {
-	c := New(DefaultParams())
+	c := New()
 	v := c.NewVolume(64 << 20)
 	c.K.Go("io", func(p *sim.Proc) {
 		v.WriteAt(p, 0, 32768, 1) // 8 chunks
@@ -56,7 +56,7 @@ func TestWriteChunksCounted(t *testing.T) {
 }
 
 func TestBoundsChecked(t *testing.T) {
-	c := New(DefaultParams())
+	c := New()
 	v := c.NewVolume(1 << 20)
 	c.K.Go("io", func(p *sim.Proc) {
 		defer func() {
@@ -73,7 +73,7 @@ func TestBoundsChecked(t *testing.T) {
 // harness.
 func fleetResult(t *testing.T, pattern workload.Pattern, bs int64, vols, depth int) workload.Result {
 	t.Helper()
-	c := New(DefaultParams())
+	c := New()
 	f := &workload.Fleet{Name: fmt.Sprintf("sf-%v-%d", pattern, bs)}
 	for i := 0; i < vols; i++ {
 		v := c.NewVolume(256 << 20)
@@ -146,7 +146,7 @@ func TestSequentialFragmented(t *testing.T) {
 }
 
 func TestChunkPlacementSpreadsAcrossNodes(t *testing.T) {
-	c := New(DefaultParams())
+	c := New()
 	counts := make(map[int]int)
 	nodeIdx := func(n *node) int {
 		for i, cand := range c.nodes {
@@ -171,7 +171,7 @@ func TestChunkPlacementSpreadsAcrossNodes(t *testing.T) {
 }
 
 func TestReadUnwrittenChunkReportsMissing(t *testing.T) {
-	c := New(DefaultParams())
+	c := New()
 	v := c.NewVolume(16 << 20)
 	var ok bool
 	c.K.Go("io", func(p *sim.Proc) {

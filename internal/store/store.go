@@ -170,27 +170,18 @@ type retained struct {
 // process at a time, so no locking).
 type replayLog struct {
 	entries []*retained
-	free    []*retained
-}
-
-func (l *replayLog) get() *retained {
-	if n := len(l.free); n > 0 {
-		r := l.free[n-1]
-		l.free = l.free[:n-1]
-		return r
-	}
-	return &retained{}
+	free    sim.FreeList[retained]
 }
 
 func (l *replayLog) put(r *retained) {
 	*r = retained{}
-	l.free = append(l.free, r)
+	l.free.Put(r)
 }
 
 // retain records t as committed-but-unapplied and links the entry to the
 // transaction so the apply path can mark it applied.
 func (l *replayLog) retain(t *Txn) *retained {
-	ret := l.get()
+	ret := l.free.Get()
 	ret.pg, ret.seq, ret.pad = t.PG, t.Seq, t.pad
 	ret.oid, ret.off, ret.length, ret.stamp = t.OID, t.Off, t.Len, t.Stamp
 	ret.small, ret.walKey = t.small, t.walKey

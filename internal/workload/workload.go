@@ -64,10 +64,11 @@ type Spec struct {
 	// Runtime is measured time after Ramp.
 	Runtime sim.Time
 	Ramp    sim.Time
-	// SampleEvery sets the IOPS time-series granularity (0 = 100ms).
-	SampleEvery sim.Time
-	Seed        uint64
+	Seed    uint64
 }
+
+// sampleEvery is the IOPS time-series granularity.
+const sampleEvery = 100 * sim.Millisecond
 
 // Validate panics on nonsense specs (model bugs, not user errors).
 func (s *Spec) Validate() {
@@ -128,10 +129,6 @@ func (f *Fleet) Run(k *sim.Kernel) Result {
 	var bytes uint64
 	ramp := f.Jobs[0].Spec.Ramp
 	runtime := f.Jobs[0].Spec.Runtime
-	sampleEvery := f.Jobs[0].Spec.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = 100 * sim.Millisecond
-	}
 	start := k.Now()
 	measureFrom := start + ramp
 	end := measureFrom + runtime
@@ -227,15 +224,15 @@ func VMFleet(c *cluster.Cluster, numVMs int, imageSize int64, spec Spec) *Fleet 
 	return f
 }
 
-// Prefill writes each device once every `stride` bytes so that read
+// Prefill writes each job's device once every `stride` bytes so that read
 // workloads hit existing data. It runs the kernel until done.
-func Prefill(k *sim.Kernel, bds []BlockDev, blockSize, stride int64) {
+func (f *Fleet) Prefill(k *sim.Kernel, blockSize, stride int64) {
 	if stride <= 0 {
 		stride = cluster.ObjectSize
 	}
 	done := sim.NewWaitGroup(k)
-	for i, bd := range bds {
-		bd := bd
+	for i, j := range f.Jobs {
+		bd := j.BD
 		done.Add(1)
 		k.Go(fmt.Sprintf("prefill%d", i), func(p *sim.Proc) {
 			for off := int64(0); off < bd.Size(); off += stride {

@@ -96,11 +96,6 @@ func TestFleetReadAfterPrefill(t *testing.T) {
 	c := miniCluster(osd.AFCeph().Config())
 	cl := c.NewClient()
 	bd := cl.OpenDevice("img", 32<<20)
-	Prefill(c.K, []BlockDev{bd}, 4096, cluster.ObjectSize)
-	repsBefore := uint64(0)
-	for _, o := range c.OSDs() {
-		repsBefore += o.Metrics().RepOps.Value()
-	}
 	f := &Fleet{Name: "read-test", Jobs: []Job{{BD: bd, Spec: Spec{
 		Pattern:   RandRead,
 		BlockSize: 4096,
@@ -109,6 +104,11 @@ func TestFleetReadAfterPrefill(t *testing.T) {
 		Ramp:      50 * sim.Millisecond,
 		Seed:      3,
 	}}}}
+	f.Prefill(c.K, 4096, cluster.ObjectSize)
+	repsBefore := uint64(0)
+	for _, o := range c.OSDs() {
+		repsBefore += o.Metrics().RepOps.Value()
+	}
 	res := f.Run(c.K)
 	if res.Ops == 0 {
 		t.Fatal("read fleet idle")
