@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/crush"
 	"repro/internal/filestore"
@@ -27,11 +26,28 @@ type Inconsistency struct {
 // object queries go to each OSD's filestore, whose object table both
 // backends share, so both backends are scrubbed through the same door.
 func (c *Cluster) ScrubAll() []Inconsistency {
+	return c.scrubAll(c.crushSets())
+}
+
+// crushSets returns every PG's CRUSH set, indexed by PG. The CRUSH map is
+// fixed for the cluster's life, so one set per PG serves a whole pass.
+func (c *Cluster) crushSets() [][]int {
+	sets := make([][]int, c.Params.PGs)
+	for pg := range sets {
+		sets[pg] = c.cmap.PGToOSDs(uint32(pg), c.pol.Width())
+	}
+	return sets
+}
+
+// scrubAll is ScrubAll over precomputed CRUSH sets. Its findings come
+// grouped by object, in sorted oid order.
+func (c *Cluster) scrubAll(sets [][]int) []Inconsistency {
 	var out []Inconsistency
+	var versions []uint64
 	for _, oid := range c.ObjectNames() {
 		pg := crush.ObjectToPG(oid, c.Params.PGs)
-		want := c.cmap.PGToOSDs(pg, c.pol.Width())
-		var versions []uint64
+		want := sets[pg]
+		versions = versions[:0]
 		for id, o := range c.osds {
 			v := o.FileStore().ObjectVersion(oid)
 			inSet := slices.Contains(want, id)
@@ -87,20 +103,18 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 }
 
 // ObjectNames returns the sorted union of the objects every OSD's backend
-// holds.
+// holds: every store's names in one slice, sorted, duplicates dropped.
 func (c *Cluster) ObjectNames() []string {
-	names := map[string]bool{}
+	n := 0
 	for _, o := range c.osds {
-		for _, n := range o.FileStore().ObjectNames() {
-			names[n] = true
-		}
+		n += o.FileStore().ObjectCount()
 	}
-	sorted := make([]string, 0, len(names))
-	for n := range names { //afvet:allow determinism keys are sorted before use
-		sorted = append(sorted, n)
+	names := make([]string, 0, n)
+	for _, o := range c.osds {
+		names = o.FileStore().AppendObjectNames(names)
 	}
-	sort.Strings(sorted)
-	return sorted
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 func sameStamps(a, b map[int64]uint64) bool {
@@ -129,24 +143,17 @@ func (c *Cluster) Repair() int {
 	return n
 }
 
-// RepairIn performs the repair from process context.
+// RepairIn performs the repair from process context. ScrubAll's findings
+// come grouped by object in sorted oid order, so each object is repaired
+// once, in that order.
 func (c *Cluster) RepairIn(p *sim.Proc) int {
-	inc := c.ScrubAll()
-	if len(inc) == 0 {
-		return 0
-	}
-	seen := map[string]bool{}
-	var oids []string
-	for _, i := range inc {
-		if !seen[i.OID] {
-			seen[i.OID] = true
-			oids = append(oids, i.OID)
-		}
-	}
-	sort.Strings(oids)
+	sets := c.crushSets()
+	inc := c.scrubAll(sets)
 	healed := 0
-	for _, oid := range oids {
-		healed += c.repairObject(p, oid)
+	for i, f := range inc {
+		if i == 0 || inc[i-1].OID != f.OID {
+			healed += c.repairObject(p, f.OID, sets[f.PG])
+		}
 	}
 	return healed
 }
@@ -160,10 +167,9 @@ func (c *Cluster) RepairIn(p *sim.Proc) int {
 // read source is the clean copy with the highest version; with no fully
 // clean copy the object is unrepairable and left for the EIO path. Used by
 // RepairIn (offline repair) and the background scrub scheduler
-// (AutoRepair). Returns copies healed.
-func (c *Cluster) repairObject(p *sim.Proc, oid string) int {
-	pg := crush.ObjectToPG(oid, c.Params.PGs)
-	want := c.cmap.PGToOSDs(pg, c.pol.Width())
+// (AutoRepair), each of which passes the object's CRUSH set as want.
+// Returns copies healed.
+func (c *Cluster) repairObject(p *sim.Proc, oid string, want []int) int {
 	healed := 0
 	for id, o := range c.osds {
 		if !slices.Contains(want, id) && o.FileStore().DeleteObject(oid) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/crush"
@@ -168,4 +169,39 @@ func TestPGLogTrimBoundsMemory(t *testing.T) {
 // ObjectToPGForTest exposes placement for test assertions.
 func ObjectToPGForTest(oid string, c *Cluster) uint32 {
 	return crush.ObjectToPG(oid, c.Params.PGs)
+}
+
+// TestScrubAllAllocsFlatInObjects: a clean version scrub allocates the
+// same at 256 and at 1024 objects. ObjectNames fills one slice and the
+// CRUSH sets are computed once per PG, so nothing is allocated per object.
+// (The deep scrub, VerifyData on, exports each object and is not covered.)
+func TestScrubAllAllocsFlatInObjects(t *testing.T) {
+	allocs := func(objects int) float64 {
+		p := smallParams(osd.AFCeph().Config())
+		p.OSD.FStore.VerifyData = false
+		c := New(p)
+		defer c.Close()
+		cl := c.NewClient()
+		c.K.Go("fill", func(p *sim.Proc) {
+			for i := 0; i < objects; i++ {
+				cl.WriteObject(p, fmt.Sprintf("obj%d", i), 0, 4096, 1)
+			}
+			p.Sleep(2 * sim.Second)
+		})
+		c.K.Run(sim.Forever)
+		names := c.ObjectNames()
+		if len(names) != objects || !slices.IsSorted(names) {
+			t.Fatalf("ObjectNames: %d names (sorted %v), want %d sorted",
+				len(names), slices.IsSorted(names), objects)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if inc := c.ScrubAll(); len(inc) != 0 {
+				t.Fatalf("scrub found %d inconsistencies, first: %+v", len(inc), inc[0])
+			}
+		})
+	}
+	small, large := allocs(256), allocs(1024)
+	if large > small {
+		t.Fatalf("ScrubAll allocates %v times at 256 objects and %v at 1024", small, large)
+	}
 }

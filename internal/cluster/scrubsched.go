@@ -188,6 +188,7 @@ func (c *Cluster) scrubRound(p *sim.Proc) {
 			continue
 		}
 		pg := uint32(id)
+		want := c.cmap.PGToOSDs(pg, c.pol.Width())
 		done.Add(1)
 		c.K.Go(fmt.Sprintf("scrub.pg%d", pg), func(pp *sim.Proc) {
 			defer done.Done()
@@ -201,7 +202,7 @@ func (c *Cluster) scrubRound(p *sim.Proc) {
 				if s.stopped {
 					return
 				}
-				c.scrubObject(pp, pg, oid)
+				c.scrubObject(pp, oid, want)
 			}
 		})
 	}
@@ -262,10 +263,9 @@ func snapsDiverged(ms []memberSnap) bool {
 // classify. Damage flags are findings immediately (writes never set them);
 // version/stamp divergence is rechecked after a settle delay so in-flight
 // writes are never reported — under a clean cluster the scrub stays silent
-// no matter the load.
-func (c *Cluster) scrubObject(p *sim.Proc, pg uint32, oid string) {
+// no matter the load. want is the object's CRUSH set.
+func (c *Cluster) scrubObject(p *sim.Proc, oid string, want []int) {
 	s := c.scrub
-	want := c.cmap.PGToOSDs(pg, c.pol.Width())
 	primary := -1
 	for _, id := range want {
 		if !c.down[id] && !c.osds[id].Crashed() {
@@ -342,7 +342,7 @@ func (c *Cluster) scrubObject(p *sim.Proc, pg uint32, oid string) {
 		c.noteIntegrity(p.Now(), -1, oid, IntegrityFinding)
 	}
 	if confirmed && c.Params.Scrub.AutoRepair {
-		s.stats.Repairs.Add(uint64(c.repairObject(p, oid)))
+		s.stats.Repairs.Add(uint64(c.repairObject(p, oid, want)))
 	}
 }
 

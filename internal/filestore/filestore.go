@@ -17,7 +17,7 @@
 package filestore
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cpumodel"
 	"repro/internal/device"
@@ -534,12 +534,21 @@ func (f *FileStore) ObjectVersion(oid string) uint64 {
 // ObjectNames lists every stored object in sorted order (scrub and
 // recovery iterate the result, so it must not leak map iteration order).
 func (f *FileStore) ObjectNames() []string {
-	names := make([]string, 0, len(f.objects))
-	for n := range f.objects { //afvet:allow determinism keys are sorted before return
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := f.AppendObjectNames(make([]string, 0, len(f.objects)))
+	slices.Sort(names)
 	return names
+}
+
+// ObjectCount returns the number of stored objects.
+func (f *FileStore) ObjectCount() int { return len(f.objects) }
+
+// AppendObjectNames appends every stored object's name to dst in map
+// order, unsorted: the caller sorts.
+func (f *FileStore) AppendObjectNames(dst []string) []string {
+	for n := range f.objects { //afvet:allow determinism unsorted by contract; every caller sorts
+		dst = append(dst, n)
+	}
+	return dst
 }
 
 // DeleteObject removes an object (recovery rollback of a divergent copy

@@ -163,8 +163,8 @@ type OSD struct {
 	ApplyDelay       *stats.Histogram
 	CompletionQDelay *stats.Histogram
 
-	// Free lists for hot-path records (see pool.go) and transaction-key
-	// scratch; the per-oid omap key is immutable and therefore cached.
+	// Free lists for hot-path records (see pool.go), the scratch makeTx
+	// writes a transaction's keys into, and the shared value buffers.
 	jeFree   sim.FreeList[jEntry]
 	ropFree  sim.FreeList[repOp]
 	rcFree   sim.FreeList[repCommit]
@@ -175,7 +175,6 @@ type OSD struct {
 	keyBuf   []byte
 	pglogVal []byte
 	omapVal  []byte
-	omapKeys map[string]string
 }
 
 // NewSplit builds an OSD with separate public (client) and cluster
@@ -207,7 +206,6 @@ func NewSplit(k *sim.Kernel, cfg Config, node *cpumodel.Node, ep, cep *netsim.En
 		JournalQDelay:    stats.NewHistogram(),
 		ApplyDelay:       stats.NewHistogram(),
 		CompletionQDelay: stats.NewHistogram(),
-		omapKeys:         make(map[string]string),
 		replies:          replies,
 	}
 	db := kvstore.New(k, name+".kv", dataDev, node, kvstore.DefaultParams())
@@ -1011,9 +1009,10 @@ func (w *fsWorker) applied() bool {
 
 // makeTx builds a filestore transaction for one logical write. Transactions
 // are recycled and their value buffers shared (the kvstore keeps only a
-// value's length and copies key bytes). The PG-log key is a fresh string
-// because the transaction outlives the next makeTx, which reuses keyBuf;
-// the per-oid omap key is immutable and cached.
+// value's length and copies key bytes). Both keys, pglog.<pg>.<seq> and
+// omap.<oid>.info, are written into keyBuf back to back and converted by
+// one string(b): the transaction outlives the next makeTx, which reuses
+// keyBuf, and the two keys are substrings of the one string.
 func (o *OSD) makeTx(pg uint32, oid string, off, length int64, stamp uint64) *filestore.Transaction {
 	o.logSeq++
 	if o.pglogVal == nil {
@@ -1024,17 +1023,17 @@ func (o *OSD) makeTx(pg uint32, oid string, off, length int64, stamp uint64) *fi
 	b = strconv.AppendUint(b, uint64(pg), 10)
 	b = append(b, '.')
 	b = strconv.AppendUint(b, o.logSeq, 10)
+	n := len(b)
+	b = append(b, "omap."...)
+	b = append(b, oid...)
+	b = append(b, ".info"...)
 	o.keyBuf = b
-	okey, ok := o.omapKeys[oid]
-	if !ok {
-		okey = "omap." + oid + ".info"
-		o.omapKeys[oid] = okey
-	}
+	keys := string(b)
 	tx := o.txFree.Get()
 	tx.OID, tx.Off, tx.Len = oid, off, length
-	tx.PGLogKey = string(b)
+	tx.PGLogKey = keys[:n]
 	tx.PGLogValue = o.pglogVal
-	tx.OmapOps = append(tx.OmapOps[:0], kvstore.Op{Key: okey, Value: o.omapVal})
+	tx.OmapOps = append(tx.OmapOps[:0], kvstore.Op{Key: keys[n:], Value: o.omapVal})
 	tx.XattrBytes = 250
 	tx.Stamp = stamp
 	return tx

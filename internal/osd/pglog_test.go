@@ -130,3 +130,34 @@ func TestAdoptPGState(t *testing.T) {
 		t.Fatal("zero adopt created state")
 	}
 }
+
+// TestMakeTxKeys pins the two KV keys of a write's transaction byte for
+// byte, checks that they survive the next makeTx (which reuses the key
+// scratch), and that building a transaction allocates only the one string
+// both keys share.
+func TestMakeTxKeys(t *testing.T) {
+	o := bareOSD()
+	o.logSeq = 41
+	a := o.makeTx(7, "rbd_data.vm3.000000000012", 8192, 4096, 5)
+	b := o.makeTx(1023, "x", 0, 4096, 6)
+	for _, c := range []struct{ got, want string }{
+		{a.PGLogKey, "pglog.7.42"},
+		{a.OmapOps[0].Key, "omap.rbd_data.vm3.000000000012.info"},
+		{b.PGLogKey, "pglog.1023.43"},
+		{b.OmapOps[0].Key, "omap.x.info"},
+	} {
+		if c.got != c.want {
+			t.Errorf("key %q, want %q", c.got, c.want)
+		}
+	}
+	if len(a.OmapOps) != 1 || len(b.OmapOps) != 1 {
+		t.Fatalf("omap ops %d and %d, want 1 each", len(a.OmapOps), len(b.OmapOps))
+	}
+	o.txFree.Put(a)
+	o.txFree.Put(b)
+	if n := testing.AllocsPerRun(100, func() {
+		o.txFree.Put(o.makeTx(7, "rbd_data.vm3.000000000012", 0, 4096, 1))
+	}); n != 1 {
+		t.Fatalf("makeTx allocates %v times, want 1", n)
+	}
+}

@@ -14,51 +14,52 @@ import (
 // Histogram records int64 values (typically nanoseconds) in log-linear
 // buckets: values are grouped by power-of-two magnitude, each magnitude
 // split into subBuckets linear buckets, giving a bounded relative error of
-// about 1/subBuckets while using O(64*subBuckets) memory.
+// about 1/subBuckets. It holds counts only for the magnitudes between the
+// smallest and largest it has recorded (subBuckets counters, 256 bytes,
+// each), so an empty histogram holds none.
 type Histogram struct {
-	subBuckets int
-	subShift   uint // log2(subBuckets)
-	counts     []uint64
-	total      uint64
-	sum        int64
-	min        int64
-	max        int64
+	// counts[i] is bucket lo+i; lo is a multiple of subBuckets.
+	counts []uint64
+	lo     int
+	total  uint64
+	sum    int64
+	min    int64
+	max    int64
 }
 
-const defaultSubBuckets = 32
+// The precision: subBuckets linear buckets per magnitude (~3% error).
+const (
+	subBuckets = 32
+	subShift   = 5 // log2(subBuckets)
+)
 
-// NewHistogram creates a histogram with the default precision (~3%).
+// NewHistogram creates an empty histogram.
 func NewHistogram() *Histogram {
-	h := &Histogram{subBuckets: defaultSubBuckets, subShift: 5}
-	h.counts = make([]uint64, 64*h.subBuckets)
-	h.min = math.MaxInt64
-	return h
+	return &Histogram{min: math.MaxInt64}
 }
 
-func (h *Histogram) bucketOf(v int64) int {
-	if v < 0 {
-		v = 0
-	}
-	if v < int64(h.subBuckets) {
+// bucketOf returns the bucket holding v >= 0.
+func bucketOf(v int64) int {
+	if v < subBuckets {
 		return int(v)
 	}
 	// magnitude = index of highest set bit
 	mag := 63 - bits.LeadingZeros64(uint64(v))
 	// Within this magnitude, which linear sub-bucket?
-	sub := int((uint64(v) >> (uint(mag) - h.subShift)) & uint64(h.subBuckets-1))
-	return (mag-int(h.subShift))*h.subBuckets + h.subBuckets + sub
+	sub := int((uint64(v) >> (uint(mag) - subShift)) & (subBuckets - 1))
+	return (mag-subShift)*subBuckets + subBuckets + sub
 }
 
 // bucketLow returns the lowest value mapping to bucket index i (inverse of
 // bucketOf, up to bucket granularity).
-func (h *Histogram) bucketLow(i int) int64 {
-	if i < h.subBuckets {
+func bucketLow(i int) int64 {
+	if i < subBuckets {
 		return int64(i)
 	}
-	i -= h.subBuckets
-	mag := i/h.subBuckets + int(h.subShift)
-	sub := i % h.subBuckets
-	return (1 << uint(mag)) | int64(sub)<<(uint(mag)-h.subShift)
+	i -= subBuckets
+	mag := i/subBuckets + subShift
+	sub := i % subBuckets
+	return (1 << uint(mag)) | int64(sub)<<(uint(mag)-subShift)
 }
 
 // Record adds a value.
@@ -66,7 +67,12 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[h.bucketOf(v)]++
+	b := bucketOf(v)
+	if uint(b-h.lo) >= uint(len(h.counts)) {
+		lo := b &^ (subBuckets - 1)
+		h.widen(lo, lo+subBuckets)
+	}
+	h.counts[b-h.lo]++
 	h.total++
 	h.sum = satAdd(h.sum, v)
 	if v < h.min {
@@ -75,6 +81,24 @@ func (h *Histogram) Record(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// widen grows counts to cover buckets [lo, hi), both multiples of
+// subBuckets. It is kept out of Record so that Record never allocates.
+//
+//go:noinline
+func (h *Histogram) widen(lo, hi int) {
+	if n := len(h.counts); n > 0 {
+		if lo >= h.lo && hi <= h.lo+n {
+			return
+		}
+		lo, hi = min(lo, h.lo), max(hi, h.lo+n)
+	}
+	counts := make([]uint64, hi-lo)
+	if len(h.counts) > 0 {
+		copy(counts[h.lo-lo:], h.counts)
+	}
+	h.counts, h.lo = counts, lo
 }
 
 // satAdd adds two non-negative int64s, saturating at MaxInt64 instead of
@@ -136,7 +160,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 			// The bucket's lower bound can undershoot the smallest sample in
 			// it; clamping to the observed min keeps Quantile monotone in q
 			// (Quantile(0) reports the exact min) and inside [Min, Max].
-			if v := h.bucketLow(i); v > h.min {
+			if v := bucketLow(h.lo + i); v > h.min {
 				return v
 			}
 			return h.min
@@ -147,11 +171,12 @@ func (h *Histogram) Quantile(q float64) int64 {
 
 // Merge adds all samples of other into h.
 func (h *Histogram) Merge(other *Histogram) {
-	if other.subBuckets != h.subBuckets {
-		panic("stats: merging histograms with different precision")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	if n := len(other.counts); n > 0 {
+		h.widen(other.lo, other.lo+n)
+		base := other.lo - h.lo
+		for i, c := range other.counts {
+			h.counts[base+i] += c
+		}
 	}
 	h.total += other.total
 	h.sum = satAdd(h.sum, other.sum)
@@ -165,11 +190,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears all recorded values.
+// Reset clears all recorded values; the counts window is kept for reuse.
 func (h *Histogram) Reset() { //afvet:allow unused device/device_test.go clears a device's write latency between phases
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
+	clear(h.counts)
 	h.total = 0
 	h.sum = 0
 	h.min = math.MaxInt64

@@ -149,16 +149,15 @@ func TestHistogramString(t *testing.T) {
 }
 
 func TestHistogramBucketRoundTripProperty(t *testing.T) {
-	h := NewHistogram()
 	f := func(v uint32) bool {
 		val := int64(v)
-		b := h.bucketOf(val)
-		low := h.bucketLow(b)
+		b := bucketOf(val)
+		low := bucketLow(b)
 		// low <= val and bucket width bounded by val/subBuckets*2.
 		if low > val {
 			return false
 		}
-		width := val/int64(h.subBuckets) + 1
+		width := val/subBuckets + 1
 		return val-low <= 2*width
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -184,19 +183,18 @@ func TestHistogramBucketsMatchReference(t *testing.T) {
 	for k := 1; k < 63; k++ {
 		vals = append(vals, 1<<k-1, 1<<k, 1<<k+1)
 	}
-	h := NewHistogram()
 	for _, v := range vals {
-		b := h.bucketOf(v)
+		b := bucketOf(v)
 		if want := ref(v); b != want {
 			t.Fatalf("bucketOf(%d) = %d, want %d", v, b, want)
 		}
 		// bucketLow(b) is the smallest value in bucket b.
-		if low := h.bucketLow(b); low > v || h.bucketOf(low) != b || low > 0 && h.bucketOf(low-1) != b-1 {
+		if low := bucketLow(b); low > v || bucketOf(low) != b || low > 0 && bucketOf(low-1) != b-1 {
 			t.Fatalf("bucketLow(%d) = %d is not the lowest value of the bucket holding %d", b, low, v)
 		}
 	}
 	// The top magnitude is 62: MaxInt64 falls in its last sub-bucket.
-	if b, low := h.bucketOf(math.MaxInt64), h.bucketLow(1887); b != 1887 || low != 1<<62|31<<57 {
+	if b, low := bucketOf(math.MaxInt64), bucketLow(1887); b != 1887 || low != 1<<62|31<<57 {
 		t.Fatalf("MaxInt64 in bucket %d, want 1887; bucket 1887 starts at %d", b, low)
 	}
 }
