@@ -8,6 +8,9 @@ import (
 
 // RecoveryReport summarizes a RecoverOSD run.
 type RecoveryReport struct {
+	// PGsRecovered counts the PGs where at least one object was copied,
+	// split into LogRecoveries (PG-log replay) and Backfills (full object
+	// comparison).
 	PGsRecovered  int
 	LogRecoveries int
 	Backfills     int

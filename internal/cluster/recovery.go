@@ -2,11 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/crush"
 	"repro/internal/filestore"
-	"repro/internal/redundancy"
 	"repro/internal/sim"
 )
 
@@ -35,7 +34,8 @@ import (
 // interval (and the OSD went down cleanly), only the logged objects are
 // compared (log-based recovery); otherwise the whole PG is compared
 // object-by-object (backfill). Either way the data motion is simulated
-// I/O: a read on the peer, a network push, a write on the rejoining OSD.
+// I/O: reads on k peers, a network push, a decode and a write on the
+// rejoining OSD (recoverPG).
 //
 // After RecoverOSD completes, ScrubAll must come back clean — the
 // regression test that the optimizations kept recovery intact.
@@ -115,9 +115,12 @@ func (c *Cluster) actingSet(pg uint32) []int {
 
 // RecoveryStats summarizes one RecoverOSD operation.
 type RecoveryStats struct {
+	// PGsRecovered counts the PGs where at least one object was copied;
+	// LogRecoveries and Backfills split them by how the work list was
+	// built (PG-log replay or full object comparison).
 	PGsRecovered  int
-	LogRecoveries int // PGs healed by PG-log replay
-	Backfills     int // PGs healed by full object comparison
+	LogRecoveries int
+	Backfills     int
 	ObjectsCopied int
 	BytesCopied   int64
 	// JournalReplays is the number of journaled-but-unapplied entries the
@@ -157,7 +160,7 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 	// A dirty target restarted from a crash: its PG logs were truncated to
 	// the durable horizon and may even run ahead of an acked history on
 	// phantom sequences, so peer logs cannot describe its delta. Backfill
-	// everything it hosts, taking the surviving peer as authoritative.
+	// everything it hosts.
 	dirty := target.Dirty()
 	st.JournalReplays = c.lastReplays[id]
 	c.lastReplays[id] = 0
@@ -172,34 +175,30 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 	// whichever member acts as primary next.
 	type pgPlan struct {
 		pg         uint32
-		peer       int
 		missed     map[string]bool
 		logCovered bool
 	}
 	var plans []pgPlan
 	for pg := uint32(0); pg < c.Params.PGs; pg++ {
 		set := c.cmap.PGToOSDs(pg, c.pol.Width())
-		inSet := false
-		peer := -1
+		if !slices.Contains(set, id) {
+			continue
+		}
 		var peers []int
 		for _, o := range set {
-			if o == id {
-				inSet = true
-			} else if !c.down[o] {
+			if o != id && !c.down[o] {
 				peers = append(peers, o)
-				peer = o
 			}
 		}
-		if !inSet || peer < 0 {
+		if len(peers) == 0 {
 			continue
 		}
 		st.DegradedPGs++
-		src := c.osds[peer]
-		// Compare the target's applied horizon with the peer's retained
-		// log (before adoption rewrites either). If the log covers the
-		// gap, recover only the objects it names; otherwise backfill.
+		// Compare the target's applied horizon with the last up peer's
+		// retained log (before adoption rewrites either). If the log covers
+		// the gap, recover only the objects it names; otherwise backfill.
 		targetHead := target.PGLogApplied(pg)
-		peerLog := src.PGLog(pg)
+		peerLog := c.osds[peers[len(peers)-1]].PGLog(pg)
 		var missed map[string]bool
 		logCovered := !dirty && len(peerLog) > 0 && peerLog[0].Seq <= targetHead+1
 		if logCovered {
@@ -246,19 +245,13 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 				c.osds[pid].RaisePGSeq(pg, floor)
 			}
 		}
-		plans = append(plans, pgPlan{pg: pg, peer: peer, missed: missed, logCovered: logCovered})
+		plans = append(plans, pgPlan{pg: pg, missed: missed, logCovered: logCovered})
 	}
 
 	// Data motion, in simulated time (the workload may keep running
 	// degraded against the now-complete member sets).
 	for _, pl := range plans {
-		var copied int
-		if c.pol.Kind() == redundancy.KindEC {
-			copied = c.recoverPGEC(p, pl.pg, id, pl.missed, &st)
-		} else {
-			copied = c.recoverPG(p, pl.pg, pl.peer, id, pl.missed, &st)
-		}
-		if copied == 0 {
+		if c.recoverPG(p, pl.pg, id, pl.missed, &st) == 0 {
 			continue
 		}
 		st.PGsRecovered++
@@ -275,94 +268,17 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 	return st
 }
 
-// recoverPG copies stale or missing objects of one PG from srcID to dstID.
-// A nil `missed` set means backfill: every object of the PG is compared and
-// any version difference triggers a push.
-//
-// The pushed state is the stamp-wise *union* of the two copies (max stamp
-// per extent), not a plain replacement. Replacement would lose data in two
-// ways: the source's export sees only applied state, so an acked write
-// still sitting in its journal queue would be erased from the
-// destination's good copy; and a crashed destination may hold acked
-// extents the source missed entirely. The union is safe because extent
-// stamps are client-monotonic per offset and every stamp present on any
-// replica was journaled from a client attempt that was (or, after retry,
-// will be) acked with that same data. Version counters may still disagree
-// after a push that raced ongoing writes; that is scrub-visible and
-// converged by Repair.
-func (c *Cluster) recoverPG(p *sim.Proc, pg uint32, srcID, dstID int, missed map[string]bool, st *RecoveryStats) int {
-	src := c.osds[srcID].FileStore()
-	dst := c.osds[dstID].FileStore()
-	var todo []string
-	for _, oid := range src.ObjectNames() {
-		if crush.ObjectToPG(oid, c.Params.PGs) != pg {
-			continue
-		}
-		if missed != nil && !missed[oid] {
-			continue
-		}
-		if dst.ObjectVersion(oid) != src.ObjectVersion(oid) {
-			todo = append(todo, oid)
-		}
-	}
-	sort.Strings(todo)
-	if len(todo) == 0 {
-		return 0
-	}
-	done := sim.NewWaitGroup(c.K)
-	for _, oid := range todo {
-		oid := oid
-		srcState, ok := src.ExportObject(oid)
-		if !ok {
-			continue
-		}
-		if srcState.Damaged && len(srcState.Rot) == 0 {
-			// Coarsely corrupted source: no extent of this copy can be
-			// trusted to overwrite anything. Scrub flags it; Repair heals.
-			continue
-		}
-		dstState, _ := dst.ExportObject(oid)
-		// Cleanse both sides before the union: rotten extents contribute
-		// nothing, but the clean extents of a damaged copy — including an
-		// acked degraded write that landed after the rot — always survive.
-		state := filestore.UnionState(srcState.Cleansed(), dstState.Cleansed())
-		size := state.Size
-		if size <= 0 {
-			size = 4096
-		}
-		st.ObjectsCopied++
-		st.BytesCopied += size
-		done.Add(1)
-		c.K.Go(fmt.Sprintf("recover.%s", oid), func(pp *sim.Proc) {
-			defer done.Done()
-			// Read on the peer, push over the cluster network, install on
-			// the rejoining OSD.
-			src.Read(pp, oid, 0, size)
-			pp.Sleep(c.pushTime(size))
-			dst.IngestObject(pp, oid, state)
-			if dstState.Damaged {
-				// Backfill just overwrote a rotten copy with the cleansed
-				// union: a detection and a heal, on the integrity log like
-				// any other so time-to-repair accounting stays complete.
-				c.noteIntegrity(pp.Now(), dstID, oid, IntegrityFinding)
-				c.noteIntegrity(pp.Now(), dstID, oid, IntegrityRepaired)
-			}
-		})
-	}
-	done.Wait(p)
-	return len(todo)
-}
-
-// recoverPGEC rebuilds the rejoining member's shards of one PG by
-// reconstruction: instead of copying a whole replica from a single peer, it
-// reads k surviving shards, reconstructs the lost one on the target's node
-// (GF arithmetic charged via the policy's DecodeCost) and installs it. The
-// authoritative state is the stamp-wise union over *all* up in-set peers —
-// overlapping outages can leave each survivor missing different writes, so
-// a single-peer source would under-recover. An object with fewer than k
-// clean contributors is skipped (unrecoverable until more members return;
-// the final repair pass converges it).
-func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[string]bool, st *RecoveryStats) int {
+// recoverPG rebuilds dstID's copy of one PG from its peers: the members of
+// the PG's CRUSH set other than the target that are neither down nor
+// crashed. It is one path for every pool kind; the policy supplies k
+// (DataShards, 1 for replication), the push bytes and the decode cost. A
+// nil missed set means backfill: every object of the PG is compared.
+// Each stale object receives the clean union of every peer and of the
+// target itself (DESIGN.md, "Recovery convergence"); an object with fewer
+// than k clean contributors is skipped until more members return. Version
+// counters may still disagree after a push that raced ongoing writes;
+// Repair converges them. Returns the number of objects copied.
+func (c *Cluster) recoverPG(p *sim.Proc, pg uint32, dstID int, missed map[string]bool, st *RecoveryStats) int {
 	dst := c.osds[dstID].FileStore()
 	k := c.pol.DataShards()
 	var peers []int
@@ -372,63 +288,32 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 		}
 	}
 	if len(peers) < k {
-		return 0 // the stripe itself is below k: nothing can be rebuilt yet
+		return 0 // below k members: nothing can be rebuilt yet
 	}
-	// Work list: any object some peer knows at a version the target lacks.
-	names := map[string]bool{}
+	// Work list: every object of the PG some peer holds, at a version (the
+	// highest over the peers) the target lacks.
+	var names []string
 	for _, pid := range peers {
-		for _, oid := range c.osds[pid].FileStore().ObjectNames() {
-			if crush.ObjectToPG(oid, c.Params.PGs) != pg {
-				continue
-			}
-			if missed != nil && !missed[oid] {
-				continue
-			}
-			names[oid] = true
-		}
+		names = c.osds[pid].FileStore().AppendObjectNames(names)
 	}
-	var todo []string
-	for oid := range names { //afvet:allow determinism keys are sorted before use
-		var maxV uint64
-		for _, pid := range peers {
-			if v := c.osds[pid].FileStore().ObjectVersion(oid); v > maxV {
-				maxV = v
-			}
-		}
-		if dst.ObjectVersion(oid) != maxV {
-			todo = append(todo, oid)
-		}
-	}
-	sort.Strings(todo)
-	if len(todo) == 0 {
-		return 0
-	}
+	names = slices.DeleteFunc(names, func(oid string) bool {
+		return crush.ObjectToPG(oid, c.Params.PGs) != pg || (missed != nil && !missed[oid])
+	})
+	slices.Sort(names)
 	done := sim.NewWaitGroup(c.K)
 	copied := 0
-	for _, oid := range todo {
-		oid := oid
-		// Union the cleansed shard states of every contributing peer; a
-		// coarsely corrupted copy contributes nothing.
-		var state filestore.ObjectState
-		contributed := 0
-		var readers []int
+	for _, oid := range slices.Compact(names) {
+		var maxV uint64
 		for _, pid := range peers {
-			ps, ok := c.osds[pid].FileStore().ExportObject(oid)
-			if !ok || (ps.Damaged && len(ps.Rot) == 0) {
-				continue
-			}
-			if contributed == 0 {
-				state = ps.Cleansed()
-			} else {
-				state = filestore.UnionState(state, ps.Cleansed())
-			}
-			contributed++
-			if len(readers) < k {
-				readers = append(readers, pid)
-			}
+			maxV = max(maxV, c.osds[pid].FileStore().ObjectVersion(oid))
 		}
-		if contributed < k {
-			continue // fewer than k clean shards: unrecoverable right now
+		if dst.ObjectVersion(oid) == maxV {
+			continue
+		}
+		ms := c.captureObject(oid, peers)
+		state, n := cleanUnion(ms)
+		if n < k {
+			continue // fewer than k clean copies: unrecoverable right now
 		}
 		dstState, _ := dst.ExportObject(oid)
 		state = filestore.UnionState(state, dstState.Cleansed())
@@ -442,15 +327,20 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 		done.Add(1)
 		c.K.Go(fmt.Sprintf("recover.%s", oid), func(pp *sim.Proc) {
 			defer done.Done()
-			// k shard reads on the survivors, k shards over the cluster
-			// network, reconstruction on the rejoining node, local install.
-			for _, pid := range readers {
-				c.osds[pid].FileStore().Read(pp, oid, 0, size)
+			// Read the first k clean copies, push them over the cluster
+			// network, decode on the rejoining node, install.
+			for i, n := 0, 0; n < k; i++ {
+				if ms[i].usable() {
+					c.osds[ms[i].id].FileStore().Read(pp, oid, 0, size)
+					n++
+				}
 			}
 			pp.Sleep(c.pushTime(int64(k) * size))
-			c.nodes[dstID/c.Params.OSDsPerNode].Use(pp, c.pol.DecodeCost(size*int64(k), 1))
+			c.decode(pp, dstID, size)
 			dst.IngestObject(pp, oid, state)
 			if dstState.Damaged {
+				// Recovery just overwrote a rotten copy: a detection and a
+				// heal, on the integrity log like any other.
 				c.noteIntegrity(pp.Now(), dstID, oid, IntegrityFinding)
 				c.noteIntegrity(pp.Now(), dstID, oid, IntegrityRepaired)
 			}
@@ -458,6 +348,14 @@ func (c *Cluster) recoverPGEC(p *sim.Proc, pg uint32, dstID int, missed map[stri
 	}
 	done.Wait(p)
 	return copied
+}
+
+// decode charges rebuilding one lost member of size bytes from k others on
+// OSD id's node. Replication decodes nothing and schedules no event.
+func (c *Cluster) decode(p *sim.Proc, id int, size int64) {
+	if cost := c.pol.DecodeCost(size*int64(c.pol.DataShards()), 1); cost > 0 {
+		c.nodes[id/c.Params.OSDsPerNode].Use(p, cost)
+	}
 }
 
 // pushTime is the time to move bytes between two OSDs over the cluster

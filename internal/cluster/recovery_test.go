@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/crush"
 	"repro/internal/osd"
 	"repro/internal/sim"
 )
@@ -182,5 +184,119 @@ func TestRecoverIdempotentWhenNothingMissed(t *testing.T) {
 	}
 	if inc := c.ScrubAll(); len(inc) != 0 {
 		t.Fatalf("scrub dirty: %+v", inc[0])
+	}
+}
+
+// TestOverlappingRep3RecoveriesConverge: on a rep3 pool two members miss
+// different stretches of writes and rejoin together. Each rejoining member
+// may find the other as a peer that still lacks the second outage's
+// writes, so recovery must union every up peer rather than copy from one.
+func TestOverlappingRep3RecoveriesConverge(t *testing.T) {
+	for name, prof := range profiles() {
+		t.Run(name, func(t *testing.T) {
+			p := smallParams(prof)
+			p.OSDNodes = 3
+			p.Pool = "rep3"
+			c := New(p)
+			bd := c.NewClient().OpenDevice("img", 64<<20)
+			writeBatch(c, bd, 0, 30, 1)
+			c.FailOSD(1)
+			writeBatch(c, bd, 0, 30, 500)
+			c.FailOSD(2)
+			writeBatch(c, bd, 0, 30, 900)
+
+			for _, id := range []int{1, 2} {
+				id := id
+				c.K.Go(fmt.Sprintf("recover.osd%d", id), func(pp *sim.Proc) { c.RecoverOSDIn(pp, id) })
+			}
+			c.K.Run(sim.Forever)
+			if inc := c.ScrubAll(); len(inc) != 0 {
+				t.Fatalf("scrub dirty after overlapping recoveries: %+v", inc)
+			}
+		})
+	}
+}
+
+// TestPGsRecoveredCountsOnlyCopies: when every surviving copy of the only
+// object written during the outage is coarsely corrupted, recovery has
+// nothing it can copy, so no PG counts as recovered.
+func TestPGsRecoveredCountsOnlyCopies(t *testing.T) {
+	p := smallParams(osd.AFCeph().Config())
+	p.OSD.FStore.VerifyData = false
+	c := New(p)
+	bd := c.NewClient().OpenDevice("img", 64<<20)
+	obj := int64(-1)
+	var set []int
+	for i := int64(0); i < bd.Img.Size/ObjectSize; i++ {
+		set = c.Map().PGToOSDs(crush.ObjectToPG(fmt.Sprintf("rbd.img.%d", i), p.PGs), c.PoolWidth())
+		if slices.Contains(set, 1) {
+			obj = i
+			break
+		}
+	}
+	if obj < 0 {
+		t.Fatal("no object of the image places on osd.1")
+	}
+	oid := fmt.Sprintf("rbd.img.%d", obj)
+
+	c.FailOSD(1)
+	c.K.Go("writes", func(pp *sim.Proc) {
+		bd.WriteAt(pp, obj*ObjectSize, 4096, 1)
+		bd.WriteAt(pp, obj*ObjectSize+4096, 4096, 2)
+	})
+	c.K.Run(sim.Forever)
+	corrupted := 0
+	for _, id := range set {
+		if id != 1 && c.OSDs()[id].FileStore().CorruptObject(oid) {
+			corrupted++
+		}
+	}
+	if corrupted == 0 {
+		t.Fatalf("no surviving copy of %s to corrupt", oid)
+	}
+
+	st := c.RecoverOSD(1)
+	if st.ObjectsCopied != 0 || st.PGsRecovered != 0 || st.LogRecoveries+st.Backfills != 0 {
+		t.Fatalf("recovery from coarsely damaged copies only: %+v, want no PG recovered", st)
+	}
+}
+
+// TestRecoverySkipsCrashedPeer: a peer that crashed without being marked
+// down yet serves no recovery reads, so the PGs it shares with the
+// rejoining OSD stay stale while the other PGs recover.
+func TestRecoverySkipsCrashedPeer(t *testing.T) {
+	c := New(smallParams(osd.AFCeph().Config()))
+	bd := c.NewClient().OpenDevice("img", 64<<20)
+	writeBatch(c, bd, 0, 30, 1)
+	c.FailOSD(1)
+	writeBatch(c, bd, 0, 30, 500)
+	const crashed = 2
+	c.OSDs()[crashed].Crash()
+
+	fs1 := c.OSDs()[1].FileStore()
+	type copyVersion struct {
+		oid string
+		v   uint64
+	}
+	var stale []copyVersion
+	for _, oid := range c.ObjectNames() {
+		set := c.Map().PGToOSDs(crush.ObjectToPG(oid, c.Params.PGs), c.PoolWidth())
+		if slices.Contains(set, 1) && slices.Contains(set, crashed) &&
+			fs1.ObjectVersion(oid) != c.OSDs()[crashed].FileStore().ObjectVersion(oid) {
+			stale = append(stale, copyVersion{oid, fs1.ObjectVersion(oid)})
+		}
+	}
+	if len(stale) == 0 {
+		t.Fatalf("no object shared by osd.1 and osd.%d went stale; test is vacuous", crashed)
+	}
+
+	st := c.RecoverOSD(1)
+	if st.ObjectsCopied == 0 {
+		t.Fatal("recovery copied nothing from the live peers")
+	}
+	for _, s := range stale {
+		if got := fs1.ObjectVersion(s.oid); got != s.v {
+			t.Errorf("%s: osd.1 version %d -> %d, recovered from crashed osd.%d", s.oid, s.v, got, crashed)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/crush"
 	"repro/internal/filestore"
-	"repro/internal/redundancy"
 	"repro/internal/sim"
 )
 
@@ -177,68 +176,42 @@ func (c *Cluster) repairObject(p *sim.Proc, oid string, want []int) int {
 		}
 	}
 	ms := c.captureObject(oid, want)
+	target, contributed := cleanUnion(ms)
 	auth := -1
 	var best uint64
-	var target filestore.ObjectState
-	contributed := 0
 	for _, m := range ms {
-		if !m.ok {
-			continue
-		}
-		if m.st.Damaged && len(m.st.Rot) == 0 {
-			continue // coarse corruption: no extent of this copy is trustworthy
-		}
-		cl := m.st.Cleansed()
-		if contributed == 0 {
-			target = cl
-		} else {
-			target = filestore.UnionState(target, cl)
-		}
-		contributed++
-		if !m.st.Damaged && (auth < 0 || m.st.Version > best) {
+		if m.ok && !m.st.Damaged && (auth < 0 || m.st.Version > best) {
 			best, auth = m.st.Version, m.id
 		}
 	}
-	if auth < 0 {
-		return healed // no clean copy survives; nothing to heal from
-	}
-	if contributed < c.pol.DataShards() {
-		// EC: fewer than k clean shards — the stripe cannot be
-		// reconstructed; leave it for the EIO path. (Replication needs one
-		// contributor, which auth >= 0 already guarantees.)
+	if auth < 0 || contributed < c.pol.DataShards() {
+		// No clean copy survives, or (EC) fewer than k clean shards: the
+		// object cannot be rebuilt; leave it for the EIO path.
 		return healed
 	}
 	size := target.Size
 	if size <= 0 {
 		size = 4096
 	}
-	ecCharged := false
+	extra := c.pol.DataShards() - 1
 	for _, m := range ms {
 		if m.ok && !m.st.Damaged && m.st.Version == target.Version && sameStamps(m.st.Stamps, target.Stamps) {
 			continue
 		}
-		if c.pol.Kind() == redundancy.KindEC && !ecCharged {
-			// Reconstruction reads k-1 shards beyond the authoritative one
-			// (once — later pushes reuse the assembled stripe) and pays the
-			// per-shard decode CPU on the authoritative member's node.
-			ecCharged = true
-			extra := c.pol.DataShards() - 1
-			for _, mm := range ms {
-				if extra == 0 {
-					break
-				}
-				if mm.id == auth || !mm.ok || (mm.st.Damaged && len(mm.st.Rot) == 0) {
-					continue
-				}
+		// Reconstruction reads k-1 copies beyond the authoritative one
+		// (once: later pushes reuse the assembled stripe) and pays the
+		// decode CPU on the authoritative member's node.
+		for _, mm := range ms {
+			if extra == 0 {
+				break
+			}
+			if mm.id != auth && mm.usable() {
 				c.osds[mm.id].FileStore().Read(p, oid, 0, size)
 				extra--
 			}
 		}
-		if c.pol.Kind() == redundancy.KindEC {
-			c.nodes[auth/c.Params.OSDsPerNode].Use(p,
-				c.pol.DecodeCost(size*int64(c.pol.DataShards()), 1))
-		}
-		// Same data motion as recovery: peer read, network push, install.
+		c.decode(p, auth, size)
+		// Read the authoritative copy, push it, install.
 		c.osds[auth].FileStore().Read(p, oid, 0, size)
 		p.Sleep(c.pushTime(size))
 		// Re-merge against the member's live state at install time: a

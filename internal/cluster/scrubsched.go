@@ -209,11 +209,35 @@ func (c *Cluster) scrubRound(p *sim.Proc) {
 	done.Wait(p)
 }
 
-// memberSnap is one up member's view of an object during a scrub.
+// memberSnap is one up member's view of an object during a scrub, a
+// repair or a recovery.
 type memberSnap struct {
 	id int
 	st filestore.ObjectState
 	ok bool
+}
+
+// usable reports whether the copy can contribute to a heal: it exists and
+// is not coarsely damaged (rot on some extents leaves the others clean).
+func (m memberSnap) usable() bool { return m.ok && !(m.st.Damaged && len(m.st.Rot) == 0) }
+
+// cleanUnion returns the stamp-wise union of the usable copies' cleansed
+// states, in member order, and how many copies contributed.
+func cleanUnion(ms []memberSnap) (filestore.ObjectState, int) {
+	var u filestore.ObjectState
+	n := 0
+	for _, m := range ms {
+		if !m.usable() {
+			continue
+		}
+		if n == 0 {
+			u = m.st.Cleansed()
+		} else {
+			u = filestore.UnionState(u, m.st.Cleansed())
+		}
+		n++
+	}
+	return u, n
 }
 
 // captureObject exports the object from every up member of its set.

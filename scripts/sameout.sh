@@ -44,6 +44,7 @@ go build -o "$TMP/bin.work/" $PKGS
     echo "afsim -no-light-tx -no-fast-ack -runtime 0.3"
     echo "afsim -sweep -runtime 0.1 -ramp 0.05"
     echo "afsim -runtime 0.6 -ramp 0.1 -fail-at 200 -recover-at 500"
+    echo "afsim -pool ec4+2 -backend directstore -runtime 0.6 -ramp 0.1 -fail-at 200 -recover-at 500"
     for f in examples/scenarios/*.json; do
         echo "afsim -scenario $f -perf-dump"
     done
