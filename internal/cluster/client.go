@@ -124,15 +124,25 @@ func (cl *Client) noteEpoch() {
 // the cluster acks (journaled on primary and all replicas). stamp is stored
 // for verification when the cluster runs with VerifyData.
 func (cl *Client) WriteObject(p *sim.Proc, oid string, off, size int64, stamp uint64) {
-	if _, _, admitted := cl.doOp(p, osd.OpWrite, oid, off, size, stamp); !admitted {
+	cl.writePG(p, oid, cl.pgOf(oid), off, size, stamp)
+}
+
+// writePG is WriteObject for a caller that knows the object's PG.
+func (cl *Client) writePG(p *sim.Proc, oid string, pg uint32, off, size int64, stamp uint64) {
+	if _, _, admitted := cl.doOp(p, osd.OpWrite, oid, pg, off, size, stamp); !admitted {
 		panic("cluster: tenanted write rejected; use TryWriteObject")
 	}
 }
 
 // ReadObject reads [off, off+size) of the named object, returning the
 // stamp of the extent (when VerifyData is on) and object existence.
-func (cl *Client) ReadObject(p *sim.Proc, oid string, off, size int64) (stamp uint64, exists bool) {
-	st, ex, admitted := cl.doOp(p, osd.OpRead, oid, off, size, 0)
+func (cl *Client) ReadObject(p *sim.Proc, oid string, off, size int64) (stamp uint64, exists bool) { //afvet:allow unused cluster_test.go and scrubsched_test.go read bare OIDs through it
+	return cl.readPG(p, oid, cl.pgOf(oid), off, size)
+}
+
+// readPG is ReadObject for a caller that knows the object's PG.
+func (cl *Client) readPG(p *sim.Proc, oid string, pg uint32, off, size int64) (stamp uint64, exists bool) {
+	st, ex, admitted := cl.doOp(p, osd.OpRead, oid, pg, off, size, 0)
 	if !admitted {
 		panic("cluster: tenanted read rejected; use TryReadObject")
 	}
@@ -142,18 +152,20 @@ func (cl *Client) ReadObject(p *sim.Proc, oid string, off, size int64) (stamp ui
 // TryWriteObject is WriteObject for tenanted clients: admission control may
 // refuse the op, reported as admitted=false (the write did no work).
 func (cl *Client) TryWriteObject(p *sim.Proc, oid string, off, size int64, stamp uint64) (admitted bool) {
-	_, _, admitted = cl.doOp(p, osd.OpWrite, oid, off, size, stamp)
+	_, _, admitted = cl.doOp(p, osd.OpWrite, oid, cl.pgOf(oid), off, size, stamp)
 	return admitted
 }
 
 // TryReadObject is ReadObject for tenanted clients; on admitted=false the
 // read was refused by admission control and stamp/exists are meaningless.
 func (cl *Client) TryReadObject(p *sim.Proc, oid string, off, size int64) (stamp uint64, exists, admitted bool) {
-	return cl.doOp(p, osd.OpRead, oid, off, size, 0)
+	return cl.doOp(p, osd.OpRead, oid, cl.pgOf(oid), off, size, 0)
 }
 
-func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, off, size int64, stamp uint64) (uint64, bool, bool) {
-	pg := crush.ObjectToPG(oid, cl.c.Params.PGs)
+// pgOf places an object in its PG.
+func (cl *Client) pgOf(oid string) uint32 { return crush.ObjectToPG(oid, cl.c.Params.PGs) }
+
+func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, pg uint32, off, size int64, stamp uint64) (uint64, bool, bool) {
 	timeout := cl.c.Params.ClientOpTimeout
 	pool := timeout <= 0
 	for attempt := 0; ; attempt++ {
@@ -248,18 +260,26 @@ func (cl *Client) backoff(p *sim.Proc, attempt int) {
 type Image struct {
 	Name string
 	Size int64
-	// names caches each stripe's object id; object names are immutable, so
-	// repeated block ops on a stripe reuse one string.
-	names []string
+	// stripes caches each stripe's object id and PG; both are immutable,
+	// so repeated block ops on a stripe reuse one string and hash it once.
+	stripes []stripe
 }
 
-// locate maps a block offset to its object and intra-object offset.
-func (img *Image) locate(off int64) (oid string, objOff int64) {
+type stripe struct {
+	oid string
+	pg  uint32
+}
+
+// locate maps a block offset to its object, the object's PG among pgs,
+// and the intra-object offset.
+func (img *Image) locate(off int64, pgs uint32) (oid string, pg uint32, objOff int64) {
 	idx := off / ObjectSize
-	for int64(len(img.names)) <= idx {
-		img.names = append(img.names, fmt.Sprintf("rbd.%s.%d", img.Name, int64(len(img.names))))
+	for int64(len(img.stripes)) <= idx {
+		oid := fmt.Sprintf("rbd.%s.%d", img.Name, int64(len(img.stripes)))
+		img.stripes = append(img.stripes, stripe{oid, crush.ObjectToPG(oid, pgs)})
 	}
-	return img.names[idx], off % ObjectSize
+	s := &img.stripes[idx]
+	return s.oid, s.pg, off % ObjectSize
 }
 
 // BlockDevice is a client's view of an image (a mapped /dev/rbd*).
@@ -282,12 +302,12 @@ func (bd *BlockDevice) WriteAt(p *sim.Proc, off, size int64, stamp uint64) {
 		panic("cluster: write beyond device")
 	}
 	for size > 0 {
-		oid, objOff := bd.Img.locate(off)
+		oid, pg, objOff := bd.Img.locate(off, bd.Client.c.Params.PGs)
 		n := size
 		if objOff+n > ObjectSize {
 			n = ObjectSize - objOff
 		}
-		bd.Client.WriteObject(p, oid, objOff, n, stamp)
+		bd.Client.writePG(p, oid, pg, objOff, n, stamp)
 		off += n
 		size -= n
 	}
@@ -302,12 +322,12 @@ func (bd *BlockDevice) ReadAt(p *sim.Proc, off, size int64) (stamp uint64, exist
 	first := true
 	exists = true
 	for size > 0 {
-		oid, objOff := bd.Img.locate(off)
+		oid, pg, objOff := bd.Img.locate(off, bd.Client.c.Params.PGs)
 		n := size
 		if objOff+n > ObjectSize {
 			n = ObjectSize - objOff
 		}
-		st, ex := bd.Client.ReadObject(p, oid, objOff, n)
+		st, ex := bd.Client.readPG(p, oid, pg, objOff, n)
 		if first {
 			stamp = st
 			first = false

@@ -262,10 +262,15 @@ func TestBlockDeviceStriping(t *testing.T) {
 	}
 	// The boundary write must touch two distinct objects.
 	img := Image{Name: "img0", Size: 64 << 20}
-	oidA, _ := img.locate(ObjectSize - 4096)
-	oidB, _ := img.locate(ObjectSize)
+	oidA, pgA, _ := img.locate(ObjectSize-4096, c.Params.PGs)
+	oidB, pgB, _ := img.locate(ObjectSize, c.Params.PGs)
 	if oidA == oidB {
 		t.Fatal("boundary offsets mapped to one object")
+	}
+	// The cached PG is the object's placement.
+	if pgA != ObjectToPGForTest(oidA, c) || pgB != ObjectToPGForTest(oidB, c) {
+		t.Fatalf("cached PGs %d, %d; placement says %d, %d",
+			pgA, pgB, ObjectToPGForTest(oidA, c), ObjectToPGForTest(oidB, c))
 	}
 }
 

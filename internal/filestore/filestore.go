@@ -423,8 +423,8 @@ func (f *FileStore) lookup(oid string) *object {
 // ReadReq is one Read made by a callback chain (see ReadCall). Its owner
 // keeps it alive, and may reuse it once Done has run.
 type ReadReq struct {
-	// Done runs as Done(Arg) when the read is over, after Stamp and Exists
-	// are set. It runs in kernel context and must not block.
+	// Done runs as Done(Arg) when the read is over, after Stamp, Exists
+	// and Damaged are set. It runs in kernel context and must not block.
 	Done func(any)
 	Arg  any
 
@@ -432,9 +432,11 @@ type ReadReq struct {
 	Off, Size int64
 
 	// Stamp is the stamp recorded for that exact extent (when VerifyData
-	// is on); Exists reports whether the object exists.
-	Stamp  uint64
-	Exists bool
+	// is on); Exists reports whether the object exists; Damaged is
+	// ExtentDamaged(OID, Off), judged from the object the read found.
+	Stamp   uint64
+	Exists  bool
+	Damaged bool
 
 	f    *FileStore
 	obj  *object // the object found after the syscall charge, or nil
@@ -498,7 +500,7 @@ func readDone(a any) {
 	r := a.(*ReadReq)
 	obj := r.obj
 	r.obj = nil
-	r.Stamp, r.Exists = 0, obj != nil
+	r.Stamp, r.Exists, r.Damaged = 0, obj != nil, obj != nil && obj.extentDamaged(r.Off)
 	if obj != nil && r.f.cfg.VerifyData && obj.stamps != nil {
 		r.Stamp = obj.stamps[r.Off]
 	}
@@ -597,14 +599,16 @@ func (f *FileStore) ObjectDamaged(oid string) bool {
 // off is rotten. A damaged object without a per-extent record (coarse
 // corruption, e.g. VerifyData off) counts every extent as damaged.
 func (f *FileStore) ExtentDamaged(oid string, off int64) bool {
-	o, ok := f.objects[oid]
-	if !ok || !o.damaged {
+	o := f.objects[oid]
+	return o != nil && o.extentDamaged(off)
+}
+
+// extentDamaged is ExtentDamaged of an object already looked up.
+func (o *object) extentDamaged(off int64) bool {
+	if !o.damaged {
 		return false
 	}
-	if len(o.rot) == 0 {
-		return true
-	}
-	return o.rot[off]
+	return len(o.rot) == 0 || o.rot[off]
 }
 
 // ObjectState is a recoverable snapshot of one object's metadata.

@@ -265,3 +265,53 @@ func TestWritebackDirtyLimitBlocks(t *testing.T) {
 		t.Fatal("writeback never buffered")
 	}
 }
+
+// TestReadDamagedMatchesExtentDamaged: a read's Damaged verdict, judged
+// from the object the read found, is ExtentDamaged of its extent, asked in
+// the callback that ends the read: for a clean object, a rotten and a
+// rewritten extent of a per-extent damaged object, a coarsely damaged
+// object (no stamps, so no per-extent record) and an absent object.
+func TestReadDamagedMatchesExtentDamaged(t *testing.T) {
+	type read struct {
+		oid  string
+		off  int64
+		want bool
+	}
+	run := func(verify bool, reads []read) {
+		cfg := LightConfig()
+		cfg.VerifyData = verify
+		w := newWorld(cfg)
+		w.k.Go("io", func(p *sim.Proc) {
+			for _, oid := range []string{"clean", "damaged"} {
+				w.fs.Apply(p, basicTx(oid, 0, 4096, 1))
+				w.fs.Apply(p, basicTx(oid, 4096, 4096, 2))
+			}
+			w.fs.CorruptObject("damaged")
+			if verify {
+				w.fs.Apply(p, basicTx("damaged", 4096, 4096, 3)) // heals that extent
+			}
+			for _, rd := range reads {
+				r := &ReadReq{Done: sim.Wake, Arg: p, OID: rd.oid, Off: rd.off, Size: 4096}
+				w.fs.ReadCall(r)
+				p.Await()
+				if ext := w.fs.ExtentDamaged(rd.oid, rd.off); r.Damaged != ext || r.Damaged != rd.want {
+					t.Errorf("verify=%v %s@%d: Damaged %v, ExtentDamaged %v, want %v",
+						verify, rd.oid, rd.off, r.Damaged, ext, rd.want)
+				}
+			}
+		})
+		w.k.Run(sim.Forever)
+	}
+	run(true, []read{
+		{"clean", 0, false},
+		{"damaged", 0, true},     // rotten
+		{"damaged", 4096, false}, // rewritten since the corruption
+		{"absent", 0, false},
+	})
+	run(false, []read{
+		{"clean", 4096, false},
+		{"damaged", 0, true}, // coarse: every extent counts as damaged
+		{"damaged", 4096, true},
+		{"absent", 0, false},
+	})
+}

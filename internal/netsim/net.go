@@ -114,8 +114,34 @@ type Message struct {
 	Kind    int
 	Payload interface{}
 	SentAt  sim.Time
-	tx      *txConn // the connection that sent it, set when handed to the wire
-	rx      *rxConn // the connection handling it, set at delivery
+	tx      *txConn  // the connection that sent it, set when handed to the wire
+	rx      *rxConn  // the connection handling it, set at delivery
+	next    *Message // the message queued behind it on its connection
+}
+
+// msgQueue is a connection's FIFO of waiting messages, threaded through
+// Message.next: a message waits on at most one connection at a time.
+type msgQueue struct{ head, tail *Message }
+
+func (q *msgQueue) push(m *Message) {
+	if q.tail == nil {
+		q.head = m
+	} else {
+		q.tail.next = m
+	}
+	q.tail = m
+}
+
+// pop removes and returns the oldest message, or nil.
+func (q *msgQueue) pop() *Message {
+	m := q.head
+	if m != nil {
+		q.head, m.next = m.next, nil
+		if q.head == nil {
+			q.tail = nil
+		}
+	}
+	return m
 }
 
 func (n *Network) putMsg(m *Message) {
@@ -189,9 +215,9 @@ type Endpoint struct {
 // and, once the message is released, start the next.
 type rxConn struct {
 	e       *Endpoint
-	q       *sim.Queue[*Message]
+	q       msgQueue // messages delivered and not yet started
 	m       *Message // the message being received or handled
-	idle    bool     // waiting for a message: enqueue wakes the connection
+	idle    bool     // waiting for a message: enqueue starts the connection
 	inRecv  bool     // the receiver is running
 	held    bool     // the receiver holds m past its return
 	ingress sim.Job  // wire serialization of m; its Done is rxCharge
@@ -203,9 +229,8 @@ type rxConn struct {
 // of Send never block on wire serialization.
 type txConn struct {
 	e, dst *Endpoint
-	q      *sim.Queue[*Message]
-	m      *Message // the message on the NIC
-	busy   bool     // sending, or about to: Send need not start the chain
+	q      msgQueue // messages waiting behind m
+	m      *Message // the message on the NIC; nil when idle
 	egress sim.Job  // its Done is txSent
 	rx     *rxConn  // dst's receive side, opened at the first delivery
 }
@@ -232,17 +257,23 @@ func (e *Endpoint) SetReceiver(r Receiver) { e.recv = r }
 // kernel context with a nil process, so it must not block.
 func (e *Endpoint) SetHandler(h Handler) { e.recv = func(m *Message) { h(nil, m) } } //afvet:allow unused cmd/afperf calls it
 
-// SetDead marks the endpoint's process crashed: messages still queued in
-// its outbound connections are dropped instead of delivered (the host's
-// socket buffers died with it). Messages already on the wire — handed to
-// the delivery timer — still arrive. Revived endpoints resume sending.
+// SetDead marks the endpoint's process crashed: a message still queued in
+// one of its outbound connections, behind the one the connection is
+// sending, is dropped instead of delivered when its turn comes (the
+// host's socket buffers died with it), and so is a message sent while
+// dead on an idle connection. A message already handed to the NIC — as
+// Send does at once on an idle connection — still goes out, and one
+// handed to the delivery timer still arrives. Revived endpoints resume
+// sending.
 func (e *Endpoint) SetDead(v bool) { e.dead = v }
 
-// Send queues size payload bytes toward dst and returns immediately: the
-// connection's sender serializes the transfer onto the NIC
-// (SimpleMessenger semantics — I/O threads never block on the wire).
-// Per-connection ordering is preserved. kind and payload travel with the
-// message. Send does not use p, so kernel-context callers pass nil.
+// Send hands size payload bytes toward dst to the connection's sender and
+// returns immediately (SimpleMessenger semantics — I/O threads never block
+// on the wire): on an idle connection the message goes to the egress NIC
+// in the caller's event, otherwise it waits behind the connection's
+// earlier messages. Per-connection ordering is preserved. kind and payload
+// travel with the message. Send does not use p, so kernel-context callers
+// pass nil.
 func (e *Endpoint) Send(p *sim.Proc, dst *Endpoint, size int64, kind int, payload interface{}) {
 	if size <= 0 {
 		size = 1
@@ -252,29 +283,39 @@ func (e *Endpoint) Send(p *sim.Proc, dst *Endpoint, size int64, kind int, payloa
 	}
 	c := e.tx[dst.id]
 	if c == nil {
-		c = &txConn{e: e, dst: dst, q: sim.NewQueue[*Message](e.net.K, e.name+"->"+dst.name, 0)}
+		c = &txConn{e: e, dst: dst}
 		c.egress.Done, c.egress.Arg = txSent, c
 		e.tx[dst.id] = c
 	}
+	if c.m == nil && e.dead {
+		// The sending process has crashed: the message dies in its socket
+		// buffer without reaching the wire.
+		e.net.Dropped.Inc()
+		return
+	}
 	m := e.net.msgFree.Get()
 	m.From, m.Size, m.Kind, m.Payload, m.SentAt = e, size, kind, payload, e.net.K.Now()
-	c.q.TryPush(m) // unbounded: never blocks the caller
-	if !c.busy {
-		c.busy = true
-		e.net.K.AfterCall(0, txNext, c)
+	if c.m != nil {
+		c.q.push(m) // unbounded: never blocks the caller
+		return
 	}
+	c.m = m
+	c.send()
 }
 
-func txNext(a any) { a.(*txConn).next() }
+// send serializes c.m onto the egress NIC; txSent runs when it is out.
+func (c *txConn) send() {
+	e := c.e
+	e.nic.egress.UseCall(&c.egress, sim.Time(c.m.Size*int64(sim.Second)/e.net.Params.BytesPerSec))
+}
 
-// next puts the connection's next message on the egress NIC, dropping
-// those a crashed sender still held, or marks the connection idle.
+// next sends the connection's next queued message, dropping those a
+// crashed sender still held, or leaves the connection idle.
 func (c *txConn) next() {
 	e := c.e
 	for {
-		m, ok := c.q.TryPop()
-		if !ok {
-			c.busy = false
+		m := c.q.pop()
+		if m == nil {
 			return
 		}
 		if e.dead {
@@ -285,7 +326,7 @@ func (c *txConn) next() {
 			continue
 		}
 		c.m = m
-		e.nic.egress.UseCall(&c.egress, sim.Time(m.Size*int64(sim.Second)/e.net.Params.BytesPerSec))
+		c.send()
 		return
 	}
 }
@@ -296,6 +337,7 @@ func (c *txConn) next() {
 func txSent(a any) {
 	c := a.(*txConn)
 	e, n, m := c.e, c.e.net, c.m
+	c.m = nil
 	n.BytesSent.Add(uint64(m.Size))
 	if n.Partitioned(e, c.dst) {
 		n.Dropped.Inc()
@@ -318,26 +360,35 @@ func deliverMsg(a any) {
 	m.tx.dst.enqueue(m.tx, m)
 }
 
-// enqueue runs in kernel context: append to the receive queue of the
-// connection tx delivers to, creating it on first contact, and wake it if
-// idle.
+// enqueue runs in kernel context, in the delivery event: queue m on the
+// receive connection tx delivers to, creating it on first contact, and
+// start an idle connection. The start runs inline unless another event is
+// due at this instant: then it takes an event of its own, as the reader
+// thread's wake-up did, so that its ingress keeps its place among that
+// instant's other NIC grants (inline, it would overtake them and move
+// simulated outputs).
 func (e *Endpoint) enqueue(tx *txConn, m *Message) {
 	if e.recv == nil {
 		panic("netsim: message delivered to endpoint without handler: " + e.name)
 	}
 	c := tx.rx
 	if c == nil {
-		c = &rxConn{e: e, q: sim.NewQueue[*Message](e.net.K, e.name+"<-"+tx.e.name, 0), idle: true}
+		c = &rxConn{e: e, idle: true}
 		c.ingress.Done, c.ingress.Arg = rxCharge, c
 		c.cpu.Done, c.cpu.Arg = rxHandle, c
 		tx.rx = c
 		e.conns++
 	}
-	c.q.TryPush(m) // unbounded queue: cannot fail
-	if c.idle {
-		c.idle = false
-		e.net.K.AfterCall(0, rxNext, c)
+	c.q.push(m) // unbounded queue: cannot fail
+	if !c.idle {
+		return
 	}
+	c.idle = false
+	if e.net.K.DueNow() {
+		e.net.K.AfterCall(0, rxNext, c)
+		return
+	}
+	c.next()
 }
 
 func rxNext(a any) { a.(*rxConn).next() }
@@ -346,8 +397,8 @@ func rxNext(a any) { a.(*rxConn).next() }
 // message (all endpoints sharing the NIC drain the wire at the configured
 // bandwidth), or marks the connection idle.
 func (c *rxConn) next() {
-	m, ok := c.q.TryPop()
-	if !ok {
+	m := c.q.pop()
+	if m == nil {
 		c.idle = true
 		return
 	}

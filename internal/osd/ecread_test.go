@@ -14,9 +14,10 @@ import (
 // the acting set lists two up peers ahead of the primary (as when they
 // come back up between the client's send and the worker's first pump),
 // and both answer unusable. The reply's chain reads the local shard itself,
-// with no process started. The reply time and the event count are pinned
-// to those of the same read with the replies handled on a process per
-// connection, which the callback handlers must reproduce exactly.
+// with no process started. The reply time is pinned to that of the same
+// read with the replies handled on a process per connection, which the
+// callback handlers must reproduce exactly; the event count to that read's
+// less two per message, the messenger's chain starts, which now run inline.
 func TestECReplyLaunchesLocalShard(t *testing.T) {
 	h := newHarness(AFCeph().Config())
 	h.o.SetPolicy(redundancy.EC{K: 2, M: 2})
@@ -41,7 +42,7 @@ func TestECReplyLaunchesLocalShard(t *testing.T) {
 	if n := h.k.Spawned() - spawned; n != 0 {
 		t.Fatalf("spawned %d procs, want none", n)
 	}
-	if h.ackAt[1] != 639596 || h.k.Dispatched() != 78 {
-		t.Fatalf("reply at %d after %d events, want 639596 and 78", h.ackAt[1], h.k.Dispatched())
+	if h.ackAt[1] != 639596 || h.k.Dispatched() != 62 {
+		t.Fatalf("reply at %d after %d events, want 639596 and 62", h.ackAt[1], h.k.Dispatched())
 	}
 }

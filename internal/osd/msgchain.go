@@ -260,10 +260,10 @@ func localShardCharged(ch *msgChain) {
 // and flags the asynchronous heal.
 func localShardRead(ch *msgChain) {
 	o, g := ch.o, ch.g
-	switch op := g.op; {
+	switch {
 	case o.gen != ch.eng.gen:
 		g.done = true // crashed mid-read: the gather dies with this daemon
-	case ch.rd.Exists && o.fs.ExtentDamaged(op.OID, op.Off):
+	case ch.rd.Damaged:
 		g.out--
 		g.localDamaged = true
 	default:

@@ -723,12 +723,12 @@ func readCharged(ch *msgChain) { ch.read(ch.then) }
 // readDone answers a replicated read from the local copy, once the ack's
 // log is written, or starts the replica hunt when the copy is damaged.
 func readDone(ch *msgChain) {
-	o, op := ch.o, ch.op
+	o := ch.o
 	switch {
 	case o.gen != ch.eng.gen:
 		// Crashed mid-read: no reply, client retries elsewhere.
 		ch.end()
-	case ch.rd.Exists && o.fs.ExtentDamaged(op.OID, op.Off):
+	case ch.rd.Damaged:
 		// The local copy failed verification: corrupt data is never
 		// returned. Fetch the extent from a replica (read-repair), or fail
 		// the read with EIO when no healthy copy exists anywhere.

@@ -14,9 +14,10 @@ import (
 // EC read the primary serves from its own shard, and a shard holder's
 // answer to an EC primary's gather fetch. Each runs on both logging modes:
 // the AFCeph profile logs asynchronously, the community one waits for its
-// logger thread. The reply times, flags and event counts are those of the
-// worker paths before they were built on callback chains, which must
-// reproduce them exactly.
+// logger thread. The reply times and flags are those of the worker paths
+// before they were built on callback chains, which must reproduce them
+// exactly. The event counts are those paths' less two per message: the
+// messenger's send and receive chains now start inline.
 func TestWorkerRepliesPinned(t *testing.T) {
 	type pin struct {
 		ackAt, readAt sim.Time
@@ -31,20 +32,20 @@ func TestWorkerRepliesPinned(t *testing.T) {
 		want   map[string]pin // by profile
 	}{
 		{"rep-clean", func(h *harness) {}, false, nil, map[string]pin{
-			"afceph":    {351532, 50489467, false, true, 85},
-			"community": {1510382, 51531578, false, true, 102},
+			"afceph":    {351532, 50489467, false, true, 77},
+			"community": {1510382, 51531578, false, true, 94},
 		}},
 		{"rep-damaged-no-replicas", func(h *harness) {}, true, nil, map[string]pin{
-			"afceph":    {351532, 50482889, true, false, 88},
-			"community": {1510382, 51550760, true, false, 106},
+			"afceph":    {351532, 50482889, true, false, 80},
+			"community": {1510382, 51550760, true, false, 98},
 		}},
 		{"ec-primary-only", func(h *harness) {
 			h.o.SetPolicy(redundancy.EC{K: 2, M: 1})
 			set := []ShardTarget{{Self: true}, {}, {}}
 			h.o.SetShardPlacer(func(uint32) []ShardTarget { return set })
 		}, false, nil, map[string]pin{
-			"afceph":    {352578, 50478249, true, false, 86},
-			"community": {1511428, 51520360, true, false, 103},
+			"afceph":    {352578, 50478249, true, false, 78},
+			"community": {1511428, 51520360, true, false, 95},
 		}},
 		{"ec-served-alone", func(h *harness) {
 			h.o.SetPolicy(redundancy.EC{K: 1, M: 1})
@@ -52,8 +53,8 @@ func TestWorkerRepliesPinned(t *testing.T) {
 			set := []ShardTarget{{Self: true}, {EP: peer}}
 			h.o.SetShardPlacer(func(uint32) []ShardTarget { return set })
 		}, false, nil, map[string]pin{
-			"afceph":    {355439, 50489467, false, true, 86},
-			"community": {1514289, 51531578, false, true, 103},
+			"afceph":    {355439, 50489467, false, true, 78},
+			"community": {1514289, 51531578, false, true, 95},
 		}},
 		// The harness OSD holds shard 1 of a K=2 stripe; a peer primary
 		// fetches it. Its answer is pinned as a reply: EIO for an unusable
@@ -71,8 +72,8 @@ func TestWorkerRepliesPinned(t *testing.T) {
 			sr := &shardRead{op: op, primary: h.prim, idx: 1}
 			h.prim.Send(p, h.o.ClusterEndpoint(), 200, MsgShardRead, sr)
 		}, map[string]pin{
-			"afceph":    {352578, 50474815, false, true, 83},
-			"community": {1511428, 51491166, false, true, 99},
+			"afceph":    {352578, 50474815, false, true, 75},
+			"community": {1511428, 51491166, false, true, 91},
 		}},
 	}
 	profiles := []struct {
@@ -122,7 +123,8 @@ func TestWorkerRepliesPinned(t *testing.T) {
 // it. Neither read is answered, and the worker that served the first goes
 // on to the next item (which the dead generation drops), so the dispatcher
 // processes all three items. The event counts are pinned from the worker
-// path before it was built on a callback chain.
+// path before it was built on a callback chain, less the messenger's chain
+// starts, which now run inline.
 func crashMidReadPinned(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -130,8 +132,8 @@ func crashMidReadPinned(t *testing.T) {
 		crashAt    sim.Time // inside the first read's device I/O
 		dispatched uint64
 	}{
-		{"afceph", AFCeph().Config(), 50350 * sim.Microsecond, 83},
-		{"community", Community().Config(), 51380 * sim.Microsecond, 100},
+		{"afceph", AFCeph().Config(), 50350 * sim.Microsecond, 77},
+		{"community", Community().Config(), 51380 * sim.Microsecond, 94},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -164,7 +164,8 @@ func (h *pairHarness) fingerprint() (acks int, sum uint64, detail string) {
 // write is in flight, and a replica crashed while an apply's data write
 // is in flight; each crashed OSD restarts 3ms later and replays. The
 // values were recorded with the journal writer, the filestore workers
-// and the completion worker running as processes.
+// and the completion worker running as processes; only the event count
+// has moved since, when the messenger's chain starts went inline.
 func TestWritePathPinned(t *testing.T) {
 	commitIO := func(backend string) func(h *pairHarness) {
 		if backend == store.BackendDirectStore {
@@ -183,22 +184,22 @@ func TestWritePathPinned(t *testing.T) {
 		sum  uint64
 	}
 	want := map[string]pin{
-		"afceph/filestore/clean":                 {800, 0x74008da4c65c422e},
-		"afceph/filestore/tight":                 {800, 0x8fbcafd46d45acde},
-		"afceph/filestore/crash-mid-commit":      {520, 0xb61cbdd9d20ec149},
-		"afceph/filestore/crash-mid-apply":       {773, 0xff87362e50a4ffbe},
-		"afceph/directstore/clean":               {800, 0xa4df021801aed115},
-		"afceph/directstore/tight":               {800, 0x3c79a9705bc13a6a},
-		"afceph/directstore/crash-mid-commit":    {449, 0xd373a5c51a944b46},
-		"afceph/directstore/crash-mid-apply":     {772, 0x965873f6cbac3f56},
-		"community/filestore/clean":              {800, 0x6ac4ed97403b688f},
-		"community/filestore/tight":              {800, 0x39d9e2b0a1ad3747},
-		"community/filestore/crash-mid-commit":   {200, 0xa2fececd5040274},
-		"community/filestore/crash-mid-apply":    {757, 0x73347b399623260c},
-		"community/directstore/clean":            {800, 0x988c976181334f1a},
-		"community/directstore/tight":            {800, 0x988c976181334f1a},
-		"community/directstore/crash-mid-commit": {200, 0x457bae00bfa1924f},
-		"community/directstore/crash-mid-apply":  {747, 0x39ee52aff712d19b},
+		"afceph/filestore/clean":                 {800, 0xedf087add51d5f08},
+		"afceph/filestore/tight":                 {800, 0x830a37fc82a4fd88},
+		"afceph/filestore/crash-mid-commit":      {520, 0x115109cda9d4a644},
+		"afceph/filestore/crash-mid-apply":       {773, 0x369049d2a063c1e7},
+		"afceph/directstore/clean":               {800, 0x1986133a4ba95eb7},
+		"afceph/directstore/tight":               {800, 0x3fdd523469722365},
+		"afceph/directstore/crash-mid-commit":    {449, 0xeffa9dfc89c0e9e7},
+		"afceph/directstore/crash-mid-apply":     {772, 0x6df52d0bd2857c4f},
+		"community/filestore/clean":              {800, 0x271e38dd7db29792},
+		"community/filestore/tight":              {800, 0x5864a9401d85b9ba},
+		"community/filestore/crash-mid-commit":   {200, 0xc7a054b40fcb5ea3},
+		"community/filestore/crash-mid-apply":    {757, 0x716c5889ea4a3399},
+		"community/directstore/clean":            {800, 0xdb670a88aff9c75b},
+		"community/directstore/tight":            {800, 0xdb670a88aff9c75b},
+		"community/directstore/crash-mid-commit": {200, 0x1e6d50d68a59915b},
+		"community/directstore/crash-mid-apply":  {747, 0x2007cb653ad17ca3},
 	}
 	for _, profile := range []string{"afceph", "community"} {
 		for _, backend := range []string{store.BackendFileStore, store.BackendDirectStore} {

@@ -129,6 +129,19 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
+// DueNow reports whether an event is queued for the current instant: one
+// that Run dispatches before any event scheduled from now on. A callback
+// that would otherwise continue by AfterCall(0) and schedule nothing after
+// it may, when DueNow is false, continue inline instead: no other event
+// runs in between, so every later event keeps its order.
+func (k *Kernel) DueNow() bool {
+	if k.ready.len() > 0 {
+		return true
+	}
+	i := int(k.now>>bucketShift) & wheelMask
+	return k.occupied[i>>6]&(1<<(i&63)) != 0 && k.wheel[i].head.t == k.now
+}
+
 // Live returns the number of spawned processes that have not yet finished.
 func (k *Kernel) Live() int { return k.live } //afvet:allow unused core/core_test.go and oslog/oslog_test.go check that every proc finishes through it
 

@@ -714,3 +714,29 @@ func TestWakeWhileAnotherProcRunsPanics(t *testing.T) {
 	})
 	k.Run(Forever)
 }
+
+// TestDueNow: DueNow sees another event due at the current instant
+// wherever it waits — the ready ring, the wheel, or the far heap it
+// migrates from — and nothing due later.
+func TestDueNow(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	note := func(a any) { got = append(got, fmt.Sprintf("%s:%v", a, k.DueNow())) }
+	k.AfterCall(10, note, "wheel1")          // due with wheel2 at 10
+	k.AfterCall(10, note, "wheel2")          // the last one due at 10
+	k.AfterCall(11, note, "alone")           // nothing else at 11
+	k.AfterCall(5*Millisecond, note, "far1") // beyond the wheel's window
+	k.AfterCall(5*Millisecond, note, "far2")
+	k.AfterCall(20, func(any) {
+		k.AfterCall(0, note, "ready") // queued for the current instant
+		note("spawner")
+	}, nil)
+	if k.DueNow() {
+		t.Fatal("DueNow before Run with nothing due at time 0")
+	}
+	k.Run(Forever)
+	want := "[wheel1:true wheel2:false alone:false spawner:true ready:false far1:true far2:false]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+}
