@@ -174,8 +174,10 @@ type Cluster struct {
 
 	// replies recycles ack/read replies between the OSDs and clients.
 	replies sim.FreeList[osd.Reply]
-	// actCache memoizes actingSet per PG for the current map epoch.
-	actCache pgMemo[int]
+	// crushCache memoizes crushSet per PG; actCache memoizes actingSet per
+	// PG for the current map epoch.
+	crushCache pgMemo[int]
+	actCache   pgMemo[int]
 }
 
 // pgMemo memoizes a slice per PG, indexed by PG id, for one map epoch:
@@ -300,56 +302,26 @@ func New(params Params) *Cluster {
 		})
 	}
 
-	// Placement: each OSD, asked about a PG it is primary for, returns the
-	// replica endpoints (the rest of the CRUSH set). Results are memoized
-	// per OSD until the map epoch moves; callers treat the slice as
-	// read-only.
-	for i := range c.osds {
-		o := c.osds[i]
+	// Redundancy policy and placement: every OSD gets the pool's policy
+	// (the constructed default is already plain replication) and its view
+	// of each PG's acting set — all members in canonical CRUSH order, nil
+	// for a down peer. Sets are memoized per OSD until the map epoch moves.
+	for i, o := range c.osds {
+		o.SetPolicy(c.pol)
 		var cache pgMemo[*netsim.Endpoint]
-		o.SetPlacer(func(pg uint32) []*netsim.Endpoint {
-			if eps := cache.get(c.epoch, pg); eps != nil {
-				return eps
+		o.SetActingSet(func(pg uint32) []*netsim.Endpoint {
+			if set := cache.get(c.epoch, pg); set != nil {
+				return set
 			}
-			var eps []*netsim.Endpoint
-			for _, osdID := range c.actingSet(pg) {
-				if c.osds[osdID] != o {
-					eps = append(eps, c.osds[osdID].ClusterEndpoint())
+			ids := c.crushSet(pg)
+			set := make([]*netsim.Endpoint, len(ids))
+			for j, id := range ids {
+				if id == i || !c.down[id] {
+					set[j] = c.osds[id].ClusterEndpoint()
 				}
 			}
-			return cache.put(pg, eps)
+			return cache.put(pg, set)
 		})
-	}
-	// Redundancy policy: every OSD gets the pool's policy (the constructed
-	// default is already plain replication, so this is a no-op for rep
-	// pools). EC pools additionally need the shard placer — the full acting
-	// set in canonical CRUSH order, Self-marked, nil for down members — so
-	// a primary can gather k of k+m shards.
-	for i := range c.osds {
-		c.osds[i].SetPolicy(c.pol)
-	}
-	if c.pol.Kind() == redundancy.KindEC {
-		for i := range c.osds {
-			o := c.osds[i]
-			self := i
-			var cache pgMemo[osd.ShardTarget]
-			o.SetShardPlacer(func(pg uint32) []osd.ShardTarget {
-				if ts := cache.get(c.epoch, pg); ts != nil {
-					return ts
-				}
-				set := c.cmap.PGToOSDs(pg, c.pol.Width())
-				ts := make([]osd.ShardTarget, len(set))
-				for j, osdID := range set {
-					switch {
-					case osdID == self:
-						ts[j] = osd.ShardTarget{Self: true}
-					case !c.down[osdID]:
-						ts[j] = osd.ShardTarget{EP: c.osds[osdID].ClusterEndpoint()}
-					}
-				}
-				return cache.put(pg, ts)
-			})
-		}
 	}
 	return c
 }

@@ -96,6 +96,15 @@ func (c *Cluster) RestartOSD(id int) int {
 	return n
 }
 
+// crushSet returns a PG's CRUSH set, memoized: the map never changes, so
+// neither does the set. The result must be treated as read-only.
+func (c *Cluster) crushSet(pg uint32) []int {
+	if set := c.crushCache.get(0, pg); set != nil {
+		return set
+	}
+	return c.crushCache.put(pg, c.cmap.PGToOSDs(pg, c.pol.Width()))
+}
+
 // actingSet returns the up members of a PG's CRUSH set in order; the first
 // entry acts as primary while any preferred member is down. The result is
 // memoized for the current map epoch and must be treated as read-only.
@@ -103,7 +112,7 @@ func (c *Cluster) actingSet(pg uint32) []int {
 	if up := c.actCache.get(c.epoch, pg); up != nil {
 		return up
 	}
-	set := c.cmap.PGToOSDs(pg, c.pol.Width())
+	set := c.crushSet(pg)
 	up := make([]int, 0, len(set))
 	for _, id := range set {
 		if !c.down[id] {
@@ -180,7 +189,7 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 	}
 	var plans []pgPlan
 	for pg := uint32(0); pg < c.Params.PGs; pg++ {
-		set := c.cmap.PGToOSDs(pg, c.pol.Width())
+		set := c.crushSet(pg)
 		if !slices.Contains(set, id) {
 			continue
 		}
@@ -282,7 +291,7 @@ func (c *Cluster) recoverPG(p *sim.Proc, pg uint32, dstID int, missed map[string
 	dst := c.osds[dstID].FileStore()
 	k := c.pol.DataShards()
 	var peers []int
-	for _, pid := range c.cmap.PGToOSDs(pg, c.pol.Width()) {
+	for _, pid := range c.crushSet(pg) {
 		if pid != dstID && !c.down[pid] && !c.osds[pid].Crashed() {
 			peers = append(peers, pid)
 		}

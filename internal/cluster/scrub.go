@@ -24,28 +24,13 @@ type Inconsistency struct {
 // preserved replication semantics; a tampered store must be caught. All
 // object queries go to each OSD's filestore, whose object table both
 // backends share, so both backends are scrubbed through the same door.
+// Its findings come grouped by object, in sorted oid order.
 func (c *Cluster) ScrubAll() []Inconsistency {
-	return c.scrubAll(c.crushSets())
-}
-
-// crushSets returns every PG's CRUSH set, indexed by PG. The CRUSH map is
-// fixed for the cluster's life, so one set per PG serves a whole pass.
-func (c *Cluster) crushSets() [][]int {
-	sets := make([][]int, c.Params.PGs)
-	for pg := range sets {
-		sets[pg] = c.cmap.PGToOSDs(uint32(pg), c.pol.Width())
-	}
-	return sets
-}
-
-// scrubAll is ScrubAll over precomputed CRUSH sets. Its findings come
-// grouped by object, in sorted oid order.
-func (c *Cluster) scrubAll(sets [][]int) []Inconsistency {
 	var out []Inconsistency
 	var versions []uint64
 	for _, oid := range c.ObjectNames() {
 		pg := crush.ObjectToPG(oid, c.Params.PGs)
-		want := sets[pg]
+		want := c.crushSet(pg)
 		versions = versions[:0]
 		for id, o := range c.osds {
 			v := o.FileStore().ObjectVersion(oid)
@@ -146,12 +131,11 @@ func (c *Cluster) Repair() int {
 // come grouped by object in sorted oid order, so each object is repaired
 // once, in that order.
 func (c *Cluster) RepairIn(p *sim.Proc) int {
-	sets := c.crushSets()
-	inc := c.scrubAll(sets)
+	inc := c.ScrubAll()
 	healed := 0
 	for i, f := range inc {
 		if i == 0 || inc[i-1].OID != f.OID {
-			healed += c.repairObject(p, f.OID, sets[f.PG])
+			healed += c.repairObject(p, f.OID, c.crushSet(f.PG))
 		}
 	}
 	return healed

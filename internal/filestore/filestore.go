@@ -598,7 +598,7 @@ func (f *FileStore) ObjectDamaged(oid string) bool {
 // ExtentDamaged reports whether the stored copy of the extent starting at
 // off is rotten. A damaged object without a per-extent record (coarse
 // corruption, e.g. VerifyData off) counts every extent as damaged.
-func (f *FileStore) ExtentDamaged(oid string, off int64) bool {
+func (f *FileStore) ExtentDamaged(oid string, off int64) bool { //afvet:allow unused filestore_test.go and store/store_test.go check per-extent damage through it
 	o := f.objects[oid]
 	return o != nil && o.extentDamaged(off)
 }

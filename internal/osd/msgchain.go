@@ -28,11 +28,9 @@ import (
 //   - MsgWrite/MsgRead: msgCap grant, then queue to the OP_WQ (intakeGranted).
 //   - MsgRepCommit with OptFastAck: commitFastCPU, the commit bookkeeping,
 //     then per ack ackCPU and the ack's log (fastAckCharged, ackStep).
-//   - MsgShardReadReply: per shard launch repSendCPU, or readCPU and the
-//     store read for the local shard; then the decode CPU and log of the
-//     reply, or the EIO's log (ecPumpStep, ecSettle).
-//   - MsgRepReadReply: repSendCPU toward the next replica, the EIO's log,
-//     or readCPU and the log of the substitute reply (handleRepReadReply).
+//   - MsgShardReadReply: repSendCPU per fetch launched; then the decode
+//     CPU and log of the reply, or the EIO's log (gatherStep,
+//     gatherSettle).
 //
 // And by worker:
 //   - a client write on the primary: the op's log, opSetupCPU,
@@ -41,13 +39,12 @@ import (
 //     filestore throttle, the generation check, then the journal push
 //     (processWrite, startWrite, writeLogBuilt, ...); a replica's sub-op
 //     takes the same steps without the sends (processItem, repLogBuilt);
-//   - a read: the read's log, opSetupCPU, readCPU and the store read
-//     (startRead), then the generation check and the ack's log and reply,
-//     or the replica hunt of a damaged copy (processRead, readDone), or
-//     the answer to a peer's shard or repair fetch (processShardRead,
-//     processRepRead);
-//   - an EC read: the read's log and opSetupCPU, then the gather, the
-//     local shard read inline (processECRead, ecPumpStep, ecSettle);
+//   - a read: the read's log, opSetupCPU, the generation check, readCPU
+//     and the store read (startRead), then the generation check and, when
+//     one clean copy serves it, the ack's log and reply; otherwise a
+//     damaged copy's read-repair log and the gather, the local answer
+//     folded in first (processRead, readDone, startGather, gatherStep);
+//     or the answer to a peer primary's fetch (processShardRead);
 //   - a community replica commit: commitCPU with its allocations and the
 //     commit log, then the commit bookkeeping and per ack ackCPU and the
 //     ack's log (processItem, repCommitCharged, fastAckCharged, ackStep);
@@ -75,21 +72,17 @@ type chainRun struct {
 	arg  any
 	step func(*msgChain) // run when the request in flight completes
 
-	op     *ClientOp // intake: the client op; ack and EIO: the op replied to
-	rc     *repCommit
-	acks   ackRun
-	g      *ecGather
-	set    []ShardTarget
-	idx    int
-	rr     *repRead // the repair fetch
-	rrr    *repReadReply
-	target *netsim.Endpoint // the peer the next fetch goes to
-	sr     *shardRead       // a shard holder's fetch
-	then   func(*msgChain)  // run when a read's store read or a write's set-up completes
-	rop    *repOp           // a replica's sub-op
-	reps   []*netsim.Endpoint
-	e      *jEntry // the write's journal entry until pushed, or a finisher completion's
-	site   int     // a completion's log site
+	op   *ClientOp // intake: the client op; ack and EIO: the op replied to
+	rc   *repCommit
+	acks ackRun
+	g    *gather
+	set  []*netsim.Endpoint // the acting set a write fans out to or a gather asks
+	idx  int
+	sr   *shardRead      // a holder's fetch
+	then func(*msgChain) // run when a read's store read or a write's set-up completes
+	rop  *repOp          // a replica's sub-op
+	e    *jEntry         // the write's journal entry until pushed, or a finisher completion's
+	site int             // a completion's log site
 }
 
 // getChain starts a chain held by m (it calls m.Hold).
@@ -218,8 +211,8 @@ func ackLogged(ch *msgChain) {
 	ackStep(ch)
 }
 
-// eio fails op's read once its log is written, and ends the chain: every
-// copy of the extent is damaged, so no honest data exists to return.
+// eio fails op's read once its log is written, and ends the chain: too few
+// usable copies of the extent exist, so no honest data exists to return.
 func (ch *msgChain) eio(op *ClientOp) {
 	ch.o.metrics.EIOs.Inc()
 	ch.op = op
@@ -228,96 +221,5 @@ func (ch *msgChain) eio(op *ClientOp) {
 
 func eioLogged(ch *msgChain) {
 	ch.o.eioReply(ch.eng, ch.op)
-	ch.end()
-}
-
-// ecPumpStep drives the gather over ch.set: it keeps `need` shard reads
-// in flight while untried candidates remain, charging each launch, then
-// settles the gather. The local shard is read inline (readCPU and the
-// store read); every other launch is a MsgShardRead.
-func ecPumpStep(ch *msgChain) {
-	g, set := ch.g, ch.set
-	if idx := g.nextLaunch(set); idx >= 0 {
-		ch.idx = idx
-		if set[idx].Self {
-			ch.charge(readCPU, localShardCharged)
-			return
-		}
-		ch.charge(repSendCPU, ecShardSent)
-		return
-	}
-	ecSettle(ch)
-}
-
-func localShardCharged(ch *msgChain) {
-	op := ch.g.op
-	ch.rd.OID, ch.rd.Off, ch.rd.Size = op.OID, op.Off, ch.o.pol.ShardLen(op.Len)
-	ch.read(localShardRead)
-}
-
-// localShardRead folds this OSD's own shard into the gather. A damaged
-// local shard is an unusable answer — the pump launches a replacement —
-// and flags the asynchronous heal.
-func localShardRead(ch *msgChain) {
-	o, g := ch.o, ch.g
-	switch {
-	case o.gen != ch.eng.gen:
-		g.done = true // crashed mid-read: the gather dies with this daemon
-	case ch.rd.Damaged:
-		g.out--
-		g.localDamaged = true
-	default:
-		g.out--
-		g.recordUsable(ch.idx, ch.rd.Stamp, ch.rd.Exists)
-	}
-	ecPumpStep(ch)
-}
-
-// ecSettle serves the client from k gathered shards, charging the
-// reconstruction CPU and the reply's log first, or fails the read; with
-// answers still outstanding the chain just ends.
-func ecSettle(ch *msgChain) {
-	g := ch.g
-	switch g.settle() {
-	case ecReady:
-		ch.charge(ch.o.ecDecodeCost(g), ecDecoded)
-	case ecUnreadable:
-		ch.eio(g.op)
-	default:
-		ch.end()
-	}
-}
-
-func ecShardSent(ch *msgChain) {
-	ch.o.sendShardRead(ch.eng, ch.g, ch.idx, ch.set[ch.idx].EP)
-	ecPumpStep(ch)
-}
-
-func ecDecoded(ch *msgChain) { ch.logStep(siteAck, ecLogged) }
-
-func ecLogged(ch *msgChain) {
-	ch.o.ecReply(ch.eng, ch.g)
-	ch.end()
-}
-
-// repReadStep forwards the chain's repair fetch to the next untried
-// replica, or fails the read with EIO when none are left.
-func repReadStep(ch *msgChain) {
-	if ch.target = ch.o.repReadTarget(ch.rr); ch.target == nil {
-		ch.eio(ch.rr.op)
-		return
-	}
-	ch.charge(repSendCPU, repReadSent)
-}
-
-func repReadSent(ch *msgChain) {
-	ch.o.cep.Send(nil, ch.target, 200, MsgRepRead, ch.rr)
-	ch.end()
-}
-
-func repairRead(ch *msgChain) { ch.logStep(siteAck, repairLogged) }
-
-func repairLogged(ch *msgChain) {
-	ch.o.repairReply(ch.eng, ch.rrr)
 	ch.end()
 }

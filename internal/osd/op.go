@@ -14,10 +14,8 @@ const (
 	MsgRepOp                 // primary -> replica OSD
 	MsgRepCommit             // replica -> primary OSD
 	MsgReply                 // OSD -> client (write ack / read reply)
-	MsgRepRead               // primary -> replica: read-repair fetch
-	MsgRepReadReply          // replica -> primary: read-repair result
-	MsgShardRead             // EC primary -> shard holder: gather one shard
-	MsgShardReadReply        // shard holder -> EC primary: shard answer
+	MsgShardRead             // primary -> holder: gather one copy or shard
+	MsgShardReadReply        // holder -> primary: its answer
 )
 
 // OpKind distinguishes client operations.
@@ -64,8 +62,9 @@ type Reply struct {
 	// Stamp echoes the filestore extent stamp for read verification.
 	Stamp  uint64
 	Exists bool
-	// EIO fails a read whose every replica copy is damaged: corrupt data
-	// is never returned, so the only honest answer is an I/O error.
+	// EIO fails a read with fewer usable copies or shards than it needs:
+	// corrupt data is never returned, so the only honest answer is an I/O
+	// error.
 	EIO bool
 	// Rejected reports that per-tenant admission control refused the op at
 	// the messenger before it consumed a message-cap token or queue slot.
@@ -91,43 +90,22 @@ type repCommit struct {
 	parent *ClientOp
 }
 
-// repRead asks a replica for a healthy copy of an extent whose local copy
-// failed verification at the primary. tried indexes into the primary's
-// replica list so a damaged replica forwards the hunt to the next one.
-type repRead struct {
-	op      *ClientOp // the stalled client read (primary-owned; read-only here)
-	primary *netsim.Endpoint
-	tried   int
-	gen     int // primary generation that started the repair
-}
-
-// repReadReply carries a replica's answer back to the primary. When the
-// replica's copy is clean, ok is true and state snapshots the copy for the
-// primary's asynchronous overwrite of its damaged extent.
-type repReadReply struct {
-	rr     *repRead
-	stamp  uint64
-	exists bool
-	ok     bool
-	state  filestore.ObjectState
-}
-
-// shardRead asks one member of an EC acting set for its shard of an
-// extent. Unlike repRead's serial hunt, the EC primary launches k gathers
-// concurrently and the gather state (ecGather) lives at the primary; idx
-// names which acting-set slot this request covers.
+// shardRead asks one member of the acting set for its shard of an extent:
+// its whole copy under replication, its stripe fragment under EC. The
+// gather state lives at the primary; idx names which acting-set slot this
+// request covers.
 type shardRead struct {
 	op      *ClientOp // the client read being assembled (primary-owned)
 	primary *netsim.Endpoint
 	gen     int // primary generation that started the gather
 	idx     int // acting-set slot of the queried member
-	g       *ecGather
+	g       *gather
 }
 
-// shardReadReply carries a shard holder's answer back to the EC primary.
-// ok means the local copy passed verification (a clean "extent absent" is
-// still ok: absence is a valid answer, damage is not). state snapshots the
-// holder's object for read-repair of a damaged primary shard.
+// shardReadReply carries a holder's answer back to the primary. ok means
+// the holder's copy passed verification (a clean "extent absent" is still
+// ok; the primary decides whether absence is usable). state snapshots the
+// holder's object for the heal of a damaged primary copy.
 type shardReadReply struct {
 	sr      *shardRead
 	stamp   uint64
@@ -142,7 +120,6 @@ type workItem struct {
 	cop *ClientOp
 	rop *repOp
 	rc  *repCommit
-	rr  *repRead
 	sr  *shardRead
 }
 

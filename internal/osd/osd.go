@@ -54,11 +54,12 @@ type Metrics struct {
 	// restart.
 	Crashes        stats.Counter
 	JournalReplays stats.Counter
-	// Read-path integrity: ReadRepairs counts client reads that hit a
-	// damaged local extent and were redirected to a replica; RepReads
-	// counts repair fetches served for a peer; RepairWrites counts
-	// asynchronous overwrites that healed a damaged local copy; EIOs
-	// counts reads failed because no healthy replica existed.
+	// Read-path integrity: ReadRepairs counts client reads that found the
+	// primary's own copy damaged and were served from (or failed over) its
+	// peers; RepReads counts gather fetches served for a peer primary, on
+	// either pool kind; RepairWrites counts asynchronous overwrites that
+	// healed a damaged local copy; EIOs counts reads failed because fewer
+	// usable copies or shards than a read needs existed.
 	ReadRepairs  stats.Counter
 	RepReads     stats.Counter
 	RepairWrites stats.Counter
@@ -75,7 +76,7 @@ const (
 	NoteReadRepair = iota
 	// NoteRepaired: the asynchronous overwrite healed the local copy.
 	NoteRepaired
-	// NoteEIO: a read failed because every replica copy was damaged.
+	// NoteEIO: a read failed because too few usable copies existed.
 	NoteEIO
 )
 
@@ -126,15 +127,13 @@ type OSD struct {
 	crashed bool
 	dirty   bool
 
-	placer func(pg uint32) []*netsim.Endpoint
-
 	// pol is the pool's redundancy policy; the default (installed at
 	// construction, replaced via SetPolicy) reproduces the pre-seam
-	// replicated behaviour exactly. shardPlacer maps a PG to its full EC
-	// acting set in canonical order (including this OSD, marked Self);
-	// installed only for EC pools.
-	pol         redundancy.Policy
-	shardPlacer func(pg uint32) []ShardTarget
+	// replicated behaviour exactly. acting maps a PG to its acting set
+	// (see SetActingSet): the write fan-out and the read gather both walk
+	// it.
+	pol    redundancy.Policy
+	acting func(pg uint32) []*netsim.Endpoint
 
 	// integrityNote reports damage events (read-repair, heal, EIO) to the
 	// cluster's integrity log; nil when nobody listens. repairing dedups
@@ -284,27 +283,18 @@ func (o *OSD) startWorkers() {
 	}
 }
 
-// SetPlacer installs the function mapping a PG to its replica endpoints
-// (excluding this OSD, which is the primary for PGs it receives writes on).
-func (o *OSD) SetPlacer(f func(pg uint32) []*netsim.Endpoint) { o.placer = f }
-
-// ShardTarget is one member of an EC acting set, in canonical (CRUSH)
-// order. EP is nil while the member is down; Self marks this OSD's own
-// slot (its shard is read locally, not over the wire).
-type ShardTarget struct {
-	EP   *netsim.Endpoint
-	Self bool
-}
-
 // SetPolicy installs the pool's redundancy policy. The construction-time
 // default is plain replication, which keeps every pre-seam configuration
 // bit-identical; the cluster overrides it before traffic starts.
 func (o *OSD) SetPolicy(pol redundancy.Policy) { o.pol = pol }
 
-// SetShardPlacer installs the function mapping a PG to its full EC acting
-// set (canonical order, Self-marked, nil EP for down members). Required
-// before any read arrives on an EC pool; unused under replication.
-func (o *OSD) SetShardPlacer(f func(pg uint32) []ShardTarget) { o.shardPlacer = f }
+// SetActingSet installs the function mapping a PG to its acting set: the
+// cluster endpoints of all Width() members in canonical (CRUSH) order,
+// this OSD's own ClusterEndpoint in its slot and nil for a down member.
+// A write fans out to the other non-nil members; a gathering read asks
+// them in that order. Required before any client op arrives; callers
+// treat the slice as read-only.
+func (o *OSD) SetActingSet(f func(pg uint32) []*netsim.Endpoint) { o.acting = f }
 
 // SetIntegrityNote installs the cluster's integrity-event listener; fn is
 // called (from a process or kernel context) on read-repair, heal and EIO
@@ -363,9 +353,9 @@ func (o *OSD) Admission() *core.Admission { return o.adm }
 // handleMessage is the messenger dispatch, a netsim.Receiver: it runs in
 // kernel context when the message's messenger CPU charge is served. Work
 // that must wait — the client-message throttle, the fast ack's CPU and log
-// charges, the read-repair and EC-gather replies — continues in a msgChain
-// that holds the message, stalling its connection as a blocked
-// SimpleMessenger thread would (see msgchain.go).
+// charges, the read gather's replies — continues in a msgChain that holds
+// the message, stalling its connection as a blocked SimpleMessenger thread
+// would (see msgchain.go).
 func (o *OSD) handleMessage(m *netsim.Message) {
 	if o.crashed {
 		// The daemon is down: the connection is effectively reset and the
@@ -414,12 +404,8 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 		st := o.pg(rop.pg)
 		st.seen = max(st.seen, rop.seq)
 		o.enqueue(eng, workItem{rop: rop})
-	case MsgRepRead:
-		// Repair fetch from a peer's primary: rides the PG queue like a
-		// replication sub-op (no client-message throttle).
-		o.enqueue(eng, workItem{rr: m.Payload.(*repRead)})
 	case MsgShardRead:
-		// EC gather fetch from the primary: rides the PG queue like a
+		// Gather fetch from a peer's primary: rides the PG queue like a
 		// replication sub-op (no client-message throttle).
 		o.enqueue(eng, workItem{sr: m.Payload.(*shardRead)})
 	case MsgShardReadReply:
@@ -430,15 +416,6 @@ func (o *OSD) handleMessage(m *netsim.Message) {
 		// Handled in messenger context like a fast ack: the client op is
 		// still parked on the primary holding its msgCap token.
 		o.handleShardReadReply(eng, m, srr)
-	case MsgRepReadReply:
-		rrr := m.Payload.(*repReadReply)
-		if rrr.rr.gen != o.gen {
-			return // repair started before a crash; the client retries
-		}
-		// Like the fast ack: handled in messenger context. The client op is
-		// still parked on the primary (its read never replied), so serving
-		// it here re-uses the msgCap token acquired at arrival.
-		o.handleRepReadReply(eng, m, rrr)
 	case MsgRepCommit:
 		rc := m.Payload.(*repCommit)
 		if rc.parent.gen != o.gen {
@@ -478,8 +455,6 @@ func (o *OSD) itemPG(it workItem) uint32 {
 		return it.rop.pg
 	case it.rc != nil:
 		return it.rc.parent.PG
-	case it.rr != nil:
-		return it.rr.op.PG
 	case it.sr != nil:
 		return it.sr.op.PG
 	}
@@ -552,8 +527,6 @@ func (o *OSD) processItem(eng *engine, it workItem, done func(any), arg any) {
 		o.metrics.RepOps.Inc()
 		ch.rop = it.rop
 		ch.startWrite(repLogBuilt)
-	case it.rr != nil:
-		o.processRepRead(ch, it.rr)
 	case it.sr != nil:
 		o.processShardRead(ch, it.sr)
 	case it.rc != nil:
@@ -619,25 +592,36 @@ func writeLogBuilt(ch *msgChain) {
 	ch.charge(o.pol.EncodeCost(op.Len), writeEncoded)
 }
 
+// writeEncoded counts the up peers of the acting set, whose commits the
+// ack waits for, and starts the fan-out.
 func writeEncoded(ch *msgChain) {
-	ch.reps = ch.o.placer(ch.op.PG)
-	ch.op.waitCommits = len(ch.reps)
+	o, op := ch.o, ch.op
+	ch.set = o.acting(op.PG)
+	peers := 0
+	for _, ep := range ch.set {
+		if ep != nil && ep != o.cep {
+			peers++
+		}
+	}
+	op.waitCommits = peers
 	writeRepStep(ch)
 }
 
-// writeRepStep sends the next replica its sub-op, charging repSendCPU
+// writeRepStep sends the next up peer its sub-op, charging repSendCPU
 // first; with none left, it logs the submit.
 func writeRepStep(ch *msgChain) {
-	if ch.idx < len(ch.reps) {
-		ch.charge(repSendCPU, writeRepCharged)
-		return
+	for ; ch.idx < len(ch.set); ch.idx++ {
+		if ep := ch.set[ch.idx]; ep != nil && ep != ch.o.cep {
+			ch.charge(repSendCPU, writeRepCharged)
+			return
+		}
 	}
 	ch.logStep(siteSubmit, writeSubmitLogged)
 }
 
 func writeRepCharged(ch *msgChain) {
 	o, op := ch.o, ch.op
-	r := ch.reps[ch.idx]
+	r := ch.set[ch.idx]
 	ch.idx++
 	shardLen := o.pol.ShardLen(op.Len)
 	rop := o.ropFree.Get()
@@ -688,63 +672,6 @@ func journalPush(ch *msgChain) {
 	if ch.eng.journalQ.PushCall(ch.e, chainStep, ch) {
 		ch.end()
 	}
-}
-
-// processRead services a read on the primary under the PG lock: the read
-// path (startRead), then the reply or the read-repair, in the worker's
-// chain.
-func (o *OSD) processRead(ch *msgChain, op *ClientOp) {
-	if o.pol.Kind() == redundancy.KindEC {
-		// EC pools cannot serve from one copy: the primary gathers k of the
-		// k+m shards (its own included) and reconstructs if any are parity.
-		o.processECRead(ch, op)
-		return
-	}
-	o.metrics.ReadOps.Inc()
-	ch.op = op
-	ch.startRead(op.OID, op.Off, op.Len, readDone)
-}
-
-// startRead runs the head of every read an op worker serves: the read's
-// log, the op setup CPU, readCPU, then the store read of size bytes of oid
-// at off; then tail.
-func (ch *msgChain) startRead(oid string, off, size int64, tail func(*msgChain)) {
-	ch.rd.OID, ch.rd.Off, ch.rd.Size = oid, off, size
-	ch.then = tail
-	ch.logStep(siteRead, readLogged)
-}
-
-func readLogged(ch *msgChain) { ch.setUp(readSetUp) }
-
-func readSetUp(ch *msgChain) { ch.charge(readCPU, readCharged) }
-
-func readCharged(ch *msgChain) { ch.read(ch.then) }
-
-// readDone answers a replicated read from the local copy, once the ack's
-// log is written, or starts the replica hunt when the copy is damaged.
-func readDone(ch *msgChain) {
-	o := ch.o
-	switch {
-	case o.gen != ch.eng.gen:
-		// Crashed mid-read: no reply, client retries elsewhere.
-		ch.end()
-	case ch.rd.Damaged:
-		// The local copy failed verification: corrupt data is never
-		// returned. Fetch the extent from a replica (read-repair), or fail
-		// the read with EIO when no healthy copy exists anywhere.
-		startReadRepair(ch)
-	default:
-		ch.logStep(siteAck, readAcked)
-	}
-}
-
-func readAcked(ch *msgChain) {
-	o, op := ch.o, ch.op
-	rep := o.replies.Get()
-	rep.Op, rep.Stamp, rep.Exists = op, ch.rd.Stamp, ch.rd.Exists
-	o.ep.Send(nil, op.Client, op.Len+readReplyOverhead, MsgReply, rep)
-	ch.eng.msgCap.Release(1)
-	ch.end()
 }
 
 // repLogBuilt logs the sub-op's primary-assigned sequence, then takes a

@@ -33,7 +33,8 @@ func newHarness(cfg Config) *harness {
 	ep := net.NewEndpoint("osd", node, true)
 	cfg.FStore.VerifyData = true
 	o := NewSplit(k, cfg, node, ep, ep, ssd, nvram, r, &sim.FreeList[Reply]{})
-	o.SetPlacer(func(pg uint32) []*netsim.Endpoint { return nil })
+	alone := []*netsim.Endpoint{ep}
+	o.SetActingSet(func(uint32) []*netsim.Endpoint { return alone })
 	h := &harness{k: k, net: net, o: o, acks: make(map[uint64]*Reply), ackAt: make(map[uint64]sim.Time)}
 	h.client = net.NewEndpoint("client", clientNode, true)
 	h.client.SetReceiver(func(m *netsim.Message) {

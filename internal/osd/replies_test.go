@@ -10,9 +10,9 @@ import (
 
 // TestWorkerRepliesPinned pins the replies an op worker sends itself: the
 // write ack, a clean replicated read, the EIO of a replicated read whose
-// only copy is damaged, the EIO of an EC read with only the primary up, an
-// EC read the primary serves from its own shard, and a shard holder's
-// answer to an EC primary's gather fetch. Each runs on both logging modes:
+// only copy is damaged, the EIO of an EC read with only the primary up, a
+// k = 1 EC read the primary serves from its own shard, and a shard
+// holder's answer to an EC primary's gather fetch. Each runs on both logging modes:
 // the AFCeph profile logs asynchronously, the community one waits for its
 // logger thread. The reply times and flags are those of the worker paths
 // before they were built on callback chains, which must reproduce them
@@ -41,18 +41,22 @@ func TestWorkerRepliesPinned(t *testing.T) {
 		}},
 		{"ec-primary-only", func(h *harness) {
 			h.o.SetPolicy(redundancy.EC{K: 2, M: 1})
-			set := []ShardTarget{{Self: true}, {}, {}}
-			h.o.SetShardPlacer(func(uint32) []ShardTarget { return set })
+			set := []*netsim.Endpoint{h.o.ClusterEndpoint(), nil, nil}
+			h.o.SetActingSet(func(uint32) []*netsim.Endpoint { return set })
 		}, false, nil, map[string]pin{
 			"afceph":    {352578, 50478249, true, false, 78},
 			"community": {1511428, 51520360, true, false, 95},
 		}},
+		// The peer joins the acting set after the write, so the write stays
+		// unreplicated and the read has a member it need not ask.
 		{"ec-served-alone", func(h *harness) {
 			h.o.SetPolicy(redundancy.EC{K: 1, M: 1})
+		}, false, func(h *harness, p *sim.Proc) {
 			peer := h.net.NewEndpoint("peer", h.o.node, true)
-			set := []ShardTarget{{Self: true}, {EP: peer}}
-			h.o.SetShardPlacer(func(uint32) []ShardTarget { return set })
-		}, false, nil, map[string]pin{
+			set := []*netsim.Endpoint{h.o.ClusterEndpoint(), peer}
+			h.o.SetActingSet(func(uint32) []*netsim.Endpoint { return set })
+			h.send(p, OpRead, 2, "obj", 0, 4096, 0)
+		}, map[string]pin{
 			"afceph":    {355439, 50489467, false, true, 78},
 			"community": {1514289, 51531578, false, true, 95},
 		}},

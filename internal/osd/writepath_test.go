@@ -69,9 +69,10 @@ func newPairHarness(cfg Config) *pairHarness {
 		ep := net.NewEndpoint(fmt.Sprintf("osd%d", i), node, true)
 		h.osds[i] = NewSplit(k, c, node, ep, ep, h.data[i], h.jrnl[i], r, replies)
 	}
-	replica := []*netsim.Endpoint{h.osds[1].ClusterEndpoint()}
-	h.osds[0].SetPlacer(func(uint32) []*netsim.Endpoint { return replica })
-	h.osds[1].SetPlacer(func(uint32) []*netsim.Endpoint { return nil })
+	pair := []*netsim.Endpoint{h.osds[0].ClusterEndpoint(), h.osds[1].ClusterEndpoint()}
+	alone := []*netsim.Endpoint{h.osds[1].ClusterEndpoint()}
+	h.osds[0].SetActingSet(func(uint32) []*netsim.Endpoint { return pair })
+	h.osds[1].SetActingSet(func(uint32) []*netsim.Endpoint { return alone })
 	clientNode := cpumodel.NewNode(k, "client", 16, cpumodel.JEMalloc)
 	for i := range h.clients {
 		h.clients[i] = net.NewEndpoint(fmt.Sprintf("client%d", i), clientNode, true)

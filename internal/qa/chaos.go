@@ -86,8 +86,8 @@ type ChaosResult struct {
 	RotDetected   int    // injections with a detection event (scrub finding or read-repair)
 	RotRepaired   int    // injections with a repair event after injection
 	RotVacated    int    // injections erased by client overwrites before any scrub saw them
-	ReadRepairs   uint64 // primary reads served from a replica after damage
-	EIOs          uint64 // reads failed for want of any healthy copy
+	ReadRepairs   uint64 // client reads that found the primary's own copy damaged
+	EIOs          uint64 // reads failed for want of enough healthy copies
 	ScrubFindings uint64 // background scrub findings
 	ScrubRepairs  uint64 // copies healed by background auto-repair
 	// Fingerprint digests the run's observable history; identical seeds

@@ -7,11 +7,15 @@
 //   - ack quorum: a write is acked only after every *up* member of the set
 //     commits, so MinAvailable is the floor below which the pool stops
 //     serving (1 surviving copy for replication, k shards for RS(k,m));
-//   - degraded reads: replication serves from any single copy, erasure
-//     coding gathers MinAvailable shards and reconstructs when the gathered
-//     set is not the canonical data set (DecodeCost > 0 charges the CPU);
+//   - reads: a read needs DataShards() usable answers, the primary's own
+//     first: one clean copy under replication (the k = 1 code), k shards
+//     under RS(k,m), reconstructed when the gathered set is not the
+//     canonical data set (DecodeCost > 0 charges the CPU);
 //   - repair planning: reconstruction needs MinAvailable clean
 //     contributors, where replication needs one.
+//
+// The engine asks only these questions, never which family a policy
+// belongs to, so reads, writes and recovery each take one path for both.
 //
 // Two implementations exist: Replicated (N full copies — the paper's
 // testbed runs 3x) and EC (Reed-Solomon RS(k,m) striping: k data + m
@@ -38,22 +42,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Kind discriminates policy families where the engine's control flow must
-// genuinely differ (e.g. the EC gather-read path).
-type Kind int
-
-// Policy families.
-const (
-	KindReplicated Kind = iota
-	KindEC
-)
-
 // Policy answers every redundancy question the data path asks. Implementations
 // must be pure value types: methods are called from simulation processes and
 // must not allocate per-op or consult any randomness.
 type Policy interface {
-	// Kind reports the policy family.
-	Kind() Kind
 	// Width is the number of distinct OSDs a PG places on (replicas, or
 	// k+m shards).
 	Width() int
@@ -89,9 +81,6 @@ type Replicated struct {
 	N int
 }
 
-// Kind reports KindReplicated.
-func (Replicated) Kind() Kind { return KindReplicated }
-
 // Width returns the copy count.
 func (r Replicated) Width() int { return r.N }
 
@@ -121,9 +110,6 @@ func (r Replicated) String() string { return fmt.Sprintf("rep%d", r.N) }
 type EC struct {
 	K, M int
 }
-
-// Kind reports KindEC.
-func (EC) Kind() Kind { return KindEC }
 
 // Width returns k+m.
 func (e EC) Width() int { return e.K + e.M }

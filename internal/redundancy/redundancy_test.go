@@ -12,7 +12,7 @@ import (
 // guarantee for every pre-existing golden figure.
 func TestReplicatedMatchesPreSeamValues(t *testing.T) {
 	r := Replicated{N: 3}
-	if r.Kind() != KindReplicated || r.Width() != 3 || r.DataShards() != 1 || r.ParityShards() != 2 {
+	if r.Width() != 3 || r.DataShards() != 1 || r.ParityShards() != 2 {
 		t.Fatalf("rep3 shape wrong: %+v", r)
 	}
 	for _, n := range []int64{0, 1, 4096, 4<<20 - 1} {
@@ -33,7 +33,7 @@ func TestReplicatedMatchesPreSeamValues(t *testing.T) {
 
 func TestECShape(t *testing.T) {
 	e := EC{K: 4, M: 2}
-	if e.Kind() != KindEC || e.Width() != 6 || e.DataShards() != 4 || e.ParityShards() != 2 {
+	if e.Width() != 6 || e.DataShards() != 4 || e.ParityShards() != 2 {
 		t.Fatalf("ec4+2 shape wrong: %+v", e)
 	}
 	if e.ShardLen(4096) != 1024 || e.ShardLen(4097) != 1025 || e.ShardLen(1) != 1 || e.ShardLen(0) != 0 {

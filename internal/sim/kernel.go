@@ -155,7 +155,7 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Spawned returns the total number of processes started with Go.
-func (k *Kernel) Spawned() uint64 { return uint64(k.nextID) } //afvet:allow unused device/submit_test.go, netsim/net_test.go, osd/ecread_test.go and oslog/oslog_test.go count the procs a path spawns through it
+func (k *Kernel) Spawned() uint64 { return uint64(k.nextID) } //afvet:allow unused device/submit_test.go, netsim/net_test.go, osd/read_test.go and oslog/oslog_test.go count the procs a path spawns through it
 
 func (k *Kernel) newEvent(t Time) *event {
 	if t < k.now {
