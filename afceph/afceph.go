@@ -153,7 +153,10 @@ type FioSpec struct {
 	// RuntimeSec is measured time after RampSec of warm-up.
 	RuntimeSec float64
 	RampSec    float64
-	// Prefill writes all objects first so reads hit existing data.
+	// Prefill writes all objects first so reads hit existing data. It
+	// drains the kernel, so RunFio rejects it on a cluster whose heartbeats
+	// (HeartbeatMs) or background scrub (Scrub.Interval) keep the kernel
+	// busy forever.
 	Prefill bool
 }
 
@@ -202,6 +205,9 @@ func (c *Cluster) RunFio(spec FioSpec) (FioResult, error) {
 	}
 	if spec.VMs <= 0 || spec.BlockSize <= 0 || spec.IODepth <= 0 {
 		return FioResult{}, fmt.Errorf("afceph: VMs, BlockSize and IODepth must be positive")
+	}
+	if spec.Prefill && (c.cfg.HeartbeatMs > 0 || c.cfg.Scrub.Interval > 0) {
+		return FioResult{}, fmt.Errorf("afceph: Prefill drains the kernel, which heartbeats or a background scrub keep busy forever")
 	}
 	imageSize := spec.ImageSize
 	if imageSize <= 0 {

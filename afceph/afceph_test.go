@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func miniConfig(t Tuning) Config {
@@ -152,6 +154,28 @@ func TestRunFioPrefillThenRead(t *testing.T) {
 	}
 	if res.IOPS <= 0 {
 		t.Fatal("no read throughput")
+	}
+}
+
+// TestRunFioPrefillNeedsIdleKernel: Prefill drains the kernel, which a
+// heartbeat or scrub loop never leaves, so RunFio rejects the combination
+// before it simulates anything instead of hanging.
+func TestRunFioPrefillNeedsIdleKernel(t *testing.T) {
+	hb := miniConfig(AFCeph())
+	hb.HeartbeatMs = 25
+	scrub := miniConfig(AFCeph())
+	scrub.Scrub = ScrubParams{Interval: 50 * sim.Millisecond, MaxConcurrentPGs: 1}
+	for name, cfg := range map[string]Config{"heartbeats": hb, "scrub": scrub} {
+		c := New(cfg)
+		_, err := c.RunFio(FioSpec{Workload: "randread", BlockSize: 4096, VMs: 1, IODepth: 1,
+			ImageSize: 8 << 20, RuntimeSec: 0.1, Prefill: true})
+		if err == nil || !strings.Contains(err.Error(), "Prefill") {
+			t.Errorf("%s: err %v, want a Prefill error", name, err)
+		}
+		if now := c.Internal().K.Now(); now != 0 {
+			t.Errorf("%s: the clock moved to %d before the error", name, now)
+		}
+		c.Close()
 	}
 }
 

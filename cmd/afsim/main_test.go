@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,6 +126,29 @@ func TestFlagsTheModeIgnoresRejected(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("afsim %v: printed results for flags it should reject:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestPrefillWithBackgroundLoopsFails: a prefill drains the kernel, which
+// the heartbeats of a fault run or a background scrub keep busy forever.
+// afsim reports RunFio's error and exits 1 instead of hanging.
+func TestPrefillWithBackgroundLoopsFails(t *testing.T) {
+	base := []string{"-rw", "randread", "-prefill", "-runtime", "0.6", "-ramp", "0.1", "-vms", "2", "-image-gb", "1"}
+	for _, extra := range [][]string{
+		{"-fail-at", "200", "-recover-at", "500"},
+		{"-scrub-ms", "50"},
+	} {
+		args := append(slices.Clone(base), extra...)
+		var stdout, stderr strings.Builder
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("afsim %v: exit %d, want 1\nstderr: %s", args, code, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "Prefill") {
+			t.Errorf("afsim %v: stderr %q does not name Prefill", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("afsim %v: printed results:\n%s", args, stdout.String())
 		}
 	}
 }

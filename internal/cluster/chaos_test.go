@@ -261,7 +261,7 @@ func TestRepairHealsCorruptedReplica(t *testing.T) {
 			// stamp 1 at offset 0 by the batch above).
 			oid := "rbd.img.0"
 			pg := crush.ObjectToPG(oid, c.Params.PGs)
-			set := c.Map().PGToOSDs(pg, c.PoolWidth())
+			set := c.CrushSet(pg)
 			victim := set[len(set)-1]
 			if !c.OSDs()[victim].FileStore().CorruptObject(oid) {
 				t.Fatalf("osd.%d holds no copy of %s", victim, oid)

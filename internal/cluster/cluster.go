@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
@@ -174,40 +175,72 @@ type Cluster struct {
 
 	// replies recycles ack/read replies between the OSDs and clients.
 	replies sim.FreeList[osd.Reply]
-	// crushCache memoizes crushSet per PG; actCache memoizes actingSet per
-	// PG for the current map epoch.
-	crushCache pgMemo[int]
-	actCache   pgMemo[int]
+	// views is the one placement view of each PG, indexed by PG id (see
+	// view).
+	views []pgView
 }
 
-// pgMemo memoizes a slice per PG, indexed by PG id, for one map epoch:
-// CRUSH placement is pure, so entries only invalidate when the epoch
-// moves. The table grows on the first store of a higher PG id. A nil
-// slice reads as not memoized, and is recomputed at no allocation.
-type pgMemo[E any] struct {
+// pgView is one PG's placement, filled lazily: the CRUSH set, computed
+// once (the map never changes), and for the map epoch of the last read the
+// up members in CRUSH order and one cluster endpoint per CRUSH slot, nil
+// for a down member. An epoch change drops both slices for new ones
+// rather than editing them, so a slice handed out earlier keeps
+// describing its epoch. Callers treat every slice as read-only.
+type pgView struct {
+	crush []int
 	epoch int
-	sets  [][]E
+	up    []int
+	eps   []*netsim.Endpoint
 }
 
-// get returns pg's slice memoized in epoch, or nil.
-func (m *pgMemo[E]) get(epoch int, pg uint32) []E {
-	if m.epoch != epoch {
-		clear(m.sets)
-		m.epoch = epoch
+// view returns pg's view, current for the map epoch. The table itself is
+// allocated on first use, keeping it off a cluster's set-up.
+func (c *Cluster) view(pg uint32) *pgView {
+	if c.views == nil {
+		c.views = make([]pgView, c.Params.PGs)
 	}
-	if int(pg) < len(m.sets) {
-		return m.sets[pg]
+	v := &c.views[pg]
+	if v.crush == nil {
+		v.crush = c.cmap.PGToOSDs(pg, c.pol.Width())
 	}
-	return nil
+	if v.epoch != c.epoch {
+		*v = pgView{crush: v.crush, epoch: c.epoch}
+	}
+	return v
 }
 
-// put memoizes s for pg in the epoch of the last get, and returns it.
-func (m *pgMemo[E]) put(pg uint32, s []E) []E {
-	for len(m.sets) <= int(pg) {
-		m.sets = append(m.sets, nil)
+// CrushSet returns a PG's CRUSH set, primary first. The result must be
+// treated as read-only.
+func (c *Cluster) CrushSet(pg uint32) []int { return c.view(pg).crush }
+
+// actingSet returns the up members of a PG's CRUSH set in order; the first
+// entry acts as primary while any preferred member is down.
+func (c *Cluster) actingSet(pg uint32) []int {
+	v := c.view(pg)
+	if v.up == nil {
+		v.up = make([]int, 0, len(v.crush))
+		for _, id := range v.crush {
+			if !c.down[id] {
+				v.up = append(v.up, id)
+			}
+		}
 	}
-	m.sets[pg] = s
-	return s
+	return v.up
+}
+
+// acting returns a PG's cluster endpoints in CRUSH order, nil for a down
+// member, and OSD id's slot in them (-1 for a non-member).
+func (c *Cluster) acting(pg uint32, id int) ([]*netsim.Endpoint, int) {
+	v := c.view(pg)
+	if v.eps == nil {
+		v.eps = make([]*netsim.Endpoint, len(v.crush))
+		for j, m := range v.crush {
+			if !c.down[m] {
+				v.eps[j] = c.osds[m].ClusterEndpoint()
+			}
+		}
+	}
+	return v.eps, slices.Index(v.crush, id)
 }
 
 // New builds and wires the cluster; the kernel is ready to Run. It panics on
@@ -302,26 +335,11 @@ func New(params Params) *Cluster {
 		})
 	}
 
-	// Redundancy policy and placement: every OSD gets the pool's policy
-	// (the constructed default is already plain replication) and its view
-	// of each PG's acting set — all members in canonical CRUSH order, nil
-	// for a down peer. Sets are memoized per OSD until the map epoch moves.
+	// Redundancy policy and placement: every OSD gets the pool's policy and
+	// reads each PG's acting set, with its own slot, from the one view.
 	for i, o := range c.osds {
 		o.SetPolicy(c.pol)
-		var cache pgMemo[*netsim.Endpoint]
-		o.SetActingSet(func(pg uint32) []*netsim.Endpoint {
-			if set := cache.get(c.epoch, pg); set != nil {
-				return set
-			}
-			ids := c.crushSet(pg)
-			set := make([]*netsim.Endpoint, len(ids))
-			for j, id := range ids {
-				if id == i || !c.down[id] {
-					set[j] = c.osds[id].ClusterEndpoint()
-				}
-			}
-			return cache.put(pg, set)
-		})
+		o.SetActingSet(func(pg uint32) ([]*netsim.Endpoint, int) { return c.acting(pg, i) })
 	}
 	return c
 }
@@ -345,13 +363,9 @@ func (c *Cluster) OSDs() []*osd.OSD { return c.osds }
 // Nodes returns the server CPU nodes.
 func (c *Cluster) Nodes() []*cpumodel.Node { return c.nodes }
 
-// Map returns the CRUSH map.
-func (c *Cluster) Map() *crush.Map { return c.cmap }
-
 // PrimaryFor returns the primary OSD for an object name.
 func (c *Cluster) PrimaryFor(oid string) *osd.OSD {
-	pg := crush.ObjectToPG(oid, c.Params.PGs)
-	return c.osds[c.cmap.Primary(pg, c.pol.Width())]
+	return c.osds[c.CrushSet(crush.ObjectToPG(oid, c.Params.PGs))[0]]
 }
 
 // DataDevice returns an OSD's RAID0 data array.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -334,7 +335,7 @@ func TestAggregateStatsAccessors(t *testing.T) {
 	if c.AggregateLockStats().Acquires == 0 {
 		t.Fatal("no PG lock activity recorded")
 	}
-	if c.Map().NumOSDs() != 4 || len(c.Nodes()) != 2 {
+	if c.cmap.NumOSDs() != 4 || len(c.Nodes()) != 2 {
 		t.Fatal("topology accessors wrong")
 	}
 }
@@ -354,5 +355,44 @@ func TestOSDsRunNoProcess(t *testing.T) {
 	c.RestartOSD(1)
 	if n := c.K.Live(); n != 0 {
 		t.Fatalf("%d processes live after a crash and restart, want 0", n)
+	}
+}
+
+// TestPlacementViewShared: within one map epoch every member of a PG reads
+// the same endpoint slice from the one placement view, with its own slot
+// index; a down member's slot is nil; and a slice handed out before
+// FailOSD keeps describing its epoch afterwards.
+func TestPlacementViewShared(t *testing.T) {
+	p := smallParams(osd.AFCeph().Config())
+	p.Pool = "rep3"
+	c := New(p)
+	const pg = 5
+	set := c.CrushSet(pg)
+	eps, _ := c.acting(pg, set[0])
+	for slot, id := range set {
+		got, self := c.acting(pg, id)
+		if &got[0] != &eps[0] || self != slot {
+			t.Fatalf("osd.%d got a slice of its own or slot %d, want the shared slice and slot %d", id, self, slot)
+		}
+		if got[slot] != c.OSDs()[id].ClusterEndpoint() {
+			t.Fatalf("slot %d holds %v, want osd.%d's cluster endpoint", slot, got[slot], id)
+		}
+	}
+	for id := range c.OSDs() {
+		if _, self := c.acting(pg, id); !slices.Contains(set, id) && self != -1 {
+			t.Fatalf("non-member osd.%d got slot %d, want -1", id, self)
+		}
+	}
+	before := slices.Clone(eps)
+	c.FailOSD(set[1])
+	after, self := c.acting(pg, set[1])
+	if after[1] != nil || self != 1 || after[0] == nil || after[2] == nil {
+		t.Fatalf("after FailOSD(%d): slots %v, self %d; want slot 1 nil, the others set, self 1", set[1], after, self)
+	}
+	if !slices.Equal(eps, before) {
+		t.Fatalf("slice handed out before FailOSD changed: %v, was %v", eps, before)
+	}
+	if up := c.actingSet(pg); !slices.Equal(up, []int{set[0], set[2]}) {
+		t.Fatalf("acting set %v, want %v", up, []int{set[0], set[2]})
 	}
 }

@@ -63,7 +63,7 @@ func damagedReads(pool string) (damagedPin, string) {
 		}
 		for i := 0; i < objects; i++ {
 			oid := fmt.Sprintf("obj-%d", i)
-			set := c.Map().PGToOSDs(crush.ObjectToPG(oid, p.PGs), c.PoolWidth())
+			set := c.CrushSet(crush.ObjectToPG(oid, p.PGs))
 			if i%4 == 0 || i%4 == 2 {
 				c.OSDs()[set[0]].FileStore().CorruptObject(oid)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crush"
 	"repro/internal/filestore"
+	"repro/internal/osd"
 	"repro/internal/sim"
 )
 
@@ -30,12 +31,14 @@ import (
 //     backfills it instead of trusting PG-log deltas.
 //
 // RecoverOSD brings a down OSD back and resynchronizes every PG it
-// participates in. When a healthy peer's retained PG log covers the missed
-// interval (and the OSD went down cleanly), only the logged objects are
-// compared (log-based recovery); otherwise the whole PG is compared
-// object-by-object (backfill). Either way the data motion is simulated
-// I/O: reads on k peers, a network push, a decode and a write on the
-// rejoining OSD (recoverPG).
+// participates in. Peering is the OSD's own (osd.Peer): this file picks
+// each PG's members from the placement view and reads no PG log. When the
+// last up peer's retained PG log covers the missed interval (and the OSD
+// went down cleanly), only the logged objects are compared (log-based
+// recovery); otherwise the whole PG is compared object-by-object
+// (backfill). Either way the data motion is simulated I/O: reads on k
+// peers, a network push, a decode and a write on the rejoining OSD
+// (recoverPG).
 //
 // After RecoverOSD completes, ScrubAll must come back clean — the
 // regression test that the optimizations kept recovery intact.
@@ -96,32 +99,6 @@ func (c *Cluster) RestartOSD(id int) int {
 	return n
 }
 
-// crushSet returns a PG's CRUSH set, memoized: the map never changes, so
-// neither does the set. The result must be treated as read-only.
-func (c *Cluster) crushSet(pg uint32) []int {
-	if set := c.crushCache.get(0, pg); set != nil {
-		return set
-	}
-	return c.crushCache.put(pg, c.cmap.PGToOSDs(pg, c.pol.Width()))
-}
-
-// actingSet returns the up members of a PG's CRUSH set in order; the first
-// entry acts as primary while any preferred member is down. The result is
-// memoized for the current map epoch and must be treated as read-only.
-func (c *Cluster) actingSet(pg uint32) []int {
-	if up := c.actCache.get(c.epoch, pg); up != nil {
-		return up
-	}
-	set := c.crushSet(pg)
-	up := make([]int, 0, len(set))
-	for _, id := range set {
-		if !c.down[id] {
-			up = append(up, id)
-		}
-	}
-	return c.actCache.put(pg, up)
-}
-
 // RecoveryStats summarizes one RecoverOSD operation.
 type RecoveryStats struct {
 	// PGsRecovered counts the PGs where at least one object was copied;
@@ -174,87 +151,32 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 	st.JournalReplays = c.lastReplays[id]
 	c.lastReplays[id] = 0
 
-	// Peering prologue. This stretch is synchronous (no simulated I/O, no
-	// yields), so it completes before any client op can reach the rejoining
-	// OSD: for every PG the member set agrees on a common log head — the
-	// maximum over all up members, covering both a peer that ran ahead
-	// degraded and a crashed target whose replayed journal holds sequences
-	// its peers never received — and every member fast-forwards to it, so
-	// primary-assigned sequences continue contiguously on all copies
-	// whichever member acts as primary next.
+	// Peering prologue (osd.Peer), synchronous: no simulated I/O and no
+	// yields, so it completes for every PG before any client op can reach
+	// the rejoining OSD. peers and members are scratch, reused per PG.
 	type pgPlan struct {
-		pg         uint32
-		missed     map[string]bool
-		logCovered bool
+		pg     uint32
+		missed map[string]bool // nil: backfill
 	}
 	var plans []pgPlan
+	var peers, members []*osd.OSD
 	for pg := uint32(0); pg < c.Params.PGs; pg++ {
-		set := c.crushSet(pg)
+		set := c.CrushSet(pg)
 		if !slices.Contains(set, id) {
 			continue
 		}
-		var peers []int
+		peers, members = peers[:0], members[:0]
 		for _, o := range set {
+			members = append(members, c.osds[o])
 			if o != id && !c.down[o] {
-				peers = append(peers, o)
+				peers = append(peers, c.osds[o])
 			}
 		}
 		if len(peers) == 0 {
 			continue
 		}
 		st.DegradedPGs++
-		// Compare the target's applied horizon with the last up peer's
-		// retained log (before adoption rewrites either). If the log covers
-		// the gap, recover only the objects it names; otherwise backfill.
-		targetHead := target.PGLogApplied(pg)
-		peerLog := c.osds[peers[len(peers)-1]].PGLog(pg)
-		var missed map[string]bool
-		logCovered := !dirty && len(peerLog) > 0 && peerLog[0].Seq <= targetHead+1
-		if logCovered {
-			missed = make(map[string]bool)
-			for _, e := range peerLog {
-				if e.Seq > targetHead {
-					missed[e.OID] = true
-				}
-			}
-		}
-		head := target.PGLogHead(pg)
-		for _, pid := range peers {
-			if h := c.osds[pid].PGLogHead(pg); h > head {
-				head = h
-			}
-		}
-		if head > 0 {
-			target.AdoptPGState(pg, head)
-			for _, pid := range peers {
-				c.osds[pid].AdoptPGState(pg, head)
-			}
-		}
-		// Log heads alone under-count: a sub-op the previous primary fanned
-		// out may still sit unprocessed in a peer's queue — or in flight on
-		// the wire — invisible to PGLogHead. Floor every member's assignment
-		// counter at the maximum assignment horizon over the WHOLE member
-		// set, down members included: the counter survives a crash
-		// precisely so a dead assigner still vouches for sequences it
-		// launched (this is
-		// interval metadata the monitor would hold, so reading a down
-		// member's counter costs no simulated I/O). Whichever member leads
-		// this PG next can then never re-assign a sequence that is queued or
-		// in flight toward another member's log (the duplicate would break
-		// the PG log's strict ordering).
-		floor := head
-		for _, o := range set {
-			if h := c.osds[o].PGSeqHorizon(pg); h > floor {
-				floor = h
-			}
-		}
-		if floor > head {
-			target.RaisePGSeq(pg, floor)
-			for _, pid := range peers {
-				c.osds[pid].RaisePGSeq(pg, floor)
-			}
-		}
-		plans = append(plans, pgPlan{pg: pg, missed: missed, logCovered: logCovered})
+		plans = append(plans, pgPlan{pg: pg, missed: osd.Peer(pg, target, peers, members, dirty)})
 	}
 
 	// Data motion, in simulated time (the workload may keep running
@@ -264,7 +186,7 @@ func (c *Cluster) RecoverOSDIn(p *sim.Proc, id int) RecoveryStats {
 			continue
 		}
 		st.PGsRecovered++
-		if pl.logCovered {
+		if pl.missed != nil {
 			st.LogRecoveries++
 		} else {
 			st.Backfills++
@@ -291,7 +213,7 @@ func (c *Cluster) recoverPG(p *sim.Proc, pg uint32, dstID int, missed map[string
 	dst := c.osds[dstID].FileStore()
 	k := c.pol.DataShards()
 	var peers []int
-	for _, pid := range c.crushSet(pg) {
+	for _, pid := range c.CrushSet(pg) {
 		if pid != dstID && !c.down[pid] && !c.osds[pid].Crashed() {
 			peers = append(peers, pid)
 		}

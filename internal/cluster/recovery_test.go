@@ -228,7 +228,7 @@ func TestPGsRecoveredCountsOnlyCopies(t *testing.T) {
 	obj := int64(-1)
 	var set []int
 	for i := int64(0); i < bd.Img.Size/ObjectSize; i++ {
-		set = c.Map().PGToOSDs(crush.ObjectToPG(fmt.Sprintf("rbd.img.%d", i), p.PGs), c.PoolWidth())
+		set = c.CrushSet(crush.ObjectToPG(fmt.Sprintf("rbd.img.%d", i), p.PGs))
 		if slices.Contains(set, 1) {
 			obj = i
 			break
@@ -280,7 +280,7 @@ func TestRecoverySkipsCrashedPeer(t *testing.T) {
 	}
 	var stale []copyVersion
 	for _, oid := range c.ObjectNames() {
-		set := c.Map().PGToOSDs(crush.ObjectToPG(oid, c.Params.PGs), c.PoolWidth())
+		set := c.CrushSet(crush.ObjectToPG(oid, c.Params.PGs))
 		if slices.Contains(set, 1) && slices.Contains(set, crashed) &&
 			fs1.ObjectVersion(oid) != c.OSDs()[crashed].FileStore().ObjectVersion(oid) {
 			stale = append(stale, copyVersion{oid, fs1.ObjectVersion(oid)})

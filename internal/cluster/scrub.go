@@ -30,7 +30,7 @@ func (c *Cluster) ScrubAll() []Inconsistency {
 	var versions []uint64
 	for _, oid := range c.ObjectNames() {
 		pg := crush.ObjectToPG(oid, c.Params.PGs)
-		want := c.crushSet(pg)
+		want := c.CrushSet(pg)
 		versions = versions[:0]
 		for id, o := range c.osds {
 			v := o.FileStore().ObjectVersion(oid)
@@ -135,7 +135,7 @@ func (c *Cluster) RepairIn(p *sim.Proc) int {
 	healed := 0
 	for i, f := range inc {
 		if i == 0 || inc[i-1].OID != f.OID {
-			healed += c.repairObject(p, f.OID, c.crushSet(f.PG))
+			healed += c.repairObject(p, f.OID, c.CrushSet(f.PG))
 		}
 	}
 	return healed

@@ -91,7 +91,7 @@ func TestScrubDetectsStrayCopy(t *testing.T) {
 	}
 	set := map[int]bool{}
 	pg := ObjectToPGForTest(oid, c)
-	for _, id := range c.Map().PGToOSDs(pg, c.PoolWidth()) {
+	for _, id := range c.CrushSet(pg) {
 		set[id] = true
 	}
 	var stray *osd.OSD

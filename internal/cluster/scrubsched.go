@@ -188,7 +188,7 @@ func (c *Cluster) scrubRound(p *sim.Proc) {
 			continue
 		}
 		pg := uint32(id)
-		want := c.crushSet(pg)
+		want := c.CrushSet(pg)
 		done.Add(1)
 		c.K.Go(fmt.Sprintf("scrub.pg%d", pg), func(pp *sim.Proc) {
 			defer done.Done()

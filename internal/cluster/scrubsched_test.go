@@ -152,7 +152,7 @@ func TestScrubDetectsAndRepairsRot(t *testing.T) {
 	bd := cl.OpenDevice("img", 64<<20)
 	oid := "rbd.img.0"
 	pg := crush.ObjectToPG(oid, p.PGs)
-	set := c.Map().PGToOSDs(pg, c.PoolWidth())
+	set := c.CrushSet(pg)
 	victim := set[len(set)-1]
 	var injectedAt sim.Time
 	c.K.Go("io", func(pp *sim.Proc) {
@@ -210,7 +210,7 @@ func TestReadRepairServesFromReplica(t *testing.T) {
 	cl := c.NewClient()
 	oid := "obj-a"
 	pg := crush.ObjectToPG(oid, c.Params.PGs)
-	set := c.Map().PGToOSDs(pg, c.PoolWidth())
+	set := c.CrushSet(pg)
 	primary := set[0]
 	var got uint64
 	var exists bool
@@ -258,7 +258,7 @@ func TestReadEIOWhenNoHealthyCopy(t *testing.T) {
 	cl := c.NewClient()
 	oid := "obj-a"
 	pg := crush.ObjectToPG(oid, c.Params.PGs)
-	set := c.Map().PGToOSDs(pg, c.PoolWidth())
+	set := c.CrushSet(pg)
 	var got uint64
 	var exists bool
 	c.K.Go("io", func(pp *sim.Proc) {

@@ -77,6 +77,7 @@ type chainRun struct {
 	acks ackRun
 	g    *gather
 	set  []*netsim.Endpoint // the acting set a write fans out to or a gather asks
+	self int                // this OSD's slot in set
 	idx  int
 	sr   *shardRead      // a holder's fetch
 	then func(*msgChain) // run when a read's store read or a write's set-up completes

@@ -127,13 +127,11 @@ type OSD struct {
 	crashed bool
 	dirty   bool
 
-	// pol is the pool's redundancy policy; the default (installed at
-	// construction, replaced via SetPolicy) reproduces the pre-seam
-	// replicated behaviour exactly. acting maps a PG to its acting set
-	// (see SetActingSet): the write fan-out and the read gather both walk
-	// it.
+	// pol is the pool's redundancy policy (see SetPolicy). acting maps a
+	// PG to its acting set and this OSD's slot in it (see SetActingSet):
+	// the write fan-out and the read gather both walk it.
 	pol    redundancy.Policy
-	acting func(pg uint32) []*netsim.Endpoint
+	acting func(pg uint32) (set []*netsim.Endpoint, self int)
 
 	// integrityNote reports damage events (read-repair, heal, EIO) to the
 	// cluster's integrity log; nil when nobody listens. repairing dedups
@@ -284,17 +282,21 @@ func (o *OSD) startWorkers() {
 }
 
 // SetPolicy installs the pool's redundancy policy. The construction-time
-// default is plain replication, which keeps every pre-seam configuration
-// bit-identical; the cluster overrides it before traffic starts.
+// default is replication (redundancy.Replicated's zero value): a shard is
+// the whole write, coding costs nothing and one copy serves a read. The
+// cluster installs the pool's policy before traffic starts.
 func (o *OSD) SetPolicy(pol redundancy.Policy) { o.pol = pol }
 
-// SetActingSet installs the function mapping a PG to its acting set: the
-// cluster endpoints of all Width() members in canonical (CRUSH) order,
-// this OSD's own ClusterEndpoint in its slot and nil for a down member.
-// A write fans out to the other non-nil members; a gathering read asks
-// them in that order. Required before any client op arrives; callers
-// treat the slice as read-only.
-func (o *OSD) SetActingSet(f func(pg uint32) []*netsim.Endpoint) { o.acting = f }
+// SetActingSet installs the function mapping a PG to its acting set and
+// this OSD's slot in it (-1 when the OSD is not a member). The set holds
+// the cluster endpoints of all Width() members in canonical (CRUSH)
+// order, nil for a down member; the cluster hands every OSD the same
+// slice for a PG within a map epoch, so this OSD's own slot is nil while
+// it is marked down yet still serving. A write fans out to the non-nil
+// members other than the own slot; a gathering read counts its own
+// answer at that slot and asks the others in order. Required before any
+// client op arrives; callers treat the slice as read-only.
+func (o *OSD) SetActingSet(f func(pg uint32) (set []*netsim.Endpoint, self int)) { o.acting = f }
 
 // SetIntegrityNote installs the cluster's integrity-event listener; fn is
 // called (from a process or kernel context) on read-repair, heal and EIO
@@ -574,13 +576,13 @@ func writeLogBuilt(ch *msgChain) {
 	st := o.pg(op.PG)
 	st.seq++
 	op.seq = st.seq
-	if head := o.PGLogHead(op.PG); op.seq > head+1 {
+	if head := o.pgLogHead(op.PG); op.seq > head+1 {
 		// The assignment counter was floored past this member's own log
 		// (peering learned of sequences assigned by a previous acting
 		// primary that never reached it). Adopt past the hole so the local
 		// log stays contiguous and the ordered-ack cursor cannot wedge on
 		// sequences this member will never see.
-		o.AdoptPGState(op.PG, op.seq-1)
+		o.adoptPGState(op.PG, op.seq-1)
 	}
 	o.appendPGLog(op.PG, PGLogEntry{Seq: op.seq, OID: op.OID, Stamp: op.Stamp})
 
@@ -588,7 +590,7 @@ func writeLogBuilt(ch *msgChain) {
 	// Under an EC policy the same fan-out ships shard-sized fragments
 	// (ceil(len/k) bytes each) and the primary pays the parity-encode CPU
 	// first; under replication ShardLen is the identity and EncodeCost is
-	// zero, so this chain is step-for-step the pre-seam path.
+	// zero.
 	ch.charge(o.pol.EncodeCost(op.Len), writeEncoded)
 }
 
@@ -596,10 +598,10 @@ func writeLogBuilt(ch *msgChain) {
 // ack waits for, and starts the fan-out.
 func writeEncoded(ch *msgChain) {
 	o, op := ch.o, ch.op
-	ch.set = o.acting(op.PG)
+	ch.set, ch.self = o.acting(op.PG)
 	peers := 0
-	for _, ep := range ch.set {
-		if ep != nil && ep != o.cep {
+	for idx, ep := range ch.set {
+		if ep != nil && idx != ch.self {
 			peers++
 		}
 	}
@@ -611,7 +613,7 @@ func writeEncoded(ch *msgChain) {
 // first; with none left, it logs the submit.
 func writeRepStep(ch *msgChain) {
 	for ; ch.idx < len(ch.set); ch.idx++ {
-		if ep := ch.set[ch.idx]; ep != nil && ep != ch.o.cep {
+		if ch.set[ch.idx] != nil && ch.idx != ch.self {
 			ch.charge(repSendCPU, writeRepCharged)
 			return
 		}
@@ -686,7 +688,7 @@ func repLogBuilt(ch *msgChain) {
 	// numbering seamlessly if it ever becomes the acting primary.
 	st := o.pg(rop.pg)
 	st.seq = max(st.seq, rop.seq)
-	switch head := o.PGLogHead(rop.pg); {
+	switch head := o.pgLogHead(rop.pg); {
 	case rop.seq == head+1:
 		o.appendPGLog(rop.pg, PGLogEntry{Seq: rop.seq, OID: rop.oid, Stamp: rop.stamp})
 	case rop.seq > head+1:
@@ -694,7 +696,7 @@ func repLogBuilt(ch *msgChain) {
 		// member (lost with a crash or a partition) and a new interval has
 		// started above them. Adopt past the hole so the local log stays
 		// contiguous; recovery backfills whatever data the gap carried.
-		o.AdoptPGState(rop.pg, rop.seq-1)
+		o.adoptPGState(rop.pg, rop.seq-1)
 		o.appendPGLog(rop.pg, PGLogEntry{Seq: rop.seq, OID: rop.oid, Stamp: rop.stamp})
 	default:
 		// rop.seq <= head: a late-delivered sub-op for a sequence the local

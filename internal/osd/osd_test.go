@@ -34,7 +34,7 @@ func newHarness(cfg Config) *harness {
 	cfg.FStore.VerifyData = true
 	o := NewSplit(k, cfg, node, ep, ep, ssd, nvram, r, &sim.FreeList[Reply]{})
 	alone := []*netsim.Endpoint{ep}
-	o.SetActingSet(func(uint32) []*netsim.Endpoint { return alone })
+	o.SetActingSet(fixedSet(alone, 0))
 	h := &harness{k: k, net: net, o: o, acks: make(map[uint64]*Reply), ackAt: make(map[uint64]sim.Time)}
 	h.client = net.NewEndpoint("client", clientNode, true)
 	h.client.SetReceiver(func(m *netsim.Message) {
@@ -43,6 +43,12 @@ func newHarness(cfg Config) *harness {
 		h.ackAt[rep.Op.ID] = k.Now()
 	})
 	return h
+}
+
+// fixedSet is an acting-set function answering set, with the OSD at slot
+// self, for every PG.
+func fixedSet(set []*netsim.Endpoint, self int) func(uint32) ([]*netsim.Endpoint, int) {
+	return func(uint32) ([]*netsim.Endpoint, int) { return set, self }
 }
 
 func (h *harness) send(p *sim.Proc, kind OpKind, id uint64, oid string, off, size int64, stamp uint64) {

@@ -95,19 +95,16 @@ func (o *OSD) markApplied(pg uint32, seq uint64) {
 }
 
 // PGLog returns a copy of the retained log for a PG.
-func (o *OSD) PGLog(pg uint32) []PGLogEntry {
+func (o *OSD) PGLog(pg uint32) []PGLogEntry { //afvet:allow unused cluster/scrub_test.go's TestPGLogsOrderedAfterWorkload and TestPGLogTrimBoundsMemory read the retained logs
 	return append([]PGLogEntry(nil), o.pg(pg).entries...)
 }
 
-// PGLogApplied returns the PG's applied horizon.
-func (o *OSD) PGLogApplied(pg uint32) uint64 { return o.pg(pg).appliedSeq }
-
-// AdoptPGState fast-forwards the PG's log to the agreed post-recovery head:
-// the local (stale) entries are discarded, the trim horizon moves to the
-// adopted sequence, and future entries continue from there. The ordered-ack
-// cursor follows the head so that sequences skipped by the adoption (e.g. a
-// crashed primary's journaled-but-unreplicated tail) can never wedge it.
-func (o *OSD) AdoptPGState(pg uint32, seq uint64) {
+// adoptPGState fast-forwards the PG's log to an agreed head: the local
+// (stale) entries are discarded, the trim horizon moves to the adopted
+// sequence, and future entries continue from there. The ordered-ack
+// cursor follows the head so that sequences skipped by the adoption (e.g.
+// a crashed primary's journaled-but-unreplicated tail) can never wedge it.
+func (o *OSD) adoptPGState(pg uint32, seq uint64) {
 	if seq == 0 {
 		return
 	}
@@ -122,9 +119,9 @@ func (o *OSD) AdoptPGState(pg uint32, seq uint64) {
 	st.seq = max(st.seq, seq)
 }
 
-// PGLogHead returns the newest sequence this OSD has logged for the PG
+// pgLogHead returns the newest sequence this OSD has logged for the PG
 // (zero when it has none).
-func (o *OSD) PGLogHead(pg uint32) uint64 {
+func (o *OSD) pgLogHead(pg uint32) uint64 {
 	l := o.pg(pg)
 	if n := len(l.entries); n > 0 {
 		return l.entries[n-1].Seq
@@ -132,22 +129,62 @@ func (o *OSD) PGLogHead(pg uint32) uint64 {
 	return l.trimmedTo
 }
 
-// PGSeqHorizon returns the highest primary-assigned sequence this OSD
-// knows about for a PG: assigned or processed (seq) or delivered but
-// still queued (seen). Recovery peering takes the maximum across a PG's
-// members so a new acting primary never re-assigns a sequence another
-// member has already logged — or is about to log from its queue.
-func (o *OSD) PGSeqHorizon(pg uint32) uint64 {
-	st := o.pg(pg)
-	return max(st.seq, st.seen)
-}
-
-// RaisePGSeq floors the PG's assignment counter at seq without touching
-// the log: the next client write this OSD leads will be numbered past every
-// sequence the peering horizon covered.
-func (o *OSD) RaisePGSeq(pg uint32, seq uint64) {
-	st := o.pg(pg)
-	st.seq = max(st.seq, seq)
+// Peer is recovery peering for one PG as target rejoins it; peers are
+// the PG's other up members and members its whole CRUSH set, down members
+// included. backfill says target restarted from a crash, so no peer log
+// can describe what it missed. Synchronous, and allocating only the
+// result, it takes three steps:
+//
+//   - Log coverage, before adoption rewrites any log: when the last peer's
+//     retained log covers target's gap past its applied horizon, missed
+//     names the objects logged in the gap, the only ones recovery
+//     compares; otherwise missed is nil and recovery backfills the PG.
+//   - Head adoption: target and peers adopt the highest log head among
+//     them (a peer that ran ahead degraded, or a crashed target whose
+//     replayed journal holds sequences no peer received), so sequences
+//     continue contiguously whichever member leads next.
+//   - Sequence floor: a sub-op the last primary fanned out may still be
+//     queued at a peer or on the wire, invisible to log heads. So target's
+//     and peers' assignment counters, not their logs, are floored at the
+//     highest horizon (seq, or seen) over all members: a crash keeps the
+//     counter so a dead assigner still vouches for what it launched, and
+//     the monitor would hold this interval metadata, so reading a down
+//     member costs no simulated I/O.
+func Peer(pg uint32, target *OSD, peers, members []*OSD, backfill bool) (missed map[string]bool) {
+	applied := target.pg(pg).appliedSeq
+	log := peers[len(peers)-1].pg(pg).entries
+	if !backfill && len(log) > 0 && log[0].Seq <= applied+1 {
+		missed = make(map[string]bool)
+		for _, e := range log {
+			if e.Seq > applied {
+				missed[e.OID] = true
+			}
+		}
+	}
+	head := target.pgLogHead(pg)
+	for _, p := range peers {
+		head = max(head, p.pgLogHead(pg))
+	}
+	if head > 0 {
+		target.adoptPGState(pg, head)
+		for _, p := range peers {
+			p.adoptPGState(pg, head)
+		}
+	}
+	floor := head
+	for _, m := range members {
+		st := m.pg(pg)
+		floor = max(floor, st.seq, st.seen)
+	}
+	if floor > head {
+		st := target.pg(pg)
+		st.seq = max(st.seq, floor)
+		for _, p := range peers {
+			st := p.pg(pg)
+			st.seq = max(st.seq, floor)
+		}
+	}
+	return missed
 }
 
 // PGLogViolations checks the recovery invariants over every PG this OSD

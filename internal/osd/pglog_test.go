@@ -1,6 +1,7 @@
 package osd
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/cpumodel"
@@ -39,13 +40,13 @@ func TestPGLogAppendAndRead(t *testing.T) {
 	if log[4].Seq != 5 || log[4].Stamp != 50 {
 		t.Fatalf("tail = %+v", log[4])
 	}
-	if o.PGLogHead(7) != 5 {
-		t.Fatalf("head = %d", o.PGLogHead(7))
+	if o.pgLogHead(7) != 5 {
+		t.Fatalf("head = %d", o.pgLogHead(7))
 	}
 	if o.PGLog(99) != nil {
 		t.Fatal("unknown pg returned entries")
 	}
-	if o.PGLogHead(99) != 0 || o.PGLogApplied(99) != 0 {
+	if o.pgLogHead(99) != 0 || o.pg(99).appliedSeq != 0 {
 		t.Fatal("unknown pg accessors wrong")
 	}
 }
@@ -107,9 +108,9 @@ func TestAdoptPGState(t *testing.T) {
 	o := bareOSD()
 	o.appendPGLog(5, PGLogEntry{Seq: 1})
 	o.appendPGLog(5, PGLogEntry{Seq: 2})
-	o.AdoptPGState(5, 40)
-	if o.PGLogHead(5) != 40 || o.PGLogApplied(5) != 40 {
-		t.Fatalf("head=%d applied=%d", o.PGLogHead(5), o.PGLogApplied(5))
+	o.adoptPGState(5, 40)
+	if o.pgLogHead(5) != 40 || o.pg(5).appliedSeq != 40 {
+		t.Fatalf("head=%d applied=%d", o.pgLogHead(5), o.pg(5).appliedSeq)
 	}
 	if len(o.PGLog(5)) != 0 {
 		t.Fatal("stale entries kept")
@@ -121,14 +122,91 @@ func TestAdoptPGState(t *testing.T) {
 		t.Fatalf("violations after adopt+append: %v", v)
 	}
 	// Adopting backwards is a no-op.
-	o.AdoptPGState(5, 10)
-	if o.PGLogHead(5) != 42 {
+	o.adoptPGState(5, 10)
+	if o.pgLogHead(5) != 42 {
 		t.Fatal("backward adopt rewound the log")
 	}
-	o.AdoptPGState(6, 0) // zero seq no-op
-	if o.PGLogHead(6) != 0 {
+	o.adoptPGState(6, 0) // zero seq no-op
+	if o.pgLogHead(6) != 0 {
 		t.Fatal("zero adopt created state")
 	}
+}
+
+// logged builds a bare OSD whose log for pg holds seqs from..to, each
+// entry naming object "o<seq>", after adopting from-1 as its head.
+func logged(pg uint32, from, to uint64) *OSD {
+	o := bareOSD()
+	o.adoptPGState(pg, from-1)
+	for s := from; s <= to; s++ {
+		o.appendPGLog(pg, PGLogEntry{Seq: s, OID: "o" + strconv.FormatUint(s, 10)})
+	}
+	return o
+}
+
+// TestPeer: peering returns the objects the last up peer's retained log
+// names past the target's applied horizon when that log covers the gap,
+// and nil for a backfill or an uncovered gap; the target and its peers
+// adopt the highest log head; and the sequence floor, which counts a down
+// member's delivered-seq horizon, raises the up members' counters without
+// touching their logs.
+func TestPeer(t *testing.T) {
+	const pg = 3
+	newTarget := func() *OSD {
+		o := logged(pg, 1, 3)
+		o.markApplied(pg, 3)
+		return o
+	}
+	for _, c := range []struct {
+		name     string
+		backfill bool
+		last     *OSD // the last up peer, whose log peering reads
+		want     []string
+	}{
+		{"covered", false, logged(pg, 2, 6), []string{"o4", "o5", "o6"}},
+		{"backfill", true, logged(pg, 2, 6), nil},
+		{"uncovered", false, logged(pg, 5, 6), nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			target := newTarget()
+			first := logged(pg, 6, 8) // covers nothing, and holds the highest head
+			missed := Peer(pg, target, []*OSD{first, c.last}, []*OSD{target, first, c.last}, c.backfill)
+			if (missed == nil) != (c.want == nil) || len(missed) != len(c.want) {
+				t.Fatalf("missed %v, want %v", missed, c.want)
+			}
+			for _, oid := range c.want {
+				if !missed[oid] {
+					t.Fatalf("missed %v, want %v", missed, c.want)
+				}
+			}
+			for i, o := range []*OSD{target, first, c.last} {
+				if h := o.pgLogHead(pg); h != 8 {
+					t.Fatalf("member %d head %d, want the adopted 8", i, h)
+				}
+			}
+		})
+	}
+
+	t.Run("floor", func(t *testing.T) {
+		target, peer, down := newTarget(), logged(pg, 1, 5), bareOSD()
+		peer.markApplied(pg, 5) // its head is applied: adoption keeps its log
+		down.pg(pg).seen = 20   // a sub-op delivered to the down member, unprocessed
+		Peer(pg, target, []*OSD{peer}, []*OSD{down, target, peer}, false)
+		for i, o := range []*OSD{target, peer} {
+			st := o.pg(pg)
+			if st.seq != 20 {
+				t.Fatalf("member %d seq %d, want the floor 20", i, st.seq)
+			}
+			if h := o.pgLogHead(pg); h != 5 {
+				t.Fatalf("member %d head %d, want the adopted 5", i, h)
+			}
+		}
+		if n := len(peer.pg(pg).entries); n != 5 {
+			t.Fatalf("peer log %d entries, want its 5 kept", n)
+		}
+		if st := down.pg(pg); st.seq != 0 || st.seen != 20 {
+			t.Fatalf("down member seq %d seen %d, want 0 and 20 untouched", st.seq, st.seen)
+		}
+	})
 }
 
 // TestMakeTxKeys pins the two KV keys of a write's transaction byte for

@@ -124,16 +124,12 @@ type gather struct {
 func startGather(ch *msgChain) {
 	o, op := ch.o, ch.op
 	g := &gather{op: op, need: o.pol.DataShards()}
-	ch.g, ch.set = g, o.acting(op.PG)
+	ch.g = g
+	ch.set, ch.self = o.acting(op.PG)
 	if ch.rd.Damaged {
 		g.localDamaged = true
-	} else {
-		for idx, ep := range ch.set {
-			if ep == o.cep {
-				g.recordUsable(idx, ch.rd.Stamp, ch.rd.Exists)
-				break
-			}
-		}
+	} else if ch.self >= 0 {
+		g.recordUsable(ch.self, ch.rd.Stamp, ch.rd.Exists)
 	}
 	gatherStep(ch)
 }
@@ -152,12 +148,12 @@ func (g *gather) recordUsable(idx int, stamp uint64, exists bool) {
 
 // nextLaunch advances the gather to its next fetch and returns the
 // acting-set slot to ask, or -1 when none is due. Down members and this
-// OSD (whose answer is already in) are never asked.
-func (g *gather) nextLaunch(set []*netsim.Endpoint, self *netsim.Endpoint) int {
+// OSD's own slot (whose answer is already in) are never asked.
+func (g *gather) nextLaunch(set []*netsim.Endpoint, self int) int {
 	for !g.done && g.need > 0 && g.out < g.need && g.next < len(set) {
 		idx := g.next
 		g.next++
-		if ep := set[idx]; ep == nil || ep == self {
+		if set[idx] == nil || idx == self {
 			continue
 		}
 		g.out++
@@ -195,7 +191,7 @@ func (g *gather) settle() int {
 // flight while untried candidates remain, charging repSendCPU for each,
 // then settles the gather.
 func gatherStep(ch *msgChain) {
-	if idx := ch.g.nextLaunch(ch.set, ch.o.cep); idx >= 0 {
+	if idx := ch.g.nextLaunch(ch.set, ch.self); idx >= 0 {
 		ch.idx = idx
 		ch.charge(repSendCPU, shardSent)
 		return
@@ -283,7 +279,8 @@ func (o *OSD) handleShardReadReply(eng *engine, m *netsim.Message, srr *shardRea
 		}
 	}
 	ch := o.getChain(eng, m)
-	ch.g, ch.set = g, o.acting(g.op.PG)
+	ch.g = g
+	ch.set, ch.self = o.acting(g.op.PG)
 	gatherStep(ch)
 }
 

@@ -73,7 +73,7 @@ func (h *harness) damagedRead(peers ...*fakePeer) *Reply {
 		for _, fp := range peers {
 			set = append(set, fp.ep)
 		}
-		h.o.SetActingSet(func(uint32) []*netsim.Endpoint { return set })
+		h.o.SetActingSet(fixedSet(set, 0))
 		h.send(p, OpRead, 2, "obj", 0, 4096, 0)
 	})
 	h.k.Run(5 * sim.Second)
@@ -174,7 +174,7 @@ func TestECReadsLocalShardFirst(t *testing.T) {
 	h.o.SetPolicy(redundancy.EC{K: 2, M: 2})
 	pa, pb, pc := h.peer("pa", copyDamaged, 0), h.peer("pb", copyDamaged, 0), h.peer("pc", copyAbsent, 0)
 	set := []*netsim.Endpoint{pa.ep, pb.ep, h.o.ClusterEndpoint(), pc.ep}
-	h.o.SetActingSet(func(uint32) []*netsim.Endpoint { return set })
+	h.o.SetActingSet(fixedSet(set, 2))
 	localReads := uint64(0)
 	pa.onFetch = func() { localReads = h.o.FileStore().Stats().Reads.Value() }
 	h.k.Go("c", func(p *sim.Proc) { h.send(p, OpRead, 1, "obj", 0, 4096, 0) })
@@ -195,6 +195,29 @@ func TestECReadsLocalShardFirst(t *testing.T) {
 	}
 	if h.ackAt[1] != 963651 || h.k.Dispatched() != 62 {
 		t.Fatalf("reply at %d after %d events, want 963651 and 62", h.ackAt[1], h.k.Dispatched())
+	}
+}
+
+// TestDownPrimaryCountsLocalAnswer: a primary marked down while it still
+// serves finds its own slot nil in the shared acting set. Its clean local
+// answer still counts toward the k, so the gather asks one peer, not two.
+func TestDownPrimaryCountsLocalAnswer(t *testing.T) {
+	h := newHarness(AFCeph().Config())
+	h.o.SetPolicy(redundancy.EC{K: 2, M: 1})
+	b, c := h.peer("b", copyClean, 7), h.peer("c", copyClean, 7)
+	h.k.Go("c", func(p *sim.Proc) {
+		h.send(p, OpWrite, 1, "obj", 0, 4096, 7)
+		p.Sleep(50 * sim.Millisecond)
+		h.o.SetActingSet(fixedSet([]*netsim.Endpoint{nil, b.ep, c.ep}, 0))
+		h.send(p, OpRead, 2, "obj", 0, 4096, 0)
+	})
+	h.k.Run(5 * sim.Second)
+	rep := h.acks[2]
+	if rep == nil || rep.EIO || !rep.Exists || rep.Stamp != 7 {
+		t.Fatalf("read reply %+v, want stamp 7", rep)
+	}
+	if b.fetches != 1 || c.fetches != 0 {
+		t.Fatalf("fetches %d and %d, want 1 and 0: the local answer is one of the k", b.fetches, c.fetches)
 	}
 }
 

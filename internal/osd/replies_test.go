@@ -42,7 +42,7 @@ func TestWorkerRepliesPinned(t *testing.T) {
 		{"ec-primary-only", func(h *harness) {
 			h.o.SetPolicy(redundancy.EC{K: 2, M: 1})
 			set := []*netsim.Endpoint{h.o.ClusterEndpoint(), nil, nil}
-			h.o.SetActingSet(func(uint32) []*netsim.Endpoint { return set })
+			h.o.SetActingSet(fixedSet(set, 0))
 		}, false, nil, map[string]pin{
 			"afceph":    {352578, 50478249, true, false, 78},
 			"community": {1511428, 51520360, true, false, 95},
@@ -54,7 +54,7 @@ func TestWorkerRepliesPinned(t *testing.T) {
 		}, false, func(h *harness, p *sim.Proc) {
 			peer := h.net.NewEndpoint("peer", h.o.node, true)
 			set := []*netsim.Endpoint{h.o.ClusterEndpoint(), peer}
-			h.o.SetActingSet(func(uint32) []*netsim.Endpoint { return set })
+			h.o.SetActingSet(fixedSet(set, 0))
 			h.send(p, OpRead, 2, "obj", 0, 4096, 0)
 		}, map[string]pin{
 			"afceph":    {355439, 50489467, false, true, 78},

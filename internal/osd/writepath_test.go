@@ -71,8 +71,8 @@ func newPairHarness(cfg Config) *pairHarness {
 	}
 	pair := []*netsim.Endpoint{h.osds[0].ClusterEndpoint(), h.osds[1].ClusterEndpoint()}
 	alone := []*netsim.Endpoint{h.osds[1].ClusterEndpoint()}
-	h.osds[0].SetActingSet(func(uint32) []*netsim.Endpoint { return pair })
-	h.osds[1].SetActingSet(func(uint32) []*netsim.Endpoint { return alone })
+	h.osds[0].SetActingSet(fixedSet(pair, 0))
+	h.osds[1].SetActingSet(fixedSet(alone, 0))
 	clientNode := cpumodel.NewNode(k, "client", 16, cpumodel.JEMalloc)
 	for i := range h.clients {
 		h.clients[i] = net.NewEndpoint(fmt.Sprintf("client%d", i), clientNode, true)

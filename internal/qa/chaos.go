@@ -387,7 +387,7 @@ func pickRotVictim(c *cluster.Cluster, r *rng.Rand) (string, int, bool) {
 	for k := 0; k < len(sorted); k++ {
 		oid := sorted[(start+k)%len(sorted)]
 		pg := crush.ObjectToPG(oid, c.Params.PGs)
-		set := c.Map().PGToOSDs(pg, c.PoolWidth())
+		set := c.CrushSet(pg)
 		eligible := true
 		var up []int
 		for _, id := range set {

@@ -225,7 +225,9 @@ func VMFleet(c *cluster.Cluster, numVMs int, imageSize int64, spec Spec) *Fleet 
 }
 
 // Prefill writes each job's device once every `stride` bytes so that read
-// workloads hit existing data. It runs the kernel until done.
+// workloads hit existing data. It runs the kernel until no event is left,
+// so it never returns while a background loop (heartbeats, a scheduled
+// scrub) runs: start those after it, or stop them first.
 func (f *Fleet) Prefill(k *sim.Kernel, blockSize, stride int64) {
 	if stride <= 0 {
 		stride = cluster.ObjectSize
