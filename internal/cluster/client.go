@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -32,9 +33,10 @@ type Client struct {
 	// NewClient default) bypasses admission entirely.
 	tenant string
 
-	// Free lists for op and pending records. Recycling is safe only without
-	// the retry timeout: a timeout timer retains the done event past the
-	// op's completion, and late replies may reference a dropped attempt.
+	// Free lists for attempt records. A replied attempt recycles its op
+	// and its pending record; a dropped one (timed out, or its target
+	// marked down) recycles only the pending record, because an OSD or
+	// the network may still hold its op and a late reply carries it.
 	opFree   sim.FreeList[osd.ClientOp]
 	pendFree sim.FreeList[pendingOp]
 }
@@ -42,7 +44,8 @@ type Client struct {
 type pendingOp struct {
 	done   *sim.Event
 	reply  *osd.Reply
-	target int // OSD the attempt was sent to, for epoch-change resend
+	target int       // OSD the attempt was sent to, for epoch-change resend
+	timer  sim.Timer // the attempt's timeout, with ClientOpTimeout set
 }
 
 // NewClient creates a client with its own (generously provisioned) CPU
@@ -86,15 +89,23 @@ func (cl *Client) Retries() uint64 { return cl.retries }
 // extent was damaged. An EIO read returns (0, false) — never corrupt data.
 func (cl *Client) EIOs() uint64 { return cl.eios }
 
+// errUnknownReply reports a reply that matches no attempt, in a run without
+// timeouts, where every attempt waits for its reply: a model bug.
+var errUnknownReply = errors.New("cluster: reply for unknown op")
+
 // handleReply runs in kernel context (see netsim.Receiver).
 func (cl *Client) handleReply(m *netsim.Message) {
 	rep := m.Payload.(*osd.Reply)
 	pend, ok := cl.pending[rep.Op.ID]
 	if !ok {
-		if cl.c.Params.ClientOpTimeout > 0 {
-			return // late reply for an attempt that already timed out
+		if cl.c.Params.ClientOpTimeout <= 0 {
+			panic(errUnknownReply)
 		}
-		panic("cluster: reply for unknown op")
+		// A late reply for a dropped attempt, whose op was never recycled,
+		// so its ID names no live attempt.
+		*rep = osd.Reply{}
+		cl.c.replies.Put(rep)
+		return
 	}
 	delete(cl.pending, rep.Op.ID)
 	pend.reply = rep
@@ -167,7 +178,6 @@ func (cl *Client) pgOf(oid string) uint32 { return crush.ObjectToPG(oid, cl.c.Pa
 
 func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, pg uint32, off, size int64, stamp uint64) (uint64, bool, bool) {
 	timeout := cl.c.Params.ClientOpTimeout
-	pool := timeout <= 0
 	for attempt := 0; ; attempt++ {
 		acting := cl.c.actingSet(pg)
 		if len(acting) == 0 {
@@ -200,43 +210,50 @@ func (cl *Client) doOp(p *sim.Proc, kind osd.OpKind, oid string, pg uint32, off,
 		}
 		cl.ep.Send(p, primary.Endpoint(), wire, msgKind, op)
 		if timeout > 0 {
-			cl.c.K.AfterCall(timeout, fireEvent, pend.done) // Fire is idempotent
+			// Every path below cancels the timer before the record
+			// recycles: a timer left armed would fire the event of the
+			// record's next attempt.
+			pend.timer = cl.c.K.AfterTimer(timeout, fireEvent, pend.done)
 		}
 		pend.done.Wait(p)
-		if rep := pend.reply; rep != nil {
-			st, ex := rep.Stamp, rep.Exists
-			admitted := !rep.Rejected
-			if !admitted {
-				// Admission control refused the op at the messenger. The
-				// rejection is the answer — retrying would charge the bucket
-				// again — so surface it instead of looping.
-				st, ex = 0, false
-			}
-			if rep.EIO {
-				// The cluster has no healthy copy of the extent; retrying
-				// would not help. Surface the failure as a missing read.
-				cl.eios++
-				st, ex = 0, false
-			}
-			if pool {
-				// The op is fully quiescent once the primary acked it (all
-				// replica commits precede the ack), so the whole attempt —
-				// op, pending record, completion event, reply — recycles.
-				*rep = osd.Reply{}
-				cl.c.replies.Put(rep)
-				pend.reply = nil
-				pend.done.Reset()
-				cl.pendFree.Put(pend)
-				*op = osd.ClientOp{}
-				cl.opFree.Put(op)
-			}
-			return st, ex, admitted
+		rep := pend.reply
+		if rep == nil {
+			// Timed out, or the target was marked down: drop the attempt.
+			delete(cl.pending, op.ID)
 		}
-		// Timed out, or the target was marked down. Drop the attempt (a
-		// late reply is tolerated by handleReply) and resend.
-		delete(cl.pending, op.ID)
-		cl.retries++
-		cl.backoff(p, attempt)
+		cl.c.K.Cancel(pend.timer) // a no-op once it has fired
+		pend.reply, pend.timer = nil, sim.Timer{}
+		pend.done.Reset()
+		cl.pendFree.Put(pend)
+		if rep == nil {
+			// Resend. A late reply is tolerated by handleReply, and the op
+			// stays with whoever may still hold it.
+			cl.retries++
+			cl.backoff(p, attempt)
+			continue
+		}
+		st, ex := rep.Stamp, rep.Exists
+		admitted := !rep.Rejected
+		if !admitted {
+			// Admission control refused the op at the messenger. The
+			// rejection is the answer — retrying would charge the bucket
+			// again — so surface it instead of looping.
+			st, ex = 0, false
+		}
+		if rep.EIO {
+			// The cluster has no healthy copy of the extent; retrying
+			// would not help. Surface the failure as a missing read.
+			cl.eios++
+			st, ex = 0, false
+		}
+		// The op is fully quiescent once the primary replied (all replica
+		// commits precede an ack, every fetch precedes a read reply), so it
+		// recycles with the reply.
+		*rep = osd.Reply{}
+		cl.c.replies.Put(rep)
+		*op = osd.ClientOp{}
+		cl.opFree.Put(op)
+		return st, ex, admitted
 	}
 }
 

@@ -17,8 +17,10 @@ const (
 	msgFail
 )
 
-type hbPing struct{ from int }
-type hbAck struct{ from int }
+// A ping or an ack is the sender's OSD id, boxed once per OSD into
+// hbState's payloads, so a heartbeat allocates nothing.
+type hbPing int
+type hbAck int
 type hbFail struct{ reporter, target int }
 
 // hbState is the failure-detection layer: per-OSD heartbeat endpoints on
@@ -30,6 +32,8 @@ type hbState struct {
 	stopped   bool
 	monEp     *netsim.Endpoint
 	eps       []*netsim.Endpoint
+	pings     []any // OSD i's ping payload, hbPing(i)
+	acks      []any // OSD i's ack payload, hbAck(i)
 	lastHeard [][]sim.Time
 	// DownsDetected counts OSDs marked down by failure reports (vs
 	// administrative FailOSD calls).
@@ -45,6 +49,8 @@ func (c *Cluster) startHeartbeats() {
 	n := len(c.osds)
 	hb := &hbState{
 		eps:       make([]*netsim.Endpoint, n),
+		pings:     make([]any, n),
+		acks:      make([]any, n),
 		lastHeard: make([][]sim.Time, n),
 	}
 	c.hb = hb
@@ -68,6 +74,7 @@ func (c *Cluster) startHeartbeats() {
 		nic := c.clusterNICs[i/c.Params.OSDsPerNode]
 		hb.eps[i] = c.Net.NewEndpointNIC(fmt.Sprintf("osd%d.hb", i), node, nic, true)
 		hb.eps[i].SetReceiver(func(m *netsim.Message) { c.hbHandle(i, m) })
+		hb.pings[i], hb.acks[i] = hbPing(i), hbAck(i)
 		hb.lastHeard[i] = make([]sim.Time, n)
 	}
 	for i := range c.osds {
@@ -83,11 +90,11 @@ func (c *Cluster) hbHandle(me int, m *netsim.Message) {
 	}
 	switch m.Kind {
 	case msgPing:
-		pg := m.Payload.(*hbPing)
-		c.hb.eps[me].Send(nil, c.hb.eps[pg.from], 64, msgPingAck, &hbAck{from: me})
+		from := m.Payload.(hbPing)
+		c.hb.eps[me].Send(nil, c.hb.eps[from], 64, msgPingAck, c.hb.acks[me])
 	case msgPingAck:
-		a := m.Payload.(*hbAck)
-		c.hb.lastHeard[me][a.from] = c.K.Now()
+		from := m.Payload.(hbAck)
+		c.hb.lastHeard[me][from] = c.K.Now()
 	}
 }
 
@@ -127,7 +134,7 @@ func (c *Cluster) hbLoop(p *sim.Proc, me int) {
 				hb.lastHeard[me][j] = p.Now()
 				continue
 			}
-			hb.eps[me].Send(p, hb.eps[j], 64, msgPing, &hbPing{from: me})
+			hb.eps[me].Send(p, hb.eps[j], 64, msgPing, hb.pings[me])
 			if p.Now()-hb.lastHeard[me][j] > grace {
 				hb.eps[me].Send(p, hb.monEp, 128, msgFail, &hbFail{reporter: me, target: j})
 			}

@@ -100,12 +100,16 @@ type shardRead struct {
 	gen     int // primary generation that started the gather
 	idx     int // acting-set slot of the queried member
 	g       *gather
+	// wantState asks for the holder's object snapshot: only the heal of
+	// a damaged primary copy uses it.
+	wantState bool
 }
 
 // shardReadReply carries a holder's answer back to the primary. ok means
 // the holder's copy passed verification (a clean "extent absent" is still
 // ok; the primary decides whether absence is usable). state snapshots the
-// holder's object for the heal of a damaged primary copy.
+// holder's object for the heal of a damaged primary copy, when the fetch
+// asked for it.
 type shardReadReply struct {
 	sr      *shardRead
 	stamp   uint64

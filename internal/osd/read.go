@@ -228,7 +228,7 @@ func gatherLogged(ch *msgChain) {
 
 // sendShardRead asks the member at acting-set slot idx for its copy.
 func (o *OSD) sendShardRead(eng *engine, g *gather, idx int, ep *netsim.Endpoint) {
-	sr := &shardRead{op: g.op, primary: o.cep, gen: eng.gen, idx: idx, g: g}
+	sr := &shardRead{op: g.op, primary: o.cep, gen: eng.gen, idx: idx, g: g, wantState: g.localDamaged}
 	o.cep.Send(nil, ep, 200, MsgShardRead, sr)
 }
 
@@ -243,9 +243,10 @@ func (o *OSD) processShardRead(ch *msgChain, sr *shardRead) {
 }
 
 // shardReadDone answers the primary. A clean copy (present or absent)
-// answers ok, with a state snapshot when present — the payload for a
-// damaged primary's heal; a damaged one reports unusable so the gather
-// tries the next member.
+// answers ok, with a state snapshot when present and asked for — the
+// payload for a damaged primary's heal; a damaged one reports unusable so
+// the gather tries the next member. The snapshot adds nothing to the
+// reply's wire size.
 func shardReadDone(ch *msgChain) {
 	o, sr := ch.o, ch.sr
 	if o.gen != ch.eng.gen {
@@ -253,7 +254,7 @@ func shardReadDone(ch *msgChain) {
 		return
 	}
 	reply := &shardReadReply{sr: sr, stamp: ch.rd.Stamp, exists: ch.rd.Exists, ok: !ch.rd.Damaged}
-	if reply.ok && reply.exists {
+	if reply.ok && reply.exists && sr.wantState {
 		if state, ok := o.fs.ExportObject(sr.op.OID); ok {
 			reply.state, reply.stateOK = state, true
 		}

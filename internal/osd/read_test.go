@@ -11,13 +11,15 @@ import (
 )
 
 // fakePeer is an acting-set member played by the test: it answers every
-// gather fetch at once with a fixed copy, and counts the fetches. onFetch,
-// when set, runs as each fetch arrives.
+// gather fetch at once with a fixed copy, and counts the fetches and those
+// that asked for a state snapshot, which it attaches only when asked, as a
+// real holder does. onFetch, when set, runs as each fetch arrives.
 type fakePeer struct {
-	ep      *netsim.Endpoint
-	fetches int
-	firstAt sim.Time
-	onFetch func()
+	ep         *netsim.Endpoint
+	fetches    int
+	wantStates int
+	firstAt    sim.Time
+	onFetch    func()
 }
 
 // copyState is the answer a fake peer gives: a damaged copy (unusable), an
@@ -39,12 +41,17 @@ func (h *harness) peer(name string, c copyState, stamp uint64) *fakePeer {
 			fp.firstAt = h.k.Now()
 		}
 		fp.fetches++
+		if sr.wantState {
+			fp.wantStates++
+		}
 		if fp.onFetch != nil {
 			fp.onFetch()
 		}
 		srr := &shardReadReply{sr: sr, ok: c != copyDamaged, exists: c != copyAbsent}
 		if c == copyClean {
 			srr.stamp = stamp
+		}
+		if c == copyClean && sr.wantState {
 			srr.state = filestore.ObjectState{Size: 4096, Version: 1, Stamps: map[int64]uint64{0: stamp}}
 			srr.stateOK = true
 		}
@@ -96,6 +103,10 @@ func TestDamagedPrimarySkipsAbsentReplica(t *testing.T) {
 	if absent.fetches != 1 || clean.fetches != 1 || absent.firstAt > clean.firstAt {
 		t.Fatalf("fetches: absent %d at %d, clean %d at %d; want one each, in order",
 			absent.fetches, absent.firstAt, clean.fetches, clean.firstAt)
+	}
+	if absent.wantStates != 1 || clean.wantStates != 1 {
+		t.Fatalf("%d and %d fetches asked for a snapshot, want every one: the heal needs it",
+			absent.wantStates, clean.wantStates)
 	}
 	m := h.o.Metrics()
 	if m.ReadRepairs.Value() != 1 || m.RepairWrites.Value() != 1 || m.EIOs.Value() != 0 {
@@ -218,6 +229,39 @@ func TestDownPrimaryCountsLocalAnswer(t *testing.T) {
 	}
 	if b.fetches != 1 || c.fetches != 0 {
 		t.Fatalf("fetches %d and %d, want 1 and 0: the local answer is one of the k", b.fetches, c.fetches)
+	}
+	if b.wantStates != 0 {
+		t.Fatalf("a clean gather asked for %d snapshots, want none", b.wantStates)
+	}
+}
+
+// TestShardHolderExportsOnlyWhenAsked: a holder answers a gather fetch
+// with its object snapshot only when the fetch asks for one.
+func TestShardHolderExportsOnlyWhenAsked(t *testing.T) {
+	h := newHarness(AFCeph().Config())
+	h.o.SetPolicy(redundancy.EC{K: 2, M: 1})
+	h.prim = h.net.NewEndpoint("prim", h.o.node, true)
+	var got []*shardReadReply
+	h.prim.SetReceiver(func(m *netsim.Message) { got = append(got, m.Payload.(*shardReadReply)) })
+	h.k.Go("c", func(p *sim.Proc) {
+		h.send(p, OpWrite, 1, "obj", 0, 4096, 7)
+		op := &ClientOp{Kind: OpRead, OID: "obj", PG: 1, Len: 4096, ID: 2}
+		for _, want := range []bool{false, true} {
+			p.Sleep(50 * sim.Millisecond)
+			sr := &shardRead{op: op, primary: h.prim, idx: 1, wantState: want}
+			h.prim.Send(p, h.o.ClusterEndpoint(), 200, MsgShardRead, sr)
+		}
+	})
+	h.k.Run(5 * sim.Second)
+	if len(got) != 2 {
+		t.Fatalf("%d answers, want 2", len(got))
+	}
+	plain, asked := got[0], got[1]
+	if !plain.ok || plain.stamp != 7 || plain.stateOK {
+		t.Fatalf("unasked answer %+v, want stamp 7 and no snapshot", plain)
+	}
+	if !asked.ok || asked.stamp != 7 || !asked.stateOK || asked.state.Stamps[0] != 7 {
+		t.Fatalf("asked answer %+v, want stamp 7 and its snapshot", asked)
 	}
 }
 

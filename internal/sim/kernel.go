@@ -34,6 +34,14 @@
 // key, and a bitmap finds the next non-empty one. Events beyond the window
 // (op timeouts, heartbeats) wait in a 4-ary heap and move into the wheel
 // when the window reaches them.
+//
+// A callback armed with AfterTimer can be cancelled. Cancel marks its
+// event dead where it waits: Run drops a dead event when it comes up,
+// without counting it, and the far heap drops its dead events as they
+// leave it, or all at once, in a rebuild, when they outnumber the live
+// ones. The dead event's seq was consumed when it was armed, so every
+// other event keeps its key and its order, and a drain still ends at its
+// instant, as it would had the callback run and done nothing.
 package sim
 
 import (
@@ -84,6 +92,7 @@ type event struct {
 	proc *Proc     // if non-nil, resume this process
 	fn   func(any) // else run fn(arg), which must not block
 	arg  any
+	dead bool // cancelled: dropped, never dispatched
 }
 
 // Kernel is a discrete-event simulation executive. The zero value is not
@@ -100,8 +109,12 @@ type Kernel struct {
 	// Future events wait in the wheel, whose window is the wheelSize
 	// buckets from base, or beyond it in far, a 4-ary heap of the events
 	// whose bucket is at least base+wheelSize.
-	far  []heapSlot
-	base int64 // the bucket of the last dispatched future event
+	far     []heapSlot
+	farDead int   // cancelled events still in far
+	base    int64 // the bucket of the last dispatched future event
+	// lastDead is the latest instant of a cancelled timer, where a drain
+	// ends at the earliest.
+	lastDead Time
 
 	free FreeList[event] // event records, for reuse
 
@@ -133,7 +146,9 @@ func (k *Kernel) Now() Time { return k.now }
 // that Run dispatches before any event scheduled from now on. A callback
 // that would otherwise continue by AfterCall(0) and schedule nothing after
 // it may, when DueNow is false, continue inline instead: no other event
-// runs in between, so every later event keeps its order.
+// runs in between, so every later event keeps its order. A cancelled timer
+// still queued for the instant counts as due: that answer costs at most an
+// event, never an order.
 func (k *Kernel) DueNow() bool {
 	if k.ready.len() > 0 {
 		return true
@@ -208,6 +223,55 @@ func (k *Kernel) AfterCall(d Time, fn func(any), arg any) {
 	ev := k.newEvent(k.after(d))
 	ev.fn, ev.arg = fn, arg
 	k.enqueue(ev)
+}
+
+// Timer identifies a callback armed with AfterTimer, for Cancel. The zero
+// Timer is armed nowhere, and cancelling it is a no-op.
+type Timer struct {
+	ev  *event
+	seq uint64
+}
+
+// AfterTimer is AfterCall with a handle: the callback can be cancelled
+// until it runs.
+func (k *Kernel) AfterTimer(d Time, fn func(any), arg any) Timer {
+	ev := k.newEvent(k.after(d))
+	ev.fn, ev.arg = fn, arg
+	k.enqueue(ev)
+	return Timer{ev, ev.seq}
+}
+
+// Cancel stops t's callback from running. The event stays queued, dead,
+// until the queue drops it: it is not dispatched and not counted by
+// Dispatched, and no other event's key changes. A Run(Forever) that
+// drains the queue still ends no earlier than its instant, as it would
+// had the callback run as a no-op, so the time a simulation ends at does
+// not depend on what it cancelled. Cancel releases the callback's
+// argument at once. Cancelling a timer that already ran, or a second
+// time, is a no-op, as is a handle whose event record has since been
+// reused.
+func (k *Kernel) Cancel(t Timer) {
+	ev := t.ev
+	if ev == nil || ev.seq != t.seq || ev.fn == nil {
+		return // ran (its record was recycled) or already cancelled
+	}
+	ev.fn, ev.arg, ev.dead = nil, nil, true
+	k.lastDead = max(k.lastDead, ev.t)
+	// A queued future event waits in far exactly when its bucket lies
+	// beyond the wheel's window: every move of the window migrates the
+	// far events it reaches. A ready event is due now, never in far.
+	if ev.t > k.now && int64(ev.t>>bucketShift)-k.base >= wheelSize {
+		k.farDead++
+		if k.farDead > farDeadFloor && 2*k.farDead > len(k.far) {
+			k.rebuildFar()
+		}
+	}
+}
+
+// drop recycles a dead event taken off the queue.
+func (k *Kernel) drop(ev *event) {
+	ev.dead = false
+	k.free.Put(ev)
 }
 
 // Go spawns a new simulated process that executes fn. The process starts at
@@ -295,6 +359,10 @@ func (k *Kernel) Run(until Time) uint64 {
 		if ev == nil {
 			break
 		}
+		if ev.dead {
+			k.drop(ev)
+			continue
+		}
 		if ev.t > k.now {
 			k.now = ev.t
 		}
@@ -307,8 +375,11 @@ func (k *Kernel) Run(until Time) uint64 {
 			fn(arg)
 		}
 	}
-	if until != Forever && k.now < until {
+	switch {
+	case until != Forever && k.now < until:
 		k.now = until
+	case until == Forever && k.now < k.lastDead:
+		k.now = k.lastDead // drained past a cancelled timer
 	}
 	return k.dispatched - start
 }
@@ -361,6 +432,9 @@ func (k *Kernel) pop(limit Time) *event {
 			return nil
 		}
 		ev := k.farPop()
+		if ev.dead {
+			k.farDead-- // Run drops it
+		}
 		k.base = int64(ev.t >> bucketShift)
 		k.migrate()
 		return ev
@@ -441,11 +515,40 @@ func (k *Kernel) nextSlot() int {
 }
 
 // migrate moves into the wheel the far events its window reaches, once a
-// future event's dispatch has moved the window to that event's bucket.
+// future event's dispatch has moved the window to that event's bucket,
+// and drops the dead ones among them.
 func (k *Kernel) migrate() {
 	for len(k.far) > 0 && int64(k.far[0].t>>bucketShift)-k.base < wheelSize {
-		k.insert(k.farPop())
+		ev := k.farPop()
+		if ev.dead {
+			k.farDead--
+			k.drop(ev)
+			continue
+		}
+		k.insert(ev)
 	}
+}
+
+// farDeadFloor is the number of dead far events below which Cancel never
+// rebuilds the heap: a small heap is cheap to pop through.
+const farDeadFloor = 64
+
+// rebuildFar drops far's dead events and restores the heap order over the
+// rest in O(n). Any heap of the same keys pops in the same order.
+func (k *Kernel) rebuildFar() {
+	h := k.far[:0]
+	for _, s := range k.far {
+		if s.ev.dead {
+			k.drop(s.ev)
+		} else {
+			h = append(h, s)
+		}
+	}
+	clear(k.far[len(h):])
+	for i := (len(h) - 2) / 4; i >= 0 && len(h) > 1; i-- {
+		siftDown(h, i, h[i])
+	}
+	k.far, k.farDead = h, 0
 }
 
 // heapSlot is one far heap entry: an event and its (t, seq) key, kept
@@ -483,7 +586,17 @@ func (k *Kernel) farPop() *event {
 	last := h[n]
 	h[n] = heapSlot{}
 	h = h[:n]
-	i := 0
+	if n > 0 {
+		siftDown(h, 0, last)
+	}
+	k.far = h
+	return ev
+}
+
+// siftDown puts x into the heap h at the hole i, moving the hole down past
+// every child that orders before x.
+func siftDown(h []heapSlot, i int, x heapSlot) {
+	n := len(h)
 	for {
 		c := 4*i + 1
 		if c >= n {
@@ -497,15 +610,11 @@ func (k *Kernel) farPop() *event {
 				m, mt, ms = j, s.t, s.seq
 			}
 		}
-		if mt > last.t || (mt == last.t && ms > last.seq) {
+		if mt > x.t || (mt == x.t && ms > x.seq) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	if n > 0 {
-		h[i] = last
-	}
-	k.far = h
-	return ev
+	h[i] = x
 }
